@@ -1,73 +1,160 @@
-//! Golden-file coverage for real distributed SpMSpV and SpGEMM traces.
+//! Golden-file coverage for real distributed SpMSpV, batched-expand,
+//! SpMV and SpGEMM traces.
 //!
 //! One small fixed workload each, exported through the byte-deterministic
-//! Chrome sink. The SpMSpV runs (once per merge strategy) pin the span
+//! Chrome sink. The semiring SpMSpV runs (once per merge strategy) pin the span
 //! structure the observability stack promises: the `bucket` phase (and
 //! the absence of any sort work) under the bucketed merge, and the
 //! aggregated request/reply `gather` supersteps under
 //! `CommStrategy::Bulk`. The SpGEMM run pins the multi-stage SUMMA's
 //! `mxm` op span (algo/stages/grid attributes) and its `select` span
 //! carrying the per-stage density-adaptive kernel census
-//! (heap/hash/spa). The serial executor makes each run — and therefore
-//! each file — exactly reproducible.
+//! (heap/hash/spa). The remaining cases pin every other entry point of
+//! the push and dense pipelines on 4 locales — masked first-visitor SpMSpV
+//! under both comm strategies, the two batched expansions and the batched
+//! dense SpMM at k=3, and the dense SpMV — so their spans, counters, comm
+//! events and pool telemetry cannot drift unnoticed. The serial executor
+//! makes each run — and therefore each file — exactly reproducible.
 //!
 //! Regenerate after an intentional format or pricing change with
 //! `GBLAS_REGEN_GOLDEN=1 cargo test -p gblas-dist --test trace_golden_dist`.
 
 use gblas_core::algebra::semirings;
+use gblas_core::container::DenseVec;
 use gblas_core::gen;
 use gblas_core::ops::spmspv::{MergeStrategy, SpMSpVOpts};
 use gblas_core::trace::sink::chrome_trace;
-use gblas_core::trace::SpanKind;
+use gblas_core::trace::{SpanKind, Trace};
+use gblas_dist::ops::expand::{
+    expand_dist_first_visitor, expand_dist_semiring, spmm_dense_dist, DistFrontier,
+};
 use gblas_dist::ops::mxm::mxm_dist;
-use gblas_dist::ops::spmspv::{spmspv_dist_semiring_with, CommStrategy, PHASE_GATHER};
-use gblas_dist::{DistCsrMatrix, DistCtx, DistSparseVec, LocaleExecutor, ProcGrid};
+use gblas_dist::ops::spmspv::{
+    spmspv_dist_semiring_with, spmspv_dist_with, CommStrategy, DistMask, PHASE_GATHER,
+};
+use gblas_dist::ops::spmv::spmv_dist;
+use gblas_dist::{DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid};
 use gblas_sim::MachineConfig;
 
-fn traced_run(merge: MergeStrategy) -> gblas_core::trace::Trace {
-    let grid = ProcGrid::new(2, 2);
-    let a = gen::erdos_renyi(60, 4, 5);
-    let x = gen::random_sparse_vec(60, 12, 6);
-    let da = DistCsrMatrix::from_global(&a, grid);
-    let dx = DistSparseVec::from_global(&x, grid.locales());
+/// Distribute the fixed ER(60, 4) matrix over `grid` and trace whatever
+/// `run` executes on a fresh serial-executor context.
+fn traced(grid: ProcGrid, run: impl FnOnce(&DistCsrMatrix<f64>, &DistCtx)) -> Trace {
+    let da = DistCsrMatrix::from_global(&gen::erdos_renyi(60, 4, 5), grid);
     let mut dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
     dctx.set_executor(LocaleExecutor::Serial);
     dctx.enable_tracing();
-    let ring = semirings::plus_times_f64();
-    spmspv_dist_semiring_with(
-        &da,
-        &dx,
-        &ring,
-        None,
-        CommStrategy::Bulk,
-        SpMSpVOpts::with_merge(merge),
-        &dctx,
-    )
-    .expect("spmspv");
+    run(&da, &dctx);
     dctx.recorder().snapshot()
 }
 
-fn check_against_golden(merge: MergeStrategy) {
-    let got = chrome_trace(&traced_run(merge));
+/// Compare `trace`'s Chrome export against `tests/golden/<name>.json`
+/// (or rewrite the file under `GBLAS_REGEN_GOLDEN`).
+fn check_golden(name: &str, trace: &Trace) {
+    let got = chrome_trace(trace);
     let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join(format!("tests/golden/spmspv_bulk_{}.json", merge.name()));
+        .join(format!("tests/golden/{name}.json"));
     if std::env::var_os("GBLAS_REGEN_GOLDEN").is_some() {
         std::fs::create_dir_all(golden.parent().unwrap()).expect("mkdir golden");
         std::fs::write(&golden, &got).expect("write golden");
         return;
     }
     let want = std::fs::read_to_string(&golden).expect("golden file present");
-    assert_eq!(got, want, "{} merge trace drifted from the golden file", merge.name());
+    assert_eq!(got, want, "{name} trace drifted from the golden file");
+}
+
+const GRID_2X2: (usize, usize) = (2, 2);
+
+/// The 12-entry sparse frontier every single-source case multiplies.
+fn frontier(p: usize) -> DistSparseVec<f64> {
+    DistSparseVec::from_global(&gen::random_sparse_vec(60, 12, 6), p)
+}
+
+fn traced_run(merge: MergeStrategy) -> Trace {
+    let grid = ProcGrid::new(GRID_2X2.0, GRID_2X2.1);
+    traced(grid, |da, dctx| {
+        let ring = semirings::plus_times_f64();
+        spmspv_dist_semiring_with(
+            da,
+            &frontier(grid.locales()),
+            &ring,
+            None,
+            CommStrategy::Bulk,
+            SpMSpVOpts::with_merge(merge),
+            dctx,
+        )
+        .expect("spmspv");
+    })
 }
 
 #[test]
 fn sort_merge_trace_matches_golden() {
-    check_against_golden(MergeStrategy::SortBased);
+    check_golden("spmspv_bulk_sort", &traced_run(MergeStrategy::SortBased));
 }
 
 #[test]
 fn bucket_merge_trace_matches_golden() {
-    check_against_golden(MergeStrategy::Bucketed);
+    check_golden("spmspv_bulk_bucket", &traced_run(MergeStrategy::Bucketed));
+}
+
+/// Masked first-visitor SpMSpV (the BFS level kernel) under `strategy`.
+fn traced_first_visitor(strategy: CommStrategy) -> Trace {
+    let grid = ProcGrid::new(GRID_2X2.0, GRID_2X2.1);
+    let p = grid.locales();
+    traced(grid, |da, dctx| {
+        let visited = DistDenseVec::from_global(&DenseVec::from_fn(60, |i| i % 3 == 0), p);
+        spmspv_dist_with(
+            da,
+            &frontier(p),
+            Some(DistMask::complement(&visited)),
+            strategy,
+            SpMSpVOpts::default(),
+            dctx,
+        )
+        .expect("masked spmspv");
+    })
+}
+
+/// Three sources' frontiers (two entries each, spread over the blocks).
+fn batch<T: Copy + Send + Sync + 'static>(p: usize, value: impl Fn(usize) -> T) -> DistFrontier<T> {
+    let entries =
+        [[0usize, 31], [7, 44], [21, 58]].iter().map(|src| src.map(|i| (i, value(i))).to_vec());
+    DistFrontier::from_entries(60, entries.collect(), p).expect("batch")
+}
+
+/// Every remaining entry point of the push and dense pipelines on 4
+/// locales: one golden each.
+#[test]
+fn push_and_dense_kernel_traces_match_goldens() {
+    let grid = ProcGrid::new(GRID_2X2.0, GRID_2X2.1);
+    let p = grid.locales();
+    check_golden("spmspv_fv_masked_fine", &traced_first_visitor(CommStrategy::Fine));
+    check_golden("spmspv_fv_masked_bulk", &traced_first_visitor(CommStrategy::Bulk));
+    let expand_fv = traced(grid, |da, dctx| {
+        let visited: Vec<DistDenseVec<bool>> = (0..3)
+            .map(|s| DistDenseVec::from_global(&DenseVec::from_fn(60, |i| i % (3 + s) == 0), p))
+            .collect();
+        expand_dist_first_visitor(da, &batch(p, |i| i), &visited, SpMSpVOpts::default(), dctx)
+            .expect("expand first-visitor");
+    });
+    check_golden("expand_fv_k3", &expand_fv);
+    let expand_ring = traced(grid, |da, dctx| {
+        let ring = semirings::plus_times_f64();
+        let f = batch(p, |i| 1.0 + i as f64);
+        expand_dist_semiring(da, &f, &ring, SpMSpVOpts::default(), dctx).expect("expand semiring");
+    });
+    check_golden("expand_semiring_k3", &expand_ring);
+    let dense = |s: usize| {
+        DistDenseVec::from_global(&DenseVec::from_fn(60, |i| 1.0 + ((i + s) % 7) as f64), p)
+    };
+    let spmv = traced(grid, |da, dctx| {
+        spmv_dist(da, &dense(0), &semirings::plus_times_f64(), dctx).expect("spmv");
+    });
+    check_golden("spmv", &spmv);
+    let spmm = traced(grid, |da, dctx| {
+        let xs: Vec<DistDenseVec<f64>> = (0..3).map(dense).collect();
+        spmm_dense_dist(da, &xs, &semirings::plus_times_f64(), dctx).expect("spmm");
+    });
+    check_golden("spmm_dense_k3", &spmm);
 }
 
 /// Structural claims the golden bytes encode, asserted directly so a
@@ -82,7 +169,7 @@ fn traces_carry_the_promised_spans() {
     // pinned by the core golden test), but their counters survive: the
     // sorted run records sort comparisons and no bucket scatter, the
     // bucketed run the exact opposite.
-    let totals = |t: &gblas_core::trace::Trace| {
+    let totals = |t: &Trace| {
         t.spans.iter().fold((0u64, 0u64), |(se, ra), s| {
             (se + s.counters.sort_elems, ra + s.counters.rand_access)
         })
@@ -113,7 +200,7 @@ fn traces_carry_the_promised_spans() {
         }
     }
     // the op span records which merge strategy produced it
-    let merge_attr = |t: &gblas_core::trace::Trace| {
+    let merge_attr = |t: &Trace| {
         t.spans
             .iter()
             .find(|s| s.kind == SpanKind::Op)
@@ -125,7 +212,7 @@ fn traces_carry_the_promised_spans() {
 
 /// The SpGEMM golden: multi-stage DCSC SUMMA on the rectangular 2x3
 /// grid — the shape the square-grid guard used to reject outright.
-fn traced_mxm_run() -> gblas_core::trace::Trace {
+fn traced_mxm_run() -> Trace {
     let grid = ProcGrid::new(2, 3);
     let a = gen::erdos_renyi(60, 4, 7);
     let b = gen::erdos_renyi(60, 3, 8);
@@ -141,16 +228,7 @@ fn traced_mxm_run() -> gblas_core::trace::Trace {
 
 #[test]
 fn mxm_summa_trace_matches_golden() {
-    let got = chrome_trace(&traced_mxm_run());
-    let golden =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/mxm_summa_2x3.json");
-    if std::env::var_os("GBLAS_REGEN_GOLDEN").is_some() {
-        std::fs::create_dir_all(golden.parent().unwrap()).expect("mkdir golden");
-        std::fs::write(&golden, &got).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(&golden).expect("golden file present");
-    assert_eq!(got, want, "mxm SUMMA trace drifted from the golden file");
+    check_golden("mxm_summa_2x3", &traced_mxm_run());
 }
 
 /// Structural claims the mxm golden bytes encode, asserted directly so a
