@@ -24,6 +24,7 @@
 use gblas_core::error::{GblasError, Result};
 use gblas_core::trace::{MetricsRegistry, TraceRecorder};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Message-granularity class of an event.
@@ -97,8 +98,14 @@ pub struct Comm {
     /// Opt-in cumulative copy of every logged event — unlike the main
     /// log, *not* drained by [`Comm::take_events`], so tests can audit a
     /// ledger that operations have already priced. `None` (off) unless
-    /// [`Comm::record_history`] was called.
-    history: Mutex<Option<Vec<CommEvent>>>,
+    /// [`Comm::record_history`] was called. Each event is stamped with
+    /// the pricing epoch it was logged in (see [`Comm::history`]).
+    history: Mutex<Option<Vec<(u64, CommEvent)>>>,
+    /// Pricing epoch: how many times [`Comm::take_events`] has drained
+    /// the log. Only the driver thread drains, between supersteps, and the
+    /// superstep fork/join orders that bump before any locale task's
+    /// read; the counter publishes no other data, hence `Relaxed`.
+    epoch: AtomicU64,
     /// Shared cumulative metrics (always cheap; a fresh registry when the
     /// owning context is not instrumented).
     metrics: Arc<MetricsRegistry>,
@@ -190,7 +197,7 @@ impl Comm {
         self.metrics.bytes_sent(bytes);
         let event = CommEvent { phase: phase.to_string(), src, dst, kind, msgs, bytes };
         if let Some(h) = self.history.lock().as_mut() {
-            h.push(event.clone());
+            h.push((self.epoch.load(Ordering::Relaxed), event.clone()));
         }
         self.events.lock().push(event);
         Ok(())
@@ -259,9 +266,18 @@ impl Comm {
     }
 
     /// Snapshot the cumulative history (empty unless
-    /// [`Comm::record_history`] was called before the traffic).
+    /// [`Comm::record_history`] was called before the traffic) in its
+    /// canonical order: by pricing epoch — one epoch per
+    /// [`Comm::take_events`] drain, i.e. per priced operation — then by
+    /// source locale. Under the threaded executor concurrent locale tasks
+    /// append in whatever order they reach the lock, so only each source's
+    /// own subsequence is fixed; the stable sort keeps every such
+    /// subsequence and drops the cross-source interleaving, giving every
+    /// consumer one deterministic ledger.
     pub fn history(&self) -> Vec<CommEvent> {
-        self.history.lock().clone().unwrap_or_default()
+        let mut stamped = self.history.lock().clone().unwrap_or_default();
+        stamped.sort_by_key(|(epoch, event)| (*epoch, event.src));
+        stamped.into_iter().map(|(_, event)| event).collect()
     }
 
     /// Snapshot the event log.
@@ -269,8 +285,9 @@ impl Comm {
         self.events.lock().clone()
     }
 
-    /// Drain the event log.
+    /// Drain the event log, closing the current pricing epoch.
     pub fn take_events(&self) -> Vec<CommEvent> {
+        self.epoch.fetch_add(1, Ordering::Relaxed);
         std::mem::take(&mut self.events.lock())
     }
 
@@ -355,6 +372,21 @@ mod tests {
         assert_eq!(h[0].phase, "b");
         assert_eq!(h[1].phase, "c");
         assert!(c.events().len() == 1, "main log was drained then refilled");
+    }
+
+    #[test]
+    fn history_is_ordered_by_epoch_then_source_keeping_per_source_order() {
+        let c = Comm::new();
+        c.record_history();
+        // One epoch, sources interleaved as racing locale tasks would.
+        c.bulk("g", 2, 0, 1, 8).unwrap();
+        c.bulk("g", 0, 1, 1, 16).unwrap();
+        c.bulk("s", 2, 1, 1, 24).unwrap();
+        c.bulk("s", 0, 2, 1, 32).unwrap();
+        let _ = c.take_events();
+        c.bulk("g", 1, 0, 1, 40).unwrap();
+        let bytes: Vec<u64> = c.history().iter().map(|e| e.bytes).collect();
+        assert_eq!(bytes, vec![16, 32, 8, 24, 40]);
     }
 
     #[test]

@@ -10,39 +10,49 @@
 //! sizes the α term dominates small frontiers' traffic, which is where
 //! the simulated-QPS win of `gblas serve-bench` comes from.
 //!
-//! Structure mirrors [`crate::ops::spmspv`] superstep for superstep:
+//! The batch width is a parameter of the single-source pipeline, not a
+//! second pipeline: this module owns the n×k container and the batch's
+//! gather, and runs everything after it on
+//! `crate::ops::spmspv::push_engine` — the very code `spmspv_dist`
+//! runs at `k = 1` — and [`crate::ops::spmv`]'s dense engine.
 //!
-//! 1. **`gather`** — each locale pulls its row-block slices of all k
-//!    frontiers from its processor-row peers, one combined bulk message
-//!    per remote peer (the pattern is static — every row peer always
-//!    needs the whole slice — so no request round is needed).
-//! 2. **`local`** — each locale runs the *shared-memory single-source
-//!    kernel once per source* on its block. This is what makes the
-//!    batched result bit-identical per source to k single-source runs:
-//!    the per-source local multiply is literally the same code on the
-//!    same operands in the same order.
-//! 3. **`scatter`** — claims `(source, offset, value)` from all k
-//!    sources travel in one bulk message per locale pair; owners drain
-//!    inboxes in ascending sender order per source, so first-writer-wins
-//!    (and the accumulation order) resolves exactly as the serial
-//!    schedule — and exactly as the single-source distributed kernel.
-//!    Per-source visited masks are enforced owner-side, like
-//!    [`crate::ops::spmspv::DistMask`].
+//! 1. **`gather`** (`gather_batch`) — each locale pulls its row-block
+//!    slices of all k frontiers from its processor-row peers, one
+//!    combined bulk message per remote peer. The pattern is static —
+//!    every row peer always needs the whole slice — so no request round
+//!    is needed; that is the one pricing difference from the `k = 1`
+//!    request/reply gather, and why the two gathers stay separate.
+//! 2. **`local`** (engine) — each locale runs the *shared-memory
+//!    single-source kernel once per source* on its block. This is what
+//!    makes the batched result bit-identical per source to k
+//!    single-source runs: the per-source local multiply is literally the
+//!    same code on the same operands in the same order.
+//! 3. **`scatter`** (engine) — all k sources' claims travel in one bulk
+//!    message per locale pair, each priced at its `(source, offset,
+//!    value)` width; owners drain each source's claims in ascending
+//!    sender order, so first-writer-wins (and the accumulation order)
+//!    resolves exactly as the serial schedule — and exactly as the
+//!    single-source distributed kernel. Per-source visited masks are
+//!    enforced owner-side, as [`crate::ops::spmspv::DistMask`]s.
 
-use crate::exec::{DistCtx, PooledOutboxes};
+use crate::exec::DistCtx;
 use crate::mat::DistCsrMatrix;
-use crate::ops::spmspv::{PHASE_GATHER, PHASE_LOCAL, PHASE_SCATTER};
+use crate::ops::spmspv::{
+    assemble_slice, check_push_operands, push_engine, row_gather_schedule, Accumulate,
+    CommStrategy, DistMask, FirstVisitor, Gather, PushRule, PHASE_GATHER,
+};
+use crate::ops::spmv::{check_dense_operands, dense_engine};
+use crate::sched::FrontierClass;
 use crate::vec::{DistDenseVec, DistSparseVec};
 use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
 use gblas_core::container::SparseVec;
-use gblas_core::error::{check_dims, GblasError, Result};
-use gblas_core::ops::spmspv::{spmspv_first_visitor, spmspv_semiring_masked, SpMSpVOpts};
-use gblas_core::par::Profile;
+use gblas_core::error::{check_dims, Result};
+use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_sim::SimReport;
 
 /// Phase: combine partial dense products down processor columns (the
-/// batched dense SpMM reuses the SpMV phase names).
-pub const PHASE_COMBINE: &str = "combine";
+/// batched dense SpMM is the SpMV engine, phase names included).
+pub use crate::ops::spmv::PHASE_COMBINE;
 
 /// A batch of `k` block-distributed sparse frontiers over one capacity —
 /// the distributed layout of the conceptual `n×k` frontier matrix. Every
@@ -134,93 +144,80 @@ impl<T: Copy + Send + Sync + 'static> DistFrontier<T> {
     }
 }
 
-/// Validate the operands every batched kernel shares.
-fn check_batch<T: Copy + Send + Sync + 'static, B: Copy + Send + Sync>(
-    a: &DistCsrMatrix<B>,
-    f: &DistFrontier<T>,
-    dctx: &DistCtx,
-) -> Result<()> {
-    check_dims("frontier capacity vs matrix rows", a.nrows(), f.capacity())?;
-    let p = a.grid().locales();
-    if f.locales() != p || dctx.locales() != p {
-        return Err(GblasError::DimensionMismatch {
-            expected: format!("{p} locales"),
-            actual: format!("{} / {} locales", f.locales(), dctx.locales()),
-        });
-    }
-    Ok(())
-}
-
 /// Fused gather: each locale assembles all k sources' row-block slices
 /// (local row coordinates) from its processor-row peers, paying **one**
-/// bulk message per remote peer for the whole batch.
-#[allow(clippy::type_complexity)] // (per-locale profiles, per-locale k gathered slices)
-fn gather_batch<V: Copy + Send + Sync + 'static>(
-    plan: &crate::sched::GatherPlan,
+/// bulk message per remote peer for the whole batch. Executes from the
+/// row-aligned [`crate::sched::GatherPlan`] keyed per batch width `k`
+/// (class `Batched(k)`), so the `_multi` drivers replay one plan per
+/// width across iterations.
+fn gather_batch<B: Copy, V: Copy + Send + Sync + 'static>(
+    a: &DistCsrMatrix<B>,
     f: &DistFrontier<V>,
-    elem_bytes: u64,
     dctx: &DistCtx,
-) -> Result<(Vec<Profile>, Vec<Vec<SparseVec<V>>>)> {
-    let k = f.k();
-    Ok(dctx
+) -> Result<(Gather, Vec<Vec<SparseVec<V>>>)> {
+    let class = FrontierClass::Batched(f.k());
+    let (plan, sched) = row_gather_schedule(a, "expand_gather", class, dctx);
+    let plan = plan.gather();
+    let elem_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<V>()) as u64;
+    let (profiles, lxs) = dctx
         .for_each_locale(|l| {
-            let (rs, re) = plan.row_ranges[l];
             let gctx = dctx.locale_ctx_for(l);
-            let mut inds: Vec<Vec<usize>> = (0..k).map(|_| Vec::new()).collect();
-            let mut vals: Vec<Vec<V>> = (0..k).map(|_| Vec::new()).collect();
-            for &src in &plan.row_peers[l] {
+            let peers = &plan.row_peers[l];
+            for &src in peers {
                 let payload: u64 =
-                    (0..k).map(|s| f.row(s).shard(src).nnz() as u64).sum::<u64>() * elem_bytes;
+                    f.rows().iter().map(|row| row.shard(src).nnz() as u64).sum::<u64>()
+                        * elem_bytes;
                 if src != l && payload > 0 {
                     dctx.comm.bulk(PHASE_GATHER, l, src, 1, payload)?;
                 }
-                for s in 0..k {
-                    let shard = f.row(s).shard(src);
-                    inds[s].extend(shard.indices().iter().map(|&i| i - rs));
-                    vals[s].extend_from_slice(shard.values());
-                }
             }
-            let total: u64 = inds.iter().map(|i| i.len() as u64).sum();
-            gctx.record(PHASE_GATHER, |c| {
-                c.elems += total;
-                c.bytes_moved += total * elem_bytes;
-            });
-            let lxs = inds
-                .into_iter()
-                .zip(vals)
-                .map(|(i, v)| {
-                    SparseVec::from_sorted((re - rs).max(1), i, v)
-                        .expect("row-ordered shards concatenate sorted")
+            let lxs: Vec<SparseVec<V>> = f
+                .rows()
+                .iter()
+                .map(|row| {
+                    let shards = peers.iter().map(|&src| row.shard(src));
+                    let pieces = shards.map(|shard| (shard.indices(), shard.values()));
+                    assemble_slice(plan.row_ranges[l], pieces, elem_bytes, &gctx)
                 })
-                .collect::<Vec<_>>();
+                .collect();
             Ok((gctx.take_profile(), lxs))
         })?
         .into_iter()
-        .unzip())
+        .unzip();
+    Ok((Gather { profiles, supersteps: 1, sched }, lxs))
 }
 
-/// Resolve the batched-expand gather schedule for `a` on `dctx`. The
-/// pattern is the row-aligned [`crate::sched::GatherPlan`] keyed per
-/// batch width `k` (class `Batched(k)`), so the `_multi` drivers replay
-/// one plan per width across iterations.
-fn expand_schedule<B: Copy>(
+/// The batched push both expansions run: validate, gather the batch,
+/// hand its `k = f.k()` slices per locale to the push engine (always
+/// aggregated — one scatter message per locale pair), assemble the report.
+fn expand_with<B, V, W, R>(
+    name: &str,
     a: &DistCsrMatrix<B>,
-    k: usize,
+    f: &DistFrontier<V>,
+    rule: &R,
+    masks: Option<&[DistMask<'_>]>,
+    claim_bytes: u64,
     dctx: &DistCtx,
-) -> (std::sync::Arc<crate::sched::PlanData>, crate::sched::SchedOutcome) {
-    let grid = a.grid();
-    dctx.schedule(
-        "expand_gather",
-        crate::sched::FrontierClass::Batched(k),
-        (grid.pr(), grid.pc()),
-        a.generation(),
-        0,
-        || {
-            crate::sched::PlanData::Gather(crate::sched::GatherPlan::build(grid, |l| {
-                a.row_range(l)
-            }))
-        },
-    )
+) -> Result<(DistFrontier<W>, SimReport)>
+where
+    B: Copy + Send + Sync,
+    V: Copy + Send + Sync + 'static,
+    W: Copy + Send + Sync + 'static,
+    R: PushRule<B, V, W>,
+{
+    check_push_operands(a, f.capacity(), f.locales(), masks, dctx)?;
+    let (gather, lxs) = gather_batch(a, f, dctx)?;
+    let lx = |l: usize| lxs[l].as_slice();
+    let pushed = push_engine(a, lx, rule, masks, CommStrategy::Bulk, claim_bytes, dctx)?;
+
+    let mut op = dctx.op(name);
+    op.attr("k", f.k()).attr("nrows", a.nrows()).attr("ncols", a.ncols());
+    if masks.is_some() {
+        op.attr("masked", true);
+    }
+    op.sched(gather.sched).nnz(f.nnz() as u64);
+    let report = pushed.finish(op, &gather);
+    Ok((DistFrontier { capacity: a.ncols(), locales: f.locales(), rows: pushed.rows }, report))
 }
 
 /// Batched distributed first-visitor expansion under per-source visited
@@ -235,158 +232,12 @@ pub fn expand_dist_first_visitor<T: Copy + Send + Sync>(
     opts: SpMSpVOpts,
     dctx: &DistCtx,
 ) -> Result<(DistFrontier<usize>, SimReport)> {
-    check_batch(a, f, dctx)?;
-    let grid = a.grid();
-    let p = grid.locales();
-    let n = a.ncols();
-    let k = f.k();
-    check_dims("visited masks vs batch width", k, visited.len())?;
-    for m in visited {
-        check_dims("mask length vs matrix cols", n, m.len())?;
-        if m.locales() != p {
-            return Err(GblasError::DimensionMismatch {
-                expected: format!("mask over {p} locales"),
-                actual: format!("mask over {} locales", m.locales()),
-            });
-        }
-    }
-    let elem_bytes = (2 * std::mem::size_of::<usize>()) as u64;
-    // A batched claim carries (source slot, destination offset, parent).
+    check_dims("visited masks vs batch width", f.k(), visited.len())?;
+    let masks: Vec<DistMask<'_>> = visited.iter().map(DistMask::complement).collect();
+    // A batched claim is priced as (source slot, destination offset, parent).
     let claim_bytes = (3 * std::mem::size_of::<usize>()) as u64;
-
-    // ---- Superstep 1: fused gather (one message per locale pair),
-    // executed from the cached or freshly-inspected schedule.
-    let (sched_plan, sched) = expand_schedule(a, k, dctx);
-    let (gather_profiles, lxs) = gather_batch(sched_plan.gather(), f, elem_bytes, dctx)?;
-
-    // ---- Local multiply: the shared single-source kernel, once per
-    // source, on this locale's block.
-    let mut local_profiles: Vec<Profile> = Vec::with_capacity(p);
-    let mut local_results: Vec<Vec<Vec<(usize, usize)>>> = Vec::with_capacity(p);
-    for (local, results) in dctx.for_each_locale(|l| {
-        let row_range = a.row_range(l);
-        let col_range = a.col_range(l);
-        let lctx = dctx.locale_ctx_for(l);
-        let mut per_source: Vec<Vec<(usize, usize)>> = Vec::with_capacity(k);
-        for lx in &lxs[l] {
-            let ly = if row_range.is_empty() || col_range.is_empty() {
-                SparseVec::new(col_range.len().max(1))
-            } else {
-                spmspv_first_visitor(a.block(l), lx, None, opts, &lctx)?
-            };
-            per_source.push(
-                ly.iter()
-                    .map(|(lj, &lrid)| (lj + col_range.start, lrid + row_range.start))
-                    .collect(),
-            );
-        }
-        Ok((lctx.take_profile(), per_source))
-    })? {
-        local_profiles.push(local);
-        local_results.push(results);
-    }
-
-    // ---- Superstep 2 (scatter, send side): all k sources' claims for an
-    // owner share one outbox — and one bulk message per pair.
-    let out_dist = crate::grid::BlockDist::new(n, p);
-    let (send_profiles, outboxes): (Vec<Profile>, PooledOutboxes<(usize, usize, usize)>) = dctx
-        .for_each_locale(|l| {
-            let sctx = dctx.locale_ctx_for(l);
-            let mut c = gblas_core::par::Counters::default();
-            let mut outbox = sctx.ws_nested_vec::<(usize, usize, usize)>(p);
-            let mut per_dst = sctx.ws_filled_vec::<u64>(p, 0);
-            for (s, claims) in local_results[l].iter().enumerate() {
-                for &(col, rid) in claims {
-                    let owner = out_dist.owner(col);
-                    if owner != l {
-                        per_dst[owner] += 1;
-                    }
-                    c.atomics += 1;
-                    outbox[owner].push((s, col - out_dist.range(owner).start, rid));
-                }
-            }
-            for (dst, msgs) in per_dst.iter().enumerate() {
-                if *msgs > 0 {
-                    dctx.comm.bulk(PHASE_SCATTER, l, dst, 1, *msgs * claim_bytes)?;
-                }
-            }
-            sctx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((sctx.take_profile(), outbox))
-        })?
-        .into_iter()
-        .unzip();
-
-    // ---- Superstep 3 (scatter, owner side): per source, drain senders in
-    // ascending locale order — the single-source resolution order — with
-    // the source's own visited bit checked at the owner.
-    let (apply_profiles, owner_shards): (Vec<Profile>, Vec<Vec<SparseVec<usize>>>) = dctx
-        .for_each_locale(|o| {
-            let octx = dctx.locale_ctx_for(o);
-            let range = out_dist.range(o);
-            let mut c = gblas_core::par::Counters::default();
-            let mut shards: Vec<SparseVec<usize>> = Vec::with_capacity(k);
-            // `s` filters outbox entries (`es != s`) *and* indexes the
-            // source's visited vector — not a plain slice walk.
-            #[allow(clippy::needless_range_loop)]
-            for s in 0..k {
-                let mut isthere = octx.ws_filled_vec::<bool>(range.len(), false);
-                let mut value = octx.ws_filled_vec::<usize>(range.len(), 0);
-                for outbox in &outboxes {
-                    for &(es, off, rid) in &outbox[o] {
-                        if es != s {
-                            continue;
-                        }
-                        c.rand_access += 1;
-                        if visited[s].segment(o)[off] {
-                            continue;
-                        }
-                        if !isthere[off] {
-                            isthere[off] = true;
-                            value[off] = rid;
-                        }
-                    }
-                }
-                let mut inds = Vec::new();
-                let mut vals = Vec::new();
-                for (off, &set) in isthere.iter().enumerate() {
-                    if set {
-                        inds.push(range.start + off);
-                        vals.push(value[off]);
-                    }
-                }
-                c.elems += range.len() as u64;
-                shards.push(SparseVec::from_sorted(n, inds, vals)?);
-            }
-            octx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((octx.take_profile(), shards))
-        })?
-        .into_iter()
-        .unzip();
-    let mut scatter_profiles = send_profiles;
-    for (l, apply) in apply_profiles.iter().enumerate() {
-        for (name, cs) in apply.iter() {
-            scatter_profiles[l].counters_mut(name).merge(cs);
-        }
-    }
-    let rows = (0..k)
-        .map(|s| {
-            DistSparseVec::from_shards(n, owner_shards.iter().map(|sh| sh[s].clone()).collect())
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let out = DistFrontier { capacity: n, locales: p, rows };
-
-    let mut op = dctx.op("expand_dist_first_visitor");
-    op.attr("k", k)
-        .attr("nrows", a.nrows())
-        .attr("ncols", n)
-        .attr("masked", true)
-        .sched(sched)
-        .nnz(f.nnz() as u64);
-    op.spawn(PHASE_GATHER, 1);
-    op.compute(PHASE_GATHER, &gather_profiles);
-    op.compute_folded(PHASE_LOCAL, &local_profiles);
-    op.compute(PHASE_SCATTER, &scatter_profiles);
-    Ok((out, op.finish()))
+    let rule = FirstVisitor(opts);
+    expand_with("expand_dist_first_visitor", a, f, &rule, Some(&masks), claim_bytes, dctx)
 }
 
 /// Batched distributed semiring expansion (unmasked): row `s` of the
@@ -407,133 +258,18 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
-    check_batch(a, f, dctx)?;
-    let grid = a.grid();
-    let p = grid.locales();
-    let n = a.ncols();
-    let k = f.k();
-    let elem_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<A>()) as u64;
+    // A batched claim is priced as (source slot, destination offset, value).
     let claim_bytes = (2 * std::mem::size_of::<usize>() + std::mem::size_of::<C>()) as u64;
-
-    let (sched_plan, sched) = expand_schedule(a, k, dctx);
-    let (gather_profiles, lxs) = gather_batch(sched_plan.gather(), f, elem_bytes, dctx)?;
-
-    let mut local_profiles: Vec<Profile> = Vec::with_capacity(p);
-    let mut local_results: Vec<Vec<Vec<(usize, C)>>> = Vec::with_capacity(p);
-    for (local, results) in dctx.for_each_locale(|l| {
-        let row_range = a.row_range(l);
-        let col_range = a.col_range(l);
-        let lctx = dctx.locale_ctx_for(l);
-        let mut per_source: Vec<Vec<(usize, C)>> = Vec::with_capacity(k);
-        for lx in &lxs[l] {
-            let ly = if row_range.is_empty() || col_range.is_empty() {
-                SparseVec::new(col_range.len().max(1))
-            } else {
-                spmspv_semiring_masked(a.block(l), lx, ring, None, opts, &lctx)?.vector
-            };
-            per_source.push(ly.iter().map(|(lj, &v)| (lj + col_range.start, v)).collect());
-        }
-        Ok((lctx.take_profile(), per_source))
-    })? {
-        local_profiles.push(local);
-        local_results.push(results);
-    }
-
-    let out_dist = crate::grid::BlockDist::new(n, p);
-    let (send_profiles, outboxes): (Vec<Profile>, PooledOutboxes<(usize, usize, C)>) = dctx
-        .for_each_locale(|l| {
-            let sctx = dctx.locale_ctx_for(l);
-            let mut c = gblas_core::par::Counters::default();
-            let mut outbox = sctx.ws_nested_vec::<(usize, usize, C)>(p);
-            let mut per_dst = sctx.ws_filled_vec::<u64>(p, 0);
-            for (s, claims) in local_results[l].iter().enumerate() {
-                for &(col, v) in claims {
-                    let owner = out_dist.owner(col);
-                    if owner != l {
-                        per_dst[owner] += 1;
-                    }
-                    c.atomics += 1;
-                    outbox[owner].push((s, col - out_dist.range(owner).start, v));
-                }
-            }
-            for (dst, msgs) in per_dst.iter().enumerate() {
-                if *msgs > 0 {
-                    dctx.comm.bulk(PHASE_SCATTER, l, dst, 1, *msgs * claim_bytes)?;
-                }
-            }
-            sctx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((sctx.take_profile(), outbox))
-        })?
-        .into_iter()
-        .unzip();
-
-    let (apply_profiles, owner_shards): (Vec<Profile>, Vec<Vec<SparseVec<C>>>) = dctx
-        .for_each_locale(|o| {
-            let octx = dctx.locale_ctx_for(o);
-            let range = out_dist.range(o);
-            let mut c = gblas_core::par::Counters::default();
-            let mut shards: Vec<SparseVec<C>> = Vec::with_capacity(k);
-            for s in 0..k {
-                let mut occupied = octx.ws_filled_vec::<bool>(range.len(), false);
-                let mut value = octx.ws_filled_vec::<C>(range.len(), ring.zero::<C>());
-                for outbox in &outboxes {
-                    for &(es, off, v) in &outbox[o] {
-                        if es != s {
-                            continue;
-                        }
-                        if occupied[off] {
-                            value[off] = ring.accumulate(value[off], v);
-                            c.flops += 1;
-                        } else {
-                            occupied[off] = true;
-                            value[off] = v;
-                        }
-                    }
-                }
-                let mut inds = Vec::new();
-                let mut vals = Vec::new();
-                for (off, &set) in occupied.iter().enumerate() {
-                    if set {
-                        inds.push(range.start + off);
-                        vals.push(value[off]);
-                    }
-                }
-                c.elems += range.len() as u64;
-                shards.push(SparseVec::from_sorted(n, inds, vals)?);
-            }
-            octx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((octx.take_profile(), shards))
-        })?
-        .into_iter()
-        .unzip();
-    let mut scatter_profiles = send_profiles;
-    for (l, apply) in apply_profiles.iter().enumerate() {
-        for (name, cs) in apply.iter() {
-            scatter_profiles[l].counters_mut(name).merge(cs);
-        }
-    }
-    let rows = (0..k)
-        .map(|s| {
-            DistSparseVec::from_shards(n, owner_shards.iter().map(|sh| sh[s].clone()).collect())
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let out = DistFrontier { capacity: n, locales: p, rows };
-
-    let mut op = dctx.op("expand_dist_semiring");
-    op.attr("k", k).attr("nrows", a.nrows()).attr("ncols", n).sched(sched).nnz(f.nnz() as u64);
-    op.spawn(PHASE_GATHER, 1);
-    op.compute(PHASE_GATHER, &gather_profiles);
-    op.compute_folded(PHASE_LOCAL, &local_profiles);
-    op.compute(PHASE_SCATTER, &scatter_profiles);
-    Ok((out, op.finish()))
+    let rule = Accumulate(ring, opts);
+    expand_with("expand_dist_semiring", a, f, &rule, None, claim_bytes, dctx)
 }
 
 /// Batched distributed dense SpMM: `ys[s] = xs[s] · A` for the whole
-/// batch with the [`crate::ops::spmv::spmv_dist`] superstep structure,
-/// but every gather / combine / placement message carries all k columns —
-/// 1× the messages, k× the payload. Each column's values are accumulated
-/// in the single-column kernel's exact order, so `ys[s]` matches a solo
-/// `spmv_dist` run bit for bit.
+/// batch — [`crate::ops::spmv`]'s dense engine at `k = xs.len()`, so every
+/// gather / combine / placement message carries all k columns (1× the
+/// messages, k× the payload) and `ys[s]` matches a solo
+/// [`crate::ops::spmv::spmv_dist`] run bit for bit. The gather pattern is
+/// read straight off the grid (no schedule is cached per batch width).
 pub fn spmm_dense_dist<A, B, C, AddM, MulOp>(
     a: &DistCsrMatrix<B>,
     xs: &[DistDenseVec<A>],
@@ -547,169 +283,13 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
+    check_dense_operands(a, xs, dctx)?;
     let grid = a.grid();
-    let p = grid.locales();
-    let k = xs.len();
-    for x in xs {
-        check_dims("x length vs matrix rows", a.nrows(), x.len())?;
-        if x.locales() != p {
-            return Err(GblasError::DimensionMismatch {
-                expected: format!("{p} locales"),
-                actual: format!("{} locales", x.locales()),
-            });
-        }
-    }
-    if dctx.locales() != p {
-        return Err(GblasError::DimensionMismatch {
-            expected: format!("machine with {p} locales"),
-            actual: format!("machine with {} locales", dctx.locales()),
-        });
-    }
-    let n = a.ncols();
-    let a_bytes = std::mem::size_of::<A>() as u64;
-    let c_bytes = std::mem::size_of::<C>() as u64;
-
-    // ---- Superstep 1: fused gather + per-column local multiply.
-    struct GatherLocal<C> {
-        gather: Profile,
-        local: Profile,
-        partials: Vec<Vec<C>>,
-    }
-    let gl: Vec<GatherLocal<C>> = dctx.for_each_locale(|l| {
-        let (r, _) = grid.coords(l);
-        let row_range = a.row_range(l);
-        let gctx = dctx.locale_ctx_for(l);
-        let mut lx: Vec<Vec<A>> = (0..k).map(|_| Vec::with_capacity(row_range.len())).collect();
-        for src in grid.row_locales(r) {
-            if src != l && k > 0 {
-                let seg_len = xs[0].segment(src).len() as u64;
-                if seg_len > 0 {
-                    dctx.comm.bulk(PHASE_GATHER, l, src, 1, k as u64 * seg_len * a_bytes)?;
-                }
-            }
-            for (s, x) in xs.iter().enumerate() {
-                lx[s].extend_from_slice(x.segment(src));
-            }
-        }
-        let moved: u64 = lx.iter().map(|v| v.len() as u64).sum();
-        gctx.record(PHASE_GATHER, |c| {
-            c.elems += moved;
-            c.bytes_moved += moved * a_bytes;
-        });
-        let lctx = dctx.locale_ctx_for(l);
-        let block = a.block(l);
-        let width = a.col_range(l).len();
-        let mut partials: Vec<Vec<C>> = Vec::with_capacity(k);
-        for v in lx {
-            let partial = {
-                let lx_dense = gblas_core::container::DenseVec::from_vec(v);
-                if row_range.is_empty() || width == 0 {
-                    vec![ring.zero::<C>(); width]
-                } else {
-                    gblas_core::ops::spmv::spmv_col(block, &lx_dense, ring, &lctx)?.into_vec()
-                }
-            };
-            partials.push(partial);
-        }
-        let mut folded = Profile::default();
-        let cc = folded.counters_mut(PHASE_LOCAL);
-        for (_, counters) in lctx.take_profile().iter() {
-            cc.merge(counters);
-        }
-        Ok(GatherLocal { gather: gctx.take_profile(), local: folded, partials })
-    })?;
-    let gather_profiles: Vec<Profile> = gl.iter().map(|g| g.gather.clone()).collect();
-    let local_profiles: Vec<Profile> = gl.iter().map(|g| g.local.clone()).collect();
-    let partials: Vec<Vec<Vec<C>>> = gl.into_iter().map(|g| g.partials).collect();
-
-    // ---- Superstep 2: combine down each processor column, all k columns
-    // in one message per non-leader.
-    #[allow(clippy::type_complexity)] // (per-locale profiles, leader-only k accumulators)
-    let (combine_profiles, accs): (Vec<Profile>, Vec<Option<Vec<Vec<C>>>>) = dctx
-        .for_each_locale(|l| {
-            let (_, c) = grid.coords(l);
-            let leader = grid.locale(0, c);
-            let col_range = a.col_range(leader);
-            if l != leader {
-                let payload = k as u64 * col_range.len() as u64 * c_bytes;
-                if payload > 0 {
-                    dctx.comm.bulk(PHASE_COMBINE, l, leader, 1, payload)?;
-                }
-                return Ok((Profile::default(), None));
-            }
-            let mut acc_k: Vec<Vec<C>> = Vec::with_capacity(k);
-            // `s` selects source slot `partials[src][s]` across every
-            // sender `src`, so it is not a single-slice index.
-            #[allow(clippy::needless_range_loop)]
-            for s in 0..k {
-                let mut acc: Vec<C> = vec![ring.zero::<C>(); col_range.len()];
-                for src in grid.col_locales(c) {
-                    for (slot, &v) in acc.iter_mut().zip(&partials[src][s]) {
-                        *slot = ring.accumulate(*slot, v);
-                    }
-                }
-                acc_k.push(acc);
-            }
-            let mut profile = Profile::default();
-            let elems = (col_range.len() * grid.pr() * k) as u64;
-            profile.counters_mut(PHASE_COMBINE).elems += elems;
-            profile.counters_mut(PHASE_COMBINE).flops += elems;
-            Ok((profile, Some(acc_k)))
-        })?
-        .into_iter()
-        .unzip();
-
-    // ---- Placement: leaders hand output blocks to owners, one fused
-    // message per (leader, owner) pair for the whole batch.
-    let out_dist = crate::grid::BlockDist::new(n, p);
-    let mut segments: Vec<Vec<Vec<C>>> = (0..k)
-        .map(|_| (0..p).map(|b| vec![ring.zero::<C>(); out_dist.size(b)]).collect())
-        .collect();
-    for c in 0..grid.pc() {
-        let leader = grid.locale(0, c);
-        let col_range = a.col_range(leader);
-        let acc_k = match accs[leader].as_ref() {
-            Some(a) => a,
-            None => continue,
-        };
-        for (s, acc) in acc_k.iter().enumerate() {
-            for (off, &v) in acc.iter().enumerate() {
-                let j = col_range.start + off;
-                let owner = out_dist.owner(j);
-                segments[s][owner][j - out_dist.range(owner).start] = v;
-            }
-        }
-        let first_owner = if col_range.is_empty() { 0 } else { out_dist.owner(col_range.start) };
-        let last_owner = if col_range.is_empty() { 0 } else { out_dist.owner(col_range.end - 1) };
-        for owner in first_owner..=last_owner {
-            if !col_range.is_empty() && owner != leader {
-                let overlap = out_dist.range(owner);
-                let lo = overlap.start.max(col_range.start);
-                let hi = overlap.end.min(col_range.end);
-                if lo < hi && k > 0 {
-                    dctx.comm.bulk(
-                        PHASE_COMBINE,
-                        leader,
-                        owner,
-                        1,
-                        k as u64 * (hi - lo) as u64 * c_bytes,
-                    )?;
-                }
-            }
-        }
-    }
-
-    let ys = segments
-        .into_iter()
-        .map(|segs| DistDenseVec::from_segments(n, segs))
-        .collect::<Result<Vec<_>>>()?;
-    let mut trace = dctx.op("spmm_dense_dist");
-    trace.attr("k", k).attr("nrows", a.nrows()).attr("ncols", n).nnz(a.nnz() as u64);
-    trace.spawn(PHASE_GATHER, 1);
-    trace.compute(PHASE_GATHER, &gather_profiles);
-    trace.compute(PHASE_LOCAL, &local_profiles);
-    trace.compute(PHASE_COMBINE, &combine_profiles);
-    Ok((ys, trace.finish()))
+    let product = dense_engine(a, xs, ring, |l| grid.row_locales(grid.coords(l).0), dctx)?;
+    let mut op = dctx.op("spmm_dense_dist");
+    op.attr("k", xs.len()).attr("nrows", a.nrows()).attr("ncols", a.ncols()).nnz(a.nnz() as u64);
+    let report = product.finish(op);
+    Ok((product.ys, report))
 }
 
 #[cfg(test)]

@@ -19,6 +19,12 @@
 //! [`spmspv::spmspv_dist_semiring`] (general accumulation), [`spmv`]
 //! (dense vectors), [`mxm`] (sparse SUMMA SpGEMM), [`transpose`]
 //! (mirror-block exchange), and [`reduce`] (binomial-tree all-reduce).
+//!
+//! The vector-product kernels are two engines with the batch width `k`
+//! as a parameter: every sparse-frontier entry point ([`spmspv`]'s
+//! single-source family and [`expand`]'s batched expansions) runs on the
+//! push engine in [`spmspv`], and [`spmv::spmv_dist`] and
+//! [`expand::spmm_dense_dist`] on the dense engine in [`spmv`].
 
 pub mod apply;
 pub mod assign;

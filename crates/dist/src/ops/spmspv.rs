@@ -1,7 +1,8 @@
-//! Distributed `SpMSpV` (§III-D, Listing 8, Figs 8–9).
+//! Distributed `SpMSpV` (§III-D, Listing 8, Figs 8–9) and the push
+//! engine every sparse-frontier kernel of the crate runs on.
 //!
-//! `y ← x A` on a 2-D block-distributed matrix, in the paper's three
-//! steps, each a separately-timed component:
+//! `y ← x A` on a 2-D block-distributed matrix is the paper's three-step
+//! pipeline, each step a separately-timed component:
 //!
 //! 1. **`gather`** — every locale `(r, c)` collects the pieces of `x`
 //!    owned by the locales of its processor *row* `r` (those blocks cover
@@ -16,26 +17,39 @@
 //! 3. **`scatter`** — local results are written into a *global SPA*: a
 //!    dense Block-distributed `isthere`/value pair. Listing 8 writes one
 //!    remote atomic per output element (fine-grained again); the bulk
-//!    variant aggregates per destination locale. Under the SPMD executor
-//!    this runs as two supersteps: every source locale builds one outbox
-//!    per owning locale (and logs its own traffic), then every owner
-//!    drains its inboxes — in source-locale order, so first-writer-wins
-//!    resolves exactly as a serial sweep would — into its *own* dense
-//!    segment and builds its output shard from it (`denseToSparse`).
+//!    variant aggregates per destination locale.
 //!
-//! The output stores, per reached column, the **global row id** of the
-//! first visitor — the BFS parent vector.
+//! Steps 2 and 3 exist once, in `push_engine`, for any number `k` of
+//! concurrent sources: this module's entry points call it with `k = 1`,
+//! the batched expansions of [`crate::ops::expand`] with their batch
+//! width. An entry point chooses only what genuinely varies — how the
+//! frontier slices were gathered (the request/reply `gather_row_blocks`
+//! here, the batch's static one-message gather there), the `PushRule`
+//! (first-visitor or semiring: the local kernel plus the owner's
+//! resolution of competing claims), the per-source [`DistMask`]s, the
+//! scatter [`CommStrategy`], and the priced width of a claim. Under the
+//! SPMD executor the engine runs two supersteps: every locale multiplies
+//! locally and builds one outbox per owning locale (logging its own
+//! traffic); then every owner drains its inboxes — in source-locale
+//! order, so first-writer-wins and floating-point accumulation resolve
+//! exactly as a serial sweep would — into its *own* dense segment and
+//! builds its output shard from it (`denseToSparse`).
+//!
+//! The first-visitor output stores, per reached column, the **global row
+//! id** of the first visitor — the BFS parent vector.
 
-use crate::exec::{DistCtx, PooledOutboxes};
-use crate::grid::ProcGrid;
+use crate::exec::{DistCtx, OpTrace, Outbox, PooledOutboxes};
 use crate::mat::DistCsrMatrix;
-use crate::sched::{FrontierClass, GatherPlan, PlanData};
+use crate::sched::{FrontierClass, GatherPlan, PlanData, SchedOutcome};
 use crate::vec::DistSparseVec;
-use gblas_core::container::SparseVec;
-use gblas_core::error::{check_dims, GblasError, Result};
-use gblas_core::ops::spmspv::{spmspv_first_visitor, SpMSpVOpts};
-use gblas_core::par::{Counters, Profile};
+use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
+use gblas_core::container::{CsrMatrix, SparseVec};
+use gblas_core::error::{check_dims, Result};
+use gblas_core::ops::spmspv::{spmspv_first_visitor, spmspv_semiring_masked, SpMSpVOpts};
+use gblas_core::par::{Counters, ExecCtx, Profile};
+use gblas_core::workspace::WsGuard;
 use gblas_sim::SimReport;
+use std::sync::Arc;
 
 /// One aggregated gather reply: the owner's `(indices, values)` slice of
 /// the requested segment.
@@ -65,13 +79,65 @@ pub enum CommStrategy {
 /// range, `(start, end)`.
 const REQ_BYTES: u64 = (2 * std::mem::size_of::<usize>()) as u64;
 
-/// Gather every locale's row-block slice of `x` from its processor row,
-/// executing from a compiled [`GatherPlan`] (the *executor* half of the
-/// inspector–executor split — the plan may be freshly built or replayed
-/// from the [`crate::ScheduleCache`]; either way this runs the same code,
-/// so replay is bit-invisible). Returns per-locale gather [`Profile`]s
-/// and the assembled local vectors (local row coordinates, capacity
-/// `row_range.len().max(1)`).
+/// A finished gather, as the report assembly prices it: per-locale
+/// profiles, the fork-join fan-outs it spawned, and how its schedule
+/// resolved.
+pub(crate) struct Gather {
+    pub(crate) profiles: Vec<Profile>,
+    pub(crate) supersteps: usize,
+    pub(crate) sched: SchedOutcome,
+}
+
+/// Inspect or replay the row-aligned [`GatherPlan`] of `a` under the
+/// schedule key `(op, class)` — on the driver thread, before any
+/// superstep. Keyed on the matrix generation: a rebuilt or mutated matrix
+/// invalidates and re-inspects.
+pub(crate) fn row_gather_schedule<B: Copy>(
+    a: &DistCsrMatrix<B>,
+    op: &'static str,
+    class: FrontierClass,
+    dctx: &DistCtx,
+) -> (Arc<PlanData>, SchedOutcome) {
+    let grid = a.grid();
+    dctx.schedule(op, class, (grid.pr(), grid.pc()), a.generation(), 0, || {
+        PlanData::Gather(GatherPlan::build(grid, |l| a.row_range(l)))
+    })
+}
+
+/// Concatenate `pieces` — one locale's row-peer `(indices, values)`
+/// slices in ascending peer order, which block alignment keeps globally
+/// sorted — into that locale's gathered frontier slice: local row
+/// coordinates over `(start, end)`, capacity `(end - start).max(1)`.
+/// Records the assembly work under the gather phase of `gctx`.
+pub(crate) fn assemble_slice<'s, V: Copy + 's>(
+    (start, end): (usize, usize),
+    pieces: impl IntoIterator<Item = (&'s [usize], &'s [V])>,
+    elem_bytes: u64,
+    gctx: &ExecCtx,
+) -> SparseVec<V> {
+    let mut inds: Vec<usize> = Vec::new();
+    let mut vals: Vec<V> = Vec::new();
+    for (piece_inds, piece_vals) in pieces {
+        inds.extend(piece_inds.iter().map(|&i| i - start));
+        vals.extend_from_slice(piece_vals);
+    }
+    gctx.record(PHASE_GATHER, |c| {
+        c.elems += inds.len() as u64;
+        c.bytes_moved += inds.len() as u64 * elem_bytes;
+    });
+    SparseVec::from_sorted((end - start).max(1), inds, vals)
+        .expect("row-ordered pieces concatenate sorted")
+}
+
+/// The single-source gather: every locale's row-block slice of `x` from
+/// its processor row, executing from a compiled [`GatherPlan`] (the
+/// *executor* half of the inspector–executor split — the plan may be
+/// freshly built or replayed from the [`crate::ScheduleCache`]; either way
+/// this runs the same code, so replay is bit-invisible). Returns the
+/// priced [`Gather`] and the assembled local vectors (local row
+/// coordinates, capacity `row_range.len().max(1)`). All comm is logged by
+/// the task whose id is the event's source locale, so the log's
+/// per-source order is deterministic under the threaded executor.
 ///
 /// * [`CommStrategy::Fine`] — Listing 8 as written: each locale walks its
 ///   row peers' shards element-at-a-time (two dependent remote accesses
@@ -88,30 +154,27 @@ const REQ_BYTES: u64 = (2 * std::mem::size_of::<usize>()) as u64;
 ///   thanks to block alignment — into `lx`. Latency α is paid once per
 ///   locale pair, and each locale sends ≤ `pc − 1` messages per superstep
 ///   instead of one per element.
-fn gather_row_blocks<V>(
-    grid: ProcGrid,
-    plan: &GatherPlan,
+fn gather_row_blocks<B: Copy, V: Copy + Send + Sync + 'static>(
+    a: &DistCsrMatrix<B>,
     x: &DistSparseVec<V>,
     strategy: CommStrategy,
-    elem_bytes: u64,
     dctx: &DistCtx,
-) -> Result<(Vec<Profile>, Vec<SparseVec<V>>)>
-where
-    V: Copy + Send + Sync + 'static,
-{
-    let p = grid.locales();
+) -> Result<(Gather, Vec<SparseVec<V>>)> {
+    // The schedule key is shared by the first-visitor and semiring
+    // kernels, so a BFS level and an SSSP relaxation over the same matrix
+    // replay one plan.
+    let (plan, sched) = row_gather_schedule(a, "gather_rows", FrontierClass::Sparse, dctx);
+    let plan = plan.gather();
+    let elem_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<V>()) as u64;
+    let p = a.grid().locales();
     if strategy == CommStrategy::Fine {
         // ---- One superstep: element-wise pulls, exactly Listing 8.
-        return Ok(dctx
+        let (profiles, lxs) = dctx
             .for_each_locale(|l| {
-                let (rs, _) = plan.row_ranges[l];
                 let gctx = dctx.locale_ctx_for(l);
-                let mut inds: Vec<usize> = Vec::new();
-                let mut vals: Vec<V> = Vec::new();
                 for &src in &plan.row_peers[l] {
-                    let shard = x.shard(src);
-                    let nnz = shard.nnz() as u64;
                     if src != l {
+                        let nnz = x.shard(src).nnz() as u64;
                         // Listing 8 walks the remote domain's iterator and
                         // the remote value array element-by-element: two
                         // dependent accesses per nonzero.
@@ -123,20 +186,15 @@ where
                             nnz * elem_bytes,
                         )?;
                     }
-                    inds.extend(shard.indices().iter().map(|&i| i - rs));
-                    vals.extend_from_slice(shard.values());
                 }
-                gctx.record(PHASE_GATHER, |c| {
-                    c.elems += inds.len() as u64;
-                    c.bytes_moved += inds.len() as u64 * elem_bytes;
-                });
-                let (start, end) = plan.row_ranges[l];
-                let lx = SparseVec::from_sorted((end - start).max(1), inds, vals)
-                    .expect("row-ordered shards concatenate sorted");
+                let shards = plan.row_peers[l].iter().map(|&src| x.shard(src));
+                let pieces = shards.map(|shard| (shard.indices(), shard.values()));
+                let lx = assemble_slice(plan.row_ranges[l], pieces, elem_bytes, &gctx);
                 Ok((gctx.take_profile(), lx))
             })?
             .into_iter()
-            .unzip());
+            .unzip();
+        return Ok((Gather { profiles, supersteps: 1, sched }, lxs));
     }
 
     // ---- Superstep 1 (requests): one coalesced segment descriptor per
@@ -192,28 +250,17 @@ where
     // alongside the locale's own shard.
     let (asm_profiles, lxs): (Vec<Profile>, Vec<SparseVec<V>>) = dctx
         .for_each_locale(|l| {
-            let (rs, re) = plan.row_ranges[l];
             let gctx = dctx.locale_ctx_for(l);
-            let mut inds: Vec<usize> = Vec::new();
-            let mut vals: Vec<V> = Vec::new();
+            let mut pieces: Vec<(&[usize], &[V])> = Vec::new();
             for &src in &plan.row_peers[l] {
                 if src == l {
-                    let shard = x.shard(l);
-                    inds.extend(shard.indices().iter().map(|&i| i - rs));
-                    vals.extend_from_slice(shard.values());
+                    pieces.push((x.shard(l).indices(), x.shard(l).values()));
                 } else {
-                    for (rinds, rvals) in &rep_outboxes[src][l] {
-                        inds.extend(rinds.iter().map(|&i| i - rs));
-                        vals.extend_from_slice(rvals);
-                    }
+                    let replies = rep_outboxes[src][l].iter();
+                    pieces.extend(replies.map(|(inds, vals)| (inds.as_slice(), vals.as_slice())));
                 }
             }
-            gctx.record(PHASE_GATHER, |c| {
-                c.elems += inds.len() as u64;
-                c.bytes_moved += inds.len() as u64 * elem_bytes;
-            });
-            let lx = SparseVec::from_sorted((re - rs).max(1), inds, vals)
-                .expect("row-ordered replies concatenate sorted");
+            let lx = assemble_slice(plan.row_ranges[l], pieces, elem_bytes, &gctx);
             Ok((gctx.take_profile(), lx))
         })?
         .into_iter()
@@ -224,7 +271,7 @@ where
         prof.merge(&rep_profiles[l]);
         prof.merge(&asm_profiles[l]);
     }
-    Ok((profiles, lxs))
+    Ok((Gather { profiles, supersteps: 3, sched }, lxs))
 }
 
 /// A mask over the *output* columns of the distributed SpMSpV — the
@@ -257,6 +304,293 @@ impl<'a> DistMask<'a> {
     pub fn complement(bits: &'a crate::vec::DistDenseVec<bool>) -> Self {
         DistMask { bits, complement: true }
     }
+}
+
+/// What distinguishes one push pipeline from another once the frontier
+/// is gathered: the shared-memory single-source kernel a locale runs on
+/// its block, and how an owner resolves claims competing for one output
+/// entry. `B` is the matrix type, `V` the frontier's, `W` what a claim
+/// carries.
+pub(crate) trait PushRule<B, V, W>: Sync {
+    /// The local multiply on one block whose first row is global row
+    /// `row_start`: per reached local column, the value its claim carries.
+    fn multiply(
+        &self,
+        block: &CsrMatrix<B>,
+        lx: &SparseVec<V>,
+        row_start: usize,
+        ctx: &ExecCtx,
+    ) -> Result<SparseVec<W>>;
+
+    /// Fill value of the owner's dense segment (never read unoccupied).
+    fn zero(&self) -> W;
+
+    /// A claim reached an entry that already holds `occupant`: `Some` is
+    /// the combined value replacing it (one flop), `None` keeps it.
+    fn combine(&self, occupant: W, claim: W) -> Option<W>;
+}
+
+/// First-visitor push (BFS): the claim is the global parent row, and the
+/// first writer — lowest source locale — wins.
+pub(crate) struct FirstVisitor(pub(crate) SpMSpVOpts);
+
+impl<B: Send + Sync, V: Send + Sync> PushRule<B, V, usize> for FirstVisitor {
+    fn multiply(
+        &self,
+        block: &CsrMatrix<B>,
+        lx: &SparseVec<V>,
+        row_start: usize,
+        ctx: &ExecCtx,
+    ) -> Result<SparseVec<usize>> {
+        let mut parents = spmspv_first_visitor(block, lx, None, self.0, ctx)?;
+        parents.values_mut().iter_mut().for_each(|local_row| *local_row += row_start);
+        Ok(parents)
+    }
+
+    fn zero(&self) -> usize {
+        0
+    }
+
+    fn combine(&self, _first: usize, _later: usize) -> Option<usize> {
+        None
+    }
+}
+
+/// Semiring push (SSSP, PPR): the claim is a partial sum, and the owner
+/// accumulates with the add monoid in source-locale order.
+pub(crate) struct Accumulate<'r, AddM, MulOp>(
+    pub(crate) &'r Semiring<AddM, MulOp>,
+    pub(crate) SpMSpVOpts,
+);
+
+impl<A, B, C, AddM, MulOp> PushRule<B, A, C> for Accumulate<'_, AddM, MulOp>
+where
+    A: Copy + Send + Sync,
+    B: Copy + Send + Sync,
+    C: Copy + Send + Sync + 'static,
+    AddM: Monoid<C>,
+    MulOp: BinaryOp<A, B, C>,
+{
+    fn multiply(
+        &self,
+        block: &CsrMatrix<B>,
+        lx: &SparseVec<A>,
+        _row_start: usize,
+        ctx: &ExecCtx,
+    ) -> Result<SparseVec<C>> {
+        Ok(spmspv_semiring_masked(block, lx, self.0, None, self.1, ctx)?.vector)
+    }
+
+    fn zero(&self) -> C {
+        self.0.zero()
+    }
+
+    fn combine(&self, occupant: C, claim: C) -> Option<C> {
+        Some(self.0.accumulate(occupant, claim))
+    }
+}
+
+/// One sender's scatter output: its pooled per-owner outbox, and where
+/// each source's claims end in each owner's list (`ends[s * p + owner]`).
+type Sent<W> = (WsGuard<Outbox<(usize, W)>>, Vec<usize>);
+
+/// What [`push_engine`] hands back: the per-source outputs and the
+/// per-locale profiles of the two components it ran.
+pub(crate) struct Pushed<W> {
+    /// `rows[s]`: source `s`'s output, block-distributed like the mask.
+    pub(crate) rows: Vec<DistSparseVec<W>>,
+    local: Vec<Profile>,
+    scatter: Vec<Profile>,
+}
+
+impl<W> Pushed<W> {
+    /// Price gather / local / scatter into `op` and finish it (which
+    /// drains and prices the comm log).
+    pub(crate) fn finish(&self, mut op: OpTrace<'_>, gather: &Gather) -> SimReport {
+        op.spawn(PHASE_GATHER, gather.supersteps);
+        op.compute(PHASE_GATHER, &gather.profiles);
+        op.compute_folded(PHASE_LOCAL, &self.local);
+        op.compute(PHASE_SCATTER, &self.scatter);
+        op.finish()
+    }
+}
+
+/// The shape checks every push entry point shares: frontier capacity and
+/// distribution against the matrix and machine, and each mask against
+/// the output.
+pub(crate) fn check_push_operands<B: Copy>(
+    a: &DistCsrMatrix<B>,
+    capacity: usize,
+    locales: usize,
+    masks: Option<&[DistMask<'_>]>,
+    dctx: &DistCtx,
+) -> Result<()> {
+    let p = a.grid().locales();
+    check_dims("x capacity vs matrix rows", a.nrows(), capacity)?;
+    check_dims("frontier locales vs grid locales", p, locales)?;
+    check_dims("machine locales vs grid locales", p, dctx.locales())?;
+    for m in masks.unwrap_or_default() {
+        check_dims("mask length vs matrix cols", a.ncols(), m.bits.len())?;
+        check_dims("mask locales vs grid locales", p, m.bits.locales())?;
+    }
+    Ok(())
+}
+
+/// The local-multiply and scatter components of the push pipeline for
+/// `k ≥ 0` sources at once. `lxs(l)` is locale `l`'s `k` gathered
+/// frontier slices (local row coordinates, the same `k` on every locale);
+/// `masks`, when given, holds one output mask per source; a scatter claim
+/// is priced at `claim_bytes` and travels per `strategy`.
+///
+/// Every owner's inbox stays grouped by source — sender `l` appends
+/// source after source and records where each ends — so a claim is the
+/// single-source `(offset, value)` pair for every `k`, and the drain of
+/// source `s` touches only source `s`'s claims.
+pub(crate) fn push_engine<'x, B, V, W, R>(
+    a: &DistCsrMatrix<B>,
+    lxs: impl Fn(usize) -> &'x [SparseVec<V>] + Sync,
+    rule: &R,
+    masks: Option<&[DistMask<'_>]>,
+    strategy: CommStrategy,
+    claim_bytes: u64,
+    dctx: &DistCtx,
+) -> Result<Pushed<W>>
+where
+    B: Copy + Send + Sync,
+    V: Send + Sync + 'x,
+    W: Copy + Send + Sync + 'static,
+    R: PushRule<B, V, W>,
+{
+    let p = a.grid().locales();
+    let n = a.ncols();
+    let k = lxs(0).len(); // a grid has at least one locale
+
+    // ---- Superstep 1, one task per locale. Local multiply: the shared
+    // single-source kernel, once per source, on this locale's block —
+    // literally the same code on the same operands whatever `k` is, which
+    // is what makes a batched row bit-identical to its solo run (locale
+    // `l`'s long-lived pool lets the kernel's SPA survive across BFS
+    // levels). Then the send side of the scatter: the locale partitions
+    // its products into one outbox per owning locale — all `k` sources
+    // share it, and therefore one message per pair — and logs its own
+    // traffic. The per-destination buffers and the fan-out histogram come
+    // from the locale pool and are reused superstep after superstep.
+    let out_dist = crate::grid::BlockDist::new(n, p);
+    let mut local: Vec<Profile> = Vec::with_capacity(p);
+    let mut scatter: Vec<Profile> = Vec::with_capacity(p);
+    let mut sent: Vec<Sent<W>> = Vec::with_capacity(p);
+    for (local_profile, send_profile, outbox) in dctx.for_each_locale(|l| {
+        let row_range = a.row_range(l);
+        let col_range = a.col_range(l);
+        let lctx = dctx.locale_ctx_for(l);
+        // Every kernel returns its scratch before the outbox is checked
+        // out, so the locale pool sees the same checkout sequence for any
+        // `k` (the goldens pin the pool telemetry).
+        let mut products: Vec<SparseVec<W>> = Vec::with_capacity(k);
+        for lx in lxs(l) {
+            products.push(if row_range.is_empty() || col_range.is_empty() {
+                SparseVec::new(col_range.len().max(1))
+            } else {
+                rule.multiply(a.block(l), lx, row_range.start, &lctx)?
+            });
+        }
+        let sctx = dctx.locale_ctx_for(l);
+        let mut c = Counters::default();
+        let mut outbox = sctx.ws_nested_vec::<(usize, W)>(p);
+        let mut per_dst = sctx.ws_filled_vec::<u64>(p, 0);
+        let mut ends: Vec<usize> = Vec::with_capacity(k * p);
+        for ly in &products {
+            for (lj, &v) in ly.iter() {
+                let col = lj + col_range.start;
+                let owner = out_dist.owner(col);
+                if owner != l {
+                    per_dst[owner] += 1;
+                }
+                c.atomics += 1; // the remote/local atomic test-and-set
+                outbox[owner].push((col - out_dist.range(owner).start, v));
+            }
+            ends.extend(outbox.iter().map(Vec::len));
+        }
+        for (dst, &msgs) in per_dst.iter().enumerate() {
+            if msgs > 0 {
+                let bytes = msgs * claim_bytes;
+                match strategy {
+                    CommStrategy::Fine => dctx.comm.fine(PHASE_SCATTER, l, dst, msgs, bytes)?,
+                    CommStrategy::Bulk => dctx.comm.bulk(PHASE_SCATTER, l, dst, 1, bytes)?,
+                }
+            }
+        }
+        sctx.record(PHASE_SCATTER, |pc| pc.merge(&c));
+        Ok((lctx.take_profile(), sctx.take_profile(), (outbox, ends)))
+    })? {
+        local.push(local_profile);
+        scatter.push(send_profile);
+        sent.push(outbox);
+    }
+
+    // ---- Superstep 2, the owner side of the scatter: per source, each
+    // owner drains its inboxes into its *own* dense SPA segment — no
+    // cross-locale writes — in source-locale order, so the rule resolves
+    // competing claims exactly as the serial schedule does. The mask bit
+    // lives with the output entry (§V future work), so the check happens
+    // here, at the owner: a suppressed claim has still paid its message.
+    // Finishes with the owner's denseToSparse scan.
+    let (apply, owner_shards): (Vec<Profile>, Vec<Vec<SparseVec<W>>>) = dctx
+        .for_each_locale(|o| {
+            let octx = dctx.locale_ctx_for(o);
+            let range = out_dist.range(o);
+            let mut c = Counters::default();
+            let mut shards: Vec<SparseVec<W>> = Vec::with_capacity(k);
+            for s in 0..k {
+                let mask = masks.map(|per_source| per_source[s]);
+                let mut occupied = octx.ws_filled_vec::<bool>(range.len(), false);
+                let mut value = octx.ws_filled_vec::<W>(range.len(), rule.zero());
+                for (outbox, ends) in &sent {
+                    let start = if s == 0 { 0 } else { ends[(s - 1) * p + o] };
+                    for &(off, v) in &outbox[o][start..ends[s * p + o]] {
+                        if let Some(m) = mask {
+                            c.rand_access += 1;
+                            if m.bits.segment(o)[off] == m.complement {
+                                continue;
+                            }
+                        }
+                        if !occupied[off] {
+                            occupied[off] = true;
+                            value[off] = v;
+                        } else if let Some(combined) = rule.combine(value[off], v) {
+                            value[off] = combined;
+                            c.flops += 1;
+                        }
+                    }
+                }
+                let mut inds = Vec::new();
+                let mut vals = Vec::new();
+                for (off, &set) in occupied.iter().enumerate() {
+                    if set {
+                        inds.push(range.start + off);
+                        vals.push(value[off]);
+                    }
+                }
+                c.elems += range.len() as u64;
+                shards.push(SparseVec::from_sorted(n, inds, vals)?);
+            }
+            octx.record(PHASE_SCATTER, |pc| pc.merge(&c));
+            Ok((octx.take_profile(), shards))
+        })?
+        .into_iter()
+        .unzip();
+    // Each locale's scatter profile is its send-side work plus its
+    // owner-side work (merged in that order).
+    for (send, owner) in scatter.iter_mut().zip(&apply) {
+        send.merge(owner);
+    }
+    let mut owners: Vec<_> = owner_shards.into_iter().map(Vec::into_iter).collect();
+    let rows = (0..k)
+        .map(|_| {
+            DistSparseVec::from_shards(n, owners.iter_mut().flat_map(Iterator::next).collect())
+        })
+        .collect::<Result<Vec<_>>>()?;
+    Ok(Pushed { rows, local, scatter })
 }
 
 /// Listing 8 as written: fine-grained gather and scatter.
@@ -297,190 +631,27 @@ pub fn spmspv_dist_with<T: Copy + Send + Sync, V: Copy + Send + Sync + 'static>(
     opts: SpMSpVOpts,
     dctx: &DistCtx,
 ) -> Result<(DistSparseVec<usize>, SimReport)> {
-    check_dims("x capacity vs matrix rows", a.nrows(), x.capacity())?;
+    let masks = mask.as_ref().map(std::slice::from_ref);
+    check_push_operands(a, x.capacity(), x.locales(), masks, dctx)?;
     // Resolve `auto` (and any `GBLAS_MERGE` override) once from the
     // *global* nnz so every locale runs the same strategy.
     let opts = opts.resolved(x.nnz());
-    let grid = a.grid();
-    let p = grid.locales();
-    if x.locales() != p {
-        return Err(GblasError::DimensionMismatch {
-            expected: format!("{p} locales"),
-            actual: format!("{} locales", x.locales()),
-        });
-    }
-    if dctx.locales() != p {
-        return Err(GblasError::DimensionMismatch {
-            expected: format!("machine with {p} locales"),
-            actual: format!("machine with {} locales", dctx.locales()),
-        });
-    }
-    let n = a.ncols();
-    if let Some(m) = &mask {
-        check_dims("mask length vs matrix cols", n, m.bits.len())?;
-        if m.bits.locales() != p {
-            return Err(GblasError::DimensionMismatch {
-                expected: format!("mask over {p} locales"),
-                actual: format!("mask over {} locales", m.bits.locales()),
-            });
-        }
-    }
-    let elem_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<V>()) as u64;
-    // A scatter claim carries the destination offset and the parent row id
-    // (the byte count used to be a hardcoded `16`, silently wrong for any
-    // other payload — computed from the actual pair width now).
+    // A scatter claim carries the destination offset and the parent row id.
     let claim_bytes = (2 * std::mem::size_of::<usize>()) as u64;
+    let (gather, lxs) = gather_row_blocks(a, x, strategy, dctx)?;
+    let lx = |l| std::slice::from_ref(&lxs[l]);
+    let mut pushed = push_engine(a, lx, &FirstVisitor(opts), masks, strategy, claim_bytes, dctx)?;
+    let y = pushed.rows.pop().expect("the engine returns one row per source");
 
-    // ---- Inspect or replay the gather schedule (driver thread, before
-    // any superstep). Keyed on the matrix generation: a rebuilt or
-    // mutated matrix invalidates and re-inspects.
-    let (plan, sched) = dctx.schedule(
-        "gather_rows",
-        FrontierClass::Sparse,
-        (grid.pr(), grid.pc()),
-        a.generation(),
-        0,
-        || PlanData::Gather(GatherPlan::build(grid, |l| a.row_range(l))),
-    );
-
-    // ---- Gather supersteps: one element-wise superstep (Fine) or the
-    // aggregated request/reply protocol (Bulk) — see [`gather_row_blocks`].
-    // All comm is logged by the task whose id is the event's source
-    // locale, so the log's per-source order is deterministic under the
-    // threaded executor.
-    let (gather_profiles, lxs) =
-        gather_row_blocks(grid, plan.gather(), x, strategy, elem_bytes, dctx)?;
-
-    // ---- Local multiply superstep, one task per locale (local coords).
-    let mut local_profiles: Vec<Profile> = Vec::with_capacity(p);
-    // Per-locale local results in *global* coordinates: (col, parent row).
-    let mut local_results: Vec<Vec<(usize, usize)>> = Vec::with_capacity(p);
-    for (local, result) in dctx.for_each_locale(|l| {
-        let row_range = a.row_range(l);
-        let col_range = a.col_range(l);
-        // Attach locale `l`'s long-lived pool so the local kernel's SPA is
-        // reused across BFS levels instead of reallocated per call.
-        let lctx = dctx.locale_ctx_for(l);
-        let ly = if row_range.is_empty() || col_range.is_empty() {
-            SparseVec::new(col_range.len().max(1))
-        } else {
-            spmspv_first_visitor(a.block(l), &lxs[l], None, opts, &lctx)?
-        };
-        let result: Vec<(usize, usize)> =
-            ly.iter().map(|(lj, &lrid)| (lj + col_range.start, lrid + row_range.start)).collect();
-        Ok((lctx.take_profile(), result))
-    })? {
-        local_profiles.push(local);
-        local_results.push(result);
-    }
-
-    // ---- Superstep 2 (scatter, send side): each source locale partitions
-    // its claims into one outbox per owning locale and logs its own
-    // scatter traffic.
-    let out_dist = crate::grid::BlockDist::new(n, p);
-    let (send_profiles, outboxes): (Vec<Profile>, PooledOutboxes<(usize, usize)>) = dctx
-        .for_each_locale(|l| {
-            let sctx = dctx.locale_ctx_for(l);
-            let mut c = gblas_core::par::Counters::default();
-            // outbox[owner] = (segment offset, parent row) claims. Both the
-            // per-destination buffers and the fan-out histogram come from
-            // the locale pool and are reused superstep after superstep.
-            let mut outbox = sctx.ws_nested_vec::<(usize, usize)>(p);
-            let mut per_dst = sctx.ws_filled_vec::<u64>(p, 0);
-            for &(col, rid) in &local_results[l] {
-                let owner = out_dist.owner(col);
-                if owner != l {
-                    per_dst[owner] += 1;
-                }
-                c.atomics += 1; // the remote/local atomic test-and-set
-                outbox[owner].push((col - out_dist.range(owner).start, rid));
-            }
-            for (dst, msgs) in per_dst.iter().enumerate() {
-                if *msgs > 0 {
-                    match strategy {
-                        CommStrategy::Fine => {
-                            dctx.comm.fine(PHASE_SCATTER, l, dst, *msgs, *msgs * claim_bytes)?
-                        }
-                        CommStrategy::Bulk => {
-                            dctx.comm.bulk(PHASE_SCATTER, l, dst, 1, *msgs * claim_bytes)?
-                        }
-                    }
-                }
-            }
-            sctx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((sctx.take_profile(), outbox))
-        })?
-        .into_iter()
-        .unzip();
-
-    // ---- Superstep 3 (scatter, owner side): each owner drains its
-    // inboxes into its *own* dense SPA segment — no cross-locale writes —
-    // in source-locale order, so first-writer-wins resolves exactly as the
-    // serial schedule does. The mask bit lives with the output entry (§V
-    // future work), so the check happens here, at the owner. Finishes with
-    // the owner's denseToSparse scan.
-    let (apply_profiles, shards): (Vec<Profile>, Vec<SparseVec<usize>>) = dctx
-        .for_each_locale(|o| {
-            let octx = dctx.locale_ctx_for(o);
-            let range = out_dist.range(o);
-            let mut isthere = octx.ws_filled_vec::<bool>(range.len(), false);
-            let mut value = octx.ws_filled_vec::<usize>(range.len(), 0);
-            let mut c = gblas_core::par::Counters::default();
-            for outbox in &outboxes {
-                for &(off, rid) in &outbox[o] {
-                    if let Some(m) = &mask {
-                        c.rand_access += 1;
-                        let set = m.bits.segment(o)[off];
-                        if set == m.complement {
-                            continue;
-                        }
-                    }
-                    if !isthere[off] {
-                        isthere[off] = true;
-                        value[off] = rid;
-                    }
-                }
-            }
-            let mut inds = Vec::new();
-            let mut vals = Vec::new();
-            for (off, &set) in isthere.iter().enumerate() {
-                if set {
-                    inds.push(range.start + off);
-                    vals.push(value[off]);
-                }
-            }
-            c.elems += range.len() as u64;
-            octx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((octx.take_profile(), SparseVec::from_sorted(n, inds, vals)?))
-        })?
-        .into_iter()
-        .unzip();
-    // Each locale's scatter profile is its send-side work plus its
-    // owner-side work (merged in that order).
-    let mut scatter_profiles = send_profiles;
-    for (l, apply) in apply_profiles.iter().enumerate() {
-        for (name, cs) in apply.iter() {
-            scatter_profiles[l].counters_mut(name).merge(cs);
-        }
-    }
-    let y = DistSparseVec::from_shards(n, shards)?;
-
-    // ---- Assemble the report (and, when tracing, the span tree).
     let mut op = dctx.op("spmspv_dist");
     op.attr("strategy", strategy_name(strategy))
         .attr("merge", opts.merge.name())
         .attr("nrows", a.nrows())
-        .attr("ncols", n)
+        .attr("ncols", a.ncols())
         .attr("masked", mask.is_some())
-        .sched(sched)
+        .sched(gather.sched)
         .nnz(x.nnz() as u64);
-    // Fine fuses the gather in one superstep; the aggregated protocol
-    // spawns three (request / reply / assemble).
-    op.spawn(PHASE_GATHER, if strategy == CommStrategy::Bulk { 3 } else { 1 });
-    op.compute(PHASE_GATHER, &gather_profiles);
-    op.compute_folded(PHASE_LOCAL, &local_profiles);
-    op.compute(PHASE_SCATTER, &scatter_profiles);
-    Ok((y, op.finish()))
+    Ok((y, pushed.finish(op, &gather)))
 }
 
 fn strategy_name(strategy: CommStrategy) -> &'static str {
@@ -502,7 +673,7 @@ fn strategy_name(strategy: CommStrategy) -> &'static str {
 pub fn spmspv_dist_semiring<A, B, C, AddM, MulOp>(
     a: &DistCsrMatrix<B>,
     x: &DistSparseVec<A>,
-    ring: &gblas_core::algebra::Semiring<AddM, MulOp>,
+    ring: &Semiring<AddM, MulOp>,
     strategy: CommStrategy,
     dctx: &DistCtx,
 ) -> Result<(DistSparseVec<C>, SimReport)>
@@ -510,8 +681,8 @@ where
     A: Copy + Send + Sync + 'static,
     B: Copy + Send + Sync,
     C: Copy + Send + Sync + PartialEq + 'static,
-    AddM: gblas_core::algebra::Monoid<C>,
-    MulOp: gblas_core::algebra::BinaryOp<A, B, C>,
+    AddM: Monoid<C>,
+    MulOp: BinaryOp<A, B, C>,
 {
     spmspv_dist_semiring_with(a, x, ring, None, strategy, SpMSpVOpts::default(), dctx)
 }
@@ -524,7 +695,7 @@ where
 pub fn spmspv_dist_semiring_with<A, B, C, AddM, MulOp>(
     a: &DistCsrMatrix<B>,
     x: &DistSparseVec<A>,
-    ring: &gblas_core::algebra::Semiring<AddM, MulOp>,
+    ring: &Semiring<AddM, MulOp>,
     mask: Option<DistMask<'_>>,
     strategy: CommStrategy,
     opts: SpMSpVOpts,
@@ -534,190 +705,43 @@ where
     A: Copy + Send + Sync + 'static,
     B: Copy + Send + Sync,
     C: Copy + Send + Sync + PartialEq + 'static,
-    AddM: gblas_core::algebra::Monoid<C>,
-    MulOp: gblas_core::algebra::BinaryOp<A, B, C>,
+    AddM: Monoid<C>,
+    MulOp: BinaryOp<A, B, C>,
 {
-    check_dims("x capacity vs matrix rows", a.nrows(), x.capacity())?;
+    let masks = mask.as_ref().map(std::slice::from_ref);
+    check_push_operands(a, x.capacity(), x.locales(), masks, dctx)?;
     // Same global resolution as [`spmspv_dist_with`]: one strategy,
     // every locale.
     let opts = opts.resolved(x.nnz());
-    let grid = a.grid();
-    let p = grid.locales();
-    if x.locales() != p || dctx.locales() != p {
-        return Err(GblasError::DimensionMismatch {
-            expected: format!("{p} locales"),
-            actual: format!("{} / {} locales", x.locales(), dctx.locales()),
-        });
-    }
-    let n = a.ncols();
-    if let Some(m) = &mask {
-        check_dims("mask length vs matrix cols", n, m.bits.len())?;
-        if m.bits.locales() != p {
-            return Err(GblasError::DimensionMismatch {
-                expected: format!("mask over {p} locales"),
-                actual: format!("mask over {} locales", m.bits.locales()),
-            });
-        }
-    }
-    let elem_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<A>()) as u64;
-    // A scatter claim carries the destination offset and an output value —
-    // computed from the actual types (this used to be a hardcoded `16`,
-    // which over-billed small `C` and under-billed large `C`).
+    // A scatter claim carries the destination offset and an output value,
+    // priced from the actual pair width.
     let claim_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<C>()) as u64;
-
-    // ---- Inspect or replay the gather schedule — the pattern is shared
-    // with the first-visitor kernel (same key), so a BFS level and an
-    // SSSP relaxation over the same matrix replay one plan.
-    let (plan, sched) = dctx.schedule(
-        "gather_rows",
-        FrontierClass::Sparse,
-        (grid.pr(), grid.pc()),
-        a.generation(),
-        0,
-        || PlanData::Gather(GatherPlan::build(grid, |l| a.row_range(l))),
-    );
-
-    // ---- Gather supersteps (shared with the first-visitor kernel):
-    // element-wise (Fine) or the aggregated request/reply protocol (Bulk).
-    let (gather_profiles, lxs) =
-        gather_row_blocks(grid, plan.gather(), x, strategy, elem_bytes, dctx)?;
-
-    // ---- Local semiring multiply superstep.
-    let mut local_profiles: Vec<Profile> = Vec::with_capacity(p);
-    let mut local_results: Vec<Vec<(usize, C)>> = Vec::with_capacity(p);
-    for (local, result) in dctx.for_each_locale(|l| {
-        let row_range = a.row_range(l);
-        let col_range = a.col_range(l);
-        let lctx = dctx.locale_ctx_for(l);
-        let ly = if row_range.is_empty() || col_range.is_empty() {
-            SparseVec::new(col_range.len().max(1))
-        } else {
-            gblas_core::ops::spmspv::spmspv_semiring_masked(
-                a.block(l),
-                &lxs[l],
-                ring,
-                None,
-                opts,
-                &lctx,
-            )?
-            .vector
-        };
-        let result: Vec<(usize, C)> = ly.iter().map(|(lj, &v)| (lj + col_range.start, v)).collect();
-        Ok((lctx.take_profile(), result))
-    })? {
-        local_profiles.push(local);
-        local_results.push(result);
-    }
-
-    // ---- Superstep 2 (scatter, send side): per-owner outboxes + each
-    // source's own comm log entries.
-    let out_dist = crate::grid::BlockDist::new(n, p);
-    let (send_profiles, outboxes): (Vec<Profile>, PooledOutboxes<(usize, C)>) = dctx
-        .for_each_locale(|l| {
-            let sctx = dctx.locale_ctx_for(l);
-            let mut c = gblas_core::par::Counters::default();
-            let mut outbox = sctx.ws_nested_vec::<(usize, C)>(p);
-            let mut per_dst = sctx.ws_filled_vec::<u64>(p, 0);
-            for &(col, v) in &local_results[l] {
-                let owner = out_dist.owner(col);
-                if owner != l {
-                    per_dst[owner] += 1;
-                }
-                c.atomics += 1;
-                outbox[owner].push((col - out_dist.range(owner).start, v));
-            }
-            for (dst, msgs) in per_dst.iter().enumerate() {
-                if *msgs > 0 {
-                    match strategy {
-                        CommStrategy::Fine => {
-                            dctx.comm.fine(PHASE_SCATTER, l, dst, *msgs, *msgs * claim_bytes)?
-                        }
-                        CommStrategy::Bulk => {
-                            dctx.comm.bulk(PHASE_SCATTER, l, dst, 1, *msgs * claim_bytes)?
-                        }
-                    }
-                }
-            }
-            sctx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((sctx.take_profile(), outbox))
-        })?
-        .into_iter()
-        .unzip();
-
-    // ---- Superstep 3 (scatter, owner side): accumulate into the owner's
-    // own dense segment with the add monoid, draining inboxes in
-    // source-locale order so the floating-point accumulation order is
-    // exactly the serial schedule's.
-    let (apply_profiles, shards): (Vec<Profile>, Vec<SparseVec<C>>) = dctx
-        .for_each_locale(|o| {
-            let octx = dctx.locale_ctx_for(o);
-            let range = out_dist.range(o);
-            let mut occupied = octx.ws_filled_vec::<bool>(range.len(), false);
-            let mut value = octx.ws_filled_vec::<C>(range.len(), ring.zero::<C>());
-            let mut c = gblas_core::par::Counters::default();
-            for outbox in &outboxes {
-                for &(off, v) in &outbox[o] {
-                    if let Some(m) = &mask {
-                        c.rand_access += 1;
-                        let set = m.bits.segment(o)[off];
-                        if set == m.complement {
-                            continue;
-                        }
-                    }
-                    if occupied[off] {
-                        value[off] = ring.accumulate(value[off], v);
-                        c.flops += 1;
-                    } else {
-                        occupied[off] = true;
-                        value[off] = v;
-                    }
-                }
-            }
-            let mut inds = Vec::new();
-            let mut vals = Vec::new();
-            for (off, &set) in occupied.iter().enumerate() {
-                if set {
-                    inds.push(range.start + off);
-                    vals.push(value[off]);
-                }
-            }
-            c.elems += range.len() as u64;
-            octx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((octx.take_profile(), SparseVec::from_sorted(n, inds, vals)?))
-        })?
-        .into_iter()
-        .unzip();
-    let mut scatter_profiles = send_profiles;
-    for (l, apply) in apply_profiles.iter().enumerate() {
-        for (name, cs) in apply.iter() {
-            scatter_profiles[l].counters_mut(name).merge(cs);
-        }
-    }
-    let y = DistSparseVec::from_shards(n, shards)?;
+    let (gather, lxs) = gather_row_blocks(a, x, strategy, dctx)?;
+    let lx = |l| std::slice::from_ref(&lxs[l]);
+    let mut pushed =
+        push_engine(a, lx, &Accumulate(ring, opts), masks, strategy, claim_bytes, dctx)?;
+    let y = pushed.rows.pop().expect("the engine returns one row per source");
 
     let mut op = dctx.op("spmspv_dist_semiring");
     op.attr("strategy", strategy_name(strategy))
         .attr("merge", opts.merge.name())
         .attr("nrows", a.nrows())
-        .attr("ncols", n)
-        .sched(sched)
+        .attr("ncols", a.ncols())
+        .sched(gather.sched)
         .nnz(x.nnz() as u64);
     // Only stamp the attr for masked runs so unmasked traces (and their
     // golden files) are byte-identical to the pre-mask kernel.
     if mask.is_some() {
         op.attr("masked", true);
     }
-    op.spawn(PHASE_GATHER, if strategy == CommStrategy::Bulk { 3 } else { 1 });
-    op.compute(PHASE_GATHER, &gather_profiles);
-    op.compute_folded(PHASE_LOCAL, &local_profiles);
-    op.compute(PHASE_SCATTER, &scatter_profiles);
-    Ok((y, op.finish()))
+    Ok((y, pushed.finish(op, &gather)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::ProcGrid;
+    use gblas_core::error::GblasError;
     use gblas_core::gen;
     use gblas_sim::MachineConfig;
 

@@ -1,4 +1,5 @@
-//! Distributed SpMV: `y = x A` with dense vectors on the 2-D grid.
+//! Distributed SpMV: `y = x A` with dense vectors on the 2-D grid — and
+//! the dense engine behind it and its batched form.
 //!
 //! The dense counterpart of the distributed SpMSpV, with the communication
 //! pattern the paper recommends (§IV): *bulk* transfers throughout —
@@ -10,13 +11,24 @@
 //! Phases: `gather` (row-block segments of `x`), `local` (block
 //! multiply), `combine` (tree-combine the `pr` partial vectors down each
 //! processor column, then place output blocks with their owners).
+//!
+//! The four steps — gather, multiply, combine, place — exist once, in
+//! `dense_engine`, for any number `k ≥ 0` of dense columns: every
+//! message carries all `k` columns (1× the messages, k× the payload) and
+//! each column's values accumulate in the same order whatever `k` is.
+//! [`spmv_dist`] is the engine at `k = 1`, executing from its cached
+//! gather schedule; [`crate::ops::expand::spmm_dense_dist`] is the engine
+//! at the batch width. A message with no payload — an empty peer segment
+//! or column range, as on grids with more locales than vector entries —
+//! is never sent, for every `k`.
 
-use crate::exec::DistCtx;
+use crate::exec::{DistCtx, OpTrace};
 use crate::mat::DistCsrMatrix;
-use crate::sched::{FrontierClass, GatherPlan, PlanData};
+use crate::ops::spmspv::row_gather_schedule;
+use crate::sched::FrontierClass;
 use crate::vec::DistDenseVec;
 use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
-use gblas_core::error::{check_dims, GblasError, Result};
+use gblas_core::error::{check_dims, Result};
 use gblas_core::par::Profile;
 use gblas_sim::SimReport;
 
@@ -26,6 +38,198 @@ pub const PHASE_GATHER: &str = "gather";
 pub const PHASE_LOCAL: &str = "local";
 /// Phase: combine partials down processor columns.
 pub const PHASE_COMBINE: &str = "combine";
+
+/// What [`dense_engine`] hands back: one output per input column and the
+/// per-locale profiles of its three priced components.
+pub(crate) struct DenseProduct<C> {
+    /// `ys[s] = xs[s] · A`, distributed like the inputs.
+    pub(crate) ys: Vec<DistDenseVec<C>>,
+    gather: Vec<Profile>,
+    local: Vec<Profile>,
+    combine: Vec<Profile>,
+}
+
+impl<C> DenseProduct<C> {
+    /// Price gather / local / combine into `op` and finish it (which
+    /// drains and prices the comm log).
+    pub(crate) fn finish(&self, mut op: OpTrace<'_>) -> SimReport {
+        op.spawn(PHASE_GATHER, 1);
+        op.compute(PHASE_GATHER, &self.gather);
+        op.compute(PHASE_LOCAL, &self.local);
+        op.compute(PHASE_COMBINE, &self.combine);
+        op.finish()
+    }
+}
+
+/// The shape checks both dense entry points run before anything else:
+/// every column against the matrix rows and grid, the machine against
+/// the grid.
+pub(crate) fn check_dense_operands<A: Copy, B: Copy>(
+    a: &DistCsrMatrix<B>,
+    xs: &[DistDenseVec<A>],
+    dctx: &DistCtx,
+) -> Result<()> {
+    let p = a.grid().locales();
+    for x in xs {
+        check_dims("x length vs matrix rows", a.nrows(), x.len())?;
+        check_dims("x locales vs grid locales", p, x.locales())?;
+    }
+    check_dims("machine locales vs grid locales", p, dctx.locales())
+}
+
+/// `ys[s][j] = ⊕_i xs[s][i] ⊗ A[i,j]` for `k = xs.len()` block-distributed
+/// dense columns at once (operands already checked by
+/// [`check_dense_operands`]). `row_peers(l)` is the ascending list of
+/// locales (self included) whose segments cover locale `l`'s row range —
+/// from a compiled schedule or straight off the grid.
+pub(crate) fn dense_engine<A, B, C, AddM, MulOp, P>(
+    a: &DistCsrMatrix<B>,
+    xs: &[DistDenseVec<A>],
+    ring: &Semiring<AddM, MulOp>,
+    row_peers: impl Fn(usize) -> P + Sync,
+    dctx: &DistCtx,
+) -> Result<DenseProduct<C>>
+where
+    A: Copy + Send + Sync,
+    B: Copy + Send + Sync,
+    C: Copy + Send + Sync + 'static,
+    AddM: Monoid<C>,
+    MulOp: BinaryOp<A, B, C>,
+    P: IntoIterator<Item = usize>,
+{
+    let grid = a.grid();
+    let p = grid.locales();
+    let k = xs.len() as u64;
+    let n = a.ncols();
+    let a_bytes = std::mem::size_of::<A>() as u64;
+    let c_bytes = std::mem::size_of::<C>() as u64;
+    let x_dist = crate::grid::BlockDist::new(a.nrows(), p);
+
+    // ---- Superstep 1: gather + local multiply, one task per locale. One
+    // bulk message per remote peer segment carries all k columns; each
+    // column then runs the shared-memory kernel on its own, leaving — per
+    // locale, per column — a partial over the locale's column range.
+    let mut gather: Vec<Profile> = Vec::with_capacity(p);
+    let mut local: Vec<Profile> = Vec::with_capacity(p);
+    let mut partials: Vec<Vec<Vec<C>>> = Vec::with_capacity(p);
+    for (gather_profile, local_profile, columns) in dctx.for_each_locale(|l| {
+        let row_range = a.row_range(l);
+        let gctx = dctx.locale_ctx_for(l);
+        let mut lx: Vec<Vec<A>> = xs.iter().map(|_| Vec::with_capacity(row_range.len())).collect();
+        for src in row_peers(l) {
+            let payload = k * x_dist.size(src) as u64 * a_bytes;
+            if src != l && payload > 0 {
+                dctx.comm.bulk(PHASE_GATHER, l, src, 1, payload)?;
+            }
+            for (column, x) in lx.iter_mut().zip(xs) {
+                column.extend_from_slice(x.segment(src));
+            }
+        }
+        let moved: u64 = lx.iter().map(|v| v.len() as u64).sum();
+        gctx.record(PHASE_GATHER, |c| {
+            c.elems += moved;
+            c.bytes_moved += moved * a_bytes;
+        });
+        // Local multiply: partial[j_local] over the block's column range.
+        let lctx = dctx.locale_ctx_for(l);
+        let block = a.block(l);
+        let width = a.col_range(l).len();
+        let mut columns: Vec<Vec<C>> = Vec::with_capacity(lx.len());
+        for column in lx {
+            let lx_dense = gblas_core::container::DenseVec::from_vec(column);
+            columns.push(if row_range.is_empty() || width == 0 {
+                vec![ring.zero::<C>(); width]
+            } else {
+                gblas_core::ops::spmv::spmv_col(block, &lx_dense, ring, &lctx)?.into_vec()
+            });
+        }
+        let mut folded = Profile::default();
+        for (_, counters) in lctx.take_profile().iter() {
+            folded.counters_mut(PHASE_LOCAL).merge(counters);
+        }
+        Ok((gctx.take_profile(), folded, columns))
+    })? {
+        gather.push(gather_profile);
+        local.push(local_profile);
+        partials.push(columns);
+    }
+
+    // ---- Superstep 2: combine partials down each processor column. Each
+    // non-leader logs its own upload of all k columns (single writer per
+    // source locale) and returns no accumulators; the column leader (grid
+    // row 0) accumulates every column in grid-column order.
+    let (combine, accs): (Vec<Profile>, Vec<Vec<Vec<C>>>) = dctx
+        .for_each_locale(|l| {
+            let (_, c) = grid.coords(l);
+            let leader = grid.locale(0, c);
+            let width = a.col_range(leader).len();
+            if l != leader {
+                let payload = k * width as u64 * c_bytes;
+                if payload > 0 {
+                    dctx.comm.bulk(PHASE_COMBINE, l, leader, 1, payload)?;
+                }
+                return Ok((Profile::default(), Vec::new()));
+            }
+            let acc_k: Vec<Vec<C>> = (0..xs.len())
+                .map(|s| {
+                    let mut acc: Vec<C> = vec![ring.zero::<C>(); width];
+                    for src in grid.col_locales(c) {
+                        for (slot, &v) in acc.iter_mut().zip(&partials[src][s]) {
+                            *slot = ring.accumulate(*slot, v);
+                        }
+                    }
+                    acc
+                })
+                .collect();
+            let mut profile = Profile::default();
+            let elems = (width * grid.pr()) as u64 * k;
+            profile.counters_mut(PHASE_COMBINE).elems += elems;
+            profile.counters_mut(PHASE_COMBINE).flops += elems;
+            Ok((profile, acc_k))
+        })?
+        .into_iter()
+        .unzip();
+
+    // ---- The leaders hand output blocks to their owners (driver-side:
+    // placement touches every segment, and the serial walk keeps the
+    // leaders' send order deterministic).
+    let out_dist = crate::grid::BlockDist::new(n, p);
+    let mut segments: Vec<Vec<Vec<C>>> = xs
+        .iter()
+        .map(|_| (0..p).map(|b| vec![ring.zero::<C>(); out_dist.size(b)]).collect())
+        .collect();
+    for c in 0..grid.pc() {
+        let leader = grid.locale(0, c);
+        let col_range = a.col_range(leader);
+        if col_range.is_empty() {
+            continue;
+        }
+        // Distribute the combined column slices to the owning output blocks.
+        for (segs, acc) in segments.iter_mut().zip(&accs[leader]) {
+            for (off, &v) in acc.iter().enumerate() {
+                let j = col_range.start + off;
+                let owner = out_dist.owner(j);
+                segs[owner][j - out_dist.range(owner).start] = v;
+            }
+        }
+        // One bulk message per distinct remote owner block the slice spans.
+        for owner in out_dist.owner(col_range.start)..=out_dist.owner(col_range.end - 1) {
+            let overlap = out_dist.range(owner);
+            let lo = overlap.start.max(col_range.start);
+            let hi = overlap.end.min(col_range.end);
+            let payload = k * hi.saturating_sub(lo) as u64 * c_bytes;
+            if owner != leader && payload > 0 {
+                dctx.comm.bulk(PHASE_COMBINE, leader, owner, 1, payload)?;
+            }
+        }
+    }
+
+    let ys = segments
+        .into_iter()
+        .map(|segs| DistDenseVec::from_segments(n, segs))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(DenseProduct { ys, gather, local, combine })
+}
 
 /// `y[j] = ⊕_i x[i] ⊗ A[i,j]` with block-distributed dense `x`, dense
 /// output distributed like `x`.
@@ -42,149 +246,18 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
-    check_dims("x length vs matrix rows", a.nrows(), x.len())?;
-    let grid = a.grid();
-    let p = grid.locales();
-    if x.locales() != p {
-        return Err(GblasError::DimensionMismatch {
-            expected: format!("{p} locales"),
-            actual: format!("{} locales", x.locales()),
-        });
-    }
-    if dctx.locales() != p {
-        return Err(GblasError::DimensionMismatch {
-            expected: format!("machine with {p} locales"),
-            actual: format!("machine with {} locales", dctx.locales()),
-        });
-    }
-    let n = a.ncols();
-    let a_bytes = std::mem::size_of::<A>() as u64;
-    let c_bytes = std::mem::size_of::<C>() as u64;
-
+    check_dense_operands(a, std::slice::from_ref(x), dctx)?;
     // ---- Inspect or replay the gather schedule: dense SpMV gathers whole
     // row-peer segments, so the pattern is the row-aligned plan under the
     // `Dense` class — PageRank's power iteration replays it every step.
-    let (sched_plan, sched) = dctx.schedule(
-        "spmv_gather",
-        FrontierClass::Dense,
-        (grid.pr(), grid.pc()),
-        a.generation(),
-        0,
-        || PlanData::Gather(GatherPlan::build(grid, |l| a.row_range(l))),
-    );
-    let plan = sched_plan.gather();
-
-    // ---- Superstep 1: gather + local multiply, one task per locale.
-    struct GatherLocal<C> {
-        gather: Profile,
-        local: Profile,
-        /// This locale's contribution over its column range.
-        partial: Vec<C>,
-    }
-    let gl: Vec<GatherLocal<C>> = dctx.for_each_locale(|l| {
-        let row_range = a.row_range(l);
-        // Bulk-gather the row block of x (one message per remote segment).
-        let gctx = dctx.locale_ctx_for(l);
-        let mut lx: Vec<A> = Vec::with_capacity(row_range.len());
-        for &src in &plan.row_peers[l] {
-            let seg = x.segment(src);
-            if src != l {
-                dctx.comm.bulk(PHASE_GATHER, l, src, 1, seg.len() as u64 * a_bytes)?;
-            }
-            lx.extend_from_slice(seg);
-        }
-        gctx.record(PHASE_GATHER, |c| {
-            c.elems += lx.len() as u64;
-            c.bytes_moved += lx.len() as u64 * a_bytes;
-        });
-        // Local multiply: partial[j_local] over the block's column range.
-        let lctx = dctx.locale_ctx_for(l);
-        let block = a.block(l);
-        let width = a.col_range(l).len();
-        let partial = {
-            let lx_dense = gblas_core::container::DenseVec::from_vec(lx);
-            if row_range.is_empty() || width == 0 {
-                vec![ring.zero::<C>(); width]
-            } else {
-                gblas_core::ops::spmv::spmv_col(block, &lx_dense, ring, &lctx)?.into_vec()
-            }
-        };
-        let mut folded = Profile::default();
-        let cc = folded.counters_mut(PHASE_LOCAL);
-        for (_, counters) in lctx.take_profile().iter() {
-            cc.merge(counters);
-        }
-        Ok(GatherLocal { gather: gctx.take_profile(), local: folded, partial })
-    })?;
-    let gather_profiles: Vec<Profile> = gl.iter().map(|g| g.gather.clone()).collect();
-    let local_profiles: Vec<Profile> = gl.iter().map(|g| g.local.clone()).collect();
-    let partials: Vec<Vec<C>> = gl.into_iter().map(|g| g.partial).collect();
-
-    // ---- Superstep 2: combine partials down each processor column. Each
-    // non-leader logs its own upload (single writer per source locale);
-    // the column leader (grid row 0) accumulates in column order.
-    let (combine_profiles, accs): (Vec<Profile>, Vec<Option<Vec<C>>>) = dctx
-        .for_each_locale(|l| {
-            let (_, c) = grid.coords(l);
-            let leader = grid.locale(0, c);
-            let col_range = a.col_range(leader);
-            if l != leader {
-                dctx.comm.bulk(PHASE_COMBINE, l, leader, 1, col_range.len() as u64 * c_bytes)?;
-                return Ok((Profile::default(), None));
-            }
-            let mut acc: Vec<C> = vec![ring.zero::<C>(); col_range.len()];
-            for src in grid.col_locales(c) {
-                for (slot, &v) in acc.iter_mut().zip(&partials[src]) {
-                    *slot = ring.accumulate(*slot, v);
-                }
-            }
-            let mut profile = Profile::default();
-            profile.counters_mut(PHASE_COMBINE).elems += (acc.len() * grid.pr()) as u64;
-            profile.counters_mut(PHASE_COMBINE).flops += (acc.len() * grid.pr()) as u64;
-            Ok((profile, Some(acc)))
-        })?
-        .into_iter()
-        .unzip();
-
-    // ---- The leaders hand output blocks to their owners (driver-side:
-    // placement touches every segment, and the serial walk keeps the
-    // leaders' send order deterministic).
-    let out_dist = crate::grid::BlockDist::new(n, p);
-    let mut segments: Vec<Vec<C>> =
-        (0..p).map(|b| vec![ring.zero::<C>(); out_dist.size(b)]).collect();
-    for c in 0..grid.pc() {
-        let leader = grid.locale(0, c);
-        let col_range = a.col_range(leader);
-        let acc = accs[leader].as_ref().expect("column leader produced its accumulator");
-        // Distribute the combined column slice to the owning output blocks.
-        for (off, &v) in acc.iter().enumerate() {
-            let j = col_range.start + off;
-            let owner = out_dist.owner(j);
-            segments[owner][j - out_dist.range(owner).start] = v;
-        }
-        // One bulk message per distinct owner block the slice spans.
-        let first_owner = if col_range.is_empty() { 0 } else { out_dist.owner(col_range.start) };
-        let last_owner = if col_range.is_empty() { 0 } else { out_dist.owner(col_range.end - 1) };
-        for owner in first_owner..=last_owner {
-            if !col_range.is_empty() && owner != leader {
-                let overlap = out_dist.range(owner);
-                let lo = overlap.start.max(col_range.start);
-                let hi = overlap.end.min(col_range.end);
-                if lo < hi {
-                    dctx.comm.bulk(PHASE_COMBINE, leader, owner, 1, (hi - lo) as u64 * c_bytes)?;
-                }
-            }
-        }
-    }
-
-    let y = DistDenseVec::from_segments(n, segments)?;
-    let mut trace = dctx.op("spmv_dist");
-    trace.attr("nrows", a.nrows()).attr("ncols", n).sched(sched).nnz(a.nnz() as u64);
-    trace.spawn(PHASE_GATHER, 1);
-    trace.compute(PHASE_GATHER, &gather_profiles);
-    trace.compute(PHASE_LOCAL, &local_profiles);
-    trace.compute(PHASE_COMBINE, &combine_profiles);
-    Ok((y, trace.finish()))
+    let (plan, sched) = row_gather_schedule(a, "spmv_gather", FrontierClass::Dense, dctx);
+    let row_peers = &plan.gather().row_peers;
+    let mut product =
+        dense_engine(a, std::slice::from_ref(x), ring, |l| row_peers[l].iter().copied(), dctx)?;
+    let y = product.ys.pop().expect("the engine returns one output per column");
+    let mut op = dctx.op("spmv_dist");
+    op.attr("nrows", a.nrows()).attr("ncols", a.ncols()).sched(sched).nnz(a.nnz() as u64);
+    Ok((y, product.finish(op)))
 }
 
 #[cfg(test)]
@@ -198,29 +271,38 @@ mod tests {
 
     #[test]
     fn matches_shared_memory_at_every_grid() {
-        let n = 300;
-        let a = gen::erdos_renyi(n, 6, 401);
-        let x = DenseVec::from_fn(n, |i| 1.0 + (i % 5) as f64);
-        let ctx = gblas_core::par::ExecCtx::serial();
-        let expect: DenseVec<f64> =
-            gblas_core::ops::spmv::spmv_col(&a, &x, &semirings::plus_times_f64(), &ctx).unwrap();
-        for (pr, pc) in [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 3)] {
-            let grid = ProcGrid::new(pr, pc);
-            let p = grid.locales();
-            let da = DistCsrMatrix::from_global(&a, grid);
-            let dx = DistDenseVec::from_global(&x, p);
-            let dctx = DistCtx::new(MachineConfig::edison_cluster(p, 24));
-            let (y, report) = spmv_dist(&da, &dx, &semirings::plus_times_f64(), &dctx).unwrap();
-            let yg = y.to_global();
-            for j in 0..n {
-                assert!(
-                    (yg[j] - expect[j]).abs() < 1e-9,
-                    "grid {pr}x{pc} col {j}: {} vs {}",
-                    yg[j],
-                    expect[j]
-                );
+        // n = 3 is the degenerate shape: fewer entries than locales on
+        // every multi-row grid, so some peer segments and column ranges
+        // are empty — and must cost no message.
+        for n in [300, 3] {
+            let a = gen::erdos_renyi(n, 6.min(n - 1), 401);
+            let x = DenseVec::from_fn(n, |i| 1.0 + (i % 5) as f64);
+            let ctx = gblas_core::par::ExecCtx::serial();
+            let expect: DenseVec<f64> =
+                gblas_core::ops::spmv::spmv_col(&a, &x, &semirings::plus_times_f64(), &ctx)
+                    .unwrap();
+            for (pr, pc) in [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 3)] {
+                let grid = ProcGrid::new(pr, pc);
+                let p = grid.locales();
+                let da = DistCsrMatrix::from_global(&a, grid);
+                let dx = DistDenseVec::from_global(&x, p);
+                let dctx = DistCtx::new(MachineConfig::edison_cluster(p, 24));
+                dctx.comm.record_history();
+                let (y, report) = spmv_dist(&da, &dx, &semirings::plus_times_f64(), &dctx).unwrap();
+                let yg = y.to_global();
+                for j in 0..n {
+                    assert!(
+                        (yg[j] - expect[j]).abs() < 1e-9,
+                        "n={n} grid {pr}x{pc} col {j}: {} vs {}",
+                        yg[j],
+                        expect[j]
+                    );
+                }
+                assert!(report.total() > 0.0);
+                for e in dctx.comm.history() {
+                    assert!(e.bytes > 0, "n={n} grid {pr}x{pc}: zero-byte message {e:?}");
+                }
             }
-            assert!(report.total() > 0.0);
         }
     }
 

@@ -15,6 +15,7 @@ use gblas_core::gen;
 use gblas_core::ops::ewise::EwiseVariant;
 use gblas_core::ops::spmspv::{MergeStrategy, SpMSpVOpts};
 use gblas_core::trace::SpanKind;
+use gblas_dist::ops::expand::{self, DistFrontier};
 use gblas_dist::ops::spmspv::{CommStrategy, DistMask};
 use gblas_dist::ops::{apply, assign, ewise, extract, mxm, reduce, spmspv, spmv, transpose};
 use gblas_dist::{DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid};
@@ -326,29 +327,102 @@ fn aggregated_gather_ledger_is_pairwise_symmetric() {
     }
 }
 
-#[test]
-fn mid_superstep_fault_propagates_without_deadlock() {
+/// Drive every push and dense entry point — the single-source kernels
+/// under `strategy`, plus the batched expansions and the dense SpMV/SpMM,
+/// which all run on the same two engines — with the comm layer failing at
+/// each of `fail_points`, under both executors. Every call must return
+/// `CommFailure` (the test completing at all is the no-deadlock proof)
+/// and leave its operands exactly as they were.
+fn assert_faults_surface_everywhere(strategy: CommStrategy, seed: u64, fail_points: &[u64]) {
     let grid = ProcGrid::new(2, 3);
     let p = grid.locales();
-    let a = gen::erdos_renyi(300, 6, 51);
-    let x = gen::random_sparse_vec(300, 40, 52);
+    let n = 300;
+    let a = gen::erdos_renyi(n, 6, seed);
+    let x = gen::random_sparse_vec(n, 40, seed + 1);
     let da = DistCsrMatrix::from_global(&a, grid);
     let dx = DistSparseVec::from_global(&x, p);
-    // Fail the comm layer at several points: the first transfer (gather),
-    // and later ones that land mid-superstep with other locale tasks in
-    // flight. The op must return `CommFailure` — the test completing at
-    // all is the no-deadlock proof — under both executors.
-    for exec in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
-        for fail_at in [0, 3, 7] {
-            let dctx = ctx_with(p, exec);
-            dctx.comm.fail_after(fail_at);
-            let r = spmspv::spmspv_dist(&da, &dx, &dctx);
-            assert!(
-                matches!(r, Err(GblasError::CommFailure(_))),
-                "fail_after={fail_at} {exec:?}: expected CommFailure, got {r:?}"
-            );
+    let bits = DistDenseVec::from_global(&DenseVec::from_fn(n, |i| i % 3 == 0), p);
+    let ring = semirings::plus_times_f64();
+    // Three sources, each a shifted copy of the 40-entry frontier, so the
+    // batched gather and scatter have traffic on every locale pair.
+    let shifted = |s: usize| -> Vec<usize> { x.indices().iter().map(|&i| (i + s) % n).collect() };
+    let f_parent = DistFrontier::from_entries(
+        n,
+        (0..3).map(|s| shifted(s).into_iter().map(|i| (i, i)).collect()).collect(),
+        p,
+    )
+    .unwrap();
+    let f_value = DistFrontier::from_entries(
+        n,
+        (0..3).map(|s| shifted(s).into_iter().map(|i| (i, 1.0 + i as f64)).collect()).collect(),
+        p,
+    )
+    .unwrap();
+    let visited: Vec<DistDenseVec<bool>> = (0..3).map(|_| bits.clone()).collect();
+    let xs: Vec<DistDenseVec<f64>> = (0..3)
+        .map(|s| {
+            DistDenseVec::from_global(&DenseVec::from_fn(n, |i| 1.0 + ((i + s) % 7) as f64), p)
+        })
+        .collect();
+    let (dx0, bits0, xs0) = (dx.clone(), bits.clone(), xs.clone());
+    let (f_parent0, f_value0) = (f_parent.to_entries(), f_value.to_entries());
+
+    type Run<'a> = Box<dyn Fn(&DistCtx) -> Result<(), GblasError> + 'a>;
+    let opts = SpMSpVOpts::default();
+    let entry_points: Vec<(&str, Run<'_>)> = vec![
+        (
+            "spmspv_dist_with",
+            Box::new(|d| spmspv::spmspv_dist_with(&da, &dx, None, strategy, opts, d).map(drop)),
+        ),
+        (
+            "spmspv_dist_with masked",
+            Box::new(|d| {
+                let mask = Some(DistMask::complement(&bits));
+                spmspv::spmspv_dist_with(&da, &dx, mask, strategy, opts, d).map(drop)
+            }),
+        ),
+        (
+            "spmspv_dist_semiring",
+            Box::new(|d| spmspv::spmspv_dist_semiring(&da, &dx, &ring, strategy, d).map(drop)),
+        ),
+        (
+            "expand_dist_first_visitor",
+            Box::new(|d| {
+                expand::expand_dist_first_visitor(&da, &f_parent, &visited, opts, d).map(drop)
+            }),
+        ),
+        (
+            "expand_dist_semiring",
+            Box::new(|d| expand::expand_dist_semiring(&da, &f_value, &ring, opts, d).map(drop)),
+        ),
+        ("spmv_dist", Box::new(|d| spmv::spmv_dist(&da, &xs[0], &ring, d).map(drop))),
+        ("spmm_dense_dist", Box::new(|d| expand::spmm_dense_dist(&da, &xs, &ring, d).map(drop))),
+    ];
+    for (name, run) in &entry_points {
+        for exec in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
+            for &fail_at in fail_points {
+                let dctx = ctx_with(p, exec);
+                dctx.comm.fail_after(fail_at);
+                let r = run(&dctx);
+                assert!(
+                    matches!(r, Err(GblasError::CommFailure(_))),
+                    "{name} {strategy:?} fail_after={fail_at} {exec:?}: expected CommFailure, got {r:?}"
+                );
+            }
         }
     }
+    drop(entry_points);
+    assert_eq!((&dx, &bits, &xs), (&dx0, &bits0, &xs0), "a failed op touched its operands");
+    assert_eq!(f_parent.to_entries(), f_parent0, "a failed expand touched its frontier");
+    assert_eq!(f_value.to_entries(), f_value0, "a failed expand touched its frontier");
+}
+
+/// Fail the comm layer at several points: the first transfer (gather),
+/// and later ones that land mid-superstep with other locale tasks in
+/// flight.
+#[test]
+fn mid_superstep_fault_propagates_without_deadlock() {
+    assert_faults_surface_everywhere(CommStrategy::Fine, 51, &[0, 3, 7]);
 }
 
 /// The same no-deadlock guarantee on the aggregated-gather (Bulk) path:
@@ -356,23 +430,7 @@ fn mid_superstep_fault_propagates_without_deadlock() {
 /// surface as `CommFailure` under both executors.
 #[test]
 fn mid_superstep_fault_propagates_on_aggregated_gather() {
-    let grid = ProcGrid::new(2, 3);
-    let p = grid.locales();
-    let a = gen::erdos_renyi(300, 6, 53);
-    let x = gen::random_sparse_vec(300, 40, 54);
-    let da = DistCsrMatrix::from_global(&a, grid);
-    let dx = DistSparseVec::from_global(&x, p);
-    for exec in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
-        for fail_at in [0, 3, 9, 15] {
-            let dctx = ctx_with(p, exec);
-            dctx.comm.fail_after(fail_at);
-            let r = spmspv::spmspv_dist_bulk(&da, &dx, &dctx);
-            assert!(
-                matches!(r, Err(GblasError::CommFailure(_))),
-                "bulk fail_after={fail_at} {exec:?}: expected CommFailure, got {r:?}"
-            );
-        }
-    }
+    assert_faults_surface_everywhere(CommStrategy::Bulk, 53, &[0, 3, 9, 15]);
 }
 
 /// Workspace pooling must be invisible: running the same op sequence with

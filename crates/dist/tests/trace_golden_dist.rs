@@ -51,8 +51,8 @@ fn traced(grid: ProcGrid, run: impl FnOnce(&DistCsrMatrix<f64>, &DistCtx)) -> Tr
 /// (or rewrite the file under `GBLAS_REGEN_GOLDEN`).
 fn check_golden(name: &str, trace: &Trace) {
     let got = chrome_trace(trace);
-    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join(format!("tests/golden/{name}.json"));
+    let golden =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{name}.json"));
     if std::env::var_os("GBLAS_REGEN_GOLDEN").is_some() {
         std::fs::create_dir_all(golden.parent().unwrap()).expect("mkdir golden");
         std::fs::write(&golden, &got).expect("write golden");
@@ -62,7 +62,10 @@ fn check_golden(name: &str, trace: &Trace) {
     assert_eq!(got, want, "{name} trace drifted from the golden file");
 }
 
-const GRID_2X2: (usize, usize) = (2, 2);
+/// The 4-locale grid every push and dense case runs on.
+fn grid_2x2() -> ProcGrid {
+    ProcGrid::new(2, 2)
+}
 
 /// The 12-entry sparse frontier every single-source case multiplies.
 fn frontier(p: usize) -> DistSparseVec<f64> {
@@ -70,7 +73,7 @@ fn frontier(p: usize) -> DistSparseVec<f64> {
 }
 
 fn traced_run(merge: MergeStrategy) -> Trace {
-    let grid = ProcGrid::new(GRID_2X2.0, GRID_2X2.1);
+    let grid = grid_2x2();
     traced(grid, |da, dctx| {
         let ring = semirings::plus_times_f64();
         spmspv_dist_semiring_with(
@@ -98,7 +101,7 @@ fn bucket_merge_trace_matches_golden() {
 
 /// Masked first-visitor SpMSpV (the BFS level kernel) under `strategy`.
 fn traced_first_visitor(strategy: CommStrategy) -> Trace {
-    let grid = ProcGrid::new(GRID_2X2.0, GRID_2X2.1);
+    let grid = grid_2x2();
     let p = grid.locales();
     traced(grid, |da, dctx| {
         let visited = DistDenseVec::from_global(&DenseVec::from_fn(60, |i| i % 3 == 0), p);
@@ -125,7 +128,7 @@ fn batch<T: Copy + Send + Sync + 'static>(p: usize, value: impl Fn(usize) -> T) 
 /// locales: one golden each.
 #[test]
 fn push_and_dense_kernel_traces_match_goldens() {
-    let grid = ProcGrid::new(GRID_2X2.0, GRID_2X2.1);
+    let grid = grid_2x2();
     let p = grid.locales();
     check_golden("spmspv_fv_masked_fine", &traced_first_visitor(CommStrategy::Fine));
     check_golden("spmspv_fv_masked_bulk", &traced_first_visitor(CommStrategy::Bulk));
