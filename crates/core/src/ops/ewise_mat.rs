@@ -4,13 +4,16 @@
 //! vectors and matrices (§III: "the API does not differentiate matrices as
 //! sparse or dense"); the vector forms live in [`super::ewise`], these are
 //! the matrix forms. Row-parallel: each task merges a contiguous block of
-//! row pairs, so no synchronization is needed and per-row outputs stay
-//! sorted.
+//! row pairs into one flat `(row lengths, columns, values)` buffer sized
+//! up front from the operands' row pointers, so no synchronization is
+//! needed, per-row outputs stay sorted and a call allocates per task, not
+//! per row.
 
 use crate::algebra::BinaryOp;
 use crate::container::CsrMatrix;
 use crate::error::{GblasError, Result};
 use crate::par::ExecCtx;
+use std::ops::Range;
 
 /// Phase name for matrix element-wise ops.
 pub const PHASE: &str = "ewise-mat";
@@ -40,12 +43,11 @@ where
 {
     check_same_shape(a, b)?;
     let rows = ctx.parallel_for(PHASE, a.nrows(), |r, c| {
-        let mut out: Vec<(Vec<usize>, Vec<C>)> = Vec::with_capacity(r.len());
-        for i in r.clone() {
+        let (mut lens, mut cols, mut vals) = flat(&r, span_nnz(a, &r).min(span_nnz(b, &r)));
+        for i in r {
             let (ac, av) = a.row(i);
             let (bc, bv) = b.row(i);
-            let mut cols = Vec::new();
-            let mut vals = Vec::new();
+            let before = cols.len();
             let (mut p, mut q) = (0usize, 0usize);
             while p < ac.len() && q < bc.len() {
                 c.elems += 1;
@@ -61,9 +63,9 @@ where
                     }
                 }
             }
-            out.push((cols, vals));
+            lens.push(cols.len() - before);
         }
-        out
+        (lens, cols, vals)
     });
     assemble(a.nrows(), a.ncols(), rows)
 }
@@ -82,12 +84,11 @@ where
 {
     check_same_shape(a, b)?;
     let rows = ctx.parallel_for(PHASE, a.nrows(), |r, c| {
-        let mut out: Vec<(Vec<usize>, Vec<T>)> = Vec::with_capacity(r.len());
-        for i in r.clone() {
+        let (mut lens, mut cols, mut vals) = flat(&r, span_nnz(a, &r) + span_nnz(b, &r));
+        for i in r {
             let (ac, av) = a.row(i);
             let (bc, bv) = b.row(i);
-            let mut cols = Vec::with_capacity(ac.len() + bc.len());
-            let mut vals = Vec::with_capacity(ac.len() + bc.len());
+            let before = cols.len();
             let (mut p, mut q) = (0usize, 0usize);
             while p < ac.len() || q < bc.len() {
                 c.elems += 1;
@@ -107,28 +108,43 @@ where
                     q += 1;
                 }
             }
-            out.push((cols, vals));
+            lens.push(cols.len() - before);
         }
-        out
+        (lens, cols, vals)
     });
     assemble(a.nrows(), a.ncols(), rows)
 }
 
-fn assemble<C: Copy>(
+/// One task's output rows, flat: per-row lengths plus the rows' columns
+/// and values back to back.
+pub(crate) type Flat<C> = (Vec<usize>, Vec<usize>, Vec<C>);
+
+/// Entries stored in the rows `r` of `m`.
+pub(crate) fn span_nnz<T>(m: &CsrMatrix<T>, r: &Range<usize>) -> usize {
+    m.rowptr()[r.end] - m.rowptr()[r.start]
+}
+
+/// An empty [`Flat`] with room for the rows `r` holding `nnz` entries.
+pub(crate) fn flat<C>(r: &Range<usize>, nnz: usize) -> Flat<C> {
+    (Vec::with_capacity(r.len()), Vec::with_capacity(nnz), Vec::with_capacity(nnz))
+}
+
+/// Concatenate the tasks' row blocks, in task order, into one CSR matrix.
+pub(crate) fn assemble<C: Copy>(
     nrows: usize,
     ncols: usize,
-    row_blocks: Vec<Vec<(Vec<usize>, Vec<C>)>>,
+    blocks: Vec<Flat<C>>,
 ) -> Result<CsrMatrix<C>> {
+    let nnz = blocks.iter().map(|(_, cols, _)| cols.len()).sum();
     let mut rowptr = Vec::with_capacity(nrows + 1);
     rowptr.push(0usize);
-    let mut colidx = Vec::new();
-    let mut values = Vec::new();
-    for block in row_blocks {
-        for (cols, vals) in block {
-            colidx.extend(cols);
-            values.extend(vals);
-            rowptr.push(colidx.len());
+    let (mut colidx, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+    for (lens, cols, vals) in blocks {
+        for len in lens {
+            rowptr.push(rowptr[rowptr.len() - 1] + len);
         }
+        colidx.extend(cols);
+        values.extend(vals);
     }
     CsrMatrix::from_raw_parts(nrows, ncols, rowptr, colidx, values)
 }

@@ -1,22 +1,237 @@
 //! `MxM`: sparse matrix × sparse matrix (SpGEMM) over a semiring.
 //!
-//! Row-wise Gustavson's algorithm with a per-task [`DenseSpa`]: row `i` of
-//! `C = A ⊗ B` merges the rows `B[k, :]` for every stored `A[i, k]`. An
-//! optional *structural mask* matrix restricts which output positions may
-//! be produced (GraphBLAS masked `mxm` — the triangle-counting pattern
-//! `C⟨L⟩ = L · L`).
+//! Row-wise Gustavson: row `i` of `C = A ⊗ B` merges the rows `B[k, :]`
+//! for every stored `A[i, k]`. The workspace has one SpGEMM inner loop,
+//! [`RowKernel::row`]: shared [`mxm`] drives its SPA instance, every SUMMA
+//! stage in `gblas-dist` the instance its density ladder picked.
+//!
+//! An optional *structural mask* restricts which output positions may be
+//! produced (GraphBLAS masked `mxm` — the triangle-counting pattern
+//! `C⟨L⟩ = L · Lᵀ`). The mask is applied **first**: the accumulator is
+//! seeded with `Mᵢ`'s columns, a product landing anywhere else is dropped
+//! at the probe, and the row is emitted by walking `Mᵢ` — no index list,
+//! no sort, no post-filter; a row whose mask row is empty is skipped.
+//! DESIGN §4h has the pricing of every step.
 
 use crate::algebra::{BinaryOp, Monoid, Semiring};
 use crate::container::CsrMatrix;
-use crate::error::{check_dims, GblasError, Result};
-use crate::par::ExecCtx;
+use crate::error::{check_dims, Result};
+use crate::ops::selection::MxmKernel;
+use crate::par::{Counters, ExecCtx};
 use crate::spa::DenseSpa;
+use crate::workspace::WsGuard;
+use parking_lot::Mutex;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Phase name for SpGEMM.
 pub const PHASE: &str = "mxm";
 
+/// Heap-merge cursor: `(column, A-entry index, position in that B row)`.
+/// Ordering by A-entry index second makes equal columns pop in ascending
+/// inner-dimension order — the accumulation order of the other instances.
+type Cursor = Reverse<(usize, usize, usize)>;
+
+/// The accumulator state of one row-kernel instance, checked out of the
+/// context's workspace pool so rows, calls, SUMMA stages and iterations
+/// reuse it. Every instance folds an output position's contributions in
+/// ascending inner-dimension order and emits sorted columns, so the three
+/// are bit-interchangeable.
+pub enum RowKernel<C: Send + 'static> {
+    /// Dense SPA over the output width, addressed by column.
+    Spa(WsGuard<DenseSpa<C>>),
+    /// Open-addressing hash table: a [`DenseSpa`] over the slots (its
+    /// stamps give the O(1) reset) plus the column each slot holds.
+    Hash(WsGuard<DenseSpa<C>>, WsGuard<Vec<usize>>),
+    /// Backing store of the t-way merge heap over the selected `B` rows.
+    Heap(WsGuard<Vec<Cursor>>),
+}
+
+impl<C: Copy + Send + 'static> RowKernel<C> {
+    /// Check `kind`'s state out of `ctx`'s pool for `width` output columns.
+    pub fn checkout(kind: MxmKernel, width: usize, zero: C, ctx: &ExecCtx) -> Self {
+        match kind {
+            MxmKernel::Spa => RowKernel::Spa(ctx.ws_dense_spa(width, zero)),
+            MxmKernel::Hash => RowKernel::Hash(ctx.ws_dense_spa(0, zero), ctx.ws_vec()),
+            MxmKernel::Heap => RowKernel::Heap(ctx.ws_vec()),
+        }
+    }
+
+    /// Accumulate one row of `A ⊗ B` into the tail `(cols, vals)`; returns
+    /// the number of entries written, sorted by column.
+    ///
+    /// The `A` row is `at(0..t) = (k, a)` in ascending `k`, each `k` a row
+    /// of `b`; `mask` is the mask row's sorted columns. The caller sizes
+    /// the tail to the row's bound: `nnz(Mᵢ)` when masked, else
+    /// `min(ncols, Σₖ nnz(B[k,:]))`. Every probe of the accumulator is
+    /// charged whether or not the mask admits it, every emitted entry once
+    /// more; only unmasked rows pay a sort.
+    #[allow(clippy::too_many_arguments)]
+    pub fn row<A: Copy, B: Copy>(
+        &mut self,
+        t: usize,
+        at: impl Fn(usize) -> (usize, A),
+        b: &CsrMatrix<B>,
+        ring: &Semiring<impl Monoid<C>, impl BinaryOp<A, B, C>>,
+        mask: Option<&[usize]>,
+        cols: &mut [usize],
+        vals: &mut [C],
+        c: &mut Counters,
+    ) -> usize {
+        if t == 0 || mask.is_some_and(<[usize]>::is_empty) {
+            return 0;
+        }
+        let before = c.flops;
+        match self {
+            RowKernel::Spa(spa) => {
+                spa.reset();
+                let n = table_row(spa, |_, j, _| Some(j), t, at, b, ring, mask, cols, vals, c);
+                c.spa_touches += c.flops - before + n as u64;
+                n
+            }
+            RowKernel::Hash(table, keys) => {
+                // At most `cols.len()` distinct keys in a table twice that
+                // size: every probe sequence ends at a vacant slot.
+                let cap = (2 * cols.len()).next_power_of_two();
+                table.ensure(cap, ring.zero());
+                let slots = cap.max(keys.len());
+                keys.resize(slots, 0);
+                let shift = u64::BITS - cap.trailing_zeros();
+                let slot = |table: &DenseSpa<C>, j: usize, claim: bool| {
+                    let mut h = ((j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+                    while !table.vacant(h) {
+                        if keys[h] == j {
+                            return Some(h);
+                        }
+                        h = (h + 1) & (cap - 1);
+                    }
+                    claim.then(|| {
+                        keys[h] = j;
+                        h
+                    })
+                };
+                let n = table_row(table, slot, t, at, b, ring, mask, cols, vals, c);
+                // seeding and emitting a mask row probe the table too
+                c.rand_access += c.flops - before + mask.map_or(0, |m| 2 * m.len() as u64);
+                n
+            }
+            RowKernel::Heap(store) => {
+                let mut heap = BinaryHeap::from(std::mem::take(&mut **store));
+                let push_charge = t.max(1).ilog2() as u64 + 1;
+                for x in 0..t {
+                    if let Some(&j) = b.row(at(x).0).0.first() {
+                        heap.push(Reverse((j, x, 0)));
+                        c.sort_elems += push_charge;
+                    }
+                }
+                // Columns pop ascending: a two-pointer walk checks each against
+                // the mask row as it first appears (`admitted`) and an admitted
+                // one folds straight into the tail (`last`: the column last popped).
+                let (mut n, mut p, mut last, mut admitted) = (0, 0, None, true);
+                while let Some(Reverse((j, x, pos))) = heap.pop() {
+                    let (k, av) = at(x);
+                    let (bcols, bvals) = b.row(k);
+                    c.flops += 1;
+                    let fresh = last != Some(j);
+                    if let (true, Some(m)) = (fresh, mask) {
+                        while p < m.len() && m[p] < j {
+                            p += 1;
+                        }
+                        c.elems += 1;
+                        admitted = p < m.len() && m[p] == j;
+                    }
+                    let prod = ring.multiply(av, bvals[pos]);
+                    if admitted && fresh {
+                        (cols[n], vals[n]) = (j, prod);
+                        n += 1;
+                    } else if admitted {
+                        vals[n - 1] = ring.add.combine(vals[n - 1], prod);
+                    }
+                    last = Some(j);
+                    if pos + 1 < bcols.len() {
+                        heap.push(Reverse((bcols[pos + 1], x, pos + 1)));
+                        c.sort_elems += push_charge;
+                    }
+                }
+                **store = heap.into_vec();
+                n
+            }
+        }
+    }
+}
+
+/// One row through a slot table. `slot(table, j, claim)` finds column
+/// `j`'s slot — the column itself for the SPA, a probe sequence for the
+/// hash — claiming a vacant one when `claim`; every claimed slot is
+/// stamped before the next lookup.
+#[allow(clippy::too_many_arguments)]
+fn table_row<A: Copy, B: Copy, C: Copy>(
+    table: &mut DenseSpa<C>,
+    mut slot: impl FnMut(&DenseSpa<C>, usize, bool) -> Option<usize>,
+    t: usize,
+    at: impl Fn(usize) -> (usize, A),
+    b: &CsrMatrix<B>,
+    ring: &Semiring<impl Monoid<C>, impl BinaryOp<A, B, C>>,
+    mask: Option<&[usize]>,
+    cols: &mut [usize],
+    vals: &mut [C],
+    c: &mut Counters,
+) -> usize {
+    for &j in mask.unwrap_or_default() {
+        if let Some(h) = slot(table, j, true) {
+            table.admit(h);
+        }
+    }
+    let gated = mask.is_some();
+    let mut touched = 0;
+    for x in 0..t {
+        let (k, av) = at(x);
+        let (bcols, bvals) = b.row(k);
+        c.flops += bcols.len() as u64;
+        for (&j, &bv) in bcols.iter().zip(bvals) {
+            // Unmasked rows list each newly touched column in the tail.
+            if let Some(h) = slot(table, j, !gated) {
+                if table.fold(h, ring.multiply(av, bv), &ring.add, gated) && !gated {
+                    cols[touched] = j;
+                    touched += 1;
+                }
+            }
+        }
+    }
+    // The candidates in column order: the mask row, or the touched list
+    // sorted in place. Modeled (not measured) sort work: pdqsort's moves
+    // are not instrumentable, so charge the canonical n*ceil(log2 n) —
+    // row-local index lists are small and randomly ordered, where the
+    // adaptive discount of `crate::sort` would not apply anyway.
+    if let Some(m) = mask {
+        c.elems += 2 * m.len() as u64;
+    } else {
+        cols[..touched].sort_unstable();
+        c.sort_elems += (touched.max(1).ilog2() as u64 + 1) * touched as u64;
+    }
+    let mut n = 0;
+    for x in 0..mask.map_or(touched, <[usize]>::len) {
+        let j = mask.map_or(cols[x], |m| m[x]);
+        if let Some(v) = slot(table, j, false).and_then(|h| table.get(h)) {
+            (cols[n], vals[n]) = (j, v);
+            n += 1;
+        }
+    }
+    n
+}
+
 /// `C = A ⊗ B` over `ring`; with `mask = Some(M)`, only positions stored
-/// in `M` are kept (`C⟨M⟩ = A ⊗ B`).
+/// in `M` are produced (`C⟨M⟩ = A ⊗ B`).
+///
+/// Rows are dealt to the context's tasks by **flop prefix**
+/// `Σₖ nnz(B[k,:])`, not by count — on skewed inputs a few hub rows carry
+/// most of the work. `colidx`/`values` are allocated once at the rows'
+/// bounds (exact from a pattern-only sizing pass, or `nnz(Mᵢ)` under a
+/// mask) and every task packs its rows into its own disjoint window. The
+/// sizing pass is the host's device for that single allocation; the
+/// simulated machine runs one-pass Gustavson, so it is neither charged
+/// nor recorded as a region.
 pub fn mxm<A, B, C, AddM, MulOp, M>(
     a: &CsrMatrix<A>,
     b: &CsrMatrix<B>,
@@ -27,86 +242,93 @@ pub fn mxm<A, B, C, AddM, MulOp, M>(
 where
     A: Copy + Send + Sync,
     B: Copy + Send + Sync,
-    C: Copy + Send + Sync,
+    C: Copy + Send + Sync + 'static,
     M: Send + Sync,
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
     check_dims("inner dimension", a.ncols(), b.nrows())?;
     if let Some(m) = mask {
-        if m.nrows() != a.nrows() || m.ncols() != b.ncols() {
-            return Err(GblasError::DimensionMismatch {
-                expected: format!("mask {}x{}", a.nrows(), b.ncols()),
-                actual: format!("mask {}x{}", m.nrows(), m.ncols()),
+        check_dims("mask rows", a.nrows(), m.nrows())?;
+        check_dims("mask columns", b.ncols(), m.ncols())?;
+    }
+    let (nrows, ncols, zero) = (a.nrows(), b.ncols(), ring.zero::<C>());
+    let mask_row = |i: usize| mask.map(|m| m.row(i).0);
+    // Chunk `t` starts at the first row where the flop prefix reaches
+    // `t / ntasks` of the total. Chunks may be empty; their count is part
+    // of the priced profile, so it stays what a split by rows gives.
+    let row_flops = |i: usize| match mask_row(i) {
+        Some([]) => 0, // skipped outright
+        _ => a.row(i).0.iter().map(|&k| b.row_nnz(k)).sum(),
+    };
+    let flops = prefix_sum(nrows, (0..nrows).map(row_flops));
+    let ntasks = ctx.threads().min(nrows).max(1);
+    let cut = |t: usize| flops.partition_point(|&w| w * ntasks < flops[nrows] * t);
+    let mut cuts: Vec<usize> = (0..ntasks).map(cut).collect();
+    cuts.push(nrows);
+    let chunks: Vec<Range<usize>> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+    let exact;
+    let bounds: &[usize] = match mask {
+        Some(m) => m.rowptr(),
+        None => {
+            let (lens, _) = ctx.run_tasks(chunks.len(), |t, _| {
+                let mut spa = ctx.ws_dense_spa(ncols, zero);
+                let row_nnz = |i: usize| {
+                    spa.reset();
+                    let touched = a.row(i).0.iter().flat_map(|&k| b.row(k).0);
+                    touched.filter(|&&j| spa.mark(j)).count()
+                };
+                chunks[t].clone().map(row_nnz).collect::<Vec<_>>()
             });
+            exact = prefix_sum(nrows, lens.into_iter().flatten());
+            &exact
         }
-    }
-    let ncols = b.ncols();
-    // Each task computes a contiguous block of C's rows with a private,
-    // reused SPA.
-    let row_blocks = ctx.parallel_for(PHASE, a.nrows(), |r, c| {
-        let mut spa = DenseSpa::new(ncols, ring.zero::<C>());
-        let mut rows: Vec<(Vec<usize>, Vec<C>)> = Vec::with_capacity(r.len());
-        for i in r.clone() {
+    };
+    let mut colidx = vec![0usize; bounds[nrows]];
+    let mut values = vec![zero; bounds[nrows]];
+    // One disjoint window per chunk, each behind a lock only its task takes.
+    let (mut cols, mut vals) = (&mut colidx[..], &mut values[..]);
+    let width = |r: &Range<usize>| ..bounds[r.end] - bounds[r.start];
+    let carve = |r| Mutex::new((cols.split_off_mut(width(r)), vals.split_off_mut(width(r))));
+    let windows: Vec<_> = chunks.iter().map(carve).collect();
+    let lens = ctx.for_each_task(PHASE, chunks.len(), |t, c| {
+        let rows = chunks[t].clone();
+        let (Some(cols), Some(vals)) = &mut *windows[t].lock() else { return vec![0; rows.len()] };
+        let mut kernel = RowKernel::checkout(MxmKernel::Spa, ncols, zero, ctx);
+        let mut filled = 0;
+        let row = |i: usize| {
             let (acols, avals) = a.row(i);
-            for (&k, &av) in acols.iter().zip(avals) {
-                let (bcols, bvals) = b.row(k);
-                c.flops += bcols.len() as u64;
-                for (&j, &bv) in bcols.iter().zip(bvals) {
-                    spa.accumulate(j, ring.multiply(av, bv), &ring.add, c);
-                }
-            }
-            let mut inds = spa.nzinds().to_vec();
-            inds.sort_unstable();
-            // Modeled (not measured) sort work: pdqsort's moves are not
-            // instrumentable, so charge the canonical n*ceil(log2 n) —
-            // row-local index lists are small and randomly ordered, where
-            // the adaptive discount of `crate::sort` would not apply anyway.
-            c.sort_elems += (inds.len().max(1).ilog2() as u64 + 1) * inds.len() as u64;
-            // Apply the structural mask by intersecting with M's row i.
-            let (kept_inds, vals): (Vec<usize>, Vec<C>) = match mask {
-                Some(m) => {
-                    let (mcols, _) = m.row(i);
-                    let mut ki = Vec::new();
-                    let mut kv = Vec::new();
-                    let mut p = 0usize;
-                    for &j in &inds {
-                        while p < mcols.len() && mcols[p] < j {
-                            p += 1;
-                        }
-                        c.elems += 1;
-                        if p < mcols.len() && mcols[p] == j {
-                            ki.push(j);
-                            kv.push(spa.get(j).expect("collected index occupied"));
-                        }
-                    }
-                    (ki, kv)
-                }
-                None => {
-                    let vals =
-                        inds.iter().map(|&j| spa.get(j).expect("occupied")).collect::<Vec<_>>();
-                    (inds, vals)
-                }
-            };
-            // Reset the SPA for the next row (O(row nnz)).
-            let _ = spa.drain(c);
-            rows.push((kept_inds, vals));
-        }
-        rows
+            let tail = filled..filled + bounds[i + 1] - bounds[i];
+            let (cols, vals) = (&mut cols[tail.clone()], &mut vals[tail]);
+            let at = |x: usize| (acols[x], avals[x]);
+            let n = kernel.row(acols.len(), at, b, ring, mask_row(i), cols, vals, c);
+            filled += n;
+            n
+        };
+        rows.map(row).collect::<Vec<_>>()
     });
-    // Assemble CSR.
-    let mut rowptr = Vec::with_capacity(a.nrows() + 1);
-    rowptr.push(0usize);
-    let mut colidx = Vec::new();
-    let mut values = Vec::new();
-    for block in row_blocks {
-        for (inds, vals) in block {
-            colidx.extend(inds);
-            values.extend(vals);
-            rowptr.push(colidx.len());
-        }
+    drop(windows);
+    // Close the gaps a mask's bound left between the windows' packed rows
+    // (nothing moves when the bounds were exact).
+    let rowptr = prefix_sum(nrows, lens.into_iter().flatten());
+    for r in &chunks {
+        let packed = bounds[r.start]..bounds[r.start] + rowptr[r.end] - rowptr[r.start];
+        colidx.copy_within(packed.clone(), rowptr[r.start]);
+        values.copy_within(packed, rowptr[r.start]);
     }
-    CsrMatrix::from_raw_parts(a.nrows(), ncols, rowptr, colidx, values)
+    colidx.truncate(rowptr[nrows]);
+    values.truncate(rowptr[nrows]);
+    CsrMatrix::from_raw_parts(nrows, ncols, rowptr, colidx, values)
+}
+
+/// `[0, l₀, l₀+l₁, …]` over `n` lengths.
+fn prefix_sum(n: usize, lens: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut out = Vec::with_capacity(n + 1);
+    out.push(0usize);
+    for len in lens {
+        out.push(out[out.len() - 1] + len);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -161,6 +383,175 @@ mod tests {
             mxm::<_, _, f64, _, _, bool>(&a, &b, &semirings::plus_times_f64(), None, &ctx).unwrap();
         for (i, j, &v) in c.iter() {
             assert_eq!(full.get(i, j), Some(&v));
+        }
+    }
+
+    /// A deterministic `m × n` test matrix with about `deg` entries per row
+    /// (generators only make square ones).
+    fn rect(m: usize, n: usize, deg: usize, seed: u64) -> CsrMatrix<f64> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut triplets = std::collections::BTreeMap::new();
+        for i in 0..m {
+            for _ in 0..deg.min(n) {
+                let j = next() as usize % n;
+                triplets.insert((i, j), 1.0 + (next() % 7) as f64 / 4.0);
+            }
+        }
+        let triplets: Vec<_> = triplets.into_iter().map(|((i, j), v)| (i, j, v)).collect();
+        CsrMatrix::from_triplets(m, n, &triplets).unwrap()
+    }
+
+    fn pattern(nrows: usize, ncols: usize, keep: impl Fn(usize, usize) -> bool) -> CsrMatrix<bool> {
+        let cells = (0..nrows).flat_map(|i| (0..ncols).map(move |j| (i, j)));
+        let kept: Vec<_> = cells.filter(|&(i, j)| keep(i, j)).map(|(i, j)| (i, j, true)).collect();
+        CsrMatrix::from_triplets(nrows, ncols, &kept).unwrap()
+    }
+
+    fn filtered<C: Copy>(full: &CsrMatrix<C>, mask: &CsrMatrix<bool>) -> CsrMatrix<C> {
+        let kept: Vec<_> = full
+            .iter()
+            .filter(|&(i, j, _)| mask.get(i, j).is_some())
+            .map(|(i, j, &v)| (i, j, v))
+            .collect();
+        CsrMatrix::from_triplets(full.nrows(), full.ncols(), &kept).unwrap()
+    }
+
+    /// Bit-level view of a float product, so equality means bit-identity.
+    fn bits(c: &CsrMatrix<f64>) -> (Vec<usize>, Vec<usize>, Vec<u64>) {
+        (c.rowptr().to_vec(), c.colidx().to_vec(), c.values().iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// `A ⊗ B` row by row through one kernel instance, the way a SUMMA
+    /// stage drives it: each row into a tail pre-sized to its bound.
+    fn by_instance<C: Copy + Send + PartialEq + std::fmt::Debug + 'static>(
+        kind: MxmKernel,
+        a: &CsrMatrix<f64>,
+        b: &CsrMatrix<f64>,
+        ring: &Semiring<impl Monoid<C>, impl BinaryOp<f64, f64, C>>,
+        mask: Option<&CsrMatrix<bool>>,
+    ) -> CsrMatrix<C> {
+        let ctx = ExecCtx::serial();
+        let zero = ring.zero::<C>();
+        let mut kernel = RowKernel::checkout(kind, b.ncols(), zero, &ctx);
+        let (mut rowptr, mut colidx, mut values) = (vec![0], Vec::new(), Vec::new());
+        let mut c = Counters::default();
+        for i in 0..a.nrows() {
+            let (acols, avals) = a.row(i);
+            let mask_row = mask.map(|m| m.row(i).0);
+            let flops: usize = acols.iter().map(|&k| b.row_nnz(k)).sum();
+            let bound = mask_row.map_or(flops.min(b.ncols()), <[usize]>::len);
+            let len = colidx.len();
+            colidx.resize(len + bound, 0);
+            values.resize(len + bound, zero);
+            let (cols, vals) = (&mut colidx[len..], &mut values[len..]);
+            let at = |x: usize| (acols[x], avals[x]);
+            let n = kernel.row(acols.len(), at, b, ring, mask_row, cols, vals, &mut c);
+            colidx.truncate(len + n);
+            values.truncate(len + n);
+            rowptr.push(len + n);
+        }
+        CsrMatrix::from_raw_parts(a.nrows(), b.ncols(), rowptr, colidx, values).unwrap()
+    }
+
+    /// The differential harness: on every input shape and mask, masked
+    /// `mxm` equals unmasked `mxm` filtered by the mask, bit for bit on
+    /// both semirings; every logical × real thread count and every kernel
+    /// instance gives the identical matrix (f64 included — each position
+    /// accumulates in ascending `k` everywhere).
+    #[test]
+    fn masked_equals_filtered_unmasked_on_every_shape_thread_count_and_instance() {
+        let skewed = gen::rmat(7, 6, 11);
+        let inputs = [
+            (gen::erdos_renyi(90, 5, 21), gen::erdos_renyi(90, 4, 22)),
+            (
+                skewed.clone(),
+                crate::ops::transpose::transpose(&skewed, &ExecCtx::serial()).unwrap(),
+            ),
+            (rect(40, 70, 5, 31), rect(70, 25, 4, 32)),
+            (rect(0, 30, 3, 33), rect(30, 12, 3, 34)),
+            (rect(17, 0, 3, 35), rect(0, 9, 3, 36)),
+        ];
+        let (count, times) = (semirings::plus_pair(), semirings::plus_times_f64());
+        for (a, b) in &inputs {
+            let (m, n) = (a.nrows(), b.ncols());
+            let serial = ExecCtx::serial();
+            let full_u: CsrMatrix<u64> =
+                mxm::<_, _, _, _, _, bool>(a, b, &count, None, &serial).unwrap();
+            let full_f: CsrMatrix<f64> =
+                mxm::<_, _, _, _, _, bool>(a, b, &times, None, &serial).unwrap();
+            let masks = [
+                pattern(m, n, |i, j| (i * 7 + j * 3) % 5 == 0),
+                pattern(m, n, |i, j| i % 3 != 0 && (i + j) % 2 == 0), // empty mask rows
+                pattern(m, n, |_, _| true),                           // denser than the product
+                pattern(m, n, |i, j| full_u.get(i, j).is_none() && (i + j) % 4 == 0), // disjoint
+                pattern(m, n, |_, _| false),
+            ];
+            for (threads, real) in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (8, 1), (8, 2)] {
+                let ctx = ExecCtx::new(threads, real);
+                let u: CsrMatrix<u64> =
+                    mxm::<_, _, _, _, _, bool>(a, b, &count, None, &ctx).unwrap();
+                let f: CsrMatrix<f64> =
+                    mxm::<_, _, _, _, _, bool>(a, b, &times, None, &ctx).unwrap();
+                assert_eq!(u, full_u, "{m}x{n} t={threads}/{real}");
+                assert_eq!(bits(&f), bits(&full_f), "{m}x{n} t={threads}/{real}");
+                for (which, mask) in masks.iter().enumerate() {
+                    let mu: CsrMatrix<u64> = mxm(a, b, &count, Some(mask), &ctx).unwrap();
+                    let mf: CsrMatrix<f64> = mxm(a, b, &times, Some(mask), &ctx).unwrap();
+                    assert_eq!(
+                        mu,
+                        filtered(&full_u, mask),
+                        "{m}x{n} mask {which} t={threads}/{real}"
+                    );
+                    assert_eq!(bits(&mf), bits(&filtered(&full_f, mask)), "{m}x{n} mask {which}");
+                }
+            }
+            for kind in [MxmKernel::Spa, MxmKernel::Hash, MxmKernel::Heap] {
+                assert_eq!(by_instance::<u64>(kind, a, b, &count, None), full_u, "{kind:?}");
+                assert_eq!(bits(&by_instance(kind, a, b, &times, None)), bits(&full_f), "{kind:?}");
+                for (which, mask) in masks.iter().enumerate() {
+                    let mu = by_instance::<u64>(kind, a, b, &count, Some(mask));
+                    assert_eq!(mu, filtered(&full_u, mask), "{kind:?} mask {which}");
+                    let mf = by_instance::<f64>(kind, a, b, &times, Some(mask));
+                    assert_eq!(bits(&mf), bits(&filtered(&full_f, mask)), "{kind:?} mask {which}");
+                }
+            }
+        }
+    }
+
+    /// The pricing rule. Unmasked counters are the ones recorded on this
+    /// input before the row kernel existed; a masked row pays no sort and
+    /// touches the SPA once per product scanned plus once per entry kept.
+    #[test]
+    fn counters_charge_the_work_done() {
+        let a = gen::rmat(7, 6, 11);
+        let b = gen::erdos_renyi(128, 5, 12);
+        let mask = gen::erdos_renyi_bool(128, 9, 13);
+        let ring = semirings::plus_times_f64();
+        for threads in [1u64, 3] {
+            let ctx = ExecCtx::new(threads as usize, 1);
+            let c = mxm::<_, _, f64, _, _, bool>(&a, &b, &ring, None, &ctx).unwrap();
+            let recorded = Counters {
+                flops: 2661,
+                sort_elems: 12035,
+                spa_touches: 4807,
+                tasks: threads,
+                regions: 1,
+                ..Counters::default()
+            };
+            assert_eq!((c.nnz(), ctx.take_profile().phase(PHASE)), (2146, recorded));
+            let c = mxm::<_, _, f64, _, _, bool>(&a, &b, &ring, Some(&mask), &ctx).unwrap();
+            let masked = ctx.take_profile().phase(PHASE);
+            assert_eq!((c.nnz(), masked.flops, masked.sort_elems), (156, 2661, 0));
+            assert_eq!(masked.spa_touches, masked.flops + c.nnz() as u64);
+            let walked = (0..128).filter(|&i| a.row_nnz(i) > 0).map(|i| mask.row_nnz(i) as u64);
+            assert_eq!(masked.elems, 2 * walked.sum::<u64>(), "seed + emit walk of Mᵢ");
+            assert_eq!((masked.tasks, masked.regions), (threads, 1));
         }
     }
 

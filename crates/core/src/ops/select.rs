@@ -2,9 +2,11 @@
 //!
 //! A structural cousin of `Apply`: instead of transforming values it drops
 //! entries. Implemented with the thread-private + concatenate compaction
-//! (per-task survivor lists over contiguous chunks are already sorted).
+//! (per-task survivor lists over contiguous chunks are already sorted; a
+//! matrix task keeps its rows in one flat buffer, not one per row).
 
 use crate::container::{CsrMatrix, SparseVec};
+use crate::ops::ewise_mat::{assemble, flat, span_nnz};
 use crate::par::ExecCtx;
 
 /// Phase name for select.
@@ -46,11 +48,10 @@ pub fn select_mat<T: Copy + Send + Sync>(
     ctx: &ExecCtx,
 ) -> CsrMatrix<T> {
     let rows = ctx.parallel_for(PHASE, a.nrows(), |r, c| {
-        let mut out: Vec<(Vec<usize>, Vec<T>)> = Vec::with_capacity(r.len());
-        for i in r.clone() {
+        let (mut lens, mut ki, mut kv) = flat(&r, span_nnz(a, &r));
+        for i in r {
             let (cols, vals) = a.row(i);
-            let mut ki = Vec::new();
-            let mut kv = Vec::new();
+            let before = ki.len();
             for (&j, &v) in cols.iter().zip(vals) {
                 if pred(i, j, v) {
                     ki.push(j);
@@ -58,22 +59,11 @@ pub fn select_mat<T: Copy + Send + Sync>(
                 }
             }
             c.elems += cols.len() as u64;
-            out.push((ki, kv));
+            lens.push(ki.len() - before);
         }
-        out
+        (lens, ki, kv)
     });
-    let mut rowptr = vec![0usize];
-    let mut colidx = Vec::new();
-    let mut values = Vec::new();
-    for block in rows {
-        for (ki, kv) in block {
-            colidx.extend(ki);
-            values.extend(kv);
-            rowptr.push(colidx.len());
-        }
-    }
-    CsrMatrix::from_raw_parts(a.nrows(), a.ncols(), rowptr, colidx, values)
-        .expect("structure preserved per row")
+    assemble(a.nrows(), a.ncols(), rows).expect("structure preserved per row")
 }
 
 /// The strictly-lower-triangle selector `tril(A, -1)` — the preprocessing

@@ -231,15 +231,31 @@ impl ExecCtx {
         R: Send,
         F: Fn(usize, &mut Counters) -> R + Sync,
     {
+        let (results, mut merged) = self.run_tasks(ntasks, f);
+        merged.regions += 1;
+        merged.tasks += ntasks as u64;
+        self.record(phase, |c| c.merge(&merged));
+        results
+    }
+
+    /// The execution half of [`ExecCtx::for_each_task`]: run the tasks on
+    /// the real-thread budget and hand back their results in task order
+    /// with their merged counters, recording nothing. For host-side passes
+    /// the simulated machine does not perform (SpGEMM's sizing pass).
+    pub(crate) fn run_tasks<R, F>(&self, ntasks: usize, f: F) -> (Vec<R>, Counters)
+    where
+        R: Send,
+        F: Fn(usize, &mut Counters) -> R + Sync,
+    {
         assert!(ntasks > 0, "for_each_task requires at least one task");
         let nworkers = self.real_threads.min(ntasks);
         let mut merged = Counters::default();
-        let mut results: Vec<Option<R>> = Vec::with_capacity(ntasks);
+        let mut results: Vec<R> = Vec::with_capacity(ntasks);
 
         if nworkers <= 1 {
             for t in 0..ntasks {
                 let mut c = Counters::default();
-                results.push(Some(f(t, &mut c)));
+                results.push(f(t, &mut c));
                 merged.merge(&c);
             }
         } else {
@@ -263,15 +279,11 @@ impl ExecCtx {
             .expect("worker thread panicked");
             for slot in slots {
                 let (r, c) = slot.into_inner().expect("task did not run");
-                results.push(Some(r));
+                results.push(r);
                 merged.merge(&c);
             }
         }
-
-        merged.regions += 1;
-        merged.tasks += ntasks as u64;
-        self.record(phase, |c| c.merge(&merged));
-        results.into_iter().map(|r| r.unwrap()).collect()
+        (results, merged)
     }
 
     /// `forall` over `0..len`: the range is split into `self.threads`

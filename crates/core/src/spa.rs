@@ -27,7 +27,11 @@
 //! [`AtomicSpa::reset`] just bump the generation and never touch the
 //! dense arrays. That is what makes the [`crate::workspace`] pool's
 //! checkout cheap: a pooled SPA is handed back warm, with its backing
-//! arrays intact and every slot logically empty.
+//! arrays intact and every slot logically empty. [`DenseSpa`] generations
+//! advance in steps of two: the odd stamp just below the current generation
+//! marks a slot *admitted* by a mask but not yet written, which is how
+//! masked SpGEMM drops a product at the probe instead of filtering the
+//! finished row.
 
 use crate::algebra::Monoid;
 use crate::par::Counters;
@@ -39,8 +43,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 #[derive(Debug)]
 pub struct DenseSpa<T> {
     values: Vec<T>,
-    /// Generation stamp per slot: occupied ⇔ `stamp[i] == generation`.
+    /// Generation stamp per slot: occupied ⇔ `stamp[i] == generation`,
+    /// admitted-but-empty ⇔ `stamp[i] == generation - 1`.
     stamp: Vec<u64>,
+    /// Always even and ≥ 2, so no stale stamp reads as admitted.
     generation: u64,
     nzinds: Vec<usize>,
 }
@@ -53,7 +59,7 @@ impl<T: Copy> DenseSpa<T> {
         DenseSpa {
             values: vec![fill; capacity],
             stamp: vec![0; capacity],
-            generation: 1,
+            generation: 2,
             nzinds: Vec::new(),
         }
     }
@@ -73,7 +79,7 @@ impl<T: Copy> DenseSpa<T> {
     /// dense arrays are untouched (their stale contents are unobservable
     /// because every read is gated on the stamp).
     pub fn reset(&mut self) {
-        self.generation += 1;
+        self.generation += 2;
         self.nzinds.clear();
     }
 
@@ -153,8 +159,48 @@ impl<T: Copy> DenseSpa<T> {
             vals.push(self.values[i]);
         }
         counters.spa_touches += inds.len() as u64;
-        self.generation += 1;
+        self.generation += 2;
         (inds, vals)
+    }
+
+    /// Mark the empty slot `index` as *admitted*: a gated [`DenseSpa::fold`]
+    /// may occupy it. The SpGEMM row kernel seeds a mask row this way.
+    pub fn admit(&mut self, index: usize) {
+        self.stamp[index] = self.generation - 1;
+    }
+
+    /// Whether slot `index` is neither occupied nor admitted.
+    pub fn vacant(&self, index: usize) -> bool {
+        self.stamp[index] < self.generation - 1
+    }
+
+    /// Pattern-only occupy: stamp slot `index` without a value and report
+    /// whether it was empty (the symbolic SpGEMM pass counts these).
+    pub fn mark(&mut self, index: usize) -> bool {
+        let fresh = !self.occupied(index);
+        self.stamp[index] = self.generation;
+        fresh
+    }
+
+    /// Combine `value` into slot `index`, or occupy the slot with it;
+    /// returns `true` when the slot was newly occupied. With `gated` only
+    /// an *admitted* slot may be occupied and a product landing anywhere
+    /// else is dropped. Unlike [`DenseSpa::accumulate`] this neither
+    /// records the index (the caller keeps its own list, or walks the mask)
+    /// nor charges counters (the caller charges whole rows at once).
+    #[inline]
+    pub fn fold(&mut self, index: usize, value: T, monoid: &impl Monoid<T>, gated: bool) -> bool {
+        let stamp = self.stamp[index];
+        if stamp == self.generation {
+            self.values[index] = monoid.combine(self.values[index], value);
+            false
+        } else if !gated || stamp == self.generation - 1 {
+            self.stamp[index] = self.generation;
+            self.values[index] = value;
+            true
+        } else {
+            false
+        }
     }
 }
 
@@ -437,6 +483,26 @@ mod tests {
         assert_eq!(reused.nnz(), 0);
         let got = run(&mut reused);
         assert_eq!(got, expect, "reuse must be observationally identical");
+    }
+
+    #[test]
+    fn gated_fold_admits_only_seeded_slots() {
+        let mut spa = DenseSpa::new(8, 0u64);
+        spa.admit(2);
+        spa.admit(5);
+        assert!(!spa.vacant(2) && spa.vacant(3));
+        assert_eq!(spa.get(2), None, "admitted is not occupied");
+        assert!(spa.fold(2, 7, &Plus, true));
+        assert!(!spa.fold(2, 1, &Plus, true));
+        assert!(!spa.fold(3, 9, &Plus, true), "not admitted: dropped");
+        assert_eq!((spa.get(2), spa.get(3), spa.get(5)), (Some(8), None, None));
+        // neither admission nor occupancy survives a reset, in either mode
+        spa.reset();
+        assert!(spa.vacant(2) && spa.vacant(5));
+        assert!(!spa.fold(2, 1, &Plus, true) && !spa.fold(5, 1, &Plus, true));
+        assert!(spa.fold(5, 4, &Plus, false) && !spa.fold(5, 4, &Plus, false));
+        assert_eq!(spa.get(5), Some(8));
+        assert!(spa.mark(6) && !spa.mark(6) && !spa.mark(5));
     }
 
     #[test]

@@ -81,15 +81,46 @@ pub fn slice_wire_bytes(nz_lines: usize, nnz: usize, elem: usize) -> u64 {
 /// A column slice of an operand block in compressed-row form: only the
 /// nonempty rows, each with its entries as `(stage-relative column, value)`
 /// pairs ascending by column. This is both the SUMMA broadcast payload for
-/// `A` slices and the left-operand shape every local multiply kernel
-/// consumes.
+/// `A` slices and the left-operand shape the local multiply consumes. The
+/// rows share one entry array (three allocations per slice, not one per
+/// row), and only the two slicers below build one, so rows and columns
+/// ascend and stay inside `nrows × ncols` by construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColSlice<T> {
-    /// `(local row, entries)` for each nonempty row, ascending by row.
-    pub rows: Vec<(usize, Vec<(usize, T)>)>,
+    nrows: usize,
+    ncols: usize,
+    /// Local ids of the nonempty rows, ascending.
+    rows: Vec<usize>,
+    /// Where each nonempty row's span of `entries` starts.
+    starts: Vec<usize>,
+    entries: Vec<(usize, T)>,
 }
 
 impl<T> ColSlice<T> {
+    fn new(nrows: usize, ncols: usize) -> Self {
+        ColSlice { nrows, ncols, rows: Vec::new(), starts: Vec::new(), entries: Vec::new() }
+    }
+
+    /// Append `(j, v)` to local row `i`, opening the row if it is not the
+    /// last one appended to.
+    fn push(&mut self, i: usize, j: usize, v: T) {
+        if self.rows.last() != Some(&i) {
+            self.rows.push(i);
+            self.starts.push(self.entries.len());
+        }
+        self.entries.push((j, v));
+    }
+
+    /// Rows of the block the slice was cut from.
+    pub fn nrows(&self) -> usize {
+        self.nrows
+    }
+
+    /// Width of the sliced column range.
+    pub fn ncols(&self) -> usize {
+        self.ncols
+    }
+
     /// Number of nonempty rows in the slice.
     pub fn nzr(&self) -> usize {
         self.rows.len()
@@ -97,7 +128,13 @@ impl<T> ColSlice<T> {
 
     /// Number of entries in the slice.
     pub fn nnz(&self) -> usize {
-        self.rows.iter().map(|(_, e)| e.len()).sum()
+        self.entries.len()
+    }
+
+    /// `(local row, entries)` for each nonempty row, ascending by row.
+    pub fn rows(&self) -> impl Iterator<Item = (usize, &[(usize, T)])> {
+        let end = |r: usize| self.starts.get(r + 1).copied().unwrap_or(self.entries.len());
+        (0..self.rows.len()).map(move |r| (self.rows[r], &self.entries[self.starts[r]..end(r)]))
     }
 }
 
@@ -209,7 +246,11 @@ impl<T: Copy> DcscBlock<T> {
         // per-row entries ascending by stage-relative column
         triples.sort_by_key(|&(i, _, _)| i);
         c.sort_elems += (triples.len().max(1).ilog2() as u64 + 1) * triples.len() as u64;
-        group_rows(triples)
+        let mut slice = ColSlice::new(self.nrows, hi - lo);
+        for (i, j, v) in triples {
+            slice.push(i, j, v);
+        }
+        slice
     }
 }
 
@@ -223,7 +264,7 @@ pub fn csr_col_slice<T: Copy>(
     hi: usize,
     c: &mut Counters,
 ) -> ColSlice<T> {
-    let mut rows = Vec::new();
+    let mut slice = ColSlice::new(a.nrows(), hi - lo);
     for i in 0..a.nrows() {
         let (cols, vals) = a.row(i);
         if cols.is_empty() {
@@ -232,28 +273,14 @@ pub fn csr_col_slice<T: Copy>(
         let s = cols.partition_point(|&j| j < lo);
         let e = cols.partition_point(|&j| j < hi);
         c.search_probes += 2 * (cols.len().max(1).ilog2() as u64 + 1);
-        if s < e {
-            let entries: Vec<(usize, T)> =
-                cols[s..e].iter().zip(&vals[s..e]).map(|(&j, &v)| (j - lo, v)).collect();
-            c.elems += entries.len() as u64;
-            rows.push((i, entries));
+        for (&j, &v) in cols[s..e].iter().zip(&vals[s..e]) {
+            slice.push(i, j - lo, v);
         }
+        c.elems += (e - s) as u64;
     }
     // the pointer scan itself: one streamed element per local row
     c.elems += a.nrows() as u64;
-    ColSlice { rows }
-}
-
-/// Group row-major-sorted `(row, col, val)` triples into a [`ColSlice`].
-fn group_rows<T: Copy>(triples: Vec<(usize, usize, T)>) -> ColSlice<T> {
-    let mut rows: Vec<(usize, Vec<(usize, T)>)> = Vec::new();
-    for (i, j, v) in triples {
-        match rows.last_mut() {
-            Some((r, entries)) if *r == i => entries.push((j, v)),
-            _ => rows.push((i, vec![(j, v)])),
-        }
-    }
-    ColSlice { rows }
+    slice
 }
 
 #[cfg(test)]

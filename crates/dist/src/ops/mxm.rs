@@ -14,15 +14,16 @@
 //!
 //! * **`Single`** — the legacy single-stage-per-block SUMMA: whole CSR
 //!   blocks are broadcast (row pointers included), one stage per grid
-//!   column. Requires a square grid; kept as the measured baseline.
+//!   column, each multiplied by shared-memory `mxm`. Requires a square
+//!   grid; kept as the measured baseline.
 //! * **`Summa2d`** — multi-stage DCSC SUMMA on arbitrary rectangular
 //!   `pr×pc` grids. The stage bounds are the sorted union of `A`'s column
 //!   split and `B`'s row split ([`SummaPlan`]), so no `lcm`-sized
 //!   re-blocking is needed; broadcasts carry doubly compressed slices
 //!   ([`crate::dcsc`]) whose wire bytes scale with the slice's nonzeros,
 //!   not the block side — the hypersparsity win. Each block pair's local
-//!   multiply picks a density-adaptive kernel (heap merge / hash
-//!   accumulator / pooled dense SPA) via
+//!   multiply picks a density-adaptive instance of the one row kernel
+//!   ([`RowKernel`]: heap merge / hash table / dense SPA) via
 //!   [`gblas_core::ops::selection::decide_mxm_kernel`].
 //! * **`Summa3d`** — the communication-avoiding 3-D variant: the machine
 //!   is split into `c` replication layers of `p` locales each, stages are
@@ -32,7 +33,7 @@
 //!   larger blocks per layer mean smaller broadcast fan-out; the price is
 //!   the `log₂ c` merge rounds over the (sparse) partial products.
 //!
-//! All variants produce identical results: every local kernel
+//! All variants produce identical results: every kernel instance
 //! accumulates each output position in ascending inner-dimension order,
 //! so integer-semiring products are bit-identical across variants, grid
 //! shapes, and executors (floating-point products agree to rounding, as
@@ -40,16 +41,18 @@
 
 use crate::dcsc::{self, choose_format, BlockFormat, ColSlice, DcscBlock};
 use crate::exec::DistCtx;
+use crate::grid::ProcGrid;
 use crate::mat::DistCsrMatrix;
 use crate::sched::{fingerprint_indices, FrontierClass, PlanData, SummaPlan};
 use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
 use gblas_core::container::CsrMatrix;
-use gblas_core::error::{GblasError, Result};
+use gblas_core::error::{check_dims, GblasError, Result};
+use gblas_core::ops::mxm::RowKernel;
 use gblas_core::ops::selection::{decide_mxm_kernel, MxmKernel};
 use gblas_core::par::{Counters, ExecCtx, Profile};
 use gblas_sim::SimReport;
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Phase: slice/block broadcasts.
 pub const PHASE_BCAST: &str = "broadcast";
@@ -177,82 +180,35 @@ where
     MulOp: BinaryOp<A, B, C>,
 {
     let grid = a.grid();
-    if b.grid() != grid {
-        return Err(GblasError::DimensionMismatch {
-            expected: format!("B on the same {}x{} grid", grid.pr(), grid.pc()),
-            actual: format!("B on {}x{}", b.grid().pr(), b.grid().pc()),
-        });
-    }
-    if a.ncols() != b.nrows() {
-        return Err(GblasError::DimensionMismatch {
-            expected: format!("inner dimension {}", a.ncols()),
-            actual: format!("inner dimension {}", b.nrows()),
-        });
-    }
+    let same_grid = |what: &str, other: ProcGrid| {
+        check_dims(&format!("{what} grid rows"), grid.pr(), other.pr())?;
+        check_dims(&format!("{what} grid columns"), grid.pc(), other.pc())
+    };
+    same_grid("B", b.grid())?;
+    check_dims("inner dimension", a.ncols(), b.nrows())?;
     if let Some(m) = mask {
-        if m.grid() != grid {
-            return Err(GblasError::DimensionMismatch {
-                expected: format!("mask on the same {}x{} grid", grid.pr(), grid.pc()),
-                actual: format!("mask on {}x{}", m.grid().pr(), m.grid().pc()),
-            });
-        }
-        if m.nrows() != a.nrows() || m.ncols() != b.ncols() {
-            return Err(GblasError::DimensionMismatch {
-                expected: format!("{}x{} mask", a.nrows(), b.ncols()),
-                actual: format!("{}x{} mask", m.nrows(), m.ncols()),
-            });
-        }
+        same_grid("mask", m.grid())?;
+        check_dims("mask rows", a.nrows(), m.nrows())?;
+        check_dims("mask columns", b.ncols(), m.ncols())?;
     }
+    // The machine must hold exactly `grid × layers` locales (one layer
+    // unless 3-D; `layers = 0` derives the count from the machine).
     let p = grid.locales();
-    match algo {
-        MxmAlgo::Single => {
-            if grid.pr() != grid.pc() {
-                return Err(GblasError::InvalidArgument(
-                    "single-stage SUMMA needs a square process grid".into(),
-                ));
-            }
-            if dctx.locales() != p {
-                return Err(GblasError::DimensionMismatch {
-                    expected: format!("machine with {p} locales"),
-                    actual: format!("machine with {} locales", dctx.locales()),
-                });
-            }
-            single_stage(a, b, ring, mask, dctx)
-        }
-        MxmAlgo::Summa2d => {
-            if dctx.locales() != p {
-                return Err(GblasError::DimensionMismatch {
-                    expected: format!("machine with {p} locales"),
-                    actual: format!("machine with {} locales", dctx.locales()),
-                });
-            }
-            summa_engine(a, b, ring, mask, 1, dctx)
-        }
-        MxmAlgo::Summa3d { layers } => {
-            let total = dctx.locales();
-            let derived = if layers == 0 {
-                if !total.is_multiple_of(p) {
-                    return Err(GblasError::DimensionMismatch {
-                        expected: format!("machine locales divisible by grid size {p}"),
-                        actual: format!("{total} locales"),
-                    });
-                }
-                total / p
-            } else {
-                layers
-            };
-            if p * derived != total {
-                return Err(GblasError::DimensionMismatch {
-                    expected: format!(
-                        "machine with {} locales ({p} grid x {derived} layers)",
-                        p * derived
-                    ),
-                    actual: format!("machine with {total} locales"),
-                });
-            }
-            summa_engine(a, b, ring, mask, derived, dctx)
-        }
+    let layers = match algo {
+        MxmAlgo::Summa3d { layers: 0 } => dctx.locales() / p,
+        MxmAlgo::Summa3d { layers } => layers,
+        MxmAlgo::Single | MxmAlgo::Summa2d => 1,
+    };
+    check_dims("machine locales (grid x layers)", p * layers, dctx.locales())?;
+    if algo != MxmAlgo::Single {
+        return summa_engine(a, b, ring, mask, layers, dctx);
     }
+    if grid.pr() != grid.pc() {
+        return Err(GblasError::InvalidArgument(
+            "single-stage SUMMA needs a square process grid".into(),
+        ));
+    }
+    single_stage(a, b, ring, mask, dctx)
 }
 
 /// The multi-stage engine shared by the 2-D (`layers == 1`) and 3-D
@@ -309,19 +265,14 @@ where
         }
         Ok(())
     })?;
-    let mut a_dcsc: Vec<Option<DcscBlock<A>>> = Vec::with_capacity(p);
-    let mut extract_profiles: Vec<Profile> = vec![Profile::default(); total];
-    for (l, (slot, prof)) in prep.into_iter().enumerate() {
-        a_dcsc.push(slot);
-        extract_profiles[l] = prof;
-    }
+    let (a_dcsc, mut extract_profiles): (Vec<_>, Vec<_>) = prep.into_iter().unzip();
+    extract_profiles.resize(total, Profile::default());
 
     // Driver-side kernel decisions, per (stage, grid position): pure
     // integer estimates from block structure, so every locale — and both
     // executors — agree without additional communication (the estimates
     // ride on the slice headers the broadcasts already carry).
     let mut decisions: Vec<Vec<MxmKernel>> = Vec::with_capacity(stages);
-    let mut kernel_counts = [0u64; 3];
     let mut est_total: u64 = 0;
     let mut stage_cost: Vec<u64> = vec![0; stages];
     for (s, cost) in stage_cost.iter_mut().enumerate() {
@@ -338,15 +289,9 @@ where
             let a_est = a_blk.nnz() * w / a_blk.ncols().max(1);
             let est_flops = a_est * b_nnz / w.max(1);
             let q_l = b.col_range(l).len();
-            let k = decide_mxm_kernel(est_flops, q_l);
-            kernel_counts[match k {
-                MxmKernel::Heap => 0,
-                MxmKernel::Hash => 1,
-                MxmKernel::Spa => 2,
-            }] += 1;
             est_total += est_flops as u64;
             *cost = (*cost).max(est_flops as u64);
-            per_locale.push(k);
+            per_locale.push(decide_mxm_kernel(est_flops, q_l));
         }
         decisions.push(per_locale);
     }
@@ -370,13 +315,14 @@ where
         }
         assign
     };
+    let chose = |k: MxmKernel| decisions.iter().flatten().filter(|&&d| d == k).count();
     let mut select_trace = dctx.op("select");
     select_trace
         .attr("algo", "mxm")
         .attr("stages", stages)
-        .attr("heap", kernel_counts[0])
-        .attr("hash", kernel_counts[1])
-        .attr("spa", kernel_counts[2])
+        .attr("heap", chose(MxmKernel::Heap))
+        .attr("hash", chose(MxmKernel::Hash))
+        .attr("spa", chose(MxmKernel::Spa))
         .nnz(est_total);
     let select_report = select_trace.finish();
 
@@ -384,46 +330,37 @@ where
     // that consumes one of its stages, point-to-point from its resident
     // locale to the layer counterpart. DCSC-converted blocks ship doubly
     // compressed.
-    if layers > 1 {
-        let mut moves: BTreeSet<(usize, usize, bool)> = BTreeSet::new(); // (base locale, layer, is_b)
-        for (s, &layer) in stage_layer.iter().enumerate() {
-            if layer == 0 {
-                continue;
-            }
-            for r in 0..grid.pr() {
-                moves.insert((grid.locale(r, plan.ka[s]), layer, false));
-            }
-            for c in 0..grid.pc() {
-                moves.insert((grid.locale(plan.kb[s], c), layer, true));
-            }
+    let mut moves: BTreeSet<(usize, usize, bool)> = BTreeSet::new(); // (base locale, layer, is_b)
+    for (s, &layer) in stage_layer.iter().enumerate() {
+        if layer == 0 {
+            continue;
         }
-        for &(base, layer, is_b) in &moves {
-            let bytes = if is_b {
-                let blk = b.block(base);
-                dcsc::csr_wire_bytes(blk.nrows(), blk.nnz(), b_elem)
-            } else {
-                match &a_dcsc[base] {
-                    Some(d) => dcsc::dcsc_wire_bytes(d.nzc(), d.nnz(), a_elem),
-                    None => {
-                        let blk = a.block(base);
-                        dcsc::csr_wire_bytes(blk.nrows(), blk.nnz(), a_elem)
-                    }
+        for r in 0..grid.pr() {
+            moves.insert((grid.locale(r, plan.ka[s]), layer, false));
+        }
+        for c in 0..grid.pc() {
+            moves.insert((grid.locale(plan.kb[s], c), layer, true));
+        }
+    }
+    for &(base, layer, is_b) in &moves {
+        let bytes = if is_b {
+            let blk = b.block(base);
+            dcsc::csr_wire_bytes(blk.nrows(), blk.nnz(), b_elem)
+        } else {
+            match &a_dcsc[base] {
+                Some(d) => dcsc::dcsc_wire_bytes(d.nzc(), d.nnz(), a_elem),
+                None => {
+                    let blk = a.block(base);
+                    dcsc::csr_wire_bytes(blk.nrows(), blk.nnz(), a_elem)
                 }
-            };
-            dctx.comm.bulk(PHASE_REPLICATE, base, layer * p + base, 1, bytes)?;
-        }
+            }
+        };
+        dctx.comm.bulk(PHASE_REPLICATE, base, layer * p + base, 1, bytes)?;
     }
 
     // Stationary C blocks (one per layer-locale), accumulated stage by
     // stage. Layer j's locale l holds the partial sum of its stage subset.
-    let mut state: Vec<(CsrMatrix<C>, Profile, Profile)> = (0..total)
-        .map(|g| {
-            let l = g % p;
-            let rows = a.row_range(l).len();
-            let cols = b.col_range(l).len();
-            (CsrMatrix::empty(rows, cols), Profile::default(), Profile::default())
-        })
-        .collect();
+    let mut state = stationary::<A, B, C>(a, b, total);
 
     // The whole stage pipeline runs inside ONE SPMD superstep: every
     // locale task loops its stages locally, with the per-stage exchange
@@ -433,166 +370,108 @@ where
     // stage and pays the `locales × c_remote_task` coforall fan-out every
     // time — at 256 nodes that fan-out, not the wire, dominates its
     // broadcast phase.
-    {
-        let decisions_ref = &decisions;
-        let a_dcsc_ref = &a_dcsc;
-        let plan_ref = plan;
-        dctx.for_each_locale_state(&mut state, |g, (c_block, local_profile, bcast_profile)| {
-            let l = g % p;
-            for s in 0..stages {
-                let layer = stage_layer[s];
-                if g / p != layer {
-                    continue; // another layer's stage
-                }
-                let (lo, hi) = plan_ref.bounds[s];
-                let (ka, kb) = (plan_ref.ka[s], plan_ref.kb[s]);
-                let a_cols = a.col_dist().range(ka);
-                let b_rows = b.row_dist().range(kb);
-                let decisions_s = &decisions_ref[s];
-                let (r, c) = grid.coords(l);
-                let a_owner = grid.locale(r, ka);
-                let b_owner = grid.locale(kb, c);
-                let a_blk = a.block(a_owner);
-                let b_blk = b.block(b_owner);
-                // Extract the A column slice. Every receiver re-derives it
-                // (simulating the received payload); only the owner charges
-                // the extraction work.
-                let mut scratch = Counters::default();
-                let slice: ColSlice<A> = {
-                    let cnt =
-                        if l == a_owner { extract_counters(local_profile) } else { &mut scratch };
-                    match &a_dcsc_ref[a_owner] {
-                        Some(d) => d.col_slice(lo - a_cols.start, hi - a_cols.start, cnt),
-                        None => {
-                            dcsc::csr_col_slice(a_blk, lo - a_cols.start, hi - a_cols.start, cnt)
-                        }
-                    }
-                };
-                // B's slice is the contiguous local row range [blo, bhi); the
-                // owner charges the nonempty-row scan that sizes the payload.
-                let (blo, bhi) = (lo - b_rows.start, hi - b_rows.start);
-                let b_nnz = b_blk.rowptr()[bhi] - b_blk.rowptr()[blo];
-                let b_nzr =
-                    (blo..bhi).filter(|&i| b_blk.rowptr()[i] < b_blk.rowptr()[i + 1]).count();
-                if l == b_owner {
-                    extract_counters(local_profile).elems += (bhi - blo) as u64;
-                }
-                // Broadcasts: sends are logged by the *owner*'s task — one
-                // writer per source keeps the comm log's per-src order
-                // deterministic under the threaded executor. Empty slices
-                // never hit the wire: DCSC's `jc` array answers "is this
-                // k-range empty?" without touching a rowptr, so hypersparse
-                // stages cost zero messages — the payoff the legacy full-CSR
-                // baseline (which always ships `(rows+1)` pointer words)
-                // cannot see.
-                let a_bytes = if slice.nnz() == 0 {
-                    0
-                } else {
-                    dcsc::slice_wire_bytes(slice.nzr(), slice.nnz(), a_elem)
-                };
-                let b_bytes =
-                    if b_nnz == 0 { 0 } else { dcsc::slice_wire_bytes(b_nzr, b_nnz, b_elem) };
-                if l == a_owner && a_bytes > 0 {
-                    for peer in grid.row_locales(r) {
-                        if peer != l {
-                            dctx.comm.bulk(PHASE_BCAST, g, layer * p + peer, 1, a_bytes)?;
-                        }
-                    }
-                }
-                if l == b_owner && b_bytes > 0 {
-                    for peer in grid.col_locales(c) {
-                        if peer != l {
-                            dctx.comm.bulk(PHASE_BCAST, g, layer * p + peer, 1, b_bytes)?;
-                        }
-                    }
-                }
-                bcast_profile.counters_mut(PHASE_BCAST).bytes_moved += a_bytes + b_bytes;
-                // Local multiply with the stage's density-adaptive kernel,
-                // accumulated into the stationary block. The locale's mask
-                // block covers exactly its stationary C block.
-                if slice.nnz() > 0 && b_nnz > 0 {
-                    let lctx = dctx.locale_ctx_for(l);
-                    let m_l = a.row_range(l).len();
-                    let q_l = b.col_range(l).len();
-                    let partial: CsrMatrix<C> = multiply_slice(
-                        &slice,
-                        b_blk,
-                        blo,
-                        m_l,
-                        q_l,
-                        ring,
-                        mask.map(|m| m.block(l)),
-                        decisions_s[l],
-                        &lctx,
-                    )?;
-                    let accumulated = gblas_core::ops::ewise_mat::ewise_add_mat(
-                        &*c_block, &partial, &ring.add, &lctx,
-                    )?;
-                    *c_block = accumulated;
-                    let folded = local_profile.counters_mut(PHASE_LOCAL);
-                    for (_, cs) in lctx.take_profile().iter() {
-                        folded.merge(cs);
-                    }
-                }
+    dctx.for_each_locale_state(&mut state, |g, (c_block, local_profile, bcast_profile)| {
+        let l = g % p;
+        for s in 0..stages {
+            let layer = stage_layer[s];
+            if g / p != layer {
+                continue; // another layer's stage
             }
-            Ok(())
-        })?;
-    }
+            let (lo, hi) = plan.bounds[s];
+            let (ka, kb) = (plan.ka[s], plan.kb[s]);
+            let a_cols = a.col_dist().range(ka);
+            let b_rows = b.row_dist().range(kb);
+            let (r, c) = grid.coords(l);
+            let a_owner = grid.locale(r, ka);
+            let b_owner = grid.locale(kb, c);
+            let a_blk = a.block(a_owner);
+            let b_blk = b.block(b_owner);
+            // Extract the A column slice. Every receiver re-derives it
+            // (simulating the received payload); only the owner charges
+            // the extraction work (under the extract phase of its
+            // phase-keyed local profile).
+            let mut scratch = Counters::default();
+            let extract = local_profile.counters_mut(PHASE_EXTRACT);
+            let cnt = if l == a_owner { extract } else { &mut scratch };
+            let (alo, ahi) = (lo - a_cols.start, hi - a_cols.start);
+            let slice: ColSlice<A> = match &a_dcsc[a_owner] {
+                Some(d) => d.col_slice(alo, ahi, cnt),
+                None => dcsc::csr_col_slice(a_blk, alo, ahi, cnt),
+            };
+            // B's slice is the contiguous local row range [blo, bhi); the
+            // owner charges the nonempty-row scan that sizes the payload.
+            let (blo, bhi) = (lo - b_rows.start, hi - b_rows.start);
+            let b_nnz = b_blk.rowptr()[bhi] - b_blk.rowptr()[blo];
+            let b_nzr = (blo..bhi).filter(|&i| b_blk.rowptr()[i] < b_blk.rowptr()[i + 1]).count();
+            if l == b_owner {
+                local_profile.counters_mut(PHASE_EXTRACT).elems += (bhi - blo) as u64;
+            }
+            // Broadcasts: sends are logged by the *owner*'s task — one
+            // writer per source keeps the comm log's per-src order
+            // deterministic under the threaded executor. Empty slices
+            // never hit the wire: DCSC's `jc` array answers "is this
+            // k-range empty?" without touching a rowptr, so hypersparse
+            // stages cost zero messages — the payoff the legacy full-CSR
+            // baseline (which always ships `(rows+1)` pointer words)
+            // cannot see.
+            let a_bytes = if slice.nnz() == 0 {
+                0
+            } else {
+                dcsc::slice_wire_bytes(slice.nzr(), slice.nnz(), a_elem)
+            };
+            let b_bytes = if b_nnz == 0 { 0 } else { dcsc::slice_wire_bytes(b_nzr, b_nnz, b_elem) };
+            if l == a_owner && a_bytes > 0 {
+                broadcast(dctx, layer * p, l, grid.row_locales(r), a_bytes)?;
+            }
+            if l == b_owner && b_bytes > 0 {
+                broadcast(dctx, layer * p, l, grid.col_locales(c), b_bytes)?;
+            }
+            bcast_profile.counters_mut(PHASE_BCAST).bytes_moved += a_bytes + b_bytes;
+            // Local multiply with the stage's density-adaptive kernel,
+            // accumulated into the stationary block. The locale's mask
+            // block covers exactly its stationary C block.
+            if slice.nnz() > 0 && b_nnz > 0 {
+                let lctx = dctx.locale_ctx_for(l);
+                let (mask_l, kernel) = (mask.map(|m| m.block(l)), decisions[s][l]);
+                let partial = multiply_slice(&slice, b_blk, blo..bhi, ring, mask_l, kernel, &lctx)?;
+                accumulate(c_block, &partial, ring, &lctx, local_profile, PHASE_LOCAL)?;
+            }
+        }
+        Ok(())
+    })?;
 
     // 3-D merge: binomial-tree allreduce of the layers' partial C blocks
     // into layer 0. Driver-side (the rounds are inherently sequential);
     // compute is charged to the receiving locale, sends are logged from
     // the sending layer's locale.
     let mut merge_profiles: Vec<Profile> = vec![Profile::default(); total];
-    if layers > 1 {
-        let mut half = 1usize;
-        while half < layers {
-            for j in (0..layers).step_by(2 * half) {
-                let src_layer = j + half;
-                if src_layer >= layers {
-                    continue;
-                }
-                for l in 0..p {
-                    let src = src_layer * p + l;
-                    let dst = j * p + l;
-                    let (rows, cols) = (state[src].0.nrows(), state[src].0.ncols());
-                    let partial =
-                        std::mem::replace(&mut state[src].0, CsrMatrix::empty(rows, cols));
-                    let nzr = (0..partial.nrows()).filter(|&i| partial.row_nnz(i) > 0).count();
-                    let bytes =
-                        dcsc::slice_wire_bytes(nzr, partial.nnz(), std::mem::size_of::<C>());
-                    dctx.comm.bulk(PHASE_MERGE, src, dst, 1, bytes)?;
-                    let mc = merge_profiles[dst].counters_mut(PHASE_MERGE);
-                    mc.elems += partial.nrows() as u64; // payload sizing scan
-                    mc.bytes_moved += bytes;
-                    let lctx = dctx.locale_ctx_for(l);
-                    let merged = gblas_core::ops::ewise_mat::ewise_add_mat(
-                        &state[dst].0,
-                        &partial,
-                        &ring.add,
-                        &lctx,
-                    )?;
-                    state[dst].0 = merged;
-                    let folded = merge_profiles[dst].counters_mut(PHASE_MERGE);
-                    for (_, cs) in lctx.take_profile().iter() {
-                        folded.merge(cs);
-                    }
-                }
+    let mut half = 1usize;
+    while half < layers {
+        for j in (0..layers).step_by(2 * half) {
+            let src_layer = j + half;
+            if src_layer >= layers {
+                continue;
             }
-            half *= 2;
+            for l in 0..p {
+                let src = src_layer * p + l;
+                let dst = j * p + l;
+                let (rows, cols) = (state[src].0.nrows(), state[src].0.ncols());
+                let partial = std::mem::replace(&mut state[src].0, CsrMatrix::empty(rows, cols));
+                let nzr = (0..partial.nrows()).filter(|&i| partial.row_nnz(i) > 0).count();
+                let bytes = dcsc::slice_wire_bytes(nzr, partial.nnz(), std::mem::size_of::<C>());
+                dctx.comm.bulk(PHASE_MERGE, src, dst, 1, bytes)?;
+                let mc = merge_profiles[dst].counters_mut(PHASE_MERGE);
+                mc.elems += partial.nrows() as u64; // payload sizing scan
+                mc.bytes_moved += bytes;
+                let lctx = dctx.locale_ctx_for(l);
+                let merged = &mut merge_profiles[dst];
+                accumulate(&mut state[dst].0, &partial, ring, &lctx, merged, PHASE_MERGE)?;
+            }
         }
+        half *= 2;
     }
 
-    let mut c_blocks: Vec<CsrMatrix<C>> = Vec::with_capacity(p);
-    let mut local_profiles: Vec<Profile> = Vec::with_capacity(total);
-    let mut bcast_profiles: Vec<Profile> = Vec::with_capacity(total);
-    for (g, (blk, local, bcast)) in state.into_iter().enumerate() {
-        if g < p {
-            c_blocks.push(blk);
-        }
-        local_profiles.push(local);
-        bcast_profiles.push(bcast);
-    }
+    let (c_blocks, local_profiles, bcast_profiles) = finish(state, p);
 
     let c = DistCsrMatrix::from_blocks(a.nrows(), b.ncols(), grid, c_blocks)?;
     let mut trace = dctx.op("mxm_dist");
@@ -625,25 +504,79 @@ where
     Ok((c, report))
 }
 
-/// Counter slot for owner-side extraction charges. The local profile is
-/// keyed by phase, so the slices' preparation lands under
-/// [`PHASE_EXTRACT`] while the multiply stays under [`PHASE_LOCAL`].
-fn extract_counters(profile: &mut Profile) -> &mut Counters {
-    profile.counters_mut(PHASE_EXTRACT)
+/// Log grid locale `me`'s broadcast of `bytes` to each of its `peers`,
+/// all in the replication layer whose locales start at `base`.
+fn broadcast(
+    dctx: &DistCtx,
+    base: usize,
+    me: usize,
+    peers: impl Iterator<Item = usize>,
+    bytes: u64,
+) -> Result<()> {
+    for peer in peers.filter(|&peer| peer != me) {
+        dctx.comm.bulk(PHASE_BCAST, base + me, base + peer, 1, bytes)?;
+    }
+    Ok(())
 }
 
-/// One locale's stage-local multiply: `partial = slice ⊗ B[blo..bhi, :]`
-/// over `ring`, masked by the locale's stationary mask block, with the
-/// selected density-adaptive accumulator. All three kernels visit each
-/// output position's contributions in ascending inner-dimension order and
-/// emit rows with sorted column ids, so they are bit-interchangeable.
-#[allow(clippy::too_many_arguments)]
+/// `c_block ⊕= partial` on the locale context `lctx`, then fold everything
+/// `lctx` recorded (the multiply that produced `partial` included) into
+/// `profile` under `phase`.
+fn accumulate<C: Copy + Send + Sync, AddM: Monoid<C>, MulOp>(
+    c_block: &mut CsrMatrix<C>,
+    partial: &CsrMatrix<C>,
+    ring: &Semiring<AddM, MulOp>,
+    lctx: &ExecCtx,
+    profile: &mut Profile,
+    phase: &str,
+) -> Result<()> {
+    *c_block = gblas_core::ops::ewise_mat::ewise_add_mat(&*c_block, partial, &ring.add, lctx)?;
+    let folded = profile.counters_mut(phase);
+    for (_, cs) in lctx.take_profile().iter() {
+        folded.merge(cs);
+    }
+    Ok(())
+}
+
+/// Stationary `C` blocks (one per layer-locale `g`, shaped like grid locale
+/// `g % p`'s block) with their local and broadcast profiles.
+fn stationary<A: Copy, B: Copy, C>(
+    a: &DistCsrMatrix<A>,
+    b: &DistCsrMatrix<B>,
+    total: usize,
+) -> Vec<(CsrMatrix<C>, Profile, Profile)> {
+    let p = a.grid().locales();
+    let block = |g: usize| CsrMatrix::empty(a.row_range(g % p).len(), b.col_range(g % p).len());
+    (0..total).map(|g| (block(g), Profile::default(), Profile::default())).collect()
+}
+
+/// Split the finished state into layer 0's `C` blocks and every
+/// layer-locale's local and broadcast profiles.
+#[allow(clippy::type_complexity)]
+fn finish<C>(
+    state: Vec<(CsrMatrix<C>, Profile, Profile)>,
+    p: usize,
+) -> (Vec<CsrMatrix<C>>, Vec<Profile>, Vec<Profile>) {
+    let (mut blocks, mut local, mut bcast) = (Vec::with_capacity(p), Vec::new(), Vec::new());
+    for (g, (blk, l, bc)) in state.into_iter().enumerate() {
+        if g < p {
+            blocks.push(blk);
+        }
+        local.push(l);
+        bcast.push(bc);
+    }
+    (blocks, local, bcast)
+}
+
+/// One locale's stage-local multiply: `partial = slice ⊗ B[b_rows, :]`
+/// over `ring`, masked by the locale's stationary mask block, through the
+/// shared [`RowKernel`] with the stage's density-adaptive accumulator.
+/// Each row lands in a tail of the partial's output streams pre-sized to
+/// the row's bound, so the kernel writes its result in place.
 fn multiply_slice<A, B, C, AddM, MulOp, M>(
     a_slice: &ColSlice<A>,
     b_blk: &CsrMatrix<B>,
-    b_off: usize,
-    m_l: usize,
-    q_l: usize,
+    b_rows: Range<usize>,
     ring: &Semiring<AddM, MulOp>,
     mask: Option<&CsrMatrix<M>>,
     kernel: MxmKernel,
@@ -657,169 +590,47 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
-    // Pooled receive/accumulate buffers: the partial's column/value
-    // streams come from the workspace pool and are copied out exactly
-    // sized at the end, so per-stage scratch is reused across stages and
-    // iterations.
-    let mut colidx_ws = ctx.ws_vec::<usize>();
-    let mut values_ws = ctx.ws_vec::<C>();
-    let mut row_ends: Vec<(usize, usize)> = Vec::with_capacity(a_slice.rows.len());
-    let mut row_inds: Vec<usize> = Vec::new();
-    let mut row_vals: Vec<C> = Vec::new();
-    match kernel {
-        MxmKernel::Spa => {
-            let mut spa = ctx.ws_dense_spa(q_l, ring.zero::<C>());
-            ctx.record(gblas_core::ops::mxm::PHASE, |c| {
-                for (i, entries) in &a_slice.rows {
-                    for &(k, av) in entries {
-                        let (bcols, bvals) = b_blk.row(b_off + k);
-                        c.flops += bcols.len() as u64;
-                        for (&j, &bv) in bcols.iter().zip(bvals) {
-                            spa.accumulate(j, ring.multiply(av, bv), &ring.add, c);
-                        }
-                    }
-                    let mut inds = spa.nzinds().to_vec();
-                    inds.sort_unstable();
-                    c.sort_elems += (inds.len().max(1).ilog2() as u64 + 1) * inds.len() as u64;
-                    row_inds.clear();
-                    row_vals.clear();
-                    for &j in &inds {
-                        row_inds.push(j);
-                        row_vals.push(spa.get(j).expect("collected index occupied"));
-                    }
-                    let _ = spa.drain(c);
-                    emit_row(*i, &row_inds, &row_vals, mask, &mut colidx_ws, &mut values_ws, c);
-                    row_ends.push((*i, colidx_ws.len()));
-                }
-            });
-        }
-        MxmKernel::Hash => {
-            ctx.record(gblas_core::ops::mxm::PHASE, |c| {
-                let mut tbl: HashMap<usize, C> = HashMap::new();
-                for (i, entries) in &a_slice.rows {
-                    tbl.clear();
-                    for &(k, av) in entries {
-                        let (bcols, bvals) = b_blk.row(b_off + k);
-                        c.flops += bcols.len() as u64;
-                        for (&j, &bv) in bcols.iter().zip(bvals) {
-                            let prod = ring.multiply(av, bv);
-                            c.rand_access += 1; // open-addressing probe
-                            tbl.entry(j)
-                                .and_modify(|v| *v = ring.add.combine(*v, prod))
-                                .or_insert(prod);
-                        }
-                    }
-                    let mut inds: Vec<usize> = tbl.keys().copied().collect();
-                    inds.sort_unstable();
-                    c.sort_elems += (inds.len().max(1).ilog2() as u64 + 1) * inds.len() as u64;
-                    row_inds.clear();
-                    row_vals.clear();
-                    for &j in &inds {
-                        row_inds.push(j);
-                        row_vals.push(tbl[&j]);
-                    }
-                    emit_row(*i, &row_inds, &row_vals, mask, &mut colidx_ws, &mut values_ws, c);
-                    row_ends.push((*i, colidx_ws.len()));
-                }
-            });
-        }
-        MxmKernel::Heap => {
-            ctx.record(gblas_core::ops::mxm::PHASE, |c| {
-                // t-way merge of the B rows the A entries select; the heap
-                // orders by (column, A-entry index) so equal columns pop in
-                // ascending inner-dimension order — the same accumulation
-                // order as the SPA.
-                let mut heap: BinaryHeap<Reverse<(usize, usize, usize)>> = BinaryHeap::new();
-                for (i, entries) in &a_slice.rows {
-                    heap.clear();
-                    let t = entries.len();
-                    let push_charge = t.max(1).ilog2() as u64 + 1;
-                    for (kidx, &(k, _)) in entries.iter().enumerate() {
-                        let (bcols, _) = b_blk.row(b_off + k);
-                        if !bcols.is_empty() {
-                            heap.push(Reverse((bcols[0], kidx, 0)));
-                            c.sort_elems += push_charge;
-                        }
-                    }
-                    row_inds.clear();
-                    row_vals.clear();
-                    while let Some(Reverse((j, kidx, pos))) = heap.pop() {
-                        let (k, av) = entries[kidx];
-                        let (bcols, bvals) = b_blk.row(b_off + k);
-                        let prod = ring.multiply(av, bvals[pos]);
-                        c.flops += 1;
-                        match row_inds.last() {
-                            Some(&last) if last == j => {
-                                let v = row_vals.last_mut().expect("vals track inds");
-                                *v = ring.add.combine(*v, prod);
-                            }
-                            _ => {
-                                row_inds.push(j);
-                                row_vals.push(prod);
-                            }
-                        }
-                        if pos + 1 < bcols.len() {
-                            heap.push(Reverse((bcols[pos + 1], kidx, pos + 1)));
-                            c.sort_elems += push_charge;
-                        }
-                    }
-                    emit_row(*i, &row_inds, &row_vals, mask, &mut colidx_ws, &mut values_ws, c);
-                    row_ends.push((*i, colidx_ws.len()));
-                }
-            });
-        }
+    check_dims("inner dimension", a_slice.ncols(), b_rows.len())?;
+    // `b_rows` must not run off the block's end (equal unless it does)
+    check_dims("B slice rows", b_rows.end.max(b_blk.nrows()), b_blk.nrows())?;
+    let (m_l, q_l, zero) = (a_slice.nrows(), b_blk.ncols(), ring.zero::<C>());
+    if let Some(m) = mask {
+        check_dims("mask rows", m_l, m.nrows())?;
+        check_dims("mask columns", q_l, m.ncols())?;
     }
-    // Assemble the partial CSR: rows absent from the slice are empty.
-    let mut rowptr = Vec::with_capacity(m_l + 1);
-    rowptr.push(0usize);
-    let mut cursor = 0usize;
-    let mut last_end = 0usize;
+    let mut colidx = ctx.ws_vec::<usize>();
+    let mut values = ctx.ws_vec::<C>();
+    let mut acc = RowKernel::checkout(kernel, q_l, zero, ctx);
+    let mut rowptr = vec![0usize; m_l + 1];
+    ctx.record(gblas_core::ops::mxm::PHASE, |c| {
+        for (i, entries) in a_slice.rows() {
+            let mask_row = mask.map(|m| m.row(i).0);
+            let at = |x: usize| (b_rows.start + entries[x].0, entries[x].1);
+            let bound = match mask_row {
+                Some(m) => m.len(),
+                None => q_l.min((0..entries.len()).map(|x| b_blk.row_nnz(at(x).0)).sum()),
+            };
+            let len = colidx.len();
+            colidx.resize(len + bound, 0);
+            values.resize(len + bound, zero);
+            let (cols, vals) = (&mut colidx[len..], &mut values[len..]);
+            let n = acc.row(entries.len(), at, b_blk, ring, mask_row, cols, vals, c);
+            colidx.truncate(len + n);
+            values.truncate(len + n);
+            rowptr[i + 1] = n;
+        }
+    });
     for i in 0..m_l {
-        if cursor < row_ends.len() && row_ends[cursor].0 == i {
-            last_end = row_ends[cursor].1;
-            cursor += 1;
-        }
-        rowptr.push(last_end);
+        rowptr[i + 1] += rowptr[i];
     }
-    CsrMatrix::from_raw_parts(m_l, q_l, rowptr, colidx_ws.clone(), values_ws.clone())
-}
-
-/// Append one finished row to the partial's output streams, applying the
-/// structural mask by sorted intersection (one streamed element per
-/// candidate, the shared-memory idiom).
-fn emit_row<C: Copy, M>(
-    i: usize,
-    inds: &[usize],
-    vals: &[C],
-    mask: Option<&CsrMatrix<M>>,
-    colidx: &mut Vec<usize>,
-    values: &mut Vec<C>,
-    c: &mut Counters,
-) {
-    match mask {
-        Some(m) => {
-            let (mcols, _) = m.row(i);
-            let mut p = 0usize;
-            for (&j, &v) in inds.iter().zip(vals) {
-                while p < mcols.len() && mcols[p] < j {
-                    p += 1;
-                }
-                c.elems += 1;
-                if p < mcols.len() && mcols[p] == j {
-                    colidx.push(j);
-                    values.push(v);
-                }
-            }
-        }
-        None => {
-            colidx.extend_from_slice(inds);
-            values.extend_from_slice(vals);
-        }
-    }
+    // The streams graduate into the partial; their guards shelve the
+    // emptied vectors.
+    let (colidx, values) = (std::mem::take(&mut *colidx), std::mem::take(&mut *values));
+    CsrMatrix::from_raw_parts(m_l, q_l, rowptr, colidx, values)
 }
 
 /// The legacy single-stage-per-block sparse SUMMA (square grids): whole
-/// CSR blocks on the wire, shared-memory Gustavson per stage. Kept as the
+/// CSR blocks on the wire, shared-memory `mxm` per stage. Kept as the
 /// measured baseline for the `--fig spgemm` sweep; its broadcast bytes
 /// now honestly include the `(rows+1)`-word row-pointer array that
 /// dominates in the hypersparse regime.
@@ -844,13 +655,7 @@ where
     let a_elem = std::mem::size_of::<A>();
     let b_elem = std::mem::size_of::<B>();
 
-    let mut state: Vec<(CsrMatrix<C>, Profile, Profile)> = (0..p)
-        .map(|l| {
-            let rows = a.row_range(l).len();
-            let cols = b.col_range(l).len();
-            (CsrMatrix::empty(rows, cols), Profile::default(), Profile::default())
-        })
-        .collect();
+    let mut state = stationary::<A, B, C>(a, b, p);
 
     for k in 0..stages {
         dctx.for_each_locale_state(&mut state, |l, (c_block, local_profile, bcast_profile)| {
@@ -862,47 +667,20 @@ where
             let a_bytes = dcsc::csr_wire_bytes(a_blk.nrows(), a_blk.nnz(), a_elem);
             let b_bytes = dcsc::csr_wire_bytes(b_blk.nrows(), b_blk.nnz(), b_elem);
             if l == a_owner {
-                for peer in grid.row_locales(r) {
-                    if peer != l {
-                        dctx.comm.bulk(PHASE_BCAST, l, peer, 1, a_bytes)?;
-                    }
-                }
+                broadcast(dctx, 0, l, grid.row_locales(r), a_bytes)?;
             }
             if l == b_owner {
-                for peer in grid.col_locales(c) {
-                    if peer != l {
-                        dctx.comm.bulk(PHASE_BCAST, l, peer, 1, b_bytes)?;
-                    }
-                }
+                broadcast(dctx, 0, l, grid.col_locales(c), b_bytes)?;
             }
             bcast_profile.counters_mut(PHASE_BCAST).bytes_moved += a_bytes + b_bytes;
             let lctx = dctx.locale_ctx_for(l);
-            let partial: CsrMatrix<C> = gblas_core::ops::mxm::mxm::<_, _, C, _, _, M>(
-                a_blk,
-                b_blk,
-                ring,
-                mask.map(|m| m.block(l)),
-                &lctx,
-            )?;
-            let accumulated =
-                gblas_core::ops::ewise_mat::ewise_add_mat(&*c_block, &partial, &ring.add, &lctx)?;
-            *c_block = accumulated;
-            let folded = local_profile.counters_mut(PHASE_LOCAL);
-            for (_, cs) in lctx.take_profile().iter() {
-                folded.merge(cs);
-            }
-            Ok(())
+            let mask_l = mask.map(|m| m.block(l));
+            let partial = gblas_core::ops::mxm::mxm(a_blk, b_blk, ring, mask_l, &lctx)?;
+            accumulate(c_block, &partial, ring, &lctx, local_profile, PHASE_LOCAL)
         })?;
     }
 
-    let mut c_blocks: Vec<CsrMatrix<C>> = Vec::with_capacity(p);
-    let mut local_profiles: Vec<Profile> = Vec::with_capacity(p);
-    let mut bcast_profiles: Vec<Profile> = Vec::with_capacity(p);
-    for (blk, local, bcast) in state {
-        c_blocks.push(blk);
-        local_profiles.push(local);
-        bcast_profiles.push(bcast);
-    }
+    let (c_blocks, local_profiles, bcast_profiles) = finish(state, p);
 
     let c = DistCsrMatrix::from_blocks(a.nrows(), b.ncols(), grid, c_blocks)?;
     let mut trace = dctx.op("mxm_dist");
@@ -1109,6 +887,54 @@ mod tests {
             &dctx
         )
         .is_err());
+    }
+
+    #[test]
+    fn every_kernel_kind_gives_the_same_partial() {
+        let a = gen::rmat(7, 5, 230);
+        let mask = gen::erdos_renyi(128, 12, 231);
+        let ctx = gblas_core::par::ExecCtx::serial();
+        let ring = semirings::plus_times_f64();
+        let slice = dcsc::csr_col_slice(&a, 16, 96, &mut Counters::default());
+        for mask in [None, Some(&mask)] {
+            let run = |kernel: MxmKernel| {
+                multiply_slice::<_, _, f64, _, _, _>(&slice, &a, 16..96, &ring, mask, kernel, &ctx)
+                    .unwrap()
+            };
+            let spa = run(MxmKernel::Spa);
+            assert!(spa.nnz() > 0);
+            // twice each: the second call runs on the pooled, used state
+            for kernel in [MxmKernel::Hash, MxmKernel::Heap, MxmKernel::Hash, MxmKernel::Heap] {
+                assert_eq!(run(kernel), spa, "{kernel:?} masked={}", mask.is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn slice_level_mismatches_are_errors_not_panics() {
+        let a = gen::erdos_renyi(30, 3, 228);
+        let ctx = gblas_core::par::ExecCtx::serial();
+        let ring = semirings::plus_times_f64();
+        let slice = dcsc::csr_col_slice(&a, 5, 25, &mut Counters::default());
+        let run = |b_rows: Range<usize>, mask: Option<&CsrMatrix<f64>>| {
+            multiply_slice::<_, _, f64, _, _, _>(
+                &slice,
+                &a,
+                b_rows,
+                &ring,
+                mask,
+                MxmKernel::Spa,
+                &ctx,
+            )
+        };
+        assert!(run(5..25, Some(&a)).is_ok());
+        // the slice is 20 columns wide: a 19-row B slice cannot meet it
+        assert!(matches!(run(5..24, None), Err(GblasError::DimensionMismatch { .. })));
+        // nor can 20 rows that run off the end of the block
+        assert!(matches!(run(11..31, None), Err(GblasError::DimensionMismatch { .. })));
+        // and the mask must have the partial's shape
+        let small = gen::erdos_renyi(29, 3, 229);
+        assert!(matches!(run(5..25, Some(&small)), Err(GblasError::DimensionMismatch { .. })));
     }
 
     #[test]

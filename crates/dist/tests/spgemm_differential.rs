@@ -103,7 +103,10 @@ proptest! {
 
     /// Masked SpGEMM: the structural mask commutes with stage-wise
     /// accumulation, so the masked distributed product matches the masked
-    /// shared-memory product exactly on every grid.
+    /// shared-memory product exactly on every grid — under a mask sparser
+    /// than the product, one of comparable density, and one denser than it
+    /// (where every product position is admitted and most mask positions
+    /// stay empty).
     #[test]
     fn masked_summa_matches_shared_bit_for_bit(
         n in 40usize..100,
@@ -112,15 +115,17 @@ proptest! {
     ) {
         let a = int_matrix(n, deg, seed);
         let b = int_matrix(n, deg, seed.wrapping_add(41));
-        // The mask rides a third structure so kept entries are a strict
-        // subset of the unmasked product on interesting inputs.
-        let mask = int_matrix(n, deg + 2, seed.wrapping_add(97));
         let ring = semirings::plus_times::<u64>();
-        let expect: CsrMatrix<u64> =
-            mxm(&a, &b, &ring, Some(&mask), &ExecCtx::serial()).unwrap();
-        for (pr, pc) in [(1, 1), (2, 2), (2, 3), (3, 2), (4, 3)] {
-            let got = run_both_executors(ProcGrid::new(pr, pc), &a, &b, Some(&mask));
-            prop_assert_eq!(&got, &expect, "grid {}x{}", pr, pc);
+        for mask_deg in [1, deg + 2, n / 2] {
+            // The mask rides a third structure so kept entries are a strict
+            // subset of the unmasked product on interesting inputs.
+            let mask = int_matrix(n, mask_deg, seed.wrapping_add(97));
+            let expect: CsrMatrix<u64> =
+                mxm(&a, &b, &ring, Some(&mask), &ExecCtx::serial()).unwrap();
+            for (pr, pc) in [(1, 1), (2, 2), (2, 3), (3, 2), (4, 3)] {
+                let got = run_both_executors(ProcGrid::new(pr, pc), &a, &b, Some(&mask));
+                prop_assert_eq!(&got, &expect, "grid {}x{} mask degree {}", pr, pc, mask_deg);
+            }
         }
     }
 
