@@ -10,8 +10,9 @@
 //!
 //! - **bfs**: the `bfs_on` level loop — one masked first-visitor SpMSpV
 //!   per level; an iteration is one level.
-//! - **pagerank**: the `pagerank_on` power loop — one SpMV plus the
-//!   dangling/convergence folds; an iteration is one power step.
+//! - **pagerank**: the `pagerank_on` power loop itself, sampled through
+//!   its per-iteration observer — one pattern-only SpMV plus the fused
+//!   dense pass; an iteration is one power step.
 //! - **spmspv**: repeated `spmspv_semiring` calls with a fixed operand —
 //!   the steady-state inner kernel on its own.
 //! - **mxm**: repeated multi-stage SUMMA SpGEMM (`A·A` on a 2×2 grid) —
@@ -40,12 +41,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use gblas_bench::workloads;
-use gblas_core::algebra::{semirings, Plus};
+use gblas_core::algebra::semirings;
 use gblas_core::backend::{GblasBackend, MaskSpec, SharedBackend};
 use gblas_core::container::{CsrMatrix, SparseVec};
 use gblas_core::ops::spmspv::{spmspv_semiring, SpMSpVOpts, SpMSpVOutput};
 use gblas_core::par::ExecCtx;
 use gblas_core::workspace::WorkspaceStats;
+use gblas_graph::pagerank::{pagerank_observed, PageRankOptions};
 
 /// Counting allocator: forwards to [`System`], tallying every allocation.
 struct CountingAlloc;
@@ -221,39 +223,27 @@ fn run_bfs(a: &CsrMatrix<f64>, ctx: &ExecCtx, pooled: bool) -> RunStats {
     RunStats { iterations: samples.len(), wall_ms, samples }
 }
 
-/// PageRank power loop, mirrored from `gblas_graph::pagerank_on`; the
-/// stochastic-scaling setup runs before sampling starts.
+/// The library's own PageRank power loop (`pagerank_observed`), held to
+/// exactly `iters` steps by a tolerance no change can fall below; the
+/// set-up runs before sampling starts.
 fn pagerank_iters(
     a: &CsrMatrix<f64>,
     iters: usize,
     ctx: &ExecCtx,
     probe: Option<&mut Probe>,
 ) -> Vec<IterSample> {
-    let backend = SharedBackend::new(ctx);
-    let n = backend.mat_nrows(a);
-    let ones: CsrMatrix<f64> = backend.mat_map(a, &|_, _, _| 1.0f64).unwrap();
-    let outdeg: Vec<f64> = backend.reduce_rows(&ones, &Plus).unwrap();
-    let w: CsrMatrix<f64> = {
-        let deg = &outdeg;
-        backend.mat_map(&ones, &|i, _, _| 1.0 / deg[i].max(1.0)).unwrap()
-    };
-    let ring = semirings::plus_times_f64();
-    let damping = 0.85;
-    let base = (1.0 - damping) / n as f64;
-    let mut pr = vec![1.0 / n as f64; n];
+    let opts = PageRankOptions { tolerance: 0.0, max_iterations: iters, ..Default::default() };
     let mut samples = Vec::new();
     let mut probe = probe;
-    for _ in 0..iters {
-        let dangling: f64 = (0..n).filter(|&i| outdeg[i] == 0.0).map(|i| pr[i]).sum();
-        let x = backend.dense_from_vec(pr.clone());
-        let spread = backend.dense_to_vec(&backend.spmv(&w, &x, &ring).unwrap());
-        for v in 0..n {
-            pr[v] = base + damping * (spread[v] + dangling / n as f64);
-        }
+    let each = |iter| {
         if let Some(p) = probe.as_deref_mut() {
-            samples.push(p.sample(ctx));
+            let sample = p.sample(ctx);
+            if iter > 0 {
+                samples.push(sample);
+            }
         }
-    }
+    };
+    pagerank_observed(&SharedBackend::new(ctx), a, opts, each).expect("pagerank");
     samples
 }
 

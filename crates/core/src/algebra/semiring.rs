@@ -5,7 +5,7 @@
 //! contain an additive identity element." (§III)
 
 use super::monoid::Monoid;
-use super::ops::{Max, Min, Pair, Plus, Scalar, Second, Times};
+use super::ops::{First, Max, Min, Pair, Plus, Scalar, Second, Times};
 use super::BinaryOp;
 
 /// A GraphBLAS semiring: an *add* monoid over the output domain `C` and a
@@ -113,6 +113,17 @@ pub mod semirings {
     pub fn plus_pair() -> Semiring<Plus, Pair> {
         Semiring::new(Plus, Pair)
     }
+
+    /// `(plus, first)`: sums the vector operand over the matrix *pattern*
+    /// — `y[j] = Σ_{i: A[i,j] stored} x[i]` in `y = x A`. The matrix
+    /// value is never an input of the multiply, so the kernels
+    /// monomorphise its load away and `A` may hold any value type: a
+    /// row-scaled multiply (`W[i,j] = w[i]`) is this semiring over `A`
+    /// itself with `x[i]·w[i]` as the operand, no `W` materialised. The
+    /// PageRank semiring.
+    pub fn plus_first() -> Semiring<Plus, First> {
+        Semiring::new(Plus, First)
+    }
 }
 
 #[cfg(test)]
@@ -156,6 +167,15 @@ mod tests {
         assert_eq!(s.accumulate(c1, c2), 3);
         let z: u64 = s.zero();
         assert_eq!(z, u64::MAX);
+    }
+
+    #[test]
+    fn plus_first_ignores_the_matrix_operand() {
+        let s = plus_first();
+        let kept: f64 = s.multiply(0.25f64, f64::NAN);
+        assert_eq!(kept, 0.25);
+        let kept: f64 = s.multiply(0.25f64, true); // any matrix value type
+        assert_eq!(s.accumulate(kept, 1.0), 1.25);
     }
 
     #[test]

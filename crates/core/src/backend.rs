@@ -140,6 +140,14 @@ pub trait GblasBackend {
     where
         M: ComMonoid<T>;
 
+    /// Stored entries per row, `deg[i] = nnz(A[i,:])` (a digraph's
+    /// out-degrees), as a *global* driver-side vector. Read from the
+    /// structure alone: equal to `reduce_rows(mat_map(a, 1), Plus)`
+    /// without building the ones-matrix or touching a value, at
+    /// `O(nrows)` local work per block plus, on the distributed backend,
+    /// the row-leader combine of [`GblasBackend::reduce_rows`].
+    fn mat_row_degrees<T: Scalar>(&self, a: &Self::Matrix<T>) -> Result<Vec<usize>>;
+
     // ---- vector kernels ----------------------------------------------
 
     /// BFS kernel: `y⟨mask⟩ = x Aᵀ`-structure with first-writer-wins
@@ -302,8 +310,10 @@ pub trait GblasBackend {
     /// Import a global driver-side vector into the backend layout.
     fn dense_from_vec<T: Scalar>(&self, v: Vec<T>) -> Self::DenseVec<T>;
 
-    /// Export a backend vector to a global driver-side vector.
-    fn dense_to_vec<T: Scalar>(&self, v: &Self::DenseVec<T>) -> Vec<T>;
+    /// Export a backend vector to a global driver-side vector, consuming
+    /// it: the shared backend hands over its buffer, the distributed one
+    /// concatenates the segments.
+    fn dense_to_vec<T: Scalar>(&self, v: Self::DenseVec<T>) -> Vec<T>;
 
     /// Point update `v[i] = value` (driver-side control state; the
     /// distributed backend pokes the owning locale's segment).
@@ -436,6 +446,10 @@ impl GblasBackend for SharedBackend<'_> {
         M: ComMonoid<T>,
     {
         Ok(ops::reduce::reduce_mat(a, monoid, self.ctx))
+    }
+
+    fn mat_row_degrees<T: Scalar>(&self, a: &CsrMatrix<T>) -> Result<Vec<usize>> {
+        Ok(ops::reduce::row_degrees(a, self.ctx))
     }
 
     fn spmspv_first_visitor<T: Scalar>(
@@ -596,8 +610,8 @@ impl GblasBackend for SharedBackend<'_> {
         DenseVec::from_vec(v)
     }
 
-    fn dense_to_vec<T: Scalar>(&self, v: &DenseVec<T>) -> Vec<T> {
-        v.as_slice().to_vec()
+    fn dense_to_vec<T: Scalar>(&self, v: DenseVec<T>) -> Vec<T> {
+        v.into_vec()
     }
 
     fn dense_set<T: Scalar>(&self, v: &mut DenseVec<T>, i: usize, value: T) {
@@ -641,7 +655,7 @@ mod tests {
         let ctx = ExecCtx::serial();
         let b = SharedBackend::new(&ctx);
         let d = b.dense_from_vec(vec![1.0, 2.0, 3.0]);
-        assert_eq!(b.dense_to_vec(&d), vec![1.0, 2.0, 3.0]);
+        assert_eq!(b.dense_to_vec(d), vec![1.0, 2.0, 3.0]);
         let s = b.sparse_from_sorted(5, vec![1, 4], vec![10u64, 40]).unwrap();
         assert_eq!(b.sparse_entries(&s), vec![(1, 10), (4, 40)]);
         assert_eq!(b.sparse_nnz(&s), 2);
@@ -658,6 +672,9 @@ mod tests {
         for (i, &d) in deg.iter().enumerate() {
             assert_eq!(d as usize, a.row_nnz(i));
         }
+        // ... which the structure-only read gives without the ones-matrix
+        let structural = b.mat_row_degrees(&a).unwrap();
+        assert!(structural.iter().zip(&deg).all(|(&s, &d)| s as u64 == d));
         assert_eq!(b.reduce_mat(&ones, &Plus).unwrap() as usize, a.nnz());
         // select strictly-lower + transpose round-trip keeps nnz
         let l = b.mat_select(&a, &|i, j, _| j < i).unwrap();

@@ -160,6 +160,20 @@ impl<T> CsrMatrix<T> {
         })
     }
 
+    /// A matrix with this one's structure and `values` in its place (one
+    /// per stored entry, in storage order). The structure was validated
+    /// when `self` was built, so only the value count is checked.
+    pub fn with_values<U>(&self, values: Vec<U>) -> CsrMatrix<U> {
+        assert_eq!(values.len(), self.nnz(), "one value per stored entry");
+        CsrMatrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            rowptr: self.rowptr.clone(),
+            colidx: self.colidx.clone(),
+            values,
+        }
+    }
+
     /// Decompose into `(nrows, ncols, rowptr, colidx, values)`.
     pub fn into_raw_parts(self) -> (usize, usize, Vec<usize>, Vec<usize>, Vec<T>) {
         (self.nrows, self.ncols, self.rowptr, self.colidx, self.values)
@@ -219,6 +233,22 @@ mod tests {
         assert!(CsrMatrix::from_raw_parts(1, 2, vec![0, 1], vec![5], vec![1.0]).is_err());
         // valid
         assert!(CsrMatrix::from_raw_parts(2, 2, vec![0, 1, 2], vec![1, 0], vec![1.0, 2.0]).is_ok());
+    }
+
+    #[test]
+    fn with_values_keeps_structure_and_changes_type() {
+        let a = sample();
+        let b = a.with_values(vec![true, false, true, true]);
+        assert_eq!((b.nrows(), b.ncols()), (3, 4));
+        assert_eq!(b.rowptr(), a.rowptr());
+        assert_eq!(b.colidx(), a.colidx());
+        assert_eq!(b.row(2), (&[0usize, 2][..], &[true, true][..]));
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per stored entry")]
+    fn with_values_rejects_a_wrong_count() {
+        let _ = sample().with_values(vec![1u8; 3]);
     }
 
     #[test]

@@ -72,36 +72,42 @@ pub fn apply_vec<T: Copy + Send + Sync, C: Copy + Send + Sync>(
 /// Apply a coordinate-aware map to every stored entry of a CSR matrix,
 /// producing a new matrix (possibly of a different value type) with the
 /// same structure: `B[i,j] = f(i, j, A[i,j])`.
+///
+/// Tasks own contiguous row blocks, so each writes its rows' images
+/// straight into its window `rowptr[start]..rowptr[end]` of the one value
+/// buffer, and the result takes the operand's structure as validated.
 pub fn map_mat<T: Copy + Send + Sync, C: Copy + Send + Sync>(
     a: &CsrMatrix<T>,
     f: &(impl Fn(usize, usize, T) -> C + Sync),
     ctx: &ExecCtx,
 ) -> CsrMatrix<C> {
-    let chunks = ctx.parallel_for(PHASE, a.nrows(), |r, c| {
-        let mut out: Vec<C> = Vec::new();
-        for i in r.clone() {
+    let rowptr = a.rowptr();
+    let chunks = crate::par::split_ranges(a.nrows(), ctx.threads());
+    // `C` has no default: the first entry's image sizes the buffer, and
+    // every slot (that one included) is overwritten by its task.
+    let seed = a.iter().next().map(|(i, j, &v)| f(i, j, v));
+    let mut values: Vec<C> = seed.map_or_else(Vec::new, |s| vec![s; a.nnz()]);
+    let mut rest = &mut values[..];
+    let windows: Vec<parking_lot::Mutex<&mut [C]>> = chunks
+        .iter()
+        .map(|r| rest.split_off_mut(..rowptr[r.end] - rowptr[r.start]))
+        .map(|w| parking_lot::Mutex::new(w.expect("row windows tile the value buffer")))
+        .collect();
+    ctx.for_each_task(PHASE, chunks.len(), |t, c| {
+        let mut window = windows[t].lock();
+        let mut slots = window.iter_mut();
+        for i in chunks[t].clone() {
             let (cols, vals) = a.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                out.push(f(i, j, v));
+            for ((&j, &v), slot) in cols.iter().zip(vals).zip(&mut slots) {
+                *slot = f(i, j, v);
             }
             c.elems += cols.len() as u64;
             c.bytes_moved +=
                 (cols.len() * (std::mem::size_of::<T>() + std::mem::size_of::<C>())) as u64;
         }
-        out
     });
-    let mut values = Vec::with_capacity(a.nnz());
-    for chunk in chunks {
-        values.extend(chunk);
-    }
-    CsrMatrix::from_raw_parts(
-        a.nrows(),
-        a.ncols(),
-        a.rowptr().to_vec(),
-        a.colidx().to_vec(),
-        values,
-    )
-    .expect("structure unchanged")
+    drop(windows);
+    a.with_values(values)
 }
 
 /// Apply `op` in place to every stored value of a CSR matrix.
@@ -173,6 +179,36 @@ mod tests {
         let ctx = ExecCtx::with_threads(2);
         apply_mat_inplace(&mut a, &|v: i32| -v, &ctx);
         assert_eq!(a.values(), &[-1, -2, -3]);
+    }
+
+    #[test]
+    fn map_mat_writes_every_window_at_any_task_count() {
+        // rows 0, 2 and 5 are empty: windows of width zero at the edges
+        let trips = [(1, 0, 1.5), (1, 3, 2.5), (3, 2, 3.5), (4, 0, 4.5), (4, 1, 5.5), (4, 3, 6.5)];
+        let a = CsrMatrix::from_triplets(6, 4, &trips).unwrap();
+        for threads in [1, 2, 4, 6, 50] {
+            let ctx = ExecCtx::new(threads, 2);
+            let b = map_mat(&a, &|i, j, v: f64| (i * 10 + j) as u64 + v as u64, &ctx);
+            assert_eq!((b.rowptr(), b.colidx()), (a.rowptr(), a.colidx()));
+            let want: Vec<u64> =
+                trips.iter().map(|&(i, j, v)| (i * 10 + j) as u64 + v as u64).collect();
+            assert_eq!(b.values(), want, "{threads} threads");
+            let c = ctx.take_profile().phase(PHASE);
+            assert_eq!((c.elems, c.bytes_moved), (6, 6 * 16));
+            assert_eq!((c.regions, c.tasks), (1, threads.min(6) as u64));
+        }
+    }
+
+    #[test]
+    fn map_mat_of_an_empty_matrix_still_runs_its_region() {
+        for (nrows, tasks) in [(0, 1), (5, 4)] {
+            let a = CsrMatrix::<f64>::empty(nrows, 3);
+            let ctx = ExecCtx::simulated(4);
+            let b = map_mat(&a, &|_, _, v| v > 0.0, &ctx);
+            assert_eq!((b.nrows(), b.ncols(), b.nnz()), (nrows, 3, 0));
+            let c = ctx.take_profile().phase(PHASE);
+            assert_eq!((c.elems, c.regions, c.tasks), (0, 1, tasks));
+        }
     }
 
     #[test]

@@ -56,6 +56,18 @@ where
     DenseVec::from_vec(y)
 }
 
+/// Stored entries per row, `deg[i] = nnz(A[i,:])` — what
+/// `reduce_rows(map(a, 1), Plus)` computes, read off the row pointers in
+/// `O(nrows)` without loading a value or a column id.
+pub fn row_degrees<T: Send + Sync>(a: &CsrMatrix<T>, ctx: &ExecCtx) -> Vec<usize> {
+    let rowptr = a.rowptr();
+    let chunks = ctx.parallel_for(PHASE, a.nrows(), |r, c| {
+        c.elems += r.len() as u64;
+        r.map(|i| rowptr[i + 1] - rowptr[i]).collect::<Vec<_>>()
+    });
+    chunks.concat()
+}
+
 /// Column-wise matrix reduction: `y[j] = ⊕_i A[i,j]`, dense output.
 /// Requires commutativity (rows are folded in per-task order, then tasks
 /// combined).
@@ -139,6 +151,24 @@ mod tests {
         for i in 0..100 {
             assert_eq!(deg[i], a.row_nnz(i) as u64, "row {i}");
         }
+    }
+
+    #[test]
+    fn row_degrees_equal_the_reduced_ones_matrix_without_reading_values() {
+        let a = gen::erdos_renyi(100, 6, 17);
+        for threads in [1, 4] {
+            let ctx = ExecCtx::new(threads, 2);
+            let ones = crate::ops::apply::map_mat(&a, &|_, _, _| 1usize, &ctx);
+            let want = reduce_rows(&ones, &Plus, &ctx);
+            let _ = ctx.take_profile();
+            let garbage = a.with_values(vec![f64::NAN; a.nnz()]);
+            assert_eq!(row_degrees(&garbage, &ctx), want.as_slice());
+            let c = ctx.take_profile().phase(PHASE);
+            assert_eq!((c.elems, c.regions, c.tasks), (100, 1, threads as u64));
+        }
+        let ctx = ExecCtx::serial();
+        assert!(row_degrees(&CsrMatrix::<f64>::empty(0, 0), &ctx).is_empty());
+        assert_eq!(row_degrees(&CsrMatrix::<bool>::empty(3, 9), &ctx), [0, 0, 0]);
     }
 
     #[test]

@@ -195,6 +195,12 @@ impl GblasBackend for DistBackend<'_> {
         Ok(out)
     }
 
+    fn mat_row_degrees<T: Scalar>(&self, a: &DistCsrMatrix<T>) -> Result<Vec<usize>> {
+        let (out, r) = crate::ops::reduce::row_degrees_dist(a, self.dctx)?;
+        self.absorb(r);
+        Ok(out)
+    }
+
     fn spmspv_first_visitor<T: Scalar>(
         &self,
         a: &DistCsrMatrix<T>,
@@ -406,7 +412,7 @@ impl GblasBackend for DistBackend<'_> {
         DistDenseVec::from_global(&DenseVec::from_vec(v), self.dctx.locales())
     }
 
-    fn dense_to_vec<T: Scalar>(&self, v: &DistDenseVec<T>) -> Vec<T> {
+    fn dense_to_vec<T: Scalar>(&self, v: DistDenseVec<T>) -> Vec<T> {
         v.to_global().into_vec()
     }
 
@@ -480,6 +486,8 @@ mod tests {
         let ones: DistCsrMatrix<u64> = b.mat_map(&da, &|_, _, _| 1u64).unwrap();
         let deg = b.reduce_rows(&ones, &Plus).unwrap();
         assert_eq!(deg.len(), 200);
+        let structural = b.mat_row_degrees(&da).unwrap();
+        assert!(structural.iter().zip(&deg).all(|(&s, &d)| s as u64 == d));
         b.allreduce_scalar(PHASE_ALLREDUCE).unwrap();
         let report = b.take_report();
         assert!(report.total() > 0.0);
@@ -495,7 +503,7 @@ mod tests {
         let mut v = b.dense_filled(10, 0i64);
         b.dense_set(&mut v, 9, 7);
         b.dense_set(&mut v, 0, -1);
-        let g = b.dense_to_vec(&v);
+        let g = b.dense_to_vec(v);
         assert_eq!(g[9], 7);
         assert_eq!(g[0], -1);
         assert_eq!(g[1..9].iter().sum::<i64>(), 0);

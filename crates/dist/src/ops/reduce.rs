@@ -11,8 +11,9 @@ use crate::exec::DistCtx;
 use crate::mat::DistCsrMatrix;
 use crate::vec::DistSparseVec;
 use gblas_core::algebra::{ComMonoid, Monoid};
+use gblas_core::container::CsrMatrix;
 use gblas_core::error::Result;
-use gblas_core::par::Profile;
+use gblas_core::par::{ExecCtx, Profile};
 use gblas_sim::SimReport;
 
 /// Phase for the local fold.
@@ -84,20 +85,54 @@ where
     T: Copy + Send + Sync,
     M: Monoid<T>,
 {
+    let local = |block: &CsrMatrix<T>, ctx: &ExecCtx| {
+        gblas_core::ops::reduce::reduce_rows(block, monoid, ctx).into_vec()
+    };
+    combine_row_partials(a, "reduce_rows_dist", local, |x, y| monoid.combine(x, y), dctx)
+}
+
+/// Stored entries per row of a distributed matrix, `deg[i] = nnz(A[i,:])`,
+/// as a *global* driver-side vector — `reduce_rows_dist(map(a, 1), Plus)`
+/// without the map: each locale reads its block's row-pointer differences
+/// (`O(local rows)`, no value and no column id loaded) and the grid-row
+/// leaders sum the slices exactly as [`reduce_rows_dist`] combines its
+/// partials.
+pub fn row_degrees_dist<T>(a: &DistCsrMatrix<T>, dctx: &DistCtx) -> Result<(Vec<usize>, SimReport)>
+where
+    T: Copy + Send + Sync,
+{
+    let local =
+        |block: &CsrMatrix<T>, ctx: &ExecCtx| gblas_core::ops::reduce::row_degrees(block, ctx);
+    combine_row_partials(a, "row_degrees_dist", local, |x, y| x + y, dctx)
+}
+
+/// The shape both row-wise ops share: `local` gives each block's per-row
+/// partial (block rows are local coordinates), every off-leader locale of
+/// a grid row ships its slice to the row leader (column 0) in one bulk
+/// message — none when the slice is empty, as on grids with more locales
+/// than rows — and the leader folds the slices with `combine` in ascending
+/// column-block order.
+fn combine_row_partials<T, U>(
+    a: &DistCsrMatrix<T>,
+    op_name: &str,
+    local: impl Fn(&CsrMatrix<T>, &ExecCtx) -> Vec<U> + Sync,
+    combine: impl Fn(U, U) -> U,
+    dctx: &DistCtx,
+) -> Result<(Vec<U>, SimReport)>
+where
+    T: Copy + Send + Sync,
+    U: Copy + Send + Sync,
+{
     let grid = a.grid();
-    let elem_bytes = std::mem::size_of::<T>() as u64;
-    // Local per-block row folds (block rows are local coordinates).
-    let (partials, profiles): (Vec<gblas_core::container::DenseVec<T>>, Vec<Profile>) = dctx
+    let elem_bytes = std::mem::size_of::<U>() as u64;
+    let (partials, profiles): (Vec<Vec<U>>, Vec<Profile>) = dctx
         .for_each_locale(|l| {
             if l >= grid.locales() {
                 // 3-D replication layer: no block, identity partial
-                return Ok((
-                    gblas_core::container::DenseVec::from_vec(Vec::new()),
-                    Profile::default(),
-                ));
+                return Ok((Vec::new(), Profile::default()));
             }
             let ctx = dctx.locale_ctx_for(l);
-            let local = gblas_core::ops::reduce::reduce_rows(a.block(l), monoid, &ctx);
+            let partial = local(a.block(l), &ctx);
             let mut folded = Profile::default();
             let c = folded.counters_mut(PHASE_LOCAL);
             for (_, counters) in ctx.take_profile().iter() {
@@ -105,30 +140,28 @@ where
             }
             // Off-leader locales send their slice to the grid-row leader.
             let (r, c_coord) = grid.coords(l);
-            if c_coord != 0 {
+            if c_coord != 0 && !partial.is_empty() {
                 let leader = grid.locale(r, 0);
-                dctx.comm.bulk(PHASE_COMBINE, l, leader, 1, local.len() as u64 * elem_bytes)?;
+                dctx.comm.bulk(PHASE_COMBINE, l, leader, 1, partial.len() as u64 * elem_bytes)?;
             }
-            Ok((local, folded))
+            Ok((partial, folded))
         })?
         .into_iter()
         .unzip();
     // Leaders combine in ascending column-block order = serial fold order.
-    let mut y: Vec<T> = Vec::with_capacity(a.nrows());
+    let mut y: Vec<U> = Vec::with_capacity(a.nrows());
     for r in 0..grid.pr() {
         let leader = grid.locale(r, 0);
-        let rows = a.row_range(leader).len();
-        let mut combined: Vec<T> = partials[leader].as_slice().to_vec();
+        let rows = y.len()..y.len() + partials[leader].len();
+        debug_assert_eq!(rows.len(), a.row_range(leader).len());
+        y.extend_from_slice(&partials[leader]);
         for c in 1..grid.pc() {
-            let part = partials[grid.locale(r, c)].as_slice();
-            for (acc, &v) in combined.iter_mut().zip(part) {
-                *acc = monoid.combine(*acc, v);
+            for (acc, &v) in y[rows.clone()].iter_mut().zip(&partials[grid.locale(r, c)]) {
+                *acc = combine(*acc, v);
             }
         }
-        debug_assert_eq!(combined.len(), rows);
-        y.extend(combined);
     }
-    let mut trace = dctx.op("reduce_rows_dist");
+    let mut trace = dctx.op(op_name);
     trace.attr("nrows", a.nrows()).attr("ncols", a.ncols()).nnz(a.nnz() as u64);
     trace.spawn(PHASE_LOCAL, 1);
     trace.compute(PHASE_LOCAL, &profiles);
@@ -244,6 +277,38 @@ mod tests {
             let (fine, bulk, _) = dctx.comm.totals();
             assert_eq!(fine, 0);
             assert_eq!(bulk as usize, pr * (pc - 1), "grid {pr}x{pc}");
+        }
+    }
+
+    #[test]
+    fn row_degrees_equal_the_reduced_ones_matrix_on_every_grid() {
+        // n = 3 leaves locales without rows on every multi-row grid, and
+        // n = 0 leaves all of them so: an empty slice costs no message.
+        for n in [300usize, 3, 0] {
+            let a = gen::erdos_renyi(n, 6.min(n.saturating_sub(1)), 76);
+            for (pr, pc) in [(1, 1), (1, 4), (2, 2), (2, 3), (3, 2), (4, 4)] {
+                let grid = crate::grid::ProcGrid::new(pr, pc);
+                let da = crate::mat::DistCsrMatrix::from_global(&a, grid);
+                let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
+                let (ones, _) =
+                    crate::ops::select::map_mat_dist(&da, &|_, _, _| 1usize, &dctx).unwrap();
+                let (want, _) = reduce_rows_dist(&ones, &Plus, &dctx).unwrap();
+                let reduce_msgs = dctx.comm.totals().1;
+                dctx.comm.record_history();
+                let (deg, report) = row_degrees_dist(&da, &dctx).unwrap();
+                assert_eq!(deg, want, "n={n} grid {pr}x{pc}");
+                assert_eq!(deg.len(), n);
+                assert!(report.total() > 0.0);
+                let history = dctx.comm.history();
+                for e in &history {
+                    assert!(e.bytes > 0, "n={n} grid {pr}x{pc}: zero-byte message {e:?}");
+                }
+                // the same combine as the reduce: one bulk message per
+                // off-leader locale that holds rows
+                assert_eq!(history.len() as u64, reduce_msgs, "n={n} grid {pr}x{pc}");
+                let holders = (0..grid.locales()).filter(|&l| !da.row_range(l).is_empty());
+                assert_eq!(history.len(), holders.filter(|&l| grid.coords(l).1 != 0).count());
+            }
         }
     }
 

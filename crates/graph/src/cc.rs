@@ -31,7 +31,7 @@ pub fn connected_components_on<B: GblasBackend, T: Scalar>(
     loop {
         let x = backend.dense_from_vec(labels.clone());
         let propagated: B::DenseVec<usize> = backend.spmv(a, &x, &ring)?;
-        let propagated = backend.dense_to_vec(&propagated);
+        let propagated = backend.dense_to_vec(propagated);
         let mut changed = false;
         for v in 0..n {
             let candidate = propagated[v].min(labels[v]);

@@ -18,8 +18,9 @@
 //! suite pins on both backends. Duplicate sources are independent slots.
 
 use crate::bfs::BfsResult;
+use crate::pagerank::{check_power_options, inverse_out_degrees, power_step};
 use crate::sssp::EdgeWeight;
-use gblas_core::algebra::{semirings, Plus, Scalar};
+use gblas_core::algebra::{semirings, Scalar};
 use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::{CsrMatrix, DenseVec};
 use gblas_core::error::{check_dims, GblasError, Result};
@@ -241,6 +242,7 @@ pub fn ppr_multi_on<B: GblasBackend, T: Scalar>(
     opts: PprOptions,
 ) -> Result<PprResult> {
     let n = check_sources(backend, a, seeds)?;
+    check_power_options(opts.damping, opts.tolerance)?;
     let k = seeds.len();
     if n == 0 || k == 0 {
         return Ok(PprResult {
@@ -248,14 +250,10 @@ pub fn ppr_multi_on<B: GblasBackend, T: Scalar>(
             iterations: vec![0; k],
         });
     }
-    // Row-stochastic weights, shared by the whole batch.
-    let ones: B::Matrix<f64> = backend.mat_map(a, &|_, _, _| 1.0f64)?;
-    let outdeg: Vec<f64> = backend.reduce_rows(&ones, &Plus)?;
-    let w: B::Matrix<f64> = {
-        let deg = &outdeg;
-        backend.mat_map(&ones, &|i, _, _| 1.0 / deg[i])?
-    };
-    let ring = semirings::plus_times_f64();
+    // Matrix-free, as in `pagerank_on`: structure-only scaling shared by
+    // the whole batch, pre-scaled ranks, pattern-only SpMM over `a`.
+    let inv_outdeg = inverse_out_degrees(backend, a)?;
+    let ring = semirings::plus_first();
     let mut pr: Vec<Vec<f64>> = seeds
         .iter()
         .map(|&seed| {
@@ -264,31 +262,34 @@ pub fn ppr_multi_on<B: GblasBackend, T: Scalar>(
             v
         })
         .collect();
+    // Per seed: the pre-scaled operand of its next SpMM column and the
+    // dangling mass of its current ranks (all of it when the seed dangles).
+    let mut xs: Vec<Vec<f64>> = pr.clone();
+    let mut dangling: Vec<f64> = pr
+        .iter_mut()
+        .zip(&mut xs)
+        .map(|(pr, x)| power_step(pr, x, &inv_outdeg, |_, start| start).1)
+        .collect();
     let mut iterations = vec![opts.max_iterations; k];
     let mut active: Vec<usize> = (0..k).collect();
     for iter in 1..=opts.max_iterations {
         if active.is_empty() {
             break;
         }
-        let xs: Vec<B::DenseVec<f64>> =
-            active.iter().map(|&s| backend.dense_from_vec(pr[s].clone())).collect();
-        let spreads: Vec<B::DenseVec<f64>> = backend.spmm_dense(&w, &xs, &ring)?;
+        let columns: Vec<B::DenseVec<f64>> =
+            active.iter().map(|&s| backend.dense_from_vec(std::mem::take(&mut xs[s]))).collect();
+        let spreads: Vec<B::DenseVec<f64>> = backend.spmm_dense(a, &columns, &ring)?;
         backend.allreduce_scalar("ppr-allreduce")?;
         let mut still = Vec::with_capacity(active.len());
-        for (slot, &s) in active.iter().enumerate() {
-            let seed = seeds[s];
-            let dangling: f64 = (0..n).filter(|&i| outdeg[i] == 0.0).map(|i| pr[s][i]).sum();
-            let spread = backend.dense_to_vec(&spreads[slot]);
-            let mut diff = 0.0;
-            let mut next = vec![0.0f64; n];
-            for v in 0..n {
+        for (&s, spread) in active.iter().zip(spreads) {
+            let (seed, mass) = (seeds[s], dangling[s]);
+            xs[s] = backend.dense_to_vec(spread);
+            let rank = |v, spread: f64| {
                 let teleport = if v == seed { 1.0 } else { 0.0 };
-                let r = (1.0 - opts.damping) * teleport
-                    + opts.damping * (spread[v] + dangling * teleport);
-                diff += (r - pr[s][v]).abs();
-                next[v] = r;
-            }
-            pr[s] = next;
+                (1.0 - opts.damping) * teleport + opts.damping * (spread + mass * teleport)
+            };
+            let (diff, next_mass) = power_step(&mut pr[s], &mut xs[s], &inv_outdeg, rank);
+            dangling[s] = next_mass;
             if diff < opts.tolerance {
                 iterations[s] = iter;
             } else {

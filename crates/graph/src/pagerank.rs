@@ -1,15 +1,21 @@
-//! PageRank by power iteration over `(+, ×)` SpMV.
+//! PageRank by power iteration, matrix-free: one pattern-only
+//! `(+, first)` SpMV over `A` itself per iteration.
 //!
-//! One implementation, [`pagerank_on`], generic over [`GblasBackend`]:
-//! the stochastic scaling (`W[i,j] = 1/outdeg(i)`) is two backend `Apply`
-//! calls plus a row-`reduce`, each iteration is one backend SpMV, and the
-//! two global scalar decisions per iteration (dangling mass, convergence)
-//! are priced through [`GblasBackend::allreduce_scalar`].
+//! One implementation, [`pagerank_on`], generic over [`GblasBackend`].
+//! The row-stochastic `W[i,j] = 1/outdeg(i)` is constant along a row, so
+//! it is never built: out-degrees come from the structure
+//! ([`GblasBackend::mat_row_degrees`]), the driver keeps the rank vector
+//! pre-scaled (`x[i] = pr[i] · 1/outdeg(i)`, the very product `x ⊗ W`
+//! formed entry by entry), and the SpMV sums `x` over `A`'s pattern
+//! without loading a matrix value. Between two SpMVs one fused dense
+//! pass ([`power_step`]) does all the driver-side work; the two global
+//! scalar decisions per iteration (dangling mass, convergence) are priced
+//! through [`GblasBackend::allreduce_scalar`].
 
-use gblas_core::algebra::{semirings, Plus, Scalar};
+use gblas_core::algebra::{semirings, Scalar};
 use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::{CsrMatrix, DenseVec};
-use gblas_core::error::{check_dims, Result};
+use gblas_core::error::{check_dims, GblasError, Result};
 use gblas_core::par::ExecCtx;
 use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, ProcGrid};
 
@@ -30,46 +36,106 @@ impl Default for PageRankOptions {
     }
 }
 
-/// Power iteration over any backend. Ranks are driver-side control state
-/// imported into the backend layout once per iteration for the SpMV; the
-/// dangling-mass and convergence sums run in ascending vertex order so
-/// every backend produces the same floating-point fold.
+/// Reject the parameters a power iteration cannot converge under: a
+/// damping factor outside `[0, 1]` and a negative tolerance, NaN included
+/// in both — each would otherwise spin to the iteration cap on NaN ranks.
+pub(crate) fn check_power_options(damping: f64, tolerance: f64) -> Result<()> {
+    if !(0.0..=1.0).contains(&damping) {
+        return Err(GblasError::InvalidArgument(format!("damping {damping} is outside [0, 1]")));
+    }
+    if tolerance.is_nan() || tolerance < 0.0 {
+        return Err(GblasError::InvalidArgument(format!("tolerance {tolerance} is negative")));
+    }
+    Ok(())
+}
+
+/// `1/outdeg(i)` per vertex from the matrix structure, and `0.0` — never
+/// `∞` — for a dangling vertex (no out-edge), which is how the drivers
+/// tell the two apart. A dangling vertex's pre-scaled rank is never read
+/// by the SpMV (its row is empty), so the zero only marks it.
+pub(crate) fn inverse_out_degrees<B: GblasBackend, T: Scalar>(
+    backend: &B,
+    a: &B::Matrix<T>,
+) -> Result<Vec<f64>> {
+    let degrees = backend.mat_row_degrees(a)?;
+    Ok(degrees.into_iter().map(|d| if d == 0 { 0.0 } else { 1.0 / d as f64 }).collect())
+}
+
+/// The driver-side work between two SpMVs, fused into one ascending pass.
+/// On entry `spread` is the SpMV output; per vertex the pass forms the new
+/// rank `r = rank(v, spread[v])`, adds `|r − pr[v]|` to the L1 change and
+/// `r` to the dangling mass when `v` is dangling, stores `r` over `pr[v]`
+/// and the next pre-scaled operand `r · inv_outdeg[v]` over `spread[v]` —
+/// so the SpMV's output buffer is the next SpMV's input and nothing is
+/// allocated. Returns `(L1 change, dangling mass of the new ranks)`, both
+/// folded in ascending vertex order on every backend.
+pub(crate) fn power_step(
+    pr: &mut [f64],
+    spread: &mut [f64],
+    inv_outdeg: &[f64],
+    rank: impl Fn(usize, f64) -> f64,
+) -> (f64, f64) {
+    let (mut diff, mut dangling) = (0.0, 0.0);
+    for (v, ((p, x), &w)) in pr.iter_mut().zip(spread.iter_mut()).zip(inv_outdeg).enumerate() {
+        let r = rank(v, *x);
+        diff += (r - *p).abs();
+        // adding 0.0 leaves the sum's bits alone: the fold is the sum
+        // over dangling vertices only, without a branch per vertex
+        dangling += if w == 0.0 { r } else { 0.0 };
+        *p = r;
+        *x = r * w;
+    }
+    (diff, dangling)
+}
+
+/// Power iteration over any backend. Ranks are driver-side control state;
+/// their pre-scaled copy is imported into the backend layout once per
+/// iteration for the SpMV, and the dangling-mass and convergence sums run
+/// in ascending vertex order so every backend produces the same
+/// floating-point fold.
 pub fn pagerank_on<B: GblasBackend, T: Scalar>(
     backend: &B,
     a: &B::Matrix<T>,
     opts: PageRankOptions,
 ) -> Result<(DenseVec<f64>, usize)> {
+    pagerank_observed(backend, a, opts, |_| {})
+}
+
+/// [`pagerank_on`] reporting its progress to `observe`: called with `0`
+/// once the set-up is done and with `iter` after each power step. This is
+/// how a harness samples per-iteration cost (the allocation benchmark)
+/// from the loop the library runs instead of a copy of it.
+pub fn pagerank_observed<B: GblasBackend, T: Scalar>(
+    backend: &B,
+    a: &B::Matrix<T>,
+    opts: PageRankOptions,
+    mut observe: impl FnMut(usize),
+) -> Result<(DenseVec<f64>, usize)> {
     check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
+    check_power_options(opts.damping, opts.tolerance)?;
     let n = backend.mat_nrows(a);
     if n == 0 {
         return Ok((DenseVec::from_vec(Vec::new()), 0));
     }
-    // Row-stochastic weights: W[i,j] = 1/outdeg(i).
-    let ones: B::Matrix<f64> = backend.mat_map(a, &|_, _, _| 1.0f64)?;
-    let outdeg: Vec<f64> = backend.reduce_rows(&ones, &Plus)?;
-    let w: B::Matrix<f64> = {
-        let deg = &outdeg;
-        backend.mat_map(&ones, &|i, _, _| 1.0 / deg[i])?
-    };
-    let ring = semirings::plus_times_f64();
-    let mut pr = vec![1.0 / n as f64; n];
+    let inv_outdeg = inverse_out_degrees(backend, a)?;
+    let ring = semirings::plus_first();
     let base = (1.0 - opts.damping) / n as f64;
+    let mut pr = vec![1.0 / n as f64; n];
+    let mut x = pr.clone();
+    // The uniform start through the same pass: `x` becomes `pr · inv_outdeg`.
+    let (_, mut dangling) = power_step(&mut pr, &mut x, &inv_outdeg, |_, uniform| uniform);
+    observe(0);
     for iter in 1..=opts.max_iterations {
         // Dangling vertices redistribute their mass uniformly.
-        let dangling: f64 = (0..n).filter(|&i| outdeg[i] == 0.0).map(|i| pr[i]).sum();
         backend.allreduce_scalar("dangling-allreduce")?;
-        let x = backend.dense_from_vec(pr.clone());
-        let spread: B::DenseVec<f64> = backend.spmv(&w, &x, &ring)?;
-        let spread = backend.dense_to_vec(&spread);
-        let mut diff = 0.0;
-        let mut next = vec![0.0f64; n];
-        for v in 0..n {
-            let r = base + opts.damping * (spread[v] + dangling / n as f64);
-            diff += (r - pr[v]).abs();
-            next[v] = r;
-        }
+        let spread: B::DenseVec<f64> = backend.spmv(a, &backend.dense_from_vec(x), &ring)?;
+        x = backend.dense_to_vec(spread);
+        let teleport = dangling / n as f64;
+        let rank = |_, spread: f64| base + opts.damping * (spread + teleport);
+        let (diff, next_dangling) = power_step(&mut pr, &mut x, &inv_outdeg, rank);
+        dangling = next_dangling;
         backend.allreduce_scalar("diff-allreduce")?;
-        pr = next;
+        observe(iter);
         if diff < opts.tolerance {
             return Ok((DenseVec::from_vec(pr), iter));
         }
@@ -163,6 +229,40 @@ mod tests {
         let sum: f64 = pr.as_slice().iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);
         assert!(pr[1] > pr[0]);
+    }
+
+    #[test]
+    fn inverse_out_degrees_are_zero_not_infinite_on_dangling_rows() {
+        // degrees 2, 0, 1, 0 — values (NaN here) are never read
+        let trips = [(0, 1, f64::NAN), (0, 3, f64::NAN), (2, 0, f64::NAN)];
+        let a = CsrMatrix::from_triplets(4, 4, &trips).unwrap();
+        let ctx = ExecCtx::serial();
+        let inv = inverse_out_degrees(&SharedBackend::new(&ctx), &a).unwrap();
+        assert_eq!(inv, [0.5, 0.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn power_step_fuses_rank_change_dangling_mass_and_next_operand() {
+        let inv = [0.5, 0.0, 1.0, 0.0];
+        let mut pr = [0.1, 0.2, 0.3, 0.4];
+        let mut spread = [1.0, 2.0, 3.0, 4.0];
+        let (diff, dangling) = power_step(&mut pr, &mut spread, &inv, |v, s| s / 10.0 + v as f64);
+        assert_eq!(pr, [0.1, 1.2, 2.3, 3.4]); // the new ranks, in place
+        assert_eq!(spread, [0.05, 0.0, 2.3, 0.0]); // pre-scaled for the next SpMV
+        assert_eq!(diff, (0.0 + 1.0) + 2.0 + 3.0);
+        assert_eq!(dangling, 1.2 + 3.4); // vertices 1 and 3 only
+    }
+
+    #[test]
+    fn observer_sees_the_set_up_and_every_power_step() {
+        let a = gen::erdos_renyi(60, 3, 35);
+        let ctx = ExecCtx::serial();
+        let mut seen = Vec::new();
+        let opts = PageRankOptions { tolerance: 0.0, max_iterations: 4, ..Default::default() };
+        let observed =
+            pagerank_observed(&SharedBackend::new(&ctx), &a, opts, |i| seen.push(i)).unwrap();
+        assert_eq!(seen, [0, 1, 2, 3, 4]);
+        assert_eq!(observed, pagerank(&a, opts, &ctx).unwrap());
     }
 
     #[test]

@@ -193,7 +193,7 @@ pub fn connected_components_selected_on<B: GblasBackend, T: Scalar>(
             Direction::Pull => {
                 let x = backend.dense_from_vec(labels.clone());
                 let y: B::DenseVec<usize> = backend.spmv(a, &x, &ring)?;
-                backend.dense_to_vec(&y)
+                backend.dense_to_vec(y)
             }
             Direction::Push => {
                 let vals: Vec<usize> = changed.iter().map(|&v| labels[v]).collect();
@@ -311,7 +311,7 @@ pub fn sssp_selected_on<B: GblasBackend, T: EdgeWeight>(
                 let x = backend.dense_from_vec(dist.clone());
                 let y: B::DenseVec<f64> = backend.spmv(&w, &x, &ring)?;
                 backend
-                    .dense_to_vec(&y)
+                    .dense_to_vec(y)
                     .into_iter()
                     .enumerate()
                     .filter(|(_, v)| v.is_finite())

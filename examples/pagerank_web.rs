@@ -1,6 +1,7 @@
-//! PageRank over a synthetic web graph, built from SpMV over the
-//! plus-times semiring — the "flexibility" payoff of the linear-algebraic
-//! formulation the paper's introduction advertises.
+//! PageRank over a synthetic web graph, built from SpMV over a semiring —
+//! here the pattern-only plus-first one, so the link weights are never
+//! read — the "flexibility" payoff of the linear-algebraic formulation
+//! the paper's introduction advertises.
 //!
 //! ```text
 //! cargo run --release --example pagerank_web

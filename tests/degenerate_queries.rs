@@ -153,6 +153,93 @@ fn out_of_range_and_duplicate_batches_are_handled() {
     }
 }
 
+/// Power-iteration parameters a request can get wrong: a damping factor
+/// outside `[0, 1]` or a negative tolerance (NaN counts as both) is a
+/// clean `InvalidArgument` on both backends — not 200 iterations of NaN
+/// ranks — and an iteration cap of zero is a valid request for the start
+/// vector.
+#[test]
+fn power_iteration_options_are_validated() {
+    use gblas_core::GblasError::InvalidArgument;
+
+    let a = with_isolated();
+    let ctx = ExecCtx::serial();
+    let grid = ProcGrid::new(2, 2);
+    let da = DistCsrMatrix::from_global(&a, grid);
+    let bad = [(-0.1, 1e-9), (1.5, 1e-9), (f64::NAN, 1e-9), (0.85, -1e-9), (0.85, f64::NAN)];
+    for (damping, tolerance) in bad {
+        let pr = PageRankOptions { damping, tolerance, ..Default::default() };
+        let ppr = PprOptions { damping, tolerance, ..Default::default() };
+        let what = format!("damping {damping}, tolerance {tolerance}");
+        assert!(matches!(pagerank(&a, pr, &ctx), Err(InvalidArgument(_))), "{what}");
+        assert!(matches!(ppr_multi(&a, &[0, 3], ppr, &ctx), Err(InvalidArgument(_))), "{what}");
+        for executor in EXECUTORS {
+            let d = dctx(grid, executor);
+            assert!(matches!(pagerank_dist_on(&da, pr, &d), Err(InvalidArgument(_))), "{what}");
+            assert!(
+                matches!(ppr_multi_dist(&da, &[0], ppr, &d), Err(InvalidArgument(_))),
+                "{what}"
+            );
+        }
+        // checked before the empty-graph shortcut, so a bad request is a
+        // bad request whatever the graph
+        assert!(pagerank(&empty(), pr, &ctx).is_err(), "{what}");
+    }
+    // the closed ends of both ranges are fine
+    for (damping, tolerance) in [(0.0, 0.0), (1.0, f64::INFINITY)] {
+        let pr = PageRankOptions { damping, tolerance, ..Default::default() };
+        let (ranks, _) = pagerank(&a, pr, &ctx).unwrap();
+        assert!(ranks.as_slice().iter().all(|r| r.is_finite()));
+    }
+    // no iterations: the uniform vector (the seed indicator for PPR)
+    let pr = PageRankOptions { max_iterations: 0, ..Default::default() };
+    let ppr = PprOptions { max_iterations: 0, ..Default::default() };
+    let (ranks, iters) = pagerank(&a, pr, &ctx).unwrap();
+    assert_eq!((ranks.as_slice(), iters), (&[0.2; 5][..], 0));
+    let r = ppr_multi(&a, &[3], ppr, &ctx).unwrap();
+    assert_eq!((r.scores[0].as_slice(), r.iterations[0]), (&[0.0, 0.0, 0.0, 1.0, 0.0][..], 0));
+    for executor in EXECUTORS {
+        let (ranks, iters, _) = pagerank_dist_on(&da, pr, &dctx(grid, executor)).unwrap();
+        assert_eq!((ranks.as_slice(), iters), (&[0.2; 5][..], 0));
+    }
+}
+
+/// A graph that is mostly dangling rows (two thirds of the vertices have
+/// no out-edge): the inverse out-degree of a dangling vertex is 0, never
+/// ∞, so ranks stay finite, mass is conserved, and the two backends agree
+/// with equal iteration counts.
+#[test]
+fn mostly_dangling_graph_keeps_ranks_finite_and_conserved() {
+    let n = 90;
+    let a = gblas_core::gen::erdos_renyi(n, 4, 77);
+    let a = gblas_core::ops::select::select_mat(&a, &|i, _, _| i % 3 == 0, &ExecCtx::serial());
+    let dangling = (0..n).filter(|&i| a.row_nnz(i) == 0).count();
+    assert!(2 * dangling >= n, "{dangling} of {n} rows dangle");
+    let opts = PageRankOptions::default();
+    let (expect, iters) = pagerank(&a, opts, &ExecCtx::new(4, 2)).unwrap();
+    assert!(expect.as_slice().iter().all(|r| r.is_finite() && *r > 0.0));
+    assert!((expect.as_slice().iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    assert!(iters > 1 && iters < opts.max_iterations);
+    for (pr, pc) in [(1, 1), (2, 2), (2, 3)] {
+        let grid = ProcGrid::new(pr, pc);
+        let da = DistCsrMatrix::from_global(&a, grid);
+        for executor in EXECUTORS {
+            let (ranks, di, _) = pagerank_dist_on(&da, opts, &dctx(grid, executor)).unwrap();
+            assert_eq!(di, iters, "grid {pr}x{pc} {executor:?}");
+            assert!((ranks.as_slice().iter().sum::<f64>() - 1.0).abs() < 1e-9);
+            for v in 0..n {
+                assert!((ranks[v] - expect[v]).abs() < 1e-9, "grid {pr}x{pc} vertex {v}");
+            }
+        }
+    }
+    // batched PPR on the same graph, one dangling seed and one not
+    let r = ppr_multi(&a, &[1, 3], PprOptions::default(), &ExecCtx::serial()).unwrap();
+    for scores in &r.scores {
+        assert!(scores.as_slice().iter().all(|s| s.is_finite()));
+        assert!((scores.as_slice().iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+}
+
 /// Adaptive selection at the degenerate ends: the heuristics must answer
 /// n = 0 and single-vertex graphs without panicking, and the full suite
 /// of policies must agree there like everywhere else.
