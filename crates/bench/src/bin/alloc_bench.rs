@@ -8,8 +8,8 @@
 //!
 //! Workloads mirror the iteration structure of the real algorithms:
 //!
-//! - **bfs**: the `bfs_on` level loop — one masked first-visitor SpMSpV
-//!   per level; an iteration is one level.
+//! - **bfs**: the `bfs_on` level loop itself, sampled through its observer
+//!   — one masked first-visitor SpMSpV per level; an iteration is one level.
 //! - **pagerank**: the `pagerank_on` power loop itself, sampled through
 //!   its per-iteration observer — one pattern-only SpMV plus the fused
 //!   dense pass; an iteration is one power step.
@@ -42,11 +42,12 @@ use std::time::Instant;
 
 use gblas_bench::workloads;
 use gblas_core::algebra::semirings;
-use gblas_core::backend::{GblasBackend, MaskSpec, SharedBackend};
+use gblas_core::backend::SharedBackend;
 use gblas_core::container::{CsrMatrix, SparseVec};
 use gblas_core::ops::spmspv::{spmspv_semiring, SpMSpVOpts, SpMSpVOutput};
 use gblas_core::par::ExecCtx;
 use gblas_core::workspace::WorkspaceStats;
+use gblas_graph::bfs::bfs_observed;
 use gblas_graph::pagerank::{pagerank_observed, PageRankOptions};
 
 /// Counting allocator: forwards to [`System`], tallying every allocation.
@@ -173,43 +174,23 @@ impl RunStats {
     }
 }
 
-/// BFS level loop, mirrored from `gblas_graph::bfs_on` so each level can
-/// be sampled individually.
+/// The library's own BFS level loop (`bfs_observed`, static push),
+/// sampled after every level.
 fn bfs_levels(
     a: &CsrMatrix<f64>,
     source: usize,
     ctx: &ExecCtx,
     probe: Option<&mut Probe>,
 ) -> Vec<IterSample> {
-    let backend = SharedBackend::new(ctx);
-    let n = backend.mat_nrows(a);
-    let mut visited = backend.dense_filled(n, false);
-    backend.dense_set(&mut visited, source, true);
-    let mut frontier = backend.sparse_from_sorted(n, vec![source], vec![source]).unwrap();
     let mut samples = Vec::new();
     let mut probe = probe;
-    while backend.sparse_nnz(&frontier) > 0 {
-        let next = backend
-            .spmspv_first_visitor(
-                a,
-                &frontier,
-                Some(MaskSpec::complement(&visited)),
-                SpMSpVOpts::default(),
-            )
-            .unwrap();
-        let entries = backend.sparse_entries(&next);
-        let mut inds = Vec::with_capacity(entries.len());
-        let mut vals = Vec::with_capacity(entries.len());
-        for (v, _) in entries {
-            backend.dense_set(&mut visited, v, true);
-            inds.push(v);
-            vals.push(v);
-        }
-        frontier = backend.sparse_from_sorted(n, inds, vals).unwrap();
+    let each = |_level| {
         if let Some(p) = probe.as_deref_mut() {
             samples.push(p.sample(ctx));
         }
-    }
+    };
+    bfs_observed(&SharedBackend::new(ctx), a, source, None, SpMSpVOpts::default(), each)
+        .expect("bfs");
     samples
 }
 

@@ -36,11 +36,12 @@
 //! `GBLAS_MERGE` environment variable overrides all of these). All give
 //! identical output.
 //!
-//! `--selection` routes `bfs`, `cc` and `sssp` through the
-//! direction-optimizing drivers: `auto` switches push/pull per iteration
-//! from the measured frontier density, `push`/`pull` pin one direction.
-//! Results are bit-identical to the static drivers; each decision shows
-//! up in traces as a `select` span with `dir`/`fmt`/`merge` attributes.
+//! `--selection` makes `bfs`, `cc` and `sssp` decide a direction per
+//! iteration: `auto` switches push/pull from the measured frontier
+//! density, `push`/`pull` pin one direction. Without the flag nothing is
+//! decided (each runs its native direction). Results are bit-identical
+//! either way; each decision shows up in traces as a `select` span with
+//! `dir`/`fmt`/`merge` attributes.
 //!
 //! `--overlap` switches the simulated cluster's pricing to split-phase
 //! (compute/communication overlap): every op phase is charged
@@ -369,7 +370,8 @@ fn top_vertices(scores: &[f64], k: usize, fmt: impl Fn(f64) -> String) -> String
 }
 
 /// Run-length summary of the per-iteration direction choices, e.g.
-/// `" [directions: push x2, pull x3, push]"`.
+/// `" [directions: push x2, pull x3, push]"`; empty for a static run,
+/// which decides nothing.
 fn dir_summary(decisions: &[gblas_core::ops::selection::Decision]) -> String {
     if decisions.is_empty() {
         return String::new();
@@ -412,13 +414,9 @@ fn run_algo<B: GblasBackend>(backend: &B, a: &B::Matrix<f64>, args: &Args) -> Re
     let opts = SpMSpVOpts::with_merge(args.merge);
     Ok(match args.command.as_str() {
         "bfs" => {
-            let (r, dirs) = if let Some(policy) = args.selection {
-                let (r, decisions) =
-                    gblas_graph::bfs_selected_on(backend, a, args.source, policy, opts)?;
-                (r, dir_summary(&decisions))
-            } else {
-                (gblas_graph::bfs_on(backend, a, args.source, opts)?, String::new())
-            };
+            let (r, decisions) =
+                gblas_graph::bfs_on(backend, a, args.source, args.selection, opts)?;
+            let dirs = dir_summary(&decisions);
             format!(
                 "bfs from {}: reached {} vertices, max level {}{dirs}",
                 args.source,
@@ -427,13 +425,9 @@ fn run_algo<B: GblasBackend>(backend: &B, a: &B::Matrix<f64>, args: &Args) -> Re
             )
         }
         "sssp" => {
-            let (dist, dirs) = if let Some(policy) = args.selection {
-                let (dist, decisions) =
-                    gblas_graph::sssp_selected_on(backend, a, args.source, policy, opts)?;
-                (dist, dir_summary(&decisions))
-            } else {
-                (gblas_graph::sssp_on(backend, a, args.source, opts)?, String::new())
-            };
+            let (dist, decisions) =
+                gblas_graph::sssp_on(backend, a, args.source, args.selection, opts)?;
+            let dirs = dir_summary(&decisions);
             let reached = dist.as_slice().iter().filter(|d| d.is_finite()).count();
             let furthest =
                 dist.as_slice().iter().filter(|d| d.is_finite()).cloned().fold(0.0, f64::max);
@@ -451,13 +445,9 @@ fn run_algo<B: GblasBackend>(backend: &B, a: &B::Matrix<f64>, args: &Args) -> Re
             )
         }
         "cc" => {
-            let (labels, dirs) = if let Some(policy) = args.selection {
-                let (labels, decisions) =
-                    gblas_graph::connected_components_selected_on(backend, a, policy, opts)?;
-                (labels, dir_summary(&decisions))
-            } else {
-                (gblas_graph::connected_components_on(backend, a)?, String::new())
-            };
+            let (labels, decisions) =
+                gblas_graph::connected_components_on(backend, a, args.selection, opts)?;
+            let dirs = dir_summary(&decisions);
             format!("{} connected components{dirs}", gblas_graph::cc::component_count(&labels))
         }
         "triangles" => {

@@ -150,9 +150,11 @@ pub trait GblasBackend {
 
     // ---- vector kernels ----------------------------------------------
 
-    /// BFS kernel: `y⟨mask⟩ = x Aᵀ`-structure with first-writer-wins
+    /// BFS kernel: `y⟨mask⟩ = x Aᵀ`-structure with minimum-visitor
     /// parents. The frontier's values are ignored; the output stores, per
-    /// reached column, the global row id of its first visitor.
+    /// reached column, the smallest global row id among the frontier rows
+    /// reaching it, and is laid out like `x` — a BFS level's output is the
+    /// next level's frontier as it stands.
     fn spmspv_first_visitor<T: Scalar>(
         &self,
         a: &Self::Matrix<T>,
@@ -210,8 +212,8 @@ pub trait GblasBackend {
 
     /// Batched BFS expansion — one masked-SpGEMM level step: row `s` of
     /// the output is `f_s · A` under the **complement** of `visited[s]`
-    /// (source `s`'s not-yet-visited mask), with first-writer-wins parent
-    /// values. Per source, bit-identical to
+    /// (source `s`'s not-yet-visited mask), with minimum-visitor parent
+    /// values, laid out like `f`. Per source, bit-identical to
     /// [`GblasBackend::spmspv_first_visitor`] on that source alone.
     fn expand_first_visitor<T: Scalar>(
         &self,
@@ -258,11 +260,10 @@ pub trait GblasBackend {
 
     /// Pull-direction BFS kernel over `at = Aᵀ`: for each **unvisited**
     /// destination, claim its minimum in-frontier in-neighbor as parent
-    /// (early exit per row). Bit-identical to
+    /// (early exit per row). Bit-identical, layout included, to
     /// [`GblasBackend::spmspv_first_visitor`] under the complement-of-
-    /// visited mask on a deterministic schedule — the contract the
-    /// direction-optimizing traversals rely on when they switch
-    /// mid-traversal.
+    /// visited mask — the contract the direction-optimizing traversals
+    /// rely on when they switch mid-traversal.
     fn pull_first_visitor<T: Scalar>(
         &self,
         at: &Self::Matrix<T>,
@@ -274,10 +275,6 @@ pub trait GblasBackend {
     /// (true at every stored index). Local on every backend: the bitmap
     /// segments are block-aligned with the sparse shards.
     fn sparse_to_bitmap<T: Scalar>(&self, x: &Self::SparseVec<T>) -> Result<Self::DenseVec<bool>>;
-
-    /// Demote a bitmap frontier to the sorted index list; each stored
-    /// value is its own index (the identity frontier BFS pushes from).
-    fn bitmap_to_sparse(&self, bits: &Self::DenseVec<bool>) -> Result<Self::SparseVec<usize>>;
 
     /// The selection thresholds tuned for this backend's machine. The
     /// default (and every shared-memory backend) is the Beamer constants;
@@ -572,12 +569,6 @@ impl GblasBackend for SharedBackend<'_> {
             bits[i] = true;
         }
         Ok(DenseVec::from_vec(bits))
-    }
-
-    fn bitmap_to_sparse(&self, bits: &DenseVec<bool>) -> Result<SparseVec<usize>> {
-        let indices: Vec<usize> =
-            bits.as_slice().iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i).collect();
-        SparseVec::from_sorted(bits.len(), indices.clone(), indices)
     }
 
     fn record_decision(

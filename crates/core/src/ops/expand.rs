@@ -27,7 +27,7 @@ use crate::par::ExecCtx;
 
 /// Batched first-visitor expansion: row `s` of the output is
 /// `f_s · A` under the complement of `visited[s]` (source `s`'s "not yet
-/// visited" mask), with first-writer-wins parent values — Listing 7 run
+/// visited" mask), with minimum-visitor parent values — Listing 7 run
 /// over every column of the frontier matrix.
 pub fn expand_first_visitor<T: Send + Sync>(
     a: &CsrMatrix<T>,

@@ -31,8 +31,8 @@
 //! [`pull_first_visitor`] is the shared-memory pull kernel: a scan over
 //! the rows of `Aᵀ` (destination-major) that claims, for each unvisited
 //! destination, its **minimum** in-frontier in-neighbor and exits the row
-//! early — the same parent the push kernel's deterministic schedule
-//! produces, which is what makes auto/push/pull bit-identical.
+//! early — the same parent the push kernel's min-claim keeps, which is
+//! what makes auto/push/pull bit-identical.
 
 use crate::container::{CsrMatrix, DenseVec, SparseVec};
 use crate::error::{check_dims, Result};

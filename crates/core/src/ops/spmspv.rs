@@ -15,9 +15,11 @@
 //! 3. **`output`** — populate the output sparse vector from the SPA.
 //!
 //! Variants:
-//! * [`spmspv_first_visitor`] — exactly Listing 7: atomics-based parallel
-//!   SPA where the *first* visitor of a column wins and the stored value is
-//!   the visiting row id (the BFS parent).
+//! * [`spmspv_first_visitor`] — Listing 7: atomics-based parallel SPA
+//!   where the stored value is a visiting row id (the BFS parent). The
+//!   listing lets the first visitor to *arrive* win; here the visitor with
+//!   the smallest row id wins, which is the same row on the serial
+//!   schedule and the same row on every other one too.
 //! * [`spmspv_semiring`] — the general GraphBLAS semantics
 //!   `y[j] = ⊕_i x[i] ⊗ A[i,j]` over an arbitrary semiring.
 //! * [`spmspv_sort_based`] — an alternative merge strategy (collect all
@@ -31,6 +33,7 @@ use crate::error::{check_dims, Result};
 use crate::mask::VecMask;
 use crate::par::ExecCtx;
 use crate::sort::{parallel_merge_sort, sort_indices, SortAlgo};
+use crate::spa::AtomicSpa;
 
 /// Phase: SPA merge.
 pub const PHASE_SPA: &str = "spa";
@@ -185,13 +188,16 @@ where
 }
 
 /// Listing 7: parallel first-visitor SpMSpV. The output stores, for every
-/// reached column, the id of the row that reached it first ("keep row
-/// index as value") — nondeterministic under real parallelism exactly as
-/// in Chapel, deterministic when `ctx.real_threads() == 1`.
+/// reached column, the smallest id among the frontier rows that reach it
+/// ("keep row index as value") — the row the listing's serial schedule
+/// visits first, returned here under any real thread count
+/// ([`AtomicSpa::claim`](crate::spa::AtomicSpa::claim) resolves by `min`,
+/// not by arrival).
 ///
 /// `x`'s values are ignored; its *structure* selects the rows of `a`.
 /// An optional `mask` restricts which output columns may be claimed
-/// (BFS passes "not yet visited").
+/// (BFS passes "not yet visited"). A matrix with more rows than a SPA
+/// slot can name is an error.
 pub fn spmspv_first_visitor<T: Send + Sync, X: Send + Sync>(
     a: &CsrMatrix<T>,
     x: &SparseVec<X>,
@@ -200,6 +206,7 @@ pub fn spmspv_first_visitor<T: Send + Sync, X: Send + Sync>(
     ctx: &ExecCtx,
 ) -> Result<SparseVec<usize>> {
     check_dims("x capacity vs matrix rows", a.nrows(), x.capacity())?;
+    AtomicSpa::check_values(a.nrows())?;
     let opts = opts.resolved(x.nnz());
     let _op = ctx.trace_op_attrs(
         "spmspv_first_visitor",
@@ -223,7 +230,7 @@ pub fn spmspv_first_visitor<T: Send + Sync, X: Send + Sync>(
                         continue;
                     }
                 }
-                spa.claim_first(colid, rid, c);
+                spa.claim(colid, rid, c);
             }
         }
         c.elems += r.len() as u64;

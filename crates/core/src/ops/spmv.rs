@@ -73,10 +73,14 @@ where
     let ncols = a.ncols();
     let partials = ctx.parallel_for(PHASE, a.nrows(), |r, c| {
         let mut acc = ctx.ws_filled_vec::<C>(ncols, ring.zero::<C>());
+        // Deref the pooled guard once: left per entry, whether the buffer
+        // pointer stays in a register depends on what this closure happens
+        // to be inlined into (one stack reload per nonzero when it does not).
+        let out: &mut [C] = &mut acc;
         for i in r.clone() {
             let (cols, vals) = a.row(i);
             for (&j, &av) in cols.iter().zip(vals) {
-                acc[j] = ring.accumulate(acc[j], ring.multiply(x[i], av));
+                out[j] = ring.accumulate(out[j], ring.multiply(x[i], av));
             }
             c.flops += cols.len() as u64;
             c.rand_access += cols.len() as u64;

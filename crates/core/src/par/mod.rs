@@ -32,6 +32,7 @@ use crate::trace::{MetricsRegistry, SpanKind, TraceRecorder};
 use crate::workspace::{WorkspacePool, WsGuard};
 use parking_lot::Mutex;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Execution context carried by every operation.
@@ -248,42 +249,20 @@ impl ExecCtx {
         F: Fn(usize, &mut Counters) -> R + Sync,
     {
         assert!(ntasks > 0, "for_each_task requires at least one task");
-        let nworkers = self.real_threads.min(ntasks);
-        let mut merged = Counters::default();
-        let mut results: Vec<R> = Vec::with_capacity(ntasks);
-
-        if nworkers <= 1 {
-            for t in 0..ntasks {
+        // Counters only add, so merging in completion order is exact.
+        let merged = Mutex::new(Counters::default());
+        let results = fork_join(
+            self.real_threads,
+            0..ntasks,
+            || (),
+            |_, _, t| {
                 let mut c = Counters::default();
-                results.push(f(t, &mut c));
-                merged.merge(&c);
-            }
-        } else {
-            let slots: Vec<Mutex<Option<(R, Counters)>>> =
-                (0..ntasks).map(|_| Mutex::new(None)).collect();
-            crossbeam::thread::scope(|scope| {
-                for w in 0..nworkers {
-                    let slots = &slots;
-                    let f = &f;
-                    scope.spawn(move |_| {
-                        let mut t = w;
-                        while t < ntasks {
-                            let mut c = Counters::default();
-                            let r = f(t, &mut c);
-                            *slots[t].lock() = Some((r, c));
-                            t += nworkers;
-                        }
-                    });
-                }
-            })
-            .expect("worker thread panicked");
-            for slot in slots {
-                let (r, c) = slot.into_inner().expect("task did not run");
-                results.push(r);
-                merged.merge(&c);
-            }
-        }
-        (results, merged)
+                let r = f(t, &mut c);
+                merged.lock().merge(&c);
+                r
+            },
+        );
+        (results, merged.into_inner())
     }
 
     /// `forall` over `0..len`: the range is split into `self.threads`
@@ -337,6 +316,61 @@ impl std::fmt::Debug for ExecCtx {
             .field("real_threads", &self.real_threads)
             .finish_non_exhaustive()
     }
+}
+
+/// The one fork-join loop: run `f(&mut state, t, item)` for the `t`-th of
+/// `items` on up to `nworkers` scoped OS threads and return the results in
+/// task order. Every item is owned by exactly one call (so a task may hold
+/// a `&mut` borrow), each worker builds its `worker_state` once and reuses
+/// it across the tasks it runs, and with one worker (or one task) the
+/// tasks run inline on the caller, in order. Workers pull tasks from a
+/// shared queue; a panic in a task is re-raised on the caller with its
+/// payload once the other workers have drained the queue.
+pub fn fork_join<I, W, R>(
+    nworkers: usize,
+    items: impl ExactSizeIterator<Item = I> + Send,
+    worker_state: impl Fn() -> W + Sync,
+    f: impl Fn(&mut W, usize, I) -> R + Sync,
+) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+{
+    let ntasks = items.len();
+    let nworkers = nworkers.min(ntasks);
+    let items = items.enumerate();
+    if nworkers <= 1 {
+        let mut state = worker_state();
+        return items.map(|(t, item)| f(&mut state, t, item)).collect();
+    }
+    let queue = Mutex::new(items);
+    let done = Mutex::new(Vec::with_capacity(ntasks));
+    let panicked = Mutex::new(None);
+    std::thread::scope(|scope| {
+        for _ in 0..nworkers {
+            scope.spawn(|| {
+                let take = || queue.lock().next();
+                let work = || {
+                    let mut state = worker_state();
+                    while let Some((t, item)) = take() {
+                        let result = f(&mut state, t, item);
+                        done.lock().push((t, result));
+                    }
+                };
+                // Nothing a panicking task touched is looked at again: the
+                // payload goes straight back up the caller's stack.
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(work)) {
+                    panicked.lock().get_or_insert(payload);
+                }
+            });
+        }
+    });
+    if let Some(payload) = panicked.into_inner() {
+        resume_unwind(payload);
+    }
+    let mut done = done.into_inner();
+    done.sort_unstable_by_key(|&(t, _)| t);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Split `0..len` into `ntasks` near-equal contiguous ranges. Empty ranges
@@ -397,6 +431,43 @@ mod tests {
             let out = ctx.for_each_task("t", 8, |t, _| t * 10);
             assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
         }
+    }
+
+    #[test]
+    fn fork_join_hands_each_item_to_one_task_and_keeps_task_order() {
+        for nworkers in [0, 1, 2, 5, 64] {
+            let mut cells = vec![0usize; 9];
+            let states = AtomicU64::new(0);
+            let out = fork_join(
+                nworkers,
+                cells.iter_mut(),
+                || states.fetch_add(1, Ordering::Relaxed),
+                |_, t, cell: &mut usize| {
+                    *cell += t + 1;
+                    t * 10
+                },
+            );
+            assert_eq!(out, (0..9).map(|t| t * 10).collect::<Vec<_>>(), "nworkers={nworkers}");
+            assert_eq!(cells, (1..=9).collect::<Vec<_>>(), "nworkers={nworkers}");
+            // one state per worker, never one per task; one worker is the caller
+            let built = states.load(Ordering::Relaxed) as usize;
+            assert_eq!(built, nworkers.clamp(1, 9), "nworkers={nworkers}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "task 3 exploded")]
+    fn fork_join_reraises_a_worker_panic_with_its_payload() {
+        fork_join(
+            2,
+            0..8,
+            || (),
+            |_, t, _| {
+                if t == 3 {
+                    panic!("task {t} exploded");
+                }
+            },
+        );
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! The `ablations` bench compares the two, reproducing the paper's
 //! prediction.
 
-use crate::par::{split_ranges, Counters, ExecCtx};
+use crate::par::{fork_join, split_ranges, Counters, ExecCtx};
+use crate::workspace::WsGuard;
 
 /// Which sorting algorithm an operation should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,23 +42,16 @@ pub fn parallel_merge_sort<T: Copy + Ord + Send + Sync + 'static>(
     }
     // Phase 1: sort `t` contiguous chunks independently.
     let chunks = split_ranges(n, ctx.threads());
-    let bounds: Vec<usize> = {
-        let mut b: Vec<usize> = chunks.iter().map(|r| r.start).collect();
-        b.push(n);
-        b
-    };
     {
         // Split the buffer into disjoint chunk slices so tasks can sort
         // them concurrently without aliasing.
-        let mut slices: Vec<&mut [T]> = Vec::with_capacity(chunks.len());
         let mut rest: &mut [T] = data;
-        for r in &chunks {
+        let carve = |r: &std::ops::Range<usize>| {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-            slices.push(head);
             rest = tail;
-        }
-        let slices: Vec<parking_lot::Mutex<&mut [T]>> =
-            slices.into_iter().map(parking_lot::Mutex::new).collect();
+            parking_lot::Mutex::new(head)
+        };
+        let slices: Vec<parking_lot::Mutex<&mut [T]>> = chunks.iter().map(carve).collect();
         ctx.for_each_task(phase, slices.len(), |t, c| {
             let mut guard = slices[t].lock();
             let mut buf = ctx.ws_vec::<T>();
@@ -66,8 +60,7 @@ pub fn parallel_merge_sort<T: Copy + Ord + Send + Sync + 'static>(
     }
     // Phase 2: merge runs pairwise until one remains. Each round's merges
     // touch disjoint `[s1..e2)` windows, so they run concurrently.
-    let mut runs: Vec<(usize, usize)> =
-        bounds.windows(2).map(|w| (w[0], w[1])).filter(|(a, b)| a < b).collect();
+    let mut runs: Vec<(usize, usize)> = chunks.iter().map(|r| (r.start, r.end)).collect();
     while runs.len() > 1 {
         let mut pairs: Vec<(usize, usize, usize)> = Vec::with_capacity(runs.len() / 2);
         let mut next = Vec::with_capacity(runs.len().div_ceil(2));
@@ -103,55 +96,24 @@ fn merge_pairs_parallel<T: Copy + Ord + Send + Sync + 'static>(
     ctx: &ExecCtx,
     phase: &str,
 ) {
-    if pairs.is_empty() {
-        return;
-    }
-    let nworkers = ctx.real_threads().min(pairs.len());
-    let mut counters: Vec<Counters> = vec![Counters::default(); pairs.len()];
-    if nworkers <= 1 {
-        let mut buf = ctx.ws_vec::<T>();
-        for (k, &(s, m, e)) in pairs.iter().enumerate() {
-            merge_adjacent(&mut data[s..e], 0, m - s, e - s, &mut buf, &mut counters[k]);
-        }
-    } else {
-        // A hand-off cell: each worker takes its pair's window + counter
-        // exactly once, so no two workers ever hold the same slice.
-        type MergeCell<'a, T> = parking_lot::Mutex<Option<(&'a mut [T], &'a mut Counters)>>;
-        // Carve one disjoint window per pair out of the buffer.
-        let mut windows: Vec<&mut [T]> = Vec::with_capacity(pairs.len());
-        let mut rest: &mut [T] = data;
-        let mut offset = 0usize;
-        for &(s, _, e) in pairs {
-            let (_, tail) = std::mem::take(&mut rest).split_at_mut(s - offset);
-            let (window, tail) = tail.split_at_mut(e - s);
-            windows.push(window);
-            rest = tail;
-            offset = e;
-        }
-        let cells: Vec<MergeCell<'_, T>> = windows
-            .into_iter()
-            .zip(counters.iter_mut())
-            .map(|pair| parking_lot::Mutex::new(Some(pair)))
-            .collect();
-        crossbeam::thread::scope(|scope| {
-            for w in 0..nworkers {
-                let cells = &cells;
-                scope.spawn(move |_| {
-                    let mut buf = ctx.ws_vec::<T>();
-                    let mut k = w;
-                    while k < cells.len() {
-                        let (window, c) = cells[k].lock().take().expect("pair merged exactly once");
-                        let (s, m, e) = pairs[k];
-                        merge_adjacent(window, 0, m - s, e - s, &mut buf, c);
-                        k += nworkers;
-                    }
-                });
-            }
-        })
-        .expect("merge worker panicked");
-    }
-    for c in &counters {
-        ctx.record(phase, |pc| pc.merge(c));
+    // Carve one disjoint window per pair out of the buffer, lazily.
+    let mut rest: &mut [T] = data;
+    let mut offset = 0usize;
+    let windows = pairs.iter().map(move |&(s, m, e)| {
+        let (_, tail) = std::mem::take(&mut rest).split_at_mut(s - offset);
+        let (window, tail) = tail.split_at_mut(e - s);
+        rest = tail;
+        offset = e;
+        (window, m - s)
+    });
+    let merge = |buf: &mut WsGuard<Vec<T>>, _, (window, mid): (&mut [T], usize)| {
+        let mut c = Counters::default();
+        merge_adjacent(window, 0, mid, window.len(), buf, &mut c);
+        c
+    };
+    // One scratch buffer per worker, as the serial sweep has one.
+    for c in fork_join(ctx.real_threads(), windows, || ctx.ws_vec::<T>(), merge) {
+        ctx.record(phase, |pc| pc.merge(&c));
     }
 }
 

@@ -9,12 +9,12 @@
 //! Three variants:
 //! * [`DenseSpa`] — the textbook serial SPA, accumulating with an arbitrary
 //!   monoid. Used by the semiring SpMSpV and by SpGEMM.
-//! * [`AtomicSpa`] — the paper's parallel SPA (Listing 7): `isthere` is an
-//!   array of atomics claimed with compare-and-swap, `nzinds` is compacted
-//!   through an atomic fetch-add cursor, and only the claiming task writes
-//!   the value slot ("only keeping the first index"). Values are `usize`
-//!   because the paper stores "the row index as value" (line 25) — the
-//!   BFS parent.
+//! * [`AtomicSpa`] — the paper's parallel SPA (Listing 7) with a
+//!   deterministic claim: `isthere` and the value share one atomic word
+//!   per slot, claimed by `fetch_min`, so the *smallest* value offered
+//!   wins whatever the thread timing; `nzinds` is compacted through an
+//!   atomic fetch-add cursor. Values are row ids because the paper stores
+//!   "the row index as value" (line 25) — the BFS parent.
 //! * [`BucketSpa`] — the sort-*free* merge the paper suggests as the fix
 //!   for the dominant sort step of Fig 7 (and that CombBLAS 2.0 ships):
 //!   the collected indices are scattered into per-task contiguous
@@ -24,8 +24,8 @@
 //! All three reset in O(1) (or O(live data)) rather than O(capacity): the
 //! occupancy arrays are *generation-stamped* — a slot is occupied iff its
 //! stamp equals the SPA's current generation, so [`DenseSpa::reset`] /
-//! [`AtomicSpa::reset`] just bump the generation and never touch the
-//! dense arrays. That is what makes the [`crate::workspace`] pool's
+//! [`AtomicSpa::reset`] just step the generation and never touch the
+//! dense arrays (bar one clear per 2²⁴ atomic-SPA resets). That is what makes the [`crate::workspace`] pool's
 //! checkout cheap: a pooled SPA is handed back warm, with its backing
 //! arrays intact and every slot logically empty. [`DenseSpa`] generations
 //! advance in steps of two: the odd stamp just below the current generation
@@ -34,6 +34,7 @@
 //! finished row.
 
 use crate::algebra::Monoid;
+use crate::error::{GblasError, Result};
 use crate::par::Counters;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -204,81 +205,122 @@ impl<T: Copy> DenseSpa<T> {
     }
 }
 
-/// The paper's parallel SPA: atomic `isthere` flags, an atomic compaction
-/// cursor, and value slots written only by the winning claimer. The
-/// `isthere` flags are generation stamps so a reused SPA resets in O(1).
+/// Low bits of an [`AtomicSpa`] slot word holding the claimed value; the
+/// bits above hold the generation stamp.
+const VALUE_BITS: u32 = 40;
+const VALUE_MASK: u64 = (1 << VALUE_BITS) - 1;
+
+/// The paper's parallel SPA with a deterministic claim rule: one atomic
+/// word per slot, an atomic compaction cursor, the **minimum** claim kept.
+///
+/// Listing 7 claims with `isthere[colid].testAndSet()`, so under real
+/// threads the surviving row id depends on arrival order. Here a slot word
+/// is `stamp | value` and a claim is one `fetch_min`. Stamps *fall* from
+/// one generation to the next, so a current word compares below every
+/// stale one (reset stays O(1)) and, within a generation, below any larger
+/// value. The serial schedule visits rows in ascending order, so its first
+/// visitor *is* the minimum: results and counters there are Listing 7's.
 pub struct AtomicSpa {
-    /// `isthere` in Listing 7: claimed ⇔ `stamp == generation`.
-    isthere: Vec<AtomicU64>,
-    /// `localy` in Listing 7: value slot, written only by the claim winner.
-    values: Vec<AtomicUsize>,
+    /// Listing 7's `isthere` and `localy` in one word: claimed ⇔ the bits
+    /// above [`VALUE_BITS`] equal `stamp`; the bits below are the value.
+    slots: Vec<AtomicU64>,
     nzinds: Vec<AtomicUsize>,
     cursor: AtomicUsize,
-    generation: u64,
+    /// The current generation's stamp, in place (value bits zero).
+    stamp: u64,
 }
 
 impl AtomicSpa {
+    /// The largest value a slot can hold.
+    pub const MAX_VALUE: usize = VALUE_MASK as usize;
+
     /// A SPA for outputs of dimension `capacity`, with room for up to
     /// `capacity` collected indices (the listing allocates `nzinds` of
     /// length `ncol`).
     pub fn new(capacity: usize) -> Self {
-        AtomicSpa {
-            isthere: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            values: (0..capacity).map(|_| AtomicUsize::new(0)).collect(),
+        let mut spa = AtomicSpa {
+            slots: (0..capacity).map(|_| AtomicU64::new(u64::MAX)).collect(),
             nzinds: (0..capacity).map(|_| AtomicUsize::new(0)).collect(),
             cursor: AtomicUsize::new(0),
-            generation: 1,
+            stamp: !VALUE_MASK, // the stamp vacant (all-ones) slots carry
+        };
+        spa.reset();
+        spa
+    }
+
+    /// `Err` unless every value in `0..bound` fits a slot — a kernel checks
+    /// its row count once at entry instead of every claim.
+    pub fn check_values(bound: usize) -> Result<()> {
+        if bound.saturating_sub(1) > Self::MAX_VALUE {
+            return Err(GblasError::InvalidArgument(format!(
+                "{bound} row ids do not fit the atomic SPA's {VALUE_BITS}-bit value field"
+            )));
         }
+        Ok(())
     }
 
     /// The backing domain size.
     pub fn capacity(&self) -> usize {
-        self.isthere.len()
+        self.slots.len()
     }
 
-    /// Logically release every claim in O(1) by bumping the generation and
-    /// rewinding the compaction cursor.
+    /// Logically release every claim in O(1) by stepping the stamp down and
+    /// rewinding the compaction cursor. When the stamp field is exhausted
+    /// the slots are cleared once, O(capacity), and the stamps start over.
     pub fn reset(&mut self) {
-        self.generation += 1;
-        self.cursor.store(0, Ordering::Relaxed);
+        if self.stamp == 0 {
+            for slot in &mut self.slots {
+                *slot.get_mut() = u64::MAX;
+            }
+            self.stamp = !VALUE_MASK;
+        }
+        self.stamp -= 1 << VALUE_BITS;
+        *self.cursor.get_mut() = 0;
     }
 
     /// Make the SPA usable for domain `0..capacity` (growing the atomic
     /// arrays on a pool capacity miss) and reset it. Returns `true` when
     /// the backing had to grow.
     pub fn ensure(&mut self, capacity: usize) -> bool {
-        let grew = capacity > self.isthere.len();
+        let grew = capacity > self.slots.len();
         if grew {
-            let extra = capacity - self.isthere.len();
-            self.isthere.extend((0..extra).map(|_| AtomicU64::new(0)));
-            self.values.extend((0..extra).map(|_| AtomicUsize::new(0)));
+            let extra = capacity - self.slots.len();
+            self.slots.extend((0..extra).map(|_| AtomicU64::new(u64::MAX)));
             self.nzinds.extend((0..extra).map(|_| AtomicUsize::new(0)));
         }
         self.reset();
         grew
     }
 
-    /// Try to claim slot `index` with `value`; the first claimer wins
-    /// (Listing 7 lines 21–26: test, set, record). Returns `true` when this
-    /// call was the winner. Charges one atomic read, and on a win the CAS,
-    /// the fetch-add and the stores, to `counters`.
-    pub fn claim_first(&self, index: usize, value: usize, counters: &mut Counters) -> bool {
+    /// Offer `value` for slot `index`, which keeps the minimum offered this
+    /// generation (Listing 7 lines 21–26 with `min` for test-and-set).
+    /// Returns `true` on the slot's first claim, which also records `index`
+    /// for [`AtomicSpa::collected`]. Charges one atomic per probe and, on a
+    /// first claim only, the claiming RMW, the cursor fetch-add and the two
+    /// stores: totals depend on the claimed set, never on thread timing.
+    /// Which *task* is charged a first claim, and the order `collected`
+    /// returns (hence the sort phase's counters), still follow arrival
+    /// order under real threads. Panics on a `value` above
+    /// [`AtomicSpa::MAX_VALUE`]; kernels rule that out once, up front, with
+    /// [`AtomicSpa::check_values`].
+    pub fn claim(&self, index: usize, value: usize, counters: &mut Counters) -> bool {
+        assert!(value <= Self::MAX_VALUE, "value {value} overflows the slot's value field");
+        let word = self.stamp | value as u64;
         counters.atomics += 1;
-        let seen = self.isthere[index].load(Ordering::Relaxed);
-        if seen == self.generation {
-            return false;
+        // Relaxed: a slot word publishes no other memory (the SPA is read
+        // back only after the claiming region has joined) and `min` needs
+        // just the slot's own modification order; a stale load merely
+        // falls through to the `fetch_min`.
+        if self.slots[index].load(Ordering::Relaxed) <= word {
+            return false; // claimed this generation by this row or a smaller one
         }
-        counters.atomics += 1;
-        if self.isthere[index]
-            .compare_exchange(seen, self.generation, Ordering::AcqRel, Ordering::Relaxed)
-            .is_err()
-        {
-            return false;
+        let seen = self.slots[index].fetch_min(word, Ordering::Relaxed);
+        if seen & !VALUE_MASK == self.stamp {
+            return false; // already claimed; at most the value got smaller
         }
-        self.values[index].store(value, Ordering::Relaxed);
         let slot = self.cursor.fetch_add(1, Ordering::Relaxed);
-        counters.atomics += 1;
         self.nzinds[slot].store(index, Ordering::Relaxed);
+        counters.atomics += 2;
         counters.spa_touches += 2;
         true
     }
@@ -290,12 +332,12 @@ impl AtomicSpa {
 
     /// Read the value stored for a claimed index.
     pub fn value(&self, index: usize) -> usize {
-        self.values[index].load(Ordering::Acquire)
+        (self.slots[index].load(Ordering::Acquire) & VALUE_MASK) as usize
     }
 
     /// Whether `index` has been claimed.
     pub fn contains(&self, index: usize) -> bool {
-        self.isthere[index].load(Ordering::Acquire) == self.generation
+        self.slots[index].load(Ordering::Acquire) & !VALUE_MASK == self.stamp
     }
 
     /// Snapshot the collected indices (unsorted) — Listing 7's
@@ -520,11 +562,12 @@ mod tests {
     }
 
     #[test]
-    fn atomic_spa_single_winner_per_slot() {
+    fn atomic_spa_keeps_the_minimum_claim_per_slot() {
         let spa = AtomicSpa::new(16);
         let mut c = Counters::default();
-        assert!(spa.claim_first(7, 100, &mut c));
-        assert!(!spa.claim_first(7, 200, &mut c));
+        assert!(spa.claim(7, 200, &mut c));
+        assert!(!spa.claim(7, 100, &mut c), "a smaller value is not a second first claim");
+        assert!(!spa.claim(7, 300, &mut c));
         assert_eq!(spa.value(7), 100);
         assert!(spa.contains(7));
         assert!(!spa.contains(8));
@@ -535,15 +578,16 @@ mod tests {
     fn atomic_spa_reset_releases_claims_in_o1() {
         let mut spa = AtomicSpa::new(8);
         let mut c = Counters::default();
-        assert!(spa.claim_first(2, 11, &mut c));
-        assert!(spa.claim_first(5, 12, &mut c));
+        assert!(spa.claim(2, 11, &mut c));
+        assert!(spa.claim(5, 12, &mut c));
         spa.reset();
         assert_eq!(spa.nnz(), 0);
         assert!(!spa.contains(2), "stale claims must be invisible");
-        // identical counter charges post-reset as on a fresh SPA
+        // identical counter charges post-reset as on a fresh SPA, and a
+        // stale smaller value must not beat a live larger one
         let mut c2 = Counters::default();
-        assert!(spa.claim_first(2, 21, &mut c2));
-        assert!(!spa.claim_first(2, 22, &mut c2));
+        assert!(spa.claim(2, 21, &mut c2));
+        assert!(!spa.claim(2, 22, &mut c2));
         assert_eq!(c2.atomics, 4);
         assert_eq!(spa.value(2), 21);
         assert_eq!(spa.collected(), vec![2]);
@@ -551,32 +595,85 @@ mod tests {
         assert!(spa.ensure(20));
         assert_eq!(spa.capacity(), 20);
         assert!(!spa.contains(2));
-        assert!(spa.claim_first(19, 1, &mut c2));
+        assert!(spa.claim(19, 1, &mut c2));
     }
 
     #[test]
-    fn atomic_spa_concurrent_claims_are_exclusive() {
-        use std::sync::atomic::AtomicUsize;
+    fn atomic_spa_generation_wrap_leaves_it_empty() {
+        let mut spa = AtomicSpa::new(8);
+        let mut c = Counters::default();
+        assert!(spa.claim(1, 4, &mut c));
+        spa.stamp = 0; // the last generation before the stamp field wraps
+        spa.cursor = AtomicUsize::new(0);
+        assert!(spa.claim(3, 5, &mut c));
+        spa.reset();
+        assert_eq!(spa.nnz(), 0);
+        assert!((0..8).all(|i| !spa.contains(i)), "the wrap must clear every slot");
+        // without the clear the stamp-0 word would sit below every new claim
+        assert!(spa.claim(3, 9, &mut c));
+        assert_eq!(spa.value(3), 9);
+        assert_eq!(spa.collected(), vec![3]);
+    }
+
+    #[test]
+    fn atomic_spa_rejects_values_wider_than_the_slot_field() {
+        assert!(AtomicSpa::check_values(0).is_ok());
+        assert!(AtomicSpa::check_values(AtomicSpa::MAX_VALUE + 1).is_ok());
+        assert!(AtomicSpa::check_values(AtomicSpa::MAX_VALUE + 2).is_err());
+        // the widest value round-trips without touching the stamp
+        let spa = AtomicSpa::new(2);
+        let mut c = Counters::default();
+        assert!(spa.claim(1, AtomicSpa::MAX_VALUE, &mut c));
+        assert!(spa.contains(1) && !spa.contains(0));
+        assert_eq!(spa.value(1), AtomicSpa::MAX_VALUE);
+    }
+
+    #[test]
+    fn atomic_spa_descending_claims_from_four_threads_leave_the_minimum() {
+        // One thread after another (the join is the ordering), each with a
+        // smaller value than the last: first-writer-wins would keep 40.
+        let spa = AtomicSpa::new(8);
+        std::thread::scope(|s| {
+            for (t, value) in [40usize, 30, 20, 10].into_iter().enumerate() {
+                let spa = &spa;
+                let first = s
+                    .spawn(move || spa.claim(5, value, &mut Counters::default()))
+                    .join()
+                    .expect("claimer");
+                assert_eq!(first, t == 0, "only the earliest claim is a first claim");
+            }
+        });
+        assert_eq!(spa.value(5), 10);
+        assert_eq!(spa.collected(), vec![5]);
+    }
+
+    #[test]
+    fn atomic_spa_concurrent_claims_are_exclusive_and_minimal() {
         let spa = AtomicSpa::new(64);
         let wins = AtomicUsize::new(0);
-        crossbeam::thread::scope(|s| {
-            for t in 0..4 {
-                let spa = &spa;
-                let wins = &wins;
-                s.spawn(move |_| {
+        let atomics = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let (spa, wins, atomics, start) = (&spa, &wins, &atomics, &start);
+                s.spawn(move || {
                     let mut c = Counters::default();
+                    start.wait();
                     for i in 0..64 {
-                        if spa.claim_first(i, t, &mut c) {
+                        if spa.claim(i, 100 - t, &mut c) {
                             wins.fetch_add(1, Ordering::Relaxed);
                         }
                     }
+                    atomics.fetch_add(c.atomics, Ordering::Relaxed);
                 });
             }
-        })
-        .unwrap();
-        // Every slot claimed exactly once across all threads.
+        });
+        // Every slot first-claimed exactly once across all threads, holding
+        // the smallest value offered; the charge is timing-independent.
         assert_eq!(wins.load(Ordering::Relaxed), 64);
         assert_eq!(spa.nnz(), 64);
+        assert!((0..64).all(|i| spa.value(i) == 97));
+        assert_eq!(atomics.load(Ordering::Relaxed), 4 * 64 + 2 * 64);
         let mut collected = spa.collected();
         collected.sort_unstable();
         assert_eq!(collected, (0..64).collect::<Vec<_>>());
@@ -653,8 +750,8 @@ mod tests {
     fn atomic_counters_charged() {
         let spa = AtomicSpa::new(4);
         let mut c = Counters::default();
-        spa.claim_first(0, 1, &mut c); // win: load + cas + fetch_add = 3
-        spa.claim_first(0, 2, &mut c); // lose at the load: 1
+        spa.claim(0, 1, &mut c); // first claim: load + fetch_min + fetch_add = 3
+        spa.claim(0, 2, &mut c); // already claimed: the load alone
         assert_eq!(c.atomics, 4);
     }
 }

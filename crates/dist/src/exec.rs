@@ -2,8 +2,8 @@
 
 use crate::comm::{Comm, CommEvent, CommKind};
 use crate::sched::{FrontierClass, PlanData, SchedKey, SchedOutcome, ScheduleCache};
-use gblas_core::error::{GblasError, Result};
-use gblas_core::par::{Counters, ExecCtx, Profile};
+use gblas_core::error::Result;
+use gblas_core::par::{fork_join, Counters, ExecCtx, Profile};
 use gblas_core::trace::{
     dst_bytes_key, dst_msgs_key, CommSummary, MetricsRegistry, SpanKind, TraceRecorder,
 };
@@ -325,55 +325,15 @@ impl DistCtx {
         R: Send,
         F: Fn(usize, &mut S) -> Result<R> + Sync,
     {
-        let p = states.len();
         let workers = match self.executor {
             LocaleExecutor::Serial => 1,
             LocaleExecutor::Threaded => {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(p)
+                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
             }
         };
-        let mut results: Vec<Option<Result<R>>> = if workers <= 1 {
-            states.iter_mut().enumerate().map(|(l, s)| Some(f(l, s))).collect()
-        } else {
-            // One cell per locale: the worker owning task `l` takes the
-            // `&mut S` out exactly once; the Mutex is uncontended.
-            let cells: Vec<Mutex<Option<&mut S>>> =
-                states.iter_mut().map(|s| Mutex::new(Some(s))).collect();
-            let slots: Vec<Mutex<Option<Result<R>>>> = (0..p).map(|_| Mutex::new(None)).collect();
-            crossbeam::thread::scope(|scope| {
-                for w in 0..workers {
-                    let cells = &cells;
-                    let slots = &slots;
-                    let f = &f;
-                    scope.spawn(move |_| {
-                        let mut l = w;
-                        while l < p {
-                            let s = cells[l].lock().take().expect("state taken exactly once");
-                            *slots[l].lock() = Some(f(l, s));
-                            l += workers;
-                        }
-                    });
-                }
-            })
-            .expect("locale task panicked");
-            slots.into_iter().map(|s| s.into_inner()).collect()
-        };
-        let mut out = Vec::with_capacity(p);
-        let mut first_err: Option<GblasError> = None;
-        for r in results.drain(..) {
-            match r.expect("every locale task ran to completion") {
-                Ok(v) => out.push(v),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        let results = fork_join(workers, states.iter_mut(), || (), |(), l, s| f(l, s));
+        // Lowest-numbered failing locale wins, whichever finished first.
+        results.into_iter().collect()
     }
 
     /// Per-locale compute time of one phase: each locale's priced counters.

@@ -30,8 +30,8 @@
 //! 3. **`scatter`** (engine) — all k sources' claims travel in one bulk
 //!    message per locale pair, each priced at its `(source, offset,
 //!    value)` width; owners drain each source's claims in ascending
-//!    sender order, so first-writer-wins (and the accumulation order)
-//!    resolves exactly as the serial schedule — and exactly as the
+//!    sender order, so the kept parent is the minimum row (and the
+//!    accumulation order is the serial one) — exactly as in the
 //!    single-source distributed kernel. Per-source visited masks are
 //!    enforced owner-side, as [`crate::ops::spmspv::DistMask`]s.
 

@@ -17,9 +17,9 @@
 //! 3. **`scatter`** — sends its claims (one bulk message per owner) to
 //!    the destinations' owning locales, which drain inboxes in ascending
 //!    source-locale order. Ascending locale order within a grid row is
-//!    ascending column-block order, so the first writer holds the
+//!    ascending column-block order, so the first claim drained holds the
 //!    globally **minimum** in-frontier in-neighbor: the same parent the
-//!    push kernel's deterministic schedule produces.
+//!    push kernel's min-claim keeps.
 
 use crate::exec::DistCtx;
 use crate::mat::DistCsrMatrix;
@@ -169,10 +169,10 @@ pub fn pull_first_visitor_dist<T: Copy + Send + Sync>(
     let claims: Vec<Vec<(usize, usize)>> = gl.into_iter().map(|g| g.claims).collect();
 
     // ---- Superstep 2: owners drain their inboxes in ascending source-
-    // locale order; the first writer per destination wins. Within one
+    // locale order and keep the first claim per destination. Within one
     // grid row, ascending locale order is ascending column-block order,
     // so the surviving parent is the global minimum in-frontier
-    // in-neighbor — push's deterministic answer.
+    // in-neighbor — push's answer.
     let (scatter_profiles, shards): (Vec<Profile>, Vec<SparseVec<usize>>) = dctx
         .for_each_locale(|o| {
             let range = out_dist.range(o);

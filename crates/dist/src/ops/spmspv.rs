@@ -31,12 +31,16 @@
 //! SPMD executor the engine runs two supersteps: every locale multiplies
 //! locally and builds one outbox per owning locale (logging its own
 //! traffic); then every owner drains its inboxes — in source-locale
-//! order, so first-writer-wins and floating-point accumulation resolve
+//! order, so competing parents and floating-point accumulation resolve
 //! exactly as a serial sweep would — into its *own* dense segment and
 //! builds its output shard from it (`denseToSparse`).
 //!
-//! The first-visitor output stores, per reached column, the **global row
-//! id** of the first visitor — the BFS parent vector.
+//! The first-visitor output stores, per reached column, the **smallest
+//! global row id** among its visitors — the BFS parent vector. Each
+//! locale's claim is already its block's minimum (the shared kernel's
+//! min-claim), and the senders competing for one column sit in ascending
+//! row blocks, so the first claim an owner drains is the global minimum:
+//! the same rule as shared memory, with no comparison at the owner.
 
 use crate::exec::{DistCtx, OpTrace, Outbox, PooledOutboxes};
 use crate::mat::DistCsrMatrix;
@@ -331,7 +335,7 @@ pub(crate) trait PushRule<B, V, W>: Sync {
 }
 
 /// First-visitor push (BFS): the claim is the global parent row, and the
-/// first writer — lowest source locale — wins.
+/// first one drained — lowest source locale, hence lowest row — stays.
 pub(crate) struct FirstVisitor(pub(crate) SpMSpVOpts);
 
 impl<B: Send + Sync, V: Send + Sync> PushRule<B, V, usize> for FirstVisitor {
@@ -665,7 +669,7 @@ fn strategy_name(strategy: CommStrategy) -> &'static str {
 /// true accumulation — contributions from different grid rows to the same
 /// output column are combined with the add monoid *at the owning locale*
 /// (the scatter carries values, and the owner accumulates instead of
-/// first-writer-wins). Same three components as [`spmspv_dist`].
+/// keeping the first claim). Same three components as [`spmspv_dist`].
 ///
 /// This is what distributed SSSP needs (min-plus), and together with the
 /// masked first-visitor kernel it completes the distributed SpMSpV

@@ -2,19 +2,22 @@
 //!
 //! Level-synchronous BFS: the frontier is a sparse vector over vertices,
 //! each level is one masked SpMSpV (`y ← x A` restricted to unvisited
-//! columns), and the first-visitor values are exactly the BFS parents —
-//! the paper's SpMSpV stores "the row index as value" (Listing 7, line 25)
+//! columns), and the kernel's values are exactly the BFS parents — the
+//! paper's SpMSpV stores "the row index as value" (Listing 7, line 25)
 //! for precisely this purpose.
 //!
 //! There is exactly one implementation, [`bfs_on`], generic over
-//! [`GblasBackend`]; the shared-memory entry points ([`bfs`],
-//! [`bfs_with`]) and the distributed ones ([`bfs_dist`],
-//! [`bfs_dist_with`]) are thin wrappers choosing a backend.
+//! [`GblasBackend`] and over whether a [`SelectionPolicy`] may swap a
+//! level's push for a pull (Beamer-style direction optimization). Both
+//! return each destination's *minimum* in-frontier in-neighbour, so the
+//! result is the same on any backend, executor, policy and thread count.
 
+use crate::policy::Chooser;
 use gblas_core::algebra::Scalar;
 use gblas_core::backend::{GblasBackend, MaskSpec, SharedBackend};
 use gblas_core::container::{CsrMatrix, DenseVec};
 use gblas_core::error::{check_dims, GblasError, Result};
+use gblas_core::ops::selection::{Decision, Direction, SelectionPolicy};
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
 use gblas_dist::ops::spmspv::CommStrategy;
@@ -70,50 +73,84 @@ impl BfsResult {
     }
 }
 
-/// Level-synchronous BFS over any backend: one masked first-visitor
-/// SpMSpV per level against the complement of the visited set. Levels and
-/// parents are driver-side control state; the visited bits live in the
-/// backend's own layout so the mask never has to be reshaped.
+/// Level-synchronous BFS over any backend. Levels and parents are
+/// driver-side control state; the visited bits live in the backend's own
+/// layout so the mask never has to be reshaped, and a level's output is
+/// the next level's frontier as it stands.
+///
+/// `policy = None` is the static driver: every level is the masked push
+/// SpMSpV and the decision log comes back empty. `Some(policy)` decides
+/// per level between it and the pull scan, whose transpose is built the
+/// first time one fires, and returns the log.
 pub fn bfs_on<B: GblasBackend, T: Scalar>(
     backend: &B,
     a: &B::Matrix<T>,
     source: usize,
+    policy: Option<SelectionPolicy>,
     opts: SpMSpVOpts,
-) -> Result<BfsResult> {
+) -> Result<(BfsResult, Vec<Decision>)> {
+    bfs_observed(backend, a, source, policy, opts, |_| {})
+}
+
+/// [`bfs_on`] calling `observe(level)` after each level — how a harness
+/// (the allocation benchmark) samples per-level cost from the loop the
+/// library runs instead of a copy of it.
+pub fn bfs_observed<B: GblasBackend, T: Scalar>(
+    backend: &B,
+    a: &B::Matrix<T>,
+    source: usize,
+    policy: Option<SelectionPolicy>,
+    opts: SpMSpVOpts,
+    mut observe: impl FnMut(usize),
+) -> Result<(BfsResult, Vec<Decision>)> {
     check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
     let n = backend.mat_nrows(a);
     if source >= n {
         return Err(GblasError::IndexOutOfBounds { index: source, capacity: n });
     }
+    let mut chooser = Chooser::new(backend, a, "bfs", Direction::Push, policy, opts.merge);
     let mut levels = DenseVec::filled(n, -1i64);
     let mut parents = DenseVec::filled(n, usize::MAX);
     let mut visited = backend.dense_filled(n, false);
     levels[source] = 0;
     parents[source] = source;
     backend.dense_set(&mut visited, source, true);
+    let mut visited_count = 1usize;
+    let mut at: Option<B::Matrix<T>> = None;
     let mut frontier = backend.sparse_from_sorted(n, vec![source], vec![source])?;
-    let mut level = 0i64;
+    let mut level = 0usize;
     while backend.sparse_nnz(&frontier) > 0 {
+        let nnz_f = backend.sparse_nnz(&frontier);
+        let (dir, merge) = chooser.choose(backend, level, nnz_f, || n - visited_count)?;
         level += 1;
-        let next = backend.spmspv_first_visitor(
-            a,
-            &frontier,
-            Some(MaskSpec::complement(&visited)),
-            opts,
-        )?;
-        let entries = backend.sparse_entries(&next);
-        let mut inds = Vec::with_capacity(entries.len());
-        let mut vals = Vec::with_capacity(entries.len());
-        for (v, parent) in entries {
+        let next = match dir {
+            Direction::Push => backend.spmspv_first_visitor(
+                a,
+                &frontier,
+                Some(MaskSpec::complement(&visited)),
+                SpMSpVOpts { merge, ..opts },
+            )?,
+            Direction::Pull => {
+                let bits = backend.sparse_to_bitmap(&frontier)?;
+                let at = match &mut at {
+                    Some(at) => at,
+                    None => at.insert(backend.mat_transpose(a)?),
+                };
+                backend.pull_first_visitor(at, &bits, &visited)?
+            }
+        };
+        for (v, parent) in backend.sparse_entries(&next) {
             backend.dense_set(&mut visited, v, true);
-            levels[v] = level;
+            levels[v] = level as i64;
             parents[v] = parent;
-            inds.push(v);
-            vals.push(v);
         }
-        frontier = backend.sparse_from_sorted(n, inds, vals)?;
+        visited_count += backend.sparse_nnz(&next);
+        // Both kernels ignore frontier values and emit in the frontier's
+        // own layout, so the parents vector serves as the next frontier.
+        frontier = next;
+        observe(level);
     }
-    Ok(BfsResult { levels, parents })
+    Ok((BfsResult { levels, parents }, chooser.decisions))
 }
 
 /// Shared-memory BFS from `source` over the out-edges of `a` (square).
@@ -130,7 +167,18 @@ pub fn bfs_with<T: Scalar>(
     opts: SpMSpVOpts,
     ctx: &ExecCtx,
 ) -> Result<BfsResult> {
-    bfs_on(&SharedBackend::new(ctx), a, source, opts)
+    Ok(bfs_on(&SharedBackend::new(ctx), a, source, None, opts)?.0)
+}
+
+/// Shared-memory direction-optimizing BFS, with its per-level decision log.
+pub fn bfs_selected<T: Scalar>(
+    a: &CsrMatrix<T>,
+    source: usize,
+    policy: SelectionPolicy,
+    opts: SpMSpVOpts,
+    ctx: &ExecCtx,
+) -> Result<(BfsResult, Vec<Decision>)> {
+    bfs_on(&SharedBackend::new(ctx), a, source, Some(policy), opts)
 }
 
 /// Distributed BFS: the same [`bfs_on`] text with the Listing-8 SpMSpV as
@@ -156,8 +204,23 @@ pub fn bfs_dist_with<T: Scalar>(
     dctx: &DistCtx,
 ) -> Result<(BfsResult, gblas_sim::SimReport)> {
     let backend = DistBackend::with_strategy(dctx, strategy);
-    let result = bfs_on(&backend, a, source, opts)?;
+    let (result, _) = bfs_on(&backend, a, source, None, opts)?;
     Ok((result, backend.take_report()))
+}
+
+/// Distributed direction-optimizing BFS: decisions come from global
+/// counts, so every locale runs the same kernel every level.
+pub fn bfs_selected_dist<T: Scalar>(
+    a: &DistCsrMatrix<T>,
+    source: usize,
+    policy: SelectionPolicy,
+    strategy: CommStrategy,
+    opts: SpMSpVOpts,
+    dctx: &DistCtx,
+) -> Result<(BfsResult, Vec<Decision>, gblas_sim::SimReport)> {
+    let backend = DistBackend::with_strategy(dctx, strategy);
+    let (result, decisions) = bfs_on(&backend, a, source, Some(policy), opts)?;
+    Ok((result, decisions, backend.take_report()))
 }
 
 #[cfg(test)]
@@ -238,9 +301,7 @@ mod tests {
         use gblas_core::ops::spmspv::MergeStrategy;
         let a = gen::erdos_renyi(500, 4, 47);
         for threads in [1, 4] {
-            // One *real* thread: first-visitor parents are only
-            // deterministic serially, and this test compares two runs.
-            let ctx = ExecCtx::new(threads, 1);
+            let ctx = ExecCtx::new(threads, 2);
             let sorted = bfs_with(&a, 0, SpMSpVOpts::default(), &ctx).unwrap();
             let bucketed =
                 bfs_with(&a, 0, SpMSpVOpts::with_merge(MergeStrategy::Bucketed), &ctx).unwrap();
@@ -274,6 +335,102 @@ mod tests {
     fn bfs_source_out_of_range() {
         let a = gen::erdos_renyi(10, 2, 37);
         assert!(bfs(&a, 10, &ExecCtx::serial()).is_err());
+        let auto = SelectionPolicy::Auto;
+        assert!(bfs_selected(&a, 10, auto, SpMSpVOpts::default(), &ExecCtx::serial()).is_err());
+    }
+
+    const POLICIES: [SelectionPolicy; 3] =
+        [SelectionPolicy::Auto, SelectionPolicy::Push, SelectionPolicy::Pull];
+
+    #[test]
+    fn bfs_identical_across_policies_and_matches_static_driver() {
+        // Dense enough that auto actually pulls mid-traversal.
+        let a = gen::erdos_renyi(400, 8, 91);
+        let ctx = ExecCtx::serial();
+        let expect = bfs(&a, 0, &ctx).unwrap();
+        for policy in POLICIES {
+            let (r, decisions) = bfs_selected(&a, 0, policy, SpMSpVOpts::default(), &ctx).unwrap();
+            assert_eq!(r, expect, "{policy:?}");
+            assert!(!decisions.is_empty());
+            r.validate(&a, 0).unwrap();
+        }
+    }
+
+    #[test]
+    fn static_bfs_decides_nothing_and_observes_every_level() {
+        let a = gen::erdos_renyi(300, 6, 93);
+        let ctx = ExecCtx::serial();
+        let mut seen = Vec::new();
+        let (r, decisions) =
+            bfs_observed(&SharedBackend::new(&ctx), &a, 0, None, SpMSpVOpts::default(), |level| {
+                seen.push(level)
+            })
+            .unwrap();
+        assert!(decisions.is_empty());
+        // one call per level run, the last of which finds nothing new
+        let depth = *r.levels.as_slice().iter().max().unwrap() as usize;
+        assert_eq!(seen, (1..=depth + 1).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn auto_bfs_uses_both_directions_on_a_dense_graph() {
+        let a = gen::erdos_renyi(500, 10, 5);
+        let ctx = ExecCtx::serial();
+        let (_, decisions) =
+            bfs_selected(&a, 0, SelectionPolicy::Auto, SpMSpVOpts::default(), &ctx).unwrap();
+        let dirs: Vec<Direction> = decisions.iter().map(|d| d.dir).collect();
+        assert!(dirs.contains(&Direction::Push), "{dirs:?}");
+        assert!(dirs.contains(&Direction::Pull), "{dirs:?}");
+    }
+
+    #[test]
+    fn bfs_dist_identical_across_policies() {
+        let a = gen::erdos_renyi(300, 7, 92);
+        let shared = bfs(&a, 3, &ExecCtx::serial()).unwrap();
+        let grid = ProcGrid::new(2, 2);
+        let da = DistCsrMatrix::from_global(&a, grid);
+        for policy in POLICIES {
+            let dctx = DistCtx::new(MachineConfig::edison_cluster(4, 24));
+            let (r, decisions, report) =
+                bfs_selected_dist(&da, 3, policy, CommStrategy::Bulk, SpMSpVOpts::default(), &dctx)
+                    .unwrap();
+            assert_eq!(r, shared, "{policy:?}");
+            assert!(!decisions.is_empty());
+            assert!(report.total() > 0.0);
+        }
+    }
+
+    /// The decision log of an `auto` distributed BFS over `a` from vertex 3.
+    fn dist_auto_decisions(a: &CsrMatrix<f64>, pr: usize, pc: usize) -> Vec<Decision> {
+        let grid = ProcGrid::new(pr, pc);
+        let da = DistCsrMatrix::from_global(a, grid);
+        let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
+        let auto = SelectionPolicy::Auto;
+        bfs_selected_dist(&da, 3, auto, CommStrategy::Bulk, SpMSpVOpts::default(), &dctx).unwrap().1
+    }
+
+    #[test]
+    fn single_locale_dist_auto_decisions_match_shared() {
+        // At p = 1 the machine-aware thresholds reduce to the shared
+        // defaults, so the decision sequences must be identical; at
+        // p > 1 the distributed thresholds shift toward pull by design.
+        let a = gen::erdos_renyi(300, 7, 92);
+        let ctx = ExecCtx::serial();
+        let (_, shared_d) =
+            bfs_selected(&a, 3, SelectionPolicy::Auto, SpMSpVOpts::default(), &ctx).unwrap();
+        assert_eq!(shared_d, dist_auto_decisions(&a, 1, 1));
+    }
+
+    #[test]
+    fn dist_auto_decisions_identical_across_grids_at_fixed_locale_count() {
+        // The thresholds depend only on the locale *count*, not the grid
+        // shape, and the density counts are global — so every grid of 4
+        // locales must produce the same decision sequence.
+        let a = gen::erdos_renyi(300, 7, 92);
+        let seqs: Vec<_> =
+            [(1, 4), (2, 2), (4, 1)].map(|(pr, pc)| dist_auto_decisions(&a, pr, pc)).into();
+        assert_eq!(seqs[0], seqs[1]);
+        assert_eq!(seqs[1], seqs[2]);
     }
 
     #[test]

@@ -7,49 +7,93 @@
 //! `diameter` rounds. The input must be symmetric (an undirected graph).
 //!
 //! One implementation, [`connected_components_on`], generic over
-//! [`GblasBackend`].
+//! [`GblasBackend`] and an optional per-round [`SelectionPolicy`].
 
+use crate::policy::Chooser;
 use gblas_core::algebra::{First, Min, Scalar, Semiring};
 use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::{CsrMatrix, DenseVec};
 use gblas_core::error::{check_dims, Result};
+use gblas_core::ops::selection::{Decision, Direction, SelectionPolicy};
+use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
+use gblas_dist::ops::spmspv::CommStrategy;
 use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx};
 
 /// Min-label propagation over any backend. Labels are driver-side
-/// control state; each round is one `(min, first)` SpMV, the min-combine
-/// with the previous labels runs in ascending vertex order, and the
-/// global "changed?" decision is priced as one scalar all-reduce.
+/// control state; the min-combine with the previous labels runs in
+/// ascending vertex order, and the global "changed?" decision is priced
+/// as one scalar all-reduce per round.
+///
+/// `policy = None` is the static driver: every round is one dense
+/// `(min, first)` SpMV (pull) and the decision log comes back empty.
+/// `Some(policy)` decides per round between that and a push — one SpMSpV
+/// (merged per `opts`) from only the vertices whose label changed last
+/// round. Pushed candidates from unchanged neighbours can never win, so
+/// labels and round counts do not depend on the choice.
 pub fn connected_components_on<B: GblasBackend, T: Scalar>(
     backend: &B,
     a: &B::Matrix<T>,
-) -> Result<DenseVec<usize>> {
+    policy: Option<SelectionPolicy>,
+    opts: SpMSpVOpts,
+) -> Result<(DenseVec<usize>, Vec<Decision>)> {
     check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
     let n = backend.mat_nrows(a);
+    let mut chooser = Chooser::new(backend, a, "cc", Direction::Pull, policy, opts.merge);
     let ring: Semiring<Min, First> = Semiring::new(Min, First);
     let mut labels: Vec<usize> = (0..n).collect();
+    // Vertices whose label changed last round; every vertex "changed" at
+    // round zero, so the first round is the dense recurrence either way.
+    let mut changed: Vec<usize> = (0..n).collect();
+    let mut round = 0usize;
     loop {
-        let x = backend.dense_from_vec(labels.clone());
-        let propagated: B::DenseVec<usize> = backend.spmv(a, &x, &ring)?;
-        let propagated = backend.dense_to_vec(propagated);
-        let mut changed = false;
+        let (dir, merge) = chooser.choose(backend, round, changed.len(), || n)?;
+        round += 1;
+        let propagated: Vec<usize> = match dir {
+            Direction::Pull => {
+                let x = backend.dense_from_vec(labels.clone());
+                let y: B::DenseVec<usize> = backend.spmv(a, &x, &ring)?;
+                backend.dense_to_vec(y)
+            }
+            Direction::Push => {
+                let vals: Vec<usize> = changed.iter().map(|&v| labels[v]).collect();
+                let f = backend.sparse_from_sorted(n, changed, vals)?;
+                let y: B::SparseVec<usize> =
+                    backend.spmspv_semiring(a, &f, &ring, None, SpMSpVOpts { merge, ..opts })?;
+                let mut out = vec![usize::MAX; n];
+                for (j, v) in backend.sparse_entries(&y) {
+                    out[j] = v;
+                }
+                out
+            }
+        };
+        changed = Vec::new();
         for v in 0..n {
-            let candidate = propagated[v].min(labels[v]);
-            if candidate < labels[v] {
-                labels[v] = candidate;
-                changed = true;
+            if propagated[v] < labels[v] {
+                labels[v] = propagated[v];
+                changed.push(v);
             }
         }
         backend.allreduce_scalar("cc-allreduce")?;
-        if !changed {
-            return Ok(DenseVec::from_vec(labels));
+        if changed.is_empty() {
+            return Ok((DenseVec::from_vec(labels), chooser.decisions));
         }
     }
 }
 
 /// Component labels (the smallest vertex id in each component).
 pub fn connected_components<T: Scalar>(a: &CsrMatrix<T>, ctx: &ExecCtx) -> Result<DenseVec<usize>> {
-    connected_components_on(&SharedBackend::new(ctx), a)
+    Ok(connected_components_on(&SharedBackend::new(ctx), a, None, SpMSpVOpts::default())?.0)
+}
+
+/// Shared-memory direction-optimizing CC, with its per-round decision log.
+pub fn connected_components_selected<T: Scalar>(
+    a: &CsrMatrix<T>,
+    policy: SelectionPolicy,
+    opts: SpMSpVOpts,
+    ctx: &ExecCtx,
+) -> Result<(DenseVec<usize>, Vec<Decision>)> {
+    connected_components_on(&SharedBackend::new(ctx), a, Some(policy), opts)
 }
 
 /// Count distinct components from a label vector.
@@ -69,8 +113,21 @@ pub fn connected_components_dist<T: Scalar>(
     dctx: &DistCtx,
 ) -> Result<(DenseVec<usize>, gblas_sim::SimReport)> {
     let backend = DistBackend::new(dctx);
-    let labels = connected_components_on(&backend, a)?;
+    let (labels, _) = connected_components_on(&backend, a, None, SpMSpVOpts::default())?;
     Ok((labels, backend.take_report()))
+}
+
+/// Distributed direction-optimizing connected components.
+pub fn connected_components_selected_dist<T: Scalar>(
+    a: &DistCsrMatrix<T>,
+    policy: SelectionPolicy,
+    strategy: CommStrategy,
+    opts: SpMSpVOpts,
+    dctx: &DistCtx,
+) -> Result<(DenseVec<usize>, Vec<Decision>, gblas_sim::SimReport)> {
+    let backend = DistBackend::with_strategy(dctx, strategy);
+    let (labels, decisions) = connected_components_on(&backend, a, Some(policy), opts)?;
+    Ok((labels, decisions, backend.take_report()))
 }
 
 #[cfg(test)]
@@ -161,6 +218,43 @@ mod tests {
             assert!(report.total() > 0.0);
             // all-bulk kernel
             assert_eq!(dctx.comm.totals().0, 0);
+        }
+    }
+
+    const POLICIES: [SelectionPolicy; 3] =
+        [SelectionPolicy::Auto, SelectionPolicy::Push, SelectionPolicy::Pull];
+
+    #[test]
+    fn cc_identical_across_policies_and_matches_static_driver() {
+        let a = gen::erdos_renyi_symmetric(300, 3, 93);
+        let ctx = ExecCtx::serial();
+        let expect = connected_components(&a, &ctx).unwrap();
+        for policy in POLICIES {
+            let (labels, decisions) =
+                connected_components_selected(&a, policy, SpMSpVOpts::default(), &ctx).unwrap();
+            assert_eq!(labels, expect, "{policy:?}");
+            assert!(!decisions.is_empty());
+        }
+    }
+
+    #[test]
+    fn cc_dist_identical_across_policies() {
+        let a = gen::erdos_renyi_symmetric(200, 3, 94);
+        let expect = connected_components(&a, &ExecCtx::serial()).unwrap();
+        let grid = gblas_dist::ProcGrid::new(2, 2);
+        let da = DistCsrMatrix::from_global(&a, grid);
+        for policy in POLICIES {
+            let dctx = DistCtx::new(gblas_sim::MachineConfig::edison_cluster(4, 24));
+            let (labels, _, report) = connected_components_selected_dist(
+                &da,
+                policy,
+                CommStrategy::Bulk,
+                SpMSpVOpts::default(),
+                &dctx,
+            )
+            .unwrap();
+            assert_eq!(labels, expect, "{policy:?}");
+            assert!(report.total() > 0.0);
         }
     }
 

@@ -27,8 +27,10 @@
 //!   SUMMA), inflation is `map` + column prune.
 //!
 //! **Every algorithm is written exactly once**, as a generic function
-//! over [`gblas_core::backend::GblasBackend`] (`bfs_on`, `sssp_on`, ...):
-//! the same text runs on the shared-memory backend
+//! over [`gblas_core::backend::GblasBackend`] (`bfs_on`, `sssp_on`, ...;
+//! the traversals take an `Option<SelectionPolicy>` — `None` is the native
+//! direction every iteration — not a second driver): the same text runs
+//! on the shared-memory backend
 //! ([`gblas_core::backend::SharedBackend`]) and on the simulated
 //! distributed backend ([`gblas_dist::DistBackend`]), which is the
 //! paper's version-1/version-2 split made a compile-time contract. The
@@ -55,13 +57,19 @@ pub mod mcl;
 pub mod mis;
 pub mod multi;
 pub mod pagerank;
-pub mod selected;
+mod policy;
 pub mod sssp;
 pub mod triangles;
 
 pub use betweenness::{betweenness, betweenness_dist, betweenness_on};
-pub use bfs::{bfs, bfs_dist, bfs_dist_with, bfs_on, bfs_with, BfsResult};
-pub use cc::{connected_components, connected_components_dist, connected_components_on};
+pub use bfs::{
+    bfs, bfs_dist, bfs_dist_with, bfs_observed, bfs_on, bfs_selected, bfs_selected_dist, bfs_with,
+    BfsResult,
+};
+pub use cc::{
+    connected_components, connected_components_dist, connected_components_on,
+    connected_components_selected, connected_components_selected_dist,
+};
 pub use kcore::{core_numbers, core_numbers_dist, core_numbers_on};
 pub use mcl::{
     markov_cluster, markov_cluster_dist, markov_cluster_dist_with, markov_cluster_on, MclOptions,
@@ -73,10 +81,8 @@ pub use multi::{
     PprOptions, PprResult,
 };
 pub use pagerank::{pagerank, pagerank_dist, pagerank_dist_on, pagerank_on, PageRankOptions};
-pub use selected::{
-    bfs_selected, bfs_selected_dist, bfs_selected_on, connected_components_selected,
-    connected_components_selected_dist, connected_components_selected_on, sssp_selected,
-    sssp_selected_dist, sssp_selected_on,
+pub use sssp::{
+    sssp, sssp_dist, sssp_dist_with, sssp_on, sssp_selected, sssp_selected_dist, sssp_with,
+    EdgeWeight,
 };
-pub use sssp::{sssp, sssp_dist, sssp_dist_with, sssp_on, sssp_with, EdgeWeight};
 pub use triangles::{triangle_count, triangle_count_dist, triangle_count_on};

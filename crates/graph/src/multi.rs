@@ -70,19 +70,15 @@ pub fn bfs_multi_on<B: GblasBackend, T: Scalar>(
     while backend.frontier_nnz(&frontier) > 0 {
         level += 1;
         let next = backend.expand_first_visitor(a, &frontier, &visited, opts)?;
-        let entries = backend.frontier_entries(&next);
-        let mut rows: Vec<Vec<(usize, usize)>> = Vec::with_capacity(k);
-        for (s, found) in entries.into_iter().enumerate() {
-            let mut row = Vec::with_capacity(found.len());
+        for (s, found) in backend.frontier_entries(&next).into_iter().enumerate() {
             for (v, parent) in found {
                 backend.dense_set(&mut visited[s], v, true);
                 levels[s][v] = level;
                 parents[s][v] = parent;
-                row.push((v, v));
             }
-            rows.push(row);
         }
-        frontier = backend.frontier_from_entries(n, rows)?;
+        // As in `bfs_on`: the expansion's output is the next frontier.
+        frontier = next;
     }
     Ok(levels
         .into_iter()

@@ -6,14 +6,17 @@
 //! frontier. Terminates after at most `V` rounds on graphs with
 //! non-negative weights (and detects negative cycles otherwise).
 //!
-//! One implementation, [`sssp_on`], generic over [`GblasBackend`] and any
+//! One implementation, [`sssp_on`], generic over [`GblasBackend`], any
 //! [`EdgeWeight`] value type (the matrix is cast to `f64` weights with one
-//! local `Apply` before the relaxation loop).
+//! local `Apply` before the relaxation loop) and an optional per-round
+//! [`SelectionPolicy`].
 
+use crate::policy::Chooser;
 use gblas_core::algebra::{semirings, Scalar};
 use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::{CsrMatrix, DenseVec};
 use gblas_core::error::{check_dims, GblasError, Result};
+use gblas_core::ops::selection::{Decision, Direction, SelectionPolicy};
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
 use gblas_dist::ops::spmspv::CommStrategy;
@@ -46,20 +49,32 @@ impl EdgeWeight for bool {
 }
 
 /// Bellman–Ford relaxation over any backend. Tentative distances are
-/// driver-side control state; each round is one `(min, +)` SpMSpV whose
-/// improvements (checked in ascending vertex order) form the next
-/// frontier.
+/// driver-side control state; each round relaxes the out-edges of the
+/// vertices that improved last round, and the improvements (checked in
+/// ascending vertex order) form the next frontier. At most `V` rounds
+/// run: a `(V+1)`-th about to start means a negative cycle and is an
+/// error.
+///
+/// `policy = None` is the static driver: every round is one `(min, +)`
+/// SpMSpV from the frontier and the decision log comes back empty.
+/// `Some(policy)` decides per round between that push and a pull that
+/// relaxes **every** edge with one dense `(min, +)` SpMV. The two make
+/// exactly the same improvements (a settled `u` already satisfies
+/// `dist[j] ≤ dist[u] + w`, so the dense min is attained on frontier terms
+/// whenever it improves — exact `f64` equality, no tolerance).
 pub fn sssp_on<B: GblasBackend, T: EdgeWeight>(
     backend: &B,
     a: &B::Matrix<T>,
     source: usize,
+    policy: Option<SelectionPolicy>,
     opts: SpMSpVOpts,
-) -> Result<DenseVec<f64>> {
+) -> Result<(DenseVec<f64>, Vec<Decision>)> {
     check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
     let n = backend.mat_nrows(a);
     if source >= n {
         return Err(GblasError::IndexOutOfBounds { index: source, capacity: n });
     }
+    let mut chooser = Chooser::new(backend, a, "sssp", Direction::Push, policy, opts.merge);
     let w: B::Matrix<f64> = backend.mat_map(a, &|_, _, v| v.as_weight())?;
     let ring = semirings::min_plus();
     let mut dist = vec![f64::INFINITY; n];
@@ -67,17 +82,36 @@ pub fn sssp_on<B: GblasBackend, T: EdgeWeight>(
     let mut frontier = backend.sparse_from_sorted(n, vec![source], vec![0.0])?;
     let mut rounds = 0usize;
     while backend.sparse_nnz(&frontier) > 0 {
-        rounds += 1;
-        if rounds > n {
+        if rounds == n {
             return Err(GblasError::InvalidArgument(
                 "sssp did not converge within V rounds (negative cycle?)".into(),
             ));
         }
-        let relaxed: B::SparseVec<f64> =
-            backend.spmspv_semiring(&w, &frontier, &ring, None, opts)?;
+        let unsettled = || dist.iter().filter(|d| d.is_infinite()).count();
+        let nnz_f = backend.sparse_nnz(&frontier);
+        let (dir, merge) = chooser.choose(backend, rounds, nnz_f, unsettled)?;
+        rounds += 1;
+        let relaxed: Vec<(usize, f64)> = match dir {
+            Direction::Push => {
+                let y: B::SparseVec<f64> = backend.spmspv_semiring(
+                    &w,
+                    &frontier,
+                    &ring,
+                    None,
+                    SpMSpVOpts { merge, ..opts },
+                )?;
+                backend.sparse_entries(&y)
+            }
+            Direction::Pull => {
+                let x = backend.dense_from_vec(dist.clone());
+                let y: B::DenseVec<f64> = backend.spmv(&w, &x, &ring)?;
+                let reached = backend.dense_to_vec(y).into_iter().enumerate();
+                reached.filter(|(_, d)| d.is_finite()).collect()
+            }
+        };
         let mut next_i = Vec::new();
         let mut next_v = Vec::new();
-        for (j, d) in backend.sparse_entries(&relaxed) {
+        for (j, d) in relaxed {
             if d < dist[j] {
                 dist[j] = d;
                 next_i.push(j);
@@ -86,7 +120,7 @@ pub fn sssp_on<B: GblasBackend, T: EdgeWeight>(
         }
         frontier = backend.sparse_from_sorted(n, next_i, next_v)?;
     }
-    Ok(DenseVec::from_vec(dist))
+    Ok((DenseVec::from_vec(dist), chooser.decisions))
 }
 
 /// Shortest-path distances from `source`; unreachable vertices hold
@@ -110,7 +144,18 @@ pub fn sssp_with<T: EdgeWeight>(
     opts: SpMSpVOpts,
     ctx: &ExecCtx,
 ) -> Result<DenseVec<f64>> {
-    sssp_on(&SharedBackend::new(ctx), a, source, opts)
+    Ok(sssp_on(&SharedBackend::new(ctx), a, source, None, opts)?.0)
+}
+
+/// Shared-memory direction-optimizing SSSP, with its per-round decision log.
+pub fn sssp_selected<T: EdgeWeight>(
+    a: &CsrMatrix<T>,
+    source: usize,
+    policy: SelectionPolicy,
+    opts: SpMSpVOpts,
+    ctx: &ExecCtx,
+) -> Result<(DenseVec<f64>, Vec<Decision>)> {
+    sssp_on(&SharedBackend::new(ctx), a, source, Some(policy), opts)
 }
 
 /// Distributed SSSP: the same [`sssp_on`] text with the general-semiring
@@ -135,8 +180,22 @@ pub fn sssp_dist_with<T: EdgeWeight>(
     dctx: &DistCtx,
 ) -> Result<(DenseVec<f64>, gblas_sim::SimReport)> {
     let backend = DistBackend::with_strategy(dctx, strategy);
-    let dist = sssp_on(&backend, a, source, opts)?;
+    let (dist, _) = sssp_on(&backend, a, source, None, opts)?;
     Ok((dist, backend.take_report()))
+}
+
+/// Distributed direction-optimizing SSSP.
+pub fn sssp_selected_dist<T: EdgeWeight>(
+    a: &DistCsrMatrix<T>,
+    source: usize,
+    policy: SelectionPolicy,
+    strategy: CommStrategy,
+    opts: SpMSpVOpts,
+    dctx: &DistCtx,
+) -> Result<(DenseVec<f64>, Vec<Decision>, gblas_sim::SimReport)> {
+    let backend = DistBackend::with_strategy(dctx, strategy);
+    let (dist, decisions) = sssp_on(&backend, a, source, Some(policy), opts)?;
+    Ok((dist, decisions, backend.take_report()))
 }
 
 #[cfg(test)]
@@ -243,7 +302,48 @@ mod tests {
     #[test]
     fn source_out_of_range_is_error() {
         let a = CsrMatrix::<f64>::empty(2, 2);
-        assert!(sssp(&a, 5, &ExecCtx::serial()).is_err());
+        let ctx = ExecCtx::serial();
+        assert!(sssp(&a, 5, &ctx).is_err());
+        assert!(sssp_selected(&a, 5, SelectionPolicy::Auto, SpMSpVOpts::default(), &ctx).is_err());
+    }
+
+    const POLICIES: [SelectionPolicy; 3] =
+        [SelectionPolicy::Auto, SelectionPolicy::Push, SelectionPolicy::Pull];
+
+    #[test]
+    fn sssp_exactly_identical_across_policies() {
+        let a = gen::erdos_renyi(300, 5, 95);
+        let ctx = ExecCtx::serial();
+        let expect = sssp(&a, 0, &ctx).unwrap();
+        for policy in POLICIES {
+            let (dist, decisions) =
+                sssp_selected(&a, 0, policy, SpMSpVOpts::default(), &ctx).unwrap();
+            // Bitwise, not approximate: the pull relaxation computes the
+            // same f64 min as the push relaxation.
+            assert_eq!(dist.as_slice(), expect.as_slice(), "{policy:?}");
+            assert!(!decisions.is_empty());
+        }
+    }
+
+    #[test]
+    fn sssp_dist_identical_across_policies() {
+        let a = gen::erdos_renyi(250, 5, 96);
+        let expect = sssp(&a, 7, &ExecCtx::serial()).unwrap();
+        let grid = gblas_dist::ProcGrid::new(2, 2);
+        let da = DistCsrMatrix::from_global(&a, grid);
+        for policy in POLICIES {
+            let dctx = DistCtx::new(gblas_sim::MachineConfig::edison_cluster(4, 24));
+            let (dist, _, _) = sssp_selected_dist(
+                &da,
+                7,
+                policy,
+                CommStrategy::Bulk,
+                SpMSpVOpts::default(),
+                &dctx,
+            )
+            .unwrap();
+            assert_eq!(dist.as_slice(), expect.as_slice(), "{policy:?}");
+        }
     }
 
     #[test]

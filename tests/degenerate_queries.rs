@@ -240,6 +240,65 @@ fn mostly_dangling_graph_keeps_ranks_finite_and_conserved() {
     }
 }
 
+/// One negative-cycle rule for every SSSP driver: at most `n` relaxation
+/// rounds run, and an `(n+1)`-th about to start is `InvalidArgument`. An
+/// `n`-vertex path sits exactly on the boundary — `n - 1` rounds settle it
+/// and the `n`-th finds nothing to improve — and must still settle.
+#[test]
+fn sssp_round_bound_is_one_rule_on_every_driver() {
+    use gblas_core::error::GblasError;
+    use gblas_core::ops::selection::SelectionPolicy;
+    use gblas_core::ops::spmspv::SpMSpVOpts;
+    use gblas_dist::ops::spmspv::CommStrategy;
+    use gblas_graph::{sssp_selected, sssp_selected_dist};
+
+    const POLICIES: [SelectionPolicy; 3] =
+        [SelectionPolicy::Auto, SelectionPolicy::Push, SelectionPolicy::Pull];
+    let (opts, bulk) = (SpMSpVOpts::default(), CommStrategy::Bulk);
+    let diverged = |r: Result<(), GblasError>, who: &str| {
+        assert!(matches!(r, Err(GblasError::InvalidArgument(_))), "{who}: {r:?}");
+    };
+
+    // 0 -> 1 -> 2 -> 0 with total weight -1: every round improves forever
+    let cycle = CsrMatrix::from_triplets(3, 3, &[(0, 1, 1i64), (1, 2, 1), (2, 0, -3)]).unwrap();
+    const N: usize = 6;
+    let hops: Vec<(usize, usize, i64)> = (1..N).map(|v| (v - 1, v, 2)).collect();
+    let path = CsrMatrix::from_triplets(N, N, &hops).unwrap();
+    let settled: Vec<f64> = (0..N).map(|v| 2.0 * v as f64).collect();
+
+    let ctx = ExecCtx::serial();
+    diverged(sssp(&cycle, 0, &ctx).map(drop), "static");
+    diverged(sssp_multi(&cycle, &[0, 2], &ctx).map(drop), "multi");
+    assert_eq!(sssp(&path, 0, &ctx).unwrap().as_slice(), &settled[..]);
+    for d in sssp_multi(&path, &[0, 0], &ctx).unwrap() {
+        assert_eq!(d.as_slice(), &settled[..]);
+    }
+    for policy in POLICIES {
+        diverged(sssp_selected(&cycle, 0, policy, opts, &ctx).map(drop), "selected");
+        let (d, decisions) = sssp_selected(&path, 0, policy, opts, &ctx).unwrap();
+        assert_eq!(d.as_slice(), &settled[..], "{policy:?}");
+        assert_eq!(decisions.len(), N, "{policy:?}: one decision per round");
+    }
+
+    let grid = ProcGrid::new(2, 2);
+    let dcycle = DistCsrMatrix::from_global(&cycle, grid);
+    let dpath = DistCsrMatrix::from_global(&path, grid);
+    for executor in EXECUTORS {
+        let fresh = || dctx(grid, executor);
+        diverged(sssp_dist(&dcycle, 0, &fresh()).map(drop), "dist static");
+        diverged(sssp_multi_dist(&dcycle, &[0, 2], &fresh()).map(drop), "dist multi");
+        assert_eq!(sssp_dist(&dpath, 0, &fresh()).unwrap().0.as_slice(), &settled[..]);
+        for d in sssp_multi_dist(&dpath, &[0, 0], &fresh()).unwrap().0 {
+            assert_eq!(d.as_slice(), &settled[..]);
+        }
+        for policy in POLICIES {
+            let run = |a| sssp_selected_dist(a, 0, policy, bulk, opts, &fresh());
+            diverged(run(&dcycle).map(drop), "dist selected");
+            assert_eq!(run(&dpath).unwrap().0.as_slice(), &settled[..], "{policy:?}");
+        }
+    }
+}
+
 /// Adaptive selection at the degenerate ends: the heuristics must answer
 /// n = 0 and single-vertex graphs without panicking, and the full suite
 /// of policies must agree there like everywhere else.

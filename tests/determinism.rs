@@ -1,13 +1,14 @@
 //! Determinism regression net: with fixed seeds and serial real execution,
 //! every operation — including the distributed ones and their simulated
 //! timings — must be bit-for-bit reproducible across runs. This is what
-//! makes the figure harness's CSV outputs stable artifacts.
+//! makes the figure harness's CSV outputs stable artifacts. *Results*
+//! (not work profiles) must also repeat under real threads.
 
 use gblas::prelude::*;
 use gblas_core::gen;
-use gblas_core::ops::spmspv::{spmspv_first_visitor, SpMSpVOpts};
+use gblas_core::ops::spmspv::{spmspv_first_visitor, MergeStrategy, SpMSpVOpts};
 use gblas_dist::ops::spmspv::spmspv_dist;
-use gblas_graph::{bfs, pagerank, PageRankOptions};
+use gblas_graph::{bfs, bfs_with, pagerank, PageRankOptions};
 
 fn machine(p: usize) -> MachineConfig {
     MachineConfig::edison_cluster(p, 24)
@@ -34,6 +35,42 @@ fn shared_memory_op_results_and_profiles_repeat() {
     let (y2, p2) = run();
     assert_eq!(y1, y2);
     assert_eq!(p1, p2, "work profiles must repeat exactly");
+}
+
+/// BFS parents are the minimum in-frontier in-neighbour, not whichever
+/// thread arrived first: indices *and* values are a function of the input
+/// alone. A skewed RMAT makes hub columns contested by many frontier rows
+/// at once, which is where an arrival-order claim shows its timing.
+#[test]
+fn first_visitor_results_do_not_depend_on_real_threads() {
+    const LOGICAL: usize = 8;
+    let a = gen::rmat(11, 8, 21);
+    let n = a.nrows();
+    let x = gen::random_sparse_vec(n, n / 4, 22);
+    let visited = gen::random_dense_bool(n, 0.3, 23);
+    let unvisited = VecMask::dense(&visited).complement();
+    let serial = ExecCtx::new(LOGICAL, 1);
+    for merge in [MergeStrategy::SortBased, MergeStrategy::Bucketed] {
+        let opts = SpMSpVOpts::with_merge(merge);
+        for mask in [None, Some(&unvisited)] {
+            let expect = spmspv_first_visitor(&a, &x, mask, opts, &serial).unwrap();
+            for real in [1, 2, 4] {
+                let ctx = ExecCtx::new(LOGICAL, real);
+                for rep in 0..20 {
+                    let y = spmspv_first_visitor(&a, &x, mask, opts, &ctx).unwrap();
+                    let masked = mask.is_some();
+                    assert_eq!(y, expect, "{merge:?} masked={masked} real={real} rep={rep}");
+                }
+            }
+        }
+        let expect = bfs_with(&a, 0, opts, &serial).unwrap();
+        for real in [1, 2, 4] {
+            let ctx = ExecCtx::new(LOGICAL, real);
+            for rep in 0..20 {
+                assert_eq!(bfs_with(&a, 0, opts, &ctx).unwrap(), expect, "{merge:?} {real} {rep}");
+            }
+        }
+    }
 }
 
 #[test]

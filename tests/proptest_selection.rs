@@ -6,8 +6,8 @@
 //!
 //! * **per-level bit-identity** — at any traversal state (frontier +
 //!   visited set), the pull kernel produces exactly the parents the
-//!   masked push kernel produces under a deterministic schedule, so the
-//!   direction choice is unobservable in the output;
+//!   masked push kernel produces, on real threads too, so the direction
+//!   choice is unobservable in the output;
 //! * **whole-run bit-identity** — BFS/CC/SSSP under `auto`, static
 //!   `push`, and static `pull` return identical results (exact `f64`
 //!   equality for SSSP) on both backends and, for the distributed
@@ -58,7 +58,7 @@ proptest! {
         let visited = DenseVec::from_fn(N, |i| fbits[i] || vrand[i]);
         let frontier_v: Vec<usize> = (0..N).filter(|&i| fbits[i]).collect();
 
-        let ctx = ExecCtx::serial();
+        let ctx = ExecCtx::new(4, 2);
         let backend = SharedBackend::new(&ctx);
         let frontier = backend
             .sparse_from_sorted(N, frontier_v.clone(), frontier_v)
@@ -79,30 +79,13 @@ proptest! {
         prop_assert_eq!(backend.sparse_entries(&pulled), backend.sparse_entries(&pushed));
     }
 
-    /// Promotion to a bitmap frontier and back is lossless, so the format
-    /// decision is unobservable too.
-    #[test]
-    fn bitmap_round_trip_is_lossless(seed in 0u64..1000, den in 0u32..11) {
-        const N: usize = 90;
-        let bits = gen::random_dense_bool(N, f64::from(den) / 10.0, seed);
-        let idx: Vec<usize> = (0..N).filter(|&i| bits[i]).collect();
-        let ctx = ExecCtx::serial();
-        let backend = SharedBackend::new(&ctx);
-        let sparse = backend.sparse_from_sorted(N, idx.clone(), idx.clone()).unwrap();
-        let back = backend
-            .bitmap_to_sparse(&backend.sparse_to_bitmap(&sparse).unwrap())
-            .unwrap();
-        let entries: Vec<(usize, usize)> = idx.iter().map(|&i| (i, i)).collect();
-        prop_assert_eq!(backend.sparse_entries(&back), entries);
-    }
-
     /// Shared backend: every policy returns the static driver's result.
     #[test]
     fn shared_bfs_and_cc_agree_across_policies(
         seed in 0u64..500, d in 1usize..7, source in 0usize..100, threads in 1usize..5
     ) {
         let a = gen::erdos_renyi(100, d, seed);
-        let ctx = ExecCtx::new(threads, 1);
+        let ctx = ExecCtx::new(threads, 2);
         let expect = bfs(&a, source, &ctx).unwrap();
         let mut decision_logs = Vec::new();
         for policy in POLICIES {

@@ -136,9 +136,9 @@ proptest! {
     ) {
         let bits = gblas_core::gen::random_dense_bool(CAP, 0.5, mask_seed);
         let mask = VecMask::dense(&bits);
-        // real_threads = 1 keeps the first-visitor claim order
-        // deterministic, so the two strategies must match bit for bit.
-        let ctx = ExecCtx::new(4, 1);
+        // the min-claim resolves parents the same way under real
+        // threads, so the two strategies must match bit for bit
+        let ctx = ExecCtx::new(4, 2);
         let ys = spmspv_first_visitor(&a, &x, Some(&mask), sorted_opts(), &ctx).unwrap();
         let yb = spmspv_first_visitor(&a, &x, Some(&mask), bucketed_opts(), &ctx).unwrap();
         prop_assert_eq!(&ys, &yb);
