@@ -112,12 +112,21 @@ pub trait GblasBackend {
     fn mat_transpose<T: Scalar>(&self, a: &Self::Matrix<T>) -> Result<Self::Matrix<T>>;
 
     /// Masked SpGEMM: `C⟨M⟩ = A ⊗ B` (structural mask intersection).
+    ///
+    /// With an emit `rule`, each finished entry `(i, j, v)` of the masked
+    /// product is stored as `rule(i, j, v)` maps it, or dropped on `None`:
+    /// `mat_select(mat_map(C))` fused into the multiply, so what the rule
+    /// drops is never stored. It sees only *finished* entries — never a
+    /// stage's partial sum — exactly once each and in no specified order,
+    /// so it must be pure. `None::<&ops::mxm::NoRule<C>>` is the plain
+    /// multiply.
     fn mxm_masked<A, B, C, AddM, MulOp, M>(
         &self,
         a: &Self::Matrix<A>,
         b: &Self::Matrix<B>,
         ring: &Semiring<AddM, MulOp>,
         mask: Option<&Self::Matrix<M>>,
+        rule: Option<&(impl Fn(usize, usize, C) -> Option<C> + Sync)>,
     ) -> Result<Self::Matrix<C>>
     where
         A: Scalar,
@@ -419,6 +428,7 @@ impl GblasBackend for SharedBackend<'_> {
         b: &CsrMatrix<B>,
         ring: &Semiring<AddM, MulOp>,
         mask: Option<&CsrMatrix<M>>,
+        rule: Option<&(impl Fn(usize, usize, C) -> Option<C> + Sync)>,
     ) -> Result<CsrMatrix<C>>
     where
         A: Scalar,
@@ -428,7 +438,7 @@ impl GblasBackend for SharedBackend<'_> {
         AddM: Monoid<C>,
         MulOp: BinaryOp<A, B, C>,
     {
-        ops::mxm::mxm(a, b, ring, mask, self.ctx)
+        ops::mxm::mxm_emit(a, b, ring, mask, rule, self.ctx)
     }
 
     fn reduce_rows<T: Scalar, M>(&self, a: &CsrMatrix<T>, monoid: &M) -> Result<Vec<T>>

@@ -11,7 +11,12 @@
 //! seeded with `Mᵢ`'s columns, a product landing anywhere else is dropped
 //! at the probe, and the row is emitted by walking `Mᵢ` — no index list,
 //! no sort, no post-filter; a row whose mask row is empty is skipped.
-//! DESIGN §4h has the pricing of every step.
+//!
+//! An optional *emit rule* rides on the same kernel ([`mxm_emit`]): each
+//! finished entry is stored as the rule maps it, or dropped, before it is
+//! sorted or written — the `select(map(A ⊗ B))` chain (MCL's inflate and
+//! prune) without the product it would filter. DESIGN §4h has the pricing
+//! of every step.
 
 use crate::algebra::{BinaryOp, Monoid, Semiring};
 use crate::container::CsrMatrix;
@@ -32,6 +37,9 @@ pub const PHASE: &str = "mxm";
 /// Ordering by A-entry index second makes equal columns pop in ascending
 /// inner-dimension order — the accumulation order of the other instances.
 type Cursor = Reverse<(usize, usize, usize)>;
+
+/// What `None` is typed as where a multiply takes no emit rule.
+pub type NoRule<C> = fn(usize, usize, C) -> Option<C>;
 
 /// The accumulator state of one row-kernel instance, checked out of the
 /// context's workspace pool so rows, calls, SUMMA stages and iterations
@@ -67,6 +75,14 @@ impl<C: Copy + Send + 'static> RowKernel<C> {
     /// `min(ncols, Σₖ nnz(B[k,:]))`. Every probe of the accumulator is
     /// charged whether or not the mask admits it, every emitted entry once
     /// more; only unmasked rows pay a sort.
+    ///
+    /// `rule(j, v)` decides what a *finished* entry — every product of its
+    /// position folded, the mask admitting it — is stored as: `Some(w)`
+    /// stores `w`, `None` drops it, and only survivors are sorted, written
+    /// and counted in the return value. It is called exactly once per
+    /// finished entry, in no specified order, so it must be pure; each call
+    /// is charged one `elems`, as `Apply` charges an entry. The tail is
+    /// sized as without a rule.
     #[allow(clippy::too_many_arguments)]
     pub fn row<A: Copy, B: Copy>(
         &mut self,
@@ -75,6 +91,7 @@ impl<C: Copy + Send + 'static> RowKernel<C> {
         b: &CsrMatrix<B>,
         ring: &Semiring<impl Monoid<C>, impl BinaryOp<A, B, C>>,
         mask: Option<&[usize]>,
+        rule: Option<&impl Fn(usize, C) -> Option<C>>,
         cols: &mut [usize],
         vals: &mut [C],
         c: &mut Counters,
@@ -86,7 +103,8 @@ impl<C: Copy + Send + 'static> RowKernel<C> {
         match self {
             RowKernel::Spa(spa) => {
                 spa.reset();
-                let n = table_row(spa, |_, j, _| Some(j), t, at, b, ring, mask, cols, vals, c);
+                let slot = |_: &DenseSpa<C>, j, _| Some(j);
+                let n = table_row(spa, slot, t, at, b, ring, mask, rule, cols, vals, c);
                 c.spa_touches += c.flops - before + n as u64;
                 n
             }
@@ -111,7 +129,7 @@ impl<C: Copy + Send + 'static> RowKernel<C> {
                         h
                     })
                 };
-                let n = table_row(table, slot, t, at, b, ring, mask, cols, vals, c);
+                let n = table_row(table, slot, t, at, b, ring, mask, rule, cols, vals, c);
                 // seeding and emitting a mask row probe the table too
                 c.rand_access += c.flops - before + mask.map_or(0, |m| 2 * m.len() as u64);
                 n
@@ -127,13 +145,19 @@ impl<C: Copy + Send + 'static> RowKernel<C> {
                 }
                 // Columns pop ascending: a two-pointer walk checks each against
                 // the mask row as it first appears (`admitted`) and an admitted
-                // one folds straight into the tail (`last`: the column last popped).
-                let (mut n, mut p, mut last, mut admitted) = (0, 0, None, true);
+                // one folds straight into the tail (`last`: the column last
+                // popped), where the next column's arrival finds it finished
+                // (`open`: the tail's last entry is still folding).
+                let (mut n, mut p, mut last, mut admitted, mut open) = (0, 0, None, true, false);
                 while let Some(Reverse((j, x, pos))) = heap.pop() {
                     let (k, av) = at(x);
                     let (bcols, bvals) = b.row(k);
                     c.flops += 1;
                     let fresh = last != Some(j);
+                    if fresh && open {
+                        n = settle(rule, cols, vals, n, c);
+                        open = false;
+                    }
                     if let (true, Some(m)) = (fresh, mask) {
                         while p < m.len() && m[p] < j {
                             p += 1;
@@ -145,6 +169,7 @@ impl<C: Copy + Send + 'static> RowKernel<C> {
                     if admitted && fresh {
                         (cols[n], vals[n]) = (j, prod);
                         n += 1;
+                        open = true;
                     } else if admitted {
                         vals[n - 1] = ring.add.combine(vals[n - 1], prod);
                     }
@@ -155,9 +180,32 @@ impl<C: Copy + Send + 'static> RowKernel<C> {
                     }
                 }
                 **store = heap.into_vec();
+                if open {
+                    n = settle(rule, cols, vals, n, c);
+                }
                 n
             }
         }
+    }
+}
+
+/// The heap instance's emit step: entry `n - 1` of the tail is finished;
+/// store what `rule` maps it to, or take it back. Returns the tail length.
+fn settle<C: Copy>(
+    rule: Option<&impl Fn(usize, C) -> Option<C>>,
+    cols: &[usize],
+    vals: &mut [C],
+    n: usize,
+    c: &mut Counters,
+) -> usize {
+    let Some(rule) = rule else { return n };
+    c.elems += 1;
+    match rule(cols[n - 1], vals[n - 1]) {
+        Some(w) => {
+            vals[n - 1] = w;
+            n
+        }
+        None => n - 1,
     }
 }
 
@@ -174,6 +222,7 @@ fn table_row<A: Copy, B: Copy, C: Copy>(
     b: &CsrMatrix<B>,
     ring: &Semiring<impl Monoid<C>, impl BinaryOp<A, B, C>>,
     mask: Option<&[usize]>,
+    rule: Option<&impl Fn(usize, C) -> Option<C>>,
     cols: &mut [usize],
     vals: &mut [C],
     c: &mut Counters,
@@ -207,36 +256,86 @@ fn table_row<A: Copy, B: Copy, C: Copy>(
     if let Some(m) = mask {
         c.elems += 2 * m.len() as u64;
     } else {
+        // An unmasked row is finished here: settle the touched list before
+        // the sort, the images back in the table, so a dropped entry is
+        // neither sorted nor gathered.
+        if let Some(rule) = rule {
+            c.elems += touched as u64;
+            let mut kept = 0;
+            for x in 0..touched {
+                let j = cols[x];
+                let Some(v) = slot(table, j, false).and_then(|h| table.get_mut(h)) else {
+                    continue;
+                };
+                if let Some(w) = rule(j, *v) {
+                    *v = w;
+                    cols[kept] = j;
+                    kept += 1;
+                }
+            }
+            touched = kept;
+        }
         cols[..touched].sort_unstable();
         c.sort_elems += (touched.max(1).ilog2() as u64 + 1) * touched as u64;
     }
     let mut n = 0;
     for x in 0..mask.map_or(touched, <[usize]>::len) {
         let j = mask.map_or(cols[x], |m| m[x]);
-        if let Some(v) = slot(table, j, false).and_then(|h| table.get(h)) {
-            (cols[n], vals[n]) = (j, v);
-            n += 1;
+        let Some(mut v) = slot(table, j, false).and_then(|h| table.get(h)) else { continue };
+        // A masked row's entries are settled as the walk of `Mᵢ` finds them.
+        if let (true, Some(rule)) = (gated, rule) {
+            c.elems += 1;
+            let Some(w) = rule(j, v) else { continue };
+            v = w;
         }
+        (cols[n], vals[n]) = (j, v);
+        n += 1;
     }
     n
 }
 
 /// `C = A ⊗ B` over `ring`; with `mask = Some(M)`, only positions stored
-/// in `M` are produced (`C⟨M⟩ = A ⊗ B`).
-///
-/// Rows are dealt to the context's tasks by **flop prefix**
-/// `Σₖ nnz(B[k,:])`, not by count — on skewed inputs a few hub rows carry
-/// most of the work. `colidx`/`values` are allocated once at the rows'
-/// bounds (exact from a pattern-only sizing pass, or `nnz(Mᵢ)` under a
-/// mask) and every task packs its rows into its own disjoint window. The
-/// sizing pass is the host's device for that single allocation; the
-/// simulated machine runs one-pass Gustavson, so it is neither charged
-/// nor recorded as a region.
+/// in `M` are produced (`C⟨M⟩ = A ⊗ B`). [`mxm_emit`] without a rule.
 pub fn mxm<A, B, C, AddM, MulOp, M>(
     a: &CsrMatrix<A>,
     b: &CsrMatrix<B>,
     ring: &Semiring<AddM, MulOp>,
     mask: Option<&CsrMatrix<M>>,
+    ctx: &ExecCtx,
+) -> Result<CsrMatrix<C>>
+where
+    A: Copy + Send + Sync,
+    B: Copy + Send + Sync,
+    C: Copy + Send + Sync + 'static,
+    M: Send + Sync,
+    AddM: Monoid<C>,
+    MulOp: BinaryOp<A, B, C>,
+{
+    mxm_emit(a, b, ring, mask, None::<&NoRule<C>>, ctx)
+}
+
+/// `C⟨M⟩ = rule(A ⊗ B)`: the masked product with each finished entry
+/// `(i, j, v)` stored as `rule(i, j, v)` maps it, or dropped on `None` —
+/// `select(map(A ⊗ B))` bit for bit, without the product being stored,
+/// sorted or written where the rule drops it. The rule is called exactly
+/// once per finished entry, in no specified order: it must be pure.
+///
+/// Rows are dealt to the context's tasks by **flop prefix**
+/// `Σₖ nnz(B[k,:])`, not by count — on skewed inputs a few hub rows carry
+/// most of the work. `colidx`/`values` are allocated once at the rows'
+/// bounds (from a pattern-only sizing pass, or `nnz(Mᵢ)` under a mask)
+/// and every task packs its rows into its own disjoint window. The bounds
+/// are exact for an unmasked multiply without a rule; a mask or a rule
+/// leaves gaps between the windows that are closed afterwards, and what a
+/// rule left unused is given back. The sizing pass is the host's device
+/// for that single allocation; the simulated machine runs one-pass
+/// Gustavson, so it is neither charged nor recorded as a region.
+pub fn mxm_emit<A, B, C, AddM, MulOp, M>(
+    a: &CsrMatrix<A>,
+    b: &CsrMatrix<B>,
+    ring: &Semiring<AddM, MulOp>,
+    mask: Option<&CsrMatrix<M>>,
+    rule: Option<&(impl Fn(usize, usize, C) -> Option<C> + Sync)>,
     ctx: &ExecCtx,
 ) -> Result<CsrMatrix<C>>
 where
@@ -301,15 +400,16 @@ where
             let tail = filled..filled + bounds[i + 1] - bounds[i];
             let (cols, vals) = (&mut cols[tail.clone()], &mut vals[tail]);
             let at = |x: usize| (acols[x], avals[x]);
-            let n = kernel.row(acols.len(), at, b, ring, mask_row(i), cols, vals, c);
+            let rule = rule.map(|keep| move |j, v| keep(i, j, v));
+            let n = kernel.row(acols.len(), at, b, ring, mask_row(i), rule.as_ref(), cols, vals, c);
             filled += n;
             n
         };
         rows.map(row).collect::<Vec<_>>()
     });
     drop(windows);
-    // Close the gaps a mask's bound left between the windows' packed rows
-    // (nothing moves when the bounds were exact).
+    // Close the gaps a mask's or a rule's bound left between the windows'
+    // packed rows (nothing moves when the bounds were exact).
     let rowptr = prefix_sum(nrows, lens.into_iter().flatten());
     for r in &chunks {
         let packed = bounds[r.start]..bounds[r.start] + rowptr[r.end] - rowptr[r.start];
@@ -318,6 +418,10 @@ where
     }
     colidx.truncate(rowptr[nrows]);
     values.truncate(rowptr[nrows]);
+    if rule.is_some() {
+        colidx.shrink_to_fit();
+        values.shrink_to_fit();
+    }
     CsrMatrix::from_raw_parts(nrows, ncols, rowptr, colidx, values)
 }
 
@@ -336,6 +440,9 @@ mod tests {
     use super::*;
     use crate::algebra::semirings;
     use crate::gen;
+    use crate::ops::apply::map_mat;
+    use crate::ops::select::select_mat;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn dense_mm(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>) -> Vec<Vec<f64>> {
         let mut c = vec![vec![0.0; b.ncols()]; a.nrows()];
@@ -427,14 +534,25 @@ mod tests {
         (c.rowptr().to_vec(), c.colidx().to_vec(), c.values().iter().map(|v| v.to_bits()).collect())
     }
 
-    /// `A ⊗ B` row by row through one kernel instance, the way a SUMMA
-    /// stage drives it: each row into a tail pre-sized to its bound.
     fn by_instance<C: Copy + Send + PartialEq + std::fmt::Debug + 'static>(
         kind: MxmKernel,
         a: &CsrMatrix<f64>,
         b: &CsrMatrix<f64>,
         ring: &Semiring<impl Monoid<C>, impl BinaryOp<f64, f64, C>>,
         mask: Option<&CsrMatrix<bool>>,
+    ) -> CsrMatrix<C> {
+        by_instance_emit(kind, a, b, ring, mask, None::<&NoRule<C>>)
+    }
+
+    /// `rule(A ⊗ B)` row by row through one kernel instance, the way a
+    /// SUMMA stage drives it: each row into a tail pre-sized to its bound.
+    fn by_instance_emit<C: Copy + Send + PartialEq + std::fmt::Debug + 'static>(
+        kind: MxmKernel,
+        a: &CsrMatrix<f64>,
+        b: &CsrMatrix<f64>,
+        ring: &Semiring<impl Monoid<C>, impl BinaryOp<f64, f64, C>>,
+        mask: Option<&CsrMatrix<bool>>,
+        rule: Option<&impl Fn(usize, usize, C) -> Option<C>>,
     ) -> CsrMatrix<C> {
         let ctx = ExecCtx::serial();
         let zero = ring.zero::<C>();
@@ -451,7 +569,9 @@ mod tests {
             values.resize(len + bound, zero);
             let (cols, vals) = (&mut colidx[len..], &mut values[len..]);
             let at = |x: usize| (acols[x], avals[x]);
-            let n = kernel.row(acols.len(), at, b, ring, mask_row, cols, vals, &mut c);
+            let rule = rule.map(|keep| move |j, v| keep(i, j, v));
+            let n =
+                kernel.row(acols.len(), at, b, ring, mask_row, rule.as_ref(), cols, vals, &mut c);
             colidx.truncate(len + n);
             values.truncate(len + n);
             rowptr.push(len + n);
@@ -459,11 +579,55 @@ mod tests {
         CsrMatrix::from_raw_parts(a.nrows(), b.ncols(), rowptr, colidx, values).unwrap()
     }
 
+    type Map = fn(usize, usize, f64) -> f64;
+    type Keep = fn(usize, usize, f64) -> bool;
+
+    /// The emit rules of the differential: one that maps and drops, one
+    /// that drops everything, one that keeps everything as it is.
+    fn rules() -> [(Map, Keep); 3] {
+        [
+            (|i, j, v| v * 0.75 + (i + 2 * j) as f64, |i, j, w| (i + j) % 3 != 0 && w < 90.0),
+            (|_, _, v| v, |_, _, _| false),
+            (|_, _, v| v, |_, _, _| true),
+        ]
+    }
+
+    /// `run(mask, rule)` — a multiply of the operands `full` is the product
+    /// of — equals `select(map(product⟨mask⟩))` bit for bit under every rule
+    /// and mask, the rule having run exactly once per entry of that product.
+    fn check_rules(
+        what: &str,
+        full: &CsrMatrix<f64>,
+        masks: &[CsrMatrix<bool>],
+        run: impl Fn(
+            Option<&CsrMatrix<bool>>,
+            &(dyn Fn(usize, usize, f64) -> Option<f64> + Sync),
+        ) -> CsrMatrix<f64>,
+    ) {
+        let serial = ExecCtx::serial();
+        for (r, (map, keep)) in rules().into_iter().enumerate() {
+            for (which, mask) in std::iter::once(None).chain(masks.iter().map(Some)).enumerate() {
+                let what = format!("{what} rule {r} mask {which}");
+                let product = mask.map_or_else(|| full.clone(), |m| filtered(full, m));
+                let calls = AtomicUsize::new(0);
+                let fused = run(mask, &|i, j, v| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    let w = map(i, j, v);
+                    keep(i, j, w).then_some(w)
+                });
+                let unfused = select_mat(&map_mat(&product, &map, &serial), &keep, &serial);
+                assert_eq!(bits(&fused), bits(&unfused), "{what}");
+                assert_eq!(calls.into_inner(), product.nnz(), "{what}: once per finished entry");
+            }
+        }
+    }
+
     /// The differential harness: on every input shape and mask, masked
     /// `mxm` equals unmasked `mxm` filtered by the mask, bit for bit on
     /// both semirings; every logical × real thread count and every kernel
     /// instance gives the identical matrix (f64 included — each position
-    /// accumulates in ascending `k` everywhere).
+    /// accumulates in ascending `k` everywhere). Likewise with an emit rule
+    /// ([`check_rules`]).
     #[test]
     fn masked_equals_filtered_unmasked_on_every_shape_thread_count_and_instance() {
         let skewed = gen::rmat(7, 6, 11);
@@ -510,6 +674,12 @@ mod tests {
                     );
                     assert_eq!(bits(&mf), bits(&filtered(&full_f, mask)), "{m}x{n} mask {which}");
                 }
+                check_rules(
+                    &format!("{m}x{n} t={threads}/{real}"),
+                    &full_f,
+                    &masks,
+                    |mask, rule| mxm_emit(a, b, &times, mask, Some(&rule), &ctx).unwrap(),
+                );
             }
             for kind in [MxmKernel::Spa, MxmKernel::Hash, MxmKernel::Heap] {
                 assert_eq!(by_instance::<u64>(kind, a, b, &count, None), full_u, "{kind:?}");
@@ -520,6 +690,9 @@ mod tests {
                     let mf = by_instance::<f64>(kind, a, b, &times, Some(mask));
                     assert_eq!(bits(&mf), bits(&filtered(&full_f, mask)), "{kind:?} mask {which}");
                 }
+                check_rules(&format!("{m}x{n} {kind:?}"), &full_f, &masks, |mask, rule| {
+                    by_instance_emit(kind, a, b, &times, mask, Some(&rule))
+                });
             }
         }
     }

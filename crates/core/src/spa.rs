@@ -144,6 +144,12 @@ impl<T: Copy> DenseSpa<T> {
         }
     }
 
+    /// An occupied slot's value, in place (the SpGEMM row kernel writes an
+    /// emit rule's image back through it).
+    pub fn get_mut(&mut self, index: usize) -> Option<&mut T> {
+        self.occupied(index).then(|| &mut self.values[index])
+    }
+
     /// The collected indices, in *insertion* order (unsorted — the caller
     /// sorts, which is exactly the step Fig 7 shows dominating).
     pub fn nzinds(&self) -> &[usize] {

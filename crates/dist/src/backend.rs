@@ -139,6 +139,7 @@ impl GblasBackend for DistBackend<'_> {
         b: &DistCsrMatrix<B>,
         ring: &Semiring<AddM, MulOp>,
         mask: Option<&DistCsrMatrix<M>>,
+        rule: Option<&(impl Fn(usize, usize, C) -> Option<C> + Sync)>,
     ) -> Result<DistCsrMatrix<C>>
     where
         A: Scalar,
@@ -165,11 +166,12 @@ impl GblasBackend for DistBackend<'_> {
             }
             _ => None,
         };
-        let (out, r) = crate::ops::mxm::mxm_dist_masked_with(
+        let (out, r) = crate::ops::mxm::mxm_dist_emit(
             a,
             b_aligned.as_ref().unwrap_or(b),
             ring,
             mask_aligned.as_ref().or(mask),
+            rule,
             self.mxm_algo,
             self.dctx,
         )?;

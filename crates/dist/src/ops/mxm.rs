@@ -47,7 +47,7 @@ use crate::sched::{fingerprint_indices, FrontierClass, PlanData, SummaPlan};
 use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
 use gblas_core::container::CsrMatrix;
 use gblas_core::error::{check_dims, GblasError, Result};
-use gblas_core::ops::mxm::RowKernel;
+use gblas_core::ops::mxm::{NoRule, RowKernel};
 use gblas_core::ops::selection::{decide_mxm_kernel, MxmKernel};
 use gblas_core::par::{Counters, ExecCtx, Profile};
 use gblas_sim::SimReport;
@@ -155,7 +155,29 @@ where
     mxm_dist_masked_with(a, b, ring, mask, MxmAlgo::default(), dctx)
 }
 
-/// Masked, mixed-type sparse SUMMA with an explicit algorithm variant.
+/// Masked, mixed-type sparse SUMMA with an explicit algorithm variant:
+/// [`mxm_dist_emit`] without a rule.
+pub fn mxm_dist_masked_with<A, B, C, AddM, MulOp, M>(
+    a: &DistCsrMatrix<A>,
+    b: &DistCsrMatrix<B>,
+    ring: &Semiring<AddM, MulOp>,
+    mask: Option<&DistCsrMatrix<M>>,
+    algo: MxmAlgo,
+    dctx: &DistCtx,
+) -> Result<(DistCsrMatrix<C>, SimReport)>
+where
+    A: Copy + Send + Sync,
+    B: Copy + Send + Sync,
+    C: Copy + Send + Sync + 'static,
+    M: Copy + Send + Sync,
+    AddM: Monoid<C>,
+    MulOp: BinaryOp<A, B, C>,
+{
+    mxm_dist_emit(a, b, ring, mask, None::<&NoRule<C>>, algo, dctx)
+}
+
+/// Masked, mixed-type sparse SUMMA with an explicit algorithm variant and
+/// an optional emit rule: `C⟨M⟩ = rule(A ⊗ B)`.
 ///
 /// The mask is structural and distributed on the *same grid* as the
 /// stationary `C` blocks, so each stage applies its locale's mask block to
@@ -163,11 +185,20 @@ where
 /// accumulation (`(Σ Pₖ) ∩ M = Σ (Pₖ ∩ M)`), and suppressed entries never
 /// enter a stationary block. This is what masked distributed triangle
 /// counting (`C⟨L⟩ = L · Lᵀ`) needs.
-pub fn mxm_dist_masked_with<A, B, C, AddM, MulOp, M>(
+///
+/// The rule (global coordinates; see
+/// [`gblas_core::ops::mxm::mxm_emit`]) does *not* commute with the
+/// accumulation — a stage's partial sum is not a finished entry — so each
+/// locale applies it once, in place, to its stationary block after the
+/// last accumulate into it (after the merge rounds on a 3-D run): one
+/// `elems` per entry under the `local` phase, no superstep or spawn of its
+/// own. Without a rule nothing is done or charged.
+pub fn mxm_dist_emit<A, B, C, AddM, MulOp, M>(
     a: &DistCsrMatrix<A>,
     b: &DistCsrMatrix<B>,
     ring: &Semiring<AddM, MulOp>,
     mask: Option<&DistCsrMatrix<M>>,
+    rule: Option<&(impl Fn(usize, usize, C) -> Option<C> + Sync)>,
     algo: MxmAlgo,
     dctx: &DistCtx,
 ) -> Result<(DistCsrMatrix<C>, SimReport)>
@@ -201,23 +232,25 @@ where
     };
     check_dims("machine locales (grid x layers)", p * layers, dctx.locales())?;
     if algo != MxmAlgo::Single {
-        return summa_engine(a, b, ring, mask, layers, dctx);
+        return summa_engine(a, b, ring, mask, rule, layers, dctx);
     }
     if grid.pr() != grid.pc() {
         return Err(GblasError::InvalidArgument(
             "single-stage SUMMA needs a square process grid".into(),
         ));
     }
-    single_stage(a, b, ring, mask, dctx)
+    single_stage(a, b, ring, mask, rule, dctx)
 }
 
 /// The multi-stage engine shared by the 2-D (`layers == 1`) and 3-D
 /// (`layers > 1`) variants. See the module docs for the structure.
+#[allow(clippy::too_many_arguments)]
 fn summa_engine<A, B, C, AddM, MulOp, M>(
     a: &DistCsrMatrix<A>,
     b: &DistCsrMatrix<B>,
     ring: &Semiring<AddM, MulOp>,
     mask: Option<&DistCsrMatrix<M>>,
+    rule: Option<&(impl Fn(usize, usize, C) -> Option<C> + Sync)>,
     layers: usize,
     dctx: &DistCtx,
 ) -> Result<(DistCsrMatrix<C>, SimReport)>
@@ -361,6 +394,7 @@ where
     // Stationary C blocks (one per layer-locale), accumulated stage by
     // stage. Layer j's locale l holds the partial sum of its stage subset.
     let mut state = stationary::<A, B, C>(a, b, total);
+    let origin = |l: usize| (a.row_range(l).start, b.col_range(l).start);
 
     // The whole stage pipeline runs inside ONE SPMD superstep: every
     // locale task loops its stages locally, with the per-stage exchange
@@ -437,6 +471,11 @@ where
                 accumulate(c_block, &partial, ring, &lctx, local_profile, PHASE_LOCAL)?;
             }
         }
+        // A 2-D run's block is finished with its last stage; a 3-D run's
+        // only after the merge below.
+        if let (1, Some(rule)) = (layers, rule) {
+            settle_block(c_block, origin(l), rule, local_profile)?;
+        }
         Ok(())
     })?;
 
@@ -469,6 +508,11 @@ where
             }
         }
         half *= 2;
+    }
+    if let (true, Some(rule)) = (layers > 1, rule) {
+        for (l, (c_block, local_profile, _)) in state[..p].iter_mut().enumerate() {
+            settle_block(c_block, origin(l), rule, local_profile)?;
+        }
     }
 
     let (c_blocks, local_profiles, bcast_profiles) = finish(state, p);
@@ -535,6 +579,40 @@ fn accumulate<C: Copy + Send + Sync, AddM: Monoid<C>, MulOp>(
     for (_, cs) in lctx.take_profile().iter() {
         folded.merge(cs);
     }
+    Ok(())
+}
+
+/// Settle a finished stationary block under an emit rule, in place: every
+/// entry is stored as `rule` maps it or dropped (`origin` is the block's
+/// global `(row, column)` offset), the arrays compacted and their unused
+/// tail given back; one `elems` per entry under `profile`'s local phase.
+fn settle_block<C: Copy>(
+    c_block: &mut CsrMatrix<C>,
+    (row0, col0): (usize, usize),
+    rule: &impl Fn(usize, usize, C) -> Option<C>,
+    profile: &mut Profile,
+) -> Result<()> {
+    let (nrows, ncols, mut rowptr, mut colidx, mut values) =
+        std::mem::replace(c_block, CsrMatrix::empty(0, 0)).into_raw_parts();
+    profile.counters_mut(PHASE_LOCAL).elems += colidx.len() as u64;
+    // `rowptr[i]` already holds row i's new start; `start` is its old one.
+    let (mut kept, mut start) = (0, 0);
+    for i in 0..nrows {
+        let end = rowptr[i + 1];
+        for p in start..end {
+            if let Some(w) = rule(row0 + i, col0 + colidx[p], values[p]) {
+                (colidx[kept], values[kept]) = (colidx[p], w);
+                kept += 1;
+            }
+        }
+        start = end;
+        rowptr[i + 1] = kept;
+    }
+    colidx.truncate(kept);
+    values.truncate(kept);
+    colidx.shrink_to_fit();
+    values.shrink_to_fit();
+    *c_block = CsrMatrix::from_raw_parts(nrows, ncols, rowptr, colidx, values)?;
     Ok(())
 }
 
@@ -614,7 +692,9 @@ where
             colidx.resize(len + bound, 0);
             values.resize(len + bound, zero);
             let (cols, vals) = (&mut colidx[len..], &mut values[len..]);
-            let n = acc.row(entries.len(), at, b_blk, ring, mask_row, cols, vals, c);
+            // never an emit rule: a stage's partial sums are not finished
+            let no_rule = None::<&fn(usize, C) -> Option<C>>;
+            let n = acc.row(entries.len(), at, b_blk, ring, mask_row, no_rule, cols, vals, c);
             colidx.truncate(len + n);
             values.truncate(len + n);
             rowptr[i + 1] = n;
@@ -639,6 +719,7 @@ fn single_stage<A, B, C, AddM, MulOp, M>(
     b: &DistCsrMatrix<B>,
     ring: &Semiring<AddM, MulOp>,
     mask: Option<&DistCsrMatrix<M>>,
+    rule: Option<&(impl Fn(usize, usize, C) -> Option<C> + Sync)>,
     dctx: &DistCtx,
 ) -> Result<(DistCsrMatrix<C>, SimReport)>
 where
@@ -676,7 +757,12 @@ where
             let lctx = dctx.locale_ctx_for(l);
             let mask_l = mask.map(|m| m.block(l));
             let partial = gblas_core::ops::mxm::mxm(a_blk, b_blk, ring, mask_l, &lctx)?;
-            accumulate(c_block, &partial, ring, &lctx, local_profile, PHASE_LOCAL)
+            accumulate(c_block, &partial, ring, &lctx, local_profile, PHASE_LOCAL)?;
+            if let (true, Some(rule)) = (k + 1 == stages, rule) {
+                let origin = (a.row_range(l).start, b.col_range(l).start);
+                settle_block(c_block, origin, rule, local_profile)?;
+            }
+            Ok(())
         })?;
     }
 

@@ -2,8 +2,9 @@
 //! against the shared-memory `mxm` reference, the distributed multiply
 //! must be *bit-identical* on integer semirings — across every
 //! rectangular grid from 1×1 to 4×3, under both locale executors,
-//! masked and unmasked — and must recover cleanly from a mid-stage
-//! injected communication fault through `with_retry`.
+//! masked and unmasked, with and without an emit rule — and must recover
+//! cleanly from a mid-stage injected communication fault through
+//! `with_retry`.
 //!
 //! Bit-identity across grid shapes is a real invariant, not luck: every
 //! local kernel (heap / hash / dense SPA) and the stage loop accumulate
@@ -17,9 +18,10 @@ use gblas_core::error::GblasError;
 use gblas_core::gen;
 use gblas_core::ops::apply::map_mat;
 use gblas_core::ops::mxm::mxm;
+use gblas_core::ops::select::select_mat;
 use gblas_core::par::ExecCtx;
 use gblas_dist::comm::with_retry;
-use gblas_dist::ops::mxm::{mxm_dist_masked, mxm_dist_masked_with, MxmAlgo};
+use gblas_dist::ops::mxm::{mxm_dist_emit, mxm_dist_masked, mxm_dist_masked_with, MxmAlgo};
 use gblas_dist::{DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
 use gblas_sim::MachineConfig;
 use proptest::prelude::*;
@@ -166,6 +168,57 @@ proptest! {
         })
         .expect("retry must recover once the fault disarms");
         prop_assert_eq!(c.to_global().unwrap(), expect);
+    }
+
+    /// An emit rule sees finished entries only: on every grid, under both
+    /// executors and every SUMMA variant, masked and unmasked, the fused
+    /// distributed multiply equals shared `select(map(mxm))` bit for bit —
+    /// the rule is not linear in `v`, so one applied to a stage's partial
+    /// sum would not — and a faulted run retried through `with_retry`
+    /// still applies it exactly once.
+    #[test]
+    fn emit_rule_matches_shared_select_of_map_bit_for_bit(
+        n in 40usize..100,
+        deg in 2usize..6,
+        seed in 1u64..500,
+        fail_at in 0u64..12,
+    ) {
+        let a = int_matrix(n, deg, seed);
+        let b = int_matrix(n, deg, seed.wrapping_add(41));
+        let mask = int_matrix(n, deg + 2, seed.wrapping_add(97));
+        let ring = semirings::plus_times::<u64>();
+        let serial = ExecCtx::serial();
+        let map = |_: usize, j: usize, v: u64| v.wrapping_mul(v) % 1009 + j as u64;
+        let keep = |i: usize, _: usize, w: u64| !(w + i as u64).is_multiple_of(3);
+        let rule = |i, j, v| Some(map(i, j, v)).filter(|&w| keep(i, j, w));
+        for mask in [None, Some(&mask)] {
+            let product: CsrMatrix<u64> = mxm(&a, &b, &ring, mask, &serial).unwrap();
+            let expect = select_mat(&map_mat(&product, &map, &serial), &keep, &serial);
+            prop_assert!(expect.nnz() > 0 && expect.nnz() < product.nnz());
+            let fused = |grid: ProcGrid, algo: MxmAlgo, dctx: &DistCtx| {
+                let da = DistCsrMatrix::from_global(&a, grid);
+                let db = DistCsrMatrix::from_global(&b, grid);
+                let dm = mask.map(|m| DistCsrMatrix::from_global(m, grid));
+                mxm_dist_emit(&da, &db, &ring, dm.as_ref(), Some(&rule), algo, dctx)
+                    .map(|(c, _)| c.to_global().unwrap())
+            };
+            for (pr, pc) in GRIDS {
+                let grid = ProcGrid::new(pr, pc);
+                let single = (pr == pc).then_some((MxmAlgo::Single, 1));
+                let summa = [(MxmAlgo::Summa2d, 1), (MxmAlgo::Summa3d { layers: 2 }, 2)];
+                for (algo, layers) in summa.into_iter().chain(single) {
+                    for exec in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
+                        let got = fused(grid, algo, &ctx_with(grid.locales() * layers, exec)).unwrap();
+                        prop_assert_eq!(&got, &expect, "grid {}x{} {:?} {:?}", pr, pc, algo, exec);
+                    }
+                }
+            }
+            let dctx = ctx_with(6, LocaleExecutor::Threaded);
+            dctx.comm.fail_after(fail_at);
+            let got = with_retry(3, || fused(ProcGrid::new(2, 3), MxmAlgo::Summa2d, &dctx))
+                .expect("retry must recover once the fault disarms");
+            prop_assert_eq!(&got, &expect, "after a fault at message {}", fail_at);
+        }
     }
 }
 

@@ -2,24 +2,45 @@
 //!
 //! Van Dongen's Markov Cluster algorithm alternates *expansion* (squaring
 //! the column-stochastic transition matrix — one SpGEMM per iteration)
-//! and *inflation* (entry-wise powering followed by column pruning and
+//! and *inflation* (entry-wise powering followed by pruning and
 //! re-normalization) until the flow matrix reaches its doubly-idempotent
 //! fixed point; the surviving "attractor" rows label the clusters. It is
 //! the canonical SpGEMM-bound analytic: virtually all the time goes into
 //! `M ← M ⊗ M` over `(+, ×)`, which is exactly the workload the
 //! hypersparse multi-stage SUMMA in `gblas_dist::ops::mxm` targets.
 //!
-//! Written once as [`markov_cluster_on`], generic over
-//! [`GblasBackend`]: expansion is `mxm_masked` (unmasked), inflation and
-//! pruning are `mat_map`/`mat_select`, the column statistics come from
-//! `mat_transpose` + `reduce_rows`, and the per-iteration global
-//! convergence decision is priced through
-//! [`GblasBackend::allreduce_scalar`].
+//! Written once as [`markov_cluster_on`], generic over [`GblasBackend`],
+//! and in **one orientation**: the driver iterates `T = Mᵀ`, which is
+//! row-stochastic, so every column statistic of `M` the algorithm reads is
+//! a `reduce_rows` of `T` and the only transpose is the one at entry.
+//! Expansion, inflation and pruning are a single `mxm_masked` whose *emit
+//! rule* inflates each finished entry and drops it when it falls below the
+//! threshold — the expanded matrix, most of which is pruned, is never
+//! stored, sorted or walked again. Normalization is `reduce_rows` +
+//! `mat_map` by row; the per-iteration global convergence decision is
+//! priced through [`GblasBackend::allreduce_scalar`].
+//!
+//! **Same bits as the column-oriented chain.** `(T·T)[j,i]` folds
+//! `T[j,k]·T[k,i] = M[k,j]·M[i,k]` in ascending `k` — the products
+//! `(M·M)[i,j]` folds, in the same order, with the (commutative) factors
+//! swapped; and a row of `T` sums in ascending column order, the order in
+//! which `reduce_rows(transpose(M))` summed a column of `M`. So on shared
+//! memory every flow value, hence every label and the iteration count, is
+//! what the unfused chain — multiply, `powf` map, threshold select, two
+//! transposes per iteration — computed; across distributed grids only
+//! the association of per-block partial sums differs, as it always has.
+//!
+//! **The guard in the rule.** An entry survives iff `v.powf(r) ≥ thresh`.
+//! For `r ≥ 1` every `|v| < lo = thresh^(1/r)·(1 − 10⁻⁹)` inflates to at
+//! most `thresh·(1 − 10⁻⁹)^r`, a margin six orders of magnitude wider than
+//! the sub-ulp error of `powf`, so the rule drops those without calling
+//! `powf` at all; everything else is inflated and compared exactly as
+//! before. The guard decides nothing the comparison would not.
 
 use gblas_core::algebra::{semirings, Max, Plus};
 use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::CsrMatrix;
-use gblas_core::error::{check_dims, Result};
+use gblas_core::error::{check_dims, GblasError, Result};
 use gblas_core::par::ExecCtx;
 use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, MxmAlgo, ProcGrid};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,11 +49,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 #[derive(Debug, Clone, Copy)]
 pub struct MclOptions {
     /// Inflation exponent `r` (granularity knob; 2.0 is the classic value).
+    /// Must be finite and positive.
     pub inflation: f64,
-    /// Entries below this are pruned after each inflation.
+    /// Entries below this are pruned after each inflation. Must not be
+    /// negative.
     pub prune_threshold: f64,
     /// Convergence: stop when the column chaos (max − Σ squares) falls
-    /// below this.
+    /// below this. Must not be negative.
     pub tolerance: f64,
     /// Hard iteration cap.
     pub max_iterations: usize,
@@ -44,13 +67,30 @@ impl Default for MclOptions {
     }
 }
 
-/// Column-normalize `m` in place: `M[i,j] ← M[i,j] / Σᵢ M[i,j]`.
-/// The column sums are a transpose + row-reduce (both backend-priced).
-fn normalize_columns<B: GblasBackend>(backend: &B, m: &B::Matrix<f64>) -> Result<B::Matrix<f64>> {
-    let t = backend.mat_transpose(m)?;
-    let colsum: Vec<f64> = backend.reduce_rows(&t, &Plus)?;
-    let sums = &colsum;
-    backend.mat_map(m, &|_, j, v| if sums[j] > 0.0 { v / sums[j] } else { 0.0 })
+/// Reject the options no clustering is defined under: an inflation that is
+/// not a finite positive power, and a negative prune threshold or
+/// tolerance, NaN included in each — a NaN tolerance would otherwise spin
+/// to the iteration cap, a NaN threshold prune every entry.
+fn check_options(opts: &MclOptions) -> Result<()> {
+    let MclOptions { inflation, prune_threshold, tolerance, .. } = *opts;
+    if !(inflation.is_finite() && inflation > 0.0) {
+        return Err(GblasError::InvalidArgument(format!(
+            "inflation {inflation} is not finite and positive"
+        )));
+    }
+    for (name, value) in [("prune threshold", prune_threshold), ("tolerance", tolerance)] {
+        if value.is_nan() || value < 0.0 {
+            return Err(GblasError::InvalidArgument(format!("{name} {value} is negative")));
+        }
+    }
+    Ok(())
+}
+
+/// Row-normalize `t`: `T[i,j] ← T[i,j] / Σⱼ T[i,j]`.
+fn normalize_rows<B: GblasBackend>(backend: &B, t: &B::Matrix<f64>) -> Result<B::Matrix<f64>> {
+    let rowsum: Vec<f64> = backend.reduce_rows(t, &Plus)?;
+    let sums = &rowsum;
+    backend.mat_map(t, &|i, _, v| if sums[i] > 0.0 { v / sums[i] } else { 0.0 })
 }
 
 /// Markov clustering over any backend. `a` must already contain the
@@ -68,36 +108,49 @@ pub fn markov_cluster_on<B: GblasBackend>(
     opts: MclOptions,
 ) -> Result<(Vec<usize>, usize)> {
     check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
+    check_options(&opts)?;
     let n = backend.mat_nrows(a);
     if n == 0 {
         return Ok((Vec::new(), 0));
     }
     let ring = semirings::plus_times_f64();
-    let mut m = normalize_columns(backend, a)?;
+    // Inflation sharpens strong flows, pruning drops the long tail each
+    // vertex accumulated; as an emit rule both happen to an entry of the
+    // expansion the moment it is finished (module docs: the guard).
+    let (r, thresh) = (opts.inflation, opts.prune_threshold);
+    let lo = if r >= 1.0 && thresh > 0.0 { thresh.powf(1.0 / r) * (1.0 - 1e-9) } else { 0.0 };
+    let inflate_and_prune = |_: usize, _: usize, v: f64| {
+        if v.abs() < lo {
+            return None;
+        }
+        let w = v.powf(r);
+        (w >= thresh).then_some(w)
+    };
+    // Row j of `t` is column j of the flow matrix M: vertex j's out-flow.
+    let mut t = normalize_rows(backend, &backend.mat_transpose(a)?)?;
     let mut iters = 0usize;
     for iter in 1..=opts.max_iterations {
         iters = iter;
-        // Expansion: M ← M ⊗ M (the SpGEMM that dominates the profile).
-        let expanded: B::Matrix<f64> =
-            backend.mxm_masked::<_, _, f64, _, _, bool>(&m, &m, &ring, None)?;
-        // Inflation: entry-wise power sharpens strong flows...
-        let r = opts.inflation;
-        let inflated = backend.mat_map(&expanded, &|_, _, v: f64| v.powf(r))?;
-        // ...and pruning drops the long tail each column accumulated.
-        let thresh = opts.prune_threshold;
-        let pruned = backend.mat_select(&inflated, &|_, _, v: f64| v >= thresh)?;
-        m = normalize_columns(backend, &pruned)?;
-        // Chaos: max over columns of (column max − Σ column squares);
-        // zero exactly at the doubly-idempotent fixed point. The fold
-        // over columns runs in ascending order so every backend computes
-        // the identical scalar; the global agreement is one allreduce.
-        let t = backend.mat_transpose(&m)?;
-        let colmax: Vec<f64> = backend.reduce_rows(&t, &Max)?;
+        // Expansion `(M ⊗ M)ᵀ = T ⊗ T`, the SpGEMM that dominates the
+        // profile, emitting only what survives inflation and pruning.
+        let kept: B::Matrix<f64> = backend.mxm_masked::<_, _, _, _, _, bool>(
+            &t,
+            &t,
+            &ring,
+            None,
+            Some(&inflate_and_prune),
+        )?;
+        t = normalize_rows(backend, &kept)?;
+        // Chaos: max over vertices of (flow max − Σ flow squares); zero
+        // exactly at the doubly-idempotent fixed point. The fold over
+        // vertices runs in ascending order so every backend computes the
+        // identical scalar; the global agreement is one allreduce.
+        let rowmax: Vec<f64> = backend.reduce_rows(&t, &Max)?;
         let sq = backend.mat_map(&t, &|_, _, v: f64| v * v)?;
-        let colsumsq: Vec<f64> = backend.reduce_rows(&sq, &Plus)?;
+        let rowsumsq: Vec<f64> = backend.reduce_rows(&sq, &Plus)?;
         let mut chaos = 0.0f64;
         for j in 0..n {
-            let c = colmax[j] - colsumsq[j];
+            let c = rowmax[j] - rowsumsq[j];
             if c > chaos {
                 chaos = c;
             }
@@ -107,22 +160,21 @@ pub fn markov_cluster_on<B: GblasBackend>(
             break;
         }
     }
-    // Interpretation: column j belongs to the attractor row holding its
-    // maximum entry. The side-effecting map visits entries in whatever
-    // order the backend parallelizes, but `fetch_min` makes the tie-break
-    // order-independent.
-    let t = backend.mat_transpose(&m)?;
-    let colmax: Vec<f64> = backend.reduce_rows(&t, &Max)?;
+    // Interpretation: vertex j belongs to the attractor holding the
+    // maximum of its flow (row j of `t`). The side-effecting map visits
+    // entries in whatever order the backend parallelizes, but `fetch_min`
+    // makes the tie-break order-independent.
+    let rowmax: Vec<f64> = backend.reduce_rows(&t, &Max)?;
     let labels: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
-    let cm = &colmax;
+    let rm = &rowmax;
     let lab = &labels;
     let _probe: B::Matrix<f64> = backend.mat_map(&t, &|j, i, v: f64| {
-        if v == cm[j] {
+        if v == rm[j] {
             lab[j].fetch_min(i, Ordering::Relaxed);
         }
         v
     })?;
-    // An empty column (all flow pruned away) keeps the vertex as its own
+    // A vertex with no flow left (all of it pruned away) stays its own
     // singleton cluster.
     Ok((
         labels
@@ -142,22 +194,29 @@ pub fn markov_cluster_on<B: GblasBackend>(
 }
 
 /// Ensure every vertex has a self-loop (weight 1 where absent) — the MCL
-/// precondition that keeps odd-length flow alive.
+/// precondition that keeps odd-length flow alive. One pass: the diagonal
+/// is merged into each sorted row where it belongs.
 pub fn add_self_loops(a: &CsrMatrix<f64>) -> Result<CsrMatrix<f64>> {
+    check_dims("square matrix", a.nrows(), a.ncols())?;
     let n = a.nrows();
-    let mut trips: Vec<(usize, usize, f64)> = a.iter().map(|(i, j, v)| (i, j, *v)).collect();
-    let mut has_diag = vec![false; n];
-    for &(i, j, _) in &trips {
-        if i == j {
-            has_diag[i] = true;
+    let mut rowptr = Vec::with_capacity(n + 1);
+    let mut colidx = Vec::with_capacity(a.nnz() + n);
+    let mut values = Vec::with_capacity(a.nnz() + n);
+    rowptr.push(0);
+    for i in 0..n {
+        let (cols, vals) = a.row(i);
+        let at = cols.partition_point(|&j| j < i);
+        colidx.extend_from_slice(&cols[..at]);
+        values.extend_from_slice(&vals[..at]);
+        if cols.get(at) != Some(&i) {
+            colidx.push(i);
+            values.push(1.0);
         }
+        colidx.extend_from_slice(&cols[at..]);
+        values.extend_from_slice(&vals[at..]);
+        rowptr.push(colidx.len());
     }
-    for (i, seen) in has_diag.iter().enumerate() {
-        if !seen {
-            trips.push((i, i, 1.0));
-        }
-    }
-    CsrMatrix::from_triplets(n, a.ncols(), &trips)
+    CsrMatrix::from_raw_parts(n, n, rowptr, colidx, values)
 }
 
 /// Markov clustering of the undirected graph `a` (shared memory).
@@ -220,6 +279,19 @@ mod tests {
         trips.push((3, 4, 1.0));
         trips.push((4, 3, 1.0));
         CsrMatrix::from_triplets(8, 8, &trips).unwrap()
+    }
+
+    #[test]
+    fn self_loops_merge_into_sorted_rows() {
+        // a diagonal already there (kept as it is), one that lands between
+        // two entries, one after a row's last entry, one in an empty row
+        let entries =
+            [(0, 0, 5.0), (0, 2, 1.0), (1, 0, 2.0), (1, 3, 3.0), (2, 0, 4.0), (2, 1, 6.0)];
+        let looped = add_self_loops(&CsrMatrix::from_triplets(4, 4, &entries).unwrap()).unwrap();
+        let mut want = entries.to_vec();
+        want.extend([(1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0)]);
+        assert_eq!(looped, CsrMatrix::from_triplets(4, 4, &want).unwrap());
+        assert!(add_self_loops(&CsrMatrix::empty(3, 2)).is_err());
     }
 
     #[test]

@@ -16,6 +16,7 @@ use gblas_core::algebra::{semirings, Plus, Scalar};
 use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::CsrMatrix;
 use gblas_core::error::{check_dims, Result};
+use gblas_core::ops::mxm::NoRule;
 use gblas_core::par::ExecCtx;
 use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx};
 
@@ -25,7 +26,8 @@ pub fn triangle_count_on<B: GblasBackend, T: Scalar>(backend: &B, a: &B::Matrix<
     check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
     let l = backend.mat_select(a, &|i, j, _| j < i)?;
     let u = backend.mat_transpose(&l)?;
-    let c: B::Matrix<u64> = backend.mxm_masked(&l, &u, &semirings::plus_pair(), Some(&l))?;
+    let c: B::Matrix<u64> =
+        backend.mxm_masked(&l, &u, &semirings::plus_pair(), Some(&l), None::<&NoRule<u64>>)?;
     backend.reduce_mat(&c, &Plus)
 }
 

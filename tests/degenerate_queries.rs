@@ -204,6 +204,79 @@ fn power_iteration_options_are_validated() {
     }
 }
 
+/// Markov clustering takes a matrix and four numbers from the request: a
+/// non-square matrix is a `DimensionMismatch` whichever side is longer, an
+/// inflation that is not a finite positive power or a negative (or NaN)
+/// prune threshold or tolerance is an `InvalidArgument` whatever the
+/// graph, and the graphs with nothing to cluster — no vertices, no edges,
+/// no iterations allowed — get the trivial answer on both backends.
+#[test]
+fn markov_clustering_checks_its_arguments_and_answers_degenerate_graphs() {
+    use gblas_core::GblasError::{DimensionMismatch, InvalidArgument};
+    use gblas_dist::MxmAlgo;
+    use gblas_graph::{markov_cluster, markov_cluster_dist_with, MclOptions};
+
+    let ctx = ExecCtx::serial();
+    let grid = ProcGrid::new(2, 2);
+    let on_dist = |a: &CsrMatrix<f64>, opts: MclOptions, executor: LocaleExecutor| {
+        markov_cluster_dist_with(a, grid, opts, MxmAlgo::Summa2d, &dctx(grid, executor))
+            .map(|(labels, iters, _)| (labels, iters))
+    };
+    let defaults = MclOptions::default();
+    for (nrows, ncols) in [(3, 2), (2, 3)] {
+        let a = CsrMatrix::from_triplets(nrows, ncols, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
+        let what = format!("{nrows}x{ncols}");
+        assert!(
+            matches!(markov_cluster(&a, defaults, &ctx), Err(DimensionMismatch { .. })),
+            "{what}"
+        );
+        for executor in EXECUTORS {
+            assert!(
+                matches!(on_dist(&a, defaults, executor), Err(DimensionMismatch { .. })),
+                "{what}"
+            );
+        }
+    }
+    let a = with_isolated();
+    let bad = [
+        MclOptions { inflation: f64::NAN, ..defaults },
+        MclOptions { inflation: 0.0, ..defaults },
+        MclOptions { inflation: -1.0, ..defaults },
+        MclOptions { inflation: f64::INFINITY, ..defaults },
+        MclOptions { prune_threshold: f64::NAN, ..defaults },
+        MclOptions { prune_threshold: -1e-4, ..defaults },
+        MclOptions { tolerance: f64::NAN, ..defaults },
+        MclOptions { tolerance: -1.0, ..defaults },
+    ];
+    for opts in bad {
+        assert!(matches!(markov_cluster(&a, opts, &ctx), Err(InvalidArgument(_))), "{opts:?}");
+        // checked before the empty-graph shortcut
+        assert!(
+            matches!(markov_cluster(&empty(), opts, &ctx), Err(InvalidArgument(_))),
+            "{opts:?}"
+        );
+        for executor in EXECUTORS {
+            assert!(matches!(on_dist(&a, opts, executor), Err(InvalidArgument(_))), "{opts:?}");
+        }
+    }
+    // the closed ends of the ranges are fine
+    let edges = MclOptions { prune_threshold: 0.0, tolerance: 0.0, max_iterations: 3, ..defaults };
+    assert_eq!(markov_cluster(&a, edges, &ctx).unwrap().1, 3);
+    // no iterations: the labels of the normalized input, on both backends
+    let capped = MclOptions { max_iterations: 0, ..defaults };
+    let start = markov_cluster(&a, capped, &ctx).unwrap();
+    assert_eq!((start.0.len(), start.1), (5, 0));
+    let isolated = CsrMatrix::<f64>::empty(6, 6);
+    let singletons = ((0..6).collect::<Vec<usize>>(), 1);
+    assert_eq!(markov_cluster(&empty(), defaults, &ctx).unwrap(), (vec![], 0));
+    assert_eq!(markov_cluster(&isolated, defaults, &ctx).unwrap(), singletons);
+    for executor in EXECUTORS {
+        assert_eq!(on_dist(&a, capped, executor).unwrap(), start);
+        assert_eq!(on_dist(&empty(), defaults, executor).unwrap(), (vec![], 0));
+        assert_eq!(on_dist(&isolated, defaults, executor).unwrap(), singletons);
+    }
+}
+
 /// A graph that is mostly dangling rows (two thirds of the vertices have
 /// no out-edge): the inverse out-degree of a dangling vertex is 0, never
 /// ∞, so ranks stay finite, mass is conserved, and the two backends agree
