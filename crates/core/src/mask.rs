@@ -58,6 +58,17 @@ impl<'a> VecMask<'a> {
         self.complement
     }
 
+    /// The length of a bitmap mask (`None` for an index list, which has
+    /// none). [`VecMask::allows`] reads past the end of a bitmap as "not
+    /// set" — *allowed* under a complement — so a kernel holds this to its
+    /// output dimension at entry.
+    pub fn dense_len(&self) -> Option<usize> {
+        match self.repr {
+            Repr::Sorted(_) => None,
+            Repr::Dense(bits) => Some(bits.len()),
+        }
+    }
+
     /// May the operation write index `i`? Charges the lookup cost
     /// (binary-search probes for the sorted repr, one random access for the
     /// bitmap) to `counters`.

@@ -22,7 +22,7 @@ use crate::algebra::{BinaryOp, Monoid, Semiring};
 use crate::container::CsrMatrix;
 use crate::error::{check_dims, Result};
 use crate::ops::selection::MxmKernel;
-use crate::par::{Counters, ExecCtx};
+use crate::par::{split_by_work, Counters, ExecCtx};
 use crate::spa::DenseSpa;
 use crate::workspace::WsGuard;
 use parking_lot::Mutex;
@@ -320,9 +320,9 @@ where
 /// sorted or written where the rule drops it. The rule is called exactly
 /// once per finished entry, in no specified order: it must be pure.
 ///
-/// Rows are dealt to the context's tasks by **flop prefix**
-/// `Σₖ nnz(B[k,:])`, not by count — on skewed inputs a few hub rows carry
-/// most of the work. `colidx`/`values` are allocated once at the rows'
+/// Rows are dealt to the context's tasks by **flops** `Σₖ nnz(B[k,:])`
+/// ([`split_by_work`]), not by count — on skewed inputs a few hub rows
+/// carry most of the work. `colidx`/`values` are allocated once at the rows'
 /// bounds (from a pattern-only sizing pass, or `nnz(Mᵢ)` under a mask)
 /// and every task packs its rows into its own disjoint window. The bounds
 /// are exact for an unmasked multiply without a rule; a mask or a rule
@@ -353,19 +353,13 @@ where
     }
     let (nrows, ncols, zero) = (a.nrows(), b.ncols(), ring.zero::<C>());
     let mask_row = |i: usize| mask.map(|m| m.row(i).0);
-    // Chunk `t` starts at the first row where the flop prefix reaches
-    // `t / ntasks` of the total. Chunks may be empty; their count is part
-    // of the priced profile, so it stays what a split by rows gives.
+    // Chunks may be empty; their count is part of the priced profile, so
+    // it stays what a split by rows gives.
     let row_flops = |i: usize| match mask_row(i) {
         Some([]) => 0, // skipped outright
         _ => a.row(i).0.iter().map(|&k| b.row_nnz(k)).sum(),
     };
-    let flops = prefix_sum(nrows, (0..nrows).map(row_flops));
-    let ntasks = ctx.threads().min(nrows).max(1);
-    let cut = |t: usize| flops.partition_point(|&w| w * ntasks < flops[nrows] * t);
-    let mut cuts: Vec<usize> = (0..ntasks).map(cut).collect();
-    cuts.push(nrows);
-    let chunks: Vec<Range<usize>> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+    let chunks = split_by_work(nrows, ctx.threads(), row_flops);
     let exact;
     let bounds: &[usize] = match mask {
         Some(m) => m.rowptr(),

@@ -5,7 +5,13 @@
 //! are merged using the SPA." Three instrumented steps, matching the
 //! components Fig 7 plots:
 //!
-//! 1. **`spa`** — merge the selected rows through the sparse accumulator;
+//! 1. **`spa`** — merge the selected rows through the sparse accumulator.
+//!    The frontier is dealt to the tasks by edges, and where Listing 7
+//!    compacts `nzinds` through a shared atomic cursor each task keeps a
+//!    list of its own, merged after the join — the paper on the same
+//!    device in Listing 6: "we can avoid the atomic variable by keeping a
+//!    thread-private array in each thread and merge these thread-private
+//!    arrays via a prefix sum";
 //! 2. **`sort`** — sort the collected column indices ("sorting is the most
 //!    expensive step"; merge sort by default, radix sort as the paper's
 //!    suggested improvement). With [`MergeStrategy::Bucketed`] this phase
@@ -19,7 +25,8 @@
 //!   where the stored value is a visiting row id (the BFS parent). The
 //!   listing lets the first visitor to *arrive* win; here the visitor with
 //!   the smallest row id wins, which is the same row on the serial
-//!   schedule and the same row on every other one too.
+//!   schedule and the same row on every other one too — and so are the
+//!   collected order, the sort's move count and the whole work profile.
 //! * [`spmspv_semiring`] — the general GraphBLAS semantics
 //!   `y[j] = ⊕_i x[i] ⊗ A[i,j]` over an arbitrary semiring.
 //! * [`spmspv_sort_based`] — an alternative merge strategy (collect all
@@ -31,7 +38,7 @@ use crate::algebra::{BinaryOp, Monoid, Semiring};
 use crate::container::{CsrMatrix, SparseVec};
 use crate::error::{check_dims, Result};
 use crate::mask::VecMask;
-use crate::par::ExecCtx;
+use crate::par::{split_by_work, ExecCtx};
 use crate::sort::{parallel_merge_sort, sort_indices, SortAlgo};
 use crate::spa::AtomicSpa;
 
@@ -187,6 +194,15 @@ where
     }
 }
 
+/// `Err` when `mask` is a bitmap of another length than the output: past
+/// its end a complemented bitmap would allow every column.
+fn check_mask_len(mask: Option<&VecMask<'_>>, ncols: usize) -> Result<()> {
+    match mask.and_then(VecMask::dense_len) {
+        Some(len) => check_dims("mask length vs matrix columns", ncols, len),
+        None => Ok(()),
+    }
+}
+
 /// Listing 7: parallel first-visitor SpMSpV. The output stores, for every
 /// reached column, the smallest id among the frontier rows that reach it
 /// ("keep row index as value") — the row the listing's serial schedule
@@ -196,8 +212,8 @@ where
 ///
 /// `x`'s values are ignored; its *structure* selects the rows of `a`.
 /// An optional `mask` restricts which output columns may be claimed
-/// (BFS passes "not yet visited"). A matrix with more rows than a SPA
-/// slot can name is an error.
+/// (BFS passes "not yet visited"); a bitmap mask must have `a.ncols()`
+/// entries. A matrix with more rows than a SPA slot can name is an error.
 pub fn spmspv_first_visitor<T: Send + Sync, X: Send + Sync>(
     a: &CsrMatrix<T>,
     x: &SparseVec<X>,
@@ -206,6 +222,7 @@ pub fn spmspv_first_visitor<T: Send + Sync, X: Send + Sync>(
     ctx: &ExecCtx,
 ) -> Result<SparseVec<usize>> {
     check_dims("x capacity vs matrix rows", a.nrows(), x.capacity())?;
+    check_mask_len(mask, a.ncols())?;
     AtomicSpa::check_values(a.nrows())?;
     let opts = opts.resolved(x.nnz());
     let _op = ctx.trace_op_attrs(
@@ -217,11 +234,15 @@ pub fn spmspv_first_visitor<T: Send + Sync, X: Send + Sync>(
     let ncols = a.ncols();
     // Step 1: SPA (Listing 7 lines 12–29) — checked out of the context's
     // workspace pool: on every BFS level after the first this is an O(1)
-    // generation bump instead of an O(ncols) allocation + zero-fill.
-    let spa = ctx.ws_atomic_spa(ncols);
+    // generation bump instead of an O(ncols) allocation + zero-fill. The
+    // frontier is dealt by edges, not by vertices: a skewed graph keeps its
+    // hubs at a few ids, and a split by count hands one task most of them.
     let xi = x.indices();
-    ctx.parallel_for(PHASE_SPA, x.nnz(), |r, c| {
-        for &rid in &xi[r.clone()] {
+    let chunks = split_by_work(x.nnz(), ctx.threads(), |p| a.row_nnz(xi[p]) + 1);
+    let spa = ctx.ws_atomic_spa(ncols, ctx.threads());
+    ctx.for_each_task(PHASE_SPA, chunks.len(), |t, c| {
+        let mut claimed = spa.list(t);
+        for &rid in &xi[chunks[t].clone()] {
             let (cols, _) = a.row(rid);
             c.flops += cols.len() as u64;
             for &colid in cols {
@@ -230,14 +251,19 @@ pub fn spmspv_first_visitor<T: Send + Sync, X: Send + Sync>(
                         continue;
                     }
                 }
-                spa.claim(colid, rid, c);
+                spa.claim(colid, rid, &mut claimed, c);
             }
         }
-        c.elems += r.len() as u64;
+        c.elems += chunks[t].len() as u64;
     });
+    // The lists merge by owner: a column stays with the task whose rows
+    // hold its final (minimum) claimant — the serial schedule's `nzinds`.
+    let rows = |t: usize| xi[chunks[t].start]..=xi[chunks[t].end - 1];
+    let mut collected = Vec::new();
+    ctx.record(PHASE_SPA, |c| collected = spa.collected(rows, c));
     // Step 2: remove unused entries and order them (lines 30–32) — a
     // global sort, or the sort-free bucket merge.
-    let nzinds = merged_indices(spa.collected(), ncols, |i| spa.contains(i), opts, ctx);
+    let nzinds = merged_indices(collected, ncols, |i| spa.contains(i), opts, ctx);
     // Step 3: populate the output vector (lines 33–39).
     let value_chunks = ctx.parallel_for(PHASE_OUTPUT, nzinds.len(), |r, c| {
         let mut vals = ctx.ws_vec::<usize>();
@@ -299,6 +325,7 @@ where
     MulOp: BinaryOp<A, B, C>,
 {
     check_dims("x capacity vs matrix rows", a.nrows(), x.capacity())?;
+    check_mask_len(mask, a.ncols())?;
     let opts = opts.resolved(x.nnz());
     let _op = ctx.trace_op_attrs(
         "spmspv_semiring",
@@ -468,6 +495,54 @@ mod tests {
         let y1 = spmspv_first_visitor(&a, &x, None, SpMSpVOpts::default(), &ctx).unwrap();
         let y2 = spmspv_first_visitor(&a, &x, None, SpMSpVOpts::default(), &ctx).unwrap();
         assert_eq!(y1, y2);
+    }
+
+    /// Frontiers whose edge-balanced split degenerates: a hub first with
+    /// more tasks than frontier rows (one row per chunk), and a hub heavier
+    /// than several shares of the total in the middle (the chunks it
+    /// swallows are empty). Output and the whole profile must be the serial
+    /// schedule's, and the task count what a split by rows gives.
+    #[test]
+    fn hub_frontiers_split_into_empty_chunks_and_change_nothing() {
+        let n = 64;
+        let mut edges = Vec::new();
+        for j in 0..n {
+            edges.push((0, j, true)); // row 0 reaches everything
+            edges.push((40, j, true)); // so does row 40
+        }
+        for i in [3usize, 9, 17, 33, 41, 50, 63] {
+            edges.push((i, (7 * i) % n, true));
+            edges.push((i, (11 * i + 1) % n, true));
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        let a = CsrMatrix::from_triplets(n, n, &edges).unwrap();
+        let frontier = |rows: &[usize]| {
+            SparseVec::from_sorted(n, rows.to_vec(), vec![1u8; rows.len()]).unwrap()
+        };
+        for (x, threads) in [
+            (frontier(&[0, 3, 9]), 8),                      // threads > nnz(x)
+            (frontier(&[3, 9, 17, 33, 40, 41, 50, 63]), 4), // one row outweighs three shares
+            (frontier(&[3, 9, 17, 33, 40, 41, 50, 63]), 8),
+        ] {
+            let serial = ExecCtx::new(threads, 1);
+            let expect = spmspv_first_visitor(&a, &x, None, SpMSpVOpts::default(), &serial);
+            let expect = (expect.unwrap(), serial.take_profile());
+            assert_eq!(expect.1.phase(PHASE_SPA).tasks, threads.min(x.nnz()) as u64);
+            // every column's parent is its least frontier in-neighbour
+            for (col, &rid) in expect.0.iter() {
+                let least = x.indices().iter().find(|&&r| a.get(r, col).is_some());
+                assert_eq!(Some(&rid), least, "col {col}");
+            }
+            for real in [2, 4] {
+                let ctx = ExecCtx::new(threads, real);
+                for rep in 0..20 {
+                    let y = spmspv_first_visitor(&a, &x, None, SpMSpVOpts::default(), &ctx);
+                    let got = (y.unwrap(), ctx.take_profile());
+                    assert_eq!(got, expect, "threads={threads} real={real} rep={rep}");
+                }
+            }
+        }
     }
 
     #[test]

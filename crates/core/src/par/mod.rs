@@ -130,9 +130,10 @@ impl ExecCtx {
         self.workspace.dense_spa(capacity, fill, &self.metrics)
     }
 
-    /// Check out an [`AtomicSpa`] over `0..capacity` from the pool.
-    pub fn ws_atomic_spa(&self, capacity: usize) -> WsGuard<AtomicSpa> {
-        self.workspace.atomic_spa(capacity, &self.metrics)
+    /// Check out an [`AtomicSpa`] over `0..capacity` for `ntasks` claiming
+    /// tasks from the pool.
+    pub fn ws_atomic_spa(&self, capacity: usize, ntasks: usize) -> WsGuard<AtomicSpa> {
+        self.workspace.atomic_spa(capacity, ntasks, &self.metrics)
     }
 
     /// Check out a [`BucketSpa`] shaped `(capacity, nbuckets)` from the pool.
@@ -396,6 +397,38 @@ pub fn split_ranges(len: usize, ntasks: usize) -> Vec<Range<usize>> {
     out
 }
 
+/// Split `0..len` into `min(ntasks, len).max(1)` contiguous chunks of
+/// near-equal *work*: chunk `t` starts at the first item where the running
+/// sum of `weight` reaches `t / ntasks` of the total. On skewed inputs a
+/// few items carry most of the work, so a chunk may be empty; it still
+/// counts as a task, which keeps the task count — part of every priced
+/// profile — what [`split_ranges`] gives. Two streaming passes over the
+/// weights (the second as far as the last cut), nothing allocated but the
+/// chunks.
+pub fn split_by_work(
+    len: usize,
+    ntasks: usize,
+    weight: impl Fn(usize) -> usize,
+) -> Vec<Range<usize>> {
+    let ntasks = ntasks.min(len).max(1);
+    let total: usize = (0..len).map(&weight).sum();
+    let mut out = Vec::with_capacity(ntasks);
+    let (mut start, mut next, mut running) = (0, 0, 0);
+    // The second pass ends at the last cut. It cannot run off the end: the
+    // full sum reaches every share.
+    while out.len() + 1 < ntasks {
+        if running * ntasks >= total * (out.len() + 1) {
+            out.push(start..next);
+            start = next;
+        } else {
+            running += weight(next);
+            next += 1;
+        }
+    }
+    out.push(start..len);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,6 +455,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The prefix-array formula `mxm_emit` carried before it called the
+    /// helper: chunk `t` starts at the first row whose weight prefix reaches
+    /// `t / ntasks` of the total.
+    fn split_by_prefix(weights: &[usize], ntasks: usize) -> Vec<Range<usize>> {
+        let n = weights.len();
+        let mut prefix = vec![0];
+        for w in weights {
+            prefix.push(prefix[prefix.len() - 1] + w);
+        }
+        let ntasks = ntasks.min(n).max(1);
+        let cut = |t: usize| prefix.partition_point(|&w| w * ntasks < prefix[n] * t);
+        let mut cuts: Vec<usize> = (0..ntasks).map(cut).collect();
+        cuts.push(n);
+        cuts.windows(2).map(|w| w[0]..w[1]).collect()
+    }
+
+    #[test]
+    fn split_by_work_cuts_where_the_prefix_formula_did() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(20);
+        let mut cases: Vec<Vec<usize>> = vec![
+            vec![],
+            vec![0; 9],                   // nothing to balance: all in the last chunk
+            vec![1, 1, 1000, 1, 1, 1, 1], // one dominant weight: empty chunks around it
+            vec![1000, 1, 1, 1, 1, 1, 1],
+            vec![5, 7], // len < ntasks
+            vec![3],
+        ];
+        for _ in 0..200 {
+            let len = rng.gen_range(0..40usize);
+            let skew = rng.gen_range(1..2000usize);
+            cases.push((0..len).map(|_| rng.gen_range(0..skew)).collect());
+        }
+        for weights in &cases {
+            for ntasks in [0, 1, 2, 3, 8, 24, 100] {
+                let chunks = split_by_work(weights.len(), ntasks, |i| weights[i]);
+                assert_eq!(chunks, split_by_prefix(weights, ntasks), "{weights:?} / {ntasks}");
+                assert_eq!(chunks.len(), ntasks.min(weights.len()).max(1));
+                assert_eq!(chunks.len(), split_ranges(weights.len(), ntasks).len());
+                assert_eq!((chunks[0].start, chunks[chunks.len() - 1].end), (0, weights.len()));
+                assert!(chunks.windows(2).all(|w| w[0].end == w[1].start), "contiguous");
+                assert!(chunks.iter().all(|r| r.start <= r.end));
+            }
+        }
+        #[allow(clippy::single_range_in_vec_init)] // one empty task, not a range expansion
+        let one_empty = vec![0..0];
+        assert_eq!(split_by_work(0, 8, |_| unreachable!()), one_empty);
     }
 
     #[test]

@@ -12,9 +12,14 @@
 //! * [`AtomicSpa`] — the paper's parallel SPA (Listing 7) with a
 //!   deterministic claim: `isthere` and the value share one atomic word
 //!   per slot, claimed by `fetch_min`, so the *smallest* value offered
-//!   wins whatever the thread timing; `nzinds` is compacted through an
-//!   atomic fetch-add cursor. Values are row ids because the paper stores
-//!   "the row index as value" (line 25) — the BFS parent.
+//!   wins whatever the thread timing. Listing 7 compacts `nzinds` through
+//!   an atomic cursor; of the same device in Listing 6 the paper says "we
+//!   can avoid the atomic variable by keeping a thread-private array in
+//!   each thread and merge these thread-private arrays via a prefix sum",
+//!   and that is what this SPA keeps: one index list per task, merged by
+//!   an owner rule after the join, in an order no schedule can change.
+//!   Values are row ids because the paper stores "the row index as value"
+//!   (line 25) — the BFS parent.
 //! * [`BucketSpa`] — the sort-*free* merge the paper suggests as the fix
 //!   for the dominant sort step of Fig 7 (and that CombBLAS 2.0 ships):
 //!   the collected indices are scattered into per-task contiguous
@@ -36,8 +41,9 @@
 use crate::algebra::Monoid;
 use crate::error::{GblasError, Result};
 use crate::par::Counters;
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use parking_lot::{Mutex, MutexGuard};
+use std::ops::{Range, RangeInclusive};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Serial sparse accumulator over domain `0..capacity` with monoid
 /// accumulation.
@@ -216,8 +222,16 @@ impl<T: Copy> DenseSpa<T> {
 const VALUE_BITS: u32 = 40;
 const VALUE_MASK: u64 = (1 << VALUE_BITS) - 1;
 
+/// One task's list of the indices whose slot it lowered. Neighbouring
+/// tasks push concurrently and a `Vec` writes its length on every push, so
+/// each list header sits on a cache-line pair of its own.
+#[derive(Default)]
+#[repr(align(128))]
+struct TaskList(Mutex<Vec<usize>>);
+
 /// The paper's parallel SPA with a deterministic claim rule: one atomic
-/// word per slot, an atomic compaction cursor, the **minimum** claim kept.
+/// word per slot, the **minimum** claim kept, and one index list per task
+/// where Listing 7 has a shared `nzinds` array behind an atomic cursor.
 ///
 /// Listing 7 claims with `isthere[colid].testAndSet()`, so under real
 /// threads the surviving row id depends on arrival order. Here a slot word
@@ -226,12 +240,29 @@ const VALUE_MASK: u64 = (1 << VALUE_BITS) - 1;
 /// stale one (reset stays O(1)) and, within a generation, below any larger
 /// value. The serial schedule visits rows in ascending order, so its first
 /// visitor *is* the minimum: results and counters there are Listing 7's.
+///
+/// **The owner rule.** A task records on its own list every index whose
+/// slot its offer *lowered*; nothing is shared but the slot words. The
+/// claiming region promises that task `t` offers values from a range of
+/// its own, that the ranges ascend with `t`, and that a task's offers
+/// for any one index ascend (the kernel's tasks walk contiguous chunks of
+/// a strictly ascending frontier). Then the minimum offered for an index
+/// lies in exactly one task's range; that task's first offer for the
+/// index is the minimum, which finds the slot vacant or holding a larger
+/// value, so it lowers the slot and records the index — once, since the
+/// task's later offers are larger and stop at the load.
+/// [`AtomicSpa::collected`] keeps an entry of task `t`'s list iff the
+/// slot's final value lies in `t`'s range: every claimed index is kept
+/// exactly once, a task's kept entries stand in the order of its first
+/// offers, and the lists concatenated in task order are, entry for entry,
+/// the list the serial schedule builds — on any number of real threads.
 pub struct AtomicSpa {
     /// Listing 7's `isthere` and `localy` in one word: claimed ⇔ the bits
     /// above [`VALUE_BITS`] equal `stamp`; the bits below are the value.
     slots: Vec<AtomicU64>,
-    nzinds: Vec<AtomicUsize>,
-    cursor: AtomicUsize,
+    /// One list per task of the claiming region, each behind a lock only
+    /// its task takes. Kept (with their allocations) across checkouts.
+    lists: Vec<TaskList>,
     /// The current generation's stamp, in place (value bits zero).
     stamp: u64,
 }
@@ -240,17 +271,12 @@ impl AtomicSpa {
     /// The largest value a slot can hold.
     pub const MAX_VALUE: usize = VALUE_MASK as usize;
 
-    /// A SPA for outputs of dimension `capacity`, with room for up to
-    /// `capacity` collected indices (the listing allocates `nzinds` of
-    /// length `ncol`).
-    pub fn new(capacity: usize) -> Self {
-        let mut spa = AtomicSpa {
-            slots: (0..capacity).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            nzinds: (0..capacity).map(|_| AtomicUsize::new(0)).collect(),
-            cursor: AtomicUsize::new(0),
-            stamp: !VALUE_MASK, // the stamp vacant (all-ones) slots carry
-        };
-        spa.reset();
+    /// A SPA for outputs of dimension `capacity`, claimed by up to
+    /// `ntasks` tasks.
+    pub fn new(capacity: usize, ntasks: usize) -> Self {
+        // `!VALUE_MASK` is the stamp vacant (all-ones) slots carry.
+        let mut spa = AtomicSpa { slots: Vec::new(), lists: Vec::new(), stamp: !VALUE_MASK };
+        spa.ensure(capacity, ntasks);
         spa
     }
 
@@ -270,9 +296,9 @@ impl AtomicSpa {
         self.slots.len()
     }
 
-    /// Logically release every claim in O(1) by stepping the stamp down and
-    /// rewinding the compaction cursor. When the stamp field is exhausted
-    /// the slots are cleared once, O(capacity), and the stamps start over.
+    /// Logically release every claim in O(1) by stepping the stamp down,
+    /// and empty the task lists. When the stamp field is exhausted the
+    /// slots are cleared once, O(capacity), and the stamps start over.
     pub fn reset(&mut self) {
         if self.stamp == 0 {
             for slot in &mut self.slots {
@@ -281,35 +307,54 @@ impl AtomicSpa {
             self.stamp = !VALUE_MASK;
         }
         self.stamp -= 1 << VALUE_BITS;
-        *self.cursor.get_mut() = 0;
+        for list in &mut self.lists {
+            list.0.get_mut().clear();
+        }
     }
 
-    /// Make the SPA usable for domain `0..capacity` (growing the atomic
-    /// arrays on a pool capacity miss) and reset it. Returns `true` when
-    /// the backing had to grow.
-    pub fn ensure(&mut self, capacity: usize) -> bool {
+    /// Make the SPA usable for domain `0..capacity` and `ntasks` claiming
+    /// tasks (growing the slots on a pool capacity miss) and reset it.
+    /// Returns `true` when the slots had to grow.
+    pub fn ensure(&mut self, capacity: usize, ntasks: usize) -> bool {
         let grew = capacity > self.slots.len();
         if grew {
             let extra = capacity - self.slots.len();
             self.slots.extend((0..extra).map(|_| AtomicU64::new(u64::MAX)));
-            self.nzinds.extend((0..extra).map(|_| AtomicUsize::new(0)));
         }
+        self.lists.resize_with(ntasks.max(1), TaskList::default);
         self.reset();
+        // Together the lists start at one word per slot — what Listing 7's
+        // `nzinds` takes — so a steady-state level allocates nothing; a
+        // list that outgrows its share keeps what it grew to.
+        let share = capacity.div_ceil(self.lists.len());
+        for list in &mut self.lists {
+            list.0.get_mut().reserve(share);
+        }
         grew
     }
 
+    /// Task `t`'s list, to be held for the whole task: no one else takes
+    /// this lock before the region has joined.
+    pub fn list(&self, t: usize) -> MutexGuard<'_, Vec<usize>> {
+        self.lists[t].0.lock()
+    }
+
     /// Offer `value` for slot `index`, which keeps the minimum offered this
-    /// generation (Listing 7 lines 21–26 with `min` for test-and-set).
-    /// Returns `true` on the slot's first claim, which also records `index`
-    /// for [`AtomicSpa::collected`]. Charges one atomic per probe and, on a
-    /// first claim only, the claiming RMW, the cursor fetch-add and the two
-    /// stores: totals depend on the claimed set, never on thread timing.
-    /// Which *task* is charged a first claim, and the order `collected`
-    /// returns (hence the sort phase's counters), still follow arrival
-    /// order under real threads. Panics on a `value` above
-    /// [`AtomicSpa::MAX_VALUE`]; kernels rule that out once, up front, with
-    /// [`AtomicSpa::check_values`].
-    pub fn claim(&self, index: usize, value: usize, counters: &mut Counters) -> bool {
+    /// generation (Listing 7 lines 21–26 with `min` for test-and-set), and
+    /// push `index` onto the offering task's `list` when the offer
+    /// *lowered* the slot — its first claim of the generation, or a smaller
+    /// value than a racing task's. Returns whether it did. Charges the one
+    /// atomic every probe costs; what Listing 7 pays per first claim is
+    /// charged by [`AtomicSpa::collected`], so no charge depends on thread
+    /// timing. Panics on a `value` above [`AtomicSpa::MAX_VALUE`]; kernels
+    /// rule that out once, up front, with [`AtomicSpa::check_values`].
+    pub fn claim(
+        &self,
+        index: usize,
+        value: usize,
+        list: &mut Vec<usize>,
+        counters: &mut Counters,
+    ) -> bool {
         assert!(value <= Self::MAX_VALUE, "value {value} overflows the slot's value field");
         let word = self.stamp | value as u64;
         counters.atomics += 1;
@@ -320,20 +365,11 @@ impl AtomicSpa {
         if self.slots[index].load(Ordering::Relaxed) <= word {
             return false; // claimed this generation by this row or a smaller one
         }
-        let seen = self.slots[index].fetch_min(word, Ordering::Relaxed);
-        if seen & !VALUE_MASK == self.stamp {
-            return false; // already claimed; at most the value got smaller
+        if self.slots[index].fetch_min(word, Ordering::Relaxed) <= word {
+            return false; // a racing task got below this offer first
         }
-        let slot = self.cursor.fetch_add(1, Ordering::Relaxed);
-        self.nzinds[slot].store(index, Ordering::Relaxed);
-        counters.atomics += 2;
-        counters.spa_touches += 2;
+        list.push(index);
         true
-    }
-
-    /// Number of claimed slots so far.
-    pub fn nnz(&self) -> usize {
-        self.cursor.load(Ordering::Acquire)
     }
 
     /// Read the value stored for a claimed index.
@@ -346,11 +382,32 @@ impl AtomicSpa {
         self.slots[index].load(Ordering::Acquire) & !VALUE_MASK == self.stamp
     }
 
-    /// Snapshot the collected indices (unsorted) — Listing 7's
-    /// `nzinds.remove(k.read(), ncol-k.read())` truncation.
-    pub fn collected(&self) -> Vec<usize> {
-        let n = self.nnz();
-        self.nzinds[..n].iter().map(|a| a.load(Ordering::Acquire)).collect()
+    /// The claimed indices (unsorted), once the claiming region has joined:
+    /// the task lists concatenated in task order, an entry of task `t`'s
+    /// kept iff the slot's final value lies in `values(t)`, the range task
+    /// `t` offered from (asked only of a task that recorded something).
+    /// This is Listing 7's `nzinds` after its truncation, in the serial
+    /// schedule's order whatever the schedule was. Charges, per kept entry,
+    /// what the listing pays on a first claim beyond the probe: the
+    /// claiming RMW, the cursor fetch-add and the two stores.
+    pub fn collected(
+        &self,
+        values: impl Fn(usize) -> RangeInclusive<usize>,
+        counters: &mut Counters,
+    ) -> Vec<usize> {
+        let recorded = self.lists.iter().map(|list| list.0.lock().len()).sum();
+        let mut kept = Vec::with_capacity(recorded);
+        for (t, list) in self.lists.iter().enumerate() {
+            let list = list.0.lock();
+            if list.is_empty() {
+                continue;
+            }
+            let own = values(t);
+            kept.extend(list.iter().copied().filter(|&index| own.contains(&self.value(index))));
+        }
+        counters.atomics += 2 * kept.len() as u64;
+        counters.spa_touches += 2 * kept.len() as u64;
+        kept
     }
 }
 
@@ -567,58 +624,81 @@ mod tests {
         assert_eq!(spa.get(3), None);
     }
 
+    /// Any value may be any task's: for tests with one task, or with
+    /// nothing recorded twice.
+    fn any(_: usize) -> RangeInclusive<usize> {
+        0..=AtomicSpa::MAX_VALUE
+    }
+
+    /// The race, driven by hand on one thread: the higher-row task reaches
+    /// a column first and the lower-row task then lowers it.
     #[test]
-    fn atomic_spa_keeps_the_minimum_claim_per_slot() {
-        let spa = AtomicSpa::new(16);
+    fn atomic_spa_lists_a_lowered_slot_once_under_the_lower_task() {
+        let spa = AtomicSpa::new(16, 2);
+        let rows = |t: usize| [0..=150, 151..=300][t].clone();
         let mut c = Counters::default();
-        assert!(spa.claim(7, 200, &mut c));
-        assert!(!spa.claim(7, 100, &mut c), "a smaller value is not a second first claim");
-        assert!(!spa.claim(7, 300, &mut c));
+        {
+            let (mut low, mut high) = (spa.list(0), spa.list(1));
+            assert!(spa.claim(7, 200, &mut high, &mut c));
+            assert!(spa.claim(3, 50, &mut low, &mut c));
+            assert!(spa.claim(7, 100, &mut low, &mut c), "a smaller row lowers the slot");
+            assert!(spa.claim(9, 200, &mut high, &mut c));
+            assert!(!spa.claim(7, 300, &mut high, &mut c));
+            assert!(!spa.claim(7, 120, &mut low, &mut c), "its later rows stop at the load");
+            assert_eq!((&*low, &*high), (&vec![3, 7], &vec![7, 9]));
+        }
         assert_eq!(spa.value(7), 100);
-        assert!(spa.contains(7));
-        assert!(!spa.contains(8));
-        assert_eq!(spa.collected(), vec![7]);
+        assert!(spa.contains(7) && !spa.contains(8));
+        assert_eq!(c, Counters { atomics: 6, ..Default::default() }, "one atomic per probe");
+        // the serial schedule's list — task 0 walks 3, 7; task 1 finds 7
+        // taken and walks 9 — and three first claims, not four
+        let mut first = Counters::default();
+        assert_eq!(spa.collected(rows, &mut first), vec![3, 7, 9]);
+        assert_eq!(first, Counters { atomics: 6, spa_touches: 6, ..Default::default() });
     }
 
     #[test]
     fn atomic_spa_reset_releases_claims_in_o1() {
-        let mut spa = AtomicSpa::new(8);
+        let mut spa = AtomicSpa::new(8, 1);
         let mut c = Counters::default();
-        assert!(spa.claim(2, 11, &mut c));
-        assert!(spa.claim(5, 12, &mut c));
+        assert!(spa.claim(2, 11, &mut spa.list(0), &mut c));
+        assert!(spa.claim(5, 12, &mut spa.list(0), &mut c));
         spa.reset();
-        assert_eq!(spa.nnz(), 0);
+        assert!(spa.collected(any, &mut c).is_empty());
         assert!(!spa.contains(2), "stale claims must be invisible");
         // identical counter charges post-reset as on a fresh SPA, and a
         // stale smaller value must not beat a live larger one
         let mut c2 = Counters::default();
-        assert!(spa.claim(2, 21, &mut c2));
-        assert!(!spa.claim(2, 22, &mut c2));
-        assert_eq!(c2.atomics, 4);
+        assert!(spa.claim(2, 21, &mut spa.list(0), &mut c2));
+        assert!(!spa.claim(2, 22, &mut spa.list(0), &mut c2));
         assert_eq!(spa.value(2), 21);
-        assert_eq!(spa.collected(), vec![2]);
-        // growth path
-        assert!(spa.ensure(20));
+        assert_eq!(spa.collected(any, &mut c2), vec![2]);
+        assert_eq!(c2.atomics, 4);
+        // growth path: more slots, more tasks, the lists emptied
+        assert!(spa.ensure(20, 3));
         assert_eq!(spa.capacity(), 20);
         assert!(!spa.contains(2));
-        assert!(spa.claim(19, 1, &mut c2));
+        assert!(spa.claim(19, 1, &mut spa.list(2), &mut c2));
+        assert_eq!(spa.collected(any, &mut c2), vec![19]);
+        // a shrink keeps the slots and drops the extra lists
+        assert!(!spa.ensure(4, 1));
+        assert!(spa.collected(any, &mut c2).is_empty());
     }
 
     #[test]
     fn atomic_spa_generation_wrap_leaves_it_empty() {
-        let mut spa = AtomicSpa::new(8);
+        let mut spa = AtomicSpa::new(8, 1);
         let mut c = Counters::default();
-        assert!(spa.claim(1, 4, &mut c));
+        assert!(spa.claim(1, 4, &mut spa.list(0), &mut c));
         spa.stamp = 0; // the last generation before the stamp field wraps
-        spa.cursor = AtomicUsize::new(0);
-        assert!(spa.claim(3, 5, &mut c));
+        assert!(spa.claim(3, 5, &mut spa.list(0), &mut c));
         spa.reset();
-        assert_eq!(spa.nnz(), 0);
+        assert!(spa.collected(any, &mut c).is_empty());
         assert!((0..8).all(|i| !spa.contains(i)), "the wrap must clear every slot");
         // without the clear the stamp-0 word would sit below every new claim
-        assert!(spa.claim(3, 9, &mut c));
+        assert!(spa.claim(3, 9, &mut spa.list(0), &mut c));
         assert_eq!(spa.value(3), 9);
-        assert_eq!(spa.collected(), vec![3]);
+        assert_eq!(spa.collected(any, &mut c), vec![3]);
     }
 
     #[test]
@@ -627,62 +707,65 @@ mod tests {
         assert!(AtomicSpa::check_values(AtomicSpa::MAX_VALUE + 1).is_ok());
         assert!(AtomicSpa::check_values(AtomicSpa::MAX_VALUE + 2).is_err());
         // the widest value round-trips without touching the stamp
-        let spa = AtomicSpa::new(2);
+        let spa = AtomicSpa::new(2, 1);
         let mut c = Counters::default();
-        assert!(spa.claim(1, AtomicSpa::MAX_VALUE, &mut c));
+        assert!(spa.claim(1, AtomicSpa::MAX_VALUE, &mut spa.list(0), &mut c));
         assert!(spa.contains(1) && !spa.contains(0));
         assert_eq!(spa.value(1), AtomicSpa::MAX_VALUE);
     }
 
     #[test]
     fn atomic_spa_descending_claims_from_four_threads_leave_the_minimum() {
-        // One thread after another (the join is the ordering), each with a
-        // smaller value than the last: first-writer-wins would keep 40.
-        let spa = AtomicSpa::new(8);
+        // One thread after another (the join is the ordering), the highest
+        // task first: every offer lowers the slot, first-writer-wins would
+        // keep 40, and only task 0 owns what is left.
+        let spa = AtomicSpa::new(8, 4);
+        let values = [10usize, 20, 30, 40];
         std::thread::scope(|s| {
-            for (t, value) in [40usize, 30, 20, 10].into_iter().enumerate() {
+            for t in (0..4).rev() {
                 let spa = &spa;
-                let first = s
-                    .spawn(move || spa.claim(5, value, &mut Counters::default()))
+                let lowered = s
+                    .spawn(move || {
+                        spa.claim(5, values[t], &mut spa.list(t), &mut Counters::default())
+                    })
                     .join()
                     .expect("claimer");
-                assert_eq!(first, t == 0, "only the earliest claim is a first claim");
+                assert!(lowered, "task {t} offers less than every task before it");
             }
         });
         assert_eq!(spa.value(5), 10);
-        assert_eq!(spa.collected(), vec![5]);
+        assert!((0..4).all(|t| *spa.list(t) == [5]));
+        let mut c = Counters::default();
+        assert_eq!(spa.collected(|t| values[t]..=values[t], &mut c), vec![5]);
+        assert_eq!((c.atomics, c.spa_touches), (2, 2));
     }
 
     #[test]
     fn atomic_spa_concurrent_claims_are_exclusive_and_minimal() {
-        let spa = AtomicSpa::new(64);
-        let wins = AtomicUsize::new(0);
+        let spa = AtomicSpa::new(64, 4);
         let atomics = AtomicU64::new(0);
         let start = std::sync::Barrier::new(4);
         std::thread::scope(|s| {
             for t in 0..4usize {
-                let (spa, wins, atomics, start) = (&spa, &wins, &atomics, &start);
+                let (spa, atomics, start) = (&spa, &atomics, &start);
                 s.spawn(move || {
                     let mut c = Counters::default();
+                    let mut list = spa.list(t);
                     start.wait();
                     for i in 0..64 {
-                        if spa.claim(i, 100 - t, &mut c) {
-                            wins.fetch_add(1, Ordering::Relaxed);
-                        }
+                        spa.claim(i, 97 + t, &mut list, &mut c);
                     }
                     atomics.fetch_add(c.atomics, Ordering::Relaxed);
                 });
             }
         });
-        // Every slot first-claimed exactly once across all threads, holding
-        // the smallest value offered; the charge is timing-independent.
-        assert_eq!(wins.load(Ordering::Relaxed), 64);
-        assert_eq!(spa.nnz(), 64);
+        // Every slot holds the smallest value offered and is collected
+        // exactly once, in its owner's order; the charge is
+        // timing-independent however many offers lowered a slot.
         assert!((0..64).all(|i| spa.value(i) == 97));
-        assert_eq!(atomics.load(Ordering::Relaxed), 4 * 64 + 2 * 64);
-        let mut collected = spa.collected();
-        collected.sort_unstable();
-        assert_eq!(collected, (0..64).collect::<Vec<_>>());
+        let mut c = Counters::default();
+        assert_eq!(spa.collected(|t| 97 + t..=97 + t, &mut c), (0..64).collect::<Vec<_>>());
+        assert_eq!(atomics.load(Ordering::Relaxed) + c.atomics, 4 * 64 + 2 * 64);
     }
 
     #[test]
@@ -754,10 +837,12 @@ mod tests {
 
     #[test]
     fn atomic_counters_charged() {
-        let spa = AtomicSpa::new(4);
+        let spa = AtomicSpa::new(4, 1);
         let mut c = Counters::default();
-        spa.claim(0, 1, &mut c); // first claim: load + fetch_min + fetch_add = 3
-        spa.claim(0, 2, &mut c); // already claimed: the load alone
-        assert_eq!(c.atomics, 4);
+        spa.claim(0, 1, &mut spa.list(0), &mut c); // lowers: the load (the RMW is charged below)
+        spa.claim(0, 2, &mut spa.list(0), &mut c); // already claimed: the load alone
+        assert_eq!(c.atomics, 2);
+        spa.collected(any, &mut c); // one first claim: fetch_min + fetch_add
+        assert_eq!((c.atomics, c.spa_touches), (4, 2));
     }
 }

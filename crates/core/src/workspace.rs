@@ -229,20 +229,23 @@ impl WorkspacePool {
         }
     }
 
-    /// Check out an [`AtomicSpa`] covering `0..capacity`, logically empty.
+    /// Check out an [`AtomicSpa`] covering `0..capacity` with a claim list
+    /// for each of `ntasks` tasks, logically empty.
     pub fn atomic_spa(
         self: &Arc<Self>,
         capacity: usize,
+        ntasks: usize,
         metrics: &MetricsRegistry,
     ) -> WsGuard<AtomicSpa> {
-        // Over-states a slot by one `usize` since the min-claim folded
-        // `isthere` and the value into one word; three dist goldens pin the
-        // resulting `ws_alloc_bytes`, so it is corrected at their next re-pin.
+        // A slot is one 8 B word and the task lists together start at 8 B
+        // per slot, so this over-states a slot by one `usize`; three dist
+        // goldens pin the resulting `ws_alloc_bytes`, so it is corrected at
+        // their next re-pin.
         let elem = (std::mem::size_of::<u64>() + 2 * std::mem::size_of::<usize>()) as u64;
         match self.take_raw::<AtomicSpa>() {
             Some(mut spa) => {
                 let shortfall = capacity.saturating_sub(spa.capacity()) as u64;
-                if spa.ensure(capacity) {
+                if spa.ensure(capacity, ntasks) {
                     self.charge_alloc(shortfall * elem, metrics);
                 }
                 self.charge_hit(metrics);
@@ -250,7 +253,7 @@ impl WorkspacePool {
             }
             None => {
                 self.charge_miss(capacity as u64 * elem, metrics);
-                self.guard(AtomicSpa::new(capacity))
+                self.guard(AtomicSpa::new(capacity, ntasks))
             }
         }
     }

@@ -153,6 +153,51 @@ fn out_of_range_and_duplicate_batches_are_handled() {
     }
 }
 
+/// A bitmap mask of the wrong length is a `DimensionMismatch` at kernel
+/// entry, short or long, complemented or not, on both SpMSpV kernels. It
+/// used to be read past its end as "not set", so a complemented short mask
+/// *allowed* every column beyond it: an all-`true` 10-bit `visited` over
+/// ER(50, 4) answered `Ok([10, 19, 20, 24, …])`.
+#[test]
+fn a_dense_mask_of_the_wrong_length_is_an_error() {
+    use gblas_core::algebra::semirings;
+    use gblas_core::container::DenseVec;
+    use gblas_core::error::GblasError;
+    use gblas_core::mask::VecMask;
+    use gblas_core::ops::spmspv::{spmspv_first_visitor, spmspv_semiring_masked, SpMSpVOpts};
+
+    let a = gblas_core::gen::erdos_renyi(50, 4, 1);
+    let x = gblas_core::gen::random_sparse_vec(50, 12, 2);
+    let (ring, opts) = (semirings::plus_times_f64(), SpMSpVOpts::default());
+    for threads in [1, 4] {
+        let ctx = ExecCtx::new(threads, 2);
+        for len in [0, 10, 49, 50, 51, 200] {
+            let visited = DenseVec::from_fn(len, |_| true);
+            for mask in [VecMask::dense(&visited), VecMask::dense(&visited).complement()] {
+                let fv = spmspv_first_visitor(&a, &x, Some(&mask), opts, &ctx);
+                let sr = spmspv_semiring_masked(&a, &x, &ring, Some(&mask), opts, &ctx);
+                let sr = sr.map(|out| out.vector);
+                if len == a.ncols() {
+                    // an all-`true` mask admits all or, complemented, nothing
+                    let all = spmspv_first_visitor(&a, &x, None, opts, &ctx).unwrap();
+                    let expect =
+                        if mask.is_complemented() { vec![] } else { all.indices().to_vec() };
+                    assert_eq!(fv.unwrap().indices(), expect);
+                    assert_eq!(sr.unwrap().indices(), expect);
+                } else {
+                    let what = format!("len={len} complemented={}", mask.is_complemented());
+                    assert!(matches!(fv, Err(GblasError::DimensionMismatch { .. })), "{what}");
+                    assert!(matches!(sr, Err(GblasError::DimensionMismatch { .. })), "{what}");
+                }
+            }
+        }
+    }
+    // an index-list mask has no length of its own and stays accepted
+    let few = [3usize, 7];
+    let mask = VecMask::from_sorted_indices(&few).complement();
+    assert!(spmspv_first_visitor(&a, &x, Some(&mask), opts, &ExecCtx::serial()).is_ok());
+}
+
 /// Power-iteration parameters a request can get wrong: a damping factor
 /// outside `[0, 1]` or a negative tolerance (NaN counts as both) is a
 /// clean `InvalidArgument` on both backends — not 200 iterations of NaN

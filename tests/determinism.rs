@@ -1,8 +1,8 @@
 //! Determinism regression net: with fixed seeds and serial real execution,
 //! every operation — including the distributed ones and their simulated
 //! timings — must be bit-for-bit reproducible across runs. This is what
-//! makes the figure harness's CSV outputs stable artifacts. *Results*
-//! (not work profiles) must also repeat under real threads.
+//! makes the figure harness's CSV outputs stable artifacts. Under real
+//! threads the push kernel's results *and* its work profile must repeat.
 
 use gblas::prelude::*;
 use gblas_core::gen;
@@ -39,8 +39,11 @@ fn shared_memory_op_results_and_profiles_repeat() {
 
 /// BFS parents are the minimum in-frontier in-neighbour, not whichever
 /// thread arrived first: indices *and* values are a function of the input
-/// alone. A skewed RMAT makes hub columns contested by many frontier rows
-/// at once, which is where an arrival-order claim shows its timing.
+/// alone, and so is the work — the claim lists merge by owner, so the
+/// collected order, the sort's move count and every other counter of every
+/// phase are the serial schedule's. A skewed RMAT makes hub columns
+/// contested by many frontier rows at once, which is where an
+/// arrival-order claim (or cursor) shows its timing.
 #[test]
 fn first_visitor_results_do_not_depend_on_real_threads() {
     const LOGICAL: usize = 8;
@@ -53,21 +56,24 @@ fn first_visitor_results_do_not_depend_on_real_threads() {
     for merge in [MergeStrategy::SortBased, MergeStrategy::Bucketed] {
         let opts = SpMSpVOpts::with_merge(merge);
         for mask in [None, Some(&unvisited)] {
-            let expect = spmspv_first_visitor(&a, &x, mask, opts, &serial).unwrap();
+            let kernel = |ctx: &ExecCtx| {
+                (spmspv_first_visitor(&a, &x, mask, opts, ctx).unwrap(), ctx.take_profile())
+            };
+            let expect = kernel(&serial);
             for real in [1, 2, 4] {
                 let ctx = ExecCtx::new(LOGICAL, real);
                 for rep in 0..20 {
-                    let y = spmspv_first_visitor(&a, &x, mask, opts, &ctx).unwrap();
                     let masked = mask.is_some();
-                    assert_eq!(y, expect, "{merge:?} masked={masked} real={real} rep={rep}");
+                    assert_eq!(kernel(&ctx), expect, "{merge:?} masked={masked} {real} {rep}");
                 }
             }
         }
-        let expect = bfs_with(&a, 0, opts, &serial).unwrap();
+        let solve = |ctx: &ExecCtx| (bfs_with(&a, 0, opts, ctx).unwrap(), ctx.take_profile());
+        let expect = solve(&serial);
         for real in [1, 2, 4] {
             let ctx = ExecCtx::new(LOGICAL, real);
             for rep in 0..20 {
-                assert_eq!(bfs_with(&a, 0, opts, &ctx).unwrap(), expect, "{merge:?} {real} {rep}");
+                assert_eq!(solve(&ctx), expect, "{merge:?} real={real} rep={rep}");
             }
         }
     }

@@ -10,6 +10,10 @@
 //!   (`sort_elems == 0`, no `sort` phase) and the sort-based path never
 //!   touches the `bucket` phase.
 //!
+//! And the first-visitor kernel must be observationally identical to its
+//! own serial schedule on any number of real threads: the output *and* the
+//! complete work profile.
+//!
 //! Failures replay exactly: the shim reports the failing case's index and
 //! seed, and `PROPTEST_REPLAY=<case>` re-runs just that case.
 
@@ -159,6 +163,35 @@ proptest! {
         for (j, &parent) in yb.iter() {
             prop_assert!(x.get(parent).is_some(), "parent {} not in x", parent);
             prop_assert!(a.get(parent, j).is_some(), "no edge {} -> {}", parent, j);
+        }
+    }
+
+    /// The claim lists merge by owner, so under real threads nothing the
+    /// kernel returns or records follows arrival order: square and
+    /// rectangular matrices, any frontier, mask or none (complemented or
+    /// not), either merge, 1..=8 logical tasks on 1, 2 and 4 real threads.
+    #[test]
+    fn first_visitor_output_and_profile_do_not_depend_on_real_threads(
+        (a, x) in (1usize..=CAP, 1usize..=CAP)
+            .prop_flat_map(|(rows, cols)| (csr(rows, cols), sparse_vec(rows))),
+        mask_seed in 0u64..3000, logical in 1usize..=8
+    ) {
+        let bits = gblas_core::gen::random_dense_bool(a.ncols(), 0.5, mask_seed);
+        let mask = match mask_seed % 3 {
+            0 => None,
+            1 => Some(VecMask::dense(&bits)),
+            _ => Some(VecMask::dense(&bits).complement()),
+        };
+        for opts in [sorted_opts(), bucketed_opts()] {
+            let run = |real: usize| {
+                let ctx = ExecCtx::new(logical, real);
+                let y = spmspv_first_visitor(&a, &x, mask.as_ref(), opts, &ctx).unwrap();
+                (y, ctx.take_profile())
+            };
+            let expect = run(1);
+            for real in [2, 4] {
+                prop_assert_eq!(&run(real), &expect, "{:?} real={}", opts.merge, real);
+            }
         }
     }
 
