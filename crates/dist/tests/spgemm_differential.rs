@@ -222,6 +222,80 @@ proptest! {
     }
 }
 
+/// FNV-1a over the little-endian bytes of each word.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Pinned digests of the wire: every comm event `(phase, src, dst, msgs,
+/// bytes)` of one `mxm_dist_emit`, in the ledger's canonical order
+/// ([`gblas_dist::comm::Comm::history`]), per `(grid, layers, masked)`.
+/// Recorded on the commit *before* the local phase stopped forming stage
+/// partials; what a locale does with the panels it received is not the
+/// wire's business, so these must not be regenerated for a change to the
+/// local phase. An emit rule does not move them either: the 3-D merge
+/// ships partial sums, which the rule never sees.
+const LEDGERS: [((usize, usize), usize, bool, u64); 12] = [
+    ((2, 2), 1, false, 0xec7d_f4bc_fca9_56cb),
+    ((2, 2), 1, true, 0xec7d_f4bc_fca9_56cb),
+    ((2, 2), 2, false, 0xf51f_6185_9245_d095),
+    ((2, 2), 2, true, 0x89b2_e10f_7eca_2302),
+    ((2, 3), 1, false, 0xea3f_a9bc_5172_ae4e),
+    ((2, 3), 1, true, 0xea3f_a9bc_5172_ae4e),
+    ((2, 3), 2, false, 0x9325_ef1e_29f9_b42d),
+    ((2, 3), 2, true, 0x627b_4cef_f458_8c7b),
+    ((3, 2), 1, false, 0x93bd_94da_1117_9e1c),
+    ((3, 2), 1, true, 0x93bd_94da_1117_9e1c),
+    ((3, 2), 2, false, 0xa693_b14a_fe4f_bb1c),
+    ((3, 2), 2, true, 0x2289_0909_3412_cd22),
+];
+
+#[test]
+fn comm_ledger_matches_pinned_digests() {
+    let a = int_matrix(80, 4, 701);
+    let b = int_matrix(80, 5, 702);
+    let mask = int_matrix(80, 7, 703);
+    let ring = semirings::plus_times::<u64>();
+    let rule =
+        |i: usize, _: usize, v: u64| Some(v % 1009).filter(|w| !(w + i as u64).is_multiple_of(3));
+    let mut moved = Vec::new();
+    for ((pr, pc), layers, masked, want) in LEDGERS {
+        let grid = ProcGrid::new(pr, pc);
+        let algo = if layers > 1 { MxmAlgo::Summa3d { layers } } else { MxmAlgo::Summa2d };
+        let da = DistCsrMatrix::from_global(&a, grid);
+        let db = DistCsrMatrix::from_global(&b, grid);
+        let dm = masked.then(|| DistCsrMatrix::from_global(&mask, grid));
+        for exec in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
+            for ruled in [false, true] {
+                let dctx = ctx_with(grid.locales() * layers, exec);
+                dctx.comm.record_history();
+                let rule = ruled.then_some(&rule);
+                mxm_dist_emit(&da, &db, &ring, dm.as_ref(), rule, algo, &dctx).unwrap();
+                let events = dctx.comm.history();
+                assert!(!events.is_empty());
+                let got = fnv(events.iter().flat_map(|e| {
+                    let phase = fnv(e.phase.bytes().map(u64::from));
+                    [phase, e.src as u64, e.dst as u64, e.msgs, e.bytes]
+                }));
+                if got != want {
+                    moved.push(format!(
+                        "{pr}x{pc} layers={layers} masked={masked} {exec:?} rule={ruled}: \
+                         {} events, got {got:#018x}, pinned {want:#018x}",
+                        events.len()
+                    ));
+                }
+            }
+        }
+    }
+    assert!(moved.is_empty(), "comm ledgers moved:\n{}", moved.join("\n"));
+}
+
 /// Non-proptest smoke: the 3-D variant agrees with 2-D on the integer
 /// ring even though its merge tree associates differently — integer
 /// addition is associative, so only floating-point results may drift.
