@@ -438,7 +438,7 @@ impl GblasBackend for SharedBackend<'_> {
         AddM: Monoid<C>,
         MulOp: BinaryOp<A, B, C>,
     {
-        ops::mxm::mxm_emit(a, b, ring, mask, rule, self.ctx)
+        ops::mxm::mxm_emit(a, b, ring, mask, rule, ops::selection::MxmKernel::Spa, self.ctx)
     }
 
     fn reduce_rows<T: Scalar, M>(&self, a: &CsrMatrix<T>, monoid: &M) -> Result<Vec<T>>

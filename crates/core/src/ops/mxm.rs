@@ -2,8 +2,11 @@
 //!
 //! Row-wise Gustavson: row `i` of `C = A ⊗ B` merges the rows `B[k, :]`
 //! for every stored `A[i, k]`. The workspace has one SpGEMM inner loop,
-//! [`RowKernel::row`]: shared [`mxm`] drives its SPA instance, every SUMMA
-//! stage in `gblas-dist` the instance its density ladder picked.
+//! [`RowKernel::row`], and one driver of it, [`mxm_emit`]: shared [`mxm`]
+//! runs it over two [`CsrMatrix`] operands with the SPA instance, a SUMMA
+//! locale in `gblas-dist` over the panels of blocks it received
+//! ([`LeftOperand`] / [`RightOperand`] views, nothing copied) with the
+//! instance its density ladder picked.
 //!
 //! An optional *structural mask* restricts which output positions may be
 //! produced (GraphBLAS masked `mxm` — the triangle-counting pattern
@@ -41,11 +44,65 @@ type Cursor = Reverse<(usize, usize, usize)>;
 /// What `None` is typed as where a multiply takes no emit rule.
 pub type NoRule<C> = fn(usize, usize, C) -> Option<C>;
 
+/// The left operand of [`mxm_emit`], read a row at a time: a
+/// [`CsrMatrix`], or blocks of one laid side by side.
+pub trait LeftOperand<T>: Sync {
+    /// Number of rows.
+    fn nrows(&self) -> usize;
+    /// Number of columns (the inner dimension).
+    fn ncols(&self) -> usize;
+    /// Row `i` as its runs `(offset, columns, values)`, left to right: the
+    /// stored entries are `(offset + columns[x], values[x])`, ascending
+    /// across the whole row. A [`CsrMatrix`] row is one run at offset 0.
+    fn row<'a>(&'a self, i: usize) -> impl Iterator<Item = (usize, &'a [usize], &'a [T])> + Clone
+    where
+        T: 'a;
+}
+
+/// The right operand of [`mxm_emit`], each row a pair of slices: a
+/// [`CsrMatrix`], or blocks of one stacked.
+pub trait RightOperand<T>: Sync {
+    /// Number of rows (the inner dimension).
+    fn nrows(&self) -> usize;
+    /// Number of columns.
+    fn ncols(&self) -> usize;
+    /// Row `k`: its sorted columns and their values.
+    fn row(&self, k: usize) -> (&[usize], &[T]);
+}
+
+impl<T: Copy + Sync> LeftOperand<T> for CsrMatrix<T> {
+    fn nrows(&self) -> usize {
+        self.nrows()
+    }
+    fn ncols(&self) -> usize {
+        self.ncols()
+    }
+    fn row<'a>(&'a self, i: usize) -> impl Iterator<Item = (usize, &'a [usize], &'a [T])> + Clone
+    where
+        T: 'a,
+    {
+        let (cols, vals) = self.row(i);
+        std::iter::once((0, cols, vals))
+    }
+}
+
+impl<T: Sync> RightOperand<T> for CsrMatrix<T> {
+    fn nrows(&self) -> usize {
+        self.nrows()
+    }
+    fn ncols(&self) -> usize {
+        self.ncols()
+    }
+    fn row(&self, k: usize) -> (&[usize], &[T]) {
+        self.row(k)
+    }
+}
+
 /// The accumulator state of one row-kernel instance, checked out of the
-/// context's workspace pool so rows, calls, SUMMA stages and iterations
-/// reuse it. Every instance folds an output position's contributions in
-/// ascending inner-dimension order and emits sorted columns, so the three
-/// are bit-interchangeable.
+/// context's workspace pool so rows, calls and iterations reuse it. Every
+/// instance folds an output position's contributions in ascending
+/// inner-dimension order and emits sorted columns, so the three are
+/// bit-interchangeable.
 pub enum RowKernel<C: Send + 'static> {
     /// Dense SPA over the output width, addressed by column.
     Spa(WsGuard<DenseSpa<C>>),
@@ -69,12 +126,12 @@ impl<C: Copy + Send + 'static> RowKernel<C> {
     /// Accumulate one row of `A ⊗ B` into the tail `(cols, vals)`; returns
     /// the number of entries written, sorted by column.
     ///
-    /// The `A` row is `at(0..t) = (k, a)` in ascending `k`, each `k` a row
-    /// of `b`; `mask` is the mask row's sorted columns. The caller sizes
-    /// the tail to the row's bound: `nnz(Mᵢ)` when masked, else
-    /// `min(ncols, Σₖ nnz(B[k,:]))`. Every probe of the accumulator is
-    /// charged whether or not the mask admits it, every emitted entry once
-    /// more; only unmasked rows pay a sort.
+    /// The `A` row arrives as [`LeftOperand::row`] gives it, every
+    /// `offset + column` a row of `b`; `mask` is the mask row's sorted
+    /// columns. The caller sizes the tail to the row's bound: `nnz(Mᵢ)`
+    /// when masked, else `min(ncols, Σₖ nnz(B[k,:]))`. Every probe of the
+    /// accumulator is charged whether or not the mask admits it, every
+    /// emitted entry once more; only unmasked rows pay a sort.
     ///
     /// `rule(j, v)` decides what a *finished* entry — every product of its
     /// position folded, the mask admitting it — is stored as: `Some(w)`
@@ -84,11 +141,10 @@ impl<C: Copy + Send + 'static> RowKernel<C> {
     /// is charged one `elems`, as `Apply` charges an entry. The tail is
     /// sized as without a rule.
     #[allow(clippy::too_many_arguments)]
-    pub fn row<A: Copy, B: Copy>(
+    pub fn row<'a, A: Copy + 'a, B: Copy>(
         &mut self,
-        t: usize,
-        at: impl Fn(usize) -> (usize, A),
-        b: &CsrMatrix<B>,
+        a_row: impl Iterator<Item = (usize, &'a [usize], &'a [A])> + Clone,
+        b: &impl RightOperand<B>,
         ring: &Semiring<impl Monoid<C>, impl BinaryOp<A, B, C>>,
         mask: Option<&[usize]>,
         rule: Option<&impl Fn(usize, C) -> Option<C>>,
@@ -96,6 +152,7 @@ impl<C: Copy + Send + 'static> RowKernel<C> {
         vals: &mut [C],
         c: &mut Counters,
     ) -> usize {
+        let t: usize = a_row.clone().map(|(_, acols, _)| acols.len()).sum();
         if t == 0 || mask.is_some_and(<[usize]>::is_empty) {
             return 0;
         }
@@ -104,7 +161,7 @@ impl<C: Copy + Send + 'static> RowKernel<C> {
             RowKernel::Spa(spa) => {
                 spa.reset();
                 let slot = |_: &DenseSpa<C>, j, _| Some(j);
-                let n = table_row(spa, slot, t, at, b, ring, mask, rule, cols, vals, c);
+                let n = table_row(spa, slot, a_row, b, ring, mask, rule, cols, vals, c);
                 c.spa_touches += c.flops - before + n as u64;
                 n
             }
@@ -129,7 +186,7 @@ impl<C: Copy + Send + 'static> RowKernel<C> {
                         h
                     })
                 };
-                let n = table_row(table, slot, t, at, b, ring, mask, rule, cols, vals, c);
+                let n = table_row(table, slot, a_row, b, ring, mask, rule, cols, vals, c);
                 // seeding and emitting a mask row probe the table too
                 c.rand_access += c.flops - before + mask.map_or(0, |m| 2 * m.len() as u64);
                 n
@@ -137,6 +194,13 @@ impl<C: Copy + Send + 'static> RowKernel<C> {
             RowKernel::Heap(store) => {
                 let mut heap = BinaryHeap::from(std::mem::take(&mut **store));
                 let push_charge = t.max(1).ilog2() as u64 + 1;
+                // the row's `(k, a)` once, not a walk of its runs per cursor
+                let row: Vec<(usize, A)> = a_row
+                    .flat_map(|(offset, k, a)| {
+                        k.iter().map(move |&k| offset + k).zip(a.iter().copied())
+                    })
+                    .collect();
+                let at = |x: usize| row[x];
                 for x in 0..t {
                     if let Some(&j) = b.row(at(x).0).0.first() {
                         heap.push(Reverse((j, x, 0)));
@@ -214,12 +278,11 @@ fn settle<C: Copy>(
 /// hash — claiming a vacant one when `claim`; every claimed slot is
 /// stamped before the next lookup.
 #[allow(clippy::too_many_arguments)]
-fn table_row<A: Copy, B: Copy, C: Copy>(
+fn table_row<'a, A: Copy + 'a, B: Copy, C: Copy>(
     table: &mut DenseSpa<C>,
     mut slot: impl FnMut(&DenseSpa<C>, usize, bool) -> Option<usize>,
-    t: usize,
-    at: impl Fn(usize) -> (usize, A),
-    b: &CsrMatrix<B>,
+    a_row: impl Iterator<Item = (usize, &'a [usize], &'a [A])>,
+    b: &impl RightOperand<B>,
     ring: &Semiring<impl Monoid<C>, impl BinaryOp<A, B, C>>,
     mask: Option<&[usize]>,
     rule: Option<&impl Fn(usize, C) -> Option<C>>,
@@ -234,16 +297,17 @@ fn table_row<A: Copy, B: Copy, C: Copy>(
     }
     let gated = mask.is_some();
     let mut touched = 0;
-    for x in 0..t {
-        let (k, av) = at(x);
-        let (bcols, bvals) = b.row(k);
-        c.flops += bcols.len() as u64;
-        for (&j, &bv) in bcols.iter().zip(bvals) {
-            // Unmasked rows list each newly touched column in the tail.
-            if let Some(h) = slot(table, j, !gated) {
-                if table.fold(h, ring.multiply(av, bv), &ring.add, gated) && !gated {
-                    cols[touched] = j;
-                    touched += 1;
+    for (offset, acols, avals) in a_row {
+        for (&k, &av) in acols.iter().zip(avals) {
+            let (bcols, bvals) = b.row(offset + k);
+            c.flops += bcols.len() as u64;
+            for (&j, &bv) in bcols.iter().zip(bvals) {
+                // Unmasked rows list each newly touched column in the tail.
+                if let Some(h) = slot(table, j, !gated) {
+                    if table.fold(h, ring.multiply(av, bv), &ring.add, gated) && !gated {
+                        cols[touched] = j;
+                        touched += 1;
+                    }
                 }
             }
         }
@@ -295,7 +359,8 @@ fn table_row<A: Copy, B: Copy, C: Copy>(
 }
 
 /// `C = A ⊗ B` over `ring`; with `mask = Some(M)`, only positions stored
-/// in `M` are produced (`C⟨M⟩ = A ⊗ B`). [`mxm_emit`] without a rule.
+/// in `M` are produced (`C⟨M⟩ = A ⊗ B`). [`mxm_emit`] without a rule, on
+/// the SPA instance.
 pub fn mxm<A, B, C, AddM, MulOp, M>(
     a: &CsrMatrix<A>,
     b: &CsrMatrix<B>,
@@ -311,7 +376,7 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
-    mxm_emit(a, b, ring, mask, None::<&NoRule<C>>, ctx)
+    mxm_emit(a, b, ring, mask, None::<&NoRule<C>>, MxmKernel::Spa, ctx)
 }
 
 /// `C⟨M⟩ = rule(A ⊗ B)`: the masked product with each finished entry
@@ -319,6 +384,8 @@ where
 /// `select(map(A ⊗ B))` bit for bit, without the product being stored,
 /// sorted or written where the rule drops it. The rule is called exactly
 /// once per finished entry, in no specified order: it must be pure.
+/// `kernel` names the [`RowKernel`] instance every row runs on; the three
+/// give the same matrix bit for bit.
 ///
 /// Rows are dealt to the context's tasks by **flops** `Σₖ nnz(B[k,:])`
 /// ([`split_by_work`]), not by count — on skewed inputs a few hub rows
@@ -331,11 +398,12 @@ where
 /// for that single allocation; the simulated machine runs one-pass
 /// Gustavson, so it is neither charged nor recorded as a region.
 pub fn mxm_emit<A, B, C, AddM, MulOp, M>(
-    a: &CsrMatrix<A>,
-    b: &CsrMatrix<B>,
+    a: &impl LeftOperand<A>,
+    b: &impl RightOperand<B>,
     ring: &Semiring<AddM, MulOp>,
     mask: Option<&CsrMatrix<M>>,
     rule: Option<&(impl Fn(usize, usize, C) -> Option<C> + Sync)>,
+    kernel: MxmKernel,
     ctx: &ExecCtx,
 ) -> Result<CsrMatrix<C>>
 where
@@ -353,11 +421,15 @@ where
     }
     let (nrows, ncols, zero) = (a.nrows(), b.ncols(), ring.zero::<C>());
     let mask_row = |i: usize| mask.map(|m| m.row(i).0);
+    // the rows of `b` that row `i` of `a` selects
+    let selected = |i: usize| {
+        a.row(i).flat_map(|(offset, acols, _)| acols.iter().map(move |&k| b.row(offset + k).0))
+    };
     // Chunks may be empty; their count is part of the priced profile, so
     // it stays what a split by rows gives.
     let row_flops = |i: usize| match mask_row(i) {
         Some([]) => 0, // skipped outright
-        _ => a.row(i).0.iter().map(|&k| b.row_nnz(k)).sum(),
+        _ => selected(i).map(<[usize]>::len).sum(),
     };
     let chunks = split_by_work(nrows, ctx.threads(), row_flops);
     let exact;
@@ -368,8 +440,7 @@ where
                 let mut spa = ctx.ws_dense_spa(ncols, zero);
                 let row_nnz = |i: usize| {
                     spa.reset();
-                    let touched = a.row(i).0.iter().flat_map(|&k| b.row(k).0);
-                    touched.filter(|&&j| spa.mark(j)).count()
+                    selected(i).flatten().filter(|&&j| spa.mark(j)).count()
                 };
                 chunks[t].clone().map(row_nnz).collect::<Vec<_>>()
             });
@@ -387,15 +458,13 @@ where
     let lens = ctx.for_each_task(PHASE, chunks.len(), |t, c| {
         let rows = chunks[t].clone();
         let (Some(cols), Some(vals)) = &mut *windows[t].lock() else { return vec![0; rows.len()] };
-        let mut kernel = RowKernel::checkout(MxmKernel::Spa, ncols, zero, ctx);
+        let mut acc = RowKernel::checkout(kernel, ncols, zero, ctx);
         let mut filled = 0;
         let row = |i: usize| {
-            let (acols, avals) = a.row(i);
             let tail = filled..filled + bounds[i + 1] - bounds[i];
             let (cols, vals) = (&mut cols[tail.clone()], &mut vals[tail]);
-            let at = |x: usize| (acols[x], avals[x]);
             let rule = rule.map(|keep| move |j, v| keep(i, j, v));
-            let n = kernel.row(acols.len(), at, b, ring, mask_row(i), rule.as_ref(), cols, vals, c);
+            let n = acc.row(a.row(i), b, ring, mask_row(i), rule.as_ref(), cols, vals, c);
             filled += n;
             n
         };
@@ -562,10 +631,9 @@ mod tests {
             colidx.resize(len + bound, 0);
             values.resize(len + bound, zero);
             let (cols, vals) = (&mut colidx[len..], &mut values[len..]);
-            let at = |x: usize| (acols[x], avals[x]);
+            let a_row = std::iter::once((0, acols, avals));
             let rule = rule.map(|keep| move |j, v| keep(i, j, v));
-            let n =
-                kernel.row(acols.len(), at, b, ring, mask_row, rule.as_ref(), cols, vals, &mut c);
+            let n = kernel.row(a_row, b, ring, mask_row, rule.as_ref(), cols, vals, &mut c);
             colidx.truncate(len + n);
             values.truncate(len + n);
             rowptr.push(len + n);
@@ -672,7 +740,9 @@ mod tests {
                     &format!("{m}x{n} t={threads}/{real}"),
                     &full_f,
                     &masks,
-                    |mask, rule| mxm_emit(a, b, &times, mask, Some(&rule), &ctx).unwrap(),
+                    |mask, rule| {
+                        mxm_emit(a, b, &times, mask, Some(&rule), MxmKernel::Spa, &ctx).unwrap()
+                    },
                 );
             }
             for kind in [MxmKernel::Spa, MxmKernel::Hash, MxmKernel::Heap] {

@@ -244,7 +244,7 @@ impl MxmKernel {
     }
 }
 
-/// SPA promotion: dense accumulation when the block pair's estimated
+/// SPA promotion: dense accumulation when the locale's estimated
 /// flops reach `out_cols / MXM_SPA_DEN`.
 pub const MXM_SPA_DEN: usize = 4;
 
@@ -252,10 +252,10 @@ pub const MXM_SPA_DEN: usize = 4;
 /// `out_cols / MXM_HEAP_DEN` (the hypersparse × hypersparse corner).
 pub const MXM_HEAP_DEN: usize = 64;
 
-/// Density-adaptive SpGEMM kernel choice for one block pair.
+/// Density-adaptive SpGEMM kernel choice for one locale's multiply.
 ///
-/// `est_flops` is the estimated semiring multiply count for the stage's
-/// local product and `out_cols` the width of the stationary output block.
+/// `est_flops` is the estimated semiring multiply count of the locale's
+/// local product and `out_cols` the width of its output block.
 /// Both are structural integers agreed by every locale observing the same
 /// blocks, so — like [`decide_direction`] — the choice is deterministic
 /// across executors and grid shapes. All three kernels produce

@@ -21,7 +21,6 @@
 //! multi-stage broadcasts affordable on hypersparse blocks.
 
 use gblas_core::container::CsrMatrix;
-use gblas_core::par::Counters;
 
 /// Per-block storage format, chosen by [`choose_format`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,66 +75,6 @@ pub fn dcsc_wire_bytes(nzc: usize, nnz: usize, elem: usize) -> u64 {
 pub fn slice_wire_bytes(nz_lines: usize, nnz: usize, elem: usize) -> u64 {
     let w = std::mem::size_of::<usize>();
     (2 * nz_lines * w + nnz * (w + elem)) as u64
-}
-
-/// A column slice of an operand block in compressed-row form: only the
-/// nonempty rows, each with its entries as `(stage-relative column, value)`
-/// pairs ascending by column. This is both the SUMMA broadcast payload for
-/// `A` slices and the left-operand shape the local multiply consumes. The
-/// rows share one entry array (three allocations per slice, not one per
-/// row), and only the two slicers below build one, so rows and columns
-/// ascend and stay inside `nrows × ncols` by construction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColSlice<T> {
-    nrows: usize,
-    ncols: usize,
-    /// Local ids of the nonempty rows, ascending.
-    rows: Vec<usize>,
-    /// Where each nonempty row's span of `entries` starts.
-    starts: Vec<usize>,
-    entries: Vec<(usize, T)>,
-}
-
-impl<T> ColSlice<T> {
-    fn new(nrows: usize, ncols: usize) -> Self {
-        ColSlice { nrows, ncols, rows: Vec::new(), starts: Vec::new(), entries: Vec::new() }
-    }
-
-    /// Append `(j, v)` to local row `i`, opening the row if it is not the
-    /// last one appended to.
-    fn push(&mut self, i: usize, j: usize, v: T) {
-        if self.rows.last() != Some(&i) {
-            self.rows.push(i);
-            self.starts.push(self.entries.len());
-        }
-        self.entries.push((j, v));
-    }
-
-    /// Rows of the block the slice was cut from.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Width of the sliced column range.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// Number of nonempty rows in the slice.
-    pub fn nzr(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Number of entries in the slice.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `(local row, entries)` for each nonempty row, ascending by row.
-    pub fn rows(&self) -> impl Iterator<Item = (usize, &[(usize, T)])> {
-        let end = |r: usize| self.starts.get(r + 1).copied().unwrap_or(self.entries.len());
-        (0..self.rows.len()).map(move |r| (self.rows[r], &self.entries[self.starts[r]..end(r)]))
-    }
 }
 
 /// A doubly compressed sparse block (see module docs for the layout).
@@ -227,60 +166,30 @@ impl<T: Copy> DcscBlock<T> {
         (start..end, self.cp[end] - self.cp[start])
     }
 
-    /// Extract the column range `[lo, hi)` as a compressed-row
-    /// [`ColSlice`] with stage-relative column ids (`j - lo`). Work is
-    /// charged to `c`: two `jc` probes, a stream over the covered entries,
-    /// and the stable row-regrouping sort.
-    pub fn col_slice(&self, lo: usize, hi: usize, c: &mut Counters) -> ColSlice<T> {
-        let (span, count) = self.col_span(lo, hi);
-        c.search_probes += 2 * (self.jc.len().max(1).ilog2() as u64 + 1);
-        let mut triples: Vec<(usize, usize, T)> = Vec::with_capacity(count);
-        for ci in span {
-            let j = self.jc[ci] - lo;
-            for e in self.cp[ci]..self.cp[ci + 1] {
-                triples.push((self.ir[e], j, self.val[e]));
-            }
-        }
-        c.elems += triples.len() as u64;
-        // columns were visited ascending; a stable sort by row yields
-        // per-row entries ascending by stage-relative column
-        triples.sort_by_key(|&(i, _, _)| i);
-        c.sort_elems += (triples.len().max(1).ilog2() as u64 + 1) * triples.len() as u64;
-        let mut slice = ColSlice::new(self.nrows, hi - lo);
-        for (i, j, v) in triples {
-            slice.push(i, j, v);
-        }
-        slice
+    /// What the column range `[lo, hi)` puts on the wire as a compressed
+    /// stage slice, `(nonempty rows, entries)`: two `jc` probes, then only
+    /// the covered entries are looked at.
+    pub fn slice_header(&self, lo: usize, hi: usize) -> (usize, usize) {
+        let (span, nnz) = self.col_span(lo, hi);
+        let mut rows = self.ir[self.cp[span.start]..self.cp[span.end]].to_vec();
+        rows.sort_unstable();
+        rows.dedup();
+        (rows.len(), nnz)
     }
 }
 
-/// Extract the column range `[lo, hi)` of a CSR block as a compressed-row
-/// [`ColSlice`] with stage-relative column ids. Costs one row-pointer scan
-/// plus two binary probes per nonempty row — the `O(nrows)` scan DCSC
-/// blocks avoid.
-pub fn csr_col_slice<T: Copy>(
-    a: &CsrMatrix<T>,
-    lo: usize,
-    hi: usize,
-    c: &mut Counters,
-) -> ColSlice<T> {
-    let mut slice = ColSlice::new(a.nrows(), hi - lo);
+/// [`DcscBlock::slice_header`] of a CSR block: one row-pointer scan plus
+/// two binary probes per nonempty row — the `O(nrows)` scan DCSC blocks
+/// avoid.
+pub fn csr_slice_header<T>(a: &CsrMatrix<T>, lo: usize, hi: usize) -> (usize, usize) {
+    let (mut nzr, mut nnz) = (0, 0);
     for i in 0..a.nrows() {
-        let (cols, vals) = a.row(i);
-        if cols.is_empty() {
-            continue;
-        }
-        let s = cols.partition_point(|&j| j < lo);
-        let e = cols.partition_point(|&j| j < hi);
-        c.search_probes += 2 * (cols.len().max(1).ilog2() as u64 + 1);
-        for (&j, &v) in cols[s..e].iter().zip(&vals[s..e]) {
-            slice.push(i, j - lo, v);
-        }
-        c.elems += (e - s) as u64;
+        let cols = a.row(i).0;
+        let inside = cols.partition_point(|&j| j < hi) - cols.partition_point(|&j| j < lo);
+        nzr += usize::from(inside > 0);
+        nnz += inside;
     }
-    // the pointer scan itself: one streamed element per local row
-    c.elems += a.nrows() as u64;
-    slice
+    (nzr, nnz)
 }
 
 #[cfg(test)]
@@ -309,15 +218,15 @@ mod tests {
     }
 
     #[test]
-    fn col_slice_matches_csr_extraction() {
+    fn slice_headers_count_the_column_range() {
         let a = gen::erdos_renyi(60, 4, 21);
         let d = DcscBlock::from_csr(&a);
         for (lo, hi) in [(0usize, 60usize), (0, 17), (17, 43), (43, 60), (30, 30)] {
-            let mut c1 = Counters::default();
-            let mut c2 = Counters::default();
-            let from_dcsc = d.col_slice(lo, hi, &mut c1);
-            let from_csr = csr_col_slice(&a, lo, hi, &mut c2);
-            assert_eq!(from_dcsc, from_csr, "[{lo},{hi})");
+            let inside = |i: usize| a.row(i).0.iter().filter(|&&j| lo <= j && j < hi).count();
+            let nzr = (0..60).filter(|&i| inside(i) > 0).count();
+            let nnz = (0..60).map(inside).sum();
+            assert_eq!(d.slice_header(lo, hi), (nzr, nnz), "[{lo},{hi})");
+            assert_eq!(csr_slice_header(&a, lo, hi), (nzr, nnz), "[{lo},{hi})");
         }
     }
 

@@ -483,7 +483,9 @@ impl DistCtx {
     /// Begin an op-level trace. The returned builder is how distributed
     /// operations assemble their [`SimReport`]; when tracing is enabled it
     /// *also* materializes the operation → phase → per-locale span tree on
-    /// the recorder, and it always bumps the metrics registry.
+    /// the recorder, and it always bumps the metrics registry. The span's
+    /// `wall_ns` runs from this call to [`OpTrace::finish`], so an
+    /// operation opens its trace on entry, before the work it reports.
     pub fn op<'a>(&'a self, name: &str) -> OpTrace<'a> {
         OpTrace {
             dctx: self,

@@ -61,7 +61,7 @@ pub mod vec;
 
 pub use backend::DistBackend;
 pub use comm::Comm;
-pub use dcsc::{BlockFormat, ColSlice, DcscBlock};
+pub use dcsc::{BlockFormat, DcscBlock};
 pub use exec::{DistCtx, LocaleExecutor, Outbox};
 pub use grid::{BlockDist, ProcGrid};
 pub use mat::DistCsrMatrix;

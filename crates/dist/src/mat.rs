@@ -3,6 +3,7 @@
 use crate::grid::{BlockDist, ProcGrid};
 use gblas_core::container::{CooMatrix, CsrMatrix, DupPolicy};
 use gblas_core::error::Result;
+use gblas_core::ops::mxm::{LeftOperand, RightOperand};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide generation counter: every construction or mutation of a
@@ -224,6 +225,38 @@ impl<T: Copy> DistCsrMatrix<T> {
         &mut self.blocks
     }
 
+    /// Grid row `r`'s blocks as one matrix, narrowed to the columns in the
+    /// ascending intervals `spans`; nothing is copied.
+    pub fn row_panel(&self, r: usize, spans: &[(usize, usize)]) -> RowPanel<'_, T> {
+        let mut panel =
+            RowPanel { nrows: self.row_dist.size(r), ncols: self.ncols, runs: Vec::new() };
+        for &(lo, hi) in spans.iter().filter(|(lo, hi)| lo < hi) {
+            for c in self.col_dist.owner(lo)..=self.col_dist.owner(hi - 1) {
+                let (blk, range) = (&self.blocks[self.grid.locale(r, c)], self.col_dist.range(c));
+                let (lo, hi) = (lo.max(range.start) - range.start, hi.min(range.end) - range.start);
+                let bounds = |i: usize| {
+                    let (base, row) = (blk.rowptr()[i], blk.row(i).0);
+                    let at = |j: usize| base + row.partition_point(|&x| x < j);
+                    (at(lo), at(hi))
+                };
+                let narrowed = (lo, hi) != (0, blk.ncols());
+                let cut = narrowed.then(|| (0..blk.nrows()).map(bounds).collect());
+                panel.runs.push((blk, range.start, cut));
+            }
+        }
+        panel
+    }
+
+    /// Grid column `c`'s blocks as one matrix; nothing is copied.
+    pub fn col_panel(&self, c: usize) -> ColPanel<'_, T> {
+        ColPanel {
+            nrows: self.nrows,
+            ncols: self.col_dist.size(c),
+            starts: (0..self.grid.pr()).map(|r| self.row_dist.range(r).start).collect(),
+            blocks: self.grid.col_locales(c).map(|l| &self.blocks[l]).collect(),
+        }
+    }
+
     /// Reassemble the global matrix (verification path).
     pub fn to_global(&self) -> Result<CsrMatrix<T>> {
         let mut coo = CooMatrix::new(self.nrows, self.ncols);
@@ -235,6 +268,86 @@ impl<T: Copy> DistCsrMatrix<T> {
             }
         }
         coo.to_csr(DupPolicy::Error)
+    }
+}
+
+/// One block of a [`RowPanel`]: the block, the global column of its column
+/// 0, and per row its entries' position bounds in the block's arrays where
+/// the panel narrows it (the block's row pointers otherwise).
+type Run<'a, T> = (&'a CsrMatrix<T>, usize, Option<Vec<(usize, usize)>>);
+
+/// A grid row of a [`DistCsrMatrix`] read in place as one matrix in global
+/// column coordinates: row `i` is row `i` of each block, side by side. The
+/// left operand of a SUMMA locale's multiply.
+#[derive(Debug)]
+pub struct RowPanel<'a, T> {
+    nrows: usize,
+    ncols: usize,
+    runs: Vec<Run<'a, T>>,
+}
+
+impl<T> RowPanel<'_, T> {
+    /// Stored entries inside the panel.
+    pub fn nnz(&self) -> usize {
+        let of = |(blk, _, cut): &Run<T>| match cut {
+            Some(cut) => cut.iter().map(|(start, end)| end - start).sum(),
+            None => blk.nnz(),
+        };
+        self.runs.iter().map(of).sum()
+    }
+}
+
+impl<T: Copy + Sync> LeftOperand<T> for RowPanel<'_, T> {
+    fn nrows(&self) -> usize {
+        self.nrows
+    }
+    fn ncols(&self) -> usize {
+        self.ncols
+    }
+    fn row<'a>(&'a self, i: usize) -> impl Iterator<Item = (usize, &'a [usize], &'a [T])> + Clone
+    where
+        T: 'a,
+    {
+        self.runs.iter().map(move |(blk, offset, cut)| {
+            let (start, end) = match cut {
+                Some(cut) => cut[i],
+                None => (blk.rowptr()[i], blk.rowptr()[i + 1]),
+            };
+            (*offset, &blk.colidx()[start..end], &blk.values()[start..end])
+        })
+    }
+}
+
+/// A grid column of a [`DistCsrMatrix`] read in place as one matrix in
+/// global row coordinates: row `k` is a row of the block that holds it.
+/// The right operand of a SUMMA locale's multiply.
+#[derive(Debug)]
+pub struct ColPanel<'a, T> {
+    nrows: usize,
+    ncols: usize,
+    /// First global row of each block, ascending.
+    starts: Vec<usize>,
+    blocks: Vec<&'a CsrMatrix<T>>,
+}
+
+impl<T> ColPanel<'_, T> {
+    /// Stored entries inside the panel.
+    pub fn nnz(&self) -> usize {
+        self.blocks.iter().map(|blk| blk.nnz()).sum()
+    }
+}
+
+impl<T: Sync> RightOperand<T> for ColPanel<'_, T> {
+    fn nrows(&self) -> usize {
+        self.nrows
+    }
+    fn ncols(&self) -> usize {
+        self.ncols
+    }
+    fn row(&self, k: usize) -> (&[usize], &[T]) {
+        // the last block starting at or before `k`
+        let r = self.starts.partition_point(|&start| start <= k).saturating_sub(1);
+        self.blocks[r].row(k - self.starts[r])
     }
 }
 
@@ -250,6 +363,49 @@ mod tests {
             let d = DistCsrMatrix::from_global(&a, ProcGrid::new(pr, pc));
             assert_eq!(d.nnz(), a.nnz(), "grid {pr}x{pc}");
             assert_eq!(d.to_global().unwrap(), a, "grid {pr}x{pc}");
+        }
+    }
+
+    #[test]
+    fn panels_read_the_global_rows_in_place() {
+        // 7 rows over 3 grid rows and 4 grid columns: uneven and tiny blocks
+        for (n, deg, pr, pc) in [(60usize, 4usize, 2usize, 3usize), (7, 3, 3, 4), (3, 2, 4, 4)] {
+            let a = gen::erdos_renyi(n, deg, 5);
+            let d = DistCsrMatrix::from_global(&a, ProcGrid::new(pr, pc));
+            let spans = [(1, n / 2), (n / 2 + 1, n)];
+            let inside = |j: usize| spans.iter().any(|&(lo, hi)| lo <= j && j < hi);
+            for r in 0..pr {
+                let (whole, cut) = (d.row_panel(r, &[(0, n)]), d.row_panel(r, &spans));
+                let rows = d.row_dist().range(r);
+                assert_eq!((whole.nrows, whole.ncols), (rows.len(), n));
+                let entries = |panel: &RowPanel<f64>, i: usize| -> Vec<(usize, f64)> {
+                    let runs = panel.row(i);
+                    runs.flat_map(|(off, c, v)| {
+                        c.iter().map(move |j| off + j).zip(v.iter().copied())
+                    })
+                    .collect()
+                };
+                let mut nnz = 0;
+                for (i, gi) in rows.enumerate() {
+                    let (gc, gv) = a.row(gi);
+                    let global: Vec<_> = gc.iter().copied().zip(gv.iter().copied()).collect();
+                    assert_eq!(entries(&whole, i), global, "{n} {pr}x{pc} row {gi}");
+                    let kept: Vec<_> = global.into_iter().filter(|&(j, _)| inside(j)).collect();
+                    nnz += kept.len();
+                    assert_eq!(entries(&cut, i), kept, "{n} {pr}x{pc} row {gi} narrowed");
+                }
+                assert_eq!(cut.nnz(), nnz);
+            }
+            for c in 0..pc {
+                let (panel, cols) = (d.col_panel(c), d.col_dist().range(c));
+                assert_eq!((panel.nrows, panel.ncols), (n, cols.len()));
+                for k in 0..n {
+                    let (gc, _) = a.row(k);
+                    let local: Vec<_> =
+                        gc.iter().filter(|j| cols.contains(j)).map(|j| j - cols.start).collect();
+                    assert_eq!(panel.row(k).0, local, "{n} {pr}x{pc} column panel {c} row {k}");
+                }
+            }
         }
     }
 

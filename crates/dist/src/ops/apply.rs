@@ -21,6 +21,7 @@ pub fn apply_v1<T: Copy + Send + Sync>(
     op: &impl UnaryOp<T, T>,
     dctx: &DistCtx,
 ) -> Result<SimReport> {
+    let mut trace = dctx.op("apply_v1");
     let p = x.locales();
     // Communication: elements on locales other than the initiating locale
     // (locale 0) are accessed remotely, one element at a time, read +
@@ -45,7 +46,6 @@ pub fn apply_v1<T: Copy + Send + Sync>(
             profile.counters_mut(name).merge(c);
         }
     }
-    let mut trace = dctx.op("apply_v1");
     trace.nnz(x.nnz() as u64);
     trace.compute_as(PHASE, gblas_core::ops::apply::PHASE, &[profile]);
     Ok(trace.finish())
@@ -58,12 +58,12 @@ pub fn apply_v2<T: Copy + Send + Sync>(
     op: &impl UnaryOp<T, T>,
     dctx: &DistCtx,
 ) -> Result<SimReport> {
+    let mut trace = dctx.op("apply_v2");
     let profiles = dctx.for_each_locale_state(x.shards_mut(), |l, shard| {
         let ctx = dctx.locale_ctx_for(l);
         apply_vec_inplace(shard, op, &ctx);
         Ok(ctx.take_profile())
     })?;
-    let mut trace = dctx.op("apply_v2");
     trace.nnz(x.nnz() as u64);
     trace.spawn(PHASE, 1);
     trace.compute_as(PHASE, gblas_core::ops::apply::PHASE, &profiles);
@@ -77,12 +77,12 @@ pub fn apply_mat_v2<T: Copy + Send + Sync>(
     op: &impl UnaryOp<T, T>,
     dctx: &DistCtx,
 ) -> Result<SimReport> {
+    let mut trace = dctx.op("apply_mat_v2");
     let profiles = dctx.for_each_locale_state(a.blocks_mut(), |l, block| {
         let ctx = dctx.locale_ctx_for(l);
         gblas_core::ops::apply::apply_mat_inplace(block, op, &ctx);
         Ok(ctx.take_profile())
     })?;
-    let mut trace = dctx.op("apply_mat_v2");
     trace.nnz(a.nnz() as u64);
     trace.spawn(PHASE, 1);
     trace.compute_as(PHASE, gblas_core::ops::apply::PHASE, &profiles);

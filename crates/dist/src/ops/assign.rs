@@ -32,6 +32,7 @@ pub fn assign_v1<T: Copy + Send + Sync + Default + 'static>(
     b: &DistSparseVec<T>,
     dctx: &DistCtx,
 ) -> Result<SimReport> {
+    let mut trace = dctx.op("assign_v1");
     check_conformant(a, b)?;
     let p = b.locales();
     let elem_bytes = std::mem::size_of::<T>() as u64;
@@ -63,7 +64,6 @@ pub fn assign_v1<T: Copy + Send + Sync + Default + 'static>(
         }
     }
     let profile = fold_assign_phases(merged);
-    let mut trace = dctx.op("assign_v1");
     trace.nnz(b.nnz() as u64);
     trace.compute(PHASE, &[profile]);
     Ok(trace.finish())
@@ -76,13 +76,13 @@ pub fn assign_v2<T: Copy + Send + Sync + Default>(
     b: &DistSparseVec<T>,
     dctx: &DistCtx,
 ) -> Result<SimReport> {
+    let mut trace = dctx.op("assign_v2");
     check_conformant(a, b)?;
     let profiles = dctx.for_each_locale_state(a.shards_mut(), |l, shard| {
         let ctx = dctx.locale_ctx_for(l);
         gblas_core::ops::assign::assign_v2(shard, b.shard(l), &ctx)?;
         Ok(fold_assign_phases(ctx.take_profile()))
     })?;
-    let mut trace = dctx.op("assign_v2");
     trace.nnz(b.nnz() as u64);
     trace.spawn(PHASE, 1);
     trace.compute(PHASE, &profiles);

@@ -33,6 +33,7 @@ where
     T: Copy + Send + Sync + 'static,
     U: Copy + Send + Sync,
 {
+    let mut trace = dctx.op("ewise_mult_dist");
     check_dims("capacity", x.capacity(), y.len())?;
     if x.locales() != y.locales() {
         return Err(GblasError::DimensionMismatch {
@@ -67,7 +68,6 @@ where
         .into_iter()
         .unzip();
     let out = DistSparseVec::from_shards(x.capacity(), shards)?;
-    let mut trace = dctx.op("ewise_mult_dist");
     trace.nnz(x.nnz() as u64);
     trace.spawn(PHASE, 1);
     trace.compute(PHASE, &profiles);
@@ -109,6 +109,7 @@ where
     C: Copy + Send + Sync,
     Op: gblas_core::algebra::BinaryOp<A, B, C>,
 {
+    let mut trace = dctx.op("ewise_mult_dist_ss");
     check_aligned(a, b)?;
     let (profiles, shards): (Vec<Profile>, Vec<SparseVec<C>>) = dctx
         .for_each_locale(|l| {
@@ -119,7 +120,6 @@ where
         .into_iter()
         .unzip();
     let out = DistSparseVec::from_shards(a.capacity(), shards)?;
-    let mut trace = dctx.op("ewise_mult_dist_ss");
     trace.nnz((a.nnz() + b.nnz()) as u64);
     trace.spawn(PHASE, 1);
     trace.compute(PHASE, &profiles);
@@ -137,6 +137,7 @@ where
     T: Copy + Send + Sync,
     Op: gblas_core::algebra::BinaryOp<T, T, T>,
 {
+    let mut trace = dctx.op("ewise_add_dist");
     check_aligned(a, b)?;
     let (profiles, shards): (Vec<Profile>, Vec<SparseVec<T>>) = dctx
         .for_each_locale(|l| {
@@ -147,7 +148,6 @@ where
         .into_iter()
         .unzip();
     let out = DistSparseVec::from_shards(a.capacity(), shards)?;
-    let mut trace = dctx.op("ewise_add_dist");
     trace.nnz((a.nnz() + b.nnz()) as u64);
     trace.spawn(PHASE, 1);
     trace.compute(PHASE, &profiles);

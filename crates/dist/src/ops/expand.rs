@@ -205,12 +205,12 @@ where
     W: Copy + Send + Sync + 'static,
     R: PushRule<B, V, W>,
 {
+    let mut op = dctx.op(name); // the wall clock starts with the op
     check_push_operands(a, f.capacity(), f.locales(), masks, dctx)?;
     let (gather, lxs) = gather_batch(a, f, dctx)?;
     let lx = |l: usize| lxs[l].as_slice();
     let pushed = push_engine(a, lx, rule, masks, CommStrategy::Bulk, claim_bytes, dctx)?;
 
-    let mut op = dctx.op(name);
     op.attr("k", f.k()).attr("nrows", a.nrows()).attr("ncols", a.ncols());
     if masks.is_some() {
         op.attr("masked", true);
@@ -283,10 +283,10 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
+    let mut op = dctx.op("spmm_dense_dist"); // the wall clock starts with the op
     check_dense_operands(a, xs, dctx)?;
     let grid = a.grid();
     let product = dense_engine(a, xs, ring, |l| grid.row_locales(grid.coords(l).0), dctx)?;
-    let mut op = dctx.op("spmm_dense_dist");
     op.attr("k", xs.len()).attr("nrows", a.nrows()).attr("ncols", a.ncols()).nnz(a.nnz() as u64);
     let report = product.finish(op);
     Ok((product.ys, report))

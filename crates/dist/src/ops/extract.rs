@@ -29,6 +29,7 @@ pub fn extract_dist<T: Copy + Send + Sync + 'static>(
     index_set: &[usize],
     dctx: &DistCtx,
 ) -> Result<(DistSparseVec<T>, SimReport)> {
+    let mut trace = dctx.op("extract_dist");
     let p = x.locales();
     if dctx.locales() != p {
         return Err(GblasError::DimensionMismatch {
@@ -128,7 +129,6 @@ pub fn extract_dist<T: Copy + Send + Sync + 'static>(
         .into_iter()
         .unzip();
     let z = DistSparseVec::from_shards(index_set.len(), shards)?;
-    let mut trace = dctx.op("extract_dist");
     trace.sched(sched).nnz(x.nnz() as u64);
     trace.spawn(PHASE_SELECT, 1);
     trace.compute(PHASE_SELECT, &select_profiles);

@@ -5,41 +5,50 @@
 //! companion to its block distribution. Stationary-C formulation: in
 //! stage `s` covering the inner-dimension interval `[lo, hi)`, the owners
 //! of `A`'s covering column-block broadcast that interval's *column
-//! slice* along their grid row, the owners of `B`'s covering row-block
-//! broadcast the interval's *row slice* down their grid column, every
-//! locale multiplies the received pair locally and accumulates into its
-//! stationary `C` block with an element-wise add.
+//! slice* along their grid row and the owners of `B`'s covering row-block
+//! broadcast the interval's *row slice* down their grid column. The stage
+//! loop is the wire and nothing else: after its last stage a locale holds
+//! its grid row's panel of `A` and its grid column's panel of `B`, and
+//! computes its `C` block in ONE row-wise pass over the two
+//! ([`local_block`]) — no stage partials, no running sum rewritten per
+//! stage.
 //!
 //! Three algorithm variants ([`MxmAlgo`]):
 //!
 //! * **`Single`** — the legacy single-stage-per-block SUMMA: whole CSR
 //!   blocks are broadcast (row pointers included), one stage per grid
-//!   column, each multiplied by shared-memory `mxm`. Requires a square
-//!   grid; kept as the measured baseline.
+//!   column, each multiplied by shared-memory `mxm` and added into the
+//!   stationary block. Requires a square grid; kept as the measured
+//!   baseline.
 //! * **`Summa2d`** — multi-stage DCSC SUMMA on arbitrary rectangular
 //!   `pr×pc` grids. The stage bounds are the sorted union of `A`'s column
 //!   split and `B`'s row split ([`SummaPlan`]), so no `lcm`-sized
 //!   re-blocking is needed; broadcasts carry doubly compressed slices
 //!   ([`crate::dcsc`]) whose wire bytes scale with the slice's nonzeros,
-//!   not the block side — the hypersparsity win. Each block pair's local
-//!   multiply picks a density-adaptive instance of the one row kernel
-//!   ([`RowKernel`]: heap merge / hash table / dense SPA) via
-//!   [`gblas_core::ops::selection::decide_mxm_kernel`].
+//!   not the block side — the hypersparsity win. Each locale's pass runs
+//!   a density-adaptive instance of the one row kernel
+//!   ([`gblas_core::ops::mxm::RowKernel`]: heap merge / hash table / dense
+//!   SPA) picked by [`decide_mxm_kernel`] from its stages' summed flop
+//!   estimates.
 //! * **`Summa3d`** — the communication-avoiding 3-D variant: the machine
 //!   is split into `c` replication layers of `p` locales each, stages are
-//!   dealt round-robin to layers, operand blocks are replicated to the
-//!   layer that consumes them (priced point-to-point), and the layers'
-//!   partial `C` blocks are merged by a binomial-tree allreduce. Fewer,
-//!   larger blocks per layer mean smaller broadcast fan-out; the price is
-//!   the `log₂ c` merge rounds over the (sparse) partial products.
+//!   dealt to layers by estimated flops, operand blocks are replicated to
+//!   the layer that consumes them (priced point-to-point), every
+//!   layer-locale runs the pass over its layer's share of the inner
+//!   dimension, and the layers' partial `C` blocks are merged by a
+//!   binomial-tree allreduce. Fewer, larger blocks per layer mean smaller
+//!   broadcast fan-out; the price is the `log₂ c` merge rounds over the
+//!   (sparse) partial products.
 //!
-//! All variants produce identical results: every kernel instance
-//! accumulates each output position in ascending inner-dimension order,
-//! so integer-semiring products are bit-identical across variants, grid
-//! shapes, and executors (floating-point products agree to rounding, as
-//! the stage grouping associates the sums differently).
+//! Every output entry of a 2-D run is folded in ascending inner-dimension
+//! order by the kernel shared memory runs, so a `Summa2d` product is
+//! *bit-identical* to shared [`gblas_core::ops::mxm::mxm`] on every grid,
+//! executor and kernel instance — floating point included. `Summa3d` and
+//! `Single` add per-layer / per-stage sums afterwards: bit-identical on
+//! integer semirings, equal to rounding on floats (the sums associate
+//! differently).
 
-use crate::dcsc::{self, choose_format, BlockFormat, ColSlice, DcscBlock};
+use crate::dcsc::{self, choose_format, BlockFormat, DcscBlock};
 use crate::exec::DistCtx;
 use crate::grid::ProcGrid;
 use crate::mat::DistCsrMatrix;
@@ -47,18 +56,21 @@ use crate::sched::{fingerprint_indices, FrontierClass, PlanData, SummaPlan};
 use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
 use gblas_core::container::CsrMatrix;
 use gblas_core::error::{check_dims, GblasError, Result};
-use gblas_core::ops::mxm::{NoRule, RowKernel};
+use gblas_core::ops::apply::map_mat;
+use gblas_core::ops::ewise_mat::ewise_add_mat;
+use gblas_core::ops::mxm::{mxm_emit, NoRule};
+use gblas_core::ops::select::select_mat;
 use gblas_core::ops::selection::{decide_mxm_kernel, MxmKernel};
-use gblas_core::par::{Counters, ExecCtx, Profile};
+use gblas_core::par::{ExecCtx, Profile};
 use gblas_sim::SimReport;
 use std::collections::BTreeSet;
-use std::ops::Range;
 
 /// Phase: slice/block broadcasts.
 pub const PHASE_BCAST: &str = "broadcast";
-/// Phase: local multiplies + accumulation.
+/// Phase: each locale's pass over its panels (single-stage: its per-stage
+/// multiplies and adds).
 pub const PHASE_LOCAL: &str = "local";
-/// Phase: DCSC conversion and stage-slice extraction on the owners.
+/// Phase: DCSC conversion on the owners.
 pub const PHASE_EXTRACT: &str = "extract";
 /// Phase: operand block replication to 3-D layers.
 pub const PHASE_REPLICATE: &str = "replicate";
@@ -179,20 +191,20 @@ where
 /// Masked, mixed-type sparse SUMMA with an explicit algorithm variant and
 /// an optional emit rule: `C⟨M⟩ = rule(A ⊗ B)`.
 ///
-/// The mask is structural and distributed on the *same grid* as the
-/// stationary `C` blocks, so each stage applies its locale's mask block to
-/// the local multiply — masking commutes with the stage-wise element-wise
-/// accumulation (`(Σ Pₖ) ∩ M = Σ (Pₖ ∩ M)`), and suppressed entries never
-/// enter a stationary block. This is what masked distributed triangle
-/// counting (`C⟨L⟩ = L · Lᵀ`) needs.
+/// The mask is structural and distributed on the *same grid* as the `C`
+/// blocks, so a locale's mask block covers exactly its `C` block and the
+/// local pass runs under it row by row: suppressed entries are never
+/// formed. This is what masked distributed triangle counting
+/// (`C⟨L⟩ = L · Lᵀ`) needs.
 ///
-/// The rule (global coordinates; see
-/// [`gblas_core::ops::mxm::mxm_emit`]) does *not* commute with the
-/// accumulation — a stage's partial sum is not a finished entry — so each
-/// locale applies it once, in place, to its stationary block after the
-/// last accumulate into it (after the merge rounds on a 3-D run): one
-/// `elems` per entry under the `local` phase, no superstep or spawn of its
-/// own. Without a rule nothing is done or charged.
+/// The rule (global coordinates; see [`gblas_core::ops::mxm::mxm_emit`])
+/// sees finished entries only. A 2-D locale's pass finishes its block, so
+/// the rule is applied as the row kernel emits, exactly as in shared
+/// memory — one `elems` per finished entry, a dropped entry never stored.
+/// A 3-D or single-stage block is finished by the last element-wise add
+/// into it, and the rule is then core `select` and `map` over the block
+/// ([`apply_rule`]; pure, so asking it twice about a kept entry changes
+/// nothing). Neither way takes a superstep or spawn of its own.
 pub fn mxm_dist_emit<A, B, C, AddM, MulOp, M>(
     a: &DistCsrMatrix<A>,
     b: &DistCsrMatrix<B>,
@@ -262,6 +274,7 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
+    let mut trace = dctx.op("mxm_dist"); // the wall clock starts with the op
     let grid = a.grid();
     let p = grid.locales();
     let total = p * layers;
@@ -283,51 +296,70 @@ where
     let plan = plan_arc.summa();
     let stages = plan.stages();
 
-    // Prepare superstep: every locale picks its A block's representation
-    // (DCSC when hypersparse) and converts once; conversion work lands in
-    // the extract phase. B blocks stay CSR — row slices are contiguous.
-    let mut prep: Vec<(Option<DcscBlock<A>>, Profile)> =
-        (0..p).map(|_| (None, Profile::default())).collect();
-    dctx.for_each_locale_state(&mut prep, |l, (slot, prof)| {
-        let blk = a.block(l);
-        if choose_format(blk.nnz(), blk.nrows().max(blk.ncols())) == BlockFormat::Dcsc {
+    // Prepare superstep, owner side: every locale picks its A block's
+    // representation (DCSC when hypersparse) and converts once — that work
+    // lands in the extract phase; B blocks stay CSR, row slices are
+    // contiguous — then sizes the stage slices of its two blocks: what each
+    // weighs on the wire, `(A bytes, B bytes)` per stage. An
+    // empty slice weighs nothing: DCSC's `jc` array answers "is this
+    // k-range empty?" without touching a rowptr, so hypersparse stages cost
+    // zero messages — the payoff the legacy full-CSR baseline (which always
+    // ships `(rows+1)` pointer words) cannot see.
+    type Prep<A> = (Option<DcscBlock<A>>, Profile, Vec<(u64, u64)>);
+    let mut prep: Vec<Prep<A>> = (0..p).map(|_| (None, Profile::default(), Vec::new())).collect();
+    dctx.for_each_locale_state(&mut prep, |l, (slot, prof, wire)| {
+        let (r, c) = grid.coords(l);
+        let (a_blk, b_blk) = (a.block(l), b.block(l));
+        if choose_format(a_blk.nnz(), a_blk.nrows().max(a_blk.ncols())) == BlockFormat::Dcsc {
             let c = prof.counters_mut(PHASE_EXTRACT);
-            c.elems += blk.nnz() as u64;
-            c.sort_elems += (blk.nnz().max(1).ilog2() as u64 + 1) * blk.nnz() as u64;
-            *slot = Some(DcscBlock::from_csr(blk));
+            c.elems += a_blk.nnz() as u64;
+            c.sort_elems += (a_blk.nnz().max(1).ilog2() as u64 + 1) * a_blk.nnz() as u64;
+            *slot = Some(DcscBlock::from_csr(a_blk));
         }
+        let (a0, b0) = (a.col_range(l).start, b.row_range(l).start);
+        let weigh = |s: usize| {
+            let (lo, hi) = plan.bounds[s];
+            let a_bytes = (plan.ka[s] == c).then(|| {
+                let (nzr, nnz) = match &*slot {
+                    Some(d) => d.slice_header(lo - a0, hi - a0),
+                    None => dcsc::csr_slice_header(a_blk, lo - a0, hi - a0),
+                };
+                dcsc::slice_wire_bytes(nzr, nnz, a_elem)
+            });
+            let b_bytes = (plan.kb[s] == r).then(|| {
+                let nzr = (lo - b0..hi - b0).filter(|&i| b_blk.row_nnz(i) > 0).count();
+                let nnz = b_blk.rowptr()[hi - b0] - b_blk.rowptr()[lo - b0];
+                dcsc::slice_wire_bytes(nzr, nnz, b_elem)
+            });
+            (a_bytes.unwrap_or(0), b_bytes.unwrap_or(0))
+        };
+        *wire = (0..stages).map(weigh).collect();
         Ok(())
     })?;
-    let (a_dcsc, mut extract_profiles): (Vec<_>, Vec<_>) = prep.into_iter().unzip();
+    let mut extract_profiles: Vec<_> = prep.iter().map(|(_, prof, _)| prof.clone()).collect();
     extract_profiles.resize(total, Profile::default());
 
-    // Driver-side kernel decisions, per (stage, grid position): pure
-    // integer estimates from block structure, so every locale — and both
-    // executors — agree without additional communication (the estimates
-    // ride on the slice headers the broadcasts already carry).
-    let mut decisions: Vec<Vec<MxmKernel>> = Vec::with_capacity(stages);
-    let mut est_total: u64 = 0;
-    let mut stage_cost: Vec<u64> = vec![0; stages];
-    for (s, cost) in stage_cost.iter_mut().enumerate() {
+    // Driver-side flop estimates, per (stage, grid position): pure
+    // integers from block structure, so every locale — and both executors
+    // — agree without additional communication (the estimates ride on the
+    // slice headers the broadcasts already carry).
+    let stage_est = |s: usize| -> Vec<usize> {
         let (lo, hi) = plan.bounds[s];
         let w = hi - lo;
-        let mut per_locale = Vec::with_capacity(p);
-        for l in 0..p {
+        let brange = b.row_dist().range(plan.kb[s]);
+        let (blo, bhi) = (lo - brange.start, hi - brange.start);
+        let per_locale = |l: usize| {
             let (r, c) = grid.coords(l);
             let a_blk = a.block(grid.locale(r, plan.ka[s]));
             let b_blk = b.block(grid.locale(plan.kb[s], c));
-            let brange = b.row_dist().range(plan.kb[s]);
-            let (blo, bhi) = (lo - brange.start, hi - brange.start);
             let b_nnz = b_blk.rowptr()[bhi] - b_blk.rowptr()[blo];
             let a_est = a_blk.nnz() * w / a_blk.ncols().max(1);
-            let est_flops = a_est * b_nnz / w.max(1);
-            let q_l = b.col_range(l).len();
-            est_total += est_flops as u64;
-            *cost = (*cost).max(est_flops as u64);
-            per_locale.push(decide_mxm_kernel(est_flops, q_l));
-        }
-        decisions.push(per_locale);
-    }
+            a_est * b_nnz / w.max(1)
+        };
+        (0..p).map(per_locale).collect()
+    };
+    let est: Vec<Vec<usize>> = (0..stages).map(stage_est).collect();
+    let stage_cost = |s: usize| est[s].iter().copied().max().unwrap_or(0) as u64;
 
     // Stage -> layer assignment (3-D only): LPT greedy on the driver-side
     // critical-path estimates, heaviest stage to the least-loaded layer.
@@ -338,17 +370,32 @@ where
     // across executors and grid shapes.
     let stage_layer: Vec<usize> = {
         let mut order: Vec<usize> = (0..stages).collect();
-        order.sort_by_key(|&s| (std::cmp::Reverse(stage_cost[s]), s));
+        order.sort_by_key(|&s| (std::cmp::Reverse(stage_cost(s)), s));
         let mut load = vec![0u64; layers];
         let mut assign = vec![0usize; stages];
         for s in order {
             let target = (0..layers).min_by_key(|&j| (load[j], j)).unwrap_or(0);
             assign[s] = target;
-            load[target] += stage_cost[s].max(1);
+            load[target] += stage_cost(s).max(1);
         }
         assign
     };
-    let chose = |k: MxmKernel| decisions.iter().flatten().filter(|&&d| d == k).count();
+    // Each layer's share of the inner dimension, adjacent stages joined;
+    // one kernel instance per layer-locale, from its stages' summed flops.
+    let mut spans: Vec<Vec<(usize, usize)>> = vec![Vec::new(); layers];
+    for (s, &layer) in stage_layer.iter().enumerate() {
+        let (lo, hi) = plan.bounds[s];
+        match spans[layer].last_mut() {
+            Some(last) if last.1 == lo => last.1 = hi,
+            _ => spans[layer].push((lo, hi)),
+        }
+    }
+    let kernel = |g: usize| {
+        let mine = (0..stages).filter(|&s| stage_layer[s] == g / p);
+        decide_mxm_kernel(mine.map(|s| est[s][g % p]).sum(), b.col_range(g % p).len())
+    };
+    let kernels: Vec<MxmKernel> = (0..total).map(kernel).collect();
+    let chose = |k: MxmKernel| kernels.iter().filter(|&&d| d == k).count();
     let mut select_trace = dctx.op("select");
     select_trace
         .attr("algo", "mxm")
@@ -356,7 +403,7 @@ where
         .attr("heap", chose(MxmKernel::Heap))
         .attr("hash", chose(MxmKernel::Hash))
         .attr("spa", chose(MxmKernel::Spa))
-        .nnz(est_total);
+        .nnz(est.iter().flatten().map(|&e| e as u64).sum());
     let select_report = select_trace.finish();
 
     // 3-D replication: each operand block moves once to every layer > 0
@@ -380,7 +427,7 @@ where
             let blk = b.block(base);
             dcsc::csr_wire_bytes(blk.nrows(), blk.nnz(), b_elem)
         } else {
-            match &a_dcsc[base] {
+            match &prep[base].0 {
                 Some(d) => dcsc::dcsc_wire_bytes(d.nzc(), d.nnz(), a_elem),
                 None => {
                     let blk = a.block(base);
@@ -391,11 +438,6 @@ where
         dctx.comm.bulk(PHASE_REPLICATE, base, layer * p + base, 1, bytes)?;
     }
 
-    // Stationary C blocks (one per layer-locale), accumulated stage by
-    // stage. Layer j's locale l holds the partial sum of its stage subset.
-    let mut state = stationary::<A, B, C>(a, b, total);
-    let origin = |l: usize| (a.row_range(l).start, b.col_range(l).start);
-
     // The whole stage pipeline runs inside ONE SPMD superstep: every
     // locale task loops its stages locally, with the per-stage exchange
     // expressed as owner-logged point-to-point sends. This is the
@@ -403,57 +445,19 @@ where
     // single-stage baseline, which re-spawns a machine-wide superstep per
     // stage and pays the `locales × c_remote_task` coforall fan-out every
     // time — at 256 nodes that fan-out, not the wire, dominates its
-    // broadcast phase.
-    dctx.for_each_locale_state(&mut state, |g, (c_block, local_profile, bcast_profile)| {
-        let l = g % p;
-        for s in 0..stages {
-            let layer = stage_layer[s];
-            if g / p != layer {
-                continue; // another layer's stage
-            }
-            let (lo, hi) = plan.bounds[s];
-            let (ka, kb) = (plan.ka[s], plan.kb[s]);
-            let a_cols = a.col_dist().range(ka);
-            let b_rows = b.row_dist().range(kb);
-            let (r, c) = grid.coords(l);
-            let a_owner = grid.locale(r, ka);
-            let b_owner = grid.locale(kb, c);
-            let a_blk = a.block(a_owner);
-            let b_blk = b.block(b_owner);
-            // Extract the A column slice. Every receiver re-derives it
-            // (simulating the received payload); only the owner charges
-            // the extraction work (under the extract phase of its
-            // phase-keyed local profile).
-            let mut scratch = Counters::default();
-            let extract = local_profile.counters_mut(PHASE_EXTRACT);
-            let cnt = if l == a_owner { extract } else { &mut scratch };
-            let (alo, ahi) = (lo - a_cols.start, hi - a_cols.start);
-            let slice: ColSlice<A> = match &a_dcsc[a_owner] {
-                Some(d) => d.col_slice(alo, ahi, cnt),
-                None => dcsc::csr_col_slice(a_blk, alo, ahi, cnt),
-            };
-            // B's slice is the contiguous local row range [blo, bhi); the
-            // owner charges the nonempty-row scan that sizes the payload.
-            let (blo, bhi) = (lo - b_rows.start, hi - b_rows.start);
-            let b_nnz = b_blk.rowptr()[bhi] - b_blk.rowptr()[blo];
-            let b_nzr = (blo..bhi).filter(|&i| b_blk.rowptr()[i] < b_blk.rowptr()[i + 1]).count();
-            if l == b_owner {
-                local_profile.counters_mut(PHASE_EXTRACT).elems += (bhi - blo) as u64;
-            }
-            // Broadcasts: sends are logged by the *owner*'s task — one
-            // writer per source keeps the comm log's per-src order
-            // deterministic under the threaded executor. Empty slices
-            // never hit the wire: DCSC's `jc` array answers "is this
-            // k-range empty?" without touching a rowptr, so hypersparse
-            // stages cost zero messages — the payoff the legacy full-CSR
-            // baseline (which always ships `(rows+1)` pointer words)
-            // cannot see.
-            let a_bytes = if slice.nnz() == 0 {
-                0
-            } else {
-                dcsc::slice_wire_bytes(slice.nzr(), slice.nnz(), a_elem)
-            };
-            let b_bytes = if b_nnz == 0 { 0 } else { dcsc::slice_wire_bytes(b_nzr, b_nnz, b_elem) };
+    // broadcast phase. Each layer-locale hands back its C block (over its
+    // layer's stages) with its local and broadcast profiles.
+    let mut state = dctx.for_each_locale(|g| {
+        let (l, layer) = (g % p, g / p);
+        let (r, c) = grid.coords(l);
+        let (mut local_profile, mut bcast_profile) = (Profile::default(), Profile::default());
+        // The stage loop is the wire. Sends are logged by the *owner*'s
+        // task — one writer per source keeps the comm log's per-src order
+        // deterministic under the threaded executor — and empty slices
+        // never hit it.
+        for s in (0..stages).filter(|&s| stage_layer[s] == layer) {
+            let (a_owner, b_owner) = (grid.locale(r, plan.ka[s]), grid.locale(plan.kb[s], c));
+            let (a_bytes, b_bytes) = (prep[a_owner].2[s].0, prep[b_owner].2[s].1);
             if l == a_owner && a_bytes > 0 {
                 broadcast(dctx, layer * p, l, grid.row_locales(r), a_bytes)?;
             }
@@ -461,31 +465,24 @@ where
                 broadcast(dctx, layer * p, l, grid.col_locales(c), b_bytes)?;
             }
             bcast_profile.counters_mut(PHASE_BCAST).bytes_moved += a_bytes + b_bytes;
-            // Local multiply with the stage's density-adaptive kernel,
-            // accumulated into the stationary block. The locale's mask
-            // block covers exactly its stationary C block.
-            if slice.nnz() > 0 && b_nnz > 0 {
-                let lctx = dctx.locale_ctx_for(l);
-                let (mask_l, kernel) = (mask.map(|m| m.block(l)), decisions[s][l]);
-                let partial = multiply_slice(&slice, b_blk, blo..bhi, ring, mask_l, kernel, &lctx)?;
-                accumulate(c_block, &partial, ring, &lctx, local_profile, PHASE_LOCAL)?;
-            }
         }
-        // A 2-D run's block is finished with its last stage; a 3-D run's
-        // only after the merge below.
-        if let (1, Some(rule)) = (layers, rule) {
-            settle_block(c_block, origin(l), rule, local_profile)?;
-        }
-        Ok(())
+        // The local phase is one pass over what arrived. It finishes a 2-D
+        // run's block, so the rule rides on it; a 3-D run's the merge does.
+        let rule = rule.filter(|_| layers == 1);
+        let lctx = dctx.locale_ctx_for(l);
+        let block = local_block(a, b, ring, mask, rule, l, &spans[layer], kernels[g], &lctx)?;
+        fold(&lctx, &mut local_profile, PHASE_LOCAL);
+        Ok((block, local_profile, bcast_profile))
     })?;
 
     // 3-D merge: binomial-tree allreduce of the layers' partial C blocks
     // into layer 0. Driver-side (the rounds are inherently sequential);
-    // compute is charged to the receiving locale, sends are logged from
-    // the sending layer's locale.
+    // compute is charged to the receiving locale, sends are logged from the
+    // sending layer's locale. The last round finishes the blocks: rule next.
     let mut merge_profiles: Vec<Profile> = vec![Profile::default(); total];
     let mut half = 1usize;
     while half < layers {
+        let rule = rule.filter(|_| 2 * half >= layers);
         for j in (0..layers).step_by(2 * half) {
             let src_layer = j + half;
             if src_layer >= layers {
@@ -503,22 +500,18 @@ where
                 mc.elems += partial.nrows() as u64; // payload sizing scan
                 mc.bytes_moved += bytes;
                 let lctx = dctx.locale_ctx_for(l);
-                let merged = &mut merge_profiles[dst];
-                accumulate(&mut state[dst].0, &partial, ring, &lctx, merged, PHASE_MERGE)?;
+                let origin = (a.row_range(l).start, b.col_range(l).start);
+                let sum = ewise_add_mat(&state[dst].0, &partial, &ring.add, &lctx)?;
+                state[dst].0 = apply_rule(sum, rule, origin, &lctx);
+                fold(&lctx, &mut merge_profiles[dst], PHASE_MERGE);
             }
         }
         half *= 2;
-    }
-    if let (true, Some(rule)) = (layers > 1, rule) {
-        for (l, (c_block, local_profile, _)) in state[..p].iter_mut().enumerate() {
-            settle_block(c_block, origin(l), rule, local_profile)?;
-        }
     }
 
     let (c_blocks, local_profiles, bcast_profiles) = finish(state, p);
 
     let c = DistCsrMatrix::from_blocks(a.nrows(), b.ncols(), grid, c_blocks)?;
-    let mut trace = dctx.op("mxm_dist");
     trace
         .attr("algo", if layers > 1 { "summa3d" } else { "summa2d" })
         .attr("stages", stages)
@@ -563,69 +556,68 @@ fn broadcast(
     Ok(())
 }
 
-/// `c_block ⊕= partial` on the locale context `lctx`, then fold everything
-/// `lctx` recorded (the multiply that produced `partial` included) into
-/// `profile` under `phase`.
-fn accumulate<C: Copy + Send + Sync, AddM: Monoid<C>, MulOp>(
-    c_block: &mut CsrMatrix<C>,
-    partial: &CsrMatrix<C>,
-    ring: &Semiring<AddM, MulOp>,
-    lctx: &ExecCtx,
-    profile: &mut Profile,
-    phase: &str,
-) -> Result<()> {
-    *c_block = gblas_core::ops::ewise_mat::ewise_add_mat(&*c_block, partial, &ring.add, lctx)?;
+/// A finished `block` whose global `(row, column)` offset is `origin`, as
+/// `rule` (global coordinates) stores it: the kept entries' images.
+fn apply_rule<C: Copy + Send + Sync>(
+    block: CsrMatrix<C>,
+    rule: Option<&(impl Fn(usize, usize, C) -> Option<C> + Sync)>,
+    (row0, col0): (usize, usize),
+    ctx: &ExecCtx,
+) -> CsrMatrix<C> {
+    let Some(rule) = rule else { return block };
+    let rule = |i, j, v| rule(row0 + i, col0 + j, v);
+    let kept = select_mat(&block, &|i, j, v| rule(i, j, v).is_some(), ctx);
+    map_mat(&kept, &|i, j, v| rule(i, j, v).unwrap_or(v), ctx)
+}
+
+/// Fold everything `lctx` recorded into `profile` under `phase`.
+fn fold(lctx: &ExecCtx, profile: &mut Profile, phase: &str) {
     let folded = profile.counters_mut(phase);
     for (_, cs) in lctx.take_profile().iter() {
         folded.merge(cs);
     }
-    Ok(())
 }
 
-/// Settle a finished stationary block under an emit rule, in place: every
-/// entry is stored as `rule` maps it or dropped (`origin` is the block's
-/// global `(row, column)` offset), the arrays compacted and their unused
-/// tail given back; one `elems` per entry under `profile`'s local phase.
-fn settle_block<C: Copy>(
-    c_block: &mut CsrMatrix<C>,
-    (row0, col0): (usize, usize),
-    rule: &impl Fn(usize, usize, C) -> Option<C>,
-    profile: &mut Profile,
-) -> Result<()> {
-    let (nrows, ncols, mut rowptr, mut colidx, mut values) =
-        std::mem::replace(c_block, CsrMatrix::empty(0, 0)).into_raw_parts();
-    profile.counters_mut(PHASE_LOCAL).elems += colidx.len() as u64;
-    // `rowptr[i]` already holds row i's new start; `start` is its old one.
-    let (mut kept, mut start) = (0, 0);
-    for i in 0..nrows {
-        let end = rowptr[i + 1];
-        for p in start..end {
-            if let Some(w) = rule(row0 + i, col0 + colidx[p], values[p]) {
-                (colidx[kept], values[kept]) = (colidx[p], w);
-                kept += 1;
-            }
-        }
-        start = end;
-        rowptr[i + 1] = kept;
-    }
-    colidx.truncate(kept);
-    values.truncate(kept);
-    colidx.shrink_to_fit();
-    values.shrink_to_fit();
-    *c_block = CsrMatrix::from_raw_parts(nrows, ncols, rowptr, colidx, values)?;
-    Ok(())
-}
-
-/// Stationary `C` blocks (one per layer-locale `g`, shaped like grid locale
-/// `g % p`'s block) with their local and broadcast profiles.
-fn stationary<A: Copy, B: Copy, C>(
+/// One locale's local phase: block `l` of `C⟨M⟩ = rule(A[:, K] ⊗ B[K, :])`,
+/// `K` the union of the ascending inner-dimension intervals `spans` — all
+/// of it on a 2-D grid, a layer's stages on a 3-D one.
+///
+/// This is shared [`mxm_emit`] — the same flop-dealt chunks, sizing pass,
+/// windows and row kernel — over the row panel of `A` and the column panel
+/// of `B` the stage loop delivered, viewed in place: row `i` is ONE
+/// [`RowKernel::row`](gblas_core::ops::mxm::RowKernel::row) call on the
+/// `kernel` instance over the grid row's blocks chained in ascending `k`,
+/// each `B[k, :]` looked up in the block that holds it, under the locale's
+/// mask row, `rule` (global coordinates) applied at emit, written into the
+/// block's final arrays. A locale that received nothing does nothing.
+#[allow(clippy::too_many_arguments)]
+pub fn local_block<A, B, C, AddM, MulOp, M>(
     a: &DistCsrMatrix<A>,
     b: &DistCsrMatrix<B>,
-    total: usize,
-) -> Vec<(CsrMatrix<C>, Profile, Profile)> {
-    let p = a.grid().locales();
-    let block = |g: usize| CsrMatrix::empty(a.row_range(g % p).len(), b.col_range(g % p).len());
-    (0..total).map(|g| (block(g), Profile::default(), Profile::default())).collect()
+    ring: &Semiring<AddM, MulOp>,
+    mask: Option<&DistCsrMatrix<M>>,
+    rule: Option<&(impl Fn(usize, usize, C) -> Option<C> + Sync)>,
+    l: usize,
+    spans: &[(usize, usize)],
+    kernel: MxmKernel,
+    ctx: &ExecCtx,
+) -> Result<CsrMatrix<C>>
+where
+    A: Copy + Send + Sync,
+    B: Copy + Send + Sync,
+    C: Copy + Send + Sync + 'static,
+    M: Copy + Send + Sync,
+    AddM: Monoid<C>,
+    MulOp: BinaryOp<A, B, C>,
+{
+    let (r, c) = a.grid().coords(l);
+    let (a_panel, b_panel) = (a.row_panel(r, spans), b.col_panel(c));
+    if a_panel.nnz() == 0 || b_panel.nnz() == 0 {
+        return Ok(CsrMatrix::empty(a.row_range(l).len(), b.col_range(l).len()));
+    }
+    let (row0, col0) = (a.row_range(l).start, b.col_range(l).start);
+    let rule = rule.map(|keep| move |i, j, v| keep(row0 + i, col0 + j, v));
+    mxm_emit(&a_panel, &b_panel, ring, mask.map(|m| m.block(l)), rule.as_ref(), kernel, ctx)
 }
 
 /// Split the finished state into layer 0's `C` blocks and every
@@ -644,69 +636,6 @@ fn finish<C>(
         bcast.push(bc);
     }
     (blocks, local, bcast)
-}
-
-/// One locale's stage-local multiply: `partial = slice ⊗ B[b_rows, :]`
-/// over `ring`, masked by the locale's stationary mask block, through the
-/// shared [`RowKernel`] with the stage's density-adaptive accumulator.
-/// Each row lands in a tail of the partial's output streams pre-sized to
-/// the row's bound, so the kernel writes its result in place.
-fn multiply_slice<A, B, C, AddM, MulOp, M>(
-    a_slice: &ColSlice<A>,
-    b_blk: &CsrMatrix<B>,
-    b_rows: Range<usize>,
-    ring: &Semiring<AddM, MulOp>,
-    mask: Option<&CsrMatrix<M>>,
-    kernel: MxmKernel,
-    ctx: &ExecCtx,
-) -> Result<CsrMatrix<C>>
-where
-    A: Copy + Send + Sync,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync + 'static,
-    M: Copy + Send + Sync,
-    AddM: Monoid<C>,
-    MulOp: BinaryOp<A, B, C>,
-{
-    check_dims("inner dimension", a_slice.ncols(), b_rows.len())?;
-    // `b_rows` must not run off the block's end (equal unless it does)
-    check_dims("B slice rows", b_rows.end.max(b_blk.nrows()), b_blk.nrows())?;
-    let (m_l, q_l, zero) = (a_slice.nrows(), b_blk.ncols(), ring.zero::<C>());
-    if let Some(m) = mask {
-        check_dims("mask rows", m_l, m.nrows())?;
-        check_dims("mask columns", q_l, m.ncols())?;
-    }
-    let mut colidx = ctx.ws_vec::<usize>();
-    let mut values = ctx.ws_vec::<C>();
-    let mut acc = RowKernel::checkout(kernel, q_l, zero, ctx);
-    let mut rowptr = vec![0usize; m_l + 1];
-    ctx.record(gblas_core::ops::mxm::PHASE, |c| {
-        for (i, entries) in a_slice.rows() {
-            let mask_row = mask.map(|m| m.row(i).0);
-            let at = |x: usize| (b_rows.start + entries[x].0, entries[x].1);
-            let bound = match mask_row {
-                Some(m) => m.len(),
-                None => q_l.min((0..entries.len()).map(|x| b_blk.row_nnz(at(x).0)).sum()),
-            };
-            let len = colidx.len();
-            colidx.resize(len + bound, 0);
-            values.resize(len + bound, zero);
-            let (cols, vals) = (&mut colidx[len..], &mut values[len..]);
-            // never an emit rule: a stage's partial sums are not finished
-            let no_rule = None::<&fn(usize, C) -> Option<C>>;
-            let n = acc.row(entries.len(), at, b_blk, ring, mask_row, no_rule, cols, vals, c);
-            colidx.truncate(len + n);
-            values.truncate(len + n);
-            rowptr[i + 1] = n;
-        }
-    });
-    for i in 0..m_l {
-        rowptr[i + 1] += rowptr[i];
-    }
-    // The streams graduate into the partial; their guards shelve the
-    // emptied vectors.
-    let (colidx, values) = (std::mem::take(&mut *colidx), std::mem::take(&mut *values));
-    CsrMatrix::from_raw_parts(m_l, q_l, rowptr, colidx, values)
 }
 
 /// The legacy single-stage-per-block sparse SUMMA (square grids): whole
@@ -730,13 +659,16 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
+    let mut trace = dctx.op("mxm_dist"); // the wall clock starts with the op
     let grid = a.grid();
     let p = grid.locales();
     let stages = grid.pc();
     let a_elem = std::mem::size_of::<A>();
     let b_elem = std::mem::size_of::<B>();
 
-    let mut state = stationary::<A, B, C>(a, b, p);
+    let empty = |l: usize| CsrMatrix::empty(a.row_range(l).len(), b.col_range(l).len());
+    let mut state: Vec<_> =
+        (0..p).map(|l| (empty(l), Profile::default(), Profile::default())).collect();
 
     for k in 0..stages {
         dctx.for_each_locale_state(&mut state, |l, (c_block, local_profile, bcast_profile)| {
@@ -757,11 +689,11 @@ where
             let lctx = dctx.locale_ctx_for(l);
             let mask_l = mask.map(|m| m.block(l));
             let partial = gblas_core::ops::mxm::mxm(a_blk, b_blk, ring, mask_l, &lctx)?;
-            accumulate(c_block, &partial, ring, &lctx, local_profile, PHASE_LOCAL)?;
-            if let (true, Some(rule)) = (k + 1 == stages, rule) {
-                let origin = (a.row_range(l).start, b.col_range(l).start);
-                settle_block(c_block, origin, rule, local_profile)?;
-            }
+            // the last stage's add finishes the block
+            let origin = (a.row_range(l).start, b.col_range(l).start);
+            let sum = ewise_add_mat(&*c_block, &partial, &ring.add, &lctx)?;
+            *c_block = apply_rule(sum, rule.filter(|_| k + 1 == stages), origin, &lctx);
+            fold(&lctx, local_profile, PHASE_LOCAL);
             Ok(())
         })?;
     }
@@ -769,7 +701,6 @@ where
     let (c_blocks, local_profiles, bcast_profiles) = finish(state, p);
 
     let c = DistCsrMatrix::from_blocks(a.nrows(), b.ncols(), grid, c_blocks)?;
-    let mut trace = dctx.op("mxm_dist");
     trace
         .attr("algo", "single")
         .attr("stages", stages)
@@ -976,51 +907,63 @@ mod tests {
     }
 
     #[test]
-    fn every_kernel_kind_gives_the_same_partial() {
+    fn every_kernel_instance_gives_the_block_of_the_narrowed_product() {
+        // a layer's share of the inner dimension, cutting through blocks:
+        // the panel must hold exactly A[:, K], whichever instance runs
         let a = gen::rmat(7, 5, 230);
         let mask = gen::erdos_renyi(128, 12, 231);
         let ctx = gblas_core::par::ExecCtx::serial();
         let ring = semirings::plus_times_f64();
-        let slice = dcsc::csr_col_slice(&a, 16, 96, &mut Counters::default());
+        let spans = [(16, 70), (90, 121)];
+        let inside = |_: usize, k: usize, _: f64| spans.iter().any(|&(lo, hi)| lo <= k && k < hi);
+        let narrowed = gblas_core::ops::select::select_mat(&a, &inside, &ctx);
+        let grid = ProcGrid::new(2, 3);
+        let da = DistCsrMatrix::from_global(&a, grid);
         for mask in [None, Some(&mask)] {
-            let run = |kernel: MxmKernel| {
-                multiply_slice::<_, _, f64, _, _, _>(&slice, &a, 16..96, &ring, mask, kernel, &ctx)
-                    .unwrap()
-            };
-            let spa = run(MxmKernel::Spa);
-            assert!(spa.nnz() > 0);
+            let expect: CsrMatrix<f64> =
+                gblas_core::ops::mxm::mxm(&narrowed, &a, &ring, mask, &ctx).unwrap();
+            let expect = DistCsrMatrix::from_global(&expect, grid);
+            let dm = mask.map(|m| DistCsrMatrix::from_global(m, grid));
             // twice each: the second call runs on the pooled, used state
-            for kernel in [MxmKernel::Hash, MxmKernel::Heap, MxmKernel::Hash, MxmKernel::Heap] {
-                assert_eq!(run(kernel), spa, "{kernel:?} masked={}", mask.is_some());
+            for kernel in [MxmKernel::Spa, MxmKernel::Hash, MxmKernel::Heap].repeat(2) {
+                for l in 0..grid.locales() {
+                    let rule = None::<&NoRule<f64>>;
+                    let got: CsrMatrix<f64> =
+                        local_block(&da, &da, &ring, dm.as_ref(), rule, l, &spans, kernel, &ctx)
+                            .unwrap();
+                    assert_eq!(&got, expect.block(l), "{kernel:?} masked={} l={l}", mask.is_some());
+                }
             }
         }
     }
 
     #[test]
-    fn slice_level_mismatches_are_errors_not_panics() {
+    fn panel_level_mismatches_are_errors_not_panics() {
         let a = gen::erdos_renyi(30, 3, 228);
         let ctx = gblas_core::par::ExecCtx::serial();
         let ring = semirings::plus_times_f64();
-        let slice = dcsc::csr_col_slice(&a, 5, 25, &mut Counters::default());
-        let run = |b_rows: Range<usize>, mask: Option<&CsrMatrix<f64>>| {
-            multiply_slice::<_, _, f64, _, _, _>(
-                &slice,
-                &a,
-                b_rows,
+        let grid = ProcGrid::new(2, 2);
+        let da = DistCsrMatrix::from_global(&a, grid);
+        let run = |b: &DistCsrMatrix<f64>, mask: Option<&DistCsrMatrix<f64>>| {
+            let rule = None::<&NoRule<f64>>;
+            local_block::<_, _, f64, _, _, _>(
+                &da,
+                b,
                 &ring,
                 mask,
+                rule,
+                0,
+                &[(0, 30)],
                 MxmKernel::Spa,
                 &ctx,
             )
         };
-        assert!(run(5..25, Some(&a)).is_ok());
-        // the slice is 20 columns wide: a 19-row B slice cannot meet it
-        assert!(matches!(run(5..24, None), Err(GblasError::DimensionMismatch { .. })));
-        // nor can 20 rows that run off the end of the block
-        assert!(matches!(run(11..31, None), Err(GblasError::DimensionMismatch { .. })));
-        // and the mask must have the partial's shape
-        let small = gen::erdos_renyi(29, 3, 229);
-        assert!(matches!(run(5..25, Some(&small)), Err(GblasError::DimensionMismatch { .. })));
+        assert!(run(&da, Some(&da)).is_ok());
+        // a 29-row B cannot meet a 30-column A
+        let small = DistCsrMatrix::from_global(&gen::erdos_renyi(29, 3, 229), grid);
+        assert!(matches!(run(&small, None), Err(GblasError::DimensionMismatch { .. })));
+        // and the mask block must have the C block's shape
+        assert!(matches!(run(&da, Some(&small)), Err(GblasError::DimensionMismatch { .. })));
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub fn pull_first_visitor_dist<T: Copy + Send + Sync>(
     visited: &DistDenseVec<bool>,
     dctx: &DistCtx,
 ) -> Result<(DistSparseVec<usize>, SimReport)> {
+    let mut trace = dctx.op("pull_first_visitor"); // the wall clock starts with the op
     check_dims("frontier length vs matrix cols", at.ncols(), frontier.len())?;
     check_dims("visited length vs matrix rows", at.nrows(), visited.len())?;
     let grid = at.grid();
@@ -208,7 +209,6 @@ pub fn pull_first_visitor_dist<T: Copy + Send + Sync>(
         .unzip();
 
     let y = DistSparseVec::from_shards(n, shards)?;
-    let mut trace = dctx.op("pull_first_visitor");
     trace.attr("nrows", n).attr("ncols", at.ncols()).sched(sched).nnz(nnz_f as u64);
     trace.spawn(PHASE_GATHER, 1);
     trace.compute(PHASE_GATHER, &gather_profiles);

@@ -29,6 +29,7 @@ where
     T: Copy + Send + Sync,
     M: ComMonoid<T>,
 {
+    let mut trace = dctx.op("reduce_dist");
     let p = x.locales();
     // Local folds (one task per locale, 24-way within each).
     let (partials, profiles): (Vec<T>, Vec<Profile>) = dctx
@@ -60,7 +61,6 @@ where
         }
         stride *= 2;
     }
-    let mut trace = dctx.op("reduce_dist");
     trace.nnz(x.nnz() as u64);
     trace.spawn(PHASE_LOCAL, 1);
     trace.compute(PHASE_LOCAL, &profiles);
@@ -123,6 +123,7 @@ where
     T: Copy + Send + Sync,
     U: Copy + Send + Sync,
 {
+    let mut trace = dctx.op(op_name);
     let grid = a.grid();
     let elem_bytes = std::mem::size_of::<U>() as u64;
     let (partials, profiles): (Vec<Vec<U>>, Vec<Profile>) = dctx
@@ -161,7 +162,6 @@ where
             }
         }
     }
-    let mut trace = dctx.op(op_name);
     trace.attr("nrows", a.nrows()).attr("ncols", a.ncols()).nnz(a.nnz() as u64);
     trace.spawn(PHASE_LOCAL, 1);
     trace.compute(PHASE_LOCAL, &profiles);
@@ -180,6 +180,7 @@ where
     T: Copy + Send + Sync,
     M: ComMonoid<T>,
 {
+    let mut trace = dctx.op("reduce_mat_dist");
     let p = a.grid().locales();
     let (partials, profiles): (Vec<T>, Vec<Profile>) = dctx
         .for_each_locale(|l| {
@@ -211,7 +212,6 @@ where
         }
         stride *= 2;
     }
-    let mut trace = dctx.op("reduce_mat_dist");
     trace.nnz(a.nnz() as u64);
     trace.spawn(PHASE_LOCAL, 1);
     trace.compute(PHASE_LOCAL, &profiles);

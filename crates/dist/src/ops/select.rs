@@ -21,6 +21,7 @@ pub fn select_mat_dist<T: Copy + Send + Sync>(
     pred: &(impl Fn(usize, usize, T) -> bool + Sync),
     dctx: &DistCtx,
 ) -> Result<(DistCsrMatrix<T>, SimReport)> {
+    let mut trace = dctx.op("select_mat_dist");
     let grid = a.grid();
     let p = grid.locales();
     let mut blocks: Vec<CsrMatrix<T>> = Vec::with_capacity(p);
@@ -44,7 +45,6 @@ pub fn select_mat_dist<T: Copy + Send + Sync>(
         profiles.push(profile);
     }
     let out = DistCsrMatrix::from_blocks(a.nrows(), a.ncols(), grid, blocks)?;
-    let mut trace = dctx.op("select_mat_dist");
     trace.nnz(a.nnz() as u64);
     trace.spawn(PHASE, 1);
     trace.compute_as(PHASE, gblas_core::ops::select::PHASE, &profiles);
@@ -58,6 +58,7 @@ pub fn map_mat_dist<T: Copy + Send + Sync, U: Copy + Send + Sync>(
     f: &(impl Fn(usize, usize, T) -> U + Sync),
     dctx: &DistCtx,
 ) -> Result<(DistCsrMatrix<U>, SimReport)> {
+    let mut trace = dctx.op("map_mat_dist");
     let grid = a.grid();
     let p = grid.locales();
     let mut blocks: Vec<CsrMatrix<U>> = Vec::with_capacity(p);
@@ -78,7 +79,6 @@ pub fn map_mat_dist<T: Copy + Send + Sync, U: Copy + Send + Sync>(
         profiles.push(profile);
     }
     let out = DistCsrMatrix::from_blocks(a.nrows(), a.ncols(), grid, blocks)?;
-    let mut trace = dctx.op("map_mat_dist");
     trace.nnz(a.nnz() as u64);
     trace.spawn(PHASE, 1);
     trace.compute_as(PHASE, gblas_core::ops::apply::PHASE, &profiles);

@@ -635,6 +635,7 @@ pub fn spmspv_dist_with<T: Copy + Send + Sync, V: Copy + Send + Sync + 'static>(
     opts: SpMSpVOpts,
     dctx: &DistCtx,
 ) -> Result<(DistSparseVec<usize>, SimReport)> {
+    let mut op = dctx.op("spmspv_dist"); // the wall clock starts with the op
     let masks = mask.as_ref().map(std::slice::from_ref);
     check_push_operands(a, x.capacity(), x.locales(), masks, dctx)?;
     // Resolve `auto` (and any `GBLAS_MERGE` override) once from the
@@ -647,7 +648,6 @@ pub fn spmspv_dist_with<T: Copy + Send + Sync, V: Copy + Send + Sync + 'static>(
     let mut pushed = push_engine(a, lx, &FirstVisitor(opts), masks, strategy, claim_bytes, dctx)?;
     let y = pushed.rows.pop().expect("the engine returns one row per source");
 
-    let mut op = dctx.op("spmspv_dist");
     op.attr("strategy", strategy_name(strategy))
         .attr("merge", opts.merge.name())
         .attr("nrows", a.nrows())
@@ -712,6 +712,7 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
+    let mut op = dctx.op("spmspv_dist_semiring"); // the wall clock starts with the op
     let masks = mask.as_ref().map(std::slice::from_ref);
     check_push_operands(a, x.capacity(), x.locales(), masks, dctx)?;
     // Same global resolution as [`spmspv_dist_with`]: one strategy,
@@ -726,7 +727,6 @@ where
         push_engine(a, lx, &Accumulate(ring, opts), masks, strategy, claim_bytes, dctx)?;
     let y = pushed.rows.pop().expect("the engine returns one row per source");
 
-    let mut op = dctx.op("spmspv_dist_semiring");
     op.attr("strategy", strategy_name(strategy))
         .attr("merge", opts.merge.name())
         .attr("nrows", a.nrows())

@@ -246,6 +246,7 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
+    let mut op = dctx.op("spmv_dist"); // the wall clock starts with the op
     check_dense_operands(a, std::slice::from_ref(x), dctx)?;
     // ---- Inspect or replay the gather schedule: dense SpMV gathers whole
     // row-peer segments, so the pattern is the row-aligned plan under the
@@ -255,7 +256,6 @@ where
     let mut product =
         dense_engine(a, std::slice::from_ref(x), ring, |l| row_peers[l].iter().copied(), dctx)?;
     let y = product.ys.pop().expect("the engine returns one output per column");
-    let mut op = dctx.op("spmv_dist");
     op.attr("nrows", a.nrows()).attr("ncols", a.ncols()).sched(sched).nnz(a.nnz() as u64);
     Ok((y, product.finish(op)))
 }

@@ -27,6 +27,7 @@ pub fn transpose_dist<T: Copy + Send + Sync>(
     a: &DistCsrMatrix<T>,
     dctx: &DistCtx,
 ) -> Result<(DistCsrMatrix<T>, SimReport)> {
+    let mut trace = dctx.op("transpose_dist");
     let grid = a.grid();
     let p = grid.locales();
     // `>` not `!=`: under the 3-D SUMMA the machine holds extra
@@ -73,7 +74,6 @@ pub fn transpose_dist<T: Copy + Send + Sync>(
         .map(|b| b.expect("mirror placement covers every grid cell"))
         .collect();
     let result = DistCsrMatrix::from_blocks(a.ncols(), a.nrows(), new_grid, blocks)?;
-    let mut trace = dctx.op("transpose_dist");
     trace.attr("nrows", a.nrows()).attr("ncols", a.ncols()).nnz(a.nnz() as u64);
     trace.spawn(PHASE_LOCAL, 1);
     trace.compute(PHASE_LOCAL, &profiles);
@@ -93,6 +93,7 @@ pub fn redistribute_dist<T: Copy + Send + Sync>(
     grid: ProcGrid,
     dctx: &DistCtx,
 ) -> Result<(DistCsrMatrix<T>, SimReport)> {
+    let mut trace = dctx.op("redistribute_dist");
     if a.grid() == grid {
         return Ok((a.clone(), SimReport::default()));
     }
@@ -129,7 +130,6 @@ pub fn redistribute_dist<T: Copy + Send + Sync>(
         profiles.push(folded);
     }
     let out = DistCsrMatrix::from_global(&a.to_global()?, grid);
-    let mut trace = dctx.op("redistribute_dist");
     trace
         .attr("from", format!("{}x{}", a.grid().pr(), a.grid().pc()))
         .attr("to", format!("{}x{}", grid.pr(), grid.pc()))

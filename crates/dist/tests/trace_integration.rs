@@ -159,3 +159,34 @@ fn faults_and_retries_show_up_in_trace_and_summary() {
     assert_eq!(m.faults_injected, 1);
     assert_eq!(m.retries, 1);
 }
+
+/// An op span's `wall_ns` times the operation, not just the pricing at its
+/// end: the trace is opened when the op is entered, so the span covers at
+/// least half of the externally timed call (the rest is the caller's side
+/// of the call and the span's own emission). The multiply runs for tens of
+/// milliseconds and gets three attempts, so one preemption outside the
+/// span on a loaded host cannot fail it — a span that times only the
+/// pricing (microseconds) fails all three.
+#[test]
+fn mxm_op_span_wall_clock_covers_the_multiply() {
+    let grid = ProcGrid::new(2, 2);
+    let a = gen::erdos_renyi(12_000, 8, 17);
+    let da = DistCsrMatrix::from_global(&a, grid);
+    let ring = gblas_core::algebra::semirings::plus_times_f64();
+    let attempt = || {
+        let mut dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
+        dctx.enable_tracing();
+        let start = std::time::Instant::now();
+        gblas_dist::ops::mxm::mxm_dist(&da, &da, &ring, &dctx).expect("mxm");
+        let outside = start.elapsed().as_nanos() as u64;
+        let trace = dctx.recorder().snapshot();
+        let op = trace.spans.iter().find(|s| s.kind == SpanKind::Op && s.name == "mxm_dist");
+        (op.expect("op span recorded").wall_ns, outside)
+    };
+    let runs: Vec<(u64, u64)> = (0..3).map(|_| attempt()).collect();
+    for &(span, outside) in &runs {
+        assert!(span <= outside, "span {span} ns > call {outside} ns");
+    }
+    let covered = runs.iter().any(|&(span, outside)| 2 * span >= outside);
+    assert!(covered, "span under half of the call in every (span, call) ns of {runs:?}");
+}
