@@ -4,7 +4,7 @@
 //! measures, per iteration of each workload, (a) raw allocator traffic
 //! (malloc calls + bytes requested) and (b) workspace-pool behaviour
 //! (checkout hits vs misses), with pooling on and off
-//! (`GBLAS_WORKSPACE=off` equivalent via `WorkspacePool::set_enabled`).
+//! (`WorkspacePool::set_enabled`).
 //!
 //! Workloads mirror the iteration structure of the real algorithms:
 //!
@@ -47,6 +47,7 @@ use gblas_core::container::{CsrMatrix, SparseVec};
 use gblas_core::ops::spmspv::{spmspv_semiring, SpMSpVOpts, SpMSpVOutput};
 use gblas_core::par::ExecCtx;
 use gblas_core::workspace::WorkspaceStats;
+use gblas_dist::RunConfig;
 use gblas_graph::bfs::bfs_observed;
 use gblas_graph::pagerank::{pagerank_observed, PageRankOptions};
 
@@ -266,13 +267,13 @@ fn run_spmspv(
 /// hash / dense SPA) and the stage slice buffers check out of the
 /// per-locale workspace pools, so pooled steady state should allocate
 /// nothing per stage beyond the result assembly.
-fn run_mxm(a: &CsrMatrix<f64>, iters: usize, pooled: bool) -> RunStats {
+fn run_mxm(a: &CsrMatrix<f64>, iters: usize, pooled: bool, config: RunConfig) -> RunStats {
     use gblas_dist::{DistCsrMatrix, DistCtx, ProcGrid};
     use gblas_sim::MachineConfig;
 
     let grid = ProcGrid::new(2, 2);
-    let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
-    dctx.set_workspace_enabled(pooled);
+    let config = RunConfig { workspace: pooled, ..config };
+    let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24)).with_config(config);
     let da = DistCsrMatrix::from_global(a, grid);
     let ring = semirings::plus_times_f64();
     for _ in 0..2 {
@@ -307,14 +308,14 @@ fn run_mxm(a: &CsrMatrix<f64>, iters: usize, pooled: bool) -> RunStats {
 
 /// Schedule-cache accounting for one distributed algorithm run:
 /// `(iterations, builds, replays, invalidations)` plus the JSON row.
-fn sched_workload(name: &str, a: &CsrMatrix<f64>) -> String {
+fn sched_workload(name: &str, a: &CsrMatrix<f64>, config: RunConfig) -> String {
     use gblas_dist::ops::spmspv::CommStrategy;
     use gblas_dist::{DistCsrMatrix, DistCtx, ProcGrid};
     use gblas_sim::MachineConfig;
 
     let grid = ProcGrid::new(2, 2);
     let da = DistCsrMatrix::from_global(a, grid);
-    let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
+    let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24)).with_config(config);
     let iterations = match name {
         "bfs" => {
             let (r, _) = gblas_graph::bfs_dist_with(
@@ -347,6 +348,7 @@ fn sched_workload(name: &str, a: &CsrMatrix<f64>) -> String {
 }
 
 fn main() {
+    let config = RunConfig::from_env();
     let mut check = false;
     let mut out_path = String::from("BENCH_alloc.json");
     let mut n = 20_000usize;
@@ -386,7 +388,7 @@ fn main() {
             0 => run_bfs(&a, &ctx, pooled),
             1 => run_pagerank(&a, pr_iters, &ctx, pooled),
             2 => run_spmspv(&a, &x, spmspv_iters, &ctx, pooled),
-            _ => run_mxm(&a, mxm_iters, pooled),
+            _ => run_mxm(&a, mxm_iters, pooled, config),
         };
         let unpooled = run(false);
         let pooled = run(true);
@@ -413,7 +415,7 @@ fn main() {
         })
         .collect();
     let sched_body: Vec<String> =
-        ["bfs", "pagerank"].iter().map(|name| sched_workload(name, &a)).collect();
+        ["bfs", "pagerank"].iter().map(|name| sched_workload(name, &a, config)).collect();
     let json = format!(
         "{{\n  \"config\": {{\"n\": {n}, \"degree\": {degree}, \"nnz\": {}, \
          \"threads\": {threads}, \"warmup_iters\": {WARMUP_ITERS}}},\n  \"workloads\": [\n{}\n  ],\n  \"sched\": [\n{}\n  ]\n}}\n",

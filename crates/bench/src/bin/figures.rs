@@ -152,6 +152,7 @@ fn main() {
         }
         i += 1;
     }
+    gblas_bench::configure(gblas_dist::RunConfig::from_env());
     println!("# chapel-graphblas-rs figure harness");
     println!("# scale = {scale} (paper sizes divided by this)");
     println!("# spmspv merge = {}", opts.merge.name());

@@ -250,6 +250,12 @@ pub fn simulate_serving(
     })
 }
 
+/// A fresh simulated Edison cluster over `grid`, under the harness
+/// configuration.
+fn sim_cluster(grid: ProcGrid) -> DistCtx {
+    DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24)).with_config(crate::run_config())
+}
+
 /// Distributed serving benchmark on the simulated cluster: the batched
 /// server (one `bfs_multi_dist` per batch) versus the k-loop baseline
 /// (one bulk-strategy `bfs_dist` per request). Service times are the
@@ -262,16 +268,15 @@ pub fn serve_bench_dist(
 ) -> Result<(ServeReport, ServeReport)> {
     let grid = ProcGrid::square_for(locales.max(1));
     let da = DistCsrMatrix::from_global(a, grid);
-    let machine = || MachineConfig::edison_cluster(grid.locales(), 24);
     let batched = simulate_serving("batched", requests, policy, &mut |sources| {
-        let dctx = DistCtx::new(machine());
+        let dctx = sim_cluster(grid);
         let (_, report) = bfs_multi_dist(&da, sources, &dctx)?;
         Ok(report.total())
     })?;
     let looped = simulate_serving("loop", requests, ServePolicy::immediate(), &mut |sources| {
         let mut total = 0.0;
         for &s in sources {
-            let dctx = DistCtx::new(machine());
+            let dctx = sim_cluster(grid);
             let (_, report) =
                 bfs_dist_with(&da, s, CommStrategy::Bulk, SpMSpVOpts::default(), &dctx)?;
             total += report.total();
@@ -290,6 +295,7 @@ pub fn serve_bench_shared(
     policy: ServePolicy,
 ) -> Result<(ServeReport, ServeReport)> {
     let ctx = ExecCtx::with_threads(threads.max(1));
+    ctx.workspace().set_enabled(crate::run_config().workspace);
     let batched = simulate_serving("batched", requests, policy, &mut |sources| {
         let t0 = std::time::Instant::now();
         bfs_multi(a, sources, &ctx)?;
@@ -325,7 +331,7 @@ pub fn verify_batched_equivalence(
     }
     let grid = ProcGrid::square_for(locales.max(1));
     let da = DistCsrMatrix::from_global(a, grid);
-    let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
+    let dctx = sim_cluster(grid);
     let (dist_batch, _) = bfs_multi_dist(&da, sources, &dctx)?;
     for (s, &src) in sources.iter().enumerate() {
         if dist_batch[s] != shared_batch[s] {
@@ -333,7 +339,7 @@ pub fn verify_batched_equivalence(
                 "distributed batched BFS diverges from shared at slot {s} (source {src})"
             )));
         }
-        let sctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
+        let sctx = sim_cluster(grid);
         let (single, _) =
             bfs_dist_with(&da, src, CommStrategy::Bulk, SpMSpVOpts::default(), &sctx)?;
         if dist_batch[s] != single {

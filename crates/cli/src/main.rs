@@ -32,9 +32,8 @@
 //!
 //! `--spmspv-merge` selects how the frontier algorithms merge SpMSpV
 //! results each round: `sort` (the paper's merge/radix sort), `bucket`
-//! (the sort-free bucketed merge), or `auto` (pick by frontier size; the
-//! `GBLAS_MERGE` environment variable overrides all of these). All give
-//! identical output.
+//! (the sort-free bucketed merge), or `auto` (pick by frontier size). All
+//! give identical output.
 //!
 //! `--selection` makes `bfs`, `cc` and `sssp` decide a direction per
 //! iteration: `auto` switches push/pull from the measured frontier
@@ -49,9 +48,13 @@
 //! that posts its aggregated transfers asynchronously and overlaps them
 //! with local work. Results and the comm ledger are identical either
 //! way — only the simulated seconds move; traces carry the per-op
-//! `overlap_saved_s` attribute. (`GBLAS_OVERLAP=1` is the env spelling;
-//! `GBLAS_SCHED=off` disables the inspector–executor schedule cache for
-//! ablation.)
+//! `overlap_saved_s` attribute.
+//!
+//! Three environment variables are read, once, by `main`
+//! ([`RunConfig::from_env`]): `GBLAS_DIST_EXECUTOR=serial` runs the
+//! simulated locales back to back, `GBLAS_SCHED=off` disables the
+//! inspector–executor schedule cache, `GBLAS_WORKSPACE=off` disables
+//! workspace pooling. None changes a result or a simulated time.
 //!
 //! Every algorithm is a single generic function over the backend trait,
 //! so with `--simulate NODES` **every** analytic (bfs, sssp, pagerank,
@@ -77,7 +80,7 @@ use gblas_core::par::ExecCtx;
 use gblas_core::trace::{profile, sink};
 use gblas_core::{gen, io};
 use gblas_dist::ops::spmspv::CommStrategy;
-use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, MxmAlgo, ProcGrid};
+use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, MxmAlgo, ProcGrid, RunConfig};
 use gblas_sim::MachineConfig;
 
 const USAGE_COMMANDS: &str =
@@ -101,7 +104,8 @@ struct Args {
     window: f64,
     arrival: String,
     verify: bool,
-    overlap: bool,
+    /// The environment's run configuration with `--overlap` merged in.
+    config: RunConfig,
     mxm_grid: String,
 }
 
@@ -126,7 +130,7 @@ fn parse_args() -> std::result::Result<Args, String> {
         window: 0.005,
         arrival: "poisson:2000".to_string(),
         verify: false,
-        overlap: false,
+        config: RunConfig::from_env(),
         mxm_grid: "2d".to_string(),
     };
     let mut rest: Vec<String> = argv.collect();
@@ -196,6 +200,9 @@ fn parse_args() -> std::result::Result<Args, String> {
             }
             "--window" => {
                 args.window = need(i, &mut rest)?.parse().map_err(|_| "bad --window")?;
+                if !(args.window.is_finite() && args.window >= 0.0) {
+                    return Err("bad --window (seconds, finite and >= 0)".into());
+                }
                 i += 2;
             }
             "--arrival" => {
@@ -207,7 +214,7 @@ fn parse_args() -> std::result::Result<Args, String> {
                 i += 1;
             }
             "--overlap" => {
-                args.overlap = true;
+                args.config.overlap = true;
                 i += 1;
             }
             "--mxm-grid" => {
@@ -242,6 +249,11 @@ fn load(args: &Args) -> Result<CsrMatrix<f64>> {
             ["rmat", scale, ef] => {
                 let scale: u32 = scale.parse().map_err(|_| bad_spec(spec))?;
                 let ef: usize = ef.parse().map_err(|_| bad_spec(spec))?;
+                if gen::rmat_edges(scale, ef).is_none() {
+                    return Err(GblasError::InvalidArgument(format!(
+                        "--gen {spec}: 2^SCALE * EF edges do not fit usize"
+                    )));
+                }
                 gen::rmat(scale, ef, args.seed)
             }
             _ => return Err(bad_spec(spec)),
@@ -271,12 +283,9 @@ fn bad_spec(spec: &str) -> GblasError {
 /// Build the simulated cluster, with trace capture on when `--trace` was
 /// given.
 fn sim_ctx(nodes: usize, args: &Args) -> DistCtx {
-    let mut dctx = DistCtx::new(MachineConfig::edison_cluster(nodes, 24));
+    let mut dctx = DistCtx::new(MachineConfig::edison_cluster(nodes, 24)).with_config(args.config);
     if args.trace_out.is_some() {
         dctx.enable_tracing();
-    }
-    if args.overlap {
-        dctx.set_overlap(true);
     }
     dctx
 }
@@ -582,7 +591,9 @@ fn run() -> Result<()> {
         // the global matrix so both backends see the identical input.
         a = gblas_graph::mcl::add_self_loops(&a)?;
     }
+    gblas_bench::configure(args.config);
     let ctx = ExecCtx::with_threads(args.threads);
+    ctx.workspace().set_enabled(args.config.workspace);
     println!(
         "matrix: {}x{}, {} stored entries{}",
         a.nrows(),

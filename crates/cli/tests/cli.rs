@@ -3,8 +3,16 @@
 use std::process::Command;
 
 fn run(args: &[&str]) -> (bool, String, String) {
-    let out =
-        Command::new(env!("CARGO_BIN_EXE_gblas-cli")).args(args).output().expect("binary runs");
+    run_env(args, &[])
+}
+
+/// Run the binary with exactly the `GBLAS_*` variables in `env` set.
+fn run_env(args: &[&str], env: &[(&str, &str)]) -> (bool, String, String) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_gblas-cli"));
+    for name in ["GBLAS_DIST_EXECUTOR", "GBLAS_SCHED", "GBLAS_WORKSPACE"] {
+        cmd.env_remove(name);
+    }
+    let out = cmd.args(args).envs(env.iter().copied()).output().expect("binary runs");
     (
         out.status.success(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -130,4 +138,55 @@ fn errors_are_clean_not_panics() {
     let (ok3, _, stderr3) = run(&["bfs", "--gen", "nonsense"]);
     assert!(!ok3);
     assert!(stderr3.contains("error:"));
+    // 2^64 vertices: rejected at parsing, not a shift overflow in the generator
+    let (ok4, _, stderr4) = run(&["bfs", "--gen", "rmat:64:1"]);
+    assert!(!ok4);
+    assert!(stderr4.contains("error:") && stderr4.contains("do not fit"), "got: {stderr4}");
+    for window in ["-1", "nan", "inf"] {
+        let (ok5, _, stderr5) = run(&["serve-bench", "--gen", "er:100:4", "--window", window]);
+        assert!(!ok5, "--window {window} must be rejected");
+        assert!(stderr5.contains("bad --window"), "got: {stderr5}");
+    }
+}
+
+/// The environment variables are read by the binary's `main` and nowhere
+/// else; the two whose effect a run prints must still reach the contexts
+/// they configure (the executor leaves no mark on any output).
+#[test]
+fn env_knobs_take_effect_through_the_binary() {
+    let dir = std::env::temp_dir().join("gblas_cli_env_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let traced = |name: &str, env: &[(&str, &str)]| {
+        let trace = dir.join(name);
+        let args = ["bfs", "--gen", "er:2000:8", "--simulate", "4", "--trace"];
+        let (ok, stdout, _) = run_env(&[&args[..], &[trace.to_str().unwrap()]].concat(), env);
+        assert!(ok);
+        // the result line without its wall-clock parenthesis
+        let result = stdout.lines().find(|l| l.starts_with("bfs from")).expect("result line");
+        let result = result.split(" (").next().unwrap().to_string();
+        let metric = |key: &str| -> u64 {
+            let line = stdout.lines().find_map(|l| l.strip_prefix(key)).expect("metrics dump");
+            line.trim().parse().unwrap()
+        };
+        let text = std::fs::read_to_string(&trace).unwrap();
+        let scheds: Vec<String> = text
+            .split("\"sched\":\"")
+            .skip(1)
+            .map(|rest| rest.split('"').next().unwrap().to_string())
+            .collect();
+        (result, scheds, metric("pool_hits"))
+    };
+    let (result, scheds, hits) = traced("default.jsonl", &[]);
+    assert_eq!(scheds[0], "built");
+    assert!(scheds.len() > 1 && scheds[1..].iter().all(|s| s == "replayed"), "{scheds:?}");
+    assert!(hits > 0);
+
+    let (off_result, off_scheds, _) = traced("sched-off.jsonl", &[("GBLAS_SCHED", "off")]);
+    assert_eq!(off_result, result);
+    assert_eq!(off_scheds.len(), scheds.len());
+    assert!(off_scheds.iter().all(|s| s == "off"), "{off_scheds:?}");
+
+    let (ws_result, _, ws_hits) = traced("ws-off.jsonl", &[("GBLAS_WORKSPACE", "off")]);
+    assert_eq!(ws_result, result);
+    assert_eq!(ws_hits, 0, "GBLAS_WORKSPACE=off must disable every locale pool");
 }

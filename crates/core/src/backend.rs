@@ -79,9 +79,6 @@ pub trait GblasBackend {
     /// matrix): `k` per-source sparse vectors in this backend's layout.
     type Frontier<T: Scalar>;
 
-    /// Human-readable backend name (for traces and error messages).
-    fn name(&self) -> &'static str;
-
     // ---- matrix queries ----------------------------------------------
 
     /// Number of matrix rows.
@@ -345,14 +342,6 @@ pub trait GblasBackend {
     /// sum) to the ledger under `phase`. The shared backend is a no-op;
     /// the distributed backend prices a `⌈log₂ p⌉`-round binomial tree.
     fn allreduce_scalar(&self, phase: &'static str) -> Result<()>;
-
-    /// Cumulative workspace-pool accounting for this backend: pool hits,
-    /// misses and fresh allocations made on behalf of kernels run through
-    /// it. The shared backend reads its [`ExecCtx`]'s pool; the
-    /// distributed backend aggregates its per-locale pools. Generic
-    /// algorithms can subtract two snapshots to assert that steady-state
-    /// iterations allocate nothing.
-    fn workspace_stats(&self) -> crate::workspace::WorkspaceStats;
 }
 
 /// The shared-memory backend: plain CSR containers driven by an
@@ -385,10 +374,6 @@ impl GblasBackend for SharedBackend<'_> {
     type SparseVec<T: Scalar> = SparseVec<T>;
     type DenseVec<T: Scalar> = DenseVec<T>;
     type Frontier<T: Scalar> = SparseFrontier<T>;
-
-    fn name(&self) -> &'static str {
-        "shared"
-    }
 
     fn mat_nrows<T: Scalar>(&self, a: &CsrMatrix<T>) -> usize {
         a.nrows()
@@ -638,10 +623,6 @@ impl GblasBackend for SharedBackend<'_> {
 
     fn allreduce_scalar(&self, _phase: &'static str) -> Result<()> {
         Ok(())
-    }
-
-    fn workspace_stats(&self) -> crate::workspace::WorkspaceStats {
-        self.ctx.workspace().stats()
     }
 }
 

@@ -129,11 +129,6 @@ impl<T> CsrMatrix<T> {
         &self.values
     }
 
-    /// Mutable values (structure is immutable, so invariants hold).
-    pub fn values_mut(&mut self) -> &mut [T] {
-        &mut self.values
-    }
-
     /// Row `i` as `(column ids, values)` slices — the constant-time
     /// row-start access CSR exists to provide.
     pub fn row(&self, i: usize) -> (&[usize], &[T]) {

@@ -6,9 +6,6 @@
 //!   sparse×dense `eWiseMult`, SPA backing storage, BFS level arrays).
 //! * [`CsrMatrix`] — Compressed Sparse Rows with column ids sorted within
 //!   each row, "because this is supported in Chapel".
-//! * [`CscMatrix`] — the column-wise dual (Fig 6 is drawn column-wise;
-//!   the ops tests verify the paper's claim that the representation does
-//!   not change the algorithm or its complexity).
 //! * [`CooMatrix`] — a triplet builder for assembling matrices before
 //!   conversion to CSR.
 //! * [`SparseFrontier`] — the CombBLAS-2.0-style `n×k` multi-source
@@ -16,14 +13,12 @@
 //!   in a batched traversal.
 
 mod coo;
-mod csc;
 mod csr;
 mod dense_vec;
 mod frontier;
 mod sparse_vec;
 
 pub use coo::{CooMatrix, DupPolicy};
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense_vec::DenseVec;
 pub use frontier::SparseFrontier;

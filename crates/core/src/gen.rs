@@ -110,15 +110,23 @@ pub fn random_sparse_vec_usize(capacity: usize, nnz: usize, seed: u64) -> Sparse
 /// (§II-A) and are what the paper evaluates; R-MAT adds the skewed-degree
 /// workloads a production library must also handle (used by the extra
 /// examples and stress tests).
+///
+/// # Panics
+///
+/// When [`rmat_edges`] is `None`: the nominal edge count does not fit
+/// `usize`.
 pub fn rmat(scale: u32, edge_factor: usize, seed: u64) -> CsrMatrix<f64> {
     const A: f64 = 0.57;
     const B: f64 = 0.19;
     const C: f64 = 0.19;
+    let Some(edges) = rmat_edges(scale, edge_factor) else {
+        panic!("rmat: 2^{scale} * {edge_factor} edges do not fit usize");
+    };
     let n = 1usize << scale;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut coo = crate::container::CooMatrix::new(n, n);
-    coo.reserve(n * edge_factor);
-    for _ in 0..n * edge_factor {
+    coo.reserve(edges);
+    for _ in 0..edges {
         let (mut r, mut c) = (0usize, 0usize);
         for level in (0..scale).rev() {
             let p: f64 = rng.gen();
@@ -138,6 +146,13 @@ pub fn rmat(scale: u32, edge_factor: usize, seed: u64) -> CsrMatrix<f64> {
     }
     coo.to_csr_with(crate::container::DupPolicy::Sum, |a, b| a + b)
         .expect("rmat structure is valid")
+}
+
+/// The nominal edge count `2^scale · edge_factor` of an [`rmat`] graph,
+/// `None` when it does not fit `usize` — what a caller holding outside
+/// input checks before generating.
+pub fn rmat_edges(scale: u32, edge_factor: usize) -> Option<usize> {
+    1usize.checked_shl(scale)?.checked_mul(edge_factor)
 }
 
 /// A dense boolean vector with each entry independently `true` with

@@ -32,7 +32,7 @@
 //! * **Workspace pooling** ([`workspace`]): a per-context pool of
 //!   generation-stamped SPAs, staging vectors and bucket/outbox scratch,
 //!   checked out via RAII guards so iterative algorithms allocate on their
-//!   first iteration and then run allocation-free (`GBLAS_WORKSPACE=off`
+//!   first iteration and then run allocation-free (`set_enabled(false)`
 //!   restores per-call allocation; `pool_hits`/`pool_misses`/`allocs`/
 //!   `alloc_bytes` metrics make the reuse observable).
 //! * **Workload generators** ([`gen`]): seeded Erdős–Rényi matrices

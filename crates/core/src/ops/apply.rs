@@ -110,34 +110,6 @@ pub fn map_mat<T: Copy + Send + Sync, C: Copy + Send + Sync>(
     a.with_values(values)
 }
 
-/// Apply `op` in place to every stored value of a CSR matrix.
-pub fn apply_mat_inplace<T: Copy + Send + Sync>(
-    a: &mut CsrMatrix<T>,
-    op: &impl UnaryOp<T, T>,
-    ctx: &ExecCtx,
-) {
-    let n = a.nnz();
-    let values = a.values_mut();
-    let chunks = crate::par::split_ranges(n, ctx.threads());
-    let mut slices: Vec<&mut [T]> = Vec::with_capacity(chunks.len());
-    let mut rest: &mut [T] = values;
-    for r in &chunks {
-        let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-        slices.push(head);
-        rest = tail;
-    }
-    let slices: Vec<parking_lot::Mutex<&mut [T]>> =
-        slices.into_iter().map(parking_lot::Mutex::new).collect();
-    ctx.for_each_task(PHASE, slices.len(), |t, c| {
-        let mut guard = slices[t].lock();
-        for v in guard.iter_mut() {
-            *v = op.eval(*v);
-        }
-        c.elems += guard.len() as u64;
-        c.bytes_moved += (guard.len() * std::mem::size_of::<T>() * 2) as u64;
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,14 +143,6 @@ mod tests {
         let ctx = ExecCtx::with_threads(4);
         apply_vec_inplace(&mut x, &|v: i32| v + 1, &ctx);
         assert_eq!(x.nnz(), 0);
-    }
-
-    #[test]
-    fn apply_matrix_inplace() {
-        let mut a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1), (0, 1, 2), (1, 1, 3)]).unwrap();
-        let ctx = ExecCtx::with_threads(2);
-        apply_mat_inplace(&mut a, &|v: i32| -v, &ctx);
-        assert_eq!(a.values(), &[-1, -2, -3]);
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub mod ewise;
 pub mod ewise_mat;
 pub mod expand;
 pub mod extract;
-pub mod kron;
 pub mod mxm;
 pub mod mxv;
 pub mod reduce;

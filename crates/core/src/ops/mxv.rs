@@ -114,56 +114,6 @@ where
     SparseVec::from_sorted(a.nrows(), indices, values)
 }
 
-/// Column-wise SPA `MxV`: `y = A ⊗ x` on a CSC matrix — exactly the
-/// algorithm Fig 6 draws ("gather" the columns selected by `x`'s nonzeros,
-/// "scatter/accumulate" into the SPA over rows). The paper states that
-/// "neither the algorithm nor its complexity is affected by the use of
-/// row-wise vs column-wise representation"; the tests verify it against
-/// [`mxv_sparse`] and the ablation bench measures it.
-pub fn mxv_sparse_csc<A, B, C, AddM, MulOp>(
-    a: &crate::container::CscMatrix<A>,
-    x: &SparseVec<B>,
-    ring: &Semiring<AddM, MulOp>,
-    ctx: &ExecCtx,
-) -> Result<SparseVec<C>>
-where
-    A: Copy + Send + Sync,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync + 'static,
-    AddM: Monoid<C>,
-    MulOp: BinaryOp<A, B, C>,
-{
-    check_dims("x length vs matrix cols", a.ncols(), x.capacity())?;
-    let mut spa = ctx.ws_dense_spa(a.nrows(), ring.zero::<C>());
-    let mut c = crate::par::Counters::default();
-    // Step 1: SPA-merge the selected columns (phase "spa", as in the
-    // row-wise kernel).
-    for (j, &xv) in x.iter() {
-        let (rows, vals) = a.col(j);
-        c.flops += rows.len() as u64;
-        for (&i, &av) in rows.iter().zip(vals) {
-            spa.accumulate(i, ring.multiply(av, xv), &ring.add, &mut c);
-        }
-    }
-    c.elems += x.nnz() as u64;
-    ctx.record(crate::ops::spmspv::PHASE_SPA, |pc| pc.merge(&c));
-    // Step 2: sort collected row indices.
-    let mut nzinds = spa.nzinds().to_vec();
-    crate::sort::parallel_merge_sort(&mut nzinds, ctx, crate::ops::spmspv::PHASE_SORT);
-    // Step 3: emit.
-    let mut oc = crate::par::Counters::default();
-    let values: Vec<C> = nzinds
-        .iter()
-        .map(|&i| {
-            oc.spa_touches += 1;
-            spa.get(i).expect("collected index occupied")
-        })
-        .collect();
-    oc.elems += nzinds.len() as u64;
-    ctx.record(crate::ops::spmspv::PHASE_OUTPUT, |pc| pc.merge(&oc));
-    SparseVec::from_sorted(a.nrows(), nzinds, values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,33 +185,5 @@ mod tests {
         let x = gen::random_sparse_vec(11, 2, 66);
         let ctx = ExecCtx::serial();
         assert!(mxv_sparse::<_, _, f64, _, _>(&a, &x, &semirings::plus_times_f64(), &ctx).is_err());
-    }
-
-    #[test]
-    fn column_wise_agrees_with_row_wise() {
-        // The paper's Fig 6 claim: representation does not change the
-        // algorithm's result or complexity class.
-        let a = gen::erdos_renyi(300, 6, 67);
-        let a_csc = crate::container::CscMatrix::from_csr(&a);
-        let x = gen::random_sparse_vec(300, 40, 68);
-        let ctx = ExecCtx::serial();
-        let row = mxv_sparse(&a, &x, &semirings::plus_times_f64(), &ctx).unwrap();
-        let col = mxv_sparse_csc(&a_csc, &x, &semirings::plus_times_f64(), &ctx).unwrap();
-        assert_eq!(row.indices(), col.indices());
-        for (p, q) in row.values().iter().zip(col.values()) {
-            assert!((p - q).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn column_wise_flop_count_matches_selected_column_volume() {
-        let a = gen::erdos_renyi(200, 5, 69);
-        let a_csc = crate::container::CscMatrix::from_csr(&a);
-        let x = gen::random_sparse_vec(200, 20, 70);
-        let ctx = ExecCtx::serial();
-        let _ = mxv_sparse_csc(&a_csc, &x, &semirings::plus_times_f64(), &ctx).unwrap();
-        let flops = ctx.take_profile().phase(crate::ops::spmspv::PHASE_SPA).flops;
-        let expect: u64 = x.indices().iter().map(|&j| a_csc.col_nnz(j) as u64).sum();
-        assert_eq!(flops, expect);
     }
 }

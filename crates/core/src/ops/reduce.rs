@@ -68,36 +68,6 @@ pub fn row_degrees<T: Send + Sync>(a: &CsrMatrix<T>, ctx: &ExecCtx) -> Vec<usize
     chunks.concat()
 }
 
-/// Column-wise matrix reduction: `y[j] = ⊕_i A[i,j]`, dense output.
-/// Requires commutativity (rows are folded in per-task order, then tasks
-/// combined).
-pub fn reduce_cols<T, M>(a: &CsrMatrix<T>, monoid: &M, ctx: &ExecCtx) -> DenseVec<T>
-where
-    T: Copy + Send + Sync,
-    M: ComMonoid<T>,
-{
-    let ncols = a.ncols();
-    let partials = ctx.parallel_for(PHASE, a.nrows(), |r, c| {
-        let mut acc = vec![monoid.identity(); ncols];
-        for i in r.clone() {
-            let (cols, vals) = a.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                acc[j] = monoid.combine(acc[j], v);
-            }
-            c.elems += cols.len() as u64;
-            c.rand_access += cols.len() as u64;
-        }
-        acc
-    });
-    let mut y = vec![monoid.identity(); ncols];
-    for p in partials {
-        for (slot, v) in y.iter_mut().zip(p) {
-            *slot = monoid.combine(*slot, v);
-        }
-    }
-    DenseVec::from_vec(y)
-}
-
 /// Whole-matrix reduction to a scalar.
 pub fn reduce_mat<T, M>(a: &CsrMatrix<T>, monoid: &M, ctx: &ExecCtx) -> T
 where
@@ -169,36 +139,6 @@ mod tests {
         let ctx = ExecCtx::serial();
         assert!(row_degrees(&CsrMatrix::<f64>::empty(0, 0), &ctx).is_empty());
         assert_eq!(row_degrees(&CsrMatrix::<bool>::empty(3, 9), &ctx), [0, 0, 0]);
-    }
-
-    #[test]
-    fn col_reduce_counts_in_degrees() {
-        let a = gen::erdos_renyi(120, 5, 19);
-        let ones = {
-            let (nr, nc, rp, ci, vals) = a.clone().into_raw_parts();
-            CsrMatrix::from_raw_parts(nr, nc, rp, ci, vec![1u64; vals.len()]).unwrap()
-        };
-        for threads in [1, 4] {
-            let ctx = ExecCtx::new(threads, 2);
-            let indeg = reduce_cols(&ones, &Plus, &ctx);
-            let mut expect = vec![0u64; 120];
-            for (_, j, _) in a.iter() {
-                expect[j] += 1;
-            }
-            assert_eq!(indeg.as_slice(), &expect[..]);
-        }
-    }
-
-    #[test]
-    fn col_reduce_equals_row_reduce_of_transpose() {
-        let a = gen::erdos_renyi(90, 4, 21);
-        let ctx = ExecCtx::serial();
-        let cols = reduce_cols(&a, &Plus, &ctx);
-        let t = crate::ops::transpose::transpose(&a, &ctx).unwrap();
-        let rows = reduce_rows(&t, &Plus, &ctx);
-        for j in 0..90 {
-            assert!((cols[j] - rows[j]).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -98,34 +98,19 @@ impl MergeStrategy {
     }
 
     /// Resolve to a concrete strategy for a frontier with `nnz` stored
-    /// entries.
+    /// entries: `Auto` falls to the [`AUTO_BUCKET_MIN_NNZ`] threshold, a
+    /// concrete strategy is returned as it is — a pure function of
+    /// `(self, nnz)`.
     ///
-    /// This is the single resolution point for *both* the shared and the
-    /// distributed `spmspv` paths: a concrete `GBLAS_MERGE=sort|bucket`
-    /// environment override beats whatever the caller picked, and `Auto`
-    /// (from either source) then falls to the nnz threshold. The dist
-    /// kernels resolve once from the **global** frontier nnz before
-    /// fanning out, so every locale runs the same merge and the op trace
-    /// records the strategy that actually executed.
+    /// The shared and the distributed `spmspv` entry points both resolve
+    /// here before any kernel work runs; the dist kernels resolve once
+    /// from the **global** frontier nnz before fanning out, so every
+    /// locale runs the same merge and the op trace records the strategy
+    /// that actually executed.
     pub fn resolve(self, nnz: usize) -> MergeStrategy {
-        let base = match std::env::var("GBLAS_MERGE") {
-            Ok(v) => match MergeStrategy::parse(v.trim()) {
-                // "auto" in the env is a request to re-decide, not a
-                // concrete override; anything unparseable is ignored.
-                Some(e) if e != MergeStrategy::Auto => e,
-                Some(_) => MergeStrategy::Auto,
-                None => self,
-            },
-            Err(_) => self,
-        };
-        match base {
-            MergeStrategy::Auto => {
-                if nnz >= AUTO_BUCKET_MIN_NNZ {
-                    MergeStrategy::Bucketed
-                } else {
-                    MergeStrategy::SortBased
-                }
-            }
+        match self {
+            MergeStrategy::Auto if nnz >= AUTO_BUCKET_MIN_NNZ => MergeStrategy::Bucketed,
+            MergeStrategy::Auto => MergeStrategy::SortBased,
             concrete => concrete,
         }
     }
@@ -651,6 +636,18 @@ mod tests {
         assert_eq!(MergeStrategy::parse("quantum"), None);
         assert_eq!(MergeStrategy::SortBased.name(), "sort");
         assert_eq!(MergeStrategy::Bucketed.name(), "bucket");
+    }
+
+    #[test]
+    fn resolve_is_a_pure_function_of_strategy_and_nnz() {
+        for (caller, nnz, expect) in [
+            (MergeStrategy::Auto, AUTO_BUCKET_MIN_NNZ, MergeStrategy::Bucketed),
+            (MergeStrategy::Auto, AUTO_BUCKET_MIN_NNZ - 1, MergeStrategy::SortBased),
+            (MergeStrategy::SortBased, usize::MAX, MergeStrategy::SortBased),
+        ] {
+            assert_eq!(caller.resolve(nnz), expect, "caller={caller:?} nnz={nnz}");
+            assert_eq!(SpMSpVOpts::with_merge(caller).resolved(nnz).merge, expect);
+        }
     }
 
     #[test]

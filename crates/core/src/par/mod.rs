@@ -79,15 +79,24 @@ impl ExecCtx {
         Self::new(threads, 1)
     }
 
-    /// Explicit constructor. `threads >= 1`, `real_threads >= 1`.
+    /// Explicit constructor. `threads >= 1`, `real_threads >= 1`. The
+    /// context gets a workspace pool of its own, pooling on.
     pub fn new(threads: usize, real_threads: usize) -> Self {
+        Self::on_pool(threads, real_threads, Arc::new(WorkspacePool::default()))
+    }
+
+    /// [`ExecCtx::new`] over an existing workspace pool — the distributed
+    /// layer hands every superstep's per-locale context the *same*
+    /// long-lived pool so scratch survives across supersteps and
+    /// iterations.
+    pub fn on_pool(threads: usize, real_threads: usize, workspace: Arc<WorkspacePool>) -> Self {
         ExecCtx {
             threads: threads.max(1),
             real_threads: real_threads.max(1),
             profile: Mutex::new(Profile::default()),
             recorder: TraceRecorder::disabled(),
             metrics: Arc::new(MetricsRegistry::default()),
-            workspace: Arc::new(WorkspacePool::from_env()),
+            workspace,
         }
     }
 
@@ -112,13 +121,6 @@ impl ExecCtx {
     /// The workspace pool ops under this context check scratch out of.
     pub fn workspace(&self) -> &Arc<WorkspacePool> {
         &self.workspace
-    }
-
-    /// Replace the workspace pool — the distributed layer uses this to
-    /// hand every superstep's per-locale context the *same* long-lived
-    /// pool so scratch survives across supersteps and iterations.
-    pub fn set_workspace_pool(&mut self, pool: Arc<WorkspacePool>) {
-        self.workspace = pool;
     }
 
     /// Check out a [`DenseSpa`] over `0..capacity` from the pool.

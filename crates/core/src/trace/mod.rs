@@ -341,7 +341,7 @@ metrics_registry! {
     /// Workspace checkouts served from the pool without allocating.
     pool_hits,
     /// Workspace checkouts that had to allocate (cold pool, capacity
-    /// miss, or pooling disabled via `GBLAS_WORKSPACE=off`).
+    /// miss, or pooling disabled).
     pool_misses,
     /// Communication schedules compiled by an inspector pass (cache
     /// misses and rebuilds after invalidation).

@@ -21,10 +21,10 @@
 //!   request exceeds every shelved buffer grows or allocates — counted in
 //!   the `pool_misses`/`allocs`/`alloc_bytes` metrics so "steady-state
 //!   misses = 0" is a pinned, observable invariant rather than a claim.
-//! * **Escape hatch.** `GBLAS_WORKSPACE=off` (or `0`/`false`/`disabled`)
-//!   disables pooling at pool construction: every checkout allocates
-//!   fresh and nothing is shelved, giving a bit-identical unpooled oracle
-//!   for equivalence tests.
+//! * **Escape hatch.** [`WorkspacePool::set_enabled`]`(false)` (what the
+//!   binaries do under `GBLAS_WORKSPACE=off`) disables pooling: every
+//!   checkout allocates fresh and nothing is shelved, giving a
+//!   bit-identical unpooled oracle for equivalence tests.
 //!
 //! Accounting lives in the [`MetricsRegistry`] (`allocs`, `alloc_bytes`,
 //! `pool_hits`, `pool_misses`) and mirrored pool-local [`WorkspaceStats`]
@@ -41,10 +41,6 @@ use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Environment variable that disables workspace pooling when set to
-/// `off`, `0`, `false` or `disabled` (read at pool construction).
-pub const WORKSPACE_ENV: &str = "GBLAS_WORKSPACE";
 
 /// Cap on shelved buffers per concrete type, bounding pool memory even
 /// under pathological checkout patterns.
@@ -109,8 +105,9 @@ impl std::fmt::Debug for WorkspacePool {
 }
 
 impl Default for WorkspacePool {
+    /// Pooling on.
     fn default() -> Self {
-        Self::from_env()
+        Self::new(true)
     }
 }
 
@@ -125,17 +122,6 @@ impl WorkspacePool {
             allocs: AtomicU64::new(0),
             alloc_bytes: AtomicU64::new(0),
         }
-    }
-
-    /// A pool honoring the [`WORKSPACE_ENV`] escape hatch.
-    pub fn from_env() -> Self {
-        let off = std::env::var(WORKSPACE_ENV)
-            .map(|v| {
-                let v = v.to_ascii_lowercase();
-                v == "off" || v == "0" || v == "false" || v == "disabled"
-            })
-            .unwrap_or(false);
-        Self::new(!off)
     }
 
     /// Whether checkouts recycle shelved buffers.
@@ -532,15 +518,5 @@ mod tests {
         assert_eq!(owned, vec![1]);
         // it was not shelved
         assert_eq!(p.vec::<usize>(&m).capacity(), 0);
-    }
-
-    #[test]
-    fn from_env_reads_the_escape_hatch() {
-        std::env::set_var(WORKSPACE_ENV, "off");
-        assert!(!WorkspacePool::from_env().enabled());
-        std::env::set_var(WORKSPACE_ENV, "on");
-        assert!(WorkspacePool::from_env().enabled());
-        std::env::remove_var(WORKSPACE_ENV);
-        assert!(WorkspacePool::from_env().enabled());
     }
 }

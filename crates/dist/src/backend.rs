@@ -85,10 +85,6 @@ impl GblasBackend for DistBackend<'_> {
     type DenseVec<T: Scalar> = DistDenseVec<T>;
     type Frontier<T: Scalar> = DistFrontier<T>;
 
-    fn name(&self) -> &'static str {
-        "dist"
-    }
-
     fn mat_nrows<T: Scalar>(&self, a: &DistCsrMatrix<T>) -> usize {
         a.nrows()
     }
@@ -455,10 +451,6 @@ impl GblasBackend for DistBackend<'_> {
         }
         self.absorb(op.finish());
         Ok(())
-    }
-
-    fn workspace_stats(&self) -> gblas_core::workspace::WorkspaceStats {
-        self.dctx.workspace_stats()
     }
 }
 

@@ -1,6 +1,7 @@
 //! Distributed execution context, pricing, and op-level tracing.
 
 use crate::comm::{Comm, CommEvent, CommKind};
+use crate::config::RunConfig;
 use crate::sched::{FrontierClass, PlanData, SchedKey, SchedOutcome, ScheduleCache};
 use gblas_core::error::Result;
 use gblas_core::par::{fork_join, Counters, ExecCtx, Profile};
@@ -25,8 +26,8 @@ pub enum LocaleExecutor {
     Threaded,
     /// Locale bodies run back-to-back on the driver thread (the historic
     /// behaviour). Kept as a differential-testing oracle and for
-    /// single-core environments; selectable via the
-    /// `GBLAS_DIST_EXECUTOR=serial` environment variable.
+    /// single-core environments; the binaries select it under
+    /// `GBLAS_DIST_EXECUTOR=serial` ([`RunConfig::from_env`]).
     Serial,
 }
 
@@ -80,18 +81,20 @@ pub struct DistCtx {
     /// class) and replayed across the iterations of a driver that keeps
     /// one context alive — see [`crate::sched`].
     sched: ScheduleCache,
-    /// Whether [`DistCtx::schedule`] caches at all (`GBLAS_SCHED=off`
-    /// builds fresh every call — the ablation/differential toggle).
+    /// Whether [`DistCtx::schedule`] caches at all (off builds fresh every
+    /// call — the ablation/differential toggle).
     sched_enabled: AtomicBool,
     /// Whether comm is priced as overlapping local compute
     /// (`max(comm, compute)` per superstep phase) instead of serializing
-    /// after it (`comm + compute`). Off by default; `GBLAS_OVERLAP=1` or
+    /// after it (`comm + compute`). Off by default;
     /// [`DistCtx::set_overlap`] turns it on.
     overlap: AtomicBool,
 }
 
 impl DistCtx {
-    /// A context for the given machine (tracing disabled).
+    /// A context for the given machine (tracing disabled) under
+    /// [`RunConfig::default`]: threaded executor, schedules on, overlap
+    /// off, pooled workspaces — whatever the process environment says.
     pub fn new(machine: MachineConfig) -> Self {
         Self::with_instrumentation(
             machine,
@@ -108,27 +111,31 @@ impl DistCtx {
     ) -> Self {
         let mut comm = Comm::new();
         comm.instrument(recorder.clone(), Arc::clone(&metrics));
-        let executor = match std::env::var("GBLAS_DIST_EXECUTOR").ok().as_deref() {
-            Some("serial") => LocaleExecutor::Serial,
-            _ => LocaleExecutor::default(),
-        };
-        let pools = (0..machine.locales()).map(|_| Arc::new(WorkspacePool::from_env())).collect();
-        let sched_enabled =
-            !matches!(std::env::var("GBLAS_SCHED").ok().as_deref(), Some("off") | Some("0"));
-        let overlap =
-            matches!(std::env::var("GBLAS_OVERLAP").ok().as_deref(), Some("1") | Some("on"));
+        let cfg = RunConfig::default();
+        let pools = (0..machine.locales()).map(|_| Arc::new(WorkspacePool::default())).collect();
         DistCtx {
             machine,
             comm,
-            executor,
+            executor: cfg.executor,
             recorder,
             metrics,
             pools,
             ws_synced: Mutex::new(WorkspaceStats::default()),
             sched: ScheduleCache::default(),
-            sched_enabled: AtomicBool::new(sched_enabled),
-            overlap: AtomicBool::new(overlap),
+            sched_enabled: AtomicBool::new(cfg.schedules),
+            overlap: AtomicBool::new(cfg.overlap),
         }
+    }
+
+    /// This context under `cfg`: the four setters in one call, for a
+    /// driver that resolved its configuration once (the binaries do, from
+    /// [`RunConfig::from_env`] and their flags).
+    pub fn with_config(mut self, cfg: RunConfig) -> Self {
+        self.set_executor(cfg.executor);
+        self.set_schedules(cfg.schedules);
+        self.set_overlap(cfg.overlap);
+        self.set_workspace_enabled(cfg.workspace);
+        self
     }
 
     /// Whether communication schedules are cached and replayed.
@@ -136,9 +143,8 @@ impl DistCtx {
         self.sched_enabled.load(Ordering::Relaxed)
     }
 
-    /// Enable or disable schedule caching (the programmatic form of
-    /// `GBLAS_SCHED=off`). Disabling leaves cached entries in place but
-    /// unused; kernels build fresh plans every call.
+    /// Enable or disable schedule caching. Disabling leaves cached
+    /// entries in place but unused; kernels build fresh plans every call.
     pub fn set_schedules(&self, on: bool) {
         self.sched_enabled.store(on, Ordering::Relaxed);
     }
@@ -148,9 +154,9 @@ impl DistCtx {
         self.overlap.load(Ordering::Relaxed)
     }
 
-    /// Enable or disable split-phase overlap pricing (the programmatic
-    /// form of `GBLAS_OVERLAP=1`). Never affects results or comm logs —
-    /// only how [`OpTrace::finish`] prices comm against compute.
+    /// Enable or disable split-phase overlap pricing. Never affects
+    /// results or comm logs — only how [`OpTrace::finish`] prices comm
+    /// against compute.
     pub fn set_overlap(&self, on: bool) {
         self.overlap.store(on, Ordering::Relaxed);
     }
@@ -227,21 +233,14 @@ impl DistCtx {
         self.machine.locales()
     }
 
-    /// A fresh per-locale execution context: `threads_per_locale` logical
-    /// threads, serial real execution (deterministic).
-    pub fn locale_ctx(&self) -> ExecCtx {
-        ExecCtx::new(self.machine.threads_per_locale, 1)
-    }
-
-    /// Like [`DistCtx::locale_ctx`], but attached to locale `l`'s
+    /// A fresh per-locale execution context — `threads_per_locale` logical
+    /// threads, serial real execution (deterministic) — on locale `l`'s
     /// long-lived workspace pool, so kernel scratch checked out by the
     /// superstep body is returned to the pool when the body's guards drop
     /// and reused by the next superstep that runs on `l`. The context
-    /// itself (thread counts, counters, profile) is still fresh.
+    /// itself (counters, profile) is fresh.
     pub fn locale_ctx_for(&self, l: usize) -> ExecCtx {
-        let mut ctx = self.locale_ctx();
-        ctx.set_workspace_pool(Arc::clone(&self.pools[l]));
-        ctx
+        ExecCtx::on_pool(self.machine.threads_per_locale, 1, Arc::clone(&self.pools[l]))
     }
 
     /// Locale `l`'s workspace pool.
@@ -250,9 +249,7 @@ impl DistCtx {
     }
 
     /// Enable or disable workspace pooling on every locale's pool
-    /// (disabling drains them). The escape hatch `GBLAS_WORKSPACE=off`
-    /// does the same at construction time; this method lets tests compare
-    /// pooled and unpooled runs without touching the process environment.
+    /// (disabling drains them).
     pub fn set_workspace_enabled(&self, on: bool) {
         for pool in &self.pools {
             pool.set_enabled(on);
@@ -910,7 +907,7 @@ mod tests {
     #[test]
     fn locale_ctx_uses_machine_threads() {
         let ctx = DistCtx::new(MachineConfig::edison_cluster(2, 24));
-        assert_eq!(ctx.locale_ctx().threads(), 24);
+        assert_eq!(ctx.locale_ctx_for(1).threads(), 24);
         let c = Counters::default();
         assert!(c.is_empty());
     }

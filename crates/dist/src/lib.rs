@@ -51,6 +51,7 @@
 
 pub mod backend;
 pub mod comm;
+pub mod config;
 pub mod dcsc;
 pub mod exec;
 pub mod grid;
@@ -61,6 +62,7 @@ pub mod vec;
 
 pub use backend::DistBackend;
 pub use comm::Comm;
+pub use config::RunConfig;
 pub use dcsc::{BlockFormat, DcscBlock};
 pub use exec::{DistCtx, LocaleExecutor, Outbox};
 pub use grid::{BlockDist, ProcGrid};

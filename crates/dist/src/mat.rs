@@ -216,15 +216,6 @@ impl<T: Copy> DistCsrMatrix<T> {
         &mut self.blocks[l]
     }
 
-    /// All blocks in locale order — the shape
-    /// [`crate::DistCtx::for_each_locale_state`] splits into one disjoint
-    /// `&mut` per locale task. Bumps the generation stamp like
-    /// [`DistCsrMatrix::block_mut`].
-    pub fn blocks_mut(&mut self) -> &mut [CsrMatrix<T>] {
-        self.gen = fresh_gen();
-        &mut self.blocks
-    }
-
     /// Grid row `r`'s blocks as one matrix, narrowed to the columns in the
     /// ascending intervals `spans`; nothing is copied.
     pub fn row_panel(&self, r: usize, spans: &[(usize, usize)]) -> RowPanel<'_, T> {
@@ -469,8 +460,5 @@ mod tests {
         let before = d1.generation();
         let _ = d1.block_mut(0);
         assert_ne!(d1.generation(), before);
-        let mid = d1.generation();
-        let _ = d1.blocks_mut();
-        assert_ne!(d1.generation(), mid);
     }
 }

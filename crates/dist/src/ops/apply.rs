@@ -70,25 +70,6 @@ pub fn apply_v2<T: Copy + Send + Sync>(
     Ok(trace.finish())
 }
 
-/// Distributed matrix Apply (SPMD style only — the sensible one): each
-/// locale rewrites its own block's values in place. No communication.
-pub fn apply_mat_v2<T: Copy + Send + Sync>(
-    a: &mut crate::mat::DistCsrMatrix<T>,
-    op: &impl UnaryOp<T, T>,
-    dctx: &DistCtx,
-) -> Result<SimReport> {
-    let mut trace = dctx.op("apply_mat_v2");
-    let profiles = dctx.for_each_locale_state(a.blocks_mut(), |l, block| {
-        let ctx = dctx.locale_ctx_for(l);
-        gblas_core::ops::apply::apply_mat_inplace(block, op, &ctx);
-        Ok(ctx.take_profile())
-    })?;
-    trace.nnz(a.nnz() as u64);
-    trace.spawn(PHASE, 1);
-    trace.compute_as(PHASE, gblas_core::ops::apply::PHASE, &profiles);
-    Ok(trace.finish())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,26 +139,6 @@ mod tests {
         let r2 = apply_v2(&mut b, &|v: f64| v, &d2).unwrap();
         // within spawn-overhead of each other
         assert!((r1.total() - r2.total()).abs() < 1e-3);
-    }
-
-    #[test]
-    fn matrix_apply_matches_global() {
-        let a = gen::erdos_renyi(80, 5, 321);
-        let mut expect = a.clone();
-        gblas_core::ops::apply::apply_mat_inplace(
-            &mut expect,
-            &|v: f64| v * v,
-            &gblas_core::par::ExecCtx::serial(),
-        );
-        for (pr, pc) in [(1, 1), (2, 3)] {
-            let grid = crate::grid::ProcGrid::new(pr, pc);
-            let mut da = crate::mat::DistCsrMatrix::from_global(&a, grid);
-            let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
-            let r = apply_mat_v2(&mut da, &|v: f64| v * v, &dctx).unwrap();
-            assert_eq!(da.to_global().unwrap(), expect, "grid {pr}x{pc}");
-            assert!(r.total() > 0.0);
-            assert_eq!(dctx.comm.totals(), (0, 0, 0));
-        }
     }
 
     #[test]

@@ -13,13 +13,8 @@
 //! ([`local_block`]) — no stage partials, no running sum rewritten per
 //! stage.
 //!
-//! Three algorithm variants ([`MxmAlgo`]):
+//! Two algorithm variants ([`MxmAlgo`]):
 //!
-//! * **`Single`** — the legacy single-stage-per-block SUMMA: whole CSR
-//!   blocks are broadcast (row pointers included), one stage per grid
-//!   column, each multiplied by shared-memory `mxm` and added into the
-//!   stationary block. Requires a square grid; kept as the measured
-//!   baseline.
 //! * **`Summa2d`** — multi-stage DCSC SUMMA on arbitrary rectangular
 //!   `pr×pc` grids. The stage bounds are the sorted union of `A`'s column
 //!   split and `B`'s row split ([`SummaPlan`]), so no `lcm`-sized
@@ -43,10 +38,9 @@
 //! Every output entry of a 2-D run is folded in ascending inner-dimension
 //! order by the kernel shared memory runs, so a `Summa2d` product is
 //! *bit-identical* to shared [`gblas_core::ops::mxm::mxm`] on every grid,
-//! executor and kernel instance — floating point included. `Summa3d` and
-//! `Single` add per-layer / per-stage sums afterwards: bit-identical on
-//! integer semirings, equal to rounding on floats (the sums associate
-//! differently).
+//! executor and kernel instance — floating point included. `Summa3d`
+//! adds per-layer sums afterwards: bit-identical on integer semirings,
+//! equal to rounding on floats (the sums associate differently).
 
 use crate::dcsc::{self, choose_format, BlockFormat, DcscBlock};
 use crate::exec::DistCtx;
@@ -55,7 +49,7 @@ use crate::mat::DistCsrMatrix;
 use crate::sched::{fingerprint_indices, FrontierClass, PlanData, SummaPlan};
 use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
 use gblas_core::container::CsrMatrix;
-use gblas_core::error::{check_dims, GblasError, Result};
+use gblas_core::error::{check_dims, Result};
 use gblas_core::ops::apply::map_mat;
 use gblas_core::ops::ewise_mat::ewise_add_mat;
 use gblas_core::ops::mxm::{mxm_emit, NoRule};
@@ -67,8 +61,7 @@ use std::collections::BTreeSet;
 
 /// Phase: slice/block broadcasts.
 pub const PHASE_BCAST: &str = "broadcast";
-/// Phase: each locale's pass over its panels (single-stage: its per-stage
-/// multiplies and adds).
+/// Phase: each locale's pass over its panels.
 pub const PHASE_LOCAL: &str = "local";
 /// Phase: DCSC conversion on the owners.
 pub const PHASE_EXTRACT: &str = "extract";
@@ -80,9 +73,6 @@ pub const PHASE_MERGE: &str = "allreduce";
 /// Which SUMMA variant a distributed multiply runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MxmAlgo {
-    /// Legacy single-stage-per-block broadcast SUMMA (square grids only),
-    /// full CSR blocks on the wire. The measured baseline.
-    Single,
     /// Multi-stage DCSC SUMMA on rectangular grids (the default).
     #[default]
     Summa2d,
@@ -99,16 +89,14 @@ impl MxmAlgo {
     /// Stable lowercase name (trace attributes, figure series).
     pub fn name(self) -> &'static str {
         match self {
-            MxmAlgo::Single => "single",
             MxmAlgo::Summa2d => "summa2d",
             MxmAlgo::Summa3d { .. } => "summa3d",
         }
     }
 
-    /// Parse the CLI spelling (`single` | `2d` | `3d`).
+    /// Parse the CLI spelling (`2d` | `3d`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "single" => Some(MxmAlgo::Single),
             "2d" => Some(MxmAlgo::Summa2d),
             "3d" => Some(MxmAlgo::Summa3d { layers: 0 }),
             _ => None,
@@ -201,8 +189,8 @@ where
 /// sees finished entries only. A 2-D locale's pass finishes its block, so
 /// the rule is applied as the row kernel emits, exactly as in shared
 /// memory — one `elems` per finished entry, a dropped entry never stored.
-/// A 3-D or single-stage block is finished by the last element-wise add
-/// into it, and the rule is then core `select` and `map` over the block
+/// A 3-D block is finished by the last element-wise add into it, and the
+/// rule is then core `select` and `map` over the block
 /// ([`apply_rule`]; pure, so asking it twice about a kept entry changes
 /// nothing). Neither way takes a superstep or spawn of its own.
 pub fn mxm_dist_emit<A, B, C, AddM, MulOp, M>(
@@ -240,18 +228,10 @@ where
     let layers = match algo {
         MxmAlgo::Summa3d { layers: 0 } => dctx.locales() / p,
         MxmAlgo::Summa3d { layers } => layers,
-        MxmAlgo::Single | MxmAlgo::Summa2d => 1,
+        MxmAlgo::Summa2d => 1,
     };
     check_dims("machine locales (grid x layers)", p * layers, dctx.locales())?;
-    if algo != MxmAlgo::Single {
-        return summa_engine(a, b, ring, mask, rule, layers, dctx);
-    }
-    if grid.pr() != grid.pc() {
-        return Err(GblasError::InvalidArgument(
-            "single-stage SUMMA needs a square process grid".into(),
-        ));
-    }
-    single_stage(a, b, ring, mask, rule, dctx)
+    summa_engine(a, b, ring, mask, rule, layers, dctx)
 }
 
 /// The multi-stage engine shared by the 2-D (`layers == 1`) and 3-D
@@ -441,8 +421,8 @@ where
     // The whole stage pipeline runs inside ONE SPMD superstep: every
     // locale task loops its stages locally, with the per-stage exchange
     // expressed as owner-logged point-to-point sends. This is the
-    // multi-stage engine's structural advantage over the legacy
-    // single-stage baseline, which re-spawns a machine-wide superstep per
+    // multi-stage engine's structural advantage over the single-stage
+    // baseline of `--fig spgemm`, which re-spawns a machine-wide superstep per
     // stage and pays the `locales × c_remote_task` coforall fan-out every
     // time — at 256 nodes that fan-out, not the wire, dominates its
     // broadcast phase. Each layer-locale hands back its C block (over its
@@ -527,7 +507,7 @@ where
     // Two coforalls for the whole multiply — format preparation and the
     // fused stage pipeline (whose trailing barrier also covers the 3-D
     // merge rounds, which are point-to-point between already-live
-    // tasks). The legacy single-stage path spawns per stage instead.
+    // tasks).
     trace.spawn(PHASE_EXTRACT, 1);
     trace.spawn(PHASE_BCAST, 1);
     trace.compute(PHASE_EXTRACT, &extract_profiles);
@@ -638,88 +618,12 @@ fn finish<C>(
     (blocks, local, bcast)
 }
 
-/// The legacy single-stage-per-block sparse SUMMA (square grids): whole
-/// CSR blocks on the wire, shared-memory `mxm` per stage. Kept as the
-/// measured baseline for the `--fig spgemm` sweep; its broadcast bytes
-/// now honestly include the `(rows+1)`-word row-pointer array that
-/// dominates in the hypersparse regime.
-fn single_stage<A, B, C, AddM, MulOp, M>(
-    a: &DistCsrMatrix<A>,
-    b: &DistCsrMatrix<B>,
-    ring: &Semiring<AddM, MulOp>,
-    mask: Option<&DistCsrMatrix<M>>,
-    rule: Option<&(impl Fn(usize, usize, C) -> Option<C> + Sync)>,
-    dctx: &DistCtx,
-) -> Result<(DistCsrMatrix<C>, SimReport)>
-where
-    A: Copy + Send + Sync,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync + 'static,
-    M: Copy + Send + Sync,
-    AddM: Monoid<C>,
-    MulOp: BinaryOp<A, B, C>,
-{
-    let mut trace = dctx.op("mxm_dist"); // the wall clock starts with the op
-    let grid = a.grid();
-    let p = grid.locales();
-    let stages = grid.pc();
-    let a_elem = std::mem::size_of::<A>();
-    let b_elem = std::mem::size_of::<B>();
-
-    let empty = |l: usize| CsrMatrix::empty(a.row_range(l).len(), b.col_range(l).len());
-    let mut state: Vec<_> =
-        (0..p).map(|l| (empty(l), Profile::default(), Profile::default())).collect();
-
-    for k in 0..stages {
-        dctx.for_each_locale_state(&mut state, |l, (c_block, local_profile, bcast_profile)| {
-            let (r, c) = grid.coords(l);
-            let a_owner = grid.locale(r, k);
-            let a_blk = a.block(a_owner);
-            let b_owner = grid.locale(k, c);
-            let b_blk = b.block(b_owner);
-            let a_bytes = dcsc::csr_wire_bytes(a_blk.nrows(), a_blk.nnz(), a_elem);
-            let b_bytes = dcsc::csr_wire_bytes(b_blk.nrows(), b_blk.nnz(), b_elem);
-            if l == a_owner {
-                broadcast(dctx, 0, l, grid.row_locales(r), a_bytes)?;
-            }
-            if l == b_owner {
-                broadcast(dctx, 0, l, grid.col_locales(c), b_bytes)?;
-            }
-            bcast_profile.counters_mut(PHASE_BCAST).bytes_moved += a_bytes + b_bytes;
-            let lctx = dctx.locale_ctx_for(l);
-            let mask_l = mask.map(|m| m.block(l));
-            let partial = gblas_core::ops::mxm::mxm(a_blk, b_blk, ring, mask_l, &lctx)?;
-            // the last stage's add finishes the block
-            let origin = (a.row_range(l).start, b.col_range(l).start);
-            let sum = ewise_add_mat(&*c_block, &partial, &ring.add, &lctx)?;
-            *c_block = apply_rule(sum, rule.filter(|_| k + 1 == stages), origin, &lctx);
-            fold(&lctx, local_profile, PHASE_LOCAL);
-            Ok(())
-        })?;
-    }
-
-    let (c_blocks, local_profiles, bcast_profiles) = finish(state, p);
-
-    let c = DistCsrMatrix::from_blocks(a.nrows(), b.ncols(), grid, c_blocks)?;
-    trace
-        .attr("algo", "single")
-        .attr("stages", stages)
-        .attr("grid", format_args!("{}x{}", grid.pr(), grid.pc()))
-        .nnz((a.nnz() + b.nnz()) as u64);
-    if mask.is_some() {
-        trace.attr("masked", true);
-    }
-    trace.spawn(PHASE_BCAST, stages);
-    trace.compute(PHASE_BCAST, &bcast_profiles);
-    trace.compute(PHASE_LOCAL, &local_profiles);
-    Ok((c, trace.finish()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::ProcGrid;
     use gblas_core::algebra::semirings;
+    use gblas_core::error::GblasError;
     use gblas_core::gen;
     use gblas_sim::MachineConfig;
 
@@ -795,39 +699,6 @@ mod tests {
             assert_eq!(dc.to_global().unwrap(), expect, "grid {pr}x{pc}");
             assert!(report.total() > 0.0);
         }
-    }
-
-    #[test]
-    fn single_stage_baseline_matches_summa2d() {
-        let af = gen::erdos_renyi(64, 4, 233);
-        let ctx = gblas_core::par::ExecCtx::serial();
-        let a = gblas_core::ops::apply::map_mat(&af, &|_, _, _: f64| 2u64, &ctx);
-        let ring = semirings::plus_times::<u64>();
-        let grid = ProcGrid::new(2, 2);
-        let da = DistCsrMatrix::from_global(&a, grid);
-        let dctx = DistCtx::new(MachineConfig::edison_cluster(4, 24));
-        let (c_single, _) = mxm_dist_masked_with::<_, _, u64, _, _, bool>(
-            &da,
-            &da,
-            &ring,
-            None,
-            MxmAlgo::Single,
-            &dctx,
-        )
-        .unwrap();
-        let (c_multi, _) = mxm_dist(&da, &da, &ring, &dctx).unwrap();
-        assert_eq!(c_single.to_global().unwrap(), c_multi.to_global().unwrap());
-        // single still refuses rectangular grids
-        let dr = DistCsrMatrix::from_global(&a, ProcGrid::new(1, 4));
-        assert!(mxm_dist_masked_with::<_, _, u64, _, _, bool>(
-            &dr,
-            &dr,
-            &ring,
-            None,
-            MxmAlgo::Single,
-            &dctx
-        )
-        .is_err());
     }
 
     #[test]
@@ -1029,7 +900,6 @@ mod tests {
         assert_eq!(auto_layers(256), 4);
         assert_eq!(MxmAlgo::parse("2d"), Some(MxmAlgo::Summa2d));
         assert_eq!(MxmAlgo::parse("3d"), Some(MxmAlgo::Summa3d { layers: 0 }));
-        assert_eq!(MxmAlgo::parse("single"), Some(MxmAlgo::Single));
         assert_eq!(MxmAlgo::parse("4d"), None);
     }
 }

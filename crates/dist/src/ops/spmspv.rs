@@ -638,8 +638,8 @@ pub fn spmspv_dist_with<T: Copy + Send + Sync, V: Copy + Send + Sync + 'static>(
     let mut op = dctx.op("spmspv_dist"); // the wall clock starts with the op
     let masks = mask.as_ref().map(std::slice::from_ref);
     check_push_operands(a, x.capacity(), x.locales(), masks, dctx)?;
-    // Resolve `auto` (and any `GBLAS_MERGE` override) once from the
-    // *global* nnz so every locale runs the same strategy.
+    // Resolve `auto` once from the *global* nnz so every locale runs the
+    // same strategy.
     let opts = opts.resolved(x.nnz());
     // A scatter claim carries the destination offset and the parent row id.
     let claim_bytes = (2 * std::mem::size_of::<usize>()) as u64;

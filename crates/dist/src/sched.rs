@@ -24,9 +24,9 @@
 //! invalidates the entry and rebuilds — mutating a matrix or switching to
 //! a different index set can never replay a stale pattern.
 //!
-//! `GBLAS_SCHED=off` (or [`DistCtx::set_schedules`]) disables caching for
-//! ablations and differential tests: every call builds fresh, and the
-//! `sched_*` metrics stay untouched.
+//! [`DistCtx::set_schedules`]`(false)` (the binaries' `GBLAS_SCHED=off`)
+//! disables caching for ablations and differential tests: every call
+//! builds fresh, and the `sched_*` metrics stay untouched.
 
 use crate::grid::{BlockDist, ProcGrid};
 use parking_lot::Mutex;
@@ -331,7 +331,7 @@ pub enum SchedOutcome {
     Replayed,
     /// Stale stamp: the cached plan was discarded and rebuilt.
     Invalidated,
-    /// Scheduling disabled (`GBLAS_SCHED=off`): built fresh, not cached.
+    /// Scheduling disabled: built fresh, not cached.
     Off,
 }
 

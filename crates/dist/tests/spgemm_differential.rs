@@ -209,9 +209,7 @@ proptest! {
             };
             for (pr, pc) in GRIDS {
                 let grid = ProcGrid::new(pr, pc);
-                let single = (pr == pc).then_some((MxmAlgo::Single, 1));
-                let summa = [(MxmAlgo::Summa2d, 1), (MxmAlgo::Summa3d { layers: 2 }, 2)];
-                for (algo, layers) in summa.into_iter().chain(single) {
+                for (algo, layers) in [(MxmAlgo::Summa2d, 1), (MxmAlgo::Summa3d { layers: 2 }, 2)] {
                     for exec in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
                         let got = fused(grid, algo, &ctx_with(grid.locales() * layers, exec)).unwrap();
                         prop_assert_eq!(&got, &expect, "grid {}x{} {:?} {:?}", pr, pc, algo, exec);

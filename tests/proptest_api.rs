@@ -156,16 +156,7 @@ proptest! {
             prop_assert!((got - v).abs() < 1e-9);
         }
     }
-
-    #[test]
-    fn csc_round_trip_property(seed in 0u64..300) {
-        let a = gen::erdos_renyi(30, 4, seed);
-        let c = CscMatrixAlias::from_csr(&a);
-        prop_assert_eq!(c.to_csr(), a);
-    }
 }
-
-use gblas_core::container::CscMatrix as CscMatrixAlias;
 
 #[test]
 fn csr_matrix_is_reachable_from_prelude() {
