@@ -11,7 +11,7 @@
 use crate::algebra::{BinaryOp, Monoid, Semiring};
 use crate::container::{CsrMatrix, DenseVec};
 use crate::error::{check_dims, Result};
-use crate::par::ExecCtx;
+use crate::par::{split_by_work, ExecCtx};
 
 /// Phase name for SpMV.
 pub const PHASE: &str = "spmv";
@@ -53,9 +53,24 @@ where
     Ok(DenseVec::from_vec(y))
 }
 
+/// Stored entries [`spmv_col`] wants per element of a private accumulator.
+/// On this host an accumulator element costs ≈ 2.8 ns to zero-fill and fold,
+/// a stored entry ≈ 1.9 ns to multiply in (EXPERIMENTS.md, "Accumulators by
+/// work"), so at 6 the fill + fold stay under 2.8 / (6 · 1.9) ≈ a quarter of
+/// the multiply, however sparse or wide the matrix.
+const ENTRIES_PER_ACC_ELEM: usize = 6;
+
+/// How many private accumulators [`spmv_col`] uses: one per
+/// `6 · ncols` stored entries, at least one — read off the matrix alone.
+fn accumulators(nnz: usize, ncols: usize) -> usize {
+    (nnz / (ENTRIES_PER_ACC_ELEM * ncols).max(1)).max(1)
+}
+
 /// `y = x A`: `y[j] = ⊕_i x[i] ⊗ A[i,j]` with dense `x` — the paper's
-/// orientation. Computed with one private accumulator per task and a
-/// monoid-combine of the partials (no atomics).
+/// orientation. `P =` [`accumulators`] tasks each own a contiguous run of
+/// rows holding ≈ `nnz / P` entries and a private `ncols`-wide accumulator
+/// (no atomics); partial 0 becomes `y`, partials `1..P` fold into it in
+/// ascending order.
 pub fn spmv_col<A, B, C, AddM, MulOp>(
     a: &CsrMatrix<B>,
     x: &DenseVec<A>,
@@ -71,32 +86,33 @@ where
 {
     check_dims("x length vs matrix rows", a.nrows(), x.len())?;
     let ncols = a.ncols();
-    let partials = ctx.parallel_for(PHASE, a.nrows(), |r, c| {
-        let mut acc = ctx.ws_filled_vec::<C>(ncols, ring.zero::<C>());
-        // Deref the pooled guard once: left per entry, whether the buffer
-        // pointer stays in a register depends on what this closure happens
-        // to be inlined into (one stack reload per nonzero when it does not).
-        let out: &mut [C] = &mut acc;
-        for i in r.clone() {
-            let (cols, vals) = a.row(i);
-            for (&j, &av) in cols.iter().zip(vals) {
-                out[j] = ring.accumulate(out[j], ring.multiply(x[i], av));
+    let chunks = split_by_work(a.nrows(), accumulators(a.nnz(), ncols), |i| a.row_nnz(i));
+    let mut partials = ctx
+        .for_each_task(PHASE, chunks.len(), |t, c| {
+            let mut acc = ctx.ws_filled_vec::<C>(ncols, ring.zero::<C>());
+            // Deref the pooled guard once: left per entry, whether the buffer
+            // pointer stays in a register depends on what this closure happens
+            // to be inlined into (one stack reload per nonzero when it does not).
+            let out: &mut [C] = &mut acc;
+            for i in chunks[t].clone() {
+                let (cols, vals) = a.row(i);
+                for (&j, &av) in cols.iter().zip(vals) {
+                    out[j] = ring.accumulate(out[j], ring.multiply(x[i], av));
+                }
+                c.flops += cols.len() as u64;
+                c.rand_access += cols.len() as u64;
             }
-            c.flops += cols.len() as u64;
-            c.rand_access += cols.len() as u64;
-        }
-        c.elems += r.len() as u64;
-        acc
-    });
-    let mut y = vec![ring.zero::<C>(); ncols];
-    let mut c = crate::par::Counters::default();
+            c.elems += chunks[t].len() as u64;
+            acc
+        })
+        .into_iter();
+    let mut y = partials.next().map_or_else(Vec::new, |first| first.to_vec());
     for p in partials {
         for (slot, &v) in y.iter_mut().zip(p.iter()) {
             *slot = ring.accumulate(*slot, v);
         }
-        c.elems += ncols as u64;
     }
-    ctx.record(PHASE, |pc| pc.merge(&c));
+    ctx.record(PHASE, |pc| pc.elems += ((chunks.len() - 1) * ncols) as u64);
     Ok(DenseVec::from_vec(y))
 }
 
@@ -132,6 +148,51 @@ mod tests {
             }
             for j in 0..150 {
                 assert!((y[j] - expect[j]).abs() < 1e-9, "col {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn accumulators_are_one_per_six_ncols_entries_and_never_zero() {
+        assert_eq!(accumulators(0, 0), 1, "empty matrix");
+        assert_eq!(accumulators(0, 100), 1, "no entries");
+        assert_eq!(accumulators(1199, 100), 1);
+        assert_eq!(accumulators(1200, 100), 2);
+        assert_eq!(accumulators(1799, 100), 2);
+        assert_eq!(accumulators(14 * 131_072, 131_072), 2, "RMAT s17 keeps two");
+    }
+
+    /// `tasks = P` and the fold charges `(P − 1) · ncols` elements on every
+    /// shape, the degenerate ones included, under any logical thread count.
+    #[test]
+    fn col_spmv_counts_what_ran() {
+        let dense = |nrows: usize, ncols: usize| {
+            let t: Vec<_> = (0..nrows * ncols).map(|e| (e / ncols, e % ncols, 1.0)).collect();
+            CsrMatrix::from_triplets(nrows, ncols, &t).unwrap()
+        };
+        let one_row: Vec<_> = (0..9).map(|j| (4, j, 1.0)).collect();
+        let cases = [
+            (CsrMatrix::empty(0, 0), 1),
+            (CsrMatrix::empty(0, 7), 1), // fewer rows than the one task
+            (CsrMatrix::empty(7, 0), 1),
+            (CsrMatrix::from_triplets(50, 9, &one_row).unwrap(), 1),
+            (dense(40, 2), 6),
+            (dense(18, 1), 3),
+        ];
+        for (a, p) in &cases {
+            let x = DenseVec::filled(a.nrows(), 2.0);
+            for threads in [1, 24] {
+                let ctx = ExecCtx::simulated(threads);
+                let y = spmv_col(a, &x, &semirings::plus_times_f64(), &ctx).unwrap();
+                let column_sums: Vec<f64> = (0..a.ncols())
+                    .map(|j| 2.0 * a.iter().filter(|e| e.1 == j).count() as f64)
+                    .collect();
+                assert_eq!(y.as_slice(), column_sums);
+                let got = ctx.take_profile().phase(PHASE);
+                let what = format!("{}x{} at {threads} threads", a.nrows(), a.ncols());
+                assert_eq!((got.tasks, got.regions), (*p as u64, 1), "{what}");
+                assert_eq!(got.elems as usize, a.nrows() + (p - 1) * a.ncols(), "{what}");
+                assert_eq!(got.flops as usize, a.nnz(), "{what}");
             }
         }
     }

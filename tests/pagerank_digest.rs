@@ -1,12 +1,23 @@
 //! Pinned digests of PageRank and batched personalized PageRank.
 //!
-//! Every constant below was recorded on the commit *before* PageRank went
-//! matrix-free (the driver still built `ones` and `W` and multiplied over
-//! `plus_times`). A digest folds the bit pattern of every rank plus the
-//! iteration count, so "ranks and iteration counts are bit-identical on
-//! every backend, grid, executor and thread count" is checked against
-//! recorded history, not against whatever the current code computes twice.
-//! Do not regenerate these: a changed digest is a changed summation order.
+//! A digest folds the bit pattern of every rank plus the iteration count,
+//! so bit-identity is checked against recorded history, not against
+//! whatever the current code computes twice. Each input pins two values:
+//!
+//! * `one_row` — the shared backend under any thread counts and the 1×1
+//!   grid. Recorded on the commit *before* PageRank went matrix-free (the
+//!   driver still built `ones` and `W` and multiplied over `plus_times`) as
+//!   the `serial` digest, and never edited since.
+//! * `two_rows` — the 2×2 and 2×3 grids: two block partials per output,
+//!   combined down the processor column.
+//!
+//! What moved when `spmv_col` began sizing its accumulators from the matrix
+//! (one per `6·ncols` stored entries, so one on these inputs) instead of one
+//! per logical thread: shared `4x2` (was four partials) and dist 1×1 (was
+//! 24) now *equal* `one_row`, and `two_rows` was re-recorded once — each
+//! block's partial is a single sum in row order, no longer a fold of 24.
+//! Iteration counts did not move. A changed digest is a changed summation
+//! order: re-record only with the change that re-associates, and say why.
 
 use gblas_core::container::CsrMatrix;
 use gblas_core::gen;
@@ -87,15 +98,17 @@ impl Mismatches {
     }
 }
 
-fn check_pagerank(name: &str, a: &CsrMatrix<f64>, shared: [u64; 2], dist: [u64; 3]) {
+fn check_pagerank(name: &str, a: &CsrMatrix<f64>, one_row: u64, two_rows: u64) {
     let opts = PageRankOptions::default();
     let mut bad = Mismatches::default();
-    for ((ctx_name, ctx), want) in shared_ctxs().into_iter().zip(shared) {
+    for (ctx_name, ctx) in shared_ctxs() {
+        let want = one_row;
         let (pr, iters) = pagerank(a, opts, &ctx).unwrap();
         let got = digest(pr.as_slice(), iters);
         bad.check(got, want, format!("{name} shared {ctx_name} ({iters} iterations)"));
     }
-    for ((pr_grid, pc_grid), want) in GRIDS.into_iter().zip(dist) {
+    for (pr_grid, pc_grid) in GRIDS {
+        let want = if pr_grid == 1 { one_row } else { two_rows };
         let grid = ProcGrid::new(pr_grid, pc_grid);
         let da = DistCsrMatrix::from_global(a, grid);
         for executor in EXECUTORS {
@@ -108,15 +121,17 @@ fn check_pagerank(name: &str, a: &CsrMatrix<f64>, shared: [u64; 2], dist: [u64; 
     bad.finish();
 }
 
-fn check_ppr(name: &str, a: &CsrMatrix<f64>, shared: [u64; 2], dist: [u64; 3]) {
+fn check_ppr(name: &str, a: &CsrMatrix<f64>, one_row: u64, two_rows: u64) {
     let opts = PprOptions::default();
     let mut bad = Mismatches::default();
-    for ((ctx_name, ctx), want) in shared_ctxs().into_iter().zip(shared) {
+    for (ctx_name, ctx) in shared_ctxs() {
+        let want = one_row;
         let r = ppr_multi(a, &SEEDS, opts, &ctx).unwrap();
         let got = digest_batch(&r.scores, &r.iterations);
         bad.check(got, want, format!("{name} shared {ctx_name} ({:?})", r.iterations));
     }
-    for ((pr_grid, pc_grid), want) in GRIDS.into_iter().zip(dist) {
+    for (pr_grid, pc_grid) in GRIDS {
+        let want = if pr_grid == 1 { one_row } else { two_rows };
         let grid = ProcGrid::new(pr_grid, pc_grid);
         let da = DistCsrMatrix::from_global(a, grid);
         for executor in EXECUTORS {
@@ -131,40 +146,20 @@ fn check_ppr(name: &str, a: &CsrMatrix<f64>, shared: [u64; 2], dist: [u64; 3]) {
 
 #[test]
 fn pagerank_er_with_dangling_rows() {
-    check_pagerank(
-        "er",
-        &er_with_dangling(),
-        [0x3925_8667_08af_e52e, 0x93f8_a2ac_3c23_6e82],
-        [0x70af_b1a2_9b64_c0b3, 0x88aa_7add_ef5c_9326, 0x88aa_7add_ef5c_9326],
-    );
+    check_pagerank("er", &er_with_dangling(), 0x3925_8667_08af_e52e, 0xee4a_afd5_7415_cc70);
 }
 
 #[test]
 fn pagerank_rmat_skewed() {
-    check_pagerank(
-        "rmat",
-        &rmat_skewed(),
-        [0xc487_e9e8_d9e3_6eb8, 0x58a4_5ed9_373f_0334],
-        [0x76e6_f1ba_4a58_f9e6, 0xae56_28d0_7975_b97a, 0xae56_28d0_7975_b97a],
-    );
+    check_pagerank("rmat", &rmat_skewed(), 0xc487_e9e8_d9e3_6eb8, 0x4ce9_22ca_dc99_9343);
 }
 
 #[test]
 fn ppr_multi_er_with_dangling_rows() {
-    check_ppr(
-        "er",
-        &er_with_dangling(),
-        [0xe865_1150_1f12_627e, 0x8310_db6e_d866_b04a],
-        [0xef05_398a_e24b_1522, 0x54fe_be5e_b85c_8876, 0x54fe_be5e_b85c_8876],
-    );
+    check_ppr("er", &er_with_dangling(), 0xe865_1150_1f12_627e, 0x21a2_2724_9fb6_9a86);
 }
 
 #[test]
 fn ppr_multi_rmat_skewed() {
-    check_ppr(
-        "rmat",
-        &rmat_skewed(),
-        [0x467d_aa93_ca86_310e, 0x3aa7_17be_9a0e_0e7b],
-        [0xbeea_745e_0443_6402, 0x903b_4f26_6a48_c571, 0x903b_4f26_6a48_c571],
-    );
+    check_ppr("rmat", &rmat_skewed(), 0x467d_aa93_ca86_310e, 0x73a2_e229_f928_65ee);
 }
