@@ -10,7 +10,12 @@
 //!
 //! Phases: `gather` (row-block segments of `x`), `local` (block
 //! multiply), `combine` (tree-combine the `pr` partial vectors down each
-//! processor column, then place output blocks with their owners).
+//! processor column, then place output blocks with their owners). A block
+//! multiply is `spmv_col`, whose accumulators are sized by the block's
+//! entries (one per `6·ncols`), never by `threads_per_locale`; the leader
+//! folds the `pr` partials in grid-row order. So a result's bits depend on
+//! the matrix and on `pr` — never on thread counts or the executor, and on
+//! `pc` only through a block dense enough to take a second accumulator.
 //!
 //! The four steps — gather, multiply, combine, place — exist once, in
 //! `dense_engine`, for any number `k ≥ 0` of dense columns: every
@@ -28,7 +33,7 @@ use crate::ops::spmspv::row_gather_schedule;
 use crate::sched::FrontierClass;
 use crate::vec::DistDenseVec;
 use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
-use gblas_core::error::{check_dims, Result};
+use gblas_core::error::{check_dims, GblasError, Result};
 use gblas_core::par::Profile;
 use gblas_sim::SimReport;
 
@@ -204,20 +209,17 @@ where
         if col_range.is_empty() {
             continue;
         }
-        // Distribute the combined column slices to the owning output blocks.
-        for (segs, acc) in segments.iter_mut().zip(&accs[leader]) {
-            for (off, &v) in acc.iter().enumerate() {
-                let j = col_range.start + off;
-                let owner = out_dist.owner(j);
-                segs[owner][j - out_dist.range(owner).start] = v;
-            }
-        }
-        // One bulk message per distinct remote owner block the slice spans.
+        // One copy per column, and one bulk message to a remote owner, for
+        // each output block the leader's combined slice overlaps.
         for owner in out_dist.owner(col_range.start)..=out_dist.owner(col_range.end - 1) {
-            let overlap = out_dist.range(owner);
-            let lo = overlap.start.max(col_range.start);
-            let hi = overlap.end.min(col_range.end);
-            let payload = k * hi.saturating_sub(lo) as u64 * c_bytes;
+            let block = out_dist.range(owner);
+            let lo = block.start.max(col_range.start);
+            let hi = block.end.min(col_range.end);
+            for (segs, acc) in segments.iter_mut().zip(&accs[leader]) {
+                segs[owner][lo - block.start..hi - block.start]
+                    .copy_from_slice(&acc[lo - col_range.start..hi - col_range.start]);
+            }
+            let payload = k * (hi - lo) as u64 * c_bytes;
             if owner != leader && payload > 0 {
                 dctx.comm.bulk(PHASE_COMBINE, leader, owner, 1, payload)?;
             }
@@ -255,7 +257,9 @@ where
     let row_peers = &plan.gather().row_peers;
     let mut product =
         dense_engine(a, std::slice::from_ref(x), ring, |l| row_peers[l].iter().copied(), dctx)?;
-    let y = product.ys.pop().expect("the engine returns one output per column");
+    let y = product.ys.pop().ok_or_else(|| {
+        GblasError::InvalidContainer("the dense engine returned no output column".into())
+    })?;
     op.attr("nrows", a.nrows()).attr("ncols", a.ncols()).sched(sched).nnz(a.nnz() as u64);
     Ok((y, product.finish(op)))
 }
