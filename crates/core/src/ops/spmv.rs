@@ -6,7 +6,12 @@
 //!
 //! Orientation note: [`spmv_row`] computes `y = A x` (combining along each
 //! row of `A`), the transpose of the paper's `y ← x A` orientation;
-//! [`spmv_col`] computes `y = x A` against a dense `x`.
+//! [`spmv_col`] computes `y = x A` against a dense `x`. It scatters, so
+//! its tasks own private accumulators — one per `6·ncols` stored entries,
+//! sized by the work and never by a thread count — over rows dealt by
+//! nonzeros, folded into partial 0 in ascending order. Hence its invariant:
+//! result bits and profile counters are a function of the operands alone;
+//! thread counts, logical or real, only decide which OS thread runs a task.
 
 use crate::algebra::{BinaryOp, Monoid, Semiring};
 use crate::container::{CsrMatrix, DenseVec};
@@ -53,17 +58,14 @@ where
     Ok(DenseVec::from_vec(y))
 }
 
-/// Stored entries [`spmv_col`] wants per element of a private accumulator.
-/// On this host an accumulator element costs ≈ 2.8 ns to zero-fill and fold,
-/// a stored entry ≈ 1.9 ns to multiply in (EXPERIMENTS.md, "Accumulators by
-/// work"), so at 6 the fill + fold stay under 2.8 / (6 · 1.9) ≈ a quarter of
-/// the multiply, however sparse or wide the matrix.
-const ENTRIES_PER_ACC_ELEM: usize = 6;
-
-/// How many private accumulators [`spmv_col`] uses: one per
-/// `6 · ncols` stored entries, at least one — read off the matrix alone.
+/// How many private accumulators [`spmv_col`] uses: one per `6 · ncols`
+/// stored entries, at least one — read off the matrix alone. The 6: on this
+/// host an accumulator element costs 0.3–0.8 ns to zero-fill and fold, a
+/// stored entry 1.5–1.8 ns to multiply in (EXPERIMENTS.md, "Accumulators by
+/// work"), so fill + fold stay under 0.8 / (6 · 1.5) ≈ a tenth of the
+/// multiply and the accumulators under a twelfth of the CSR's bytes.
 fn accumulators(nnz: usize, ncols: usize) -> usize {
-    (nnz / (ENTRIES_PER_ACC_ELEM * ncols).max(1)).max(1)
+    (nnz / (6 * ncols).max(1)).max(1)
 }
 
 /// `y = x A`: `y[j] = ⊕_i x[i] ⊗ A[i,j]` with dense `x` — the paper's

@@ -2,13 +2,19 @@
 //! every operation — including the distributed ones and their simulated
 //! timings — must be bit-for-bit reproducible across runs. This is what
 //! makes the figure harness's CSV outputs stable artifacts. Under real
-//! threads the push kernel's results *and* its work profile must repeat.
+//! threads the push kernel's results *and* its work profile must repeat,
+//! and dense SpMV — hence PageRank — must not see thread counts at all.
 
 use gblas::prelude::*;
 use gblas_core::gen;
 use gblas_core::ops::spmspv::{spmspv_first_visitor, MergeStrategy, SpMSpVOpts};
+use gblas_core::ops::spmv::{self, spmv_col};
 use gblas_dist::ops::spmspv::spmspv_dist;
-use gblas_graph::{bfs, bfs_with, pagerank, PageRankOptions};
+use gblas_dist::LocaleExecutor;
+use gblas_graph::{
+    bfs, bfs_with, pagerank, pagerank_dist_on, ppr_multi, ppr_multi_dist, PageRankOptions,
+    PprOptions,
+};
 
 fn machine(p: usize) -> MachineConfig {
     MachineConfig::edison_cluster(p, 24)
@@ -76,6 +82,78 @@ fn first_visitor_results_do_not_depend_on_real_threads() {
                 assert_eq!(solve(&ctx), expect, "{merge:?} real={real} rep={rep}");
             }
         }
+    }
+}
+
+/// Every (logical, real) thread pairing the invariance tests sweep; the
+/// first is the serial reference.
+fn thread_sweep() -> Vec<ExecCtx> {
+    let counts = [1, 2, 8, 24].into_iter().flat_map(|t| [(t, 1), (t, 2)]);
+    counts.map(|(t, r)| ExecCtx::new(t, r)).collect()
+}
+
+fn bits(v: &DenseVec<f64>) -> Vec<u64> {
+    v.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// `spmv_col` reads its accumulator count off the matrix (one per `6·ncols`
+/// stored entries — four here), so neither the bits of a result nor a
+/// counter of its profile may move with the logical or the real thread
+/// count, on a float semiring that would show any re-association.
+#[test]
+fn spmv_col_results_and_profiles_do_not_depend_on_thread_counts() {
+    let a = gen::erdos_renyi(600, 28, 31);
+    let pattern = a.with_values(vec![true; a.nnz()]);
+    let x = DenseVec::from_fn(600, |i| 1.0 / (1 + i % 13) as f64);
+    let reached = DenseVec::from_fn(600, |i| i % 3 == 0);
+    let kernels = |ctx: &ExecCtx| {
+        let times: DenseVec<f64> = spmv_col(&a, &x, &semirings::plus_times_f64(), ctx).unwrap();
+        let first: DenseVec<f64> = spmv_col(&a, &x, &semirings::plus_first(), ctx).unwrap();
+        let or_and: DenseVec<bool> =
+            spmv_col(&pattern, &reached, &semirings::or_and(), ctx).unwrap();
+        (bits(&times), bits(&first), or_and, ctx.take_profile())
+    };
+    let ctxs = thread_sweep();
+    let expect = kernels(&ctxs[0]);
+    let spmv_phase = expect.3.phase(spmv::PHASE);
+    assert!(spmv_phase.tasks >= 3 * 3, "three calls of at least three accumulators each");
+    for ctx in &ctxs[1..] {
+        for rep in 0..5 {
+            assert_eq!(kernels(ctx), expect, "{ctx:?} rep {rep}");
+        }
+    }
+}
+
+/// What the kernel's invariance buys the algorithms: PageRank and batched
+/// personalized PageRank are bit-identical under every thread pairing, and
+/// the 1×1 grid — one block, the whole matrix — equals them under both
+/// executors. (Grids with more block rows add one combine per row; their
+/// bits are pinned in `pagerank_digest`.)
+#[test]
+fn pagerank_ranks_do_not_depend_on_thread_counts() {
+    let a = gen::erdos_renyi(400, 26, 33);
+    assert!(a.nnz() >= 3 * 6 * a.ncols(), "input must take at least three accumulators");
+    let seeds = [5, 311, 5];
+    let ranks = |(pr, iters): (DenseVec<f64>, usize)| (bits(&pr), iters);
+    let batch =
+        |r: gblas_graph::PprResult| (r.scores.iter().map(bits).collect::<Vec<_>>(), r.iterations);
+    let ctxs = thread_sweep();
+    let expect_pr = ranks(pagerank(&a, PageRankOptions::default(), &ctxs[0]).unwrap());
+    let expect_ppr = batch(ppr_multi(&a, &seeds, PprOptions::default(), &ctxs[0]).unwrap());
+    for ctx in &ctxs[1..] {
+        let pr = ranks(pagerank(&a, PageRankOptions::default(), ctx).unwrap());
+        assert_eq!(pr, expect_pr, "pagerank {ctx:?}");
+        let ppr = batch(ppr_multi(&a, &seeds, PprOptions::default(), ctx).unwrap());
+        assert_eq!(ppr, expect_ppr, "ppr_multi {ctx:?}");
+    }
+    let da = DistCsrMatrix::from_global(&a, ProcGrid::new(1, 1));
+    for executor in [LocaleExecutor::Serial, LocaleExecutor::Threaded] {
+        let mut dctx = DistCtx::new(machine(1));
+        dctx.set_executor(executor);
+        let (pr, iters, _) = pagerank_dist_on(&da, PageRankOptions::default(), &dctx).unwrap();
+        assert_eq!((bits(&pr), iters), expect_pr, "pagerank dist 1x1 {executor:?}");
+        let (r, _) = ppr_multi_dist(&da, &seeds, PprOptions::default(), &dctx).unwrap();
+        assert_eq!(batch(r), expect_ppr, "ppr_multi dist 1x1 {executor:?}");
     }
 }
 
