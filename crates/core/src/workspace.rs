@@ -224,10 +224,8 @@ impl WorkspacePool {
         metrics: &MetricsRegistry,
     ) -> WsGuard<AtomicSpa> {
         // A slot is one 8 B word and the task lists together start at 8 B
-        // per slot, so this over-states a slot by one `usize`; three dist
-        // goldens pin the resulting `ws_alloc_bytes`, so it is corrected at
-        // their next re-pin.
-        let elem = (std::mem::size_of::<u64>() + 2 * std::mem::size_of::<usize>()) as u64;
+        // per slot (each reserves `capacity.div_ceil(ntasks)` entries).
+        let elem = (std::mem::size_of::<u64>() + std::mem::size_of::<usize>()) as u64;
         match self.take_raw::<AtomicSpa>() {
             Some(mut spa) => {
                 let shortfall = capacity.saturating_sub(spa.capacity()) as u64;
