@@ -44,7 +44,14 @@ impl<'a> VecMask<'a> {
 
     /// Mask from a dense boolean vector (`true` = set).
     pub fn dense(v: &'a DenseVec<bool>) -> Self {
-        VecMask { repr: Repr::Dense(v.as_slice()), complement: false }
+        Self::bitmap(v.as_slice(), false)
+    }
+
+    /// Mask from a borrowed bitmap (`true` = set), complemented when
+    /// `complement` — e.g. the window of a distributed mask that one
+    /// locale copied over its column range, with the mask's own flag.
+    pub fn bitmap(bits: &'a [bool], complement: bool) -> Self {
+        VecMask { repr: Repr::Dense(bits), complement }
     }
 
     /// Flip the mask (GraphBLAS descriptor `GrB_COMP`).

@@ -1011,7 +1011,9 @@ mod tests {
         let dctx = DistCtx::new(MachineConfig::edison_cluster(4, 24));
         dctx.set_schedules(true);
         let grid = crate::grid::ProcGrid::new(2, 2);
-        let build = || PlanData::Gather(GatherPlan::build(grid, |l| (l * 10)..(l * 10 + 10)));
+        let rows = |l: usize| (l * 10)..(l * 10 + 10);
+        let out = crate::grid::BlockDist::new(40, 4);
+        let build = || PlanData::Gather(GatherPlan::build(grid, rows, rows, &out));
         let (_, o) = dctx.schedule("t", FrontierClass::Sparse, (2, 2), 1, 0, build);
         assert_eq!(o, SchedOutcome::Built);
         let (_, o) = dctx.schedule("t", FrontierClass::Sparse, (2, 2), 1, 0, build);

@@ -26,14 +26,16 @@
 //!    single-source kernel once per source* on its block. This is what
 //!    makes the batched result bit-identical per source to k
 //!    single-source runs: the per-source local multiply is literally the
-//!    same code on the same operands in the same order.
+//!    same code on the same operands in the same order. Per-source
+//!    visited masks ([`crate::ops::spmspv::DistMask`]s) apply here, at
+//!    the sender: a locale first copies their bits over its column range,
+//!    one bulk message per remote owner for the whole batch.
 //! 3. **`scatter`** (engine) — all k sources' claims travel in one bulk
 //!    message per locale pair, each priced at its `(source, offset,
 //!    value)` width; owners drain each source's claims in ascending
 //!    sender order, so the kept parent is the minimum row (and the
 //!    accumulation order is the serial one) — exactly as in the
-//!    single-source distributed kernel. Per-source visited masks are
-//!    enforced owner-side, as [`crate::ops::spmspv::DistMask`]s.
+//!    single-source distributed kernel.
 
 use crate::exec::DistCtx;
 use crate::mat::DistCsrMatrix;
@@ -156,8 +158,8 @@ fn gather_batch<B: Copy, V: Copy + Send + Sync + 'static>(
     dctx: &DistCtx,
 ) -> Result<(Gather, Vec<Vec<SparseVec<V>>>)> {
     let class = FrontierClass::Batched(f.k());
-    let (plan, sched) = row_gather_schedule(a, "expand_gather", class, dctx);
-    let plan = plan.gather();
+    let (sched_plan, sched) = row_gather_schedule(a, "expand_gather", class, dctx);
+    let plan = sched_plan.gather();
     let elem_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<V>()) as u64;
     let (profiles, lxs) = dctx
         .for_each_locale(|l| {
@@ -184,7 +186,7 @@ fn gather_batch<B: Copy, V: Copy + Send + Sync + 'static>(
         })?
         .into_iter()
         .unzip();
-    Ok((Gather { profiles, supersteps: 1, sched }, lxs))
+    Ok((Gather { profiles, supersteps: 1, sched, plan: sched_plan }, lxs))
 }
 
 /// The batched push both expansions run: validate, gather the batch,
@@ -207,9 +209,10 @@ where
 {
     let mut op = dctx.op(name); // the wall clock starts with the op
     check_push_operands(a, f.capacity(), f.locales(), masks, dctx)?;
-    let (gather, lxs) = gather_batch(a, f, dctx)?;
+    let (mut gather, lxs) = gather_batch(a, f, dctx)?;
     let lx = |l: usize| lxs[l].as_slice();
-    let pushed = push_engine(a, lx, rule, masks, CommStrategy::Bulk, claim_bytes, dctx)?;
+    let bulk = CommStrategy::Bulk;
+    let pushed = push_engine(a, lx, rule, masks, bulk, claim_bytes, &mut gather, dctx)?;
 
     op.attr("k", f.k()).attr("nrows", a.nrows()).attr("ncols", a.ncols());
     if masks.is_some() {
@@ -352,27 +355,38 @@ mod tests {
 
     #[test]
     fn batched_gather_pays_one_message_per_pair() {
+        // Per level, whatever k is: one frontier message per remote row
+        // peer, plus one mask message per remote owner of the column range.
         let n = 600;
         let a = gen::erdos_renyi(n, 6, 221);
         let grid = ProcGrid::new(2, 4);
         let p = grid.locales();
         let da = DistCsrMatrix::from_global(&a, grid);
-        let k = 8;
-        let f = DistFrontier::from_entries(n, (0..k).map(|s| vec![(s * 50, s * 50)]).collect(), p)
-            .unwrap();
-        let visited: Vec<DistDenseVec<bool>> =
-            (0..k).map(|_| DistDenseVec::filled(n, false, p)).collect();
-        let dctx = DistCtx::new(machine_for(grid));
-        dctx.comm.record_history();
-        let _ = expand_dist_first_visitor(&da, &f, &visited, SpMSpVOpts::default(), &dctx).unwrap();
-        let gather_msgs: u64 =
-            dctx.comm.history().iter().filter(|e| e.phase == PHASE_GATHER).map(|e| e.msgs).sum();
-        // one fused message per (locale, remote row peer) pair, at most
-        let peers = grid.pc() - 1;
-        assert!(
-            gather_msgs <= (p * peers) as u64,
-            "{gather_msgs} gather msgs for {p} locales x {peers} peers"
-        );
+        let out = crate::grid::BlockDist::new(n, p);
+        let mask_owners = |l: usize| {
+            let windows = crate::sched::block_overlaps(da.col_range(l), &out);
+            windows.iter().filter(|w| w.0 != l).count()
+        };
+        // every source reaches every block, so every pair carries payload
+        let expected: Vec<u64> = (0..p).map(|l| (grid.pc() - 1 + mask_owners(l)) as u64).collect();
+        for k in [1usize, 3, 8] {
+            let entries = (0..k).map(|s| (s..n).step_by(23).map(|i| (i, i)).collect()).collect();
+            let f = DistFrontier::from_entries(n, entries, p).unwrap();
+            let visited: Vec<DistDenseVec<bool>> = (0..k)
+                .map(|s| DistDenseVec::from_global(&DenseVec::from_fn(n, |i| i % (s + 2) == 0), p))
+                .collect();
+            let dctx = DistCtx::new(machine_for(grid));
+            dctx.comm.record_history();
+            let _ =
+                expand_dist_first_visitor(&da, &f, &visited, SpMSpVOpts::default(), &dctx).unwrap();
+            let history = dctx.comm.history();
+            let sent = |l: usize| {
+                let gathers = history.iter().filter(|e| e.phase == PHASE_GATHER && e.src == l);
+                gathers.map(|e| e.msgs).sum::<u64>()
+            };
+            let got: Vec<u64> = (0..p).map(sent).collect();
+            assert_eq!(got, expected, "k = {k}: gather messages per locale");
+        }
     }
 
     #[test]

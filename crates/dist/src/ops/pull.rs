@@ -112,15 +112,11 @@ pub fn pull_first_visitor_dist<T: Copy + Send + Sync>(
         // Frontier bits over the column range: not block-aligned, so copy
         // the overlap from every owning vector block (one bulk message per
         // remote owner) — the plan's overlap windows.
-        let mut lfrontier: Vec<bool> = Vec::with_capacity(col_range.len());
-        for &(owner, lo, hi) in &plan.frontier_overlaps[l] {
-            if owner != l {
-                dctx.comm.bulk(PHASE_GATHER, l, owner, 1, (hi - lo) as u64)?;
-            }
-            let block_start = in_dist.range(owner).start;
-            let seg = frontier.segment(owner);
-            lfrontier.extend_from_slice(&seg[lo - block_start..hi - block_start]);
+        for &(owner, lo, hi) in plan.frontier_overlaps[l].iter().filter(|w| w.0 != l) {
+            dctx.comm.bulk(PHASE_GATHER, l, owner, 1, (hi - lo) as u64)?;
         }
+        let mut lfrontier: Vec<bool> = Vec::with_capacity(col_range.len());
+        frontier.read_windows(&plan.frontier_overlaps[l], &mut lfrontier);
         gctx.record(PHASE_GATHER, |c| {
             c.elems += (lvisited.len() + lfrontier.len()) as u64;
             c.bytes_moved += (lvisited.len() + lfrontier.len()) as u64;

@@ -31,6 +31,7 @@
 use crate::grid::{BlockDist, ProcGrid};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The structural class of the vector/frontier an op consumes. Schedules
@@ -65,10 +66,18 @@ pub struct SchedKey {
     pub class: FrontierClass,
 }
 
+/// The overlap inspector both bitmap gathers share: the nonempty
+/// `(owner, lo, hi)` global windows of `dist`'s blocks over `r`, by owner.
+pub fn block_overlaps(r: Range<usize>, dist: &BlockDist) -> Vec<(usize, usize, usize)> {
+    let window = |o: usize| (o, dist.range(o).start.max(r.start), dist.range(o).end.min(r.end));
+    (0..dist.blocks()).map(window).filter(|&(_, lo, hi)| lo < hi).collect()
+}
+
 /// The compiled gather pattern of the row-aligned kernels (SpMSpV push,
 /// the batched expand): which peers each locale assembles from, each
-/// locale's row range, and — for the aggregated request/reply exchange —
-/// the reply shape every owner serves.
+/// locale's row range, where the output-mask bits over its column range
+/// live, and — for the aggregated request/reply exchange — the reply
+/// shape every owner serves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatherPlan {
     /// Per locale: its grid-row peers in ascending locale order,
@@ -81,12 +90,22 @@ pub struct GatherPlan {
     /// serves under the aggregated bulk exchange, in ascending requester
     /// order — the drain order the executor replays.
     pub replies: Vec<Vec<(usize, usize, usize)>>,
+    /// Per locale: the [`block_overlaps`] of its column range with the
+    /// output distribution — the windows of mask bits it copies from
+    /// their owners before a masked push multiplies.
+    pub mask_windows: Vec<Vec<(usize, usize, usize)>>,
 }
 
 impl GatherPlan {
-    /// Inspector: derive the gather pattern from the grid and a
-    /// `locale -> row range` map. Pure metadata walk; no communication.
-    pub fn build(grid: ProcGrid, row_range: impl Fn(usize) -> std::ops::Range<usize>) -> Self {
+    /// Inspector: derive the gather pattern from the grid, the `locale ->
+    /// row range` and `locale -> column range` maps, and the output's
+    /// distribution. Pure metadata walk; no communication.
+    pub fn build(
+        grid: ProcGrid,
+        row_range: impl Fn(usize) -> Range<usize>,
+        col_range: impl Fn(usize) -> Range<usize>,
+        out_dist: &BlockDist,
+    ) -> Self {
         let p = grid.locales();
         let mut row_peers: Vec<Vec<usize>> = Vec::with_capacity(p);
         let mut row_ranges: Vec<(usize, usize)> = Vec::with_capacity(p);
@@ -97,6 +116,7 @@ impl GatherPlan {
             let rr = row_range(l);
             row_ranges.push((rr.start, rr.end));
         }
+        let mask_windows = (0..p).map(|l| block_overlaps(col_range(l), out_dist)).collect();
         // Reply lines mirror the request loop: requester l asks every
         // remote row peer for its row range; owners serve requesters in
         // ascending order (the deterministic drain order).
@@ -111,7 +131,7 @@ impl GatherPlan {
         for lines in &mut replies {
             lines.sort_unstable_by_key(|&(requester, _, _)| requester);
         }
-        GatherPlan { row_peers, row_ranges, replies }
+        GatherPlan { row_peers, row_ranges, replies, mask_windows }
     }
 }
 
@@ -135,7 +155,7 @@ impl PullPlan {
     /// `src`'s vector segment; `in_dist` distributes the frontier.
     pub fn build(
         grid: ProcGrid,
-        col_range: impl Fn(usize) -> std::ops::Range<usize>,
+        col_range: impl Fn(usize) -> Range<usize>,
         seg_len: impl Fn(usize) -> usize,
         in_dist: &BlockDist,
     ) -> Self {
@@ -145,21 +165,7 @@ impl PullPlan {
         for l in 0..p {
             let (r, _) = grid.coords(l);
             visited_segs.push(grid.row_locales(r).map(|src| (src, seg_len(src))).collect());
-            let cr = col_range(l);
-            let mut overlaps = Vec::new();
-            if !cr.is_empty() {
-                let first = in_dist.owner(cr.start);
-                let last = in_dist.owner(cr.end - 1);
-                for owner in first..=last {
-                    let block = in_dist.range(owner);
-                    let lo = block.start.max(cr.start);
-                    let hi = block.end.min(cr.end);
-                    if lo < hi {
-                        overlaps.push((owner, lo, hi));
-                    }
-                }
-            }
-            frontier_overlaps.push(overlaps);
+            frontier_overlaps.push(block_overlaps(col_range(l), in_dist));
         }
         PullPlan { visited_segs, frontier_overlaps }
     }
@@ -180,7 +186,7 @@ impl ExtractPlan {
     /// window.
     pub fn build(
         locales: usize,
-        x_range: impl Fn(usize) -> std::ops::Range<usize>,
+        x_range: impl Fn(usize) -> Range<usize>,
         index_set: &[usize],
     ) -> Self {
         let mut index_windows = Vec::with_capacity(locales);
@@ -409,7 +415,8 @@ mod tests {
     }
 
     fn plan() -> PlanData {
-        PlanData::Gather(GatherPlan::build(ProcGrid::new(2, 2), |l| (l * 10)..(l * 10 + 10)))
+        let rows = |l: usize| (l * 10)..(l * 10 + 10);
+        PlanData::Gather(GatherPlan::build(ProcGrid::new(2, 2), rows, rows, &BlockDist::new(40, 4)))
     }
 
     #[test]
@@ -473,7 +480,9 @@ mod tests {
     #[test]
     fn gather_plan_mirrors_grid_topology() {
         let grid = ProcGrid::new(2, 3);
-        let p = GatherPlan::build(grid, |l| (l * 5)..(l * 5 + 5));
+        // 30 columns in grid-column blocks of 10; the output's 6 blocks of 5
+        let cols = |l: usize| (l % 3 * 10)..(l % 3 * 10 + 10);
+        let p = GatherPlan::build(grid, |l| (l * 5)..(l * 5 + 5), cols, &BlockDist::new(30, 6));
         assert_eq!(p.row_peers.len(), 6);
         // locale 0 sits in grid row 0 with peers {0, 1, 2}, itself included
         assert_eq!(p.row_peers[0], vec![0, 1, 2]);
@@ -481,6 +490,24 @@ mod tests {
         // owner 1 serves requesters 0 and 2 (its remote row peers), in
         // ascending requester order
         assert_eq!(p.replies[1], vec![(0, 0, 5), (2, 10, 15)]);
+        // locale 4 (grid column 1, columns 10..20) reads its mask bits from
+        // output blocks 2 and 3
+        assert_eq!(p.mask_windows[4], vec![(2, 10, 15), (3, 15, 20)]);
+        assert_eq!(p.mask_windows[1], p.mask_windows[4]);
+    }
+
+    #[test]
+    fn block_overlaps_cut_a_range_at_block_edges() {
+        // 10 entries over 3 blocks: 0..3, 3..6, 6..10
+        let dist = BlockDist::new(10, 3);
+        assert_eq!(block_overlaps(2..8, &dist), vec![(0, 2, 3), (1, 3, 6), (2, 6, 8)]);
+        assert_eq!(block_overlaps(3..6, &dist), vec![(1, 3, 6)]);
+        assert!(block_overlaps(5..5, &dist).is_empty());
+        // more blocks than entries: empty blocks never yield a window
+        let sparse = BlockDist::new(2, 4);
+        let all: Vec<_> = block_overlaps(0..2, &sparse);
+        assert_eq!(all.iter().map(|w| w.2 - w.1).sum::<usize>(), 2);
+        assert!(all.iter().all(|w| w.1 < w.2));
     }
 
     #[test]

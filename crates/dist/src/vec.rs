@@ -200,6 +200,17 @@ impl<T: Copy> DistDenseVec<T> {
         &mut self.segments
     }
 
+    /// Overwrite `buf` with the entries in `windows` — `(owner, lo, hi)`
+    /// global ranges, each inside `owner`'s block — concatenated in order:
+    /// the copy half of a bitmap gather (the caller logs the messages).
+    pub fn read_windows(&self, windows: &[(usize, usize, usize)], buf: &mut Vec<T>) {
+        buf.clear();
+        for &(owner, lo, hi) in windows {
+            let start = self.dist.range(owner).start;
+            buf.extend_from_slice(&self.segments[owner][lo - start..hi - start]);
+        }
+    }
+
     /// Gather to a global dense vector (verification path).
     pub fn to_global(&self) -> gblas_core::container::DenseVec<T> {
         let mut out = Vec::with_capacity(self.len());
