@@ -141,15 +141,20 @@ impl Default for SelectionThresholds {
 impl SelectionThresholds {
     /// Thresholds for a machine with `p` locales. On distributed memory
     /// the pull level is the better-aggregated kernel: two bitmap
-    /// gathers and one claim scatter, versus the push level's mask
-    /// gather *plus* frontier gather *plus* per-owner expansion scatter.
-    /// A level's fixed communication cost therefore grows with `p` while
-    /// its local work shrinks like `1/p`, so the band where push wins
-    /// narrows **quadratically**: both `pull_alpha` and `push_beta`
-    /// scale by `p²` (pull triggers at proportionally smaller frontiers,
-    /// and the tail must be proportionally smaller before flipping
-    /// back). `p = 1` — and every shared-memory backend — is exactly
-    /// [`Default`].
+    /// gathers (visited over the row range, frontier over the column
+    /// range) and one claim scatter, versus the push level's mask gather
+    /// (the mask's bits over each locale's column range, fetched before
+    /// it multiplies) *plus* frontier gather *plus* per-owner scatter of
+    /// the allowed claims. A level's fixed communication cost therefore
+    /// grows with `p` while its local work shrinks like `1/p`, so the
+    /// band where push wins narrows **quadratically**: both `pull_alpha`
+    /// and `push_beta` scale by `p²` (pull triggers at proportionally
+    /// smaller frontiers, and the tail must be proportionally smaller
+    /// before flipping back). `p = 1` — and every shared-memory backend —
+    /// is exactly [`Default`]. The `p²` is a scaled Beamer constant, not
+    /// a fitted crossover: with the push masking at its sender, static
+    /// push is the faster BFS on the `--fig direction` input at 1–16
+    /// locales, as it is on shared memory.
     pub fn for_locales(p: usize) -> Self {
         let d = SelectionThresholds::default();
         let p2 = p.max(1).saturating_mul(p.max(1));

@@ -74,7 +74,7 @@ impl<'a> DistBackend<'a> {
     }
 }
 
-/// Translate a backend mask into the scatter-side [`DistMask`].
+/// Translate a backend mask into the distributed [`DistMask`].
 fn dist_mask<'m>(m: &MaskSpec<'m, DistDenseVec<bool>>) -> DistMask<'m> {
     DistMask { bits: m.bits, complement: m.complement }
 }
