@@ -356,7 +356,7 @@ pub fn verify_batched_equivalence(
 /// baseline. The request stream saturates the server (arrivals far
 /// faster than service), so every batch fills to its `k` and the figure
 /// isolates the batching win: one fused message per locale pair per
-/// level instead of k request/reply exchanges.
+/// level instead of one per source.
 pub fn fig_serving(scale: usize) -> Vec<Figure> {
     let target = workloads::scaled(1 << 14, scale, 256);
     let exp = usize::BITS - 1 - target.leading_zeros();

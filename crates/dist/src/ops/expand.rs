@@ -6,22 +6,23 @@
 //! 2-D matrix distribution, so the per-superstep communication fuses —
 //! every locale pair exchanges **one** bulk message carrying all k
 //! sources' payloads, paying the per-message latency α once instead of
-//! k (or 2k, for the request/reply gather) times. At serving batch
-//! sizes the α term dominates small frontiers' traffic, which is where
-//! the simulated-QPS win of `gblas serve-bench` comes from.
+//! k times. At serving batch sizes the α term dominates small frontiers'
+//! traffic, which is where the simulated-QPS win of `gblas serve-bench`
+//! comes from.
 //!
 //! The batch width is a parameter of the single-source pipeline, not a
-//! second pipeline: this module owns the n×k container and the batch's
-//! gather, and runs everything after it on
-//! `crate::ops::spmspv::push_engine` — the very code `spmspv_dist`
-//! runs at `k = 1` — and [`crate::ops::spmv`]'s dense engine.
+//! second pipeline: this module owns the n×k container, and runs the
+//! push on `crate::ops::spmspv`'s `gather_rows` and `push_engine` — the
+//! very code `spmspv_dist` runs at `k = 1` — and the dense product on
+//! [`crate::ops::spmv`]'s dense engine. A batch of one differs from a
+//! solo `Bulk` push only in its schedule key (`"expand_gather"`, class
+//! `Batched(k)`) and in its priced claim width.
 //!
-//! 1. **`gather`** (`gather_batch`) — each locale pulls its row-block
-//!    slices of all k frontiers from its processor-row peers, one
-//!    combined bulk message per remote peer. The pattern is static —
-//!    every row peer always needs the whole slice — so no request round
-//!    is needed; that is the one pricing difference from the `k = 1`
-//!    request/reply gather, and why the two gathers stay separate.
+//! 1. **`gather`** — each locale pulls its row-block slices of all k
+//!    frontiers from its processor-row peers, one combined bulk message
+//!    per remote peer with something to send. The pattern is static —
+//!    every row peer always needs the whole slice — so the cached plan
+//!    replaces any request round.
 //! 2. **`local`** (engine) — each locale runs the *shared-memory
 //!    single-source kernel once per source* on its block. This is what
 //!    makes the batched result bit-identical per source to k
@@ -40,8 +41,8 @@
 use crate::exec::DistCtx;
 use crate::mat::DistCsrMatrix;
 use crate::ops::spmspv::{
-    assemble_slice, check_push_operands, push_engine, row_gather_schedule, Accumulate,
-    CommStrategy, DistMask, FirstVisitor, Gather, PushRule, PHASE_GATHER,
+    check_push_operands, gather_rows, push_engine, Accumulate, CommStrategy, DistMask,
+    FirstVisitor, PushRule,
 };
 use crate::ops::spmv::{check_dense_operands, dense_engine};
 use crate::sched::FrontierClass;
@@ -146,52 +147,11 @@ impl<T: Copy + Send + Sync + 'static> DistFrontier<T> {
     }
 }
 
-/// Fused gather: each locale assembles all k sources' row-block slices
-/// (local row coordinates) from its processor-row peers, paying **one**
-/// bulk message per remote peer for the whole batch. Executes from the
-/// row-aligned [`crate::sched::GatherPlan`] keyed per batch width `k`
-/// (class `Batched(k)`), so the `_multi` drivers replay one plan per
-/// width across iterations.
-fn gather_batch<B: Copy, V: Copy + Send + Sync + 'static>(
-    a: &DistCsrMatrix<B>,
-    f: &DistFrontier<V>,
-    dctx: &DistCtx,
-) -> Result<(Gather, Vec<Vec<SparseVec<V>>>)> {
-    let class = FrontierClass::Batched(f.k());
-    let (sched_plan, sched) = row_gather_schedule(a, "expand_gather", class, dctx);
-    let plan = sched_plan.gather();
-    let elem_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<V>()) as u64;
-    let (profiles, lxs) = dctx
-        .for_each_locale(|l| {
-            let gctx = dctx.locale_ctx_for(l);
-            let peers = &plan.row_peers[l];
-            for &src in peers {
-                let payload: u64 =
-                    f.rows().iter().map(|row| row.shard(src).nnz() as u64).sum::<u64>()
-                        * elem_bytes;
-                if src != l && payload > 0 {
-                    dctx.comm.bulk(PHASE_GATHER, l, src, 1, payload)?;
-                }
-            }
-            let lxs: Vec<SparseVec<V>> = f
-                .rows()
-                .iter()
-                .map(|row| {
-                    let shards = peers.iter().map(|&src| row.shard(src));
-                    let pieces = shards.map(|shard| (shard.indices(), shard.values()));
-                    assemble_slice(plan.row_ranges[l], pieces, elem_bytes, &gctx)
-                })
-                .collect();
-            Ok((gctx.take_profile(), lxs))
-        })?
-        .into_iter()
-        .unzip();
-    Ok((Gather { profiles, supersteps: 1, sched, plan: sched_plan }, lxs))
-}
-
-/// The batched push both expansions run: validate, gather the batch,
-/// hand its `k = f.k()` slices per locale to the push engine (always
-/// aggregated — one scatter message per locale pair), assemble the report.
+/// The batched push both expansions run: validate, gather the batch under
+/// a plan keyed per batch width (so the `_multi` drivers replay one plan
+/// per width across iterations), hand its `k = f.k()` slices per locale
+/// to the push engine (always aggregated — one message per locale pair),
+/// assemble the report.
 fn expand_with<B, V, W, R>(
     name: &str,
     a: &DistCsrMatrix<B>,
@@ -209,9 +169,10 @@ where
 {
     let mut op = dctx.op(name); // the wall clock starts with the op
     check_push_operands(a, f.capacity(), f.locales(), masks, dctx)?;
-    let (mut gather, lxs) = gather_batch(a, f, dctx)?;
-    let lx = |l: usize| lxs[l].as_slice();
     let bulk = CommStrategy::Bulk;
+    let key = ("expand_gather", FrontierClass::Batched(f.k()));
+    let (mut gather, lxs) = gather_rows(a, f.rows(), bulk, key, dctx)?;
+    let lx = |l: usize| lxs[l].as_slice();
     let pushed = push_engine(a, lx, rule, masks, bulk, claim_bytes, &mut gather, dctx)?;
 
     op.attr("k", f.k()).attr("nrows", a.nrows()).attr("ncols", a.ncols());
@@ -299,7 +260,7 @@ where
 mod tests {
     use super::*;
     use crate::grid::ProcGrid;
-    use crate::ops::spmspv::{spmspv_dist_with, CommStrategy, DistMask};
+    use crate::ops::spmspv::{spmspv_dist_with, PHASE_GATHER};
     use gblas_core::algebra::semirings;
     use gblas_core::container::DenseVec;
     use gblas_core::gen;

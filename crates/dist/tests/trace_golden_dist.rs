@@ -5,8 +5,9 @@
 //! Chrome sink. The semiring SpMSpV runs (once per merge strategy) pin the span
 //! structure the observability stack promises: the `bucket` phase (and
 //! the absence of any sort work) under the bucketed merge, and the
-//! aggregated request/reply `gather` supersteps under
-//! `CommStrategy::Bulk`. The SpGEMM run pins the multi-stage SUMMA's
+//! aggregated one-superstep `gather` under `CommStrategy::Bulk` (one
+//! message per remote row peer with a nonempty shard, no request round).
+//! The SpGEMM run pins the multi-stage SUMMA's
 //! `mxm` op span (algo/stages/grid attributes) and its `select` span
 //! carrying the per-locale density-adaptive kernel census
 //! (heap/hash/spa). The remaining cases pin every other entry point of
