@@ -6,10 +6,10 @@ use gblas_core::error::Result;
 use gblas_core::ops::mxm::{LeftOperand, RightOperand};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide generation counter: every construction or mutation of a
-/// distributed matrix draws a fresh stamp, so a cached communication
-/// schedule can tell "same matrix, same structure" from "rebuilt or
-/// mutated" with one integer compare.
+/// Process-wide generation counter: every construction of a distributed
+/// matrix draws a fresh stamp, so a cached communication schedule can
+/// tell "same matrix, same structure" from "rebuilt" with one integer
+/// compare.
 static NEXT_GEN: AtomicU64 = AtomicU64::new(1);
 
 fn fresh_gen() -> u64 {
@@ -154,9 +154,10 @@ impl<T: Copy> DistCsrMatrix<T> {
         Ok(DistCsrMatrix { nrows, ncols, grid, row_dist, col_dist, blocks, gen: fresh_gen() })
     }
 
-    /// The matrix's generation stamp: unique per construction, bumped on
-    /// every mutable block access. Communication schedules key on it and
-    /// invalidate automatically when it moves.
+    /// The matrix's generation stamp: unique per construction (a built
+    /// matrix hands out no mutable access, so a new pattern is a new
+    /// matrix). Communication schedules key on it and invalidate
+    /// automatically when it moves.
     pub fn generation(&self) -> u64 {
         self.gen
     }
@@ -206,14 +207,6 @@ impl<T: Copy> DistCsrMatrix<T> {
     /// Locale `l`'s CSR block (local coordinates).
     pub fn block(&self, l: usize) -> &CsrMatrix<T> {
         &self.blocks[l]
-    }
-
-    /// Mutable access to locale `l`'s block. Conservatively bumps the
-    /// generation stamp: any handed-out `&mut` may change the sparsity
-    /// pattern, so cached schedules for this matrix stop replaying.
-    pub fn block_mut(&mut self, l: usize) -> &mut CsrMatrix<T> {
-        self.gen = fresh_gen();
-        &mut self.blocks[l]
     }
 
     /// Grid row `r`'s blocks as one matrix, narrowed to the columns in the
@@ -445,10 +438,10 @@ mod tests {
     }
 
     #[test]
-    fn generation_moves_on_mutation_not_equality() {
+    fn generation_moves_on_construction_not_equality() {
         let a = gen::erdos_renyi(80, 4, 9);
         let grid = ProcGrid::new(2, 2);
-        let mut d1 = DistCsrMatrix::from_global(&a, grid);
+        let d1 = DistCsrMatrix::from_global(&a, grid);
         let d2 = DistCsrMatrix::from_global(&a, grid);
         // distinct constructions: distinct stamps, but equal content
         assert_ne!(d1.generation(), d2.generation());
@@ -456,9 +449,5 @@ mod tests {
         // clone keeps the stamp (same data, schedules stay valid)
         let c = d1.clone();
         assert_eq!(c.generation(), d1.generation());
-        // any mutable access conservatively bumps it
-        let before = d1.generation();
-        let _ = d1.block_mut(0);
-        assert_ne!(d1.generation(), before);
     }
 }
