@@ -31,8 +31,8 @@
 //! are block-distributed with the output.
 
 use crate::algebra::{BinaryOp, ComMonoid, Monoid, Scalar, Semiring};
-use crate::container::{CsrMatrix, DenseVec, SparseFrontier, SparseVec};
-use crate::error::Result;
+use crate::container::{CsrMatrix, DenseVec, SparseVec};
+use crate::error::{check_dims, Result};
 use crate::mask::VecMask;
 use crate::ops;
 use crate::ops::spmspv::SpMSpVOpts;
@@ -75,9 +75,6 @@ pub trait GblasBackend {
     type SparseVec<T: Scalar>;
     /// Dense vector in this backend's layout.
     type DenseVec<T: Scalar>;
-    /// Multi-source frontier (the CombBLAS 2.0 `n×k` sparse frontier
-    /// matrix): `k` per-source sparse vectors in this backend's layout.
-    type Frontier<T: Scalar>;
 
     // ---- matrix queries ----------------------------------------------
 
@@ -156,28 +153,34 @@ pub trait GblasBackend {
 
     // ---- vector kernels ----------------------------------------------
 
-    /// BFS kernel: `y⟨mask⟩ = x Aᵀ`-structure with minimum-visitor
-    /// parents. The frontier's values are ignored; the output stores, per
-    /// reached column, the smallest global row id among the frontier rows
-    /// reaching it, and is laid out like `x` — a BFS level's output is the
-    /// next level's frontier as it stands.
+    /// BFS kernel over `k = xs.len() ≥ 0` sources at once (the CombBLAS
+    /// 2.0 `n×k` frontier; a single source is `slice::from_ref(&x)`):
+    /// `ys[s]⟨masks[s]⟩ = xs[s] Aᵀ`-structure with minimum-visitor parents.
+    /// The frontiers' values are ignored; `ys[s]` stores, per reached
+    /// column, the smallest global row id among `xs[s]`'s rows reaching it,
+    /// and is laid out like `xs[s]` — a BFS level's output is the next
+    /// level's frontier as it stands. `masks`, when given, holds one mask
+    /// per source, each with its own polarity. Row `s` is bit-identical to
+    /// the push of source `s` alone.
     fn spmspv_first_visitor<T: Scalar>(
         &self,
         a: &Self::Matrix<T>,
-        x: &Self::SparseVec<usize>,
-        mask: Option<MaskSpec<'_, Self::DenseVec<bool>>>,
+        xs: &[Self::SparseVec<usize>],
+        masks: Option<&[MaskSpec<'_, Self::DenseVec<bool>>]>,
         opts: SpMSpVOpts,
-    ) -> Result<Self::SparseVec<usize>>;
+    ) -> Result<Vec<Self::SparseVec<usize>>>;
 
-    /// General masked SpMSpV: `y[j]⟨mask⟩ = ⊕_i x[i] ⊗ A[i,j]`.
+    /// General masked SpMSpV over `k = xs.len() ≥ 0` sources at once:
+    /// `ys[s][j]⟨masks[s]⟩ = ⊕_i xs[s][i] ⊗ A[i,j]`. Row `s` is
+    /// bit-identical to the push of source `s` alone.
     fn spmspv_semiring<A, B, C, AddM, MulOp>(
         &self,
         a: &Self::Matrix<B>,
-        x: &Self::SparseVec<A>,
+        xs: &[Self::SparseVec<A>],
         ring: &Semiring<AddM, MulOp>,
-        mask: Option<MaskSpec<'_, Self::DenseVec<bool>>>,
+        masks: Option<&[MaskSpec<'_, Self::DenseVec<bool>>]>,
         opts: SpMSpVOpts,
-    ) -> Result<Self::SparseVec<C>>
+    ) -> Result<Vec<Self::SparseVec<C>>>
     where
         A: Scalar,
         B: Scalar,
@@ -193,52 +196,6 @@ pub trait GblasBackend {
         x: &Self::DenseVec<A>,
         ring: &Semiring<AddM, MulOp>,
     ) -> Result<Self::DenseVec<C>>
-    where
-        A: Scalar,
-        B: Scalar,
-        C: Scalar,
-        AddM: Monoid<C>,
-        MulOp: BinaryOp<A, B, C>;
-
-    // ---- batched multi-source kernels --------------------------------
-
-    /// Build an `capacity×k` frontier from per-source entry lists
-    /// (unsorted; duplicate indices within one source are an error).
-    fn frontier_from_entries<T: Scalar>(
-        &self,
-        capacity: usize,
-        entries: Vec<Vec<(usize, T)>>,
-    ) -> Result<Self::Frontier<T>>;
-
-    /// Export every source's entries in ascending global index order.
-    fn frontier_entries<T: Scalar>(&self, f: &Self::Frontier<T>) -> Vec<Vec<(usize, T)>>;
-
-    /// Total stored entries across the batch (the loop-termination test).
-    fn frontier_nnz<T: Scalar>(&self, f: &Self::Frontier<T>) -> usize;
-
-    /// Batched BFS expansion — one masked-SpGEMM level step: row `s` of
-    /// the output is `f_s · A` under the **complement** of `visited[s]`
-    /// (source `s`'s not-yet-visited mask), with minimum-visitor parent
-    /// values, laid out like `f`. Per source, bit-identical to
-    /// [`GblasBackend::spmspv_first_visitor`] on that source alone.
-    fn expand_first_visitor<T: Scalar>(
-        &self,
-        a: &Self::Matrix<T>,
-        f: &Self::Frontier<usize>,
-        visited: &[Self::DenseVec<bool>],
-        opts: SpMSpVOpts,
-    ) -> Result<Self::Frontier<usize>>;
-
-    /// Batched semiring expansion (unmasked): row `s` of the output is
-    /// `y_s[j] = ⊕_i f_s[i] ⊗ A[i,j]`. Per source, bit-identical to
-    /// [`GblasBackend::spmspv_semiring`] on that source alone.
-    fn expand_semiring<A, B, C, AddM, MulOp>(
-        &self,
-        a: &Self::Matrix<B>,
-        f: &Self::Frontier<A>,
-        ring: &Semiring<AddM, MulOp>,
-        opts: SpMSpVOpts,
-    ) -> Result<Self::Frontier<C>>
     where
         A: Scalar,
         B: Scalar,
@@ -369,11 +326,24 @@ fn vec_mask<'m>(m: &MaskSpec<'m, DenseVec<bool>>) -> VecMask<'m> {
     }
 }
 
+/// The shared backend's push over `k` sources: one run of the per-source
+/// kernel `push` each, source `s` under `masks[s]` when masks are given.
+fn per_source<X, Y>(
+    xs: &[X],
+    masks: Option<&[MaskSpec<'_, DenseVec<bool>>]>,
+    push: impl Fn(&X, Option<&VecMask<'_>>) -> Result<Y>,
+) -> Result<Vec<Y>> {
+    if let Some(masks) = masks {
+        check_dims("masks vs sources", xs.len(), masks.len())?;
+    }
+    let mask = |s: usize| masks.map(|m| vec_mask(&m[s]));
+    xs.iter().enumerate().map(|(s, x)| push(x, mask(s).as_ref())).collect()
+}
+
 impl GblasBackend for SharedBackend<'_> {
     type Matrix<T: Scalar> = CsrMatrix<T>;
     type SparseVec<T: Scalar> = SparseVec<T>;
     type DenseVec<T: Scalar> = DenseVec<T>;
-    type Frontier<T: Scalar> = SparseFrontier<T>;
 
     fn mat_nrows<T: Scalar>(&self, a: &CsrMatrix<T>) -> usize {
         a.nrows()
@@ -447,22 +417,21 @@ impl GblasBackend for SharedBackend<'_> {
     fn spmspv_first_visitor<T: Scalar>(
         &self,
         a: &CsrMatrix<T>,
-        x: &SparseVec<usize>,
-        mask: Option<MaskSpec<'_, DenseVec<bool>>>,
+        xs: &[SparseVec<usize>],
+        masks: Option<&[MaskSpec<'_, DenseVec<bool>>]>,
         opts: SpMSpVOpts,
-    ) -> Result<SparseVec<usize>> {
-        let vm = mask.as_ref().map(vec_mask);
-        ops::spmspv::spmspv_first_visitor(a, x, vm.as_ref(), opts, self.ctx)
+    ) -> Result<Vec<SparseVec<usize>>> {
+        per_source(xs, masks, |x, vm| ops::spmspv::spmspv_first_visitor(a, x, vm, opts, self.ctx))
     }
 
     fn spmspv_semiring<A, B, C, AddM, MulOp>(
         &self,
         a: &CsrMatrix<B>,
-        x: &SparseVec<A>,
+        xs: &[SparseVec<A>],
         ring: &Semiring<AddM, MulOp>,
-        mask: Option<MaskSpec<'_, DenseVec<bool>>>,
+        masks: Option<&[MaskSpec<'_, DenseVec<bool>>]>,
         opts: SpMSpVOpts,
-    ) -> Result<SparseVec<C>>
+    ) -> Result<Vec<SparseVec<C>>>
     where
         A: Scalar,
         B: Scalar,
@@ -470,8 +439,9 @@ impl GblasBackend for SharedBackend<'_> {
         AddM: Monoid<C>,
         MulOp: BinaryOp<A, B, C>,
     {
-        let vm = mask.as_ref().map(vec_mask);
-        Ok(ops::spmspv::spmspv_semiring_masked(a, x, ring, vm.as_ref(), opts, self.ctx)?.vector)
+        per_source(xs, masks, |x, vm| {
+            Ok(ops::spmspv::spmspv_semiring_masked(a, x, ring, vm, opts, self.ctx)?.vector)
+        })
     }
 
     fn spmv<A, B, C, AddM, MulOp>(
@@ -488,49 +458,6 @@ impl GblasBackend for SharedBackend<'_> {
         MulOp: BinaryOp<A, B, C>,
     {
         ops::spmv::spmv_col(a, x, ring, self.ctx)
-    }
-
-    fn frontier_from_entries<T: Scalar>(
-        &self,
-        capacity: usize,
-        entries: Vec<Vec<(usize, T)>>,
-    ) -> Result<SparseFrontier<T>> {
-        SparseFrontier::from_entries(capacity, entries)
-    }
-
-    fn frontier_entries<T: Scalar>(&self, f: &SparseFrontier<T>) -> Vec<Vec<(usize, T)>> {
-        f.to_entries()
-    }
-
-    fn frontier_nnz<T: Scalar>(&self, f: &SparseFrontier<T>) -> usize {
-        f.nnz()
-    }
-
-    fn expand_first_visitor<T: Scalar>(
-        &self,
-        a: &CsrMatrix<T>,
-        f: &SparseFrontier<usize>,
-        visited: &[DenseVec<bool>],
-        opts: SpMSpVOpts,
-    ) -> Result<SparseFrontier<usize>> {
-        ops::expand::expand_first_visitor(a, f, visited, opts, self.ctx)
-    }
-
-    fn expand_semiring<A, B, C, AddM, MulOp>(
-        &self,
-        a: &CsrMatrix<B>,
-        f: &SparseFrontier<A>,
-        ring: &Semiring<AddM, MulOp>,
-        opts: SpMSpVOpts,
-    ) -> Result<SparseFrontier<C>>
-    where
-        A: Scalar,
-        B: Scalar,
-        C: Scalar,
-        AddM: Monoid<C>,
-        MulOp: BinaryOp<A, B, C>,
-    {
-        ops::expand::expand_semiring(a, f, ring, opts, self.ctx)
     }
 
     fn spmm_dense<A, B, C, AddM, MulOp>(
@@ -641,6 +568,35 @@ mod tests {
         let s = b.sparse_from_sorted(5, vec![1, 4], vec![10u64, 40]).unwrap();
         assert_eq!(b.sparse_entries(&s), vec![(1, 10), (4, 40)]);
         assert_eq!(b.sparse_nnz(&s), 2);
+    }
+
+    #[test]
+    fn shared_backend_pushes_every_source_as_its_solo_kernel_run() {
+        let ctx = ExecCtx::serial();
+        let b = SharedBackend::new(&ctx);
+        let a = gen::erdos_renyi(150, 5, 13);
+        let ring = semirings::min_plus();
+        let opts = SpMSpVOpts::default();
+        let xs: Vec<SparseVec<f64>> = [0, 42, 42]
+            .iter()
+            .map(|&src| SparseVec::from_sorted(150, vec![src], vec![0.0]).unwrap())
+            .collect();
+        let bits: Vec<DenseVec<bool>> =
+            (0..3).map(|s| DenseVec::from_fn(150, |i| i % (s + 2) == 0)).collect();
+        let masks =
+            [MaskSpec::complement(&bits[0]), MaskSpec::new(&bits[1]), MaskSpec::new(&bits[2])];
+        let ys: Vec<SparseVec<f64>> =
+            b.spmspv_semiring(&a, &xs, &ring, Some(&masks), opts).unwrap();
+        let parents = b.spmspv_first_visitor(&a, &[], None, opts).unwrap();
+        assert!(parents.is_empty());
+        for (s, x) in xs.iter().enumerate() {
+            let vm = vec_mask(&masks[s]);
+            let solo = ops::spmspv::spmspv_semiring_masked(&a, x, &ring, Some(&vm), opts, &ctx);
+            assert_eq!(ys[s], solo.unwrap().vector, "source slot {s}");
+        }
+        let short: Result<Vec<SparseVec<f64>>> =
+            b.spmspv_semiring(&a, &xs, &ring, Some(&masks[..2]), opts);
+        assert!(short.is_err(), "one mask per source");
     }
 
     #[test]

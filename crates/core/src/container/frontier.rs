@@ -71,19 +71,12 @@ impl<T> SparseFrontier<T> {
     }
 }
 
-impl<T: Copy> SparseFrontier<T> {
-    /// Export every source's entries in ascending index order.
-    pub fn to_entries(&self) -> Vec<Vec<(usize, T)>> {
-        self.rows.iter().map(|r| r.iter().map(|(i, &v)| (i, v)).collect()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn builds_and_exports_entries() {
+    fn builds_from_unsorted_entries() {
         let f = SparseFrontier::from_entries(
             10,
             vec![vec![(3, 1.0), (1, 2.0)], vec![], vec![(9, 5.0)]],
@@ -92,7 +85,8 @@ mod tests {
         assert_eq!(f.k(), 3);
         assert_eq!(f.capacity(), 10);
         assert_eq!(f.nnz(), 3);
-        assert_eq!(f.to_entries(), vec![vec![(1, 2.0), (3, 1.0)], vec![], vec![(9, 5.0)]]);
+        assert_eq!(f.row(0), &SparseVec::from_sorted(10, vec![1, 3], vec![2.0, 1.0]).unwrap());
+        assert_eq!(f.row(2).indices(), &[9]);
     }
 
     #[test]

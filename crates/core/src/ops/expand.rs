@@ -1,5 +1,4 @@
-//! Batched (multi-source) frontier expansion: masked SpGEMM over an
-//! `n×k` sparse frontier.
+//! Batched (multi-source) kernels over an `n×k` operand.
 //!
 //! CombBLAS 2.0 replaces k per-source SpMSpVs with one masked SpGEMM per
 //! traversal level by packing k frontiers into a sparse `n×k` matrix
@@ -8,20 +7,24 @@
 //! — so the shared-memory SpGEMM is computed row by row with the very
 //! same SPA kernels of [`crate::ops::spmspv`]. That makes the batched
 //! result **bit-identical per source** to k single-source runs by
-//! construction: same merge strategy, same accumulation order, same
-//! mask semantics, same counters per row.
+//! construction: same merge strategy, same accumulation order, same mask
+//! semantics, same counters per row.
 //!
-//! In shared memory the batch buys loop fusion (one pass over the
-//! algorithm per level instead of k). The latency amortization that
-//! makes batching a throughput win lives in the distributed backend,
-//! where the k per-source gathers and scatters of a level fuse into one
-//! bulk message per locale pair (`gblas_dist::ops::expand`).
+//! The backend trait's pushes take a slice of per-source sparse vectors
+//! and loop over those kernels directly (`SharedBackend`), so
+//! [`expand_first_visitor`] is the `SparseFrontier` form of that loop,
+//! kept for callers that hold the `n×k` container. [`spmm_dense`] is the
+//! dense `n×k` product. In shared memory the batch buys loop fusion; the
+//! latency amortization that makes batching a throughput win lives in the
+//! distributed backend, where the k per-source gathers and scatters of a
+//! level fuse into one bulk message per locale pair
+//! (`gblas_dist::ops::spmspv`).
 
 use crate::algebra::{BinaryOp, Monoid, Semiring};
 use crate::container::{CsrMatrix, DenseVec, SparseFrontier};
 use crate::error::{check_dims, Result};
 use crate::mask::VecMask;
-use crate::ops::spmspv::{spmspv_first_visitor, spmspv_semiring_masked, SpMSpVOpts};
+use crate::ops::spmspv::{spmspv_first_visitor, SpMSpVOpts};
 use crate::ops::spmv::spmv_col;
 use crate::par::ExecCtx;
 
@@ -42,30 +45,6 @@ pub fn expand_first_visitor<T: Send + Sync>(
         check_dims("mask length vs matrix columns", a.ncols(), visited[s].len())?;
         let vm = VecMask::dense(&visited[s]).complement();
         rows.push(spmspv_first_visitor(a, x, Some(&vm), opts, ctx)?);
-    }
-    SparseFrontier::new(a.ncols(), rows)
-}
-
-/// Batched semiring expansion: row `s` of the output is
-/// `y_s[j] = ⊕_i f_s[i] ⊗ A[i,j]`, unmasked (SSSP relaxation keeps its
-/// own distance array per source and filters improvements driver-side).
-pub fn expand_semiring<A, B, C, AddM, MulOp>(
-    a: &CsrMatrix<B>,
-    f: &SparseFrontier<A>,
-    ring: &Semiring<AddM, MulOp>,
-    opts: SpMSpVOpts,
-    ctx: &ExecCtx,
-) -> Result<SparseFrontier<C>>
-where
-    A: Copy + Send + Sync,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync + 'static,
-    AddM: Monoid<C>,
-    MulOp: BinaryOp<A, B, C>,
-{
-    let mut rows = Vec::with_capacity(f.k());
-    for x in f.rows() {
-        rows.push(spmspv_semiring_masked(a, x, ring, None, opts, ctx)?.vector);
     }
     SparseFrontier::new(a.ncols(), rows)
 }
@@ -111,23 +90,6 @@ mod tests {
             let vm = VecMask::dense(&visited[s]).complement();
             let single =
                 spmspv_first_visitor(&a, &x, Some(&vm), SpMSpVOpts::default(), &ctx).unwrap();
-            assert_eq!(batched.row(s), &single, "source slot {s}");
-        }
-    }
-
-    #[test]
-    fn batched_semiring_rows_match_single_source_runs() {
-        let a = gen::erdos_renyi(150, 5, 13);
-        let ctx = ExecCtx::serial();
-        let ring = semirings::min_plus();
-        let f = SparseFrontier::from_entries(150, vec![vec![(0, 0.0)], vec![(42, 0.0)]]).unwrap();
-        let batched: SparseFrontier<f64> =
-            expand_semiring(&a, &f, &ring, SpMSpVOpts::default(), &ctx).unwrap();
-        for (s, x) in f.rows().iter().enumerate() {
-            let single: SparseVec<f64> =
-                spmspv_semiring_masked(&a, x, &ring, None, SpMSpVOpts::default(), &ctx)
-                    .unwrap()
-                    .vector;
             assert_eq!(batched.row(s), &single, "source slot {s}");
         }
     }

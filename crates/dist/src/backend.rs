@@ -11,8 +11,7 @@
 
 use crate::exec::DistCtx;
 use crate::mat::DistCsrMatrix;
-use crate::ops::expand::DistFrontier;
-use crate::ops::spmspv::{CommStrategy, DistMask};
+use crate::ops::spmspv::{first_visitor_push, semiring_push, CommStrategy, DistMask};
 use crate::vec::{DistDenseVec, DistSparseVec};
 use gblas_core::algebra::{BinaryOp, ComMonoid, Monoid, Scalar, Semiring};
 use gblas_core::backend::{GblasBackend, MaskSpec};
@@ -72,18 +71,33 @@ impl<'a> DistBackend<'a> {
     fn absorb(&self, r: SimReport) {
         self.report.lock().merge(&r);
     }
+
+    /// Log one global scalar combine under `phase`: a `⌈log₂ p⌉`-round
+    /// binomial tree of one-word bulk messages (the [`crate::ops::reduce`]
+    /// combine shape), each round's senders folding into their partners.
+    fn binomial_allreduce(&self, phase: &'static str) -> Result<()> {
+        let p = self.dctx.locales();
+        let word = std::mem::size_of::<f64>() as u64;
+        let mut stride = 1usize;
+        while stride < p {
+            for l in (0..p).step_by(stride * 2).filter(|&l| l + stride < p) {
+                self.dctx.comm.bulk(phase, l + stride, l, 1, word)?;
+            }
+            stride *= 2;
+        }
+        Ok(())
+    }
 }
 
-/// Translate a backend mask into the distributed [`DistMask`].
-fn dist_mask<'m>(m: &MaskSpec<'m, DistDenseVec<bool>>) -> DistMask<'m> {
-    DistMask { bits: m.bits, complement: m.complement }
+/// Translate backend masks into the distributed [`DistMask`]s.
+fn dist_masks<'m>(ms: &[MaskSpec<'m, DistDenseVec<bool>>]) -> Vec<DistMask<'m>> {
+    ms.iter().map(|m| DistMask { bits: m.bits, complement: m.complement }).collect()
 }
 
 impl GblasBackend for DistBackend<'_> {
     type Matrix<T: Scalar> = DistCsrMatrix<T>;
     type SparseVec<T: Scalar> = DistSparseVec<T>;
     type DenseVec<T: Scalar> = DistDenseVec<T>;
-    type Frontier<T: Scalar> = DistFrontier<T>;
 
     fn mat_nrows<T: Scalar>(&self, a: &DistCsrMatrix<T>) -> usize {
         a.nrows()
@@ -202,13 +216,12 @@ impl GblasBackend for DistBackend<'_> {
     fn spmspv_first_visitor<T: Scalar>(
         &self,
         a: &DistCsrMatrix<T>,
-        x: &DistSparseVec<usize>,
-        mask: Option<MaskSpec<'_, DistDenseVec<bool>>>,
+        xs: &[DistSparseVec<usize>],
+        masks: Option<&[MaskSpec<'_, DistDenseVec<bool>>]>,
         opts: SpMSpVOpts,
-    ) -> Result<DistSparseVec<usize>> {
-        let dm = mask.as_ref().map(dist_mask);
-        let (out, r) =
-            crate::ops::spmspv::spmspv_dist_with(a, x, dm, self.strategy, opts, self.dctx)?;
+    ) -> Result<Vec<DistSparseVec<usize>>> {
+        let dm = masks.map(dist_masks);
+        let (out, r) = first_visitor_push(a, xs, dm.as_deref(), self.strategy, opts, self.dctx)?;
         self.absorb(r);
         Ok(out)
     }
@@ -216,11 +229,11 @@ impl GblasBackend for DistBackend<'_> {
     fn spmspv_semiring<A, B, C, AddM, MulOp>(
         &self,
         a: &DistCsrMatrix<B>,
-        x: &DistSparseVec<A>,
+        xs: &[DistSparseVec<A>],
         ring: &Semiring<AddM, MulOp>,
-        mask: Option<MaskSpec<'_, DistDenseVec<bool>>>,
+        masks: Option<&[MaskSpec<'_, DistDenseVec<bool>>]>,
         opts: SpMSpVOpts,
-    ) -> Result<DistSparseVec<C>>
+    ) -> Result<Vec<DistSparseVec<C>>>
     where
         A: Scalar,
         B: Scalar,
@@ -228,16 +241,8 @@ impl GblasBackend for DistBackend<'_> {
         AddM: Monoid<C>,
         MulOp: BinaryOp<A, B, C>,
     {
-        let dm = mask.as_ref().map(dist_mask);
-        let (out, r) = crate::ops::spmspv::spmspv_dist_semiring_with(
-            a,
-            x,
-            ring,
-            dm,
-            self.strategy,
-            opts,
-            self.dctx,
-        )?;
+        let (dm, strategy) = (masks.map(dist_masks), self.strategy);
+        let (out, r) = semiring_push(a, xs, ring, dm.as_deref(), strategy, opts, self.dctx)?;
         self.absorb(r);
         Ok(out)
     }
@@ -256,54 +261,6 @@ impl GblasBackend for DistBackend<'_> {
         MulOp: BinaryOp<A, B, C>,
     {
         let (out, r) = crate::ops::spmv::spmv_dist(a, x, ring, self.dctx)?;
-        self.absorb(r);
-        Ok(out)
-    }
-
-    fn frontier_from_entries<T: Scalar>(
-        &self,
-        capacity: usize,
-        entries: Vec<Vec<(usize, T)>>,
-    ) -> Result<DistFrontier<T>> {
-        DistFrontier::from_entries(capacity, entries, self.dctx.locales())
-    }
-
-    fn frontier_entries<T: Scalar>(&self, f: &DistFrontier<T>) -> Vec<Vec<(usize, T)>> {
-        f.to_entries()
-    }
-
-    fn frontier_nnz<T: Scalar>(&self, f: &DistFrontier<T>) -> usize {
-        f.nnz()
-    }
-
-    fn expand_first_visitor<T: Scalar>(
-        &self,
-        a: &DistCsrMatrix<T>,
-        f: &DistFrontier<usize>,
-        visited: &[DistDenseVec<bool>],
-        opts: SpMSpVOpts,
-    ) -> Result<DistFrontier<usize>> {
-        let (out, r) =
-            crate::ops::expand::expand_dist_first_visitor(a, f, visited, opts, self.dctx)?;
-        self.absorb(r);
-        Ok(out)
-    }
-
-    fn expand_semiring<A, B, C, AddM, MulOp>(
-        &self,
-        a: &DistCsrMatrix<B>,
-        f: &DistFrontier<A>,
-        ring: &Semiring<AddM, MulOp>,
-        opts: SpMSpVOpts,
-    ) -> Result<DistFrontier<C>>
-    where
-        A: Scalar,
-        B: Scalar,
-        C: Scalar,
-        AddM: Monoid<C>,
-        MulOp: BinaryOp<A, B, C>,
-    {
-        let (out, r) = crate::ops::expand::expand_dist_semiring(a, f, ring, opts, self.dctx)?;
         self.absorb(r);
         Ok(out)
     }
@@ -338,13 +295,19 @@ impl GblasBackend for DistBackend<'_> {
         Ok(y)
     }
 
+    /// Each locale fills its own bitmap segment from its own shard: the
+    /// two share one block distribution, so nothing moves.
     fn sparse_to_bitmap<T: Scalar>(&self, x: &DistSparseVec<T>) -> Result<DistDenseVec<bool>> {
-        let global = x.to_global();
-        let mut bits = vec![false; global.capacity()];
-        for (i, _) in global.iter() {
-            bits[i] = true;
-        }
-        Ok(DistDenseVec::from_global(&DenseVec::from_vec(bits), self.dctx.locales()))
+        let dist = x.dist();
+        let segment = |l: usize| {
+            let start = dist.range(l).start;
+            let mut bits = vec![false; dist.size(l)];
+            for &i in x.shard(l).indices() {
+                bits[i - start] = true;
+            }
+            bits
+        };
+        DistDenseVec::from_segments(x.capacity(), (0..x.locales()).map(segment).collect())
     }
 
     fn selection_thresholds(&self) -> selection::SelectionThresholds {
@@ -373,23 +336,7 @@ impl GblasBackend for DistBackend<'_> {
             .attr("merge", d.merge.name())
             .attr("unexplored", unexplored)
             .nnz(nnz_f as u64);
-        let p = self.dctx.locales();
-        let mut stride = 1usize;
-        while stride < p {
-            for l in (0..p).step_by(stride * 2) {
-                let peer = l + stride;
-                if peer < p {
-                    self.dctx.comm.bulk(
-                        PHASE_SELECT,
-                        peer,
-                        l,
-                        1,
-                        std::mem::size_of::<f64>() as u64,
-                    )?;
-                }
-            }
-            stride *= 2;
-        }
+        self.binomial_allreduce(PHASE_SELECT)?;
         self.absorb(op.finish());
         Ok(())
     }
@@ -431,24 +378,13 @@ impl GblasBackend for DistBackend<'_> {
         x.nnz()
     }
 
-    /// Price one global scalar decision as a `⌈log₂ p⌉`-round binomial
-    /// tree of one-word bulk messages (the [`crate::ops::reduce`] combine
-    /// shape). Runs through the [`DistCtx::op`] builder so the events are
+    /// Price one global scalar decision as a binomial-tree allreduce.
+    /// Runs through the [`DistCtx::op`] builder so the events are
     /// drained immediately (never leaking into the next op's report) and
     /// the simulated-clock trace advances by exactly the charged time.
     fn allreduce_scalar(&self, phase: &'static str) -> Result<()> {
         let op = self.dctx.op(phase);
-        let p = self.dctx.locales();
-        let mut stride = 1usize;
-        while stride < p {
-            for l in (0..p).step_by(stride * 2) {
-                let peer = l + stride;
-                if peer < p {
-                    self.dctx.comm.bulk(phase, peer, l, 1, std::mem::size_of::<f64>() as u64)?;
-                }
-            }
-            stride *= 2;
-        }
+        self.binomial_allreduce(phase)?;
         self.absorb(op.finish());
         Ok(())
     }
@@ -480,6 +416,20 @@ mod tests {
         assert!(report.phase(PHASE_ALLREDUCE) > 0.0, "allreduce must be priced");
         // drained: a second take is empty
         assert_eq!(b.take_report().total(), 0.0);
+    }
+
+    #[test]
+    fn sparse_to_bitmap_fills_each_segment_from_its_own_shard() {
+        // n < locales leaves some blocks empty; n = 0 leaves all of them.
+        for (n, p) in [(0, 3), (3, 8), (10, 4), (97, 6)] {
+            let dctx = DistCtx::new(MachineConfig::edison_cluster(p, 24));
+            let b = DistBackend::new(&dctx);
+            let x = gen::random_sparse_vec(n, n / 3, 431 + n as u64);
+            let dx = DistSparseVec::from_global(&x, p);
+            let global = DenseVec::from_fn(n, |i| x.get(i).is_some());
+            let want = DistDenseVec::from_global(&global, p);
+            assert_eq!(b.sparse_to_bitmap(&dx).unwrap(), want, "n = {n}, p = {p}");
+        }
     }
 
     #[test]

@@ -11,12 +11,15 @@
 //! comes from.
 //!
 //! The batch width is a parameter of the single-source pipeline, not a
-//! second pipeline: this module owns the n×k container, and runs the
-//! push on `crate::ops::spmspv`'s `gather_rows` and `push_engine` — the
-//! very code `spmspv_dist` runs at `k = 1` — and the dense product on
-//! [`crate::ops::spmv`]'s dense engine. A batch of one differs from a
-//! solo `Bulk` push only in its schedule key (`"expand_gather"`, class
-//! `Batched(k)`) and in its priced claim width.
+//! second pipeline: this module owns the n×k container [`DistFrontier`]
+//! (the backend trait does not name it: its pushes take a slice of
+//! sparse vectors, which is what a frontier's rows are), and its two
+//! expansions are `crate::ops::spmspv`'s one push body — the very code
+//! `spmspv_dist` runs at `k = 1` — at `CommStrategy::Bulk` with the batch's
+//! own op label; the dense product runs on [`crate::ops::spmv`]'s dense
+//! engine. A batch of one is a solo `Bulk` push on every comm event and
+//! in its report: one schedule key, one claim width, one merge resolution
+//! per source.
 //!
 //! 1. **`gather`** — each locale pulls its row-block slices of all k
 //!    frontiers from its processor-row peers, one combined bulk message
@@ -32,20 +35,16 @@
 //!    the sender: a locale first copies their bits over its column range,
 //!    one bulk message per remote owner for the whole batch.
 //! 3. **`scatter`** (engine) — all k sources' claims travel in one bulk
-//!    message per locale pair, each priced at its `(source, offset,
-//!    value)` width; owners drain each source's claims in ascending
+//!    message per locale pair, grouped by source, each priced at its
+//!    `(offset, value)` width; owners drain each source's claims in ascending
 //!    sender order, so the kept parent is the minimum row (and the
 //!    accumulation order is the serial one) — exactly as in the
 //!    single-source distributed kernel.
 
-use crate::exec::DistCtx;
+use crate::exec::{DistCtx, OpTrace};
 use crate::mat::DistCsrMatrix;
-use crate::ops::spmspv::{
-    check_push_operands, gather_rows, push_engine, Accumulate, CommStrategy, DistMask,
-    FirstVisitor, PushRule,
-};
+use crate::ops::spmspv::{push, Accumulate, CommStrategy::Bulk, DistMask, FirstVisitor};
 use crate::ops::spmv::{check_dense_operands, dense_engine};
-use crate::sched::FrontierClass;
 use crate::vec::{DistDenseVec, DistSparseVec};
 use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
 use gblas_core::container::SparseVec;
@@ -134,61 +133,13 @@ impl<T: Copy + Send + Sync + 'static> DistFrontier<T> {
     pub fn rows(&self) -> &[DistSparseVec<T>] {
         &self.rows
     }
-
-    /// Export every source's entries in ascending global index order.
-    pub fn to_entries(&self) -> Vec<Vec<(usize, T)>> {
-        self.rows
-            .iter()
-            .map(|r| {
-                let g = r.to_global();
-                g.iter().map(|(i, &v)| (i, v)).collect()
-            })
-            .collect()
-    }
-}
-
-/// The batched push both expansions run: validate, gather the batch under
-/// a plan keyed per batch width (so the `_multi` drivers replay one plan
-/// per width across iterations), hand its `k = f.k()` slices per locale
-/// to the push engine (always aggregated — one message per locale pair),
-/// assemble the report.
-fn expand_with<B, V, W, R>(
-    name: &str,
-    a: &DistCsrMatrix<B>,
-    f: &DistFrontier<V>,
-    rule: &R,
-    masks: Option<&[DistMask<'_>]>,
-    claim_bytes: u64,
-    dctx: &DistCtx,
-) -> Result<(DistFrontier<W>, SimReport)>
-where
-    B: Copy + Send + Sync,
-    V: Copy + Send + Sync + 'static,
-    W: Copy + Send + Sync + 'static,
-    R: PushRule<B, V, W>,
-{
-    let mut op = dctx.op(name); // the wall clock starts with the op
-    check_push_operands(a, f.capacity(), f.locales(), masks, dctx)?;
-    let bulk = CommStrategy::Bulk;
-    let key = ("expand_gather", FrontierClass::Batched(f.k()));
-    let (mut gather, lxs) = gather_rows(a, f.rows(), bulk, key, dctx)?;
-    let lx = |l: usize| lxs[l].as_slice();
-    let pushed = push_engine(a, lx, rule, masks, bulk, claim_bytes, &mut gather, dctx)?;
-
-    op.attr("k", f.k()).attr("nrows", a.nrows()).attr("ncols", a.ncols());
-    if masks.is_some() {
-        op.attr("masked", true);
-    }
-    op.sched(gather.sched).nnz(f.nnz() as u64);
-    let report = pushed.finish(op, &gather);
-    Ok((DistFrontier { capacity: a.ncols(), locales: f.locales(), rows: pushed.rows }, report))
 }
 
 /// Batched distributed first-visitor expansion under per-source visited
 /// masks (complement semantics hardcoded: a claim is dropped where
-/// `visited[s]` is `true`). Row `s` of the result is bit-identical to the
-/// single-source distributed kernel on source `s` alone — and therefore
-/// to the serial shared-memory kernel.
+/// `visited[s]` is `true`), aggregated (`Bulk`). Row `s` of the result is
+/// bit-identical to the single-source distributed kernel on source `s`
+/// alone — and therefore to the serial shared-memory kernel.
 pub fn expand_dist_first_visitor<T: Copy + Send + Sync>(
     a: &DistCsrMatrix<T>,
     f: &DistFrontier<usize>,
@@ -196,17 +147,16 @@ pub fn expand_dist_first_visitor<T: Copy + Send + Sync>(
     opts: SpMSpVOpts,
     dctx: &DistCtx,
 ) -> Result<(DistFrontier<usize>, SimReport)> {
-    check_dims("visited masks vs batch width", f.k(), visited.len())?;
     let masks: Vec<DistMask<'_>> = visited.iter().map(DistMask::complement).collect();
-    // A batched claim is priced as (source slot, destination offset, parent).
-    let claim_bytes = (3 * std::mem::size_of::<usize>()) as u64;
-    let rule = FirstVisitor(opts);
-    expand_with("expand_dist_first_visitor", a, f, &rule, Some(&masks), claim_bytes, dctx)
+    let (name, masks) = ("expand_dist_first_visitor", Some(masks.as_slice()));
+    let (rows, report) =
+        push(name, a, f.rows(), &FirstVisitor, masks, Bulk, opts, dctx, batch_label(f.k()))?;
+    Ok((DistFrontier { capacity: a.ncols(), locales: f.locales(), rows }, report))
 }
 
-/// Batched distributed semiring expansion (unmasked): row `s` of the
-/// result is `y_s[j] = ⊕_i f_s[i] ⊗ A[i,j]`, accumulated at the owner in
-/// ascending sender order — the single-source kernel's exact
+/// Batched distributed semiring expansion (unmasked, `Bulk`): row `s` of
+/// the result is `y_s[j] = ⊕_i f_s[i] ⊗ A[i,j]`, accumulated at the owner
+/// in ascending sender order — the single-source kernel's exact
 /// floating-point order, so each row matches its solo run bit for bit.
 pub fn expand_dist_semiring<A, B, C, AddM, MulOp>(
     a: &DistCsrMatrix<B>,
@@ -222,10 +172,17 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
-    // A batched claim is priced as (source slot, destination offset, value).
-    let claim_bytes = (2 * std::mem::size_of::<usize>() + std::mem::size_of::<C>()) as u64;
-    let rule = Accumulate(ring, opts);
-    expand_with("expand_dist_semiring", a, f, &rule, None, claim_bytes, dctx)
+    let (name, rule) = ("expand_dist_semiring", Accumulate(ring));
+    let (rows, report) =
+        push(name, a, f.rows(), &rule, None, Bulk, opts, dctx, batch_label(f.k()))?;
+    Ok((DistFrontier { capacity: a.ncols(), locales: f.locales(), rows }, report))
+}
+
+/// The leading op attribute of a batched expansion: its width `k`.
+fn batch_label(k: usize) -> impl FnOnce(&mut OpTrace<'_>, &[SpMSpVOpts]) {
+    move |op, _| {
+        op.attr("k", k);
+    }
 }
 
 /// Batched distributed dense SpMM: `ys[s] = xs[s] · A` for the whole
@@ -260,7 +217,7 @@ where
 mod tests {
     use super::*;
     use crate::grid::ProcGrid;
-    use crate::ops::spmspv::{spmspv_dist_with, PHASE_GATHER};
+    use crate::ops::spmspv::{spmspv_dist_with, CommStrategy, PHASE_GATHER};
     use gblas_core::algebra::semirings;
     use gblas_core::container::DenseVec;
     use gblas_core::gen;
@@ -381,6 +338,90 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn auto_merge_resolves_per_source_from_its_global_nnz() {
+        use crate::backend::DistBackend;
+        use crate::ops::spmspv::{spmspv_dist_semiring_with, PHASE_LOCAL};
+        use gblas_core::backend::GblasBackend;
+        use gblas_core::ops::spmspv::{MergeStrategy, AUTO_BUCKET_MIN_NNZ};
+        use gblas_core::par::Counters;
+        use gblas_core::trace::{SpanKind, Trace};
+        // Source 1 holds 1.5x the `auto` threshold globally, but on a 2x2
+        // grid each locale gathers only its row block's half of it, below
+        // the threshold; source 0 is below it everywhere.
+        let n = 12_000;
+        let a = gen::erdos_renyi(n, 2, 271);
+        let grid = ProcGrid::new(2, 2);
+        let p = grid.locales();
+        let da = DistCsrMatrix::from_global(&a, grid);
+        let big = AUTO_BUCKET_MIN_NNZ + AUTO_BUCKET_MIN_NNZ / 2;
+        let xs: Vec<DistSparseVec<f64>> = [(40, 272), (big, 273)]
+            .iter()
+            .map(|&(nnz, seed)| {
+                DistSparseVec::from_global(&gen::random_sparse_vec(n, nnz, seed), p)
+            })
+            .collect();
+        let ring = semirings::plus_times_f64();
+        let auto = SpMSpVOpts::with_merge(MergeStrategy::Auto);
+        let traced = |run: &dyn Fn(&DistCtx)| -> Trace {
+            let mut dctx = DistCtx::new(machine_for(grid));
+            dctx.enable_tracing();
+            run(&dctx);
+            dctx.recorder().snapshot()
+        };
+        // Per-locale local-multiply counters: additive over sources, and
+        // they tell a sort-merge (`sort_elems`) from a bucket merge.
+        let local = |trace: &Trace| {
+            let mut per_locale = vec![Counters::default(); p];
+            let spans = trace.spans.iter().filter(|s| s.kind == SpanKind::LocaleCompute);
+            for s in spans.filter(|s| s.name == PHASE_LOCAL) {
+                per_locale[s.locale.expect("a compute span has a locale")].merge(&s.counters);
+            }
+            per_locale
+        };
+        let merge = |trace: &Trace| {
+            let op = trace.spans.iter().find(|s| s.kind == SpanKind::Op).expect("op span");
+            op.attrs.iter().find(|(k, _)| k == "merge").map(|(_, v)| v.clone())
+        };
+        let solos: Vec<Trace> = xs
+            .iter()
+            .map(|x| {
+                traced(&|d| {
+                    spmspv_dist_semiring_with::<f64, f64, f64, _, _>(
+                        &da,
+                        x,
+                        &ring,
+                        None,
+                        CommStrategy::Bulk,
+                        auto,
+                        d,
+                    )
+                    .unwrap();
+                })
+            })
+            .collect();
+        let solo_merges: Vec<String> = solos.iter().map(|t| merge(t).unwrap()).collect();
+        assert_eq!(solo_merges, ["sort", "bucket"]);
+        let mut want = vec![Counters::default(); p];
+        for t in &solos {
+            want.iter_mut().zip(local(t)).for_each(|(w, c)| w.merge(&c));
+        }
+
+        let f = DistFrontier::new(n, p, xs.clone()).unwrap();
+        let batch = traced(&|d| {
+            expand_dist_semiring::<f64, f64, f64, _, _>(&da, &f, &ring, auto, d).unwrap();
+        });
+        assert_eq!(local(&batch), want, "a batch row ran a merge its solo run did not");
+
+        let through_trait = traced(&|d| {
+            let backend = DistBackend::with_strategy(d, CommStrategy::Bulk);
+            let _: Vec<DistSparseVec<f64>> =
+                backend.spmspv_semiring(&da, &xs, &ring, None, auto).unwrap();
+        });
+        assert_eq!(merge(&through_trait), Some(solo_merges.join(",")));
+        assert_eq!(local(&through_trait), want);
     }
 
     #[test]

@@ -19,22 +19,29 @@
 //!    remote atomic per output element (fine-grained again); the bulk
 //!    variant aggregates per destination locale.
 //!
-//! All three steps exist once, for any number `k` of concurrent sources:
-//! `gather_rows` and `push_engine`. This module's entry points call them
-//! with `k = 1`, the batched expansions of [`crate::ops::expand`] with
-//! their batch width — a single-source push is a batch of one. An entry
-//! point chooses only what genuinely varies — the [`CommStrategy`] of the
-//! gather and scatter, the schedule key its gather plan is cached under,
-//! the `PushRule` (first-visitor or semiring: the local kernel plus the
-//! owner's resolution of competing claims), the per-source [`DistMask`]s,
-//! and the priced width of a claim. Under the SPMD executor a push is
-//! three supersteps: every locale gathers its frontier slices; then every
-//! locale gathers its masks' bits, multiplies locally under them (masking
-//! at the sender) and builds one outbox per owning locale (logging its
-//! own traffic); then every owner drains its inboxes — in source-locale
-//! order, so competing parents and floating-point accumulation resolve
-//! exactly as a serial sweep would — into its *own* dense segment and
-//! builds its output shard from it (`denseToSparse`).
+//! All three steps exist once, for any number `k ≥ 0` of concurrent
+//! sources, in one body (`push`: validate, resolve options, `gather_rows`,
+//! `push_engine`, price the report). Every entry point runs it — this
+//! module's single-source functions with `k = 1`, the batched expansions
+//! of [`crate::ops::expand`] and the backend trait's pushes with their
+//! batch width — so a single source is a batch of one, priced as one. An
+//! entry point chooses only what genuinely varies: the [`CommStrategy`]
+//! of the gather and scatter, the `PushRule` (first-visitor or semiring:
+//! the local kernel plus the owner's resolution of competing claims), one
+//! optional [`DistMask`] per source (each with its own polarity), and the
+//! attributes of its op span. What does *not* vary with `k` is fixed in
+//! the body: `auto` merge resolves per source from that source's global
+//! nnz; the gather plan is cached under one schedule key, since row peers
+//! and mask windows are functions of the grid; and a scatter claim is
+//! priced at its wire width, an `(offset, value)` pair, since claims
+//! travel grouped by source with per-source end offsets. Under the SPMD
+//! executor a push is three supersteps: every locale gathers its frontier
+//! slices; then every locale gathers its masks' bits, multiplies locally
+//! under them (masking at the sender) and builds one outbox per owning
+//! locale (logging its own traffic); then every owner drains its inboxes —
+//! in source-locale order, so competing parents and floating-point
+//! accumulation resolve exactly as a serial sweep would — into its *own*
+//! dense segment and builds its output shard from it (`denseToSparse`).
 //!
 //! The first-visitor output stores, per reached column, the **smallest
 //! global row id** among its visitors — the BFS parent vector. Each
@@ -82,10 +89,10 @@ pub enum CommStrategy {
 /// profiles (its one fork-join fan-out is priced at [`Pushed::finish`]),
 /// how its schedule resolved, and the [`GatherPlan`] it ran from (for its
 /// mask windows).
-pub(crate) struct Gather {
-    pub(crate) profiles: Vec<Profile>,
-    pub(crate) sched: SchedOutcome,
-    pub(crate) plan: Arc<PlanData>,
+struct Gather {
+    profiles: Vec<Profile>,
+    sched: SchedOutcome,
+    plan: Arc<PlanData>,
 }
 
 /// Inspect or replay the row-aligned [`GatherPlan`] of `a` under the
@@ -129,15 +136,16 @@ fn assemble_slice<'s, V: Copy + 's>(
     SparseVec::from_sorted((end - start).max(1), inds, vals)
 }
 
-/// The schedule key of the single-source gather. The first-visitor and
-/// semiring kernels share it, so a BFS level and an SSSP relaxation over
-/// the same matrix replay one plan.
+/// The schedule key of every push's row gather. The plan — row peers and
+/// mask windows — is a function of the grid alone, not of the batch width
+/// or the rule, so a BFS level, an SSSP relaxation and a batch of any `k`
+/// over the same matrix replay one plan.
 const SOLO_GATHER: (&str, FrontierClass) = ("gather_rows", FrontierClass::Sparse);
 
 /// The row gather every push runs, for `k = rows.len() ≥ 0` sources at
 /// once: each locale's row-block slices of every source from its
 /// processor row, executing from the compiled [`GatherPlan`] cached under
-/// the schedule key `(op, class)` (the *executor* half of the
+/// [`SOLO_GATHER`] (the *executor* half of the
 /// inspector–executor split — the plan may be freshly built or replayed
 /// from the [`crate::ScheduleCache`]; either way this runs the same code,
 /// so replay is bit-invisible). One superstep: the plan already says which
@@ -159,13 +167,13 @@ const SOLO_GATHER: (&str, FrontierClass) = ("gather_rows", FrontierClass::Sparse
 ///
 /// Both arms then concatenate the shards in ascending peer order — sorted,
 /// by block alignment — so they assemble the same slices.
-pub(crate) fn gather_rows<B: Copy, V: Copy + Send + Sync + 'static>(
+fn gather_rows<B: Copy, V: Copy + Send + Sync + 'static>(
     a: &DistCsrMatrix<B>,
     rows: &[DistSparseVec<V>],
     strategy: CommStrategy,
-    (op, class): (&'static str, FrontierClass),
     dctx: &DistCtx,
 ) -> Result<(Gather, Vec<Vec<SparseVec<V>>>)> {
+    let (op, class) = SOLO_GATHER;
     let (sched_plan, sched) = row_gather_schedule(a, op, class, dctx);
     let plan = sched_plan.gather();
     let elem_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<V>()) as u64;
@@ -246,14 +254,16 @@ impl<'a> DistMask<'a> {
 /// carries.
 pub(crate) trait PushRule<B, V, W>: Sync {
     /// The local multiply on one block whose first row is global row
-    /// `row_start`, under the block's window of the output mask: per
-    /// reached allowed local column, the value its claim carries.
+    /// `row_start`, under the block's window of the output mask and the
+    /// source's resolved `opts`: per reached allowed local column, the
+    /// value its claim carries.
     fn multiply(
         &self,
         block: &CsrMatrix<B>,
         lx: &SparseVec<V>,
         row_start: usize,
         mask: Option<&VecMask<'_>>,
+        opts: SpMSpVOpts,
         ctx: &ExecCtx,
     ) -> Result<SparseVec<W>>;
 
@@ -267,7 +277,7 @@ pub(crate) trait PushRule<B, V, W>: Sync {
 
 /// First-visitor push (BFS): the claim is the global parent row, and the
 /// first one drained — lowest source locale, hence lowest row — stays.
-pub(crate) struct FirstVisitor(pub(crate) SpMSpVOpts);
+pub(crate) struct FirstVisitor;
 
 impl<B: Send + Sync, V: Send + Sync> PushRule<B, V, usize> for FirstVisitor {
     fn multiply(
@@ -276,9 +286,10 @@ impl<B: Send + Sync, V: Send + Sync> PushRule<B, V, usize> for FirstVisitor {
         lx: &SparseVec<V>,
         row_start: usize,
         mask: Option<&VecMask<'_>>,
+        opts: SpMSpVOpts,
         ctx: &ExecCtx,
     ) -> Result<SparseVec<usize>> {
-        let mut parents = spmspv_first_visitor(block, lx, mask, self.0, ctx)?;
+        let mut parents = spmspv_first_visitor(block, lx, mask, opts, ctx)?;
         parents.values_mut().iter_mut().for_each(|local_row| *local_row += row_start);
         Ok(parents)
     }
@@ -294,10 +305,7 @@ impl<B: Send + Sync, V: Send + Sync> PushRule<B, V, usize> for FirstVisitor {
 
 /// Semiring push (SSSP, PPR): the claim is a partial sum, and the owner
 /// accumulates with the add monoid in source-locale order.
-pub(crate) struct Accumulate<'r, AddM, MulOp>(
-    pub(crate) &'r Semiring<AddM, MulOp>,
-    pub(crate) SpMSpVOpts,
-);
+pub(crate) struct Accumulate<'r, AddM, MulOp>(pub(crate) &'r Semiring<AddM, MulOp>);
 
 impl<A, B, C, AddM, MulOp> PushRule<B, A, C> for Accumulate<'_, AddM, MulOp>
 where
@@ -313,9 +321,10 @@ where
         lx: &SparseVec<A>,
         _row_start: usize,
         mask: Option<&VecMask<'_>>,
+        opts: SpMSpVOpts,
         ctx: &ExecCtx,
     ) -> Result<SparseVec<C>> {
-        Ok(spmspv_semiring_masked(block, lx, self.0, mask, self.1, ctx)?.vector)
+        Ok(spmspv_semiring_masked(block, lx, self.0, mask, opts, ctx)?.vector)
     }
 
     fn zero(&self) -> C {
@@ -333,9 +342,9 @@ type Sent<W> = (WsGuard<Outbox<(usize, W)>>, Vec<usize>);
 
 /// What [`push_engine`] hands back: the per-source outputs and the
 /// per-locale profiles of the two components it ran.
-pub(crate) struct Pushed<W> {
+struct Pushed<W> {
     /// `rows[s]`: source `s`'s output, block-distributed like the mask.
-    pub(crate) rows: Vec<DistSparseVec<W>>,
+    rows: Vec<DistSparseVec<W>>,
     local: Vec<Profile>,
     scatter: Vec<Profile>,
 }
@@ -343,7 +352,7 @@ pub(crate) struct Pushed<W> {
 impl<W> Pushed<W> {
     /// Price gather / local / scatter into `op` and finish it (which
     /// drains and prices the comm log).
-    pub(crate) fn finish(&self, mut op: OpTrace<'_>, gather: &Gather) -> SimReport {
+    fn finish(&self, mut op: OpTrace<'_>, gather: &Gather) -> SimReport {
         op.spawn(PHASE_GATHER, 1);
         op.compute(PHASE_GATHER, &gather.profiles);
         op.compute_folded(PHASE_LOCAL, &self.local);
@@ -352,58 +361,64 @@ impl<W> Pushed<W> {
     }
 }
 
-/// The shape checks every push entry point shares: frontier capacity and
-/// distribution against the matrix and machine, and each mask against
-/// the output.
-pub(crate) fn check_push_operands<B: Copy>(
+/// The shape checks of a push: every frontier's capacity and distribution
+/// against the matrix and machine, one mask per source, and each mask
+/// against the output.
+fn check_push_operands<B: Copy, V: Copy>(
     a: &DistCsrMatrix<B>,
-    capacity: usize,
-    locales: usize,
+    xs: &[DistSparseVec<V>],
     masks: Option<&[DistMask<'_>]>,
     dctx: &DistCtx,
 ) -> Result<()> {
     let p = a.grid().locales();
-    check_dims("x capacity vs matrix rows", a.nrows(), capacity)?;
-    check_dims("frontier locales vs grid locales", p, locales)?;
+    for x in xs {
+        check_dims("x capacity vs matrix rows", a.nrows(), x.capacity())?;
+        check_dims("frontier locales vs grid locales", p, x.locales())?;
+    }
     check_dims("machine locales vs grid locales", p, dctx.locales())?;
-    for m in masks.unwrap_or_default() {
-        check_dims("mask length vs matrix cols", a.ncols(), m.bits.len())?;
-        check_dims("mask locales vs grid locales", p, m.bits.locales())?;
+    if let Some(masks) = masks {
+        check_dims("masks vs sources", xs.len(), masks.len())?;
+        for m in masks {
+            check_dims("mask length vs matrix cols", a.ncols(), m.bits.len())?;
+            check_dims("mask locales vs grid locales", p, m.bits.locales())?;
+        }
     }
     Ok(())
 }
 
 /// The local-multiply and scatter components of the push pipeline for
-/// `k ≥ 0` sources at once. `lxs(l)` is locale `l`'s `k` gathered
-/// frontier slices (local row coordinates, the same `k` on every locale);
-/// `masks`, when given, holds one output mask per source, whose windows
-/// are gathered under `gather`'s plan and charged to its profiles; a
-/// scatter claim is priced at `claim_bytes` and travels per `strategy`.
+/// `k ≥ 0` sources at once. `lxs[l]` is locale `l`'s `k` gathered
+/// frontier slices (local row coordinates); source `s` multiplies under
+/// `opts[s]` and, when `masks` is given, under `masks[s]`, whose windows
+/// are gathered under `gather`'s plan and charged to its profiles. A
+/// scatter claim is priced at its wire width, an `(offset, W)` pair, and
+/// travels per `strategy`.
 ///
 /// Every owner's inbox stays grouped by source — sender `l` appends
 /// source after source and records where each ends — so a claim is the
-/// single-source `(offset, value)` pair for every `k`, and the drain of
-/// source `s` touches only source `s`'s claims.
+/// same `(offset, value)` pair for every `k`, and the drain of source `s`
+/// touches only source `s`'s claims.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn push_engine<'x, B, V, W, R>(
+fn push_engine<B, V, W, R>(
     a: &DistCsrMatrix<B>,
-    lxs: impl Fn(usize) -> &'x [SparseVec<V>] + Sync,
+    lxs: &[Vec<SparseVec<V>>],
     rule: &R,
     masks: Option<&[DistMask<'_>]>,
+    opts: &[SpMSpVOpts],
     strategy: CommStrategy,
-    claim_bytes: u64,
     gather: &mut Gather,
     dctx: &DistCtx,
 ) -> Result<Pushed<W>>
 where
     B: Copy + Send + Sync,
-    V: Send + Sync + 'x,
+    V: Send + Sync,
     W: Copy + Send + Sync + 'static,
     R: PushRule<B, V, W>,
 {
     let p = a.grid().locales();
     let n = a.ncols();
-    let k = lxs(0).len(); // a grid has at least one locale
+    let k = opts.len();
+    let claim_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<W>()) as u64;
 
     // ---- Superstep 1, one task per locale. Mask gather: the plan's
     // windows of every nonempty slice's mask, one message per remote owner
@@ -427,7 +442,7 @@ where
         let row_range = a.row_range(l);
         let col_range = a.col_range(l);
         let masked = |lx: &SparseVec<V>| masks.filter(|_| lx.nnz() > 0);
-        let fetched = lxs(l).iter().filter(|lx| masked(lx).is_some()).count();
+        let fetched = lxs[l].iter().filter(|lx| masked(lx).is_some()).count();
         for &(owner, lo, hi) in windows[l].iter().filter(|w| w.0 != l && fetched > 0) {
             dctx.comm.bulk(PHASE_GATHER, l, owner, 1, (fetched * (hi - lo)) as u64)?;
         }
@@ -437,12 +452,12 @@ where
         // `k` (the goldens pin the pool telemetry).
         let mut bits: Vec<bool> = Vec::new();
         let mut products: Vec<SparseVec<W>> = Vec::with_capacity(k);
-        for (s, lx) in lxs(l).iter().enumerate() {
+        for (s, (lx, &opts)) in lxs[l].iter().zip(opts).enumerate() {
             let mask = masked(lx).map(|per_source| per_source[s].window(&windows[l], &mut bits));
             products.push(if row_range.is_empty() || col_range.is_empty() {
                 SparseVec::new(col_range.len().max(1))
             } else {
-                rule.multiply(a.block(l), lx, row_range.start, mask.as_ref(), &lctx)?
+                rule.multiply(a.block(l), lx, row_range.start, mask.as_ref(), opts, &lctx)?
             });
         }
         let sctx = dctx.locale_ctx_for(l);
@@ -540,6 +555,47 @@ where
     Ok(Pushed { rows, local, scatter })
 }
 
+/// The one push every sparse-frontier entry point runs, for `k =
+/// xs.len() ≥ 0` sources: validate, resolve each source's options from
+/// *its own global* nnz (so every locale runs the same merge for a source,
+/// whatever else rides in the batch), gather, push, and price the report
+/// into the op span `name`. `label` stamps the entry point's leading
+/// attributes, given the resolved options; the shape, `masked` (only when
+/// true), the schedule outcome and the batch's nnz follow. Nothing here
+/// depends on `k`: a single source is a batch of one, priced as one.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn push<B, V, W, R>(
+    name: &str,
+    a: &DistCsrMatrix<B>,
+    xs: &[DistSparseVec<V>],
+    rule: &R,
+    masks: Option<&[DistMask<'_>]>,
+    strategy: CommStrategy,
+    opts: SpMSpVOpts,
+    dctx: &DistCtx,
+    label: impl FnOnce(&mut OpTrace<'_>, &[SpMSpVOpts]),
+) -> Result<(Vec<DistSparseVec<W>>, SimReport)>
+where
+    B: Copy + Send + Sync,
+    V: Copy + Send + Sync + 'static,
+    W: Copy + Send + Sync + 'static,
+    R: PushRule<B, V, W>,
+{
+    let mut op = dctx.op(name); // the wall clock starts with the op
+    check_push_operands(a, xs, masks, dctx)?;
+    let opts: Vec<SpMSpVOpts> = xs.iter().map(|x| opts.resolved(x.nnz())).collect();
+    let (mut gather, lxs) = gather_rows(a, xs, strategy, dctx)?;
+    let pushed = push_engine(a, &lxs, rule, masks, &opts, strategy, &mut gather, dctx)?;
+    label(&mut op, &opts);
+    op.attr("nrows", a.nrows()).attr("ncols", a.ncols());
+    if masks.is_some() {
+        op.attr("masked", true);
+    }
+    op.sched(gather.sched).nnz(xs.iter().map(|x| x.nnz() as u64).sum());
+    let report = pushed.finish(op, &gather);
+    Ok((pushed.rows, report))
+}
+
 /// Listing 8 as written: fine-grained gather and scatter.
 pub fn spmspv_dist<T: Copy + Send + Sync + 'static>(
     a: &DistCsrMatrix<T>,
@@ -578,39 +634,42 @@ pub fn spmspv_dist_with<T: Copy + Send + Sync, V: Copy + Send + Sync + 'static>(
     opts: SpMSpVOpts,
     dctx: &DistCtx,
 ) -> Result<(DistSparseVec<usize>, SimReport)> {
-    let mut op = dctx.op("spmspv_dist"); // the wall clock starts with the op
     let masks = mask.as_ref().map(std::slice::from_ref);
-    check_push_operands(a, x.capacity(), x.locales(), masks, dctx)?;
-    // Resolve `auto` once from the *global* nnz so every locale runs the
-    // same strategy.
-    let opts = opts.resolved(x.nnz());
-    // A scatter claim carries the destination offset and the parent row id.
-    let claim_bytes = (2 * std::mem::size_of::<usize>()) as u64;
-    let (mut gather, lxs) = gather_rows(a, std::slice::from_ref(x), strategy, SOLO_GATHER, dctx)?;
-    let lx = |l: usize| lxs[l].as_slice();
-    let rule = FirstVisitor(opts);
-    let mut pushed = push_engine(a, lx, &rule, masks, strategy, claim_bytes, &mut gather, dctx)?;
-    let y = pushed.rows.pop().ok_or_else(no_row)?;
-
-    op.attr("strategy", strategy_name(strategy))
-        .attr("merge", opts.merge.name())
-        .attr("nrows", a.nrows())
-        .attr("ncols", a.ncols())
-        .attr("masked", mask.is_some())
-        .sched(gather.sched)
-        .nnz(x.nnz() as u64);
-    Ok((y, pushed.finish(op, &gather)))
+    let (ys, report) = first_visitor_push(a, std::slice::from_ref(x), masks, strategy, opts, dctx)?;
+    Ok((only(ys)?, report))
 }
 
-/// The error of a single-source push whose engine returned no row.
-fn no_row() -> GblasError {
-    GblasError::InvalidContainer("the push engine returned no output row".into())
+/// The first-visitor push of `k = xs.len()` sources under `strategy`,
+/// with one output mask per source or none: the `spmspv_dist` op for any
+/// `k`, whose `merge` attribute lists each source's resolved strategy.
+pub(crate) fn first_visitor_push<T: Copy + Send + Sync, V: Copy + Send + Sync + 'static>(
+    a: &DistCsrMatrix<T>,
+    xs: &[DistSparseVec<V>],
+    masks: Option<&[DistMask<'_>]>,
+    strategy: CommStrategy,
+    opts: SpMSpVOpts,
+    dctx: &DistCtx,
+) -> Result<(Vec<DistSparseVec<usize>>, SimReport)> {
+    push("spmspv_dist", a, xs, &FirstVisitor, masks, strategy, opts, dctx, solo_label(strategy))
 }
 
-fn strategy_name(strategy: CommStrategy) -> &'static str {
-    match strategy {
+/// The one output row of a single-source push.
+fn only<W>(ys: Vec<W>) -> Result<W> {
+    ys.into_iter().next().ok_or_else(|| {
+        GblasError::InvalidContainer("the push engine returned no output row".into())
+    })
+}
+
+/// The leading op attributes of a push under `strategy`: the strategy,
+/// and each source's resolved merge, batch order, comma-separated.
+fn solo_label(strategy: CommStrategy) -> impl FnOnce(&mut OpTrace<'_>, &[SpMSpVOpts]) {
+    let name = match strategy {
         CommStrategy::Fine => "fine",
         CommStrategy::Bulk => "bulk",
+    };
+    move |op, opts| {
+        let merges: Vec<&str> = opts.iter().map(|o| o.merge.name()).collect();
+        op.attr("strategy", name).attr("merge", merges.join(","));
     }
 }
 
@@ -660,33 +719,33 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
-    let mut op = dctx.op("spmspv_dist_semiring"); // the wall clock starts with the op
     let masks = mask.as_ref().map(std::slice::from_ref);
-    check_push_operands(a, x.capacity(), x.locales(), masks, dctx)?;
-    // Same global resolution as [`spmspv_dist_with`]: one strategy,
-    // every locale.
-    let opts = opts.resolved(x.nnz());
-    // A scatter claim carries the destination offset and an output value,
-    // priced from the actual pair width.
-    let claim_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<C>()) as u64;
-    let (mut gather, lxs) = gather_rows(a, std::slice::from_ref(x), strategy, SOLO_GATHER, dctx)?;
-    let lx = |l: usize| lxs[l].as_slice();
-    let rule = Accumulate(ring, opts);
-    let mut pushed = push_engine(a, lx, &rule, masks, strategy, claim_bytes, &mut gather, dctx)?;
-    let y = pushed.rows.pop().ok_or_else(no_row)?;
+    let xs = std::slice::from_ref(x);
+    let (ys, report) = semiring_push(a, xs, ring, masks, strategy, opts, dctx)?;
+    Ok((only(ys)?, report))
+}
 
-    op.attr("strategy", strategy_name(strategy))
-        .attr("merge", opts.merge.name())
-        .attr("nrows", a.nrows())
-        .attr("ncols", a.ncols())
-        .sched(gather.sched)
-        .nnz(x.nnz() as u64);
-    // Only stamp the attr for masked runs so unmasked traces (and their
-    // golden files) are byte-identical to the pre-mask kernel.
-    if mask.is_some() {
-        op.attr("masked", true);
-    }
-    Ok((y, pushed.finish(op, &gather)))
+/// The semiring push of `k = xs.len()` sources under `strategy`, with one
+/// output mask per source or none: the `spmspv_dist_semiring` op for any
+/// `k`, whose `merge` attribute lists each source's resolved strategy.
+pub(crate) fn semiring_push<A, B, C, AddM, MulOp>(
+    a: &DistCsrMatrix<B>,
+    xs: &[DistSparseVec<A>],
+    ring: &Semiring<AddM, MulOp>,
+    masks: Option<&[DistMask<'_>]>,
+    strategy: CommStrategy,
+    opts: SpMSpVOpts,
+    dctx: &DistCtx,
+) -> Result<(Vec<DistSparseVec<C>>, SimReport)>
+where
+    A: Copy + Send + Sync + 'static,
+    B: Copy + Send + Sync,
+    C: Copy + Send + Sync + PartialEq + 'static,
+    AddM: Monoid<C>,
+    MulOp: BinaryOp<A, B, C>,
+{
+    let (name, rule) = ("spmspv_dist_semiring", Accumulate(ring));
+    push(name, a, xs, &rule, masks, strategy, opts, dctx, solo_label(strategy))
 }
 
 #[cfg(test)]

@@ -49,8 +49,6 @@ pub enum FrontierClass {
     Bitmap,
     /// Dense value vector input.
     Dense,
-    /// Batched multi-source frontier of width `k`.
-    Batched(usize),
     /// An explicit index set (extract/assign).
     Index,
     /// A distributed matrix operand (sparse SUMMA).

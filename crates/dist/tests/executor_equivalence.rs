@@ -259,15 +259,20 @@ fn gather_and_scatter_charge_the_same_element_width() {
     assert!(saw_gather && saw_scatter, "trace must carry both comm phases");
 }
 
-/// A single-source aggregated push is a batch of one: the gather-phase
-/// ledger of `spmspv_dist_with(.., Bulk)` is, event for event, that of
-/// `expand_dist_first_visitor` over a one-source frontier holding the same
-/// frontier and mask. Each locale opens the gather with exactly one
-/// message of `nnz × elem_bytes` per remote row peer whose shard is
-/// nonempty — no request round, no empty reply — and logs no zero-byte
-/// gather event anywhere.
+/// A single-source aggregated push is a batch of one, on every event:
+/// the whole comm ledger (gather, mask gather, scatter) and the simulated
+/// report of `spmspv_dist_with` / `spmspv_dist_semiring_with` at `Bulk`
+/// equal those of the same push over a one-source batch — the batched
+/// expansions where they exist (masked first-visitor, unmasked semiring),
+/// the backend trait's slice push for the other two. Each locale opens the
+/// gather with exactly one message of `nnz × elem_bytes` per remote row
+/// peer whose shard is nonempty — no request round, no empty reply — and
+/// logs no zero-byte gather event anywhere.
 #[test]
-fn single_source_bulk_gather_is_a_batch_of_one() {
+fn single_source_bulk_push_is_a_batch_of_one() {
+    use gblas_core::backend::{GblasBackend, MaskSpec};
+    use gblas_dist::DistBackend;
+    type Push<'a> = Box<dyn Fn(&DistCtx) -> SimReport + 'a>;
     let n = 350;
     let elem_bytes = (2 * std::mem::size_of::<usize>()) as u64;
     // Entries in two bands only, so some row peers hold an empty shard.
@@ -275,49 +280,125 @@ fn single_source_bulk_gather_is_a_batch_of_one() {
         (0..n).step_by(7).filter(|i| !(120..=300).contains(i)).map(|i| (i, i)).collect();
     let a = gen::erdos_renyi(n, 6, 71);
     let bits = DenseVec::from_fn(n, |i| i % 5 == 0);
+    let ring = semirings::plus_times_f64();
+    let opts = SpMSpVOpts::default();
     for (pr, pc) in GRIDS {
         let grid = ProcGrid::new(pr, pc);
         let p = grid.locales();
         let da = DistCsrMatrix::from_global(&a, grid);
         let f = DistFrontier::from_entries(n, vec![entries.clone()], p).unwrap();
+        let fv = DistFrontier::from_entries(
+            n,
+            vec![entries.iter().map(|&(i, _)| (i, i as f64)).collect()],
+            p,
+        )
+        .unwrap();
         let visited = vec![DistDenseVec::from_global(&bits, p)];
-        let dx = f.row(0);
+        let (dx, dxv) = (f.row(0), fv.row(0));
+        let mask = Some(DistMask::complement(&visited[0]));
+        let spec = [MaskSpec::complement(&visited[0])];
         for exec in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
-            let gather_events = |run: &dyn Fn(&DistCtx)| {
+            let ledger = |run: &dyn Fn(&DistCtx) -> SimReport| {
                 let dctx = ctx_with(p, exec);
                 dctx.comm.record_history();
-                run(&dctx);
-                let history = dctx.comm.history().into_iter();
-                history.filter(|e| e.phase == "gather").collect::<Vec<_>>()
+                let report = run(&dctx);
+                (dctx.comm.history(), report)
             };
-            let solo = gather_events(&|d| {
-                let mask = Some(DistMask::complement(&visited[0]));
-                let opts = SpMSpVOpts::default();
-                spmspv::spmspv_dist_with(&da, dx, mask, CommStrategy::Bulk, opts, d).unwrap();
-            });
-            let batch = gather_events(&|d| {
-                let opts = SpMSpVOpts::default();
-                expand::expand_dist_first_visitor(&da, &f, &visited, opts, d).unwrap();
-            });
-            let label = format!("{pr}x{pc} {exec:?}");
-            assert_eq!(solo, batch, "{label}: k = 1 gathers differently from a batch of one");
-            assert!(solo.iter().all(|e| e.bytes > 0), "{label}: zero-byte gather event");
-            for l in 0..p {
-                let (row, _) = grid.coords(l);
-                let expected: Vec<(usize, u64, u64)> = grid
-                    .row_locales(row)
-                    .filter(|&src| src != l)
-                    .map(|src| (src, dx.shard(src).nnz() as u64))
-                    .filter(|&(_, nnz)| nnz > 0)
-                    .map(|(src, nnz)| (src, 1, nnz * elem_bytes))
-                    .collect();
-                let opened: Vec<(usize, u64, u64)> = solo
-                    .iter()
-                    .filter(|e| e.src == l)
-                    .take(expected.len())
-                    .map(|e| (e.dst, e.msgs, e.bytes))
-                    .collect();
-                assert_eq!(opened, expected, "{label}: locale {l}'s row-peer messages");
+            let cases: [(&str, [Push; 2]); 4] = [
+                (
+                    "first-visitor masked",
+                    [
+                        Box::new(|d| {
+                            spmspv::spmspv_dist_with(&da, dx, mask, CommStrategy::Bulk, opts, d)
+                                .unwrap()
+                                .1
+                        }),
+                        Box::new(|d| {
+                            expand::expand_dist_first_visitor(&da, &f, &visited, opts, d).unwrap().1
+                        }),
+                    ],
+                ),
+                (
+                    "first-visitor unmasked",
+                    [
+                        Box::new(|d| {
+                            spmspv::spmspv_dist_with(&da, dx, None, CommStrategy::Bulk, opts, d)
+                                .unwrap()
+                                .1
+                        }),
+                        Box::new(|d| {
+                            let b = DistBackend::with_strategy(d, CommStrategy::Bulk);
+                            b.spmspv_first_visitor(&da, f.rows(), None, opts).unwrap();
+                            b.take_report()
+                        }),
+                    ],
+                ),
+                (
+                    "semiring unmasked",
+                    [
+                        Box::new(|d| {
+                            let strategy = CommStrategy::Bulk;
+                            spmspv::spmspv_dist_semiring_with::<f64, f64, f64, _, _>(
+                                &da, dxv, &ring, None, strategy, opts, d,
+                            )
+                            .unwrap()
+                            .1
+                        }),
+                        Box::new(|d| {
+                            expand::expand_dist_semiring::<f64, f64, f64, _, _>(
+                                &da, &fv, &ring, opts, d,
+                            )
+                            .unwrap()
+                            .1
+                        }),
+                    ],
+                ),
+                (
+                    "semiring masked",
+                    [
+                        Box::new(|d| {
+                            let strategy = CommStrategy::Bulk;
+                            spmspv::spmspv_dist_semiring_with::<f64, f64, f64, _, _>(
+                                &da, dxv, &ring, mask, strategy, opts, d,
+                            )
+                            .unwrap()
+                            .1
+                        }),
+                        Box::new(|d| {
+                            let b = DistBackend::with_strategy(d, CommStrategy::Bulk);
+                            let _: Vec<DistSparseVec<f64>> = b
+                                .spmspv_semiring(&da, fv.rows(), &ring, Some(&spec), opts)
+                                .unwrap();
+                            b.take_report()
+                        }),
+                    ],
+                ),
+            ];
+            for (what, [solo, batch]) in &cases {
+                let label = format!("{pr}x{pc} {exec:?} {what}");
+                let (solo_events, solo_report) = ledger(solo.as_ref());
+                let (batch_events, batch_report) = ledger(batch.as_ref());
+                assert_eq!(solo_events, batch_events, "{label}: k = 1 logs differently");
+                assert_eq!(solo_report, batch_report, "{label}: k = 1 prices differently");
+                let gathers: Vec<_> = solo_events.iter().filter(|e| e.phase == "gather").collect();
+                assert!(gathers.iter().all(|e| e.bytes > 0), "{label}: zero-byte gather event");
+                for l in 0..p {
+                    let (row, _) = grid.coords(l);
+                    let expected: Vec<(usize, u64, u64)> = grid
+                        .row_locales(row)
+                        .filter(|&src| src != l)
+                        .map(|src| (src, dx.shard(src).nnz() as u64))
+                        .filter(|&(_, nnz)| nnz > 0)
+                        .map(|(src, nnz)| (src, 1, nnz * elem_bytes))
+                        .collect();
+                    let opened: Vec<(usize, u64, u64)> = gathers
+                        .iter()
+                        .filter(|e| e.src == l)
+                        .take(expected.len())
+                        .map(|e| (e.dst, e.msgs, e.bytes))
+                        .collect();
+                    assert_eq!(opened, expected, "{label}: locale {l}'s row-peer messages");
+                }
             }
         }
     }
@@ -361,7 +442,7 @@ fn assert_faults_surface_everywhere(strategy: CommStrategy, seed: u64, fail_poin
         })
         .collect();
     let (dx0, bits0, xs0) = (dx.clone(), bits.clone(), xs.clone());
-    let (f_parent0, f_value0) = (f_parent.to_entries(), f_value.to_entries());
+    let (f_parent0, f_value0) = (f_parent.rows().to_vec(), f_value.rows().to_vec());
 
     type Run<'a> = Box<dyn Fn(&DistCtx) -> Result<(), GblasError> + 'a>;
     let opts = SpMSpVOpts::default();
@@ -409,8 +490,8 @@ fn assert_faults_surface_everywhere(strategy: CommStrategy, seed: u64, fail_poin
     }
     drop(entry_points);
     assert_eq!((&dx, &bits, &xs), (&dx0, &bits0, &xs0), "a failed op touched its operands");
-    assert_eq!(f_parent.to_entries(), f_parent0, "a failed expand touched its frontier");
-    assert_eq!(f_value.to_entries(), f_value0, "a failed expand touched its frontier");
+    assert_eq!(f_parent.rows(), f_parent0, "a failed expand touched its frontier");
+    assert_eq!(f_value.rows(), f_value0, "a failed expand touched its frontier");
 }
 
 /// Fail the comm layer at several points: the first transfer (gather),

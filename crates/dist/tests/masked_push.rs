@@ -310,7 +310,7 @@ fn batch(case: &Case, da: &DistCsrMatrix<f64>) -> Vec<SparseVec<f64>> {
 fn batched_masked_expand_is_bit_equal_to_the_shared_masked_kernel_per_source() {
     let serial = ExecCtx::serial();
     let opts = SpMSpVOpts::default();
-    let claim_bytes = 3 * USIZE; // (source slot, offset, parent)
+    let claim_bytes = 2 * USIZE; // (offset, parent)
     for case in cases() {
         let n = case.a.nrows();
         // per-source visited masks (complemented, as BFS passes them)

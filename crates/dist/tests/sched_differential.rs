@@ -137,12 +137,13 @@ fn schedules_on_vs_off_are_bit_identical_everywhere() {
             );
 
             let m_on = d_on.metrics().snapshot();
-            // five distinct plan keys (gather_rows, pull_gather, extract,
-            // expand_gather, spmv_gather) inspected exactly once each
-            assert_eq!(m_on.sched_builds, 5, "{pr}x{pc} {exec:?}: {m_on:?}");
+            // four distinct plan keys (gather_rows — every push's, batched
+            // or not —, pull_gather, extract, spmv_gather) inspected
+            // exactly once each
+            assert_eq!(m_on.sched_builds, 4, "{pr}x{pc} {exec:?}: {m_on:?}");
             assert_eq!(m_on.sched_invalidations, 0, "{pr}x{pc} {exec:?}: {m_on:?}");
-            // pass 2 replays all five; pass 1 already replays the second
-            // and third spmspv gathers
+            // pass 2 replays all four; pass 1 already replays the second
+            // and third spmspv gathers and the batched expand's
             assert!(m_on.sched_replays >= 7, "{pr}x{pc} {exec:?}: too few replays in {m_on:?}");
             let m_off = d_off.metrics().snapshot();
             assert_eq!(

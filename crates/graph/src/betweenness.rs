@@ -64,14 +64,14 @@ pub fn betweenness_on<B: GblasBackend, T: Scalar>(
                 current.iter().map(|&(v, _)| v).collect(),
                 current.iter().map(|&(_, p)| p).collect(),
             )?;
-            let next: B::SparseVec<f64> = backend.spmspv_semiring(
+            let next: Vec<B::SparseVec<f64>> = backend.spmspv_semiring(
                 &ones,
-                &fx,
+                std::slice::from_ref(&fx),
                 &ring,
-                Some(MaskSpec::complement(&visited)),
+                Some(&[MaskSpec::complement(&visited)]),
                 opts,
             )?;
-            let entries = backend.sparse_entries(&next);
+            let entries = backend.sparse_entries(&crate::only(next)?);
             for &(v, paths) in &entries {
                 backend.dense_set(&mut visited, v, true);
                 sigma[v] = paths;
@@ -94,14 +94,14 @@ pub fn betweenness_on<B: GblasBackend, T: Scalar>(
             for &(u, _) in &frontiers[d - 1] {
                 backend.dense_set(&mut prev_mask, u, true);
             }
-            let t: B::SparseVec<f64> = backend.spmspv_semiring(
+            let t: Vec<B::SparseVec<f64>> = backend.spmspv_semiring(
                 &ones_t,
-                &w,
+                std::slice::from_ref(&w),
                 &ring,
-                Some(MaskSpec::new(&prev_mask)),
+                Some(&[MaskSpec::new(&prev_mask)]),
                 opts,
             )?;
-            for (u, tv) in backend.sparse_entries(&t) {
+            for (u, tv) in backend.sparse_entries(&crate::only(t)?) {
                 delta[u] += sigma[u] * tv;
             }
         }

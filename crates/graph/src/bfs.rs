@@ -124,12 +124,12 @@ pub fn bfs_observed<B: GblasBackend, T: Scalar>(
         let (dir, merge) = chooser.choose(backend, level, nnz_f, || n - visited_count)?;
         level += 1;
         let next = match dir {
-            Direction::Push => backend.spmspv_first_visitor(
+            Direction::Push => crate::only(backend.spmspv_first_visitor(
                 a,
-                &frontier,
-                Some(MaskSpec::complement(&visited)),
+                std::slice::from_ref(&frontier),
+                Some(&[MaskSpec::complement(&visited)]),
                 SpMSpVOpts { merge, ..opts },
-            )?,
+            )?)?,
             Direction::Pull => {
                 let bits = backend.sparse_to_bitmap(&frontier)?;
                 let at = match &mut at {

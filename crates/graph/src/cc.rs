@@ -58,10 +58,11 @@ pub fn connected_components_on<B: GblasBackend, T: Scalar>(
             Direction::Push => {
                 let vals: Vec<usize> = changed.iter().map(|&v| labels[v]).collect();
                 let f = backend.sparse_from_sorted(n, changed, vals)?;
-                let y: B::SparseVec<usize> =
-                    backend.spmspv_semiring(a, &f, &ring, None, SpMSpVOpts { merge, ..opts })?;
+                let opts = SpMSpVOpts { merge, ..opts };
+                let ys: Vec<B::SparseVec<usize>> =
+                    backend.spmspv_semiring(a, std::slice::from_ref(&f), &ring, None, opts)?;
                 let mut out = vec![usize::MAX; n];
-                for (j, v) in backend.sparse_entries(&y) {
+                for (j, v) in backend.sparse_entries(&crate::only(ys)?) {
                     out[j] = v;
                 }
                 out

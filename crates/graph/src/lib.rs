@@ -86,3 +86,10 @@ pub use sssp::{
     EdgeWeight,
 };
 pub use triangles::{triangle_count, triangle_count_dist, triangle_count_on};
+
+/// The one output row of a single-source push (`xs = slice::from_ref(&x)`).
+fn only<T>(ys: Vec<T>) -> gblas_core::error::Result<T> {
+    ys.into_iter().next().ok_or_else(|| {
+        gblas_core::error::GblasError::InvalidContainer("a push returned no output row".into())
+    })
+}

@@ -66,8 +66,9 @@ pub fn maximal_independent_set_on<B: GblasBackend, T: Scalar>(
         let prio = backend.sparse_from_sorted(n, inds, vals)?;
         // max neighbour priority among candidates:
         // nbr[j] = max_{i candidate, i->j} prio[i]
-        let nbr: B::SparseVec<f64> = backend.spmspv_semiring(a, &prio, &prio_ring, None, opts)?;
-        let nbr_entries = backend.sparse_entries(&nbr);
+        let nbr: Vec<B::SparseVec<f64>> =
+            backend.spmspv_semiring(a, std::slice::from_ref(&prio), &prio_ring, None, opts)?;
+        let nbr_entries = backend.sparse_entries(&crate::only(nbr)?);
         // winners: candidates whose own priority beats every candidate
         // neighbour's (merge-scan: both entry lists are index-sorted)
         let mut winners = Vec::new();
@@ -89,9 +90,9 @@ pub fn maximal_independent_set_on<B: GblasBackend, T: Scalar>(
         // Winners join the set; their neighbourhoods (one more SpMSpV over
         // the winner indicator) leave the pool.
         let wvec = backend.sparse_from_sorted(n, winners.clone(), vec![true; winners.len()])?;
-        let killed: B::SparseVec<bool> =
-            backend.spmspv_semiring(a, &wvec, &kill_ring, None, opts)?;
-        for (u, _) in backend.sparse_entries(&killed) {
+        let killed: Vec<B::SparseVec<bool>> =
+            backend.spmspv_semiring(a, std::slice::from_ref(&wvec), &kill_ring, None, opts)?;
+        for (u, _) in backend.sparse_entries(&crate::only(killed)?) {
             candidate[u] = false;
         }
         for &w in &winners {

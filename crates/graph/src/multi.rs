@@ -1,31 +1,32 @@
-//! Batched multi-source analytics: k queries per masked-SpGEMM sweep.
+//! Batched multi-source analytics: k queries per push.
 //!
 //! The CombBLAS 2.0 serving pattern: when a query stream asks for BFS /
 //! SSSP / personalized PageRank from many sources, running them one at a
-//! time pays the per-level (or per-iteration) latency k times. Packing
-//! the k frontiers into an `n×k` frontier matrix
-//! ([`gblas_core::container::SparseFrontier`] /
-//! [`gblas_dist::DistFrontier`]) turns every traversal level into **one**
-//! batched expansion — in distributed memory, one fused bulk message per
-//! locale pair instead of k (see `gblas_dist::ops::expand`).
+//! time pays the per-level (or per-iteration) latency k times. Holding
+//! the k frontiers side by side — a `Vec` of the backend's sparse vectors,
+//! the conceptual `n×k` frontier matrix — turns every traversal level into
+//! **one** call of the backend's push over all k sources. In distributed
+//! memory that is one fused bulk message per locale pair instead of k
+//! (see `gblas_dist::ops::spmspv`), which is why the `_dist` wrappers here
+//! build a `CommStrategy::Bulk` backend.
 //!
-//! Each `*_multi_on` function is the single-source algorithm text with
-//! the per-level kernel swapped for its batched counterpart. Because the
-//! batched kernels are bit-identical per source to the single-source
-//! kernels (a row of the frontier SpGEMM *is* the single-source product),
-//! slot `s` of every batched result equals the single-source run from
-//! `sources[s]` — the equivalence the `batched_equivalence` integration
-//! suite pins on both backends. Duplicate sources are independent slots.
+//! Each `*_multi_on` function is the single-source algorithm text run
+//! over a slice of frontiers instead of one. Because the backend's push is
+//! bit-identical per source to a push of that source alone, slot `s` of
+//! every batched result equals the single-source run from `sources[s]` —
+//! the equivalence the `batched_equivalence` integration suite pins on
+//! both backends. Duplicate sources are independent slots.
 
 use crate::bfs::BfsResult;
 use crate::pagerank::{check_power_options, inverse_out_degrees, power_step};
 use crate::sssp::EdgeWeight;
 use gblas_core::algebra::{semirings, Scalar};
-use gblas_core::backend::{GblasBackend, SharedBackend};
+use gblas_core::backend::{GblasBackend, MaskSpec, SharedBackend};
 use gblas_core::container::{CsrMatrix, DenseVec};
 use gblas_core::error::{check_dims, GblasError, Result};
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
+use gblas_dist::ops::spmspv::CommStrategy;
 use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx};
 
 fn check_sources<B: GblasBackend, T: Scalar>(
@@ -43,9 +44,10 @@ fn check_sources<B: GblasBackend, T: Scalar>(
     Ok(n)
 }
 
-/// Batched level-synchronous BFS: one masked batched expansion per level
-/// for all `k` sources. Slot `s` of the result is bit-identical to
-/// [`crate::bfs::bfs_on`] from `sources[s]`.
+/// Batched level-synchronous BFS: one first-visitor push per level for
+/// all `k` sources, each under the complement of its own visited set.
+/// Slot `s` of the result is bit-identical to [`crate::bfs::bfs_on`] from
+/// `sources[s]`.
 pub fn bfs_multi_on<B: GblasBackend, T: Scalar>(
     backend: &B,
     a: &B::Matrix<T>,
@@ -64,20 +66,24 @@ pub fn bfs_multi_on<B: GblasBackend, T: Scalar>(
         parents[s][src] = src;
         backend.dense_set(&mut visited[s], src, true);
     }
-    let mut frontier =
-        backend.frontier_from_entries(n, sources.iter().map(|&src| vec![(src, src)]).collect())?;
+    let mut frontier: Vec<B::SparseVec<usize>> = sources
+        .iter()
+        .map(|&src| backend.sparse_from_sorted(n, vec![src], vec![src]))
+        .collect::<Result<_>>()?;
     let mut level = 0i64;
-    while backend.frontier_nnz(&frontier) > 0 {
+    while frontier.iter().any(|f| backend.sparse_nnz(f) > 0) {
         level += 1;
-        let next = backend.expand_first_visitor(a, &frontier, &visited, opts)?;
-        for (s, found) in backend.frontier_entries(&next).into_iter().enumerate() {
-            for (v, parent) in found {
+        let masks: Vec<MaskSpec<'_, B::DenseVec<bool>>> =
+            visited.iter().map(MaskSpec::complement).collect();
+        let next = backend.spmspv_first_visitor(a, &frontier, Some(&masks), opts)?;
+        for (s, found) in next.iter().enumerate() {
+            for (v, parent) in backend.sparse_entries(found) {
                 backend.dense_set(&mut visited[s], v, true);
                 levels[s][v] = level;
                 parents[s][v] = parent;
             }
         }
-        // As in `bfs_on`: the expansion's output is the next frontier.
+        // As in `bfs_on`: the push's output is the next frontier.
         frontier = next;
     }
     Ok(levels
@@ -114,13 +120,13 @@ pub fn bfs_multi_dist<T: Scalar>(
     sources: &[usize],
     dctx: &DistCtx,
 ) -> Result<(Vec<BfsResult>, gblas_sim::SimReport)> {
-    let backend = DistBackend::new(dctx);
+    let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
     let results = bfs_multi_on(&backend, a, sources, SpMSpVOpts::default())?;
     Ok((results, backend.take_report()))
 }
 
-/// Batched Bellman–Ford: one batched `(min, +)` expansion per round for
-/// all `k` sources. Slot `s` matches [`crate::sssp::sssp_on`] from
+/// Batched Bellman–Ford: one `(min, +)` push per round for all `k`
+/// sources. Slot `s` matches [`crate::sssp::sssp_on`] from
 /// `sources[s]` bit for bit.
 pub fn sssp_multi_on<B: GblasBackend, T: EdgeWeight>(
     backend: &B,
@@ -136,30 +142,31 @@ pub fn sssp_multi_on<B: GblasBackend, T: EdgeWeight>(
     for (s, &src) in sources.iter().enumerate() {
         dist[s][src] = 0.0;
     }
-    let mut frontier =
-        backend.frontier_from_entries(n, sources.iter().map(|&src| vec![(src, 0.0)]).collect())?;
+    let mut frontier: Vec<B::SparseVec<f64>> = sources
+        .iter()
+        .map(|&src| backend.sparse_from_sorted(n, vec![src], vec![0.0]))
+        .collect::<Result<_>>()?;
     let mut rounds = 0usize;
-    while backend.frontier_nnz(&frontier) > 0 {
+    while frontier.iter().any(|f| backend.sparse_nnz(f) > 0) {
         rounds += 1;
         if rounds > n {
             return Err(GblasError::InvalidArgument(
                 "sssp did not converge within V rounds (negative cycle?)".into(),
             ));
         }
-        let relaxed: B::Frontier<f64> = backend.expand_semiring(&w, &frontier, &ring, opts)?;
-        let entries = backend.frontier_entries(&relaxed);
-        let mut rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(k);
-        for (s, found) in entries.into_iter().enumerate() {
-            let mut row = Vec::new();
-            for (j, d) in found {
+        let relaxed: Vec<B::SparseVec<f64>> =
+            backend.spmspv_semiring(&w, &frontier, &ring, None, opts)?;
+        for (s, found) in relaxed.iter().enumerate() {
+            let (mut improved, mut dists) = (Vec::new(), Vec::new());
+            for (j, d) in backend.sparse_entries(found) {
                 if d < dist[s][j] {
                     dist[s][j] = d;
-                    row.push((j, d));
+                    improved.push(j);
+                    dists.push(d);
                 }
             }
-            rows.push(row);
+            frontier[s] = backend.sparse_from_sorted(n, improved, dists)?;
         }
-        frontier = backend.frontier_from_entries(n, rows)?;
     }
     Ok(dist.into_iter().map(DenseVec::from_vec).collect())
 }
@@ -190,7 +197,7 @@ pub fn sssp_multi_dist<T: EdgeWeight>(
     sources: &[usize],
     dctx: &DistCtx,
 ) -> Result<(Vec<DenseVec<f64>>, gblas_sim::SimReport)> {
-    let backend = DistBackend::new(dctx);
+    let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
     let results = sssp_multi_on(&backend, a, sources, SpMSpVOpts::default())?;
     Ok((results, backend.take_report()))
 }
@@ -326,7 +333,7 @@ pub fn ppr_multi_dist<T: Scalar>(
     opts: PprOptions,
     dctx: &DistCtx,
 ) -> Result<(PprResult, gblas_sim::SimReport)> {
-    let backend = DistBackend::new(dctx);
+    let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
     let result = ppr_multi_on(&backend, a, seeds, opts)?;
     Ok((result, backend.take_report()))
 }

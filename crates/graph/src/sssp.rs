@@ -93,14 +93,14 @@ pub fn sssp_on<B: GblasBackend, T: EdgeWeight>(
         rounds += 1;
         let relaxed: Vec<(usize, f64)> = match dir {
             Direction::Push => {
-                let y: B::SparseVec<f64> = backend.spmspv_semiring(
+                let ys: Vec<B::SparseVec<f64>> = backend.spmspv_semiring(
                     &w,
-                    &frontier,
+                    std::slice::from_ref(&frontier),
                     &ring,
                     None,
                     SpMSpVOpts { merge, ..opts },
                 )?;
-                backend.sparse_entries(&y)
+                backend.sparse_entries(&crate::only(ys)?)
             }
             Direction::Pull => {
                 let x = backend.dense_from_vec(dist.clone());

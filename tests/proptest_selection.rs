@@ -66,11 +66,12 @@ proptest! {
         let pushed = backend
             .spmspv_first_visitor(
                 &a,
-                &frontier,
-                Some(MaskSpec::complement(&visited)),
+                std::slice::from_ref(&frontier),
+                Some(&[MaskSpec::complement(&visited)]),
                 SpMSpVOpts::default(),
             )
-            .unwrap();
+            .unwrap()
+            .remove(0);
 
         let at = backend.mat_transpose(&a).unwrap();
         let bits = backend.sparse_to_bitmap(&frontier).unwrap();
