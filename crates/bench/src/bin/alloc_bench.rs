@@ -190,7 +190,7 @@ fn bfs_levels(
             samples.push(p.sample(ctx));
         }
     };
-    bfs_observed(&SharedBackend::new(ctx), a, source, None, SpMSpVOpts::default(), each)
+    bfs_observed(&SharedBackend::new(ctx), a, &[source], None, SpMSpVOpts::default(), each)
         .expect("bfs");
     samples
 }

@@ -506,7 +506,7 @@ pub fn fig_imbalance(scale: usize) -> Vec<Figure> {
             let strategy = if algo == "bfs" { CommStrategy::Fine } else { CommStrategy::Bulk };
             let backend = DistBackend::with_strategy(&dctx, strategy);
             if algo == "bfs" {
-                gblas_graph::bfs_on(&backend, &da, 0, None, SpMSpVOpts::default()).expect("bfs");
+                gblas_graph::bfs_on(&backend, &da, &[0], None, SpMSpVOpts::default()).expect("bfs");
             } else {
                 gblas_graph::pagerank_on(&backend, &da, gblas_graph::PageRankOptions::default())
                     .expect("pagerank");

@@ -423,9 +423,9 @@ fn run_algo<B: GblasBackend>(backend: &B, a: &B::Matrix<f64>, args: &Args) -> Re
     let opts = SpMSpVOpts::with_merge(args.merge);
     Ok(match args.command.as_str() {
         "bfs" => {
-            let (r, decisions) =
-                gblas_graph::bfs_on(backend, a, args.source, args.selection, opts)?;
-            let dirs = dir_summary(&decisions);
+            let runs = gblas_graph::bfs_on(backend, a, &[args.source], args.selection, opts)?;
+            let (r, decisions) = &runs[0];
+            let dirs = dir_summary(decisions);
             format!(
                 "bfs from {}: reached {} vertices, max level {}{dirs}",
                 args.source,
@@ -434,9 +434,9 @@ fn run_algo<B: GblasBackend>(backend: &B, a: &B::Matrix<f64>, args: &Args) -> Re
             )
         }
         "sssp" => {
-            let (dist, decisions) =
-                gblas_graph::sssp_on(backend, a, args.source, args.selection, opts)?;
-            let dirs = dir_summary(&decisions);
+            let runs = gblas_graph::sssp_on(backend, a, &[args.source], args.selection, opts)?;
+            let (dist, decisions) = &runs[0];
+            let dirs = dir_summary(decisions);
             let reached = dist.as_slice().iter().filter(|d| d.is_finite()).count();
             let furthest =
                 dist.as_slice().iter().filter(|d| d.is_finite()).cloned().fold(0.0, f64::max);

@@ -188,25 +188,12 @@ pub trait GblasBackend {
         AddM: Monoid<C>,
         MulOp: BinaryOp<A, B, C>;
 
-    /// Dense SpMV in the column orientation the algorithms use:
-    /// `y[j] = ⊕_i x[i] ⊗ A[i,j]` (`y = x A`).
+    /// Dense SpMV over `k = xs.len() ≥ 0` columns at once (the dense `n×k`
+    /// operand; a single column is `slice::from_ref(&x)`), in the column
+    /// orientation the algorithms use: `ys[s][j] = ⊕_i xs[s][i] ⊗ A[i,j]`
+    /// (`y = x A`). Column `s` is bit-identical to the SpMV of that column
+    /// alone.
     fn spmv<A, B, C, AddM, MulOp>(
-        &self,
-        a: &Self::Matrix<B>,
-        x: &Self::DenseVec<A>,
-        ring: &Semiring<AddM, MulOp>,
-    ) -> Result<Self::DenseVec<C>>
-    where
-        A: Scalar,
-        B: Scalar,
-        C: Scalar,
-        AddM: Monoid<C>,
-        MulOp: BinaryOp<A, B, C>;
-
-    /// Batched dense SpMM in the column orientation:
-    /// `ys[s][j] = ⊕_i xs[s][i] ⊗ A[i,j]`. Per column, bit-identical to
-    /// [`GblasBackend::spmv`] on that column alone.
-    fn spmm_dense<A, B, C, AddM, MulOp>(
         &self,
         a: &Self::Matrix<B>,
         xs: &[Self::DenseVec<A>],
@@ -447,22 +434,6 @@ impl GblasBackend for SharedBackend<'_> {
     fn spmv<A, B, C, AddM, MulOp>(
         &self,
         a: &CsrMatrix<B>,
-        x: &DenseVec<A>,
-        ring: &Semiring<AddM, MulOp>,
-    ) -> Result<DenseVec<C>>
-    where
-        A: Scalar,
-        B: Scalar,
-        C: Scalar,
-        AddM: Monoid<C>,
-        MulOp: BinaryOp<A, B, C>,
-    {
-        ops::spmv::spmv_col(a, x, ring, self.ctx)
-    }
-
-    fn spmm_dense<A, B, C, AddM, MulOp>(
-        &self,
-        a: &CsrMatrix<B>,
         xs: &[DenseVec<A>],
         ring: &Semiring<AddM, MulOp>,
     ) -> Result<Vec<DenseVec<C>>>
@@ -473,7 +444,7 @@ impl GblasBackend for SharedBackend<'_> {
         AddM: Monoid<C>,
         MulOp: BinaryOp<A, B, C>,
     {
-        ops::expand::spmm_dense(a, xs, ring, self.ctx)
+        xs.iter().map(|x| ops::spmv::spmv_col(a, x, ring, self.ctx)).collect()
     }
 
     fn pull_first_visitor<T: Scalar>(
@@ -618,10 +589,15 @@ mod tests {
         let l = b.mat_select(&a, &|i, j, _| j < i).unwrap();
         let u = b.mat_transpose(&l).unwrap();
         assert_eq!(b.mat_nnz(&l), b.mat_nnz(&u));
-        // spmv against the direct kernel
-        let x = b.dense_filled(50, 1.0f64);
-        let y: DenseVec<f64> = b.spmv(&a, &x, &semirings::plus_times_f64()).unwrap();
-        let want = ops::spmv::spmv_col(&a, &x, &semirings::plus_times_f64(), &ctx).unwrap();
-        assert_eq!(y.as_slice(), want.as_slice());
+        // spmv against the direct kernel, column by column
+        let ring = semirings::plus_times_f64();
+        let xs: Vec<DenseVec<f64>> = (0..3).map(|s| b.dense_filled(50, 1.0 + s as f64)).collect();
+        let ys: Vec<DenseVec<f64>> = b.spmv(&a, &xs, &ring).unwrap();
+        assert_eq!(ys.len(), 3);
+        for (x, y) in xs.iter().zip(&ys) {
+            let want: DenseVec<f64> = ops::spmv::spmv_col(&a, x, &ring, &ctx).unwrap();
+            assert_eq!(y.as_slice(), want.as_slice());
+        }
+        assert!(b.spmv::<f64, f64, f64, _, _>(&a, &[], &ring).unwrap().is_empty());
     }
 }

@@ -1,4 +1,4 @@
-//! Batched (multi-source) kernels over an `n×k` operand.
+//! Batched (multi-source) first-visitor expansion over an `n×k` frontier.
 //!
 //! CombBLAS 2.0 replaces k per-source SpMSpVs with one masked SpGEMM per
 //! traversal level by packing k frontiers into a sparse `n×k` matrix
@@ -10,22 +10,21 @@
 //! construction: same merge strategy, same accumulation order, same mask
 //! semantics, same counters per row.
 //!
-//! The backend trait's pushes take a slice of per-source sparse vectors
-//! and loop over those kernels directly (`SharedBackend`), so
-//! [`expand_first_visitor`] is the `SparseFrontier` form of that loop,
-//! kept for callers that hold the `n×k` container. [`spmm_dense`] is the
-//! dense `n×k` product. In shared memory the batch buys loop fusion; the
+//! The backend trait's multiplies take a slice of per-source vectors and
+//! loop over the single-source kernels directly (`SharedBackend`: the
+//! sparse pushes over [`crate::ops::spmspv`], the dense SpMV over
+//! [`crate::ops::spmv::spmv_col`]), so [`expand_first_visitor`] is the
+//! `SparseFrontier` form of that loop, kept for callers that hold the
+//! `n×k` container. In shared memory the batch buys loop fusion; the
 //! latency amortization that makes batching a throughput win lives in the
 //! distributed backend, where the k per-source gathers and scatters of a
 //! level fuse into one bulk message per locale pair
 //! (`gblas_dist::ops::spmspv`).
 
-use crate::algebra::{BinaryOp, Monoid, Semiring};
 use crate::container::{CsrMatrix, DenseVec, SparseFrontier};
 use crate::error::{check_dims, Result};
 use crate::mask::VecMask;
 use crate::ops::spmspv::{spmspv_first_visitor, SpMSpVOpts};
-use crate::ops::spmv::spmv_col;
 use crate::par::ExecCtx;
 
 /// Batched first-visitor expansion: row `s` of the output is
@@ -49,29 +48,9 @@ pub fn expand_first_visitor<T: Send + Sync>(
     SparseFrontier::new(a.ncols(), rows)
 }
 
-/// Batched dense SpMM in the column orientation the algorithms use:
-/// `ys[s] = xs[s] · A` — one [`spmv_col`] per batch column, so each
-/// column's result is bit-identical to its standalone SpMV.
-pub fn spmm_dense<A, B, C, AddM, MulOp>(
-    a: &CsrMatrix<B>,
-    xs: &[DenseVec<A>],
-    ring: &Semiring<AddM, MulOp>,
-    ctx: &ExecCtx,
-) -> Result<Vec<DenseVec<C>>>
-where
-    A: Copy + Send + Sync,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync + 'static,
-    AddM: Monoid<C>,
-    MulOp: BinaryOp<A, B, C>,
-{
-    xs.iter().map(|x| spmv_col(a, x, ring, ctx)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::semirings;
     use crate::container::SparseVec;
     use crate::gen;
 
@@ -91,20 +70,6 @@ mod tests {
             let single =
                 spmspv_first_visitor(&a, &x, Some(&vm), SpMSpVOpts::default(), &ctx).unwrap();
             assert_eq!(batched.row(s), &single, "source slot {s}");
-        }
-    }
-
-    #[test]
-    fn spmm_columns_match_single_spmv() {
-        let a = gen::erdos_renyi(120, 4, 19);
-        let ctx = ExecCtx::serial();
-        let ring = semirings::plus_times_f64();
-        let xs: Vec<DenseVec<f64>> =
-            (0..3).map(|s| DenseVec::from_fn(120, |i| ((i + s) % 7) as f64)).collect();
-        let ys: Vec<DenseVec<f64>> = spmm_dense(&a, &xs, &ring, &ctx).unwrap();
-        for (s, x) in xs.iter().enumerate() {
-            let y: DenseVec<f64> = spmv_col(&a, x, &ring, &ctx).unwrap();
-            assert_eq!(ys[s].as_slice(), y.as_slice(), "column {s}");
         }
     }
 

@@ -250,24 +250,6 @@ impl GblasBackend for DistBackend<'_> {
     fn spmv<A, B, C, AddM, MulOp>(
         &self,
         a: &DistCsrMatrix<B>,
-        x: &DistDenseVec<A>,
-        ring: &Semiring<AddM, MulOp>,
-    ) -> Result<DistDenseVec<C>>
-    where
-        A: Scalar,
-        B: Scalar,
-        C: Scalar,
-        AddM: Monoid<C>,
-        MulOp: BinaryOp<A, B, C>,
-    {
-        let (out, r) = crate::ops::spmv::spmv_dist(a, x, ring, self.dctx)?;
-        self.absorb(r);
-        Ok(out)
-    }
-
-    fn spmm_dense<A, B, C, AddM, MulOp>(
-        &self,
-        a: &DistCsrMatrix<B>,
         xs: &[DistDenseVec<A>],
         ring: &Semiring<AddM, MulOp>,
     ) -> Result<Vec<DistDenseVec<C>>>
@@ -278,7 +260,7 @@ impl GblasBackend for DistBackend<'_> {
         AddM: Monoid<C>,
         MulOp: BinaryOp<A, B, C>,
     {
-        let (out, r) = crate::ops::expand::spmm_dense_dist(a, xs, ring, self.dctx)?;
+        let (out, r) = crate::ops::spmv::spmv_columns(a, xs, ring, self.dctx)?;
         self.absorb(r);
         Ok(out)
     }

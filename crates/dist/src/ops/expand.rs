@@ -16,10 +16,10 @@
 //! sparse vectors, which is what a frontier's rows are), and its two
 //! expansions are `crate::ops::spmspv`'s one push body — the very code
 //! `spmspv_dist` runs at `k = 1` — at `CommStrategy::Bulk` with the batch's
-//! own op label; the dense product runs on [`crate::ops::spmv`]'s dense
-//! engine. A batch of one is a solo `Bulk` push on every comm event and
-//! in its report: one schedule key, one claim width, one merge resolution
-//! per source.
+//! own op label; the dense product is [`crate::ops::spmv`]'s one dense
+//! body under its own op label. A batch of one is a solo `Bulk` push, or
+//! a solo `spmv_dist`, on every comm event and in its report: one schedule
+//! key, one claim width, one merge resolution per source.
 //!
 //! 1. **`gather`** — each locale pulls its row-block slices of all k
 //!    frontiers from its processor-row peers, one combined bulk message
@@ -44,7 +44,7 @@
 use crate::exec::{DistCtx, OpTrace};
 use crate::mat::DistCsrMatrix;
 use crate::ops::spmspv::{push, Accumulate, CommStrategy::Bulk, DistMask, FirstVisitor};
-use crate::ops::spmv::{check_dense_operands, dense_engine};
+use crate::ops::spmv::dense;
 use crate::vec::{DistDenseVec, DistSparseVec};
 use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
 use gblas_core::container::SparseVec;
@@ -186,11 +186,11 @@ fn batch_label(k: usize) -> impl FnOnce(&mut OpTrace<'_>, &[SpMSpVOpts]) {
 }
 
 /// Batched distributed dense SpMM: `ys[s] = xs[s] · A` for the whole
-/// batch — [`crate::ops::spmv`]'s dense engine at `k = xs.len()`, so every
-/// gather / combine / placement message carries all k columns (1× the
-/// messages, k× the payload) and `ys[s]` matches a solo
-/// [`crate::ops::spmv::spmv_dist`] run bit for bit. The gather pattern is
-/// read straight off the grid (no schedule is cached per batch width).
+/// batch — [`crate::ops::spmv`]'s one dense body at `k = xs.len()`, with
+/// the batch width as its leading op attribute. Every gather / combine /
+/// placement message carries all k columns (1× the messages, k× the
+/// payload), the gather replays the plan [`crate::ops::spmv::spmv_dist`]
+/// caches, and `ys[s]` matches a solo `spmv_dist` run bit for bit.
 pub fn spmm_dense_dist<A, B, C, AddM, MulOp>(
     a: &DistCsrMatrix<B>,
     xs: &[DistDenseVec<A>],
@@ -204,13 +204,9 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
-    let mut op = dctx.op("spmm_dense_dist"); // the wall clock starts with the op
-    check_dense_operands(a, xs, dctx)?;
-    let grid = a.grid();
-    let product = dense_engine(a, xs, ring, |l| grid.row_locales(grid.coords(l).0), dctx)?;
-    op.attr("k", xs.len()).attr("nrows", a.nrows()).attr("ncols", a.ncols()).nnz(a.nnz() as u64);
-    let report = product.finish(op);
-    Ok((product.ys, report))
+    dense("spmm_dense_dist", a, xs, ring, dctx, |op| {
+        op.attr("k", xs.len());
+    })
 }
 
 #[cfg(test)]
@@ -426,6 +422,8 @@ mod tests {
 
     #[test]
     fn spmm_columns_match_single_spmv_dist_runs() {
+        use crate::backend::DistBackend;
+        use gblas_core::backend::GblasBackend;
         let n = 250;
         let a = gen::erdos_renyi(n, 5, 241);
         let ring = semirings::plus_times_f64();
@@ -450,6 +448,29 @@ mod tests {
                     assert_eq!(got[j], want[j], "grid {pr}x{pc} col {s} entry {j}");
                 }
             }
+            // One column through the backend trait, or through the batched
+            // entry point, is `spmv_dist` on every comm event and in its
+            // report.
+            let ledger = |run: &dyn Fn(&DistCtx) -> SimReport| {
+                let dctx = DistCtx::new(machine_for(grid));
+                dctx.comm.record_history();
+                let report = run(&dctx);
+                (dctx.comm.history(), report)
+            };
+            let one = &xs[..1];
+            let solo = ledger(&|d| {
+                crate::ops::spmv::spmv_dist::<_, _, f64, _, _>(&da, &one[0], &ring, d).unwrap().1
+            });
+            let through_trait = ledger(&|d| {
+                let backend = DistBackend::new(d);
+                let _: Vec<DistDenseVec<f64>> = backend.spmv(&da, one, &ring).unwrap();
+                backend.take_report()
+            });
+            let batch_of_one =
+                ledger(&|d| spmm_dense_dist::<_, _, f64, _, _>(&da, one, &ring, d).unwrap().1);
+            assert!(p == 1 || !solo.0.is_empty(), "grid {pr}x{pc}: the ledger logged nothing");
+            assert_eq!(through_trait, solo, "grid {pr}x{pc}: k = 1 through the trait");
+            assert_eq!(batch_of_one, solo, "grid {pr}x{pc}: k = 1 through spmm_dense_dist");
         }
     }
 

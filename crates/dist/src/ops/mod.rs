@@ -20,11 +20,11 @@
 //! (dense vectors), [`mxm`] (sparse SUMMA SpGEMM), [`transpose`]
 //! (mirror-block exchange), and [`reduce`] (binomial-tree all-reduce).
 //!
-//! The vector-product kernels are two engines with the batch width `k`
-//! as a parameter: every sparse-frontier entry point ([`spmspv`]'s
-//! single-source family and [`expand`]'s batched expansions) runs on the
-//! push engine in [`spmspv`], and [`spmv::spmv_dist`] and
-//! [`expand::spmm_dense_dist`] on the dense engine in [`spmv`].
+//! The vector-product kernels are two bodies with the batch width `k` as
+//! a parameter: every sparse-frontier entry point (and the backend trait's
+//! pushes) runs the one push in [`spmspv`], and [`spmv::spmv_dist`],
+//! [`expand::spmm_dense_dist`] and the trait's SpMV the one dense SpMV in
+//! [`spmv`].
 
 pub mod apply;
 pub mod assign;

@@ -653,11 +653,11 @@ pub(crate) fn first_visitor_push<T: Copy + Send + Sync, V: Copy + Send + Sync + 
     push("spmspv_dist", a, xs, &FirstVisitor, masks, strategy, opts, dctx, solo_label(strategy))
 }
 
-/// The one output row of a single-source push.
-fn only<W>(ys: Vec<W>) -> Result<W> {
-    ys.into_iter().next().ok_or_else(|| {
-        GblasError::InvalidContainer("the push engine returned no output row".into())
-    })
+/// The one output of a single-source push or single-column SpMV.
+pub(crate) fn only<W>(ys: Vec<W>) -> Result<W> {
+    ys.into_iter()
+        .next()
+        .ok_or_else(|| GblasError::InvalidContainer("an op returned no output row".into()))
 }
 
 /// The leading op attributes of a push under `strategy`: the strategy,

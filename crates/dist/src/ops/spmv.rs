@@ -1,5 +1,5 @@
-//! Distributed SpMV: `y = x A` with dense vectors on the 2-D grid — and
-//! the dense engine behind it and its batched form.
+//! Distributed SpMV: `y = x A` with dense vectors on the 2-D grid, for
+//! one column or `k` at once.
 //!
 //! The dense counterpart of the distributed SpMSpV, with the communication
 //! pattern the paper recommends (§IV): *bulk* transfers throughout —
@@ -17,23 +17,27 @@
 //! the matrix and on `pr` — never on thread counts or the executor, and on
 //! `pc` only through a block dense enough to take a second accumulator.
 //!
-//! The four steps — gather, multiply, combine, place — exist once, in
-//! `dense_engine`, for any number `k ≥ 0` of dense columns: every
-//! message carries all `k` columns (1× the messages, k× the payload) and
-//! each column's values accumulate in the same order whatever `k` is.
-//! [`spmv_dist`] is the engine at `k = 1`, executing from its cached
-//! gather schedule; [`crate::ops::expand::spmm_dense_dist`] is the engine
-//! at the batch width. A message with no payload — an empty peer segment
-//! or column range, as on grids with more locales than vector entries —
-//! is never sent, for every `k`.
+//! The four steps — gather, multiply, combine, place — exist once, in one
+//! body (`dense`: validate, resolve the gather schedule, run the four
+//! steps, price the report), for any number `k ≥ 0` of dense columns:
+//! every message carries all `k` columns (1× the messages, k× the
+//! payload) and each column's values accumulate in the same order whatever
+//! `k` is. Every entry point runs it — [`spmv_dist`] at `k = 1`,
+//! [`crate::ops::expand::spmm_dense_dist`] at the batch width under its
+//! own op label, and the backend trait's SpMV at its caller's width — and
+//! every `k` executes from the one gather plan cached under
+//! (`spmv_gather`, `Dense`), so a single column is a batch of one, priced
+//! as one. A message with no payload — an empty peer segment or column
+//! range, as on grids with more locales than vector entries — is never
+//! sent, for every `k`.
 
 use crate::exec::{DistCtx, OpTrace};
 use crate::mat::DistCsrMatrix;
-use crate::ops::spmspv::row_gather_schedule;
+use crate::ops::spmspv::{only, row_gather_schedule};
 use crate::sched::FrontierClass;
 use crate::vec::DistDenseVec;
 use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
-use gblas_core::error::{check_dims, GblasError, Result};
+use gblas_core::error::{check_dims, Result};
 use gblas_core::par::Profile;
 use gblas_sim::SimReport;
 
@@ -44,66 +48,40 @@ pub const PHASE_LOCAL: &str = "local";
 /// Phase: combine partials down processor columns.
 pub const PHASE_COMBINE: &str = "combine";
 
-/// What [`dense_engine`] hands back: one output per input column and the
-/// per-locale profiles of its three priced components.
-pub(crate) struct DenseProduct<C> {
-    /// `ys[s] = xs[s] · A`, distributed like the inputs.
-    pub(crate) ys: Vec<DistDenseVec<C>>,
-    gather: Vec<Profile>,
-    local: Vec<Profile>,
-    combine: Vec<Profile>,
-}
-
-impl<C> DenseProduct<C> {
-    /// Price gather / local / combine into `op` and finish it (which
-    /// drains and prices the comm log).
-    pub(crate) fn finish(&self, mut op: OpTrace<'_>) -> SimReport {
-        op.spawn(PHASE_GATHER, 1);
-        op.compute(PHASE_GATHER, &self.gather);
-        op.compute(PHASE_LOCAL, &self.local);
-        op.compute(PHASE_COMBINE, &self.combine);
-        op.finish()
-    }
-}
-
-/// The shape checks both dense entry points run before anything else:
-/// every column against the matrix rows and grid, the machine against
-/// the grid.
-pub(crate) fn check_dense_operands<A: Copy, B: Copy>(
-    a: &DistCsrMatrix<B>,
-    xs: &[DistDenseVec<A>],
-    dctx: &DistCtx,
-) -> Result<()> {
-    let p = a.grid().locales();
-    for x in xs {
-        check_dims("x length vs matrix rows", a.nrows(), x.len())?;
-        check_dims("x locales vs grid locales", p, x.locales())?;
-    }
-    check_dims("machine locales vs grid locales", p, dctx.locales())
-}
-
-/// `ys[s][j] = ⊕_i xs[s][i] ⊗ A[i,j]` for `k = xs.len()` block-distributed
-/// dense columns at once (operands already checked by
-/// [`check_dense_operands`]). `row_peers(l)` is the ascending list of
-/// locales (self included) whose segments cover locale `l`'s row range —
-/// from a compiled schedule or straight off the grid.
-pub(crate) fn dense_engine<A, B, C, AddM, MulOp, P>(
+/// The one dense SpMV every entry point runs:
+/// `ys[s][j] = ⊕_i xs[s][i] ⊗ A[i,j]` for `k = xs.len() ≥ 0`
+/// block-distributed dense columns at once, priced into the op span
+/// `name`. `label` stamps the entry point's leading attributes; the shape,
+/// the schedule outcome and the matrix nnz follow. The gather runs from
+/// the row-aligned plan cached under (`spmv_gather`, `Dense`): dense SpMV
+/// gathers whole row-peer segments, whatever `k` is, so PageRank's power
+/// iteration and a batch of any width over the same matrix replay one
+/// plan.
+pub(crate) fn dense<A, B, C, AddM, MulOp>(
+    name: &str,
     a: &DistCsrMatrix<B>,
     xs: &[DistDenseVec<A>],
     ring: &Semiring<AddM, MulOp>,
-    row_peers: impl Fn(usize) -> P + Sync,
     dctx: &DistCtx,
-) -> Result<DenseProduct<C>>
+    label: impl FnOnce(&mut OpTrace<'_>),
+) -> Result<(Vec<DistDenseVec<C>>, SimReport)>
 where
     A: Copy + Send + Sync,
     B: Copy + Send + Sync,
     C: Copy + Send + Sync + 'static,
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
-    P: IntoIterator<Item = usize>,
 {
+    let mut op = dctx.op(name); // the wall clock starts with the op
     let grid = a.grid();
     let p = grid.locales();
+    for x in xs {
+        check_dims("x length vs matrix rows", a.nrows(), x.len())?;
+        check_dims("x locales vs grid locales", p, x.locales())?;
+    }
+    check_dims("machine locales vs grid locales", p, dctx.locales())?;
+    let (plan, sched) = row_gather_schedule(a, "spmv_gather", FrontierClass::Dense, dctx);
+    let row_peers = &plan.gather().row_peers;
     let k = xs.len() as u64;
     let n = a.ncols();
     let a_bytes = std::mem::size_of::<A>() as u64;
@@ -121,7 +99,7 @@ where
         let row_range = a.row_range(l);
         let gctx = dctx.locale_ctx_for(l);
         let mut lx: Vec<Vec<A>> = xs.iter().map(|_| Vec::with_capacity(row_range.len())).collect();
-        for src in row_peers(l) {
+        for &src in &row_peers[l] {
             let payload = k * x_dist.size(src) as u64 * a_bytes;
             if src != l && payload > 0 {
                 dctx.comm.bulk(PHASE_GATHER, l, src, 1, payload)?;
@@ -230,7 +208,31 @@ where
         .into_iter()
         .map(|segs| DistDenseVec::from_segments(n, segs))
         .collect::<Result<Vec<_>>>()?;
-    Ok(DenseProduct { ys, gather, local, combine })
+    label(&mut op);
+    op.attr("nrows", a.nrows()).attr("ncols", a.ncols()).sched(sched).nnz(a.nnz() as u64);
+    op.spawn(PHASE_GATHER, 1);
+    op.compute(PHASE_GATHER, &gather);
+    op.compute(PHASE_LOCAL, &local);
+    op.compute(PHASE_COMBINE, &combine);
+    Ok((ys, op.finish()))
+}
+
+/// The dense SpMV of `k = xs.len() ≥ 0` columns: the `spmv_dist` op for
+/// any `k`, which the backend trait's SpMV runs.
+pub(crate) fn spmv_columns<A, B, C, AddM, MulOp>(
+    a: &DistCsrMatrix<B>,
+    xs: &[DistDenseVec<A>],
+    ring: &Semiring<AddM, MulOp>,
+    dctx: &DistCtx,
+) -> Result<(Vec<DistDenseVec<C>>, SimReport)>
+where
+    A: Copy + Send + Sync,
+    B: Copy + Send + Sync,
+    C: Copy + Send + Sync + 'static,
+    AddM: Monoid<C>,
+    MulOp: BinaryOp<A, B, C>,
+{
+    dense("spmv_dist", a, xs, ring, dctx, |_| {})
 }
 
 /// `y[j] = ⊕_i x[i] ⊗ A[i,j]` with block-distributed dense `x`, dense
@@ -248,20 +250,8 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
-    let mut op = dctx.op("spmv_dist"); // the wall clock starts with the op
-    check_dense_operands(a, std::slice::from_ref(x), dctx)?;
-    // ---- Inspect or replay the gather schedule: dense SpMV gathers whole
-    // row-peer segments, so the pattern is the row-aligned plan under the
-    // `Dense` class — PageRank's power iteration replays it every step.
-    let (plan, sched) = row_gather_schedule(a, "spmv_gather", FrontierClass::Dense, dctx);
-    let row_peers = &plan.gather().row_peers;
-    let mut product =
-        dense_engine(a, std::slice::from_ref(x), ring, |l| row_peers[l].iter().copied(), dctx)?;
-    let y = product.ys.pop().ok_or_else(|| {
-        GblasError::InvalidContainer("the dense engine returned no output column".into())
-    })?;
-    op.attr("nrows", a.nrows()).attr("ncols", a.ncols()).sched(sched).nnz(a.nnz() as u64);
-    Ok((y, product.finish(op)))
+    let (ys, report) = spmv_columns(a, std::slice::from_ref(x), ring, dctx)?;
+    Ok((only(ys)?, report))
 }
 
 #[cfg(test)]

@@ -7,10 +7,15 @@
 //! for precisely this purpose.
 //!
 //! There is exactly one implementation, [`bfs_on`], generic over
-//! [`GblasBackend`] and over whether a [`SelectionPolicy`] may swap a
-//! level's push for a pull (Beamer-style direction optimization). Both
-//! return each destination's *minimum* in-frontier in-neighbour, so the
-//! result is the same on any backend, executor, policy and thread count.
+//! [`GblasBackend`], over the number `k ≥ 0` of sources it traverses from
+//! at once, and over whether a [`SelectionPolicy`] may swap a level's push
+//! for a pull (Beamer-style direction optimization). The `k` traversals
+//! advance in lockstep — CombBLAS 2.0's `n×k` frontier, one level per
+//! iteration — and every slot that pushes rides in one batched push, so a
+//! single source is a batch of one. Each slot chooses its own direction
+//! from its own counts, exactly as its solo run would. Both kernels return
+//! each destination's *minimum* in-frontier in-neighbour, so slot `s` is
+//! the same on any backend, executor, policy, batch and thread count.
 
 use crate::policy::Chooser;
 use gblas_core::algebra::Scalar;
@@ -39,11 +44,14 @@ impl BfsResult {
         self.levels.as_slice().iter().filter(|&&l| l >= 0).count()
     }
 
-    /// Validate the BFS tree against the graph: every reached non-source
-    /// vertex has a reached parent one level shallower with an edge
-    /// `parent -> vertex`.
+    /// Validate the BFS tree against the graph: one level and one parent
+    /// per row of `a`, and every reached non-source vertex has a reached
+    /// parent one level shallower with an edge `parent -> vertex`.
     pub fn validate<T>(&self, a: &CsrMatrix<T>, source: usize) -> Result<()> {
-        for v in 0..self.levels.len() {
+        let n = a.nrows();
+        check_dims("levels vs matrix rows", n, self.levels.len())?;
+        check_dims("parents vs matrix rows", n, self.parents.len())?;
+        for v in 0..n {
             let lv = self.levels[v];
             if lv < 0 {
                 continue;
@@ -57,6 +65,9 @@ impl BfsResult {
             let p = self.parents[v];
             if p == usize::MAX {
                 return Err(GblasError::InvalidArgument(format!("reached {v} has no parent")));
+            }
+            if p >= n {
+                return Err(GblasError::InvalidArgument(format!("parent {p} of {v} is no vertex")));
             }
             if self.levels[p] != lv - 1 {
                 return Err(GblasError::InvalidArgument(format!(
@@ -73,23 +84,30 @@ impl BfsResult {
     }
 }
 
-/// Level-synchronous BFS over any backend. Levels and parents are
+/// Level-synchronous BFS over any backend from each of `sources` (`k ≥ 0`
+/// of them, duplicates allowed) at once, returning one result and one
+/// decision log per source, batch order. Levels and parents are
 /// driver-side control state; the visited bits live in the backend's own
 /// layout so the mask never has to be reshaped, and a level's output is
 /// the next level's frontier as it stands.
 ///
-/// `policy = None` is the static driver: every level is the masked push
-/// SpMSpV and the decision log comes back empty. `Some(policy)` decides
-/// per level between it and the pull scan, whose transpose is built the
-/// first time one fires, and returns the log.
+/// `policy = None` is the static driver: every level is one masked push
+/// SpMSpV over all `k` frontiers, each under the complement of its own
+/// visited set, and the decision logs come back empty. `Some(policy)`
+/// gives every source its own per-level choice between that push and the
+/// pull scan: the slots that push share one push under `opts`, and each
+/// slot that pulls runs its own scan over one transpose, built the first
+/// time any slot pulls. A slot whose frontier is empty decides nothing and
+/// rides along in the push. So slot `s` makes the decisions, and returns
+/// the result, of the run from `sources[s]` alone.
 pub fn bfs_on<B: GblasBackend, T: Scalar>(
     backend: &B,
     a: &B::Matrix<T>,
-    source: usize,
+    sources: &[usize],
     policy: Option<SelectionPolicy>,
     opts: SpMSpVOpts,
-) -> Result<(BfsResult, Vec<Decision>)> {
-    bfs_observed(backend, a, source, policy, opts, |_| {})
+) -> Result<Vec<(BfsResult, Vec<Decision>)>> {
+    bfs_observed(backend, a, sources, policy, opts, |_| {})
 }
 
 /// [`bfs_on`] calling `observe(level)` after each level — how a harness
@@ -98,59 +116,80 @@ pub fn bfs_on<B: GblasBackend, T: Scalar>(
 pub fn bfs_observed<B: GblasBackend, T: Scalar>(
     backend: &B,
     a: &B::Matrix<T>,
-    source: usize,
+    sources: &[usize],
     policy: Option<SelectionPolicy>,
     opts: SpMSpVOpts,
     mut observe: impl FnMut(usize),
-) -> Result<(BfsResult, Vec<Decision>)> {
-    check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
-    let n = backend.mat_nrows(a);
-    if source >= n {
-        return Err(GblasError::IndexOutOfBounds { index: source, capacity: n });
+) -> Result<Vec<(BfsResult, Vec<Decision>)>> {
+    let n = crate::check_sources(backend, a, sources)?;
+    let k = sources.len();
+    let new_chooser = || Chooser::new(backend, a, "bfs", Direction::Push, policy, opts.merge);
+    let mut choosers: Vec<Chooser> = sources.iter().map(|_| new_chooser()).collect();
+    let mut levels = vec![DenseVec::filled(n, -1i64); k];
+    let mut parents = vec![DenseVec::filled(n, usize::MAX); k];
+    let mut visited: Vec<B::DenseVec<bool>> =
+        sources.iter().map(|_| backend.dense_filled(n, false)).collect();
+    let mut visited_count = vec![1usize; k];
+    for (s, &src) in sources.iter().enumerate() {
+        levels[s][src] = 0;
+        parents[s][src] = src;
+        backend.dense_set(&mut visited[s], src, true);
     }
-    let mut chooser = Chooser::new(backend, a, "bfs", Direction::Push, policy, opts.merge);
-    let mut levels = DenseVec::filled(n, -1i64);
-    let mut parents = DenseVec::filled(n, usize::MAX);
-    let mut visited = backend.dense_filled(n, false);
-    levels[source] = 0;
-    parents[source] = source;
-    backend.dense_set(&mut visited, source, true);
-    let mut visited_count = 1usize;
     let mut at: Option<B::Matrix<T>> = None;
-    let mut frontier = backend.sparse_from_sorted(n, vec![source], vec![source])?;
-    let mut level = 0usize;
-    while backend.sparse_nnz(&frontier) > 0 {
-        let nnz_f = backend.sparse_nnz(&frontier);
-        let (dir, merge) = chooser.choose(backend, level, nnz_f, || n - visited_count)?;
-        level += 1;
-        let next = match dir {
-            Direction::Push => crate::only(backend.spmspv_first_visitor(
-                a,
-                std::slice::from_ref(&frontier),
-                Some(&[MaskSpec::complement(&visited)]),
-                SpMSpVOpts { merge, ..opts },
-            )?)?,
-            Direction::Pull => {
-                let bits = backend.sparse_to_bitmap(&frontier)?;
-                let at = match &mut at {
-                    Some(at) => at,
-                    None => at.insert(backend.mat_transpose(a)?),
-                };
-                backend.pull_first_visitor(at, &bits, &visited)?
-            }
-        };
-        for (v, parent) in backend.sparse_entries(&next) {
-            backend.dense_set(&mut visited, v, true);
-            levels[v] = level as i64;
-            parents[v] = parent;
+    let mut frontier: Vec<B::SparseVec<usize>> = sources
+        .iter()
+        .map(|&src| backend.sparse_from_sorted(n, vec![src], vec![src]))
+        .collect::<Result<_>>()?;
+    let (mut level, mut pull) = (0usize, vec![false; k]);
+    while frontier.iter().any(|f| backend.sparse_nnz(f) > 0) {
+        // A slot whose frontier is empty decides nothing and rides along in
+        // the push.
+        for (s, f) in frontier.iter().enumerate() {
+            let nnz_f = backend.sparse_nnz(f);
+            let unexplored = || n - visited_count[s];
+            pull[s] = nnz_f > 0
+                && choosers[s].choose(backend, level, nnz_f, unexplored)? == Direction::Pull;
         }
-        visited_count += backend.sparse_nnz(&next);
-        // Both kernels ignore frontier values and emit in the frontier's
-        // own layout, so the parents vector serves as the next frontier.
-        frontier = next;
+        level += 1;
+        let (mut xs, mut masks, mut pulled) = (Vec::new(), Vec::new(), Vec::new());
+        for (s, x) in frontier.drain(..).enumerate() {
+            if !pull[s] {
+                xs.push(x);
+                masks.push(MaskSpec::complement(&visited[s]));
+                continue;
+            }
+            let bits = backend.sparse_to_bitmap(&x)?;
+            let at = match &mut at {
+                Some(at) => at,
+                None => at.insert(backend.mat_transpose(a)?),
+            };
+            pulled.push(backend.pull_first_visitor(at, &bits, &visited[s])?);
+        }
+        // With no slot left to push, the riders keep their empty frontiers.
+        let pushed = if xs.iter().any(|x| backend.sparse_nnz(x) > 0) {
+            backend.spmspv_first_visitor(a, &xs, Some(&masks), opts)?
+        } else {
+            xs
+        };
+        let (mut pushed, mut pulled) = (pushed.into_iter(), pulled.into_iter());
+        for (s, &pulls) in pull.iter().enumerate() {
+            let next = crate::only(if pulls { pulled.next() } else { pushed.next() })?;
+            for (v, parent) in backend.sparse_entries(&next) {
+                backend.dense_set(&mut visited[s], v, true);
+                levels[s][v] = level as i64;
+                parents[s][v] = parent;
+            }
+            visited_count[s] += backend.sparse_nnz(&next);
+            // Both kernels ignore frontier values and emit in the
+            // frontier's own layout, so the parents vector serves as the
+            // next frontier.
+            frontier.push(next);
+        }
         observe(level);
     }
-    Ok((BfsResult { levels, parents }, chooser.decisions))
+    let results =
+        levels.into_iter().zip(parents).map(|(levels, parents)| BfsResult { levels, parents });
+    Ok(results.zip(choosers.into_iter().map(|c| c.decisions)).collect())
 }
 
 /// Shared-memory BFS from `source` over the out-edges of `a` (square).
@@ -167,7 +206,7 @@ pub fn bfs_with<T: Scalar>(
     opts: SpMSpVOpts,
     ctx: &ExecCtx,
 ) -> Result<BfsResult> {
-    Ok(bfs_on(&SharedBackend::new(ctx), a, source, None, opts)?.0)
+    Ok(crate::only(bfs_on(&SharedBackend::new(ctx), a, &[source], None, opts)?)?.0)
 }
 
 /// Shared-memory direction-optimizing BFS, with its per-level decision log.
@@ -178,7 +217,7 @@ pub fn bfs_selected<T: Scalar>(
     opts: SpMSpVOpts,
     ctx: &ExecCtx,
 ) -> Result<(BfsResult, Vec<Decision>)> {
-    bfs_on(&SharedBackend::new(ctx), a, source, Some(policy), opts)
+    crate::only(bfs_on(&SharedBackend::new(ctx), a, &[source], Some(policy), opts)?)
 }
 
 /// Distributed BFS: the same [`bfs_on`] text with the Listing-8 SpMSpV as
@@ -204,7 +243,7 @@ pub fn bfs_dist_with<T: Scalar>(
     dctx: &DistCtx,
 ) -> Result<(BfsResult, gblas_sim::SimReport)> {
     let backend = DistBackend::with_strategy(dctx, strategy);
-    let (result, _) = bfs_on(&backend, a, source, None, opts)?;
+    let (result, _) = crate::only(bfs_on(&backend, a, &[source], None, opts)?)?;
     Ok((result, backend.take_report()))
 }
 
@@ -219,7 +258,7 @@ pub fn bfs_selected_dist<T: Scalar>(
     dctx: &DistCtx,
 ) -> Result<(BfsResult, Vec<Decision>, gblas_sim::SimReport)> {
     let backend = DistBackend::with_strategy(dctx, strategy);
-    let (result, decisions) = bfs_on(&backend, a, source, Some(policy), opts)?;
+    let (result, decisions) = crate::only(bfs_on(&backend, a, &[source], Some(policy), opts)?)?;
     Ok((result, decisions, backend.take_report()))
 }
 
@@ -361,11 +400,10 @@ mod tests {
         let a = gen::erdos_renyi(300, 6, 93);
         let ctx = ExecCtx::serial();
         let mut seen = Vec::new();
-        let (r, decisions) =
-            bfs_observed(&SharedBackend::new(&ctx), &a, 0, None, SpMSpVOpts::default(), |level| {
-                seen.push(level)
-            })
-            .unwrap();
+        let backend = SharedBackend::new(&ctx);
+        let opts = SpMSpVOpts::default();
+        let slots = bfs_observed(&backend, &a, &[0], None, opts, |level| seen.push(level)).unwrap();
+        let (r, decisions) = &slots[0];
         assert!(decisions.is_empty());
         // one call per level run, the last of which finds nothing new
         let depth = *r.levels.as_slice().iter().max().unwrap() as usize;

@@ -47,18 +47,17 @@ pub fn connected_components_on<B: GblasBackend, T: Scalar>(
     let mut changed: Vec<usize> = (0..n).collect();
     let mut round = 0usize;
     loop {
-        let (dir, merge) = chooser.choose(backend, round, changed.len(), || n)?;
+        let dir = chooser.choose(backend, round, changed.len(), || n)?;
         round += 1;
         let propagated: Vec<usize> = match dir {
             Direction::Pull => {
-                let x = backend.dense_from_vec(labels.clone());
-                let y: B::DenseVec<usize> = backend.spmv(a, &x, &ring)?;
-                backend.dense_to_vec(y)
+                let xs = [backend.dense_from_vec(labels.clone())];
+                let ys: Vec<B::DenseVec<usize>> = backend.spmv(a, &xs, &ring)?;
+                backend.dense_to_vec(crate::only(ys)?)
             }
             Direction::Push => {
                 let vals: Vec<usize> = changed.iter().map(|&v| labels[v]).collect();
                 let f = backend.sparse_from_sorted(n, changed, vals)?;
-                let opts = SpMSpVOpts { merge, ..opts };
                 let ys: Vec<B::SparseVec<usize>> =
                     backend.spmspv_semiring(a, std::slice::from_ref(&f), &ring, None, opts)?;
                 let mut out = vec![usize::MAX; n];

@@ -27,10 +27,12 @@
 //!   SUMMA), inflation is `map` + column prune.
 //!
 //! **Every algorithm is written exactly once**, as a generic function
-//! over [`gblas_core::backend::GblasBackend`] (`bfs_on`, `sssp_on`, ...;
-//! the traversals take an `Option<SelectionPolicy>` — `None` is the native
-//! direction every iteration — not a second driver): the same text runs
-//! on the shared-memory backend
+//! over [`gblas_core::backend::GblasBackend`] (`bfs_on`, `sssp_on`, ...).
+//! A choice is a parameter, not a second driver: the traversals take an
+//! `Option<SelectionPolicy>` (`None` runs the native direction every
+//! iteration), and BFS and SSSP take a slice of `k ≥ 0` sources, one
+//! source being a batch of one. The same text runs on the shared-memory
+//! backend
 //! ([`gblas_core::backend::SharedBackend`]) and on the simulated
 //! distributed backend ([`gblas_dist::DistBackend`]), which is the
 //! paper's version-1/version-2 split made a compile-time contract. The
@@ -76,9 +78,8 @@ pub use mcl::{
 };
 pub use mis::{maximal_independent_set, maximal_independent_set_dist, maximal_independent_set_on};
 pub use multi::{
-    bfs_multi, bfs_multi_dist, bfs_multi_on, bfs_multi_with, ppr, ppr_dist, ppr_multi,
-    ppr_multi_dist, ppr_multi_on, sssp_multi, sssp_multi_dist, sssp_multi_on, sssp_multi_with,
-    PprOptions, PprResult,
+    bfs_multi, bfs_multi_dist, ppr, ppr_multi, ppr_multi_dist, ppr_multi_on, sssp_multi,
+    sssp_multi_dist, PprOptions, PprResult,
 };
 pub use pagerank::{pagerank, pagerank_dist, pagerank_dist_on, pagerank_on, PageRankOptions};
 pub use sssp::{
@@ -87,9 +88,29 @@ pub use sssp::{
 };
 pub use triangles::{triangle_count, triangle_count_dist, triangle_count_on};
 
-/// The one output row of a single-source push (`xs = slice::from_ref(&x)`).
-fn only<T>(ys: Vec<T>) -> gblas_core::error::Result<T> {
-    ys.into_iter().next().ok_or_else(|| {
-        gblas_core::error::GblasError::InvalidContainer("a push returned no output row".into())
-    })
+use gblas_core::algebra::Scalar;
+use gblas_core::backend::GblasBackend;
+use gblas_core::error::{check_dims, GblasError, Result};
+
+/// The one output of a single-source push or SpMV (`xs = slice::from_ref(&x)`),
+/// or the one slot of a traversal from one source.
+fn only<T>(ys: impl IntoIterator<Item = T>) -> Result<T> {
+    ys.into_iter()
+        .next()
+        .ok_or_else(|| GblasError::InvalidContainer("an op returned no output row".into()))
+}
+
+/// The shape checks of a traversal from `sources`: a square matrix, and
+/// every source a vertex of it. Returns the vertex count.
+fn check_sources<B: GblasBackend, T: Scalar>(
+    backend: &B,
+    a: &B::Matrix<T>,
+    sources: &[usize],
+) -> Result<usize> {
+    let n = backend.mat_nrows(a);
+    check_dims("square matrix", n, backend.mat_ncols(a))?;
+    match sources.iter().find(|&&s| s >= n) {
+        Some(&index) => Err(GblasError::IndexOutOfBounds { index, capacity: n }),
+        None => Ok(n),
+    }
 }

@@ -10,106 +10,36 @@
 //! (see `gblas_dist::ops::spmspv`), which is why the `_dist` wrappers here
 //! build a `CommStrategy::Bulk` backend.
 //!
-//! Each `*_multi_on` function is the single-source algorithm text run
-//! over a slice of frontiers instead of one. Because the backend's push is
-//! bit-identical per source to a push of that source alone, slot `s` of
-//! every batched result equals the single-source run from `sources[s]` —
-//! the equivalence the `batched_equivalence` integration suite pins on
-//! both backends. Duplicate sources are independent slots.
+//! BFS and SSSP have no batched driver of their own: [`crate::bfs::bfs_on`]
+//! and [`crate::sssp::sssp_on`] take a slice of sources, and the wrappers
+//! here call them at the batch width. Personalized PageRank's driver,
+//! [`ppr_multi_on`], lives here, with one dense SpMV over the active seeds
+//! per iteration. Because the backend's push and SpMV are bit-identical
+//! per source to a run of that source alone, slot `s` of every batched
+//! result equals the single-source run from `sources[s]` — the
+//! equivalence the `batched_equivalence` integration suite pins on both
+//! backends. Duplicate sources are independent slots.
 
-use crate::bfs::BfsResult;
+use crate::bfs::{bfs_on, BfsResult};
 use crate::pagerank::{check_power_options, inverse_out_degrees, power_step};
-use crate::sssp::EdgeWeight;
+use crate::sssp::{sssp_on, EdgeWeight};
 use gblas_core::algebra::{semirings, Scalar};
-use gblas_core::backend::{GblasBackend, MaskSpec, SharedBackend};
+use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::{CsrMatrix, DenseVec};
-use gblas_core::error::{check_dims, GblasError, Result};
+use gblas_core::error::Result;
+use gblas_core::ops::selection::Decision;
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
 use gblas_dist::ops::spmspv::CommStrategy;
 use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx};
 
-fn check_sources<B: GblasBackend, T: Scalar>(
-    backend: &B,
-    a: &B::Matrix<T>,
-    sources: &[usize],
-) -> Result<usize> {
-    check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
-    let n = backend.mat_nrows(a);
-    for &s in sources {
-        if s >= n {
-            return Err(GblasError::IndexOutOfBounds { index: s, capacity: n });
-        }
-    }
-    Ok(n)
-}
-
-/// Batched level-synchronous BFS: one first-visitor push per level for
-/// all `k` sources, each under the complement of its own visited set.
-/// Slot `s` of the result is bit-identical to [`crate::bfs::bfs_on`] from
-/// `sources[s]`.
-pub fn bfs_multi_on<B: GblasBackend, T: Scalar>(
-    backend: &B,
-    a: &B::Matrix<T>,
-    sources: &[usize],
-    opts: SpMSpVOpts,
-) -> Result<Vec<BfsResult>> {
-    let n = check_sources(backend, a, sources)?;
-    let k = sources.len();
-    let mut levels: Vec<DenseVec<i64>> = (0..k).map(|_| DenseVec::filled(n, -1i64)).collect();
-    let mut parents: Vec<DenseVec<usize>> =
-        (0..k).map(|_| DenseVec::filled(n, usize::MAX)).collect();
-    let mut visited: Vec<B::DenseVec<bool>> =
-        (0..k).map(|_| backend.dense_filled(n, false)).collect();
-    for (s, &src) in sources.iter().enumerate() {
-        levels[s][src] = 0;
-        parents[s][src] = src;
-        backend.dense_set(&mut visited[s], src, true);
-    }
-    let mut frontier: Vec<B::SparseVec<usize>> = sources
-        .iter()
-        .map(|&src| backend.sparse_from_sorted(n, vec![src], vec![src]))
-        .collect::<Result<_>>()?;
-    let mut level = 0i64;
-    while frontier.iter().any(|f| backend.sparse_nnz(f) > 0) {
-        level += 1;
-        let masks: Vec<MaskSpec<'_, B::DenseVec<bool>>> =
-            visited.iter().map(MaskSpec::complement).collect();
-        let next = backend.spmspv_first_visitor(a, &frontier, Some(&masks), opts)?;
-        for (s, found) in next.iter().enumerate() {
-            for (v, parent) in backend.sparse_entries(found) {
-                backend.dense_set(&mut visited[s], v, true);
-                levels[s][v] = level;
-                parents[s][v] = parent;
-            }
-        }
-        // As in `bfs_on`: the push's output is the next frontier.
-        frontier = next;
-    }
-    Ok(levels
-        .into_iter()
-        .zip(parents)
-        .map(|(levels, parents)| BfsResult { levels, parents })
-        .collect())
-}
-
-/// Shared-memory batched BFS.
+/// Shared-memory batched BFS: [`crate::bfs::bfs_on`] from `sources`.
 pub fn bfs_multi<T: Scalar>(
     a: &CsrMatrix<T>,
     sources: &[usize],
     ctx: &ExecCtx,
 ) -> Result<Vec<BfsResult>> {
-    bfs_multi_with(a, sources, SpMSpVOpts::default(), ctx)
-}
-
-/// Shared-memory batched BFS with explicit SpMSpV options.
-pub fn bfs_multi_with<T: Scalar>(
-    a: &CsrMatrix<T>,
-    sources: &[usize],
-    opts: SpMSpVOpts,
-    ctx: &ExecCtx,
-) -> Result<Vec<BfsResult>> {
-    bfs_multi_on(&SharedBackend::new(ctx), a, sources, opts)
+    Ok(slots(bfs_on(&SharedBackend::new(ctx), a, sources, None, SpMSpVOpts::default())?))
 }
 
 /// Distributed batched BFS: one fused gather/scatter per level for the
@@ -121,73 +51,17 @@ pub fn bfs_multi_dist<T: Scalar>(
     dctx: &DistCtx,
 ) -> Result<(Vec<BfsResult>, gblas_sim::SimReport)> {
     let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
-    let results = bfs_multi_on(&backend, a, sources, SpMSpVOpts::default())?;
+    let results = slots(bfs_on(&backend, a, sources, None, SpMSpVOpts::default())?);
     Ok((results, backend.take_report()))
 }
 
-/// Batched Bellman–Ford: one `(min, +)` push per round for all `k`
-/// sources. Slot `s` matches [`crate::sssp::sssp_on`] from
-/// `sources[s]` bit for bit.
-pub fn sssp_multi_on<B: GblasBackend, T: EdgeWeight>(
-    backend: &B,
-    a: &B::Matrix<T>,
-    sources: &[usize],
-    opts: SpMSpVOpts,
-) -> Result<Vec<DenseVec<f64>>> {
-    let n = check_sources(backend, a, sources)?;
-    let k = sources.len();
-    let w: B::Matrix<f64> = backend.mat_map(a, &|_, _, v| v.as_weight())?;
-    let ring = semirings::min_plus();
-    let mut dist: Vec<Vec<f64>> = (0..k).map(|_| vec![f64::INFINITY; n]).collect();
-    for (s, &src) in sources.iter().enumerate() {
-        dist[s][src] = 0.0;
-    }
-    let mut frontier: Vec<B::SparseVec<f64>> = sources
-        .iter()
-        .map(|&src| backend.sparse_from_sorted(n, vec![src], vec![0.0]))
-        .collect::<Result<_>>()?;
-    let mut rounds = 0usize;
-    while frontier.iter().any(|f| backend.sparse_nnz(f) > 0) {
-        rounds += 1;
-        if rounds > n {
-            return Err(GblasError::InvalidArgument(
-                "sssp did not converge within V rounds (negative cycle?)".into(),
-            ));
-        }
-        let relaxed: Vec<B::SparseVec<f64>> =
-            backend.spmspv_semiring(&w, &frontier, &ring, None, opts)?;
-        for (s, found) in relaxed.iter().enumerate() {
-            let (mut improved, mut dists) = (Vec::new(), Vec::new());
-            for (j, d) in backend.sparse_entries(found) {
-                if d < dist[s][j] {
-                    dist[s][j] = d;
-                    improved.push(j);
-                    dists.push(d);
-                }
-            }
-            frontier[s] = backend.sparse_from_sorted(n, improved, dists)?;
-        }
-    }
-    Ok(dist.into_iter().map(DenseVec::from_vec).collect())
-}
-
-/// Shared-memory batched SSSP.
+/// Shared-memory batched SSSP: [`crate::sssp::sssp_on`] from `sources`.
 pub fn sssp_multi<T: EdgeWeight>(
     a: &CsrMatrix<T>,
     sources: &[usize],
     ctx: &ExecCtx,
 ) -> Result<Vec<DenseVec<f64>>> {
-    sssp_multi_with(a, sources, SpMSpVOpts::default(), ctx)
-}
-
-/// Shared-memory batched SSSP with explicit SpMSpV options.
-pub fn sssp_multi_with<T: EdgeWeight>(
-    a: &CsrMatrix<T>,
-    sources: &[usize],
-    opts: SpMSpVOpts,
-    ctx: &ExecCtx,
-) -> Result<Vec<DenseVec<f64>>> {
-    sssp_multi_on(&SharedBackend::new(ctx), a, sources, opts)
+    Ok(slots(sssp_on(&SharedBackend::new(ctx), a, sources, None, SpMSpVOpts::default())?))
 }
 
 /// Distributed batched SSSP. Returns per-source distances plus the
@@ -198,8 +72,14 @@ pub fn sssp_multi_dist<T: EdgeWeight>(
     dctx: &DistCtx,
 ) -> Result<(Vec<DenseVec<f64>>, gblas_sim::SimReport)> {
     let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
-    let results = sssp_multi_on(&backend, a, sources, SpMSpVOpts::default())?;
+    let results = slots(sssp_on(&backend, a, sources, None, SpMSpVOpts::default())?);
     Ok((results, backend.take_report()))
+}
+
+/// The per-source results of a static traversal, without its (empty)
+/// decision logs.
+fn slots<R>(runs: Vec<(R, Vec<Decision>)>) -> Vec<R> {
+    runs.into_iter().map(|(result, _)| result).collect()
 }
 
 /// Tunables for personalized PageRank ([`ppr_multi_on`]). Same defaults
@@ -230,13 +110,13 @@ pub struct PprResult {
 }
 
 /// Batched personalized PageRank: power iteration with restart to each
-/// seed, all seeds sharing one dense SpMM per iteration. Restart *and*
+/// seed, all seeds sharing one `k`-column dense SpMV per iteration. Restart *and*
 /// dangling mass teleport to the seed vertex (the standard personalized
 /// formulation), so mass stays conserved per seed:
 ///
 /// `r[v] ← (1-d)·e_s[v] + d·(spread[v] + dangling·e_s[v])`
 ///
-/// A converged seed freezes — it drops out of subsequent SpMMs — so each
+/// A converged seed freezes — it drops out of subsequent SpMVs — so each
 /// seed's trajectory (and iteration count) is exactly its `k = 1` run.
 pub fn ppr_multi_on<B: GblasBackend, T: Scalar>(
     backend: &B,
@@ -244,7 +124,7 @@ pub fn ppr_multi_on<B: GblasBackend, T: Scalar>(
     seeds: &[usize],
     opts: PprOptions,
 ) -> Result<PprResult> {
-    let n = check_sources(backend, a, seeds)?;
+    let n = crate::check_sources(backend, a, seeds)?;
     check_power_options(opts.damping, opts.tolerance)?;
     let k = seeds.len();
     if n == 0 || k == 0 {
@@ -254,7 +134,7 @@ pub fn ppr_multi_on<B: GblasBackend, T: Scalar>(
         });
     }
     // Matrix-free, as in `pagerank_on`: structure-only scaling shared by
-    // the whole batch, pre-scaled ranks, pattern-only SpMM over `a`.
+    // the whole batch, pre-scaled ranks, pattern-only SpMV over `a`.
     let inv_outdeg = inverse_out_degrees(backend, a)?;
     let ring = semirings::plus_first();
     let mut pr: Vec<Vec<f64>> = seeds
@@ -265,7 +145,7 @@ pub fn ppr_multi_on<B: GblasBackend, T: Scalar>(
             v
         })
         .collect();
-    // Per seed: the pre-scaled operand of its next SpMM column and the
+    // Per seed: the pre-scaled operand of its next SpMV column and the
     // dangling mass of its current ranks (all of it when the seed dangles).
     let mut xs: Vec<Vec<f64>> = pr.clone();
     let mut dangling: Vec<f64> = pr
@@ -281,7 +161,7 @@ pub fn ppr_multi_on<B: GblasBackend, T: Scalar>(
         }
         let columns: Vec<B::DenseVec<f64>> =
             active.iter().map(|&s| backend.dense_from_vec(std::mem::take(&mut xs[s]))).collect();
-        let spreads: Vec<B::DenseVec<f64>> = backend.spmm_dense(a, &columns, &ring)?;
+        let spreads: Vec<B::DenseVec<f64>> = backend.spmv(a, &columns, &ring)?;
         backend.allreduce_scalar("ppr-allreduce")?;
         let mut still = Vec::with_capacity(active.len());
         for (&s, spread) in active.iter().zip(spreads) {
@@ -336,18 +216,6 @@ pub fn ppr_multi_dist<T: Scalar>(
     let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
     let result = ppr_multi_on(&backend, a, seeds, opts)?;
     Ok((result, backend.take_report()))
-}
-
-/// Distributed single-seed personalized PageRank — [`ppr_multi_dist`] at
-/// `k = 1`.
-pub fn ppr_dist<T: Scalar>(
-    a: &DistCsrMatrix<T>,
-    seed: usize,
-    opts: PprOptions,
-    dctx: &DistCtx,
-) -> Result<(DenseVec<f64>, usize, gblas_sim::SimReport)> {
-    let (mut r, report) = ppr_multi_dist(a, &[seed], opts, dctx)?;
-    Ok((r.scores.remove(0), r.iterations[0], report))
 }
 
 #[cfg(test)]

@@ -128,8 +128,8 @@ pub fn pagerank_observed<B: GblasBackend, T: Scalar>(
     for iter in 1..=opts.max_iterations {
         // Dangling vertices redistribute their mass uniformly.
         backend.allreduce_scalar("dangling-allreduce")?;
-        let spread: B::DenseVec<f64> = backend.spmv(a, &backend.dense_from_vec(x), &ring)?;
-        x = backend.dense_to_vec(spread);
+        let spread: Vec<B::DenseVec<f64>> = backend.spmv(a, &[backend.dense_from_vec(x)], &ring)?;
+        x = backend.dense_to_vec(crate::only(spread)?);
         let teleport = dangling / n as f64;
         let rank = |_, spread: f64| base + opts.damping * (spread + teleport);
         let (diff, next_dangling) = power_step(&mut pr, &mut x, &inv_outdeg, rank);

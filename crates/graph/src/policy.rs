@@ -9,14 +9,16 @@ use gblas_core::ops::selection::{
 };
 use gblas_core::ops::spmspv::MergeStrategy;
 
-/// A traversal's per-iteration direction choice and its log.
+/// A traversal's per-iteration direction choice and its log; a batched
+/// traversal keeps one per source, fed by that source's own counts.
 ///
 /// With no [`SelectionPolicy`] there is nothing to choose: every iteration
-/// runs the algorithm's native direction with the caller's merge strategy,
-/// and nothing is decided, recorded or charged. With one, every iteration
-/// consults [`decide`] on the measured densities and records the outcome
-/// through [`GblasBackend::record_decision`] (a `select` span; on the
-/// distributed backend also the allreduce that agrees the counts).
+/// runs the algorithm's native direction, and nothing is decided, recorded
+/// or charged. With one, every iteration consults [`decide`] on the
+/// measured densities and records the outcome through
+/// [`GblasBackend::record_decision`] (a `select` span; on the distributed
+/// backend also the allreduce that agrees the counts). The logged merge is
+/// the caller's resolved from the frontier's nnz, as the push resolves it.
 pub(crate) struct Chooser {
     policy: Option<(SelectionPolicy, SelectionThresholds, usize)>,
     algo: &'static str,
@@ -45,18 +47,18 @@ impl Chooser {
         Chooser { policy, algo, n, merge, prev: native, decisions: Vec::new() }
     }
 
-    /// Direction and SpMSpV merge strategy of iteration `iter`, given its
-    /// frontier size and (evaluated only under a policy) the number of
-    /// vertices still to reach.
+    /// Direction of iteration `iter`, given its frontier size and
+    /// (evaluated only under a policy) the number of vertices still to
+    /// reach.
     pub(crate) fn choose<B: GblasBackend>(
         &mut self,
         backend: &B,
         iter: usize,
         nnz_f: usize,
         unexplored: impl FnOnce() -> usize,
-    ) -> Result<(Direction, MergeStrategy)> {
+    ) -> Result<Direction> {
         let Some((policy, thresholds, avg_deg)) = &self.policy else {
-            return Ok((self.prev, self.merge));
+            return Ok(self.prev);
         };
         let unexplored = unexplored();
         let d =
@@ -64,6 +66,6 @@ impl Chooser {
         backend.record_decision(self.algo, iter, d, nnz_f, unexplored)?;
         self.prev = d.dir;
         self.decisions.push(d);
-        Ok((d.dir, d.merge))
+        Ok(d.dir)
     }
 }

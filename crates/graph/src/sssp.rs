@@ -8,14 +8,16 @@
 //!
 //! One implementation, [`sssp_on`], generic over [`GblasBackend`], any
 //! [`EdgeWeight`] value type (the matrix is cast to `f64` weights with one
-//! local `Apply` before the relaxation loop) and an optional per-round
-//! [`SelectionPolicy`].
+//! local `Apply` before the relaxation loop), the number `k ≥ 0` of
+//! sources it relaxes from at once (in lockstep, one round per iteration;
+//! a single source is a batch of one) and an optional per-round
+//! [`SelectionPolicy`], which each source applies to its own counts.
 
 use crate::policy::Chooser;
 use gblas_core::algebra::{semirings, Scalar};
 use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::{CsrMatrix, DenseVec};
-use gblas_core::error::{check_dims, GblasError, Result};
+use gblas_core::error::{GblasError, Result};
 use gblas_core::ops::selection::{Decision, Direction, SelectionPolicy};
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
@@ -48,7 +50,9 @@ impl EdgeWeight for bool {
     }
 }
 
-/// Bellman–Ford relaxation over any backend. Tentative distances are
+/// Bellman–Ford relaxation over any backend from each of `sources` (`k ≥
+/// 0` of them, duplicates allowed) at once, returning one distance vector
+/// and one decision log per source, batch order. Tentative distances are
 /// driver-side control state; each round relaxes the out-edges of the
 /// vertices that improved last round, and the improvements (checked in
 /// ascending vertex order) form the next frontier. At most `V` rounds
@@ -56,71 +60,94 @@ impl EdgeWeight for bool {
 /// error.
 ///
 /// `policy = None` is the static driver: every round is one `(min, +)`
-/// SpMSpV from the frontier and the decision log comes back empty.
-/// `Some(policy)` decides per round between that push and a pull that
-/// relaxes **every** edge with one dense `(min, +)` SpMV. The two make
+/// SpMSpV over all `k` frontiers and the decision logs come back empty.
+/// `Some(policy)` gives every source its own per-round choice between that
+/// push and a pull that relaxes **every** edge with a dense `(min, +)`
+/// SpMV: the slots that push share one push under `opts`, and the slots
+/// that pull share one `k`-column SpMV. A slot whose frontier is empty
+/// decides nothing and rides along in the push. The two directions make
 /// exactly the same improvements (a settled `u` already satisfies
 /// `dist[j] ≤ dist[u] + w`, so the dense min is attained on frontier terms
-/// whenever it improves — exact `f64` equality, no tolerance).
+/// whenever it improves — exact `f64` equality, no tolerance), so slot `s`
+/// makes the decisions, and returns the distances, of the run from
+/// `sources[s]` alone.
 pub fn sssp_on<B: GblasBackend, T: EdgeWeight>(
     backend: &B,
     a: &B::Matrix<T>,
-    source: usize,
+    sources: &[usize],
     policy: Option<SelectionPolicy>,
     opts: SpMSpVOpts,
-) -> Result<(DenseVec<f64>, Vec<Decision>)> {
-    check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
-    let n = backend.mat_nrows(a);
-    if source >= n {
-        return Err(GblasError::IndexOutOfBounds { index: source, capacity: n });
-    }
-    let mut chooser = Chooser::new(backend, a, "sssp", Direction::Push, policy, opts.merge);
+) -> Result<Vec<(DenseVec<f64>, Vec<Decision>)>> {
+    let n = crate::check_sources(backend, a, sources)?;
+    let k = sources.len();
+    let new_chooser = || Chooser::new(backend, a, "sssp", Direction::Push, policy, opts.merge);
+    let mut choosers: Vec<Chooser> = sources.iter().map(|_| new_chooser()).collect();
     let w: B::Matrix<f64> = backend.mat_map(a, &|_, _, v| v.as_weight())?;
     let ring = semirings::min_plus();
-    let mut dist = vec![f64::INFINITY; n];
-    dist[source] = 0.0;
-    let mut frontier = backend.sparse_from_sorted(n, vec![source], vec![0.0])?;
+    let mut dist = vec![vec![f64::INFINITY; n]; k];
+    for (s, &src) in sources.iter().enumerate() {
+        dist[s][src] = 0.0;
+    }
+    let mut frontier: Vec<B::SparseVec<f64>> = sources
+        .iter()
+        .map(|&src| backend.sparse_from_sorted(n, vec![src], vec![0.0]))
+        .collect::<Result<_>>()?;
     let mut rounds = 0usize;
-    while backend.sparse_nnz(&frontier) > 0 {
+    while frontier.iter().any(|f| backend.sparse_nnz(f) > 0) {
         if rounds == n {
             return Err(GblasError::InvalidArgument(
                 "sssp did not converge within V rounds (negative cycle?)".into(),
             ));
         }
-        let unsettled = || dist.iter().filter(|d| d.is_infinite()).count();
-        let nnz_f = backend.sparse_nnz(&frontier);
-        let (dir, merge) = chooser.choose(backend, rounds, nnz_f, unsettled)?;
-        rounds += 1;
-        let relaxed: Vec<(usize, f64)> = match dir {
-            Direction::Push => {
-                let ys: Vec<B::SparseVec<f64>> = backend.spmspv_semiring(
-                    &w,
-                    std::slice::from_ref(&frontier),
-                    &ring,
-                    None,
-                    SpMSpVOpts { merge, ..opts },
-                )?;
-                backend.sparse_entries(&crate::only(ys)?)
-            }
-            Direction::Pull => {
-                let x = backend.dense_from_vec(dist.clone());
-                let y: B::DenseVec<f64> = backend.spmv(&w, &x, &ring)?;
-                let reached = backend.dense_to_vec(y).into_iter().enumerate();
-                reached.filter(|(_, d)| d.is_finite()).collect()
-            }
-        };
-        let mut next_i = Vec::new();
-        let mut next_v = Vec::new();
-        for (j, d) in relaxed {
-            if d < dist[j] {
-                dist[j] = d;
-                next_i.push(j);
-                next_v.push(d);
+        // A slot whose frontier is empty decides nothing and rides along in
+        // the push.
+        let (mut push, mut pull) = (Vec::new(), Vec::new());
+        for (s, f) in frontier.drain(..).enumerate() {
+            let nnz_f = backend.sparse_nnz(&f);
+            let unsettled = || dist[s].iter().filter(|d| d.is_infinite()).count();
+            if nnz_f > 0
+                && choosers[s].choose(backend, rounds, nnz_f, unsettled)? == Direction::Pull
+            {
+                pull.push(s);
+            } else {
+                push.push((s, f));
             }
         }
-        frontier = backend.sparse_from_sorted(n, next_i, next_v)?;
+        rounds += 1;
+        let mut relaxed: Vec<Vec<(usize, f64)>> = vec![Vec::new(); k];
+        let (slots, xs): (Vec<usize>, Vec<B::SparseVec<f64>>) = push.into_iter().unzip();
+        // With no slot left to push, the riders skip it: an empty frontier
+        // relaxes nothing.
+        if xs.iter().any(|x| backend.sparse_nnz(x) > 0) {
+            let ys: Vec<B::SparseVec<f64>> = backend.spmspv_semiring(&w, &xs, &ring, None, opts)?;
+            for (&s, y) in slots.iter().zip(&ys) {
+                relaxed[s] = backend.sparse_entries(y);
+            }
+        }
+        if !pull.is_empty() {
+            let xs: Vec<_> =
+                pull.iter().map(|&s| backend.dense_from_vec(dist[s].clone())).collect();
+            let ys: Vec<B::DenseVec<f64>> = backend.spmv(&w, &xs, &ring)?;
+            for (&s, y) in pull.iter().zip(ys) {
+                let reached = backend.dense_to_vec(y).into_iter().enumerate();
+                relaxed[s] = reached.filter(|(_, d)| d.is_finite()).collect();
+            }
+        }
+        for (dist, relaxed) in dist.iter_mut().zip(relaxed) {
+            let mut next_i = Vec::new();
+            let mut next_v = Vec::new();
+            for (j, d) in relaxed {
+                if d < dist[j] {
+                    dist[j] = d;
+                    next_i.push(j);
+                    next_v.push(d);
+                }
+            }
+            frontier.push(backend.sparse_from_sorted(n, next_i, next_v)?);
+        }
     }
-    Ok((DenseVec::from_vec(dist), chooser.decisions))
+    let dists = dist.into_iter().map(DenseVec::from_vec);
+    Ok(dists.zip(choosers.into_iter().map(|c| c.decisions)).collect())
 }
 
 /// Shortest-path distances from `source`; unreachable vertices hold
@@ -144,7 +171,7 @@ pub fn sssp_with<T: EdgeWeight>(
     opts: SpMSpVOpts,
     ctx: &ExecCtx,
 ) -> Result<DenseVec<f64>> {
-    Ok(sssp_on(&SharedBackend::new(ctx), a, source, None, opts)?.0)
+    Ok(crate::only(sssp_on(&SharedBackend::new(ctx), a, &[source], None, opts)?)?.0)
 }
 
 /// Shared-memory direction-optimizing SSSP, with its per-round decision log.
@@ -155,7 +182,7 @@ pub fn sssp_selected<T: EdgeWeight>(
     opts: SpMSpVOpts,
     ctx: &ExecCtx,
 ) -> Result<(DenseVec<f64>, Vec<Decision>)> {
-    sssp_on(&SharedBackend::new(ctx), a, source, Some(policy), opts)
+    crate::only(sssp_on(&SharedBackend::new(ctx), a, &[source], Some(policy), opts)?)
 }
 
 /// Distributed SSSP: the same [`sssp_on`] text with the general-semiring
@@ -180,7 +207,7 @@ pub fn sssp_dist_with<T: EdgeWeight>(
     dctx: &DistCtx,
 ) -> Result<(DenseVec<f64>, gblas_sim::SimReport)> {
     let backend = DistBackend::with_strategy(dctx, strategy);
-    let (dist, _) = sssp_on(&backend, a, source, None, opts)?;
+    let (dist, _) = crate::only(sssp_on(&backend, a, &[source], None, opts)?)?;
     Ok((dist, backend.take_report()))
 }
 
@@ -194,7 +221,7 @@ pub fn sssp_selected_dist<T: EdgeWeight>(
     dctx: &DistCtx,
 ) -> Result<(DenseVec<f64>, Vec<Decision>, gblas_sim::SimReport)> {
     let backend = DistBackend::with_strategy(dctx, strategy);
-    let (dist, decisions) = sssp_on(&backend, a, source, Some(policy), opts)?;
+    let (dist, decisions) = crate::only(sssp_on(&backend, a, &[source], Some(policy), opts)?)?;
     Ok((dist, decisions, backend.take_report()))
 }
 

@@ -8,14 +8,17 @@
 //! shared backend and on every distributed grid shape, under both locale
 //! executors, duplicate sources included.
 
+use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::CsrMatrix;
 use gblas_core::gen;
+use gblas_core::ops::selection::{Decision, Direction, SelectionPolicy};
+use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
 use gblas_dist::ops::spmspv::CommStrategy;
-use gblas_dist::{DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
+use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
 use gblas_graph::{
-    bfs, bfs_dist_with, bfs_multi, bfs_multi_dist, ppr_multi, ppr_multi_dist, sssp, sssp_dist_with,
-    sssp_multi, sssp_multi_dist, PprOptions,
+    bfs, bfs_dist_with, bfs_multi, bfs_multi_dist, bfs_on, ppr_multi, ppr_multi_dist, sssp,
+    sssp_dist_with, sssp_multi, sssp_multi_dist, sssp_on, PprOptions,
 };
 use gblas_sim::MachineConfig;
 
@@ -157,6 +160,81 @@ fn batched_ppr_slot_equals_its_solo_run() {
             }
         }
     }
+}
+
+/// Every policy a traversal can run under: the static driver and the
+/// three selection policies.
+const POLICIES: [Option<SelectionPolicy>; 4] =
+    [None, Some(SelectionPolicy::Auto), Some(SelectionPolicy::Push), Some(SelectionPolicy::Pull)];
+
+/// Whether some iteration of a batch had one slot push and another pull.
+fn mixes<R>(batch: &[(R, Vec<Decision>)]) -> bool {
+    let iterations = batch.iter().map(|(_, log)| log.len()).max().unwrap_or(0);
+    (0..iterations).any(|i| {
+        let dirs: Vec<Direction> =
+            batch.iter().filter_map(|(_, log)| log.get(i)).map(|d| d.dir).collect();
+        dirs.contains(&Direction::Push) && dirs.contains(&Direction::Pull)
+    })
+}
+
+/// Slot `s` of a `SOURCES` batch on `backend` is the run from `SOURCES[s]`
+/// alone — result and decision log — for BFS and SSSP under every policy.
+/// Returns whether some BFS and some SSSP iteration mixed push and pull
+/// slots, so the caller can check that the mixed iteration was exercised.
+fn assert_every_slot_is_its_solo_run<B: GblasBackend>(
+    backend: &B,
+    a: &B::Matrix<f64>,
+    what: &str,
+) -> (bool, bool) {
+    let opts = SpMSpVOpts::default();
+    let mut mixed = (false, false);
+    for policy in POLICIES {
+        let batch = bfs_on(backend, a, &SOURCES, policy, opts).unwrap();
+        assert_eq!(batch.len(), SOURCES.len());
+        for (s, &src) in SOURCES.iter().enumerate() {
+            let solo = bfs_on(backend, a, &[src], policy, opts).unwrap();
+            assert_eq!(batch[s], solo[0], "{what} bfs {policy:?} slot {s}");
+        }
+        mixed.0 |= mixes(&batch);
+        let batch = sssp_on(backend, a, &SOURCES, policy, opts).unwrap();
+        assert_eq!(batch.len(), SOURCES.len());
+        for (s, &src) in SOURCES.iter().enumerate() {
+            let solo = sssp_on(backend, a, &[src], policy, opts).unwrap();
+            let label = format!("{what} sssp {policy:?} slot {s}");
+            assert_bits(batch[s].0.as_slice(), solo[0].0.as_slice(), &label);
+            assert_eq!(batch[s].1, solo[0].1, "{label}: decision log");
+        }
+        mixed.1 |= mixes(&batch);
+    }
+    mixed
+}
+
+/// The one driver per traversal, at k = 4 with a duplicate source, on a
+/// graph dense enough that `auto` pulls: each slot keeps its own chooser,
+/// fed by its own counts, so its decisions — and its answer — are exactly
+/// those of its solo run, on the shared backend and on every grid under
+/// both executors.
+#[test]
+fn every_slot_is_its_solo_run_under_every_policy() {
+    let a = gen::erdos_renyi(300, 10, 91);
+    let ctx = ExecCtx::with_threads(2);
+    let mixed = assert_every_slot_is_its_solo_run(&SharedBackend::new(&ctx), &a, "shared");
+    assert_eq!(mixed, (true, true), "shared: (bfs, sssp) mixed push and pull slots");
+    let mut dist_mixed = (false, false);
+    for (pr, pc) in GRIDS {
+        let grid = ProcGrid::new(pr, pc);
+        let da = DistCsrMatrix::from_global(&a, grid);
+        for executor in EXECUTORS {
+            let d = dctx(grid, executor);
+            let backend = DistBackend::with_strategy(&d, CommStrategy::Bulk);
+            let what = format!("{pr}x{pc} {executor:?}");
+            let mixed = assert_every_slot_is_its_solo_run(&backend, &da, &what);
+            dist_mixed = (dist_mixed.0 | mixed.0, dist_mixed.1 | mixed.1);
+        }
+    }
+    // The thresholds scale with the locale count, so the 1x1 grid mixes
+    // where shared memory does.
+    assert_eq!(dist_mixed, (true, true), "dist: (bfs, sssp) mixed push and pull slots");
 }
 
 #[test]

@@ -153,6 +153,29 @@ fn out_of_range_and_duplicate_batches_are_handled() {
     }
 }
 
+/// `BfsResult`'s fields are public, so `validate` meets trees no BFS built:
+/// a parent id past the last vertex is an `InvalidArgument`, and `levels`
+/// and `parents` of different lengths, or of a length other than the
+/// graph's row count, a `DimensionMismatch` — never an index panic.
+#[test]
+fn bfs_validate_rejects_malformed_trees_without_panicking() {
+    use gblas_core::container::DenseVec;
+    use gblas_core::error::GblasError::{DimensionMismatch, InvalidArgument};
+    use gblas_graph::BfsResult;
+
+    let a = with_isolated();
+    let tree = bfs(&a, 0, &ExecCtx::serial()).unwrap();
+    tree.validate(&a, 0).unwrap();
+    let far = BfsResult { parents: DenseVec::from_vec(vec![0, 99, 0, 7, 7]), ..tree.clone() };
+    assert!(matches!(far.validate(&a, 0), Err(InvalidArgument(_))));
+    let short = BfsResult { parents: DenseVec::from_vec(vec![0, 0]), ..tree.clone() };
+    assert!(matches!(short.validate(&a, 0), Err(DimensionMismatch { .. })));
+    for n in [0, 4, 6] {
+        let r = BfsResult { levels: DenseVec::filled(n, 0), parents: DenseVec::filled(n, 0) };
+        assert!(matches!(r.validate(&a, 0), Err(DimensionMismatch { .. })), "n = {n}");
+    }
+}
+
 /// A bitmap mask of the wrong length is a `DimensionMismatch` at kernel
 /// entry, short or long, complemented or not, on both SpMSpV kernels. It
 /// used to be read past its end as "not set", so a complemented short mask

@@ -141,7 +141,8 @@ fn profile_counters_flow_through_the_facade() {
 #[test]
 fn pattern_semirings_never_read_matrix_values() {
     use gblas_core::algebra::{Plus, Second};
-    use gblas_core::ops::{expand, spmv};
+    use gblas_core::backend::{GblasBackend, SharedBackend};
+    use gblas_core::ops::spmv;
 
     let pattern = gen::erdos_renyi(150, 5, 9);
     let junk = [f64::NAN, f64::INFINITY, -7.5e300, f64::MIN_POSITIVE, -0.0];
@@ -165,10 +166,12 @@ fn pattern_semirings_never_read_matrix_values() {
         let want: DenseVec<f64> = spmv::spmv_row(&ones, &xs[0], &times, &ctx).unwrap();
         assert_eq!(bits(&got), bits(&want), "spmv_row");
 
-        let got: Vec<DenseVec<f64>> = expand::spmm_dense(&garbage, &xs, &first, &ctx).unwrap();
-        let want: Vec<DenseVec<f64>> = expand::spmm_dense(&ones, &xs, &times, &ctx).unwrap();
+        let backend = SharedBackend::new(&ctx);
+        let got: Vec<DenseVec<f64>> = backend.spmv(&garbage, &xs, &first).unwrap();
+        let want: Vec<DenseVec<f64>> = backend.spmv(&ones, &xs, &times).unwrap();
+        assert_eq!(got.len(), xs.len());
         for (g, w) in got.iter().zip(&want) {
-            assert_eq!(bits(g), bits(w), "spmm_dense");
+            assert_eq!(bits(g), bits(w), "SharedBackend::spmv");
         }
     }
 

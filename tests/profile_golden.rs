@@ -33,7 +33,8 @@ fn traced_bfs(executor: LocaleExecutor) -> (Trace, u64) {
     dctx.set_executor(executor);
     dctx.enable_tracing();
     let backend = DistBackend::with_strategy(&dctx, CommStrategy::Fine);
-    let (r, _) = bfs_on(&backend, &da, 0, None, SpMSpVOpts::default()).expect("bfs");
+    let runs = bfs_on(&backend, &da, &[0], None, SpMSpVOpts::default()).expect("bfs");
+    let (r, _) = &runs[0];
     assert!(r.reached() > 1, "workload must actually traverse");
     (dctx.recorder().snapshot(), dctx.metrics().snapshot().bytes_sent)
 }
