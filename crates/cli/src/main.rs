@@ -31,9 +31,10 @@
 //! ```
 //!
 //! `--spmspv-merge` selects how the frontier algorithms merge SpMSpV
-//! results each round: `sort` (the paper's merge/radix sort), `bucket`
-//! (the sort-free bucketed merge), or `auto` (pick by frontier size). All
-//! give identical output.
+//! results each round: `bucket` (the default: the paper's reference \[9\],
+//! private column ranges with no atomics and no sort), `sort` (Listing 7
+//! as written: an atomic SPA and a merge/radix sort), or `auto` (pick by
+//! frontier size). All give identical output.
 //!
 //! `--selection` makes `bfs`, `cc` and `sssp` decide a direction per
 //! iteration: `auto` switches push/pull from the measured frontier

@@ -27,7 +27,7 @@ mod profile;
 pub use counters::Counters;
 pub use profile::Profile;
 
-use crate::spa::{AtomicSpa, BucketSpa, DenseSpa};
+use crate::spa::{AtomicSpa, DenseSpa, RangeSpa};
 use crate::trace::{MetricsRegistry, SpanKind, TraceRecorder};
 use crate::workspace::{WorkspacePool, WsGuard};
 use parking_lot::Mutex;
@@ -138,9 +138,16 @@ impl ExecCtx {
         self.workspace.atomic_spa(capacity, ntasks, &self.metrics)
     }
 
-    /// Check out a [`BucketSpa`] shaped `(capacity, nbuckets)` from the pool.
-    pub fn ws_bucket_spa(&self, capacity: usize, nbuckets: usize) -> WsGuard<BucketSpa> {
-        self.workspace.bucket_spa(capacity, nbuckets, &self.metrics)
+    /// Check out a [`RangeSpa`] for `capacity` columns, `ntasks` appending
+    /// tasks and `nbufs` append buffers from the pool.
+    pub(crate) fn ws_range_spa<W: Copy + Send + 'static>(
+        &self,
+        capacity: usize,
+        ntasks: usize,
+        nbufs: usize,
+        fill: W,
+    ) -> WsGuard<RangeSpa<W>> {
+        self.workspace.range_spa(capacity, ntasks, nbufs, fill, &self.metrics)
     }
 
     /// Check out an empty staging vector from the pool.

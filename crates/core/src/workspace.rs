@@ -33,7 +33,7 @@
 //! counters of a pooled and an unpooled run are identical by
 //! construction.
 
-use crate::spa::{AtomicSpa, BucketSpa, DenseSpa};
+use crate::spa::{AtomicSpa, DenseSpa, RangeSpa};
 use crate::trace::MetricsRegistry;
 use parking_lot::Mutex;
 use std::any::{Any, TypeId};
@@ -242,23 +242,32 @@ impl WorkspacePool {
         }
     }
 
-    /// Check out a [`BucketSpa`] shaped for `(capacity, nbuckets)`, empty.
-    pub fn bucket_spa(
+    /// Check out a [`RangeSpa`] for `capacity` columns, `ntasks` appending
+    /// tasks and `nbufs` append buffers, every buffer empty.
+    pub(crate) fn range_spa<W: Copy + Send + 'static>(
         self: &Arc<Self>,
         capacity: usize,
-        nbuckets: usize,
+        ntasks: usize,
+        nbufs: usize,
+        fill: W,
         metrics: &MetricsRegistry,
-    ) -> WsGuard<BucketSpa> {
-        let shelf_bytes = (nbuckets * std::mem::size_of::<Vec<usize>>()) as u64;
-        match self.take_raw::<BucketSpa>() {
+    ) -> WsGuard<RangeSpa<W>> {
+        // A column is one value and `ntasks + 1` bits; the buffers start
+        // empty and grow with their appends.
+        let bytes = capacity * std::mem::size_of::<W>()
+            + capacity * (ntasks + 1) / 8
+            + nbufs * std::mem::size_of::<Vec<(usize, W)>>();
+        match self.take_raw::<RangeSpa<W>>() {
             Some(mut spa) => {
-                spa.reset(capacity, nbuckets);
+                if spa.ensure(capacity, ntasks, nbufs, fill) {
+                    self.charge_alloc(bytes as u64, metrics);
+                }
                 self.charge_hit(metrics);
                 self.guard(spa)
             }
             None => {
-                self.charge_miss(shelf_bytes, metrics);
-                self.guard(BucketSpa::new(capacity, nbuckets))
+                self.charge_miss(bytes as u64, metrics);
+                self.guard(RangeSpa::new(capacity, ntasks, nbufs, fill))
             }
         }
     }

@@ -75,10 +75,11 @@ fn fixed_trace() -> gblas_core::trace::Trace {
     r.advance(0.002);
     r.instant("comm_fault", Some(1), vec![("phase".into(), "gather".into())]);
 
-    // A bucketed-merge op: the sort phase is replaced by a `bucket`
-    // scatter/drain (random scatter writes + occupancy scans, zero
-    // sort_elems), and the aggregated gather coalesces each locale pair's
-    // traffic into one request and one bulk reply.
+    // A bucketed-merge op: the sort phase is replaced by the `bucket`
+    // appends (row entries walked, mask bits probed, `(column, value)`
+    // pairs streamed into private buffers; zero sort_elems, zero atomics),
+    // and the aggregated gather coalesces each locale pair's traffic into
+    // one request and one bulk reply.
     let op2 = r.span(
         None,
         "spmspv_dist_semiring",
@@ -115,7 +116,7 @@ fn fixed_trace() -> gblas_core::trace::Trace {
         0.002,
         0.0003,
         0,
-        Counters { elems: 9, rand_access: 9, spa_touches: 9, ..Default::default() },
+        Counters { elems: 9, flops: 9, rand_access: 9, bytes_moved: 144, ..Default::default() },
         vec![],
         None,
     );

@@ -3,7 +3,7 @@
 //!
 //! One small fixed workload each, exported through the byte-deterministic
 //! Chrome sink. The semiring SpMSpV runs (once per merge strategy) pin the span
-//! structure the observability stack promises: the `bucket` phase (and
+//! structure the observability stack promises: the `bucket` appends (and
 //! the absence of any sort work) under the bucketed merge, and the
 //! aggregated one-superstep `gather` under `CommStrategy::Bulk` (one
 //! message per remote row peer with a nonempty shard, no request round).
@@ -31,7 +31,7 @@ use gblas_dist::ops::expand::{
 };
 use gblas_dist::ops::mxm::mxm_dist;
 use gblas_dist::ops::spmspv::{
-    spmspv_dist_semiring_with, spmspv_dist_with, CommStrategy, DistMask, PHASE_GATHER,
+    spmspv_dist_semiring_with, spmspv_dist_with, CommStrategy, DistMask, PHASE_GATHER, PHASE_LOCAL,
 };
 use gblas_dist::ops::spmv::spmv_dist;
 use gblas_dist::{DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid};
@@ -171,19 +171,20 @@ fn traces_carry_the_promised_spans() {
     // The dist trace folds the core merge phases into each locale's
     // `local` compute span (the standalone `bucket`/`sort` spans are
     // pinned by the core golden test), but their counters survive: the
-    // sorted run records sort comparisons and no bucket scatter, the
+    // sorted run records sort comparisons and no bucket appends, the
     // bucketed run the exact opposite.
     let totals = |t: &Trace| {
-        t.spans.iter().fold((0u64, 0u64), |(se, ra), s| {
-            (se + s.counters.sort_elems, ra + s.counters.rand_access)
+        let local = t.spans.iter().filter(|s| s.kind == SpanKind::LocaleCompute);
+        local.filter(|s| s.name == PHASE_LOCAL).fold((0u64, 0u64), |(se, bm), s| {
+            (se + s.counters.sort_elems, bm + s.counters.bytes_moved)
         })
     };
-    let (sorted_se, sorted_ra) = totals(&sorted);
-    let (bucketed_se, bucketed_ra) = totals(&bucketed);
+    let (sorted_se, sorted_appended) = totals(&sorted);
+    let (bucketed_se, bucketed_appended) = totals(&bucketed);
     assert!(sorted_se > 0, "sorted run recorded no sort comparisons");
-    assert_eq!(sorted_ra, 0, "sorted run recorded bucket scatters");
+    assert_eq!(sorted_appended, 0, "sorted run recorded bucket appends");
     assert_eq!(bucketed_se, 0, "bucketed run recorded sort comparisons");
-    assert!(bucketed_ra > 0, "bucketed run recorded no bucket scatters");
+    assert!(bucketed_appended > 0, "bucketed run recorded no bucket appends");
     for t in [&sorted, &bucketed] {
         // the aggregated gather prices whole coalesced messages only
         let gather_comm: Vec<_> = t

@@ -1,18 +1,20 @@
 //! Differential property tests for the SpMSpV merge strategies.
 //!
-//! The sort-free bucketed merge must be *observationally identical* to the
-//! paper's sort-based merge everywhere except the merge phase itself:
+//! The bucketed merge (the default, the paper's reference \[9\]) must
+//! return what the paper's sort-based merge (Listing 7, the oracle)
+//! returns:
 //!
 //! * the output vector (indices, values, nnz) matches the sort-based path
-//!   and a dense O(n) oracle on every random matrix/vector/mask;
-//! * the shared phases (`spa`, `output`) record identical counters;
+//!   bit for bit, and a dense O(n) oracle, on every random
+//!   matrix/vector/mask;
+//! * both walk the same row entries and emit the same values;
 //! * the bucketed path performs **zero** sort comparisons
-//!   (`sort_elems == 0`, no `sort` phase) and the sort-based path never
-//!   touches the `bucket` phase.
+//!   (`sort_elems == 0`, no `sort` phase) and **zero** atomics, and the
+//!   sort-based path never touches the `bucket` phase.
 //!
-//! And the first-visitor kernel must be observationally identical to its
-//! own serial schedule on any number of real threads: the output *and* the
-//! complete work profile.
+//! And each kernel must be observationally identical to its own serial
+//! schedule on any number of real threads: the output *and* the complete
+//! work profile.
 //!
 //! Failures replay exactly: the shim reports the failing case's index and
 //! seed, and `PROPTEST_REPLAY=<case>` re-runs just that case.
@@ -53,11 +55,16 @@ fn csr(rows: usize, cols: usize) -> impl Strategy<Value = CsrMatrix<f64>> {
 }
 
 fn sorted_opts() -> SpMSpVOpts {
-    SpMSpVOpts::default()
+    SpMSpVOpts::with_merge(MergeStrategy::SortBased)
 }
 
 fn bucketed_opts() -> SpMSpVOpts {
     SpMSpVOpts::with_merge(MergeStrategy::Bucketed)
+}
+
+/// A vector's indices and the bits of its values, for bit-for-bit checks.
+fn value_bits(v: &SparseVec<f64>) -> (Vec<usize>, Vec<u64>) {
+    (v.indices().to_vec(), v.values().iter().map(|x| x.to_bits()).collect())
 }
 
 /// The dense O(n) oracle for `plus_times`: accumulate every stored
@@ -90,12 +97,8 @@ proptest! {
         let yb = spmspv_semiring_masked(&a, &x, &ring, None, bucketed_opts(), &ctx_b)
             .unwrap().vector;
 
-        // strategy vs strategy: identical structure, equal values
-        prop_assert_eq!(ys.indices(), yb.indices());
-        prop_assert_eq!(ys.nnz(), yb.nnz());
-        for (p, q) in ys.values().iter().zip(yb.values()) {
-            prop_assert!((p - q).abs() < 1e-9);
-        }
+        // strategy vs strategy: the same bits
+        prop_assert_eq!(value_bits(&ys), value_bits(&yb));
 
         // both vs the dense O(n) oracle
         let (acc, hit) = plus_times_oracle(&a, &x);
@@ -125,12 +128,13 @@ proptest! {
         let ps = ctx_s.take_profile();
         let pb = ctx_b.take_profile();
 
-        // identical SPA and output work under either merge strategy
-        prop_assert_eq!(ps.phase(PHASE_SPA), pb.phase(PHASE_SPA));
-        prop_assert_eq!(ps.phase(PHASE_OUTPUT), pb.phase(PHASE_OUTPUT));
-        // the bucketed path never compares, the sorted path never buckets
+        // the same row entries walked and values emitted under either merge
+        prop_assert_eq!(ps.phase(PHASE_SPA).flops, pb.phase(PHASE_BUCKET).flops);
+        prop_assert_eq!(ps.phase(PHASE_OUTPUT).spa_touches, pb.phase(PHASE_OUTPUT).spa_touches);
+        // the bucketed path never compares and never claims atomically;
+        // the sorted path never buckets
         prop_assert!(pb.phase(PHASE_SORT).is_empty());
-        prop_assert_eq!(pb.total().sort_elems, 0);
+        prop_assert_eq!((pb.total().sort_elems, pb.total().atomics), (0, 0));
         prop_assert!(ps.phase(PHASE_BUCKET).is_empty());
     }
 
@@ -166,31 +170,41 @@ proptest! {
         }
     }
 
-    /// The claim lists merge by owner, so under real threads nothing the
-    /// kernel returns or records follows arrival order: square and
-    /// rectangular matrices, any frontier, mask or none (complemented or
-    /// not), either merge, 1..=8 logical tasks on 1, 2 and 4 real threads.
+    /// Under real threads nothing the kernels return or record follows
+    /// arrival order — the sort-based claim lists merge by owner, the
+    /// bucketed ranges drain in task order: square and rectangular
+    /// matrices, any frontier, mask or none (complemented or not), either
+    /// merge, 1..=8 logical tasks on 1, 2 and 4 real threads; first
+    /// visitor and the f64 `plus_times` and `min_plus` semirings, the
+    /// bucketed results bit for bit the sort-based ones.
     #[test]
     fn first_visitor_output_and_profile_do_not_depend_on_real_threads(
         (a, x) in (1usize..=CAP, 1usize..=CAP)
             .prop_flat_map(|(rows, cols)| (csr(rows, cols), sparse_vec(rows))),
         mask_seed in 0u64..3000, logical in 1usize..=8
     ) {
-        let bits = gblas_core::gen::random_dense_bool(a.ncols(), 0.5, mask_seed);
+        let allowed = gblas_core::gen::random_dense_bool(a.ncols(), 0.5, mask_seed);
         let mask = match mask_seed % 3 {
             0 => None,
-            1 => Some(VecMask::dense(&bits)),
-            _ => Some(VecMask::dense(&bits).complement()),
+            1 => Some(VecMask::dense(&allowed)),
+            _ => Some(VecMask::dense(&allowed).complement()),
         };
+        let run = |opts: SpMSpVOpts, real: usize| {
+            let ctx = ExecCtx::new(logical, real);
+            let m = mask.as_ref();
+            let fv = spmspv_first_visitor(&a, &x, m, opts, &ctx).unwrap();
+            let ring = semirings::plus_times_f64();
+            let pt = spmspv_semiring_masked(&a, &x, &ring, m, opts, &ctx).unwrap().vector;
+            let ring = semirings::min_plus();
+            let mp = spmspv_semiring_masked(&a, &x, &ring, m, opts, &ctx).unwrap().vector;
+            ((fv, value_bits(&pt), value_bits(&mp)), ctx.take_profile())
+        };
+        let oracle = run(sorted_opts(), 1).0;
         for opts in [sorted_opts(), bucketed_opts()] {
-            let run = |real: usize| {
-                let ctx = ExecCtx::new(logical, real);
-                let y = spmspv_first_visitor(&a, &x, mask.as_ref(), opts, &ctx).unwrap();
-                (y, ctx.take_profile())
-            };
-            let expect = run(1);
+            let expect = run(opts, 1);
+            prop_assert_eq!(&expect.0, &oracle, "{:?}", opts.merge);
             for real in [2, 4] {
-                prop_assert_eq!(&run(real), &expect, "{:?} real={}", opts.merge, real);
+                prop_assert_eq!(&run(opts, real), &expect, "{:?} real={}", opts.merge, real);
             }
         }
     }
@@ -207,10 +221,7 @@ proptest! {
             .unwrap().vector;
         let yb = spmspv_semiring_masked(&a, &x, &ring, Some(&mask), bucketed_opts(), &ctx)
             .unwrap().vector;
-        prop_assert_eq!(ys.indices(), yb.indices());
-        for (p, q) in ys.values().iter().zip(yb.values()) {
-            prop_assert!((p - q).abs() < 1e-9);
-        }
+        prop_assert_eq!(value_bits(&ys), value_bits(&yb));
         for (j, _) in yb.iter() {
             prop_assert!(bits[j], "masked-out column {} present", j);
         }
@@ -224,10 +235,7 @@ proptest! {
             .unwrap().vector;
         let yb = spmspv_semiring_masked(&a, &x, &ring, None, bucketed_opts(), &ctx)
             .unwrap().vector;
-        prop_assert_eq!(ys.indices(), yb.indices());
-        for (p, q) in ys.values().iter().zip(yb.values()) {
-            prop_assert!((p - q).abs() < 1e-9);
-        }
+        prop_assert_eq!(value_bits(&ys), value_bits(&yb));
         let mut best = [f64::INFINITY; CAP];
         let mut hit = [false; CAP];
         for (i, &xv) in x.iter() {
@@ -290,10 +298,7 @@ proptest! {
                 .unwrap().vector;
             let yb = spmspv_semiring_masked(&a, &x, &ring, None, bucketed_opts(), &ctx)
                 .unwrap().vector;
-            prop_assert_eq!(ys.indices(), yb.indices(), "threads {}", threads);
-            for (p, q) in ys.values().iter().zip(yb.values()) {
-                prop_assert!((p - q).abs() < 1e-9);
-            }
+            prop_assert_eq!(value_bits(&ys), value_bits(&yb), "threads {}", threads);
         }
     }
 }
@@ -346,6 +351,28 @@ fn pooled_spa_shrink_leaves_no_stale_values() {
         assert_eq!(got, want);
     }
     assert!(shared.workspace().stats().pool_hits > 0);
+}
+
+/// Pooling is real: a second same-shape call takes every buffer it
+/// checks out from the pool, on one real thread or two.
+#[test]
+fn second_same_shape_call_takes_every_buffer_from_the_pool() {
+    let a = gblas_core::gen::erdos_renyi(500, 6, 3);
+    let x = gblas_core::gen::random_sparse_vec(500, 80, 4);
+    let ring = semirings::plus_times_f64();
+    for real in [1, 2] {
+        let ctx = ExecCtx::new(4, real);
+        let call = || {
+            spmspv_first_visitor(&a, &x, None, bucketed_opts(), &ctx).unwrap();
+            spmspv_semiring_masked(&a, &x, &ring, None, bucketed_opts(), &ctx).unwrap();
+        };
+        call();
+        let before = ctx.workspace().stats();
+        call();
+        let second = ctx.workspace().stats().saturating_sub(&before);
+        assert_eq!((second.pool_misses, second.allocs), (0, 0), "real={real}");
+        assert!(second.pool_hits > 0, "real={real}");
+    }
 }
 
 /// The mask in the bucketed drain must consult SPA occupancy, not the
