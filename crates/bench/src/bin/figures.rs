@@ -14,8 +14,9 @@
 //!   (batched multi-source BFS vs the k-loop baseline), `direction` for
 //!   the direction-optimizing BFS ablation (auto vs static push/pull on
 //!   a skewed RMAT graph), `overlap` for the split-phase (compute/comm
-//!   overlap) pricing ablation over BFS and PageRank node sweeps;
-//!   `all` (default) runs everything.
+//!   overlap) pricing ablation over BFS and PageRank node sweeps,
+//!   `spgemm` for the SpGEMM sweep; `all` (default) runs everything. Any
+//!   other value is a usage error (exit status 2).
 //! * `--scale S` — divide the paper's large input sizes (1M/10M/100M) by
 //!   `S` for quick runs; default 1 (full paper sizes, needs ~8 GB RAM and
 //!   a few minutes).
@@ -28,230 +29,98 @@
 //!   into one trace: Chrome trace-event JSON, or JSONL when `FILE` ends in
 //!   `.jsonl`. Metrics are printed at the end.
 
-use gblas_bench::figs::{run_fig_with, PAPER_MERGE};
+use gblas_bench::figs::{self, run_fig_with, PAPER_MERGE};
+use gblas_bench::{serve, Figure};
 use gblas_core::ops::spmspv::{MergeStrategy, SpMSpVOpts};
 use gblas_core::trace::sink;
 use std::path::PathBuf;
 
+const USAGE: &str = "usage: figures [--fig N|ablations|algorithms|imbalance|serving|direction|\
+                     overlap|spgemm|all] [--scale S] [--out DIR] [--trace FILE] \
+                     [--spmspv-merge sort|bucket]";
+
+/// What one `--fig` value draws at a scale, under the SpMSpV options.
+type Sweep = fn(usize, SpMSpVOpts) -> Vec<Figure>;
+
+/// Every `--fig` value, in the order `all` runs them.
+const SWEEPS: [(&str, Sweep); 17] = [
+    ("1", |s, o| run_fig_with(1, s, o)),
+    ("2", |s, o| run_fig_with(2, s, o)),
+    ("3", |s, o| run_fig_with(3, s, o)),
+    ("4", |s, o| run_fig_with(4, s, o)),
+    ("5", |s, o| run_fig_with(5, s, o)),
+    ("6", |_, _| {
+        println!("\n=== fig06 — SPA diagram (Fig 6): illustrative only, nothing to measure ===");
+        Vec::new()
+    }),
+    ("7", |s, o| run_fig_with(7, s, o)),
+    ("8", |s, o| run_fig_with(8, s, o)),
+    ("9", |s, o| run_fig_with(9, s, o)),
+    ("10", |s, o| run_fig_with(10, s, o)),
+    ("ablations", |s, _| figs::fig_ablations(s)),
+    ("algorithms", |s, _| figs::fig_algorithms(s)),
+    ("imbalance", |s, _| figs::fig_imbalance(s)),
+    ("serving", |s, _| serve::fig_serving(s)),
+    ("direction", |s, _| figs::fig_direction(s)),
+    ("overlap", |s, _| figs::fig_overlap(s)),
+    ("spgemm", |s, _| figs::fig_spgemm(s)),
+];
+
+/// Print `msg` and the usage line, and exit with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("figures: {msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
-    let mut figs: Vec<usize> = (1..=10).collect();
-    let mut ablations = true;
-    let mut algorithms = true;
-    let mut imbalance = true;
-    let mut serving = true;
-    let mut direction = true;
-    let mut overlap = true;
-    let mut spgemm = true;
+    let mut selected: &[(&str, Sweep)] = &SWEEPS;
     let mut scale = 1usize;
     let mut out = PathBuf::from("results");
     let mut trace_out: Option<String> = None;
     let mut opts = PAPER_MERGE;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        if flag == "--help" || flag == "-h" {
+            println!("{USAGE}");
+            return;
+        }
+        let value = args.next().unwrap_or_else(|| usage_error(&format!("{flag} needs a value")));
+        match flag.as_str() {
+            "--fig" if value == "all" => selected = &SWEEPS,
             "--fig" => {
-                i += 1;
-                let v = args.get(i).expect("--fig needs a value");
-                if v == "ablations" {
-                    figs = Vec::new();
-                    algorithms = false;
-                    imbalance = false;
-                    serving = false;
-                    direction = false;
-                    overlap = false;
-                    spgemm = false;
-                } else if v == "algorithms" {
-                    figs = Vec::new();
-                    ablations = false;
-                    imbalance = false;
-                    serving = false;
-                    direction = false;
-                    overlap = false;
-                    spgemm = false;
-                } else if v == "imbalance" {
-                    figs = Vec::new();
-                    ablations = false;
-                    algorithms = false;
-                    serving = false;
-                    direction = false;
-                    overlap = false;
-                    spgemm = false;
-                } else if v == "serving" {
-                    figs = Vec::new();
-                    ablations = false;
-                    algorithms = false;
-                    imbalance = false;
-                    direction = false;
-                    overlap = false;
-                    spgemm = false;
-                } else if v == "direction" {
-                    figs = Vec::new();
-                    ablations = false;
-                    algorithms = false;
-                    imbalance = false;
-                    serving = false;
-                    overlap = false;
-                    spgemm = false;
-                } else if v == "overlap" {
-                    figs = Vec::new();
-                    ablations = false;
-                    algorithms = false;
-                    imbalance = false;
-                    serving = false;
-                    direction = false;
-                    spgemm = false;
-                } else if v == "spgemm" {
-                    figs = Vec::new();
-                    ablations = false;
-                    algorithms = false;
-                    imbalance = false;
-                    serving = false;
-                    direction = false;
-                    overlap = false;
-                } else if v != "all" {
-                    figs = vec![v.parse().expect(
-                        "--fig expects 1..10, 'ablations', 'algorithms', 'imbalance', \
-                         'serving', 'direction', 'overlap', 'spgemm' or 'all'",
-                    )];
-                    ablations = false;
-                    algorithms = false;
-                    imbalance = false;
-                    serving = false;
-                    direction = false;
-                    overlap = false;
-                    spgemm = false;
-                }
+                let Some(i) = SWEEPS.iter().position(|(name, _)| *name == value) else {
+                    usage_error(&format!("no figure '{value}'"))
+                };
+                selected = &SWEEPS[i..=i];
             }
             "--scale" => {
-                i += 1;
-                scale = args.get(i).expect("--scale needs a value").parse().expect("integer scale");
+                scale = value.parse().unwrap_or_else(|_| usage_error("--scale expects an integer"))
             }
-            "--out" => {
-                i += 1;
-                out = PathBuf::from(args.get(i).expect("--out needs a value"));
-            }
-            "--trace" => {
-                i += 1;
-                trace_out = Some(args.get(i).expect("--trace needs a value").clone());
-            }
+            "--out" => out = PathBuf::from(value),
+            "--trace" => trace_out = Some(value),
             "--spmspv-merge" => {
-                i += 1;
-                let v = args.get(i).expect("--spmspv-merge needs a value");
-                opts = SpMSpVOpts::with_merge(
-                    MergeStrategy::parse(v).expect("--spmspv-merge expects sort|bucket"),
-                );
+                let merge = MergeStrategy::parse(&value)
+                    .unwrap_or_else(|| usage_error("--spmspv-merge expects sort|bucket"));
+                opts = SpMSpVOpts::with_merge(merge);
             }
-            "--help" | "-h" => {
-                println!(
-                    "usage: figures [--fig N|ablations|algorithms|imbalance|serving|direction|\
-                     overlap|spgemm|all] [--scale S] [--out DIR] [--trace FILE] \
-                     [--spmspv-merge sort|bucket]"
-                );
-                return;
-            }
-            other => panic!("unknown argument {other}"),
+            _ => usage_error(&format!("unknown argument {flag}")),
         }
-        i += 1;
     }
     gblas_bench::configure(gblas_dist::RunConfig::from_env());
     println!("# chapel-graphblas-rs figure harness");
     println!("# scale = {scale} (paper sizes divided by this)");
     println!("# spmspv merge = {}", opts.merge.name());
-    let tracing = trace_out.as_ref().map(|_| gblas_bench::figs::enable_tracing());
-    for n in figs {
-        if n == 6 {
-            println!(
-                "\n=== fig06 — SPA diagram (Fig 6): illustrative only, nothing to measure ==="
-            );
-            continue;
-        }
+    let tracing = trace_out.as_ref().map(|_| figs::enable_tracing());
+    for (name, sweep) in selected {
         let t0 = std::time::Instant::now();
-        for fig in run_fig_with(n, scale, opts) {
+        for fig in sweep(scale, opts) {
             fig.print();
             match fig.write_csv(&out) {
                 Ok(path) => println!("(wrote {})", path.display()),
                 Err(e) => eprintln!("(csv write failed: {e})"),
             }
         }
-        eprintln!("# fig {n} regenerated in {:.1}s", t0.elapsed().as_secs_f64());
-    }
-    if ablations {
-        let t0 = std::time::Instant::now();
-        for fig in gblas_bench::figs::fig_ablations(scale) {
-            fig.print();
-            match fig.write_csv(&out) {
-                Ok(path) => println!("(wrote {})", path.display()),
-                Err(e) => eprintln!("(csv write failed: {e})"),
-            }
-        }
-        eprintln!("# ablations regenerated in {:.1}s", t0.elapsed().as_secs_f64());
-    }
-    if algorithms {
-        let t0 = std::time::Instant::now();
-        for fig in gblas_bench::figs::fig_algorithms(scale) {
-            fig.print();
-            match fig.write_csv(&out) {
-                Ok(path) => println!("(wrote {})", path.display()),
-                Err(e) => eprintln!("(csv write failed: {e})"),
-            }
-        }
-        eprintln!("# algorithms sweep regenerated in {:.1}s", t0.elapsed().as_secs_f64());
-    }
-    if imbalance {
-        let t0 = std::time::Instant::now();
-        for fig in gblas_bench::figs::fig_imbalance(scale) {
-            fig.print();
-            match fig.write_csv(&out) {
-                Ok(path) => println!("(wrote {})", path.display()),
-                Err(e) => eprintln!("(csv write failed: {e})"),
-            }
-        }
-        eprintln!("# imbalance sweep regenerated in {:.1}s", t0.elapsed().as_secs_f64());
-    }
-    if serving {
-        let t0 = std::time::Instant::now();
-        for fig in gblas_bench::serve::fig_serving(scale) {
-            fig.print();
-            match fig.write_csv(&out) {
-                Ok(path) => println!("(wrote {})", path.display()),
-                Err(e) => eprintln!("(csv write failed: {e})"),
-            }
-        }
-        eprintln!("# serving sweep regenerated in {:.1}s", t0.elapsed().as_secs_f64());
-    }
-    if direction {
-        let t0 = std::time::Instant::now();
-        for fig in gblas_bench::figs::fig_direction(scale) {
-            fig.print();
-            match fig.write_csv(&out) {
-                Ok(path) => println!("(wrote {})", path.display()),
-                Err(e) => eprintln!("(csv write failed: {e})"),
-            }
-        }
-        eprintln!("# direction sweep regenerated in {:.1}s", t0.elapsed().as_secs_f64());
-    }
-    if overlap {
-        let t0 = std::time::Instant::now();
-        for fig in gblas_bench::figs::fig_overlap(scale) {
-            fig.print();
-            match fig.write_csv(&out) {
-                Ok(path) => println!("(wrote {})", path.display()),
-                Err(e) => eprintln!("(csv write failed: {e})"),
-            }
-        }
-        eprintln!("# overlap sweep regenerated in {:.1}s", t0.elapsed().as_secs_f64());
-    }
-    if spgemm {
-        let t0 = std::time::Instant::now();
-        for fig in gblas_bench::figs::fig_spgemm(scale) {
-            fig.print();
-            match fig.write_csv(&out) {
-                Ok(path) => println!("(wrote {})", path.display()),
-                Err(e) => eprintln!("(csv write failed: {e})"),
-            }
-        }
-        eprintln!("# spgemm sweep regenerated in {:.1}s", t0.elapsed().as_secs_f64());
+        eprintln!("# --fig {name} regenerated in {:.1}s", t0.elapsed().as_secs_f64());
     }
     if let (Some(path), Some((recorder, metrics))) = (trace_out, tracing) {
         let trace = recorder.snapshot();

@@ -4,7 +4,7 @@
 //! gblas-cli <command> [--input FILE.mtx | --gen er:N:D | --gen rmat:SCALE:EF]
 //!           [--source V] [--threads T] [--symmetrize] [--seed S]
 //!           [--simulate NODES] [--trace FILE] [--overlap] [--mxm-grid 2d|3d]
-//!           [--spmspv-merge sort|bucket|auto] [--selection auto|push|pull]
+//!           [--spmspv-merge sort|bucket] [--selection auto|push|pull]
 //!
 //! commands:
 //!   info        matrix shape, nnz, degree statistics
@@ -32,16 +32,16 @@
 //!
 //! `--spmspv-merge` selects how the frontier algorithms merge SpMSpV
 //! results each round: `bucket` (the default: the paper's reference \[9\],
-//! private column ranges with no atomics and no sort), `sort` (Listing 7
-//! as written: an atomic SPA and a merge/radix sort), or `auto` (pick by
-//! frontier size). All give identical output.
+//! private column ranges with no atomics and no sort) or `sort` (Listing 7
+//! as written: an atomic SPA and a merge/radix sort). Both give identical
+//! output.
 //!
 //! `--selection` makes `bfs`, `cc` and `sssp` decide a direction per
 //! iteration: `auto` switches push/pull from the measured frontier
 //! density, `push`/`pull` pin one direction. Without the flag nothing is
 //! decided (each runs its native direction). Results are bit-identical
 //! either way; each decision shows up in traces as a `select` span with
-//! `dir`/`fmt`/`merge` attributes.
+//! its `dir`.
 //!
 //! `--overlap` switches the simulated cluster's pricing to split-phase
 //! (compute/communication overlap): every op phase is charged
@@ -86,6 +86,11 @@ use gblas_sim::MachineConfig;
 
 const USAGE_COMMANDS: &str =
     "info|bfs|sssp|pagerank|cc|triangles|kcore|mis|bc|mcl|serve-bench|trace|profile";
+
+/// The option synopsis `--help` prints; the crate docs explain each.
+const USAGE_OPTIONS: &str = "[--input FILE.mtx | --gen er:N:D | --gen rmat:SCALE:EF] \
+    [--source V] [--threads T] [--symmetrize] [--seed S] [--simulate NODES] [--trace FILE] \
+    [--overlap] [--mxm-grid 2d|3d] [--spmspv-merge sort|bucket] [--selection auto|push|pull]";
 
 struct Args {
     command: String,
@@ -180,7 +185,7 @@ fn parse_args() -> std::result::Result<Args, String> {
             "--spmspv-merge" => {
                 let v = need(i, &mut rest)?;
                 args.merge = MergeStrategy::parse(&v)
-                    .ok_or_else(|| format!("bad --spmspv-merge '{v}' (sort|bucket|auto)"))?;
+                    .ok_or_else(|| format!("bad --spmspv-merge '{v}' (sort|bucket)"))?;
                 i += 2;
             }
             "--selection" => {
@@ -382,15 +387,15 @@ fn top_vertices(scores: &[f64], k: usize, fmt: impl Fn(f64) -> String) -> String
 /// Run-length summary of the per-iteration direction choices, e.g.
 /// `" [directions: push x2, pull x3, push]"`; empty for a static run,
 /// which decides nothing.
-fn dir_summary(decisions: &[gblas_core::ops::selection::Decision]) -> String {
+fn dir_summary(decisions: &[Direction]) -> String {
     if decisions.is_empty() {
         return String::new();
     }
     let mut runs: Vec<(Direction, usize)> = Vec::new();
-    for d in decisions {
+    for &d in decisions {
         match runs.last_mut() {
-            Some((dir, count)) if *dir == d.dir => *count += 1,
-            _ => runs.push((d.dir, 1)),
+            Some((dir, count)) if *dir == d => *count += 1,
+            _ => runs.push((d, 1)),
         }
     }
     let body: Vec<String> =
@@ -571,11 +576,14 @@ fn sim_strategy(command: &str) -> CommStrategy {
 
 fn run() -> Result<()> {
     let args = match parse_args() {
+        Ok(a) if matches!(a.command.as_str(), "--help" | "-h") => {
+            println!("usage: gblas-cli <{USAGE_COMMANDS}> {USAGE_OPTIONS}");
+            return Ok(());
+        }
         Ok(a) => a,
         Err(e) => {
-            if e.contains("--help") || e.contains("missing command") {
-                eprintln!("usage: gblas-cli <{USAGE_COMMANDS}> [options]");
-                eprintln!("see the crate docs for the option list");
+            if e.contains("missing command") {
+                eprintln!("usage: gblas-cli <{USAGE_COMMANDS}> {USAGE_OPTIONS}");
             }
             return Err(GblasError::InvalidArgument(e));
         }

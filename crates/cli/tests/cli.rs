@@ -142,6 +142,12 @@ fn errors_are_clean_not_panics() {
     let (ok4, _, stderr4) = run(&["bfs", "--gen", "rmat:64:1"]);
     assert!(!ok4);
     assert!(stderr4.contains("error:") && stderr4.contains("do not fit"), "got: {stderr4}");
+    // the merge is a concrete choice: there is no `auto` to resolve
+    let (ok6, _, stderr6) = run(&["bfs", "--gen", "er:100:4", "--spmspv-merge", "auto"]);
+    assert!(!ok6);
+    assert!(stderr6.contains("error:") && stderr6.contains("sort|bucket"), "got: {stderr6}");
+    let (ok7, help, _) = run(&["--help"]);
+    assert!(ok7 && help.contains("--spmspv-merge sort|bucket"), "got: {help}");
     for window in ["-1", "nan", "inf"] {
         let (ok5, _, stderr5) = run(&["serve-bench", "--gen", "er:100:4", "--window", window]);
         assert!(!ok5, "--window {window} must be rejected");

@@ -236,15 +236,15 @@ pub trait GblasBackend {
     }
 
     /// Record one adaptive-selection decision as a `select` trace span
-    /// with `algo`/`dir`/`fmt`/`merge` attributes. The distributed
-    /// backend also prices the `⌈log₂ p⌉`-round allreduce that makes the
-    /// globally-agreed density counts real communication, exactly like
-    /// [`GblasBackend::allreduce_scalar`].
+    /// with `algo`/`iter`/`dir`/`nnz`/`unexplored` attributes. The
+    /// distributed backend also prices the `⌈log₂ p⌉`-round allreduce that
+    /// makes the globally-agreed density counts real communication,
+    /// exactly like [`GblasBackend::allreduce_scalar`].
     fn record_decision(
         &self,
         algo: &'static str,
         iter: usize,
-        d: ops::selection::Decision,
+        dir: ops::selection::Direction,
         nnz_f: usize,
         unexplored: usize,
     ) -> Result<()>;
@@ -468,7 +468,7 @@ impl GblasBackend for SharedBackend<'_> {
         &self,
         algo: &'static str,
         iter: usize,
-        d: ops::selection::Decision,
+        dir: ops::selection::Direction,
         nnz_f: usize,
         unexplored: usize,
     ) -> Result<()> {
@@ -476,12 +476,7 @@ impl GblasBackend for SharedBackend<'_> {
             "select",
             nnz_f as u64,
             &[("iter", iter), ("unexplored", unexplored)],
-            &[
-                ("algo", algo),
-                ("dir", d.dir.name()),
-                ("fmt", d.fmt.name()),
-                ("merge", d.merge.name()),
-            ],
+            &[("algo", algo), ("dir", dir.name())],
         );
         Ok(())
     }

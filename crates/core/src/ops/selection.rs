@@ -1,24 +1,17 @@
 //! Adaptive kernel selection: direction-optimizing traversal heuristics.
 //!
 //! The paper's kernels exist in push (SpMSpV, §III-D) and pull (SpMV)
-//! forms, and the library carries two frontier representations (sparse
-//! index list, dense bitmap) plus two SpMSpV merge strategies. This
-//! module holds the *decision layer* that picks between them per
-//! iteration, the way SuiteSparse:GraphBLAS switches sparse/bitmap/full
-//! formats and CombBLAS 2.0 / Beamer's direction-optimizing BFS switch
-//! push/pull:
-//!
-//! 1. **direction** ([`decide_direction`]) — push expands the frontier's
-//!    edges; pull scans unvisited destinations with early exit. Push work
-//!    is ~`nnz(frontier) × avg_degree`; pull work is ~`n` visited-bit
-//!    probes plus the unexplored vertices' in-edge scans. A heavy
-//!    frontier flips to pull, a small one back to push.
-//! 2. **format** ([`decide_format`]) — a frontier past `n / bitmap_den`
-//!    nonzeros is promoted from the sorted index list to a dense bitmap
-//!    (and demoted back below it).
-//! 3. **merge** ([`crate::ops::spmspv::MergeStrategy::resolve`]) — the
-//!    bucketed merge wins over the comparison sort once the frontier
-//!    passes [`crate::ops::spmspv::AUTO_BUCKET_MIN_NNZ`] nonzeros.
+//! forms. This module holds the *decision layer* that picks one per
+//! iteration, the way CombBLAS 2.0 / Beamer's direction-optimizing BFS
+//! switch push/pull: a traversal level decides its [`Direction`] and
+//! nothing else ([`decide_direction`]). Push expands the frontier's edges;
+//! pull scans unvisited destinations with early exit. Push work is
+//! ~`nnz(frontier) × avg_degree`; pull work is ~`n` visited-bit probes plus
+//! the unexplored vertices' in-edge scans. A heavy frontier flips to pull,
+//! a small one back to push. The frontier's storage follows from the
+//! direction (a pull reads a bitmap, a push a sorted index list), and the
+//! push's SpMSpV merge is the caller's
+//! [`crate::ops::spmspv::MergeStrategy`].
 //!
 //! Every decision is pure integer arithmetic on globally-agreed counts
 //! (`nnz(frontier)`, unexplored vertices, `n`, average degree), so the
@@ -36,13 +29,12 @@
 
 use crate::container::{CsrMatrix, DenseVec, SparseVec};
 use crate::error::{check_dims, Result};
-use crate::ops::spmspv::MergeStrategy;
 use crate::par::ExecCtx;
 
 /// Phase: pull-direction destination scan.
 pub const PHASE_PULL: &str = "pull";
 
-/// How a traversal picks its per-iteration kernels.
+/// How a traversal picks its per-iteration direction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SelectionPolicy {
     /// Decide per iteration from measured frontier density.
@@ -75,7 +67,8 @@ impl SelectionPolicy {
     }
 }
 
-/// The traversal direction chosen for one iteration.
+/// The traversal direction chosen for one iteration, recorded verbatim as
+/// the `dir=` attribute of the backend's `select` span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Frontier-driven SpMSpV: expand the frontier's out-edges.
@@ -94,29 +87,9 @@ impl Direction {
     }
 }
 
-/// The frontier's storage representation for one iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontierFmt {
-    /// Sorted index list ([`SparseVec`]).
-    Sparse,
-    /// Dense boolean bitmap ([`DenseVec<bool>`]).
-    Bitmap,
-}
-
-impl FrontierFmt {
-    /// Stable lowercase name (`fmt=` trace attribute).
-    pub fn name(self) -> &'static str {
-        match self {
-            FrontierFmt::Sparse => "sparse",
-            FrontierFmt::Bitmap => "bitmap",
-        }
-    }
-}
-
-/// Tuning knobs for the three heuristics. The defaults follow Beamer's
+/// Tuning knobs for the direction heuristic. The defaults follow Beamer's
 /// direction-optimizing BFS constants (α = 14, β = 24) with the edge
-/// estimate normalized to a reference degree, and SuiteSparse-style
-/// switch points for the bitmap promotion.
+/// estimate normalized to a reference degree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SelectionThresholds {
     /// Push→pull (Beamer's α): pull when
@@ -124,8 +97,6 @@ pub struct SelectionThresholds {
     pub pull_alpha: usize,
     /// Pull→push (Beamer's β): push when `nnz_f · push_beta < n`.
     pub push_beta: usize,
-    /// Bitmap promotion: bitmap when `nnz_f · bitmap_den ≥ n`.
-    pub bitmap_den: usize,
     /// Degree normalization for `pull_alpha`'s edge estimate: denser
     /// graphs (higher `avg_deg`) flip to pull at proportionally smaller
     /// frontiers, because early exit saves more per destination.
@@ -134,7 +105,7 @@ pub struct SelectionThresholds {
 
 impl Default for SelectionThresholds {
     fn default() -> Self {
-        SelectionThresholds { pull_alpha: 14, push_beta: 24, bitmap_den: 8, ref_degree: 8 }
+        SelectionThresholds { pull_alpha: 14, push_beta: 24, ref_degree: 8 }
     }
 }
 
@@ -166,18 +137,6 @@ impl SelectionThresholds {
     }
 }
 
-/// One iteration's complete kernel choice, recorded verbatim as the
-/// `dir=`/`fmt=`/`merge=` attributes of the backend's `select` span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Decision {
-    /// Push or pull.
-    pub dir: Direction,
-    /// Sparse or bitmap frontier storage.
-    pub fmt: FrontierFmt,
-    /// The resolved (concrete) SpMSpV merge strategy.
-    pub merge: MergeStrategy,
-}
-
 /// Direction heuristic with oscillation-proof hysteresis.
 ///
 /// `to_pull` holds when the frontier's estimated out-edges
@@ -207,18 +166,6 @@ pub fn decide_direction(
         Direction::Push if to_pull && !to_push => Direction::Pull,
         Direction::Pull if to_push => Direction::Push,
         stay => stay,
-    }
-}
-
-/// Format heuristic: promote to a bitmap at `nnz_f · bitmap_den ≥ n`,
-/// demote below it. Memoryless (no hysteresis needed — the comparison is
-/// a single monotone threshold, so it cannot oscillate at a stationary
-/// density).
-pub fn decide_format(nnz_f: usize, n: usize, t: &SelectionThresholds) -> FrontierFmt {
-    if n > 0 && nnz_f.saturating_mul(t.bitmap_den) >= n {
-        FrontierFmt::Bitmap
-    } else {
-        FrontierFmt::Sparse
     }
 }
 
@@ -276,12 +223,8 @@ pub fn decide_mxm_kernel(est_flops: usize, out_cols: usize) -> MxmKernel {
     }
 }
 
-/// Combine the three heuristics under a policy into one [`Decision`].
-///
-/// `Push`/`Pull` policies pin the direction but still resolve the format
-/// and merge from density, so static runs exercise the same storage code
-/// paths the auto run chose.
-#[allow(clippy::too_many_arguments)]
+/// One iteration's [`Direction`] under a policy: `Push`/`Pull` pin it,
+/// `Auto` runs [`decide_direction`].
 pub fn decide(
     policy: SelectionPolicy,
     prev: Direction,
@@ -289,15 +232,13 @@ pub fn decide(
     unexplored: usize,
     n: usize,
     avg_deg: usize,
-    merge: MergeStrategy,
     t: &SelectionThresholds,
-) -> Decision {
-    let dir = match policy {
+) -> Direction {
+    match policy {
         SelectionPolicy::Push => Direction::Push,
         SelectionPolicy::Pull => Direction::Pull,
         SelectionPolicy::Auto => decide_direction(prev, nnz_f, unexplored, n, avg_deg, t),
-    };
-    Decision { dir, fmt: decide_format(nnz_f, n, t), merge: merge.resolve(nnz_f) }
+    }
 }
 
 /// Pull-direction BFS kernel (shared memory): for every **unvisited**
@@ -369,7 +310,7 @@ mod tests {
     use crate::ops::transpose::transpose;
 
     const T: SelectionThresholds =
-        SelectionThresholds { pull_alpha: 14, push_beta: 24, bitmap_den: 8, ref_degree: 8 };
+        SelectionThresholds { pull_alpha: 14, push_beta: 24, ref_degree: 8 };
 
     #[test]
     fn direction_switches_on_heavy_frontier_and_back_on_small() {
@@ -402,20 +343,9 @@ mod tests {
     }
 
     #[test]
-    fn format_threshold_is_exact() {
-        let n = 800; // n / bitmap_den = 100
-        assert_eq!(decide_format(99, n, &T), FrontierFmt::Sparse);
-        assert_eq!(decide_format(100, n, &T), FrontierFmt::Bitmap);
-        assert_eq!(decide_format(0, 0, &T), FrontierFmt::Sparse);
-    }
-
-    #[test]
-    fn policy_pins_direction_but_not_format_or_merge() {
-        let d =
-            decide(SelectionPolicy::Pull, Direction::Push, 1, 10, 1000, 8, MergeStrategy::Auto, &T);
-        assert_eq!(d.dir, Direction::Pull);
-        assert_eq!(d.fmt, FrontierFmt::Sparse);
-        assert_eq!(d.merge, MergeStrategy::SortBased); // 1 < AUTO_BUCKET_MIN_NNZ
+    fn policy_pins_direction() {
+        let d = decide(SelectionPolicy::Pull, Direction::Push, 1, 10, 1000, 8, &T);
+        assert_eq!(d, Direction::Pull);
     }
 
     #[test]
@@ -489,6 +419,5 @@ mod tests {
         assert_eq!(SelectionPolicy::parse("sideways"), None);
         assert_eq!(SelectionPolicy::Auto.name(), "auto");
         assert_eq!(Direction::Push.name(), "push");
-        assert_eq!(FrontierFmt::Bitmap.name(), "bitmap");
     }
 }

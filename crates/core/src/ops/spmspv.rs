@@ -53,13 +53,8 @@ pub const PHASE_BUCKET: &str = "bucket";
 /// Phase: output construction.
 pub const PHASE_OUTPUT: &str = "output";
 
-/// [`MergeStrategy::Auto`] runs the bucketed merge at or above this frontier
-/// nnz and the sort-based one below: the crossover measured for the bucket
-/// merge the current one replaced. (SuiteSparse:GraphBLAS applies the same
-/// kind of nnz switch to its saxpy-vs-dot choice.)
-pub const AUTO_BUCKET_MIN_NNZ: usize = 4096;
-
-/// How the selected rows of `A` become the sorted output.
+/// How the selected rows of `A` become the sorted output. The caller's
+/// choice is the merge that runs, and the op span's `merge` attribute.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MergeStrategy {
     /// Listing 7 as written: a SPA, then a global comparison sort of the
@@ -70,11 +65,6 @@ pub enum MergeStrategy {
     /// so no atomics and no sort (`PHASE_BUCKET` holds the appends).
     #[default]
     Bucketed,
-    /// Decide per call from the measured frontier nnz: bucketed at or
-    /// above [`AUTO_BUCKET_MIN_NNZ`], sort-based below. Resolved to a
-    /// concrete strategy by [`MergeStrategy::resolve`] before any kernel
-    /// work runs, so traces always record what actually executed.
-    Auto,
 }
 
 impl MergeStrategy {
@@ -83,35 +73,15 @@ impl MergeStrategy {
         match self {
             MergeStrategy::SortBased => "sort",
             MergeStrategy::Bucketed => "bucket",
-            MergeStrategy::Auto => "auto",
         }
     }
 
-    /// Parse a CLI spelling (`sort` | `bucket` | `auto`).
+    /// Parse a CLI spelling (`sort` | `bucket`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "sort" | "sorted" | "sort-based" => Some(MergeStrategy::SortBased),
             "bucket" | "bucketed" => Some(MergeStrategy::Bucketed),
-            "auto" => Some(MergeStrategy::Auto),
             _ => None,
-        }
-    }
-
-    /// Resolve to a concrete strategy for a frontier with `nnz` stored
-    /// entries: `Auto` falls to the [`AUTO_BUCKET_MIN_NNZ`] threshold, a
-    /// concrete strategy is returned as it is — a pure function of
-    /// `(self, nnz)`.
-    ///
-    /// The shared and the distributed `spmspv` entry points both resolve
-    /// here before any kernel work runs; the dist kernels resolve once
-    /// from the **global** frontier nnz before fanning out, so every
-    /// locale runs the same merge and the op trace records the strategy
-    /// that actually executed.
-    pub fn resolve(self, nnz: usize) -> MergeStrategy {
-        match self {
-            MergeStrategy::Auto if nnz >= AUTO_BUCKET_MIN_NNZ => MergeStrategy::Bucketed,
-            MergeStrategy::Auto => MergeStrategy::SortBased,
-            concrete => concrete,
         }
     }
 }
@@ -129,12 +99,6 @@ impl SpMSpVOpts {
     /// Default options with the given merge strategy.
     pub fn with_merge(merge: MergeStrategy) -> Self {
         SpMSpVOpts { merge, ..Default::default() }
-    }
-
-    /// Options with the merge strategy resolved to a concrete choice for
-    /// a frontier of `nnz` entries (see [`MergeStrategy::resolve`]).
-    pub fn resolved(self, nnz: usize) -> Self {
-        SpMSpVOpts { merge: self.merge.resolve(nnz), ..self }
     }
 }
 
@@ -264,7 +228,6 @@ pub fn spmspv_first_visitor<T: Send + Sync, X: Send + Sync>(
     check_dims("x capacity vs matrix rows", a.nrows(), x.capacity())?;
     check_mask_len(mask, a.ncols())?;
     AtomicSpa::check_values(a.nrows())?;
-    let opts = opts.resolved(x.nnz());
     let _op = ctx.trace_op_attrs(
         "spmspv_first_visitor",
         x.nnz() as u64,
@@ -367,7 +330,6 @@ where
 {
     check_dims("x capacity vs matrix rows", a.nrows(), x.capacity())?;
     check_mask_len(mask, a.ncols())?;
-    let opts = opts.resolved(x.nnz());
     let _op = ctx.trace_op_attrs(
         "spmspv_semiring",
         x.nnz() as u64,
@@ -682,18 +644,6 @@ mod tests {
         assert_eq!(MergeStrategy::parse("quantum"), None);
         assert_eq!(MergeStrategy::SortBased.name(), "sort");
         assert_eq!(MergeStrategy::Bucketed.name(), "bucket");
-    }
-
-    #[test]
-    fn resolve_is_a_pure_function_of_strategy_and_nnz() {
-        for (caller, nnz, expect) in [
-            (MergeStrategy::Auto, AUTO_BUCKET_MIN_NNZ, MergeStrategy::Bucketed),
-            (MergeStrategy::Auto, AUTO_BUCKET_MIN_NNZ - 1, MergeStrategy::SortBased),
-            (MergeStrategy::SortBased, usize::MAX, MergeStrategy::SortBased),
-        ] {
-            assert_eq!(caller.resolve(nnz), expect, "caller={caller:?} nnz={nnz}");
-            assert_eq!(SpMSpVOpts::with_merge(caller).resolved(nnz).merge, expect);
-        }
     }
 
     #[test]

@@ -305,7 +305,7 @@ impl GblasBackend for DistBackend<'_> {
         &self,
         algo: &'static str,
         iter: usize,
-        d: selection::Decision,
+        dir: selection::Direction,
         nnz_f: usize,
         unexplored: usize,
     ) -> Result<()> {
@@ -313,9 +313,7 @@ impl GblasBackend for DistBackend<'_> {
         let mut op = self.dctx.op(PHASE_SELECT);
         op.attr("algo", algo)
             .attr("iter", iter)
-            .attr("dir", d.dir.name())
-            .attr("fmt", d.fmt.name())
-            .attr("merge", d.merge.name())
+            .attr("dir", dir.name())
             .attr("unexplored", unexplored)
             .nnz(nnz_f as u64);
         self.binomial_allreduce(PHASE_SELECT)?;

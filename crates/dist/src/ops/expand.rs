@@ -19,7 +19,7 @@
 //! own op label; the dense product is [`crate::ops::spmv`]'s one dense
 //! body under its own op label. A batch of one is a solo `Bulk` push, or
 //! a solo `spmv_dist`, on every comm event and in its report: one schedule
-//! key, one claim width, one merge resolution per source.
+//! key, one claim width, one merge for the whole batch.
 //!
 //! 1. **`gather`** — each locale pulls its row-block slices of all k
 //!    frontiers from its processor-row peers, one combined bulk message
@@ -179,8 +179,8 @@ where
 }
 
 /// The leading op attribute of a batched expansion: its width `k`.
-fn batch_label(k: usize) -> impl FnOnce(&mut OpTrace<'_>, &[SpMSpVOpts]) {
-    move |op, _| {
+fn batch_label(k: usize) -> impl FnOnce(&mut OpTrace<'_>) {
+    move |op| {
         op.attr("k", k);
     }
 }
@@ -337,87 +337,51 @@ mod tests {
     }
 
     #[test]
-    fn auto_merge_resolves_per_source_from_its_global_nnz() {
+    fn a_batch_runs_the_callers_one_merge_and_names_it_once() {
         use crate::backend::DistBackend;
-        use crate::ops::spmspv::{spmspv_dist_semiring_with, PHASE_LOCAL};
+        use crate::ops::spmspv::PHASE_LOCAL;
         use gblas_core::backend::GblasBackend;
-        use gblas_core::ops::spmspv::{MergeStrategy, AUTO_BUCKET_MIN_NNZ};
+        use gblas_core::ops::spmspv::MergeStrategy;
         use gblas_core::par::Counters;
-        use gblas_core::trace::{SpanKind, Trace};
-        // Source 1 holds 1.5x the `auto` threshold globally, but on a 2x2
-        // grid each locale gathers only its row block's half of it, below
-        // the threshold; source 0 is below it everywhere.
-        let n = 12_000;
-        let a = gen::erdos_renyi(n, 2, 271);
-        let grid = ProcGrid::new(2, 2);
+        use gblas_core::trace::SpanKind;
+        let (n, grid) = (2_000, ProcGrid::new(2, 2));
         let p = grid.locales();
-        let da = DistCsrMatrix::from_global(&a, grid);
-        let big = AUTO_BUCKET_MIN_NNZ + AUTO_BUCKET_MIN_NNZ / 2;
-        let xs: Vec<DistSparseVec<f64>> = [(40, 272), (big, 273)]
-            .iter()
-            .map(|&(nnz, seed)| {
-                DistSparseVec::from_global(&gen::random_sparse_vec(n, nnz, seed), p)
-            })
-            .collect();
-        let ring = semirings::plus_times_f64();
-        let auto = SpMSpVOpts::with_merge(MergeStrategy::Auto);
-        let traced = |run: &dyn Fn(&DistCtx)| -> Trace {
+        let da = DistCsrMatrix::from_global(&gen::erdos_renyi(n, 2, 271), grid);
+        let xs: Vec<DistSparseVec<f64>> = [(40, 272), (900, 273)]
+            .map(|(nnz, seed)| DistSparseVec::from_global(&gen::random_sparse_vec(n, nnz, seed), p))
+            .into();
+        let sort = SpMSpVOpts::with_merge(MergeStrategy::SortBased);
+        // A traced trait push of `xs` under `sort`: the op's `merge`
+        // attribute and the per-locale local-multiply counters, which are
+        // additive over sources.
+        let pushed = |xs: &[DistSparseVec<f64>]| {
             let mut dctx = DistCtx::new(machine_for(grid));
             dctx.enable_tracing();
-            run(&dctx);
-            dctx.recorder().snapshot()
-        };
-        // Per-locale local-multiply counters: additive over sources, and
-        // they tell a sort-merge (`sort_elems`) from a bucket merge.
-        let local = |trace: &Trace| {
-            let mut per_locale = vec![Counters::default(); p];
-            let spans = trace.spans.iter().filter(|s| s.kind == SpanKind::LocaleCompute);
-            for s in spans.filter(|s| s.name == PHASE_LOCAL) {
-                per_locale[s.locale.expect("a compute span has a locale")].merge(&s.counters);
-            }
-            per_locale
-        };
-        let merge = |trace: &Trace| {
-            let op = trace.spans.iter().find(|s| s.kind == SpanKind::Op).expect("op span");
-            op.attrs.iter().find(|(k, _)| k == "merge").map(|(_, v)| v.clone())
-        };
-        let solos: Vec<Trace> = xs
-            .iter()
-            .map(|x| {
-                traced(&|d| {
-                    spmspv_dist_semiring_with::<f64, f64, f64, _, _>(
-                        &da,
-                        x,
-                        &ring,
-                        None,
-                        CommStrategy::Bulk,
-                        auto,
-                        d,
-                    )
-                    .unwrap();
-                })
-            })
-            .collect();
-        let solo_merges: Vec<String> = solos.iter().map(|t| merge(t).unwrap()).collect();
-        assert_eq!(solo_merges, ["sort", "bucket"]);
-        let mut want = vec![Counters::default(); p];
-        for t in &solos {
-            want.iter_mut().zip(local(t)).for_each(|(w, c)| w.merge(&c));
-        }
-
-        let f = DistFrontier::new(n, p, xs.clone()).unwrap();
-        let batch = traced(&|d| {
-            expand_dist_semiring::<f64, f64, f64, _, _>(&da, &f, &ring, auto, d).unwrap();
-        });
-        assert_eq!(local(&batch), want, "a batch row ran a merge its solo run did not");
-
-        let through_trait = traced(&|d| {
-            let backend = DistBackend::with_strategy(d, CommStrategy::Bulk);
+            let backend = DistBackend::with_strategy(&dctx, CommStrategy::Bulk);
+            let ring = semirings::plus_times_f64();
             let _: Vec<DistSparseVec<f64>> =
-                backend.spmspv_semiring(&da, &xs, &ring, None, auto).unwrap();
-        });
-        assert_eq!(merge(&through_trait), Some(solo_merges.join(",")));
-        assert_eq!(local(&through_trait), want);
+                backend.spmspv_semiring(&da, xs, &ring, None, sort).unwrap();
+            let trace = dctx.recorder().snapshot();
+            let op = trace.spans.iter().find(|s| s.kind == SpanKind::Op).expect("op span");
+            let merge = op.attrs.iter().find(|(k, _)| k == "merge").map(|(_, v)| v.clone());
+            let mut local = vec![Counters::default(); p];
+            for s in trace.spans.iter().filter(|s| s.kind == SpanKind::LocaleCompute) {
+                if s.name == PHASE_LOCAL {
+                    local[s.locale.expect("a compute span has a locale")].merge(&s.counters);
+                }
+            }
+            (merge.expect("merge attribute"), local)
+        };
+        let mut want = vec![Counters::default(); p];
+        for x in &xs {
+            let (merge, local) = pushed(std::slice::from_ref(x));
+            assert_eq!(merge, "sort");
+            want.iter_mut().zip(local).for_each(|(w, c)| w.merge(&c));
+        }
+        assert!(want.iter().any(|c| c.sort_elems > 0), "the sort-based merge ran");
+        let (merge, local) = pushed(&xs);
+        assert_eq!(merge, "sort", "one name for the whole batch");
+        assert_eq!(local, want, "a batch row ran a merge its solo run did not");
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!    variant aggregates per destination locale.
 //!
 //! All three steps exist once, for any number `k ≥ 0` of concurrent
-//! sources, in one body (`push`: validate, resolve options, `gather_rows`,
-//! `push_engine`, price the report). Every entry point runs it — this
+//! sources, in one body (`push`: validate, `gather_rows`, `push_engine`,
+//! price the report). Every entry point runs it — this
 //! module's single-source functions with `k = 1`, the batched expansions
 //! of [`crate::ops::expand`] and the backend trait's pushes with their
 //! batch width — so a single source is a batch of one, priced as one. An
@@ -30,9 +30,9 @@
 //! the local kernel plus the owner's resolution of competing claims), one
 //! optional [`DistMask`] per source (each with its own polarity), and the
 //! attributes of its op span. What does *not* vary with `k` is fixed in
-//! the body: `auto` merge resolves per source from that source's global
-//! nnz; the gather plan is cached under one schedule key, since row peers
-//! and mask windows are functions of the grid; and a scatter claim is
+//! the body: every source multiplies under the caller's one `SpMSpVOpts`;
+//! the gather plan is cached under one schedule key, since row peers and
+//! mask windows are functions of the grid; and a scatter claim is
 //! priced at its wire width, an `(offset, value)` pair, since claims
 //! travel grouped by source with per-source end offsets. Under the SPMD
 //! executor a push is three supersteps: every locale gathers its frontier
@@ -255,8 +255,8 @@ impl<'a> DistMask<'a> {
 pub(crate) trait PushRule<B, V, W>: Sync {
     /// The local multiply on one block whose first row is global row
     /// `row_start`, under the block's window of the output mask and the
-    /// source's resolved `opts`: per reached allowed local column, the
-    /// value its claim carries.
+    /// caller's `opts`: per reached allowed local column, the value its
+    /// claim carries.
     fn multiply(
         &self,
         block: &CsrMatrix<B>,
@@ -388,9 +388,9 @@ fn check_push_operands<B: Copy, V: Copy>(
 
 /// The local-multiply and scatter components of the push pipeline for
 /// `k ≥ 0` sources at once. `lxs[l]` is locale `l`'s `k` gathered
-/// frontier slices (local row coordinates); source `s` multiplies under
-/// `opts[s]` and, when `masks` is given, under `masks[s]`, whose windows
-/// are gathered under `gather`'s plan and charged to its profiles. A
+/// frontier slices (local row coordinates); every source multiplies under
+/// `opts` and, when `masks` is given, source `s` under `masks[s]`, whose
+/// windows are gathered under `gather`'s plan and charged to its profiles. A
 /// scatter claim is priced at its wire width, an `(offset, W)` pair, and
 /// travels per `strategy`.
 ///
@@ -404,7 +404,7 @@ fn push_engine<B, V, W, R>(
     lxs: &[Vec<SparseVec<V>>],
     rule: &R,
     masks: Option<&[DistMask<'_>]>,
-    opts: &[SpMSpVOpts],
+    opts: SpMSpVOpts,
     strategy: CommStrategy,
     gather: &mut Gather,
     dctx: &DistCtx,
@@ -417,7 +417,7 @@ where
 {
     let p = a.grid().locales();
     let n = a.ncols();
-    let k = opts.len();
+    let k = lxs.first().map_or(0, Vec::len);
     let claim_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<W>()) as u64;
 
     // ---- Superstep 1, one task per locale. Mask gather: the plan's
@@ -452,7 +452,7 @@ where
         // `k` (the goldens pin the pool telemetry).
         let mut bits: Vec<bool> = Vec::new();
         let mut products: Vec<SparseVec<W>> = Vec::with_capacity(k);
-        for (s, (lx, &opts)) in lxs[l].iter().zip(opts).enumerate() {
+        for (s, lx) in lxs[l].iter().enumerate() {
             let mask = masked(lx).map(|per_source| per_source[s].window(&windows[l], &mut bits));
             products.push(if row_range.is_empty() || col_range.is_empty() {
                 SparseVec::new(col_range.len().max(1))
@@ -556,13 +556,12 @@ where
 }
 
 /// The one push every sparse-frontier entry point runs, for `k =
-/// xs.len() ≥ 0` sources: validate, resolve each source's options from
-/// *its own global* nnz (so every locale runs the same merge for a source,
-/// whatever else rides in the batch), gather, push, and price the report
-/// into the op span `name`. `label` stamps the entry point's leading
-/// attributes, given the resolved options; the shape, `masked` (only when
-/// true), the schedule outcome and the batch's nnz follow. Nothing here
-/// depends on `k`: a single source is a batch of one, priced as one.
+/// xs.len() ≥ 0` sources: validate, gather, push every source under the
+/// caller's one `opts` (so every locale runs the same merge), and price the
+/// report into the op span `name`. `label` stamps the entry point's leading
+/// attributes; the shape, `masked` (only when true), the schedule outcome
+/// and the batch's nnz follow. Nothing here depends on `k`: a single source
+/// is a batch of one, priced as one.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn push<B, V, W, R>(
     name: &str,
@@ -573,7 +572,7 @@ pub(crate) fn push<B, V, W, R>(
     strategy: CommStrategy,
     opts: SpMSpVOpts,
     dctx: &DistCtx,
-    label: impl FnOnce(&mut OpTrace<'_>, &[SpMSpVOpts]),
+    label: impl FnOnce(&mut OpTrace<'_>),
 ) -> Result<(Vec<DistSparseVec<W>>, SimReport)>
 where
     B: Copy + Send + Sync,
@@ -583,10 +582,9 @@ where
 {
     let mut op = dctx.op(name); // the wall clock starts with the op
     check_push_operands(a, xs, masks, dctx)?;
-    let opts: Vec<SpMSpVOpts> = xs.iter().map(|x| opts.resolved(x.nnz())).collect();
     let (mut gather, lxs) = gather_rows(a, xs, strategy, dctx)?;
-    let pushed = push_engine(a, &lxs, rule, masks, &opts, strategy, &mut gather, dctx)?;
-    label(&mut op, &opts);
+    let pushed = push_engine(a, &lxs, rule, masks, opts, strategy, &mut gather, dctx)?;
+    label(&mut op);
     op.attr("nrows", a.nrows()).attr("ncols", a.ncols());
     if masks.is_some() {
         op.attr("masked", true);
@@ -641,7 +639,7 @@ pub fn spmspv_dist_with<T: Copy + Send + Sync, V: Copy + Send + Sync + 'static>(
 
 /// The first-visitor push of `k = xs.len()` sources under `strategy`,
 /// with one output mask per source or none: the `spmspv_dist` op for any
-/// `k`, whose `merge` attribute lists each source's resolved strategy.
+/// `k`, whose `merge` attribute names the one merge every source ran.
 pub(crate) fn first_visitor_push<T: Copy + Send + Sync, V: Copy + Send + Sync + 'static>(
     a: &DistCsrMatrix<T>,
     xs: &[DistSparseVec<V>],
@@ -650,7 +648,8 @@ pub(crate) fn first_visitor_push<T: Copy + Send + Sync, V: Copy + Send + Sync + 
     opts: SpMSpVOpts,
     dctx: &DistCtx,
 ) -> Result<(Vec<DistSparseVec<usize>>, SimReport)> {
-    push("spmspv_dist", a, xs, &FirstVisitor, masks, strategy, opts, dctx, solo_label(strategy))
+    let label = solo_label(strategy, opts);
+    push("spmspv_dist", a, xs, &FirstVisitor, masks, strategy, opts, dctx, label)
 }
 
 /// The one output of a single-source push or single-column SpMV.
@@ -660,16 +659,15 @@ pub(crate) fn only<W>(ys: Vec<W>) -> Result<W> {
         .ok_or_else(|| GblasError::InvalidContainer("an op returned no output row".into()))
 }
 
-/// The leading op attributes of a push under `strategy`: the strategy,
-/// and each source's resolved merge, batch order, comma-separated.
-fn solo_label(strategy: CommStrategy) -> impl FnOnce(&mut OpTrace<'_>, &[SpMSpVOpts]) {
+/// The leading op attributes of a push under `strategy` and `opts`: the
+/// strategy and the merge.
+fn solo_label(strategy: CommStrategy, opts: SpMSpVOpts) -> impl FnOnce(&mut OpTrace<'_>) {
     let name = match strategy {
         CommStrategy::Fine => "fine",
         CommStrategy::Bulk => "bulk",
     };
-    move |op, opts| {
-        let merges: Vec<&str> = opts.iter().map(|o| o.merge.name()).collect();
-        op.attr("strategy", name).attr("merge", merges.join(","));
+    move |op| {
+        op.attr("strategy", name).attr("merge", opts.merge.name());
     }
 }
 
@@ -727,7 +725,7 @@ where
 
 /// The semiring push of `k = xs.len()` sources under `strategy`, with one
 /// output mask per source or none: the `spmspv_dist_semiring` op for any
-/// `k`, whose `merge` attribute lists each source's resolved strategy.
+/// `k`, whose `merge` attribute names the one merge every source ran.
 pub(crate) fn semiring_push<A, B, C, AddM, MulOp>(
     a: &DistCsrMatrix<B>,
     xs: &[DistSparseVec<A>],
@@ -745,7 +743,7 @@ where
     MulOp: BinaryOp<A, B, C>,
 {
     let (name, rule) = ("spmspv_dist_semiring", Accumulate(ring));
-    push(name, a, xs, &rule, masks, strategy, opts, dctx, solo_label(strategy))
+    push(name, a, xs, &rule, masks, strategy, opts, dctx, solo_label(strategy, opts))
 }
 
 #[cfg(test)]

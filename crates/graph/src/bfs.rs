@@ -22,7 +22,7 @@ use gblas_core::algebra::Scalar;
 use gblas_core::backend::{GblasBackend, MaskSpec, SharedBackend};
 use gblas_core::container::{CsrMatrix, DenseVec};
 use gblas_core::error::{check_dims, GblasError, Result};
-use gblas_core::ops::selection::{Decision, Direction, SelectionPolicy};
+use gblas_core::ops::selection::{Direction, SelectionPolicy};
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
 use gblas_dist::ops::spmspv::CommStrategy;
@@ -106,7 +106,7 @@ pub fn bfs_on<B: GblasBackend, T: Scalar>(
     sources: &[usize],
     policy: Option<SelectionPolicy>,
     opts: SpMSpVOpts,
-) -> Result<Vec<(BfsResult, Vec<Decision>)>> {
+) -> Result<Vec<(BfsResult, Vec<Direction>)>> {
     bfs_observed(backend, a, sources, policy, opts, |_| {})
 }
 
@@ -120,10 +120,10 @@ pub fn bfs_observed<B: GblasBackend, T: Scalar>(
     policy: Option<SelectionPolicy>,
     opts: SpMSpVOpts,
     mut observe: impl FnMut(usize),
-) -> Result<Vec<(BfsResult, Vec<Decision>)>> {
+) -> Result<Vec<(BfsResult, Vec<Direction>)>> {
     let n = crate::check_sources(backend, a, sources)?;
     let k = sources.len();
-    let new_chooser = || Chooser::new(backend, a, "bfs", Direction::Push, policy, opts.merge);
+    let new_chooser = || Chooser::new(backend, a, "bfs", Direction::Push, policy);
     let mut choosers: Vec<Chooser> = sources.iter().map(|_| new_chooser()).collect();
     let mut levels = vec![DenseVec::filled(n, -1i64); k];
     let mut parents = vec![DenseVec::filled(n, usize::MAX); k];
@@ -216,7 +216,7 @@ pub fn bfs_selected<T: Scalar>(
     policy: SelectionPolicy,
     opts: SpMSpVOpts,
     ctx: &ExecCtx,
-) -> Result<(BfsResult, Vec<Decision>)> {
+) -> Result<(BfsResult, Vec<Direction>)> {
     crate::only(bfs_on(&SharedBackend::new(ctx), a, &[source], Some(policy), opts)?)
 }
 
@@ -256,7 +256,7 @@ pub fn bfs_selected_dist<T: Scalar>(
     strategy: CommStrategy,
     opts: SpMSpVOpts,
     dctx: &DistCtx,
-) -> Result<(BfsResult, Vec<Decision>, gblas_sim::SimReport)> {
+) -> Result<(BfsResult, Vec<Direction>, gblas_sim::SimReport)> {
     let backend = DistBackend::with_strategy(dctx, strategy);
     let (result, decisions) = crate::only(bfs_on(&backend, a, &[source], Some(policy), opts)?)?;
     Ok((result, decisions, backend.take_report()))
@@ -414,9 +414,8 @@ mod tests {
     fn auto_bfs_uses_both_directions_on_a_dense_graph() {
         let a = gen::erdos_renyi(500, 10, 5);
         let ctx = ExecCtx::serial();
-        let (_, decisions) =
+        let (_, dirs) =
             bfs_selected(&a, 0, SelectionPolicy::Auto, SpMSpVOpts::default(), &ctx).unwrap();
-        let dirs: Vec<Direction> = decisions.iter().map(|d| d.dir).collect();
         assert!(dirs.contains(&Direction::Push), "{dirs:?}");
         assert!(dirs.contains(&Direction::Pull), "{dirs:?}");
     }
@@ -439,7 +438,7 @@ mod tests {
     }
 
     /// The decision log of an `auto` distributed BFS over `a` from vertex 3.
-    fn dist_auto_decisions(a: &CsrMatrix<f64>, pr: usize, pc: usize) -> Vec<Decision> {
+    fn dist_auto_decisions(a: &CsrMatrix<f64>, pr: usize, pc: usize) -> Vec<Direction> {
         let grid = ProcGrid::new(pr, pc);
         let da = DistCsrMatrix::from_global(a, grid);
         let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));

@@ -14,7 +14,7 @@ use gblas_core::algebra::{First, Min, Scalar, Semiring};
 use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::{CsrMatrix, DenseVec};
 use gblas_core::error::{check_dims, Result};
-use gblas_core::ops::selection::{Decision, Direction, SelectionPolicy};
+use gblas_core::ops::selection::{Direction, SelectionPolicy};
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
 use gblas_dist::ops::spmspv::CommStrategy;
@@ -36,10 +36,10 @@ pub fn connected_components_on<B: GblasBackend, T: Scalar>(
     a: &B::Matrix<T>,
     policy: Option<SelectionPolicy>,
     opts: SpMSpVOpts,
-) -> Result<(DenseVec<usize>, Vec<Decision>)> {
+) -> Result<(DenseVec<usize>, Vec<Direction>)> {
     check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
     let n = backend.mat_nrows(a);
-    let mut chooser = Chooser::new(backend, a, "cc", Direction::Pull, policy, opts.merge);
+    let mut chooser = Chooser::new(backend, a, "cc", Direction::Pull, policy);
     let ring: Semiring<Min, First> = Semiring::new(Min, First);
     let mut labels: Vec<usize> = (0..n).collect();
     // Vertices whose label changed last round; every vertex "changed" at
@@ -92,7 +92,7 @@ pub fn connected_components_selected<T: Scalar>(
     policy: SelectionPolicy,
     opts: SpMSpVOpts,
     ctx: &ExecCtx,
-) -> Result<(DenseVec<usize>, Vec<Decision>)> {
+) -> Result<(DenseVec<usize>, Vec<Direction>)> {
     connected_components_on(&SharedBackend::new(ctx), a, Some(policy), opts)
 }
 
@@ -124,7 +124,7 @@ pub fn connected_components_selected_dist<T: Scalar>(
     strategy: CommStrategy,
     opts: SpMSpVOpts,
     dctx: &DistCtx,
-) -> Result<(DenseVec<usize>, Vec<Decision>, gblas_sim::SimReport)> {
+) -> Result<(DenseVec<usize>, Vec<Direction>, gblas_sim::SimReport)> {
     let backend = DistBackend::with_strategy(dctx, strategy);
     let (labels, decisions) = connected_components_on(&backend, a, Some(policy), opts)?;
     Ok((labels, decisions, backend.take_report()))

@@ -27,7 +27,7 @@ use gblas_core::algebra::{semirings, Scalar};
 use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::{CsrMatrix, DenseVec};
 use gblas_core::error::Result;
-use gblas_core::ops::selection::Decision;
+use gblas_core::ops::selection::Direction;
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
 use gblas_dist::ops::spmspv::CommStrategy;
@@ -78,7 +78,7 @@ pub fn sssp_multi_dist<T: EdgeWeight>(
 
 /// The per-source results of a static traversal, without its (empty)
 /// decision logs.
-fn slots<R>(runs: Vec<(R, Vec<Decision>)>) -> Vec<R> {
+fn slots<R>(runs: Vec<(R, Vec<Direction>)>) -> Vec<R> {
     runs.into_iter().map(|(result, _)| result).collect()
 }
 

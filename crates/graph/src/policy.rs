@@ -4,10 +4,7 @@
 use gblas_core::algebra::Scalar;
 use gblas_core::backend::GblasBackend;
 use gblas_core::error::Result;
-use gblas_core::ops::selection::{
-    decide, Decision, Direction, SelectionPolicy, SelectionThresholds,
-};
-use gblas_core::ops::spmspv::MergeStrategy;
+use gblas_core::ops::selection::{decide, Direction, SelectionPolicy, SelectionThresholds};
 
 /// A traversal's per-iteration direction choice and its log; a batched
 /// traversal keeps one per source, fed by that source's own counts.
@@ -15,19 +12,17 @@ use gblas_core::ops::spmspv::MergeStrategy;
 /// With no [`SelectionPolicy`] there is nothing to choose: every iteration
 /// runs the algorithm's native direction, and nothing is decided, recorded
 /// or charged. With one, every iteration consults [`decide`] on the
-/// measured densities and records the outcome through
+/// measured densities and records the direction through
 /// [`GblasBackend::record_decision`] (a `select` span; on the distributed
-/// backend also the allreduce that agrees the counts). The logged merge is
-/// the caller's resolved from the frontier's nnz, as the push resolves it.
+/// backend also the allreduce that agrees the counts).
 pub(crate) struct Chooser {
     policy: Option<(SelectionPolicy, SelectionThresholds, usize)>,
     algo: &'static str,
     n: usize,
-    merge: MergeStrategy,
     /// Last iteration's direction (the hysteresis input), native at first.
     prev: Direction,
     /// One entry per decided iteration; empty without a policy.
-    pub(crate) decisions: Vec<Decision>,
+    pub(crate) decisions: Vec<Direction>,
 }
 
 impl Chooser {
@@ -38,13 +33,12 @@ impl Chooser {
         algo: &'static str,
         native: Direction,
         policy: Option<SelectionPolicy>,
-        merge: MergeStrategy,
     ) -> Self {
         let n = backend.mat_nrows(a);
         // Ceiling average degree — the `d` in the selection heuristics.
         let avg_deg = backend.mat_nnz(a).div_ceil(n.max(1));
         let policy = policy.map(|p| (p, backend.selection_thresholds(), avg_deg));
-        Chooser { policy, algo, n, merge, prev: native, decisions: Vec::new() }
+        Chooser { policy, algo, n, prev: native, decisions: Vec::new() }
     }
 
     /// Direction of iteration `iter`, given its frontier size and
@@ -61,11 +55,10 @@ impl Chooser {
             return Ok(self.prev);
         };
         let unexplored = unexplored();
-        let d =
-            decide(*policy, self.prev, nnz_f, unexplored, self.n, *avg_deg, self.merge, thresholds);
-        backend.record_decision(self.algo, iter, d, nnz_f, unexplored)?;
-        self.prev = d.dir;
-        self.decisions.push(d);
-        Ok(d.dir)
+        let dir = decide(*policy, self.prev, nnz_f, unexplored, self.n, *avg_deg, thresholds);
+        backend.record_decision(self.algo, iter, dir, nnz_f, unexplored)?;
+        self.prev = dir;
+        self.decisions.push(dir);
+        Ok(dir)
     }
 }

@@ -18,7 +18,7 @@ use gblas_core::algebra::{semirings, Scalar};
 use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::{CsrMatrix, DenseVec};
 use gblas_core::error::{GblasError, Result};
-use gblas_core::ops::selection::{Decision, Direction, SelectionPolicy};
+use gblas_core::ops::selection::{Direction, SelectionPolicy};
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
 use gblas_dist::ops::spmspv::CommStrategy;
@@ -77,10 +77,10 @@ pub fn sssp_on<B: GblasBackend, T: EdgeWeight>(
     sources: &[usize],
     policy: Option<SelectionPolicy>,
     opts: SpMSpVOpts,
-) -> Result<Vec<(DenseVec<f64>, Vec<Decision>)>> {
+) -> Result<Vec<(DenseVec<f64>, Vec<Direction>)>> {
     let n = crate::check_sources(backend, a, sources)?;
     let k = sources.len();
-    let new_chooser = || Chooser::new(backend, a, "sssp", Direction::Push, policy, opts.merge);
+    let new_chooser = || Chooser::new(backend, a, "sssp", Direction::Push, policy);
     let mut choosers: Vec<Chooser> = sources.iter().map(|_| new_chooser()).collect();
     let w: B::Matrix<f64> = backend.mat_map(a, &|_, _, v| v.as_weight())?;
     let ring = semirings::min_plus();
@@ -181,7 +181,7 @@ pub fn sssp_selected<T: EdgeWeight>(
     policy: SelectionPolicy,
     opts: SpMSpVOpts,
     ctx: &ExecCtx,
-) -> Result<(DenseVec<f64>, Vec<Decision>)> {
+) -> Result<(DenseVec<f64>, Vec<Direction>)> {
     crate::only(sssp_on(&SharedBackend::new(ctx), a, &[source], Some(policy), opts)?)
 }
 
@@ -219,7 +219,7 @@ pub fn sssp_selected_dist<T: EdgeWeight>(
     strategy: CommStrategy,
     opts: SpMSpVOpts,
     dctx: &DistCtx,
-) -> Result<(DenseVec<f64>, Vec<Decision>, gblas_sim::SimReport)> {
+) -> Result<(DenseVec<f64>, Vec<Direction>, gblas_sim::SimReport)> {
     let backend = DistBackend::with_strategy(dctx, strategy);
     let (dist, decisions) = crate::only(sssp_on(&backend, a, &[source], Some(policy), opts)?)?;
     Ok((dist, decisions, backend.take_report()))

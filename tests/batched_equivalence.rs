@@ -11,7 +11,7 @@
 use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::CsrMatrix;
 use gblas_core::gen;
-use gblas_core::ops::selection::{Decision, Direction, SelectionPolicy};
+use gblas_core::ops::selection::{Direction, SelectionPolicy};
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
 use gblas_dist::ops::spmspv::CommStrategy;
@@ -168,11 +168,11 @@ const POLICIES: [Option<SelectionPolicy>; 4] =
     [None, Some(SelectionPolicy::Auto), Some(SelectionPolicy::Push), Some(SelectionPolicy::Pull)];
 
 /// Whether some iteration of a batch had one slot push and another pull.
-fn mixes<R>(batch: &[(R, Vec<Decision>)]) -> bool {
+fn mixes<R>(batch: &[(R, Vec<Direction>)]) -> bool {
     let iterations = batch.iter().map(|(_, log)| log.len()).max().unwrap_or(0);
     (0..iterations).any(|i| {
         let dirs: Vec<Direction> =
-            batch.iter().filter_map(|(_, log)| log.get(i)).map(|d| d.dir).collect();
+            batch.iter().filter_map(|(_, log)| log.get(i)).copied().collect();
         dirs.contains(&Direction::Push) && dirs.contains(&Direction::Pull)
     })
 }

@@ -505,40 +505,30 @@ fn selection_degenerate_graphs_all_policies() {
 }
 
 /// The decision function exactly at its thresholds: the documented
-/// comparisons are `>=` (pull trigger, bitmap promotion) and strict `<`
-/// (push trigger), so equality flips to pull / bitmap / not-push — and a
+/// comparisons are `>=` (pull trigger) and strict `<` (push trigger), so
+/// equality flips to pull / not-push — and a
 /// decision is always a fixed point (feeding it back as `prev` repeats
 /// it), which is what rules out push/pull oscillation at any stationary
 /// frontier density.
 #[test]
 fn selection_thresholds_exact_boundaries_and_no_oscillation() {
-    use gblas_core::ops::selection::{
-        decide, decide_format, Direction, FrontierFmt, SelectionPolicy, SelectionThresholds,
-    };
-    use gblas_core::ops::spmspv::MergeStrategy;
+    use gblas_core::ops::selection::{decide, Direction, SelectionPolicy, SelectionThresholds};
 
-    let t = SelectionThresholds::default(); // alpha 14, beta 24, bitmap 8, ref 8
+    let t = SelectionThresholds::default(); // alpha 14, beta 24, ref 8
     let auto = SelectionPolicy::Auto;
-    let merge = MergeStrategy::SortBased;
-
-    // bitmap promotion at exactly nnz * bitmap_den == n, demotion below
-    assert_eq!(decide_format(10, 80, &t), FrontierFmt::Bitmap);
-    assert_eq!(decide_format(9, 80, &t), FrontierFmt::Sparse);
 
     // pull trigger at exactly nnz*deg*alpha == unexplored*ref:
     // 4*4*14 = 224 == 28*8 -> pull (and n = 96 keeps the push trigger off)
-    assert_eq!(decide(auto, Direction::Push, 4, 28, 96, 4, merge, &t).dir, Direction::Pull);
+    assert_eq!(decide(auto, Direction::Push, 4, 28, 96, 4, &t), Direction::Pull);
     // one more unexplored vertex and the edge estimate falls short
-    assert_eq!(decide(auto, Direction::Push, 4, 29, 96, 4, merge, &t).dir, Direction::Push);
+    assert_eq!(decide(auto, Direction::Push, 4, 29, 96, 4, &t), Direction::Push);
 
     // push trigger is strict: nnz*beta == n stays pull, one less flips
-    assert_eq!(decide(auto, Direction::Pull, 4, 28, 96, 4, merge, &t).dir, Direction::Pull);
-    assert_eq!(decide(auto, Direction::Pull, 3, 28, 96, 4, merge, &t).dir, Direction::Push);
+    assert_eq!(decide(auto, Direction::Pull, 4, 28, 96, 4, &t), Direction::Pull);
+    assert_eq!(decide(auto, Direction::Pull, 3, 28, 96, 4, &t), Direction::Push);
 
     // n = 0 / empty frontier: decide answers without panicking
-    let d = decide(auto, Direction::Push, 0, 0, 0, 0, merge, &t);
-    assert_eq!(d.dir, Direction::Push);
-    assert_eq!(d.fmt, FrontierFmt::Sparse);
+    assert_eq!(decide(auto, Direction::Push, 0, 0, 0, 0, &t), Direction::Push);
 
     // fixed point: at any density (including exactly at the thresholds),
     // re-deciding with the previous answer never flips it back
@@ -546,8 +536,8 @@ fn selection_thresholds_exact_boundaries_and_no_oscillation() {
         let tp = SelectionThresholds::for_locales(p);
         for nnz in 0..=96usize {
             for prev in [Direction::Push, Direction::Pull] {
-                let d1 = decide(auto, prev, nnz, 96 - nnz, 96, 4, merge, &tp);
-                let d2 = decide(auto, d1.dir, nnz, 96 - nnz, 96, 4, merge, &tp);
+                let d1 = decide(auto, prev, nnz, 96 - nnz, 96, 4, &tp);
+                let d2 = decide(auto, d1, nnz, 96 - nnz, 96, 4, &tp);
                 assert_eq!(d2, d1, "p={p} nnz={nnz} prev={prev:?}");
             }
         }
@@ -555,11 +545,11 @@ fn selection_thresholds_exact_boundaries_and_no_oscillation() {
 }
 
 /// A full frontier (every vertex active at once, the complete graph's
-/// second level) promotes to a bitmap and pulls, and every policy still
+/// second level) pulls, and every policy still
 /// agrees with the static driver.
 #[test]
 fn selection_full_frontier_complete_graph() {
-    use gblas_core::ops::selection::{FrontierFmt, SelectionPolicy};
+    use gblas_core::ops::selection::{Direction, SelectionPolicy};
     use gblas_core::ops::spmspv::SpMSpVOpts;
     use gblas_graph::{bfs, bfs_selected};
 
@@ -585,7 +575,7 @@ fn selection_full_frontier_complete_graph() {
     }
     // two levels: the single source, then all n-1 others at once
     assert_eq!(auto_decisions.len(), 2);
-    assert_eq!(auto_decisions[1].fmt, FrontierFmt::Bitmap, "full frontier must promote");
+    assert_eq!(auto_decisions[1], Direction::Pull, "a full frontier must pull");
 }
 
 #[test]

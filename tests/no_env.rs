@@ -4,7 +4,6 @@
 //! One test in a binary of its own: it is the only test anywhere that
 //! sets `GBLAS_*` variables, and it has no sibling thread to race with.
 
-use gblas_core::ops::spmspv::MergeStrategy;
 use gblas_core::par::ExecCtx;
 use gblas_dist::{DistCtx, LocaleExecutor, RunConfig};
 use gblas_sim::MachineConfig;
@@ -30,7 +29,6 @@ fn contexts_ignore_the_environment_and_from_env_reads_it() {
     assert!(dctx.workspace_pool(0).enabled() && dctx.workspace_pool(1).enabled());
     assert!(dctx.locale_ctx_for(1).workspace().enabled());
     assert!(ExecCtx::new(4, 1).workspace().enabled());
-    assert_eq!(MergeStrategy::SortBased.resolve(usize::MAX), MergeStrategy::SortBased);
 
     // The same environment through the one reader: three names count.
     let all_off = RunConfig {

@@ -1,9 +1,11 @@
 //! Golden-file coverage for adaptive-selection decision traces: a traced
 //! 4-locale BFS and CC on a fixed skewed (R-MAT) graph must emit exactly
-//! the committed per-iteration `select` span sequence — same direction,
-//! frontier format, and merge strategy at every level — and the sequence
-//! must be byte-identical under both locale executors (the decisions are
-//! driven by globally-agreed density counts, never by scheduling).
+//! the committed per-iteration `select` span sequence — the same direction
+//! at every level — and the sequence must be byte-identical under both
+//! locale executors (the decisions are driven by globally-agreed density
+//! counts, never by scheduling). A level decides its direction and nothing
+//! else: the frontier's storage follows from it, and the push's merge is
+//! the caller's.
 //!
 //! Regenerate after an intentional heuristic or threshold change with
 //! `GBLAS_REGEN_GOLDEN=1 cargo test --test selection_golden`.
@@ -64,12 +66,10 @@ fn decision_lines(trace: &Trace) -> String {
                 .unwrap_or_else(|| panic!("select span missing attr {key}"))
         };
         out.push_str(&format!(
-            "{} iter={} dir={} fmt={} merge={} nnz={} unexplored={}\n",
+            "{} iter={} dir={} nnz={} unexplored={}\n",
             attr("algo"),
             attr("iter"),
             attr("dir"),
-            attr("fmt"),
-            attr("merge"),
             attr("nnz"),
             attr("unexplored"),
         ));
