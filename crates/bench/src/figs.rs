@@ -463,13 +463,7 @@ pub fn fig_algorithms(scale: usize) -> Vec<Figure> {
     for (label, run) in runners {
         let mut points = Vec::new();
         for &p in NODES {
-            // triangles runs a sparse SUMMA, which needs a square grid
-            let grid = if label == "triangles" {
-                let q = (p as f64).sqrt() as usize;
-                ProcGrid::new(q.max(1), q.max(1))
-            } else {
-                ProcGrid::square_for(p)
-            };
+            let grid = ProcGrid::square_for(p);
             let da = DistCsrMatrix::from_global(&a, grid);
             let dctx = dist_ctx(MachineConfig::edison_cluster(grid.locales(), 24));
             let report = run(&da, &dctx);

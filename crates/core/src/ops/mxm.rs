@@ -10,7 +10,7 @@
 //!
 //! An optional *structural mask* restricts which output positions may be
 //! produced (GraphBLAS masked `mxm` — the triangle-counting pattern
-//! `C⟨L⟩ = L · Lᵀ`). The mask is applied **first**: the accumulator is
+//! `C⟨L⟩ = L · L`). The mask is applied **first**: the accumulator is
 //! seeded with `Mᵢ`'s columns, a product landing anywhere else is dropped
 //! at the probe, and the row is emitted by walking `Mᵢ` — no index list,
 //! no sort, no post-filter; a row whose mask row is empty is skipped.

@@ -183,7 +183,7 @@ where
 /// blocks, so a locale's mask block covers exactly its `C` block and the
 /// local pass runs under it row by row: suppressed entries are never
 /// formed. This is what masked distributed triangle counting
-/// (`C⟨L⟩ = L · Lᵀ`) needs.
+/// (`C⟨L⟩ = L · L`, one matrix as both operands and the mask) needs.
 ///
 /// The rule (global coordinates; see [`gblas_core::ops::mxm::mxm_emit`])
 /// sees finished entries only. A 2-D locale's pass finishes its block, so
@@ -621,6 +621,7 @@ fn finish<C>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::LocaleExecutor;
     use crate::grid::ProcGrid;
     use gblas_core::algebra::semirings;
     use gblas_core::error::GblasError;
@@ -679,7 +680,7 @@ mod tests {
 
     #[test]
     fn masked_mixed_type_summa_matches_shared() {
-        // the triangle-counting shape: C⟨L⟩ = L · Lᵀ over plus-pair,
+        // a masked mixed-type shape: C⟨L⟩ = L · Lᵀ over plus-pair,
         // f64 operands producing u64 counts — exact, so rectangular grids
         // are held to bit-identity too
         let a = gen::erdos_renyi_symmetric(80, 5, 225);
@@ -698,6 +699,32 @@ mod tests {
                 mxm_dist_masked::<_, _, u64, _, _, f64>(&dl, &du, &ring, Some(&dl), &dctx).unwrap();
             assert_eq!(dc.to_global().unwrap(), expect, "grid {pr}x{pc}");
             assert!(report.total() > 0.0);
+        }
+    }
+
+    #[test]
+    fn one_operand_as_a_b_and_mask_matches_shared() {
+        // the triangle-counting shape: C⟨L⟩ = L · L over plus-pair, one
+        // matrix as both operands and the mask, f64 → u64 — exact, so every
+        // grid and both executors are held to bit-identity
+        let a = gen::erdos_renyi_symmetric(80, 5, 225);
+        let ctx = gblas_core::par::ExecCtx::serial();
+        let l = gblas_core::ops::select::tril(&a, &ctx);
+        let ring = semirings::plus_pair();
+        let expect: gblas_core::container::CsrMatrix<u64> =
+            gblas_core::ops::mxm::mxm(&l, &l, &ring, Some(&l), &ctx).unwrap();
+        for (pr, pc) in [(1usize, 1usize), (2, 2), (3, 3), (2, 3), (3, 2), (1, 6), (6, 1)] {
+            let grid = ProcGrid::new(pr, pc);
+            let dl = DistCsrMatrix::from_global(&l, grid);
+            for exec in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
+                let mut dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
+                dctx.set_executor(exec);
+                let (dc, report) =
+                    mxm_dist_masked::<_, _, u64, _, _, f64>(&dl, &dl, &ring, Some(&dl), &dctx)
+                        .unwrap();
+                assert_eq!(dc.to_global().unwrap(), expect, "grid {pr}x{pc} {exec:?}");
+                assert!(report.total() > 0.0);
+            }
         }
     }
 

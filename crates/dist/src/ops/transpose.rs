@@ -6,8 +6,8 @@
 //! bulk message per off-diagonal block, `p - √p` messages total. This is
 //! the cheapest possible communication pattern for the operation and a
 //! building block for algorithms that need both `A` and `Aᵀ`
-//! (triangle counting, symmetrizing a crawl, PageRank on the reverse
-//! graph).
+//! (betweenness' back-propagation, MCL's column normalisation,
+//! symmetrizing a crawl, PageRank on the reverse graph).
 
 use crate::exec::DistCtx;
 use crate::grid::ProcGrid;

@@ -16,7 +16,7 @@
 //!   tropical `(min, +)` semiring, for any [`sssp::EdgeWeight`] value
 //!   type;
 //! * [`triangles`] — triangle counting via masked SpGEMM
-//!   (`C⟨L⟩ = L · Lᵀ` over the plus-pair semiring);
+//!   (`C⟨L⟩ = L · L` over the plus-pair semiring);
 //! * [`mod@betweenness`] — Brandes betweenness centrality from masked
 //!   path-counting SpMSpV sweeps and a transposed dependency
 //!   back-propagation;
