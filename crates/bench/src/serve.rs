@@ -1,8 +1,8 @@
 //! Query-serving throughput harness: batched multi-source analytics
 //! versus a one-query-at-a-time loop.
 //!
-//! The batched kernels (`gblas_graph::multi`, `gblas_dist::ops::expand`)
-//! exist to serve *query streams*: BFS/SSSP/PPR requests arriving over
+//! The batched kernels (`gblas_graph::multi` over the backend trait's
+//! slice-taking pushes) exist to serve *query streams*: BFS/SSSP/PPR requests arriving over
 //! time, where answering k of them per masked-SpGEMM sweep amortizes the
 //! per-superstep message latency k-fold. This module measures that claim
 //! end to end:

@@ -92,14 +92,6 @@ pub fn random_sparse_vec(capacity: usize, nnz: usize, seed: u64) -> SparseVec<f6
     SparseVec::from_sorted(capacity, indices, values).expect("sampled indices are sorted/distinct")
 }
 
-/// A random sparse vector of `usize` values (e.g. candidate parent ids).
-pub fn random_sparse_vec_usize(capacity: usize, nnz: usize, seed: u64) -> SparseVec<usize> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let indices = sample_distinct_sorted(capacity, nnz, &mut rng);
-    let values = (0..nnz).map(|_| rng.gen_range(0..capacity)).collect();
-    SparseVec::from_sorted(capacity, indices, values).expect("sampled indices are sorted/distinct")
-}
-
 /// An R-MAT (recursive matrix) power-law graph: `2^scale` vertices,
 /// `edge_factor · 2^scale` edges placed by recursive quadrant descent with
 /// the Graph500 probabilities `(a, b, c, d) = (0.57, 0.19, 0.19, 0.05)`.

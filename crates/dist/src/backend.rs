@@ -11,7 +11,7 @@
 
 use crate::exec::DistCtx;
 use crate::mat::DistCsrMatrix;
-use crate::ops::spmspv::{first_visitor_push, semiring_push, CommStrategy, DistMask};
+use crate::ops::spmspv::{push, Accumulate, CommStrategy, DistMask, FirstVisitor};
 use crate::vec::{DistDenseVec, DistSparseVec};
 use gblas_core::algebra::{BinaryOp, ComMonoid, Monoid, Scalar, Semiring};
 use gblas_core::backend::{GblasBackend, MaskSpec};
@@ -220,8 +220,8 @@ impl GblasBackend for DistBackend<'_> {
         masks: Option<&[MaskSpec<'_, DistDenseVec<bool>>]>,
         opts: SpMSpVOpts,
     ) -> Result<Vec<DistSparseVec<usize>>> {
-        let dm = masks.map(dist_masks);
-        let (out, r) = first_visitor_push(a, xs, dm.as_deref(), self.strategy, opts, self.dctx)?;
+        let (dm, strategy) = (masks.map(dist_masks), self.strategy);
+        let (out, r) = push(a, xs, &FirstVisitor, dm.as_deref(), strategy, opts, self.dctx)?;
         self.absorb(r);
         Ok(out)
     }
@@ -242,7 +242,8 @@ impl GblasBackend for DistBackend<'_> {
         MulOp: BinaryOp<A, B, C>,
     {
         let (dm, strategy) = (masks.map(dist_masks), self.strategy);
-        let (out, r) = semiring_push(a, xs, ring, dm.as_deref(), strategy, opts, self.dctx)?;
+        let rule = Accumulate(ring);
+        let (out, r) = push(a, xs, &rule, dm.as_deref(), strategy, opts, self.dctx)?;
         self.absorb(r);
         Ok(out)
     }
@@ -373,10 +374,309 @@ impl GblasBackend for DistBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::LocaleExecutor;
     use crate::grid::ProcGrid;
-    use gblas_core::algebra::Plus;
+    use crate::ops::spmspv::{spmspv_dist_semiring_with, spmspv_dist_with, PHASE_GATHER};
+    use gblas_core::algebra::{semirings, Plus};
     use gblas_core::gen;
     use gblas_sim::MachineConfig;
+
+    fn machine_for(grid: ProcGrid) -> MachineConfig {
+        MachineConfig::edison_cluster(grid.locales(), 24)
+    }
+
+    /// A fresh context for `grid` under `exec`.
+    fn ctx(grid: ProcGrid, exec: LocaleExecutor) -> DistCtx {
+        let mut dctx = DistCtx::new(machine_for(grid));
+        dctx.set_executor(exec);
+        dctx
+    }
+
+    /// Every (grid, strategy, executor) a batch-equals-solo test sweeps:
+    /// square, rectangular and single-row/column grids, under both comm
+    /// strategies and both locale executors.
+    fn batch_cases() -> impl Iterator<Item = (ProcGrid, CommStrategy, LocaleExecutor)> {
+        let grids = [(1, 1), (2, 2), (2, 3), (3, 2), (1, 4), (4, 1)];
+        let strategies = [CommStrategy::Fine, CommStrategy::Bulk];
+        let executors = [LocaleExecutor::Threaded, LocaleExecutor::Serial];
+        grids.into_iter().flat_map(move |(pr, pc)| {
+            let grid = ProcGrid::new(pr, pc);
+            strategies
+                .into_iter()
+                .flat_map(move |s| executors.into_iter().map(move |e| (grid, s, e)))
+        })
+    }
+
+    /// A frontier of capacity `n` over `p` locales, with one entry per
+    /// (ascending) index in `at`, valued by `value`.
+    fn frontier<T: Scalar>(
+        n: usize,
+        at: &[usize],
+        value: impl Fn(usize) -> T,
+        p: usize,
+    ) -> DistSparseVec<T> {
+        let global = SparseVec::from_sorted(n, at.to_vec(), at.iter().map(|&i| value(i)).collect());
+        DistSparseVec::from_global(&global.unwrap(), p)
+    }
+
+    #[test]
+    fn batched_rows_match_single_source_dist_runs() {
+        let n = 400;
+        let a = gen::erdos_renyi(n, 6, 211);
+        let sources = [0usize, 7, 7, 390];
+        for (grid, strategy, exec) in batch_cases() {
+            let (p, at) = (grid.locales(), format!("{grid:?} {strategy:?} {exec:?}"));
+            let da = DistCsrMatrix::from_global(&a, grid);
+            let xs: Vec<DistSparseVec<usize>> =
+                sources.iter().map(|&s| frontier(n, &[s], |i| i, p)).collect();
+            let visited: Vec<DistDenseVec<bool>> = sources
+                .iter()
+                .map(|&s| DistDenseVec::from_global(&DenseVec::from_fn(n, |i| i == s), p))
+                .collect();
+            let masks: Vec<_> = visited.iter().map(MaskSpec::complement).collect();
+            let dctx = ctx(grid, exec);
+            let backend = DistBackend::with_strategy(&dctx, strategy);
+            let opts = SpMSpVOpts::default();
+            let batched = backend.spmspv_first_visitor(&da, &xs, Some(&masks), opts).unwrap();
+            assert!(backend.take_report().total() > 0.0, "{at}");
+            assert_eq!(batched.len(), sources.len(), "{at}");
+            for (s, x) in xs.iter().enumerate() {
+                let mask = Some(DistMask::complement(&visited[s]));
+                let sctx = ctx(grid, exec);
+                let (single, _) = spmspv_dist_with(&da, x, mask, strategy, opts, &sctx).unwrap();
+                assert_eq!(batched[s].to_global(), single.to_global(), "{at} slot {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_gather_pays_one_message_per_pair() {
+        // Per level, whatever k is: one frontier message per remote row
+        // peer, plus one mask message per remote owner of the column range.
+        let n = 600;
+        let a = gen::erdos_renyi(n, 6, 221);
+        let grid = ProcGrid::new(2, 4);
+        let p = grid.locales();
+        let da = DistCsrMatrix::from_global(&a, grid);
+        let out = crate::grid::BlockDist::new(n, p);
+        let mask_owners = |l: usize| {
+            let windows = crate::sched::block_overlaps(da.col_range(l), &out);
+            windows.iter().filter(|w| w.0 != l).count()
+        };
+        // every source reaches every block, so every pair carries payload
+        let expected: Vec<u64> = (0..p).map(|l| (grid.pc() - 1 + mask_owners(l)) as u64).collect();
+        for k in [1usize, 3, 8] {
+            let xs: Vec<DistSparseVec<usize>> = (0..k)
+                .map(|s| frontier(n, &(s..n).step_by(23).collect::<Vec<_>>(), |i| i, p))
+                .collect();
+            let visited: Vec<DistDenseVec<bool>> = (0..k)
+                .map(|s| DistDenseVec::from_global(&DenseVec::from_fn(n, |i| i % (s + 2) == 0), p))
+                .collect();
+            let masks: Vec<_> = visited.iter().map(MaskSpec::complement).collect();
+            let dctx = DistCtx::new(machine_for(grid));
+            dctx.comm.record_history();
+            let backend = DistBackend::with_strategy(&dctx, CommStrategy::Bulk);
+            backend.spmspv_first_visitor(&da, &xs, Some(&masks), SpMSpVOpts::default()).unwrap();
+            let history = dctx.comm.history();
+            let sent = |l: usize| {
+                let gathers = history.iter().filter(|e| e.phase == PHASE_GATHER && e.src == l);
+                gathers.map(|e| e.msgs).sum::<u64>()
+            };
+            let got: Vec<u64> = (0..p).map(sent).collect();
+            assert_eq!(got, expected, "k = {k}: gather messages per locale");
+        }
+    }
+
+    /// Push `xs` as one batch through the trait and each alone through
+    /// `spmspv_dist_semiring_with`: every row must agree bit for bit.
+    fn assert_semiring_batch_is_solo<AddM, MulOp>(
+        da: &DistCsrMatrix<f64>,
+        xs: &[DistSparseVec<f64>],
+        ring: &Semiring<AddM, MulOp>,
+        (strategy, exec): (CommStrategy, LocaleExecutor),
+        at: &str,
+    ) where
+        AddM: Monoid<f64>,
+        MulOp: BinaryOp<f64, f64, f64>,
+    {
+        let bits = |y: &DistSparseVec<f64>| {
+            let g = y.to_global();
+            (g.indices().to_vec(), g.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        let dctx = ctx(da.grid(), exec);
+        let backend = DistBackend::with_strategy(&dctx, strategy);
+        let opts = SpMSpVOpts::default();
+        let batched: Vec<DistSparseVec<f64>> =
+            backend.spmspv_semiring(da, xs, ring, None, opts).unwrap();
+        assert_eq!(batched.len(), xs.len(), "{at}");
+        for (s, x) in xs.iter().enumerate() {
+            let sctx = ctx(da.grid(), exec);
+            let (single, _) =
+                spmspv_dist_semiring_with(da, x, ring, None, strategy, opts, &sctx).unwrap();
+            assert_eq!(bits(&batched[s]), bits(&single), "{at} slot {s}");
+        }
+    }
+
+    #[test]
+    fn batched_semiring_rows_match_single_source_dist_runs() {
+        let n = 300;
+        let a = gen::erdos_renyi(n, 5, 231);
+        // min-plus from zero-distance roots; plus-times over random
+        // frontiers, whose accumulation order shows in the low bits
+        let roots = [0usize, 100, 100, 299];
+        let sums: Vec<SparseVec<f64>> =
+            (0..4).map(|s| gen::random_sparse_vec(n, 20, 232 + s)).collect();
+        for (grid, strategy, exec) in batch_cases() {
+            let (p, at) = (grid.locales(), format!("{grid:?} {strategy:?} {exec:?}"));
+            let da = DistCsrMatrix::from_global(&a, grid);
+            let mins: Vec<DistSparseVec<f64>> =
+                roots.iter().map(|&r| frontier(n, &[r], |_| 0.0, p)).collect();
+            let ring = semirings::min_plus();
+            assert_semiring_batch_is_solo(&da, &mins, &ring, (strategy, exec), &at);
+            let sums: Vec<DistSparseVec<f64>> =
+                sums.iter().map(|x| DistSparseVec::from_global(x, p)).collect();
+            let ring = semirings::plus_times_f64();
+            assert_semiring_batch_is_solo(&da, &sums, &ring, (strategy, exec), &at);
+        }
+    }
+
+    #[test]
+    fn a_batch_runs_the_callers_one_merge_and_names_it_once() {
+        use crate::ops::spmspv::PHASE_LOCAL;
+        use gblas_core::ops::spmspv::MergeStrategy;
+        use gblas_core::par::Counters;
+        use gblas_core::trace::SpanKind;
+        let (n, grid) = (2_000, ProcGrid::new(2, 2));
+        let p = grid.locales();
+        let da = DistCsrMatrix::from_global(&gen::erdos_renyi(n, 2, 271), grid);
+        let xs: Vec<DistSparseVec<f64>> = [(40, 272), (900, 273)]
+            .map(|(nnz, seed)| DistSparseVec::from_global(&gen::random_sparse_vec(n, nnz, seed), p))
+            .into();
+        let sort = SpMSpVOpts::with_merge(MergeStrategy::SortBased);
+        // A traced trait push of `xs` under `sort`: the op's `merge`
+        // attribute and the per-locale local-multiply counters, which are
+        // additive over sources.
+        let pushed = |xs: &[DistSparseVec<f64>]| {
+            let mut dctx = DistCtx::new(machine_for(grid));
+            dctx.enable_tracing();
+            let backend = DistBackend::with_strategy(&dctx, CommStrategy::Bulk);
+            let ring = semirings::plus_times_f64();
+            let _: Vec<DistSparseVec<f64>> =
+                backend.spmspv_semiring(&da, xs, &ring, None, sort).unwrap();
+            let trace = dctx.recorder().snapshot();
+            let op = trace.spans.iter().find(|s| s.kind == SpanKind::Op).expect("op span");
+            let merge = op.attrs.iter().find(|(k, _)| k == "merge").map(|(_, v)| v.clone());
+            let mut local = vec![Counters::default(); p];
+            for s in trace.spans.iter().filter(|s| s.kind == SpanKind::LocaleCompute) {
+                if s.name == PHASE_LOCAL {
+                    local[s.locale.expect("a compute span has a locale")].merge(&s.counters);
+                }
+            }
+            (merge.expect("merge attribute"), local)
+        };
+        let mut want = vec![Counters::default(); p];
+        for x in &xs {
+            let (merge, local) = pushed(std::slice::from_ref(x));
+            assert_eq!(merge, "sort");
+            want.iter_mut().zip(local).for_each(|(w, c)| w.merge(&c));
+        }
+        assert!(want.iter().any(|c| c.sort_elems > 0), "the sort-based merge ran");
+        let (merge, local) = pushed(&xs);
+        assert_eq!(merge, "sort", "one name for the whole batch");
+        assert_eq!(local, want, "a batch row ran a merge its solo run did not");
+    }
+
+    #[test]
+    fn spmv_columns_match_single_spmv_dist_runs() {
+        use crate::ops::spmv::spmv_dist;
+        let n = 250;
+        let a = gen::erdos_renyi(n, 5, 241);
+        let ring = semirings::plus_times_f64();
+        for (pr, pc) in [(1, 1), (2, 2), (2, 3)] {
+            let grid = ProcGrid::new(pr, pc);
+            let p = grid.locales();
+            let da = DistCsrMatrix::from_global(&a, grid);
+            let xs: Vec<DistDenseVec<f64>> = (0..3)
+                .map(|s| {
+                    DistDenseVec::from_global(&DenseVec::from_fn(n, |i| ((i + s) % 7) as f64), p)
+                })
+                .collect();
+            let dctx = DistCtx::new(machine_for(grid));
+            let backend = DistBackend::new(&dctx);
+            let ys: Vec<DistDenseVec<f64>> = backend.spmv(&da, &xs, &ring).unwrap();
+            assert!(backend.take_report().total() > 0.0);
+            for (s, x) in xs.iter().enumerate() {
+                let sctx = DistCtx::new(machine_for(grid));
+                let (y, _) = spmv_dist(&da, x, &ring, &sctx).unwrap();
+                let got = ys[s].to_global();
+                let want = y.to_global();
+                for j in 0..n {
+                    assert_eq!(got[j], want[j], "grid {pr}x{pc} col {s} entry {j}");
+                }
+            }
+            // One column through the backend trait — a batch of one — is
+            // `spmv_dist` on every comm event and in its report.
+            let ledger = |run: &dyn Fn(&DistCtx) -> SimReport| {
+                let dctx = DistCtx::new(machine_for(grid));
+                dctx.comm.record_history();
+                let report = run(&dctx);
+                (dctx.comm.history(), report)
+            };
+            let one = &xs[..1];
+            let solo = ledger(&|d| spmv_dist::<_, _, f64, _, _>(&da, &one[0], &ring, d).unwrap().1);
+            let through_trait = ledger(&|d| {
+                let backend = DistBackend::new(d);
+                let _: Vec<DistDenseVec<f64>> = backend.spmv(&da, one, &ring).unwrap();
+                backend.take_report()
+            });
+            assert!(p == 1 || !solo.0.is_empty(), "grid {pr}x{pc}: the ledger logged nothing");
+            assert_eq!(through_trait, solo, "grid {pr}x{pc}: k = 1 through the trait");
+        }
+    }
+
+    #[test]
+    fn empty_batch_is_fine() {
+        // n = 3 on six locales: more locales than rows, so some blocks
+        // are empty
+        for (n, grid) in [(100, ProcGrid::new(2, 2)), (3, ProcGrid::new(2, 3))] {
+            let a = gen::erdos_renyi(n, 2, 251);
+            let da = DistCsrMatrix::from_global(&a, grid);
+            for strategy in [CommStrategy::Fine, CommStrategy::Bulk] {
+                let dctx = DistCtx::new(machine_for(grid));
+                let backend = DistBackend::with_strategy(&dctx, strategy);
+                let opts = SpMSpVOpts::default();
+                let out = backend.spmspv_first_visitor(&da, &[], Some(&[]), opts).unwrap();
+                assert!(out.is_empty(), "n = {n} {strategy:?}");
+                let ring = semirings::plus_times_f64();
+                let ys: Vec<DistSparseVec<f64>> =
+                    backend.spmspv_semiring(&da, &[], &ring, None, opts).unwrap();
+                assert!(ys.is_empty(), "n = {n} {strategy:?}");
+                let ys: Vec<DistDenseVec<f64>> = backend.spmv(&da, &[], &ring).unwrap();
+                assert!(ys.is_empty(), "n = {n} {strategy:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn shape_validation() {
+        let a = gen::erdos_renyi(100, 4, 261);
+        let grid = ProcGrid::new(2, 2);
+        let da = DistCsrMatrix::from_global(&a, grid);
+        let dctx = DistCtx::new(machine_for(grid));
+        let backend = DistBackend::with_strategy(&dctx, CommStrategy::Bulk);
+        let m = DistDenseVec::filled(100, false, 4);
+        let masks = [MaskSpec::complement(&m)];
+        let push = |xs: &[DistSparseVec<usize>], masks: &[MaskSpec<'_, DistDenseVec<bool>>]| {
+            backend.spmspv_first_visitor(&da, xs, Some(masks), SpMSpVOpts::default())
+        };
+        assert!(push(&[frontier(100, &[0], |_| 0, 4)], &masks).is_ok());
+        // wrong capacity
+        assert!(push(&[frontier(99, &[0], |_| 0, 4)], &masks).is_err());
+        // mask count mismatch
+        assert!(push(&[frontier(100, &[0], |_| 0, 4)], &[]).is_err());
+        // wrong locale count
+        assert!(push(&[frontier(100, &[0], |_| 0, 2)], &masks).is_err());
+    }
 
     #[test]
     fn dist_backend_accumulates_reports_across_ops() {

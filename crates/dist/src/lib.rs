@@ -67,7 +67,6 @@ pub use dcsc::{BlockFormat, DcscBlock};
 pub use exec::{DistCtx, LocaleExecutor, Outbox};
 pub use grid::{BlockDist, ProcGrid};
 pub use mat::DistCsrMatrix;
-pub use ops::expand::DistFrontier;
 pub use ops::mxm::{auto_layers, MxmAlgo};
 pub use sched::{
     CommSchedule, FrontierClass, PlanData, SchedKey, SchedOutcome, ScheduleCache, SummaPlan,

@@ -15,21 +15,21 @@
 //!
 //! Beyond the paper's subset, the crate also ships the distributed
 //! operations a complete library needs, all bulk-synchronous:
-//! [`spmspv::spmspv_dist_masked`] (masks in distributed memory, §V) and
-//! [`spmspv::spmspv_dist_semiring`] (general accumulation), [`spmv`]
+//! [`spmspv::spmspv_dist_with`] (masks in distributed memory, §V) and
+//! [`spmspv::spmspv_dist_semiring_with`] (general accumulation), [`spmv`]
 //! (dense vectors), [`mxm`] (sparse SUMMA SpGEMM), [`transpose`]
 //! (mirror-block exchange), and [`reduce`] (binomial-tree all-reduce).
 //!
 //! The vector-product kernels are two bodies with the batch width `k` as
 //! a parameter: every sparse-frontier entry point (and the backend trait's
-//! pushes) runs the one push in [`spmspv`], and [`spmv::spmv_dist`],
-//! [`expand::spmm_dense_dist`] and the trait's SpMV the one dense SpMV in
-//! [`spmv`].
+//! pushes) runs the one push in [`spmspv`], and [`spmv::spmv_dist`] and the
+//! trait's SpMV the one dense SpMV in [`spmv`]. A batch of `k` frontiers is
+//! a slice of `k` distributed vectors, the operand of the backend trait's
+//! `spmspv_first_visitor`, `spmspv_semiring` and `spmv`.
 
 pub mod apply;
 pub mod assign;
 pub mod ewise;
-pub mod expand;
 pub mod extract;
 pub mod mxm;
 pub mod pull;

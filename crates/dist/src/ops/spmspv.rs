@@ -21,27 +21,27 @@
 //!
 //! All three steps exist once, for any number `k ≥ 0` of concurrent
 //! sources, in one body (`push`: validate, `gather_rows`, `push_engine`,
-//! price the report). Every entry point runs it — this
-//! module's single-source functions with `k = 1`, the batched expansions
-//! of [`crate::ops::expand`] and the backend trait's pushes with their
-//! batch width — so a single source is a batch of one, priced as one. An
-//! entry point chooses only what genuinely varies: the [`CommStrategy`]
+//! price the report). Every entry point runs it — this module's
+//! single-source functions with `k = 1` and the backend trait's pushes with
+//! their batch width — so a single source is a batch of one, priced as one.
+//! An entry point chooses only what genuinely varies: the [`CommStrategy`]
 //! of the gather and scatter, the `PushRule` (first-visitor or semiring:
-//! the local kernel plus the owner's resolution of competing claims), one
-//! optional [`DistMask`] per source (each with its own polarity), and the
-//! attributes of its op span. What does *not* vary with `k` is fixed in
-//! the body: every source multiplies under the caller's one `SpMSpVOpts`;
-//! the gather plan is cached under one schedule key, since row peers and
-//! mask windows are functions of the grid; and a scatter claim is
-//! priced at its wire width, an `(offset, value)` pair, since claims
-//! travel grouped by source with per-source end offsets. Under the SPMD
-//! executor a push is three supersteps: every locale gathers its frontier
-//! slices; then every locale gathers its masks' bits, multiplies locally
-//! under them (masking at the sender) and builds one outbox per owning
-//! locale (logging its own traffic); then every owner drains its inboxes —
-//! in source-locale order, so competing parents and floating-point
-//! accumulation resolve exactly as a serial sweep would — into its *own*
-//! dense segment and builds its output shard from it (`denseToSparse`).
+//! the local kernel, the owner's resolution of competing claims and the
+//! op's one name) and one optional [`DistMask`] per source (each with its
+//! own polarity). The body stamps the op span's attributes itself, strategy
+//! and merge first. What does *not* vary with `k` is fixed in the body:
+//! every source multiplies under the caller's one `SpMSpVOpts`; the gather
+//! plan is cached under one schedule key, since row peers and mask windows
+//! are functions of the grid; and a scatter claim is priced at its wire
+//! width, an `(offset, value)` pair, since claims travel grouped by source
+//! with per-source end offsets. Under the SPMD executor a push is three
+//! supersteps: every locale gathers its frontier slices; then every locale
+//! gathers its masks' bits, multiplies locally under them (masking at the
+//! sender) and builds one outbox per owning locale (logging its own
+//! traffic); then every owner drains its inboxes — in source-locale order,
+//! so competing parents and floating-point accumulation resolve exactly as
+//! a serial sweep would — into its *own* dense segment and builds its
+//! output shard from it (`denseToSparse`).
 //!
 //! The first-visitor output stores, per reached column, the **smallest
 //! global row id** among its visitors — the BFS parent vector. Each
@@ -253,6 +253,9 @@ impl<'a> DistMask<'a> {
 /// entry. `B` is the matrix type, `V` the frontier's, `W` what a claim
 /// carries.
 pub(crate) trait PushRule<B, V, W>: Sync {
+    /// The op span every push under this rule is priced into, for any `k`.
+    const OP: &'static str;
+
     /// The local multiply on one block whose first row is global row
     /// `row_start`, under the block's window of the output mask and the
     /// caller's `opts`: per reached allowed local column, the value its
@@ -280,6 +283,8 @@ pub(crate) trait PushRule<B, V, W>: Sync {
 pub(crate) struct FirstVisitor;
 
 impl<B: Send + Sync, V: Send + Sync> PushRule<B, V, usize> for FirstVisitor {
+    const OP: &'static str = "spmspv_dist";
+
     fn multiply(
         &self,
         block: &CsrMatrix<B>,
@@ -315,6 +320,8 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
+    const OP: &'static str = "spmspv_dist_semiring";
+
     fn multiply(
         &self,
         block: &CsrMatrix<B>,
@@ -558,13 +565,11 @@ where
 /// The one push every sparse-frontier entry point runs, for `k =
 /// xs.len() ≥ 0` sources: validate, gather, push every source under the
 /// caller's one `opts` (so every locale runs the same merge), and price the
-/// report into the op span `name`. `label` stamps the entry point's leading
-/// attributes; the shape, `masked` (only when true), the schedule outcome
-/// and the batch's nnz follow. Nothing here depends on `k`: a single source
-/// is a batch of one, priced as one.
-#[allow(clippy::too_many_arguments)]
+/// report into the rule's op span. Its attributes are the strategy, the
+/// merge, the shape, `masked` (only when true), the schedule outcome and
+/// the batch's nnz. Nothing here depends on `k`: a single source is a batch
+/// of one, priced as one.
 pub(crate) fn push<B, V, W, R>(
-    name: &str,
     a: &DistCsrMatrix<B>,
     xs: &[DistSparseVec<V>],
     rule: &R,
@@ -572,7 +577,6 @@ pub(crate) fn push<B, V, W, R>(
     strategy: CommStrategy,
     opts: SpMSpVOpts,
     dctx: &DistCtx,
-    label: impl FnOnce(&mut OpTrace<'_>),
 ) -> Result<(Vec<DistSparseVec<W>>, SimReport)>
 where
     B: Copy + Send + Sync,
@@ -580,11 +584,15 @@ where
     W: Copy + Send + Sync + 'static,
     R: PushRule<B, V, W>,
 {
-    let mut op = dctx.op(name); // the wall clock starts with the op
+    let mut op = dctx.op(R::OP); // the wall clock starts with the op
     check_push_operands(a, xs, masks, dctx)?;
     let (mut gather, lxs) = gather_rows(a, xs, strategy, dctx)?;
     let pushed = push_engine(a, &lxs, rule, masks, opts, strategy, &mut gather, dctx)?;
-    label(&mut op);
+    let strategy_name = match strategy {
+        CommStrategy::Fine => "fine",
+        CommStrategy::Bulk => "bulk",
+    };
+    op.attr("strategy", strategy_name).attr("merge", opts.merge.name());
     op.attr("nrows", a.nrows()).attr("ncols", a.ncols());
     if masks.is_some() {
         op.attr("masked", true);
@@ -612,18 +620,9 @@ pub fn spmspv_dist_bulk<T: Copy + Send + Sync + 'static>(
     spmspv_dist_with(a, x, None, CommStrategy::Bulk, SpMSpVOpts::default(), dctx)
 }
 
-/// Masked distributed SpMSpV (fine-grained communication).
-pub fn spmspv_dist_masked<T: Copy + Send + Sync + 'static>(
-    a: &DistCsrMatrix<T>,
-    x: &DistSparseVec<T>,
-    mask: DistMask<'_>,
-    dctx: &DistCtx,
-) -> Result<(DistSparseVec<usize>, SimReport)> {
-    spmspv_dist_with(a, x, Some(mask), CommStrategy::Fine, SpMSpVOpts::default(), dctx)
-}
-
-/// Full-control entry point. The frontier's value type `V` is independent
-/// of the matrix type — first-visitor semantics never read the values.
+/// Full-control first-visitor entry point, with an optional output mask
+/// ([`DistMask`]). The frontier's value type `V` is independent of the
+/// matrix type — first-visitor semantics never read the values.
 pub fn spmspv_dist_with<T: Copy + Send + Sync, V: Copy + Send + Sync + 'static>(
     a: &DistCsrMatrix<T>,
     x: &DistSparseVec<V>,
@@ -632,24 +631,9 @@ pub fn spmspv_dist_with<T: Copy + Send + Sync, V: Copy + Send + Sync + 'static>(
     opts: SpMSpVOpts,
     dctx: &DistCtx,
 ) -> Result<(DistSparseVec<usize>, SimReport)> {
-    let masks = mask.as_ref().map(std::slice::from_ref);
-    let (ys, report) = first_visitor_push(a, std::slice::from_ref(x), masks, strategy, opts, dctx)?;
+    let (xs, masks) = (std::slice::from_ref(x), mask.as_ref().map(std::slice::from_ref));
+    let (ys, report) = push(a, xs, &FirstVisitor, masks, strategy, opts, dctx)?;
     Ok((only(ys)?, report))
-}
-
-/// The first-visitor push of `k = xs.len()` sources under `strategy`,
-/// with one output mask per source or none: the `spmspv_dist` op for any
-/// `k`, whose `merge` attribute names the one merge every source ran.
-pub(crate) fn first_visitor_push<T: Copy + Send + Sync, V: Copy + Send + Sync + 'static>(
-    a: &DistCsrMatrix<T>,
-    xs: &[DistSparseVec<V>],
-    masks: Option<&[DistMask<'_>]>,
-    strategy: CommStrategy,
-    opts: SpMSpVOpts,
-    dctx: &DistCtx,
-) -> Result<(Vec<DistSparseVec<usize>>, SimReport)> {
-    let label = solo_label(strategy, opts);
-    push("spmspv_dist", a, xs, &FirstVisitor, masks, strategy, opts, dctx, label)
 }
 
 /// The one output of a single-source push or single-column SpMV.
@@ -659,48 +643,17 @@ pub(crate) fn only<W>(ys: Vec<W>) -> Result<W> {
         .ok_or_else(|| GblasError::InvalidContainer("an op returned no output row".into()))
 }
 
-/// The leading op attributes of a push under `strategy` and `opts`: the
-/// strategy and the merge.
-fn solo_label(strategy: CommStrategy, opts: SpMSpVOpts) -> impl FnOnce(&mut OpTrace<'_>) {
-    let name = match strategy {
-        CommStrategy::Fine => "fine",
-        CommStrategy::Bulk => "bulk",
-    };
-    move |op| {
-        op.attr("strategy", name).attr("merge", opts.merge.name());
-    }
-}
-
 /// General-semiring distributed SpMSpV: `y[j] = ⊕_i x[i] ⊗ A[i,j]` with
 /// true accumulation — contributions from different grid rows to the same
 /// output column are combined with the add monoid *at the owning locale*
 /// (the scatter carries values, and the owner accumulates instead of
-/// keeping the first claim). Same three components as [`spmspv_dist`].
+/// keeping the first claim). Same three components as [`spmspv_dist`];
+/// this is what distributed SSSP needs (min-plus).
 ///
-/// This is what distributed SSSP needs (min-plus), and together with the
-/// masked first-visitor kernel it completes the distributed SpMSpV
-/// family.
-pub fn spmspv_dist_semiring<A, B, C, AddM, MulOp>(
-    a: &DistCsrMatrix<B>,
-    x: &DistSparseVec<A>,
-    ring: &Semiring<AddM, MulOp>,
-    strategy: CommStrategy,
-    dctx: &DistCtx,
-) -> Result<(DistSparseVec<C>, SimReport)>
-where
-    A: Copy + Send + Sync + 'static,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync + PartialEq + 'static,
-    AddM: Monoid<C>,
-    MulOp: BinaryOp<A, B, C>,
-{
-    spmspv_dist_semiring_with(a, x, ring, None, strategy, SpMSpVOpts::default(), dctx)
-}
-
-/// [`spmspv_dist_semiring`] with explicit local-kernel options (merge
-/// strategy, sort algorithm) and an optional output mask, enforced at the
-/// sender exactly like the first-visitor kernel's ([`DistMask`]): a
-/// disallowed product is never accumulated, sorted or sent.
+/// `opts` picks the local kernel's merge, and the optional output mask is
+/// enforced at the sender exactly like the first-visitor kernel's
+/// ([`DistMask`]): a disallowed product is never accumulated, sorted or
+/// sent.
 pub fn spmspv_dist_semiring_with<A, B, C, AddM, MulOp>(
     a: &DistCsrMatrix<B>,
     x: &DistSparseVec<A>,
@@ -717,33 +670,9 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
-    let masks = mask.as_ref().map(std::slice::from_ref);
-    let xs = std::slice::from_ref(x);
-    let (ys, report) = semiring_push(a, xs, ring, masks, strategy, opts, dctx)?;
+    let (xs, masks) = (std::slice::from_ref(x), mask.as_ref().map(std::slice::from_ref));
+    let (ys, report) = push(a, xs, &Accumulate(ring), masks, strategy, opts, dctx)?;
     Ok((only(ys)?, report))
-}
-
-/// The semiring push of `k = xs.len()` sources under `strategy`, with one
-/// output mask per source or none: the `spmspv_dist_semiring` op for any
-/// `k`, whose `merge` attribute names the one merge every source ran.
-pub(crate) fn semiring_push<A, B, C, AddM, MulOp>(
-    a: &DistCsrMatrix<B>,
-    xs: &[DistSparseVec<A>],
-    ring: &Semiring<AddM, MulOp>,
-    masks: Option<&[DistMask<'_>]>,
-    strategy: CommStrategy,
-    opts: SpMSpVOpts,
-    dctx: &DistCtx,
-) -> Result<(Vec<DistSparseVec<C>>, SimReport)>
-where
-    A: Copy + Send + Sync + 'static,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync + PartialEq + 'static,
-    AddM: Monoid<C>,
-    MulOp: BinaryOp<A, B, C>,
-{
-    let (name, rule) = ("spmspv_dist_semiring", Accumulate(ring));
-    push(name, a, xs, &rule, masks, strategy, opts, dctx, solo_label(strategy, opts))
 }
 
 #[cfg(test)]
@@ -896,7 +825,10 @@ mod tests {
             let dx = DistSparseVec::from_global(&x, p);
             for strategy in [CommStrategy::Fine, CommStrategy::Bulk] {
                 let dctx = DistCtx::new(machine_for(grid));
-                let (y, report) = spmspv_dist_semiring(&da, &dx, &ring, strategy, &dctx).unwrap();
+                let opts = SpMSpVOpts::default();
+                let (y, report) =
+                    spmspv_dist_semiring_with(&da, &dx, &ring, None, strategy, opts, &dctx)
+                        .unwrap();
                 let yg = y.to_global();
                 assert_eq!(yg.indices(), expect.indices(), "grid {pr}x{pc} {strategy:?}");
                 for (got, want) in yg.values().iter().zip(expect.values()) {
@@ -922,7 +854,8 @@ mod tests {
         let da = DistCsrMatrix::from_global(&a, grid);
         let dx = DistSparseVec::from_global(&x, 6);
         let dctx = DistCtx::new(machine_for(grid));
-        let (y, _) = spmspv_dist_semiring(&da, &dx, &ring, CommStrategy::Bulk, &dctx).unwrap();
+        let (bulk, opts) = (CommStrategy::Bulk, SpMSpVOpts::default());
+        let (y, _) = spmspv_dist_semiring_with(&da, &dx, &ring, None, bulk, opts, &dctx).unwrap();
         let yg = y.to_global();
         // y[1] = 0+2 = 2; y[2] = min(0+10, 2+3) = 5
         assert_eq!(yg.indices(), &[1, 2]);
@@ -954,8 +887,10 @@ mod tests {
             let dx = DistSparseVec::from_global(&x, p);
             let dbits = DistDenseVec::from_global(&bits, p);
             let dctx = DistCtx::new(machine_for(grid));
+            let mask = Some(DistMask::complement(&dbits));
             let (y, report) =
-                spmspv_dist_masked(&da, &dx, DistMask::complement(&dbits), &dctx).unwrap();
+                spmspv_dist_with(&da, &dx, mask, CommStrategy::Fine, SpMSpVOpts::default(), &dctx)
+                    .unwrap();
             let yg = y.to_global();
             assert_eq!(yg.indices(), expect.indices(), "grid {pr}x{pc}");
             assert!(yg.indices().iter().all(|&j| j % 3 != 0));
@@ -1020,12 +955,14 @@ mod tests {
         let da = DistCsrMatrix::from_global(&a, grid);
         let dx = DistSparseVec::from_global(&x, 4);
         let dctx = DistCtx::new(machine_for(grid));
+        let masked = |bits: &DistDenseVec<bool>| {
+            let (fine, opts) = (CommStrategy::Fine, SpMSpVOpts::default());
+            spmspv_dist_with(&da, &dx, Some(DistMask::new(bits)), fine, opts, &dctx)
+        };
         // wrong length
-        let short = DistDenseVec::filled(99, true, 4);
-        assert!(spmspv_dist_masked(&da, &dx, DistMask::new(&short), &dctx).is_err());
+        assert!(masked(&DistDenseVec::filled(99, true, 4)).is_err());
         // wrong locale count
-        let wrong_p = DistDenseVec::filled(100, true, 2);
-        assert!(spmspv_dist_masked(&da, &dx, DistMask::new(&wrong_p), &dctx).is_err());
+        assert!(masked(&DistDenseVec::filled(100, true, 2)).is_err());
     }
 
     #[test]

@@ -18,20 +18,17 @@
 //! `pc` only through a block dense enough to take a second accumulator.
 //!
 //! The four steps — gather, multiply, combine, place — exist once, in one
-//! body (`dense`: validate, resolve the gather schedule, run the four
-//! steps, price the report), for any number `k ≥ 0` of dense columns:
-//! every message carries all `k` columns (1× the messages, k× the
-//! payload) and each column's values accumulate in the same order whatever
-//! `k` is. Every entry point runs it — [`spmv_dist`] at `k = 1`,
-//! [`crate::ops::expand::spmm_dense_dist`] at the batch width under its
-//! own op label, and the backend trait's SpMV at its caller's width — and
-//! every `k` executes from the one gather plan cached under
-//! (`spmv_gather`, `Dense`), so a single column is a batch of one, priced
-//! as one. A message with no payload — an empty peer segment or column
-//! range, as on grids with more locales than vector entries — is never
-//! sent, for every `k`.
+//! body (`spmv_columns`), for any number `k ≥ 0` of dense columns: every
+//! message carries all `k` columns (1× the messages, k× the payload) and
+//! each column's values accumulate in the same order whatever `k` is. Both
+//! entry points run it under the one op name `spmv_dist` — [`spmv_dist`] at
+//! `k = 1` and the backend trait's SpMV at its caller's width — from the one
+//! gather plan cached under (`spmv_gather`, `Dense`), so a single column is
+//! a batch of one, priced as one. A message with no payload — an empty peer
+//! segment or column range, as on grids with more locales than vector
+//! entries — is never sent, for every `k`.
 
-use crate::exec::{DistCtx, OpTrace};
+use crate::exec::DistCtx;
 use crate::mat::DistCsrMatrix;
 use crate::ops::spmspv::{only, row_gather_schedule};
 use crate::sched::FrontierClass;
@@ -50,20 +47,18 @@ pub const PHASE_COMBINE: &str = "combine";
 
 /// The one dense SpMV every entry point runs:
 /// `ys[s][j] = ⊕_i xs[s][i] ⊗ A[i,j]` for `k = xs.len() ≥ 0`
-/// block-distributed dense columns at once, priced into the op span
-/// `name`. `label` stamps the entry point's leading attributes; the shape,
-/// the schedule outcome and the matrix nnz follow. The gather runs from
-/// the row-aligned plan cached under (`spmv_gather`, `Dense`): dense SpMV
-/// gathers whole row-peer segments, whatever `k` is, so PageRank's power
-/// iteration and a batch of any width over the same matrix replay one
-/// plan.
-pub(crate) fn dense<A, B, C, AddM, MulOp>(
-    name: &str,
+/// block-distributed dense columns at once — the `spmv_dist` op for any
+/// `k`, which [`spmv_dist`] runs at `k = 1` and the backend trait's SpMV at
+/// its caller's width. The op span carries the shape, the schedule outcome
+/// and the matrix nnz. The gather runs from the row-aligned plan cached
+/// under (`spmv_gather`, `Dense`): dense SpMV gathers whole row-peer
+/// segments, whatever `k` is, so PageRank's power iteration and a batch of
+/// any width over the same matrix replay one plan.
+pub(crate) fn spmv_columns<A, B, C, AddM, MulOp>(
     a: &DistCsrMatrix<B>,
     xs: &[DistDenseVec<A>],
     ring: &Semiring<AddM, MulOp>,
     dctx: &DistCtx,
-    label: impl FnOnce(&mut OpTrace<'_>),
 ) -> Result<(Vec<DistDenseVec<C>>, SimReport)>
 where
     A: Copy + Send + Sync,
@@ -72,7 +67,7 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
-    let mut op = dctx.op(name); // the wall clock starts with the op
+    let mut op = dctx.op("spmv_dist"); // the wall clock starts with the op
     let grid = a.grid();
     let p = grid.locales();
     for x in xs {
@@ -208,31 +203,12 @@ where
         .into_iter()
         .map(|segs| DistDenseVec::from_segments(n, segs))
         .collect::<Result<Vec<_>>>()?;
-    label(&mut op);
     op.attr("nrows", a.nrows()).attr("ncols", a.ncols()).sched(sched).nnz(a.nnz() as u64);
     op.spawn(PHASE_GATHER, 1);
     op.compute(PHASE_GATHER, &gather);
     op.compute(PHASE_LOCAL, &local);
     op.compute(PHASE_COMBINE, &combine);
     Ok((ys, op.finish()))
-}
-
-/// The dense SpMV of `k = xs.len() ≥ 0` columns: the `spmv_dist` op for
-/// any `k`, which the backend trait's SpMV runs.
-pub(crate) fn spmv_columns<A, B, C, AddM, MulOp>(
-    a: &DistCsrMatrix<B>,
-    xs: &[DistDenseVec<A>],
-    ring: &Semiring<AddM, MulOp>,
-    dctx: &DistCtx,
-) -> Result<(Vec<DistDenseVec<C>>, SimReport)>
-where
-    A: Copy + Send + Sync,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync + 'static,
-    AddM: Monoid<C>,
-    MulOp: BinaryOp<A, B, C>,
-{
-    dense("spmv_dist", a, xs, ring, dctx, |_| {})
 }
 
 /// `y[j] = ⊕_i x[i] ⊗ A[i,j]` with block-distributed dense `x`, dense

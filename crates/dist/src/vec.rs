@@ -90,11 +90,6 @@ impl<T: Copy> DistSparseVec<T> {
         &self.shards[l]
     }
 
-    /// Mutably borrow locale `l`'s shard.
-    pub fn shard_mut(&mut self, l: usize) -> &mut SparseVec<T> {
-        &mut self.shards[l]
-    }
-
     /// All shards in locale order — the shape
     /// [`crate::DistCtx::for_each_locale_state`] splits into one disjoint
     /// `&mut` per locale task.
@@ -191,13 +186,6 @@ impl<T: Copy> DistDenseVec<T> {
     /// Mutable segment access.
     pub fn segment_mut(&mut self, l: usize) -> &mut Vec<T> {
         &mut self.segments[l]
-    }
-
-    /// All segments in locale order — the shape
-    /// [`crate::DistCtx::for_each_locale_state`] splits into one disjoint
-    /// `&mut` per locale task.
-    pub fn segments_mut(&mut self) -> &mut [Vec<T>] {
-        &mut self.segments
     }
 
     /// Overwrite `buf` with the entries in `windows` — `(owner, lo, hi)`

@@ -9,16 +9,18 @@
 //! mid-superstep under the threaded executor.
 
 use gblas_core::algebra::{semirings, Plus};
+use gblas_core::backend::{GblasBackend, MaskSpec};
 use gblas_core::container::{CsrMatrix, DenseVec, SparseVec};
 use gblas_core::error::GblasError;
 use gblas_core::gen;
 use gblas_core::ops::ewise::EwiseVariant;
 use gblas_core::ops::spmspv::{MergeStrategy, SpMSpVOpts};
 use gblas_core::trace::SpanKind;
-use gblas_dist::ops::expand::{self, DistFrontier};
 use gblas_dist::ops::spmspv::{CommStrategy, DistMask};
 use gblas_dist::ops::{apply, assign, ewise, extract, mxm, reduce, spmspv, spmv, transpose};
-use gblas_dist::{DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid};
+use gblas_dist::{
+    DistBackend, DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid,
+};
 use gblas_sim::{MachineConfig, SimReport};
 
 /// The grids the acceptance criteria name: a rectangular and a square one.
@@ -28,6 +30,17 @@ fn ctx_with(p: usize, exec: LocaleExecutor) -> DistCtx {
     let mut d = DistCtx::new(MachineConfig::edison_cluster(p, 24));
     d.set_executor(exec);
     d
+}
+
+/// Block-distribute per-source `(index, value)` lists (unsorted) over `p`
+/// locales: a batch of frontiers for the backend trait's pushes.
+fn frontiers<T: Copy>(
+    n: usize,
+    rows: impl IntoIterator<Item = Vec<(usize, T)>>,
+    p: usize,
+) -> Vec<DistSparseVec<T>> {
+    let global = |pairs| SparseVec::from_pairs(n, pairs).unwrap();
+    rows.into_iter().map(|pairs| DistSparseVec::from_global(&global(pairs), p)).collect()
 }
 
 /// Run `f` once under each executor and assert the communication totals
@@ -71,7 +84,9 @@ fn spmspv_family_matches_across_executors() {
         let bits = DenseVec::from_fn(400, |i| i % 3 == 0);
         let dbits = DistDenseVec::from_global(&bits, p);
         let (yt, ys) = run_both(p, "spmspv_masked", |d| {
-            spmspv::spmspv_dist_masked(&da, &dx, DistMask::complement(&dbits), d).unwrap()
+            let mask = Some(DistMask::complement(&dbits));
+            spmspv::spmspv_dist_with(&da, &dx, mask, CommStrategy::Fine, SpMSpVOpts::default(), d)
+                .unwrap()
         });
         assert_eq!(yt, ys, "spmspv_masked {pr}x{pc}");
         let ring = semirings::plus_times_f64();
@@ -222,7 +237,9 @@ fn gather_and_scatter_charge_the_same_element_width() {
     let mut dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
     dctx.enable_tracing();
     let ring = semirings::plus_times::<f32>();
-    let (_, _) = spmspv::spmspv_dist_semiring(&da, &dx, &ring, CommStrategy::Fine, &dctx).unwrap();
+    let (fine, opts) = (CommStrategy::Fine, SpMSpVOpts::default());
+    let (_, _) =
+        spmspv::spmspv_dist_semiring_with(&da, &dx, &ring, None, fine, opts, &dctx).unwrap();
 
     let elem = (std::mem::size_of::<usize>() + std::mem::size_of::<f32>()) as u64;
     let trace = dctx.recorder().snapshot();
@@ -262,16 +279,13 @@ fn gather_and_scatter_charge_the_same_element_width() {
 /// A single-source aggregated push is a batch of one, on every event:
 /// the whole comm ledger (gather, mask gather, scatter) and the simulated
 /// report of `spmspv_dist_with` / `spmspv_dist_semiring_with` at `Bulk`
-/// equal those of the same push over a one-source batch — the batched
-/// expansions where they exist (masked first-visitor, unmasked semiring),
-/// the backend trait's slice push for the other two. Each locale opens the
+/// equal those of the backend trait's slice push over a one-source batch,
+/// masked and unmasked. Each locale opens the
 /// gather with exactly one message of `nnz × elem_bytes` per remote row
 /// peer whose shard is nonempty — no request round, no empty reply — and
 /// logs no zero-byte gather event anywhere.
 #[test]
 fn single_source_bulk_push_is_a_batch_of_one() {
-    use gblas_core::backend::{GblasBackend, MaskSpec};
-    use gblas_dist::DistBackend;
     type Push<'a> = Box<dyn Fn(&DistCtx) -> SimReport + 'a>;
     let n = 350;
     let elem_bytes = (2 * std::mem::size_of::<usize>()) as u64;
@@ -286,17 +300,12 @@ fn single_source_bulk_push_is_a_batch_of_one() {
         let grid = ProcGrid::new(pr, pc);
         let p = grid.locales();
         let da = DistCsrMatrix::from_global(&a, grid);
-        let f = DistFrontier::from_entries(n, vec![entries.clone()], p).unwrap();
-        let fv = DistFrontier::from_entries(
-            n,
-            vec![entries.iter().map(|&(i, _)| (i, i as f64)).collect()],
-            p,
-        )
-        .unwrap();
-        let visited = vec![DistDenseVec::from_global(&bits, p)];
-        let (dx, dxv) = (f.row(0), fv.row(0));
-        let mask = Some(DistMask::complement(&visited[0]));
-        let spec = [MaskSpec::complement(&visited[0])];
+        let f = frontiers(n, [entries.clone()], p);
+        let fv = frontiers(n, [entries.iter().map(|&(i, _)| (i, i as f64)).collect()], p);
+        let visited = DistDenseVec::from_global(&bits, p);
+        let (dx, dxv) = (&f[0], &fv[0]);
+        let mask = Some(DistMask::complement(&visited));
+        let spec = [MaskSpec::complement(&visited)];
         for exec in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
             let ledger = |run: &dyn Fn(&DistCtx) -> SimReport| {
                 let dctx = ctx_with(p, exec);
@@ -314,7 +323,9 @@ fn single_source_bulk_push_is_a_batch_of_one() {
                                 .1
                         }),
                         Box::new(|d| {
-                            expand::expand_dist_first_visitor(&da, &f, &visited, opts, d).unwrap().1
+                            let b = DistBackend::with_strategy(d, CommStrategy::Bulk);
+                            b.spmspv_first_visitor(&da, &f, Some(&spec), opts).unwrap();
+                            b.take_report()
                         }),
                     ],
                 ),
@@ -328,7 +339,7 @@ fn single_source_bulk_push_is_a_batch_of_one() {
                         }),
                         Box::new(|d| {
                             let b = DistBackend::with_strategy(d, CommStrategy::Bulk);
-                            b.spmspv_first_visitor(&da, f.rows(), None, opts).unwrap();
+                            b.spmspv_first_visitor(&da, &f, None, opts).unwrap();
                             b.take_report()
                         }),
                     ],
@@ -345,11 +356,10 @@ fn single_source_bulk_push_is_a_batch_of_one() {
                             .1
                         }),
                         Box::new(|d| {
-                            expand::expand_dist_semiring::<f64, f64, f64, _, _>(
-                                &da, &fv, &ring, opts, d,
-                            )
-                            .unwrap()
-                            .1
+                            let b = DistBackend::with_strategy(d, CommStrategy::Bulk);
+                            let _: Vec<DistSparseVec<f64>> =
+                                b.spmspv_semiring(&da, &fv, &ring, None, opts).unwrap();
+                            b.take_report()
                         }),
                     ],
                 ),
@@ -366,9 +376,8 @@ fn single_source_bulk_push_is_a_batch_of_one() {
                         }),
                         Box::new(|d| {
                             let b = DistBackend::with_strategy(d, CommStrategy::Bulk);
-                            let _: Vec<DistSparseVec<f64>> = b
-                                .spmspv_semiring(&da, fv.rows(), &ring, Some(&spec), opts)
-                                .unwrap();
+                            let _: Vec<DistSparseVec<f64>> =
+                                b.spmspv_semiring(&da, &fv, &ring, Some(&spec), opts).unwrap();
                             b.take_report()
                         }),
                     ],
@@ -405,8 +414,9 @@ fn single_source_bulk_push_is_a_batch_of_one() {
 }
 
 /// Drive every push and dense entry point — the single-source kernels
-/// under `strategy`, plus the batched expansions and the dense SpMV/SpMM,
-/// which all run on the same two engines — with the comm layer failing at
+/// and the backend trait's batched pushes under `strategy`, plus the dense
+/// SpMV alone and batched, which all run on the same two engines — with
+/// the comm layer failing at
 /// each of `fail_points`, under both executors. Every call must return
 /// `CommFailure` (the test completing at all is the no-deadlock proof)
 /// and leave its operands exactly as they were.
@@ -423,26 +433,21 @@ fn assert_faults_surface_everywhere(strategy: CommStrategy, seed: u64, fail_poin
     // Three sources, each a shifted copy of the 40-entry frontier, so the
     // batched gather and scatter have traffic on every locale pair.
     let shifted = |s: usize| -> Vec<usize> { x.indices().iter().map(|&i| (i + s) % n).collect() };
-    let f_parent = DistFrontier::from_entries(
+    let f_parent =
+        frontiers(n, (0..3).map(|s| shifted(s).into_iter().map(|i| (i, i)).collect()), p);
+    let f_value = frontiers(
         n,
-        (0..3).map(|s| shifted(s).into_iter().map(|i| (i, i)).collect()).collect(),
+        (0..3).map(|s| shifted(s).into_iter().map(|i| (i, 1.0 + i as f64)).collect()),
         p,
-    )
-    .unwrap();
-    let f_value = DistFrontier::from_entries(
-        n,
-        (0..3).map(|s| shifted(s).into_iter().map(|i| (i, 1.0 + i as f64)).collect()).collect(),
-        p,
-    )
-    .unwrap();
-    let visited: Vec<DistDenseVec<bool>> = (0..3).map(|_| bits.clone()).collect();
+    );
+    let visited: Vec<_> = (0..3).map(|_| MaskSpec::complement(&bits)).collect();
     let xs: Vec<DistDenseVec<f64>> = (0..3)
         .map(|s| {
             DistDenseVec::from_global(&DenseVec::from_fn(n, |i| 1.0 + ((i + s) % 7) as f64), p)
         })
         .collect();
     let (dx0, bits0, xs0) = (dx.clone(), bits.clone(), xs.clone());
-    let (f_parent0, f_value0) = (f_parent.rows().to_vec(), f_value.rows().to_vec());
+    let (f_parent0, f_value0) = (f_parent.clone(), f_value.clone());
 
     type Run<'a> = Box<dyn Fn(&DistCtx) -> Result<(), GblasError> + 'a>;
     let opts = SpMSpVOpts::default();
@@ -459,21 +464,37 @@ fn assert_faults_surface_everywhere(strategy: CommStrategy, seed: u64, fail_poin
             }),
         ),
         (
-            "spmspv_dist_semiring",
-            Box::new(|d| spmspv::spmspv_dist_semiring(&da, &dx, &ring, strategy, d).map(drop)),
-        ),
-        (
-            "expand_dist_first_visitor",
+            "spmspv_dist_semiring_with",
             Box::new(|d| {
-                expand::expand_dist_first_visitor(&da, &f_parent, &visited, opts, d).map(drop)
+                spmspv::spmspv_dist_semiring_with(&da, &dx, &ring, None, strategy, opts, d)
+                    .map(drop)
             }),
         ),
         (
-            "expand_dist_semiring",
-            Box::new(|d| expand::expand_dist_semiring(&da, &f_value, &ring, opts, d).map(drop)),
+            "batched spmspv_first_visitor",
+            Box::new(|d| {
+                let b = DistBackend::with_strategy(d, strategy);
+                b.spmspv_first_visitor(&da, &f_parent, Some(&visited), opts).map(drop)
+            }),
+        ),
+        (
+            "batched spmspv_semiring",
+            Box::new(|d| {
+                let b = DistBackend::with_strategy(d, strategy);
+                let ys: Result<Vec<DistSparseVec<f64>>, _> =
+                    b.spmspv_semiring(&da, &f_value, &ring, None, opts);
+                ys.map(drop)
+            }),
         ),
         ("spmv_dist", Box::new(|d| spmv::spmv_dist(&da, &xs[0], &ring, d).map(drop))),
-        ("spmm_dense_dist", Box::new(|d| expand::spmm_dense_dist(&da, &xs, &ring, d).map(drop))),
+        (
+            "batched spmv",
+            Box::new(|d| {
+                let ys: Result<Vec<DistDenseVec<f64>>, _> =
+                    DistBackend::new(d).spmv(&da, &xs, &ring);
+                ys.map(drop)
+            }),
+        ),
     ];
     for (name, run) in &entry_points {
         for exec in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
@@ -490,8 +511,8 @@ fn assert_faults_surface_everywhere(strategy: CommStrategy, seed: u64, fail_poin
     }
     drop(entry_points);
     assert_eq!((&dx, &bits, &xs), (&dx0, &bits0, &xs0), "a failed op touched its operands");
-    assert_eq!(f_parent.rows(), f_parent0, "a failed expand touched its frontier");
-    assert_eq!(f_value.rows(), f_value0, "a failed expand touched its frontier");
+    assert_eq!(f_parent, f_parent0, "a failed batched push touched its frontier");
+    assert_eq!(f_value, f_value0, "a failed batched push touched its frontier");
 }
 
 /// Fail the comm layer at several points: the first transfer (gather),

@@ -6,9 +6,10 @@
 //! * **results** — the masked distributed push is bit-equal to the shared
 //!   masked kernel: first-visitor and semiring (min-plus, and plus-times
 //!   over integer-valued `f64`, whose sums are exact in any order), plain
-//!   and complemented masks (betweenness uses both), k = 1 under `Fine`
-//!   and `Bulk` and the batched `expand_*` at k = 3, on grids 1×1, 2×2,
-//!   2×3, 3×2 and 4×1 — including n < locales — under both executors;
+//!   and complemented masks (betweenness uses both), k = 1 and the backend
+//!   trait's batched pushes at k = 3, under `Fine` and `Bulk`, on grids
+//!   1×1, 2×2, 2×3, 3×2 and 4×1 — including n < locales — under both
+//!   executors;
 //! * **the comm ledger** — every scatter byte a locale sends is a claim
 //!   on an *allowed* column its block reaches (so none targets a masked
 //!   one), and the mask gather is one message per remote owner of the
@@ -17,6 +18,7 @@
 
 use gblas_core::algebra::semirings;
 use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
+use gblas_core::backend::{GblasBackend, MaskSpec};
 use gblas_core::container::{CsrMatrix, DenseVec, SparseVec};
 use gblas_core::gen;
 use gblas_core::mask::VecMask;
@@ -24,12 +26,13 @@ use gblas_core::ops::spmspv::{spmspv_first_visitor, spmspv_semiring_masked, SpMS
 use gblas_core::par::ExecCtx;
 use gblas_dist::comm::{CommEvent, CommKind};
 use gblas_dist::grid::BlockDist;
-use gblas_dist::ops::expand::{expand_dist_first_visitor, expand_dist_semiring, DistFrontier};
 use gblas_dist::ops::spmspv::{
     spmspv_dist_semiring_with, spmspv_dist_with, CommStrategy, DistMask, PHASE_GATHER,
     PHASE_SCATTER,
 };
-use gblas_dist::{DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid};
+use gblas_dist::{
+    DistBackend, DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid,
+};
 use gblas_sim::MachineConfig;
 
 const GRIDS: [(usize, usize); 5] = [(1, 1), (2, 2), (2, 3), (3, 2), (4, 1)];
@@ -306,8 +309,24 @@ fn batch(case: &Case, da: &DistCsrMatrix<f64>) -> Vec<SparseVec<f64>> {
     vec![case.x.clone(), first_row_only(da, &shifted(1)), shifted(2)]
 }
 
+/// Block-distribute `xs` over `p` locales, each entry valued by `value`.
+fn dist_batch<T>(
+    xs: &[SparseVec<f64>],
+    value: impl Fn(usize, f64) -> T,
+    p: usize,
+) -> Vec<DistSparseVec<T>>
+where
+    T: Copy,
+{
+    let valued = |x: &SparseVec<f64>| {
+        let vals = x.iter().map(|(i, &v)| value(i, v)).collect();
+        SparseVec::from_sorted(x.capacity(), x.indices().to_vec(), vals).unwrap()
+    };
+    xs.iter().map(|x| DistSparseVec::from_global(&valued(x), p)).collect()
+}
+
 #[test]
-fn batched_masked_expand_is_bit_equal_to_the_shared_masked_kernel_per_source() {
+fn batched_masked_push_is_bit_equal_to_the_shared_masked_kernel_per_source() {
     let serial = ExecCtx::serial();
     let opts = SpMSpVOpts::default();
     let claim_bytes = 2 * USIZE; // (offset, parent)
@@ -321,39 +340,33 @@ fn batched_masked_expand_is_bit_equal_to_the_shared_masked_kernel_per_source() {
             let p = grid.locales();
             let da = DistCsrMatrix::from_global(&case.a, grid);
             let xs = batch(&case, &da);
-            let entries = xs.iter().map(|x| x.indices().iter().map(|&i| (i, i)).collect());
-            let f = DistFrontier::from_entries(n, entries.collect(), p).unwrap();
+            let (f, fv) = (dist_batch(&xs, |i, _| i, p), dist_batch(&xs, |_, v| v, p));
             let dvisited: Vec<DistDenseVec<bool>> =
                 visited.iter().map(|v| DistDenseVec::from_global(v, p)).collect();
+            let masks: Vec<_> = dvisited.iter().map(MaskSpec::complement).collect();
             let mut claims = vec![vec![0u64; p]; p];
             for (x, v) in xs.iter().zip(&visited) {
                 for (l, row) in expected_claims(&case.a, &da, x, |j| !v[j]).iter().enumerate() {
                     claims[l].iter_mut().zip(row).for_each(|(c, r)| *c += r);
                 }
             }
-            for exec in EXECUTORS {
-                let what = format!("expand {pr}x{pc} {exec:?}");
+            for (exec, strategy) in EXECUTORS.iter().flat_map(|&e| STRATEGIES.map(|s| (e, s))) {
+                let what = format!("batch {pr}x{pc} {exec:?} {strategy:?}");
                 let masked = ctx(grid, exec);
-                let (out, _) =
-                    expand_dist_first_visitor(&da, &f, &dvisited, opts, &masked).unwrap();
+                let backend = DistBackend::with_strategy(&masked, strategy);
+                let out = backend.spmspv_first_visitor(&da, &f, Some(&masks), opts).unwrap();
                 for (s, x) in xs.iter().enumerate() {
                     let sm = shared_mask(&visited[s], true);
                     let want = spmspv_first_visitor(&case.a, x, Some(&sm), opts, &serial).unwrap();
-                    assert_eq!(out.row(s).to_global(), want, "{what} source {s}");
+                    assert_eq!(out[s].to_global(), want, "{what} source {s}");
                 }
-                // the same batch with every visited bit clear allows every
-                // column: its mask gather logs the same messages, so the
-                // unmasked twin is the semiring expansion's gather
+                // the unmasked twin — the same batch's semiring push —
+                // logs the same frontier gather and no mask gather
                 let unmasked = ctx(grid, exec);
                 let ring = semirings::min_plus();
-                let fv = DistFrontier::from_entries(
-                    n,
-                    xs.iter().map(|x| x.iter().map(|(i, &v)| (i, v)).collect()).collect(),
-                    p,
-                )
-                .unwrap();
-                expand_dist_semiring::<f64, f64, f64, _, _>(&da, &fv, &ring, opts, &unmasked)
-                    .unwrap();
+                let twin = DistBackend::with_strategy(&unmasked, strategy);
+                let _: Vec<DistSparseVec<f64>> =
+                    twin.spmspv_semiring(&da, &fv, &ring, None, opts).unwrap();
                 let history = masked.comm.history();
                 check_scatter(&history, &claims, claim_bytes, &what);
                 let got = mask_messages(&history, &unmasked.comm.history());
@@ -365,29 +378,30 @@ fn batched_masked_expand_is_bit_equal_to_the_shared_masked_kernel_per_source() {
 }
 
 #[test]
-fn batched_semiring_expand_is_bit_equal_to_the_shared_kernel_per_source() {
-    // The batched semiring expansion takes no mask; its rows must still
-    // be the shared kernel's, bit for bit, through the same engine.
+fn batched_semiring_push_is_bit_equal_to_the_shared_kernel_per_source() {
+    // An unmasked batched semiring push: its rows must still be the
+    // shared kernel's, bit for bit, through the same engine.
     let serial = ExecCtx::serial();
     let opts = SpMSpVOpts::default();
     let ring = semirings::plus_times_f64();
     for case in cases() {
-        let n = case.a.nrows();
         for (pr, pc) in GRIDS {
             let grid = ProcGrid::new(pr, pc);
             let p = grid.locales();
             let da = DistCsrMatrix::from_global(&case.a, grid);
             let xs = batch(&case, &da);
-            let entries = xs.iter().map(|x| x.iter().map(|(i, &v)| (i, v)).collect()).collect();
-            let f = DistFrontier::from_entries(n, entries, p).unwrap();
-            for exec in EXECUTORS {
-                let (out, _) =
-                    expand_dist_semiring(&da, &f, &ring, opts, &ctx(grid, exec)).unwrap();
+            let f = dist_batch(&xs, |_, v| v, p);
+            for (exec, strategy) in EXECUTORS.iter().flat_map(|&e| STRATEGIES.map(|s| (e, s))) {
+                let dctx = ctx(grid, exec);
+                let backend = DistBackend::with_strategy(&dctx, strategy);
+                let out: Vec<DistSparseVec<f64>> =
+                    backend.spmspv_semiring(&da, &f, &ring, None, opts).unwrap();
                 for (s, x) in xs.iter().enumerate() {
                     let want = spmspv_semiring_masked(&case.a, x, &ring, None, opts, &serial)
                         .unwrap()
                         .vector;
-                    assert_eq!(enc(&out.row(s).to_global()), enc(&want), "{pr}x{pc} {exec:?} {s}");
+                    let what = format!("{pr}x{pc} {exec:?} {strategy:?} {s}");
+                    assert_eq!(enc(&out[s].to_global()), enc(&want), "{what}");
                 }
             }
         }

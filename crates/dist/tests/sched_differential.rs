@@ -6,15 +6,17 @@
 //! communication must be indistinguishable.
 
 use gblas_core::algebra::semirings;
-use gblas_core::container::DenseVec;
+use gblas_core::backend::{GblasBackend, MaskSpec};
+use gblas_core::container::{DenseVec, SparseVec};
 use gblas_core::gen;
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
-use gblas_dist::ops::expand::{expand_dist_first_visitor, DistFrontier};
 use gblas_dist::ops::pull::pull_first_visitor_dist;
 use gblas_dist::ops::spmspv::CommStrategy;
 use gblas_dist::ops::{extract, spmspv, spmv};
-use gblas_dist::{DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid};
+use gblas_dist::{
+    DistBackend, DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid,
+};
 use gblas_sim::{MachineConfig, SimReport};
 use proptest::prelude::*;
 
@@ -75,8 +77,9 @@ fn run_suite(dctx: &DistCtx, grid: ProcGrid) -> (Vec<Out>, Vec<SimReport>, (u64,
             outs.push(enc_parents(&y));
             reps.push(rep);
         }
+        let (bulk, opts) = (CommStrategy::Bulk, SpMSpVOpts::default());
         let (y, rep) =
-            spmspv::spmspv_dist_semiring(&da, &dx, &ring, CommStrategy::Bulk, dctx).unwrap();
+            spmspv::spmspv_dist_semiring_with(&da, &dx, &ring, None, bulk, opts, dctx).unwrap();
         outs.push(enc_sparse(&y));
         reps.push(rep);
 
@@ -88,21 +91,17 @@ fn run_suite(dctx: &DistCtx, grid: ProcGrid) -> (Vec<Out>, Vec<SimReport>, (u64,
         outs.push(enc_sparse(&z));
         reps.push(rep);
 
-        let f = DistFrontier::from_entries(
-            n,
-            vec![vec![(0usize, 0usize)], vec![(7, 7)], vec![(21, 21)]],
-            p,
-        )
-        .unwrap();
-        let masks: Vec<DistDenseVec<bool>> = (0..3)
+        let single = |i: usize| SparseVec::from_sorted(n, vec![i], vec![i]).unwrap();
+        let f: Vec<DistSparseVec<usize>> =
+            [0, 7, 21].map(|i| DistSparseVec::from_global(&single(i), p)).into();
+        let visited: Vec<DistDenseVec<bool>> = (0..3)
             .map(|s| DistDenseVec::from_global(&DenseVec::from_fn(n, |i| i % (4 + s) == 0), p))
             .collect();
-        let (nf, rep) =
-            expand_dist_first_visitor(&da, &f, &masks, SpMSpVOpts::default(), dctx).unwrap();
-        for row in nf.rows() {
-            outs.push(enc_parents(row));
-        }
-        reps.push(rep);
+        let masks: Vec<_> = visited.iter().map(MaskSpec::complement).collect();
+        let backend = DistBackend::with_strategy(dctx, bulk);
+        let nf = backend.spmspv_first_visitor(&da, &f, Some(&masks), opts).unwrap();
+        outs.extend(nf.iter().map(enc_parents));
+        reps.push(backend.take_report());
 
         let (y, rep) = spmv::spmv_dist(&da, &xd, &ring, dctx).unwrap();
         outs.push(enc_dense(&y));
@@ -183,8 +182,9 @@ proptest! {
             let d = ctx(p, LocaleExecutor::Serial, schedules);
             let mut outs: Vec<Out> = Vec::new();
             for _ in 0..2 {
+                let (bulk, opts) = (CommStrategy::Bulk, SpMSpVOpts::default());
                 let (y, _) =
-                    spmspv::spmspv_dist_semiring(&da, &dx, &ring, CommStrategy::Bulk, &d)
+                    spmspv::spmspv_dist_semiring_with(&da, &dx, &ring, None, bulk, opts, &d)
                         .unwrap();
                 outs.push(enc_sparse(&y));
                 let (y, _) = spmv::spmv_dist(&da, &xd, &ring, &d).unwrap();

@@ -1,5 +1,5 @@
-//! Golden-file coverage for real distributed SpMSpV, batched-expand,
-//! SpMV and SpGEMM traces.
+//! Golden-file coverage for real distributed SpMSpV, SpMV and SpGEMM
+//! traces, single-source and batched.
 //!
 //! One small fixed workload each, exported through the byte-deterministic
 //! Chrome sink. The semiring SpMSpV runs (once per merge strategy) pin the span
@@ -12,29 +12,30 @@
 //! carrying the per-locale density-adaptive kernel census
 //! (heap/hash/spa). The remaining cases pin every other entry point of
 //! the push and dense pipelines on 4 locales — masked first-visitor SpMSpV
-//! under both comm strategies, the two batched expansions and the batched
-//! dense SpMM at k=3, and the dense SpMV — so their spans, counters, comm
-//! events and pool telemetry cannot drift unnoticed. The serial executor
+//! under both comm strategies, the backend trait's two batched `Bulk`
+//! pushes (masked first-visitor, unmasked semiring) and its batched SpMV
+//! at k=3, and the dense SpMV — so their spans, counters, comm events and
+//! pool telemetry cannot drift unnoticed. The serial executor
 //! makes each run — and therefore each file — exactly reproducible.
 //!
 //! Regenerate after an intentional format or pricing change with
 //! `GBLAS_REGEN_GOLDEN=1 cargo test -p gblas-dist --test trace_golden_dist`.
 
 use gblas_core::algebra::semirings;
-use gblas_core::container::DenseVec;
+use gblas_core::backend::{GblasBackend, MaskSpec};
+use gblas_core::container::{DenseVec, SparseVec};
 use gblas_core::gen;
 use gblas_core::ops::spmspv::{MergeStrategy, SpMSpVOpts};
 use gblas_core::trace::sink::chrome_trace;
 use gblas_core::trace::{SpanKind, Trace};
-use gblas_dist::ops::expand::{
-    expand_dist_first_visitor, expand_dist_semiring, spmm_dense_dist, DistFrontier,
-};
 use gblas_dist::ops::mxm::mxm_dist;
 use gblas_dist::ops::spmspv::{
     spmspv_dist_semiring_with, spmspv_dist_with, CommStrategy, DistMask, PHASE_GATHER, PHASE_LOCAL,
 };
 use gblas_dist::ops::spmv::spmv_dist;
-use gblas_dist::{DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid};
+use gblas_dist::{
+    DistBackend, DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid,
+};
 use gblas_sim::MachineConfig;
 
 /// Distribute the fixed ER(60, 4) matrix over `grid` and trace whatever
@@ -119,10 +120,10 @@ fn traced_first_visitor(strategy: CommStrategy) -> Trace {
 }
 
 /// Three sources' frontiers (two entries each, spread over the blocks).
-fn batch<T: Copy + Send + Sync + 'static>(p: usize, value: impl Fn(usize) -> T) -> DistFrontier<T> {
-    let entries =
-        [[0usize, 31], [7, 44], [21, 58]].iter().map(|src| src.map(|i| (i, value(i))).to_vec());
-    DistFrontier::from_entries(60, entries.collect(), p).expect("batch")
+fn batch<T: Copy>(p: usize, value: impl Fn(usize) -> T) -> Vec<DistSparseVec<T>> {
+    let source = |at: [usize; 2]| SparseVec::from_sorted(60, at.to_vec(), at.map(&value).to_vec());
+    let sources = [[0usize, 31], [7, 44], [21, 58]].map(|at| source(at).expect("batch"));
+    sources.iter().map(|x| DistSparseVec::from_global(x, p)).collect()
 }
 
 /// Every remaining entry point of the push and dense pipelines on 4
@@ -133,20 +134,25 @@ fn push_and_dense_kernel_traces_match_goldens() {
     let p = grid.locales();
     check_golden("spmspv_fv_masked_fine", &traced_first_visitor(CommStrategy::Fine));
     check_golden("spmspv_fv_masked_bulk", &traced_first_visitor(CommStrategy::Bulk));
-    let expand_fv = traced(grid, |da, dctx| {
+    let batched_fv = traced(grid, |da, dctx| {
         let visited: Vec<DistDenseVec<bool>> = (0..3)
             .map(|s| DistDenseVec::from_global(&DenseVec::from_fn(60, |i| i % (3 + s) == 0), p))
             .collect();
-        expand_dist_first_visitor(da, &batch(p, |i| i), &visited, SpMSpVOpts::default(), dctx)
-            .expect("expand first-visitor");
+        let masks: Vec<_> = visited.iter().map(MaskSpec::complement).collect();
+        let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
+        let opts = SpMSpVOpts::default();
+        backend.spmspv_first_visitor(da, &batch(p, |i| i), Some(&masks), opts).expect("batch fv");
     });
-    check_golden("expand_fv_k3", &expand_fv);
-    let expand_ring = traced(grid, |da, dctx| {
+    check_golden("spmspv_fv_masked_bulk_k3", &batched_fv);
+    let batched_ring = traced(grid, |da, dctx| {
         let ring = semirings::plus_times_f64();
         let f = batch(p, |i| 1.0 + i as f64);
-        expand_dist_semiring(da, &f, &ring, SpMSpVOpts::default(), dctx).expect("expand semiring");
+        let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
+        let _: Vec<DistSparseVec<f64>> = backend
+            .spmspv_semiring(da, &f, &ring, None, SpMSpVOpts::default())
+            .expect("batch semiring");
     });
-    check_golden("expand_semiring_k3", &expand_ring);
+    check_golden("spmspv_semiring_bulk_k3", &batched_ring);
     let dense = |s: usize| {
         DistDenseVec::from_global(&DenseVec::from_fn(60, |i| 1.0 + ((i + s) % 7) as f64), p)
     };
@@ -154,11 +160,13 @@ fn push_and_dense_kernel_traces_match_goldens() {
         spmv_dist(da, &dense(0), &semirings::plus_times_f64(), dctx).expect("spmv");
     });
     check_golden("spmv", &spmv);
-    let spmm = traced(grid, |da, dctx| {
+    let batched_spmv = traced(grid, |da, dctx| {
         let xs: Vec<DistDenseVec<f64>> = (0..3).map(dense).collect();
-        spmm_dense_dist(da, &xs, &semirings::plus_times_f64(), dctx).expect("spmm");
+        let ring = semirings::plus_times_f64();
+        let _: Vec<DistDenseVec<f64>> =
+            DistBackend::new(dctx).spmv(da, &xs, &ring).expect("batched spmv");
     });
-    check_golden("spmm_dense_k3", &spmm);
+    check_golden("spmv_k3", &batched_spmv);
 }
 
 /// Structural claims the golden bytes encode, asserted directly so a

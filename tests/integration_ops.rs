@@ -192,17 +192,16 @@ fn pattern_semirings_never_read_matrix_values() {
         // the first call built and the second replayed
         assert_eq!(r_first.phase("local").to_bits(), r_times.phase("local").to_bits(), "{pr}x{pc}");
 
-        let (got, r_first) =
-            dops::expand::spmm_dense_dist::<f64, f64, f64, _, _>(&dg, &dxs, &first, &dctx).unwrap();
-        let (want, r_times) =
-            dops::expand::spmm_dense_dist::<f64, f64, f64, _, _>(&d1, &dxs, &times, &dctx).unwrap();
+        // the same over three columns at once, through the backend trait
+        let backend = gblas_dist::DistBackend::new(&dctx);
+        let got: Vec<DistDenseVec<f64>> = backend.spmv(&dg, &dxs, &first).unwrap();
+        let r_first = backend.take_report();
+        let want: Vec<DistDenseVec<f64>> = backend.spmv(&d1, &dxs, &times).unwrap();
+        let r_times = backend.take_report();
+        assert_eq!(got.len(), dxs.len());
         for (g, w) in got.iter().zip(&want) {
-            assert_eq!(bits(&g.to_global()), bits(&w.to_global()), "spmm_dense_dist {pr}x{pc}");
+            assert_eq!(bits(&g.to_global()), bits(&w.to_global()), "batched spmv {pr}x{pc}");
         }
-        assert_eq!(
-            r_first.total().to_bits(),
-            r_times.total().to_bits(),
-            "spmm_dense_dist {pr}x{pc}"
-        );
+        assert_eq!(r_first.total().to_bits(), r_times.total().to_bits(), "batched spmv {pr}x{pc}");
     }
 }
