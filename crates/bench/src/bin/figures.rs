@@ -13,10 +13,9 @@
 //!   `serving` for the query-serving throughput-vs-batch-size sweep
 //!   (batched multi-source BFS vs the k-loop baseline), `direction` for
 //!   the direction-optimizing BFS ablation (auto vs static push/pull on
-//!   a skewed RMAT graph), `overlap` for the split-phase (compute/comm
-//!   overlap) pricing ablation over BFS and PageRank node sweeps,
-//!   `spgemm` for the SpGEMM sweep; `all` (default) runs everything. Any
-//!   other value is a usage error (exit status 2).
+//!   a skewed RMAT graph), `spgemm` for the SpGEMM sweep; `all`
+//!   (default) runs everything. Any other value is a usage error (exit
+//!   status 2).
 //! * `--scale S` — divide the paper's large input sizes (1M/10M/100M) by
 //!   `S` for quick runs; default 1 (full paper sizes, needs ~8 GB RAM and
 //!   a few minutes).
@@ -36,14 +35,14 @@ use gblas_core::trace::sink;
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: figures [--fig N|ablations|algorithms|imbalance|serving|direction|\
-                     overlap|spgemm|all] [--scale S] [--out DIR] [--trace FILE] \
+                     spgemm|all] [--scale S] [--out DIR] [--trace FILE] \
                      [--spmspv-merge sort|bucket]";
 
 /// What one `--fig` value draws at a scale, under the SpMSpV options.
 type Sweep = fn(usize, SpMSpVOpts) -> Vec<Figure>;
 
 /// Every `--fig` value, in the order `all` runs them.
-const SWEEPS: [(&str, Sweep); 17] = [
+const SWEEPS: [(&str, Sweep); 16] = [
     ("1", |s, o| run_fig_with(1, s, o)),
     ("2", |s, o| run_fig_with(2, s, o)),
     ("3", |s, o| run_fig_with(3, s, o)),
@@ -62,7 +61,6 @@ const SWEEPS: [(&str, Sweep); 17] = [
     ("imbalance", |s, _| figs::fig_imbalance(s)),
     ("serving", |s, _| serve::fig_serving(s)),
     ("direction", |s, _| figs::fig_direction(s)),
-    ("overlap", |s, _| figs::fig_overlap(s)),
     ("spgemm", |s, _| figs::fig_spgemm(s)),
 ];
 

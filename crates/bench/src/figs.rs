@@ -573,63 +573,6 @@ pub fn fig_direction(scale: usize) -> Vec<Figure> {
     vec![fig]
 }
 
-/// Beyond-the-paper ablation (`--fig overlap`): split-phase pricing
-/// versus the default sum pricing, BFS and PageRank over a node sweep.
-/// With overlap on, every op phase is charged `max(comm, compute)`
-/// instead of `comm + compute` — modeling a runtime that posts its
-/// schedule-aggregated transfers asynchronously and computes under them.
-/// The interesting shape is the crossover: at small node counts local
-/// compute dominates and overlap hides nearly all the communication; as
-/// the sweep scales out, per-locale compute shrinks while the gather
-/// traffic does not, the phases go communication-bound, and the two
-/// pricing curves converge — past the crossover there is nothing left
-/// to hide the messages behind. Results and the comm ledger are
-/// bit-identical between the two series (the `overlap-smoke` CI job
-/// gates on that); only the simulated seconds move.
-pub fn fig_overlap(scale: usize) -> Vec<Figure> {
-    use gblas_dist::ops::spmspv::CommStrategy;
-
-    let n = workloads::scaled(1 << 21, scale, 4_000);
-    let a = gblas_core::gen::erdos_renyi(n, 16, 271);
-    let title =
-        format!("Compute/communication overlap: sum vs split-phase pricing (ER n={n} d=16)");
-    let mut fig = Figure::new("overlap", &title, "nodes");
-    for algo in ["bfs", "pagerank"] {
-        for overlap in [false, true] {
-            let mut points = Vec::new();
-            for &p in NODES {
-                let grid = ProcGrid::square_for(p);
-                let da = DistCsrMatrix::from_global(&a, grid);
-                let dctx = dist_ctx(MachineConfig::edison_cluster(grid.locales(), 24));
-                dctx.set_overlap(overlap);
-                let report = if algo == "bfs" {
-                    let (_, report) = gblas_graph::bfs_dist_with(
-                        &da,
-                        0,
-                        CommStrategy::Bulk,
-                        SpMSpVOpts::default(),
-                        &dctx,
-                    )
-                    .expect("bfs");
-                    report
-                } else {
-                    let (_, _, report) = gblas_graph::pagerank_dist_on(
-                        &da,
-                        gblas_graph::PageRankOptions::default(),
-                        &dctx,
-                    )
-                    .expect("pagerank");
-                    report
-                };
-                points.push(FigPoint { x: p, report });
-            }
-            let pricing = if overlap { "overlap" } else { "sum" };
-            fig.push_series(&format!("{algo}+{pricing}"), points);
-        }
-    }
-    vec![fig]
-}
-
 /// Node counts for the SpGEMM sweep: all perfect squares so the
 /// single-stage baseline (square grids only) can run at every point.
 pub const SPGEMM_NODES: &[usize] = &[1, 4, 16, 64, 256];
@@ -758,15 +701,9 @@ fn single_stage_summa(da: &DistCsrMatrix<f64>, dctx: &DistCtx) -> SimReport {
     trace.finish()
 }
 
-/// Run one figure by number, the SpMSpV figures under the paper's
-/// sort-based merge. Figure 6 is the SPA diagram — nothing to measure —
-/// so it returns an empty set.
-pub fn run_fig(n: usize, scale: usize) -> Vec<Figure> {
-    run_fig_with(n, scale, PAPER_MERGE)
-}
-
 /// Run one figure by number with explicit SpMSpV options; the SpMSpV
-/// figures (7–9) honor the merge strategy, the rest ignore it.
+/// figures (7–9) honor the merge strategy, the rest ignore it. Figure 6
+/// is the SPA diagram — nothing to measure — so it returns an empty set.
 pub fn run_fig_with(n: usize, scale: usize, opts: SpMSpVOpts) -> Vec<Figure> {
     match n {
         1 => fig1(scale),
@@ -862,34 +799,6 @@ mod tests {
         assert!(r16.phase("gather") > r16.phase("local"));
         // local multiply scales
         assert!(r16.phase("local") < r1.phase("local"));
-    }
-
-    #[test]
-    fn fig_overlap_saves_where_comm_and_compute_balance() {
-        let figs = fig_overlap(500); // n = 4194
-        let fig = &figs[0];
-        assert_eq!(fig.series.len(), 4);
-        for algo in ["bfs", "pagerank"] {
-            let series = |name: String| {
-                fig.series.iter().find(|s| s.name == name).unwrap_or_else(|| panic!("{name}"))
-            };
-            let sum = series(format!("{algo}+sum"));
-            let ovl = series(format!("{algo}+overlap"));
-            let mut best_saving = 0.0f64;
-            for (ps, po) in sum.points.iter().zip(&ovl.points) {
-                assert_eq!(ps.x, po.x);
-                let (ts, to) = (ps.report.total(), po.report.total());
-                // split-phase pricing can only hide time, never add it
-                assert!(to <= ts + 1e-12, "{algo} p={}: overlap {to} > sum {ts}", ps.x);
-                if ts > 0.0 {
-                    best_saving = best_saving.max((ts - to) / ts);
-                }
-            }
-            assert!(
-                best_saving > 0.05,
-                "{algo}: overlap never saved anything (best {best_saving})"
-            );
-        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::sync::OnceLock;
 static CONFIG: OnceLock<RunConfig> = OnceLock::new();
 
 /// Install the configuration a binary resolved in its `main`
-/// ([`RunConfig::from_env`] merged with its flags): every context the
+/// ([`RunConfig::from_env`]): every context the
 /// harness builds afterwards runs under it. The first call wins; without
 /// one the harness runs under [`RunConfig::default`].
 pub fn configure(cfg: RunConfig) {

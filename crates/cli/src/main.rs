@@ -3,7 +3,7 @@
 //! ```text
 //! gblas-cli <command> [--input FILE.mtx | --gen er:N:D | --gen rmat:SCALE:EF]
 //!           [--source V] [--threads T] [--symmetrize] [--seed S]
-//!           [--simulate NODES] [--trace FILE] [--overlap] [--mxm-grid 2d|3d]
+//!           [--simulate NODES] [--trace FILE] [--mxm-grid 2d|3d]
 //!           [--spmspv-merge sort|bucket] [--selection auto|push|pull]
 //!
 //! commands:
@@ -42,14 +42,6 @@
 //! decided (each runs its native direction). Results are bit-identical
 //! either way; each decision shows up in traces as a `select` span with
 //! its `dir`.
-//!
-//! `--overlap` switches the simulated cluster's pricing to split-phase
-//! (compute/communication overlap): every op phase is charged
-//! `max(comm, compute)` instead of `comm + compute`, modeling a runtime
-//! that posts its aggregated transfers asynchronously and overlaps them
-//! with local work. Results and the comm ledger are identical either
-//! way — only the simulated seconds move; traces carry the per-op
-//! `overlap_saved_s` attribute.
 //!
 //! Three environment variables are read, once, by `main`
 //! ([`RunConfig::from_env`]): `GBLAS_DIST_EXECUTOR=serial` runs the
@@ -90,7 +82,7 @@ const USAGE_COMMANDS: &str =
 /// The option synopsis `--help` prints; the crate docs explain each.
 const USAGE_OPTIONS: &str = "[--input FILE.mtx | --gen er:N:D | --gen rmat:SCALE:EF] \
     [--source V] [--threads T] [--symmetrize] [--seed S] [--simulate NODES] [--trace FILE] \
-    [--overlap] [--mxm-grid 2d|3d] [--spmspv-merge sort|bucket] [--selection auto|push|pull]";
+    [--mxm-grid 2d|3d] [--spmspv-merge sort|bucket] [--selection auto|push|pull]";
 
 struct Args {
     command: String,
@@ -110,7 +102,7 @@ struct Args {
     window: f64,
     arrival: String,
     verify: bool,
-    /// The environment's run configuration with `--overlap` merged in.
+    /// The environment's run configuration ([`RunConfig::from_env`]).
     config: RunConfig,
     mxm_grid: String,
 }
@@ -217,10 +209,6 @@ fn parse_args() -> std::result::Result<Args, String> {
             }
             "--verify" => {
                 args.verify = true;
-                i += 1;
-            }
-            "--overlap" => {
-                args.config.overlap = true;
                 i += 1;
             }
             "--mxm-grid" => {

@@ -1,17 +1,17 @@
-//! The run configuration: the four process-wide choices a driver makes
+//! The run configuration: the three process-wide choices a driver makes
 //! once, as one plain value.
 //!
 //! The library never reads the environment. A binary that wants the
 //! `GBLAS_*` variables honoured calls [`RunConfig::from_env`] in its
-//! `main`, merges its command-line flags into the value, and hands it to
-//! the contexts it builds ([`crate::DistCtx::with_config`]; for a shared
+//! `main` and hands the value to the contexts it builds
+//! ([`crate::DistCtx::with_config`]; for a shared
 //! [`gblas_core::par::ExecCtx`], `ctx.workspace().set_enabled(cfg.workspace)`).
 
 use crate::exec::LocaleExecutor;
 
 /// What [`crate::DistCtx::new`] and `ExecCtx::new` use when nobody says
-/// otherwise is [`RunConfig::default`]; none of the four values changes a
-/// result, a comm log or (overlap aside) a simulated time.
+/// otherwise is [`RunConfig::default`]; none of the three values changes
+/// a result, a comm log or a simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunConfig {
     /// How locale bodies run on the real machine
@@ -20,9 +20,6 @@ pub struct RunConfig {
     /// Whether communication schedules are cached and replayed
     /// ([`crate::DistCtx::set_schedules`]).
     pub schedules: bool,
-    /// Whether comm is priced as overlapping compute
-    /// ([`crate::DistCtx::set_overlap`]).
-    pub overlap: bool,
     /// Whether workspace pools recycle scratch
     /// ([`gblas_core::workspace::WorkspacePool::set_enabled`]).
     pub workspace: bool,
@@ -30,12 +27,7 @@ pub struct RunConfig {
 
 impl Default for RunConfig {
     fn default() -> Self {
-        RunConfig {
-            executor: LocaleExecutor::default(),
-            schedules: true,
-            overlap: false,
-            workspace: true,
-        }
+        RunConfig { executor: LocaleExecutor::default(), schedules: true, workspace: true }
     }
 }
 

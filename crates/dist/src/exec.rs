@@ -8,7 +8,7 @@ use gblas_core::par::{fork_join, Counters, ExecCtx, Profile};
 use gblas_core::trace::{
     dst_bytes_key, dst_msgs_key, CommSummary, MetricsRegistry, SpanKind, TraceRecorder,
 };
-use gblas_core::workspace::{WorkspacePool, WorkspaceStats, WsGuard};
+use gblas_core::workspace::{WorkspacePool, WorkspaceStats};
 use gblas_sim::{MachineConfig, SimReport};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,12 +37,6 @@ pub enum LocaleExecutor {
 /// in source-locale order, so cross-locale writes resolve exactly as a
 /// serial sweep would.
 pub type Outbox<M> = Vec<Vec<M>>;
-
-/// One pool-checked-out [`Outbox`] per locale: what a superstep's send
-/// side collects into. The guards keep the per-destination buffers alive
-/// through the owning superstep and return them to their locale's
-/// workspace pool on drop.
-pub type PooledOutboxes<M> = Vec<WsGuard<Outbox<M>>>;
 
 /// Execution context for distributed operations.
 ///
@@ -84,17 +78,12 @@ pub struct DistCtx {
     /// Whether [`DistCtx::schedule`] caches at all (off builds fresh every
     /// call — the ablation/differential toggle).
     sched_enabled: AtomicBool,
-    /// Whether comm is priced as overlapping local compute
-    /// (`max(comm, compute)` per superstep phase) instead of serializing
-    /// after it (`comm + compute`). Off by default;
-    /// [`DistCtx::set_overlap`] turns it on.
-    overlap: AtomicBool,
 }
 
 impl DistCtx {
     /// A context for the given machine (tracing disabled) under
-    /// [`RunConfig::default`]: threaded executor, schedules on, overlap
-    /// off, pooled workspaces — whatever the process environment says.
+    /// [`RunConfig::default`]: threaded executor, schedules on, pooled
+    /// workspaces — whatever the process environment says.
     pub fn new(machine: MachineConfig) -> Self {
         Self::with_instrumentation(
             machine,
@@ -123,17 +112,15 @@ impl DistCtx {
             ws_synced: Mutex::new(WorkspaceStats::default()),
             sched: ScheduleCache::default(),
             sched_enabled: AtomicBool::new(cfg.schedules),
-            overlap: AtomicBool::new(cfg.overlap),
         }
     }
 
-    /// This context under `cfg`: the four setters in one call, for a
-    /// driver that resolved its configuration once (the binaries do, from
-    /// [`RunConfig::from_env`] and their flags).
+    /// This context under `cfg`: the three setters in one call, for a
+    /// driver that resolved its configuration once (the binaries do, with
+    /// [`RunConfig::from_env`]).
     pub fn with_config(mut self, cfg: RunConfig) -> Self {
         self.set_executor(cfg.executor);
         self.set_schedules(cfg.schedules);
-        self.set_overlap(cfg.overlap);
         self.set_workspace_enabled(cfg.workspace);
         self
     }
@@ -147,18 +134,6 @@ impl DistCtx {
     /// entries in place but unused; kernels build fresh plans every call.
     pub fn set_schedules(&self, on: bool) {
         self.sched_enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether split-phase overlap pricing is on.
-    pub fn overlap_enabled(&self) -> bool {
-        self.overlap.load(Ordering::Relaxed)
-    }
-
-    /// Enable or disable split-phase overlap pricing. Never affects
-    /// results or comm logs — only how [`OpTrace::finish`] prices comm
-    /// against compute.
-    pub fn set_overlap(&self, on: bool) {
-        self.overlap.store(on, Ordering::Relaxed);
     }
 
     /// The schedule cache (test introspection).
@@ -692,18 +667,10 @@ impl OpTrace<'_> {
     pub fn finish(self) -> SimReport {
         let OpTrace { dctx, name, mut attrs, nnz, mut report, detail, wall_start } = self;
         let comm_costs = dctx.price_comm_detailed(&dctx.comm.take_events());
-        // Split-phase pricing: each phase's comm either serializes after
-        // its compute (the default sum) or overlaps it, in which case only
-        // the comm sticking out past the compute adds time. The off path
-        // is bit-identical to the historic `push_attributed(comm)`.
-        let overlap = dctx.overlap_enabled();
-        let mut overlap_saved = 0.0;
+        // Bulk-synchronous pricing: each phase's comm serializes after its
+        // compute.
         for c in &comm_costs {
-            overlap_saved +=
-                report.push_comm_split(&c.phase, c.max_seconds(), overlap, c.max_locale());
-        }
-        if overlap {
-            attrs.push(("overlap_saved_s".to_string(), overlap_saved.to_string()));
+            report.push_attributed(&c.phase, c.max_seconds(), c.max_locale());
         }
 
         dctx.metrics.ops_executed(1);
@@ -971,38 +938,6 @@ mod tests {
             let report = op.finish();
             assert_eq!(report, manual, "traced={traced}");
         }
-    }
-
-    #[test]
-    fn op_trace_overlap_prices_max_and_stamps_savings() {
-        // Identical workload twice: overlap off (the default sum) and on
-        // (max per phase). Comm and compute logs are identical; only the
-        // final pricing differs.
-        let run = |overlap: bool| {
-            let mut dctx = DistCtx::new(MachineConfig::edison_cluster(2, 24));
-            dctx.set_overlap(overlap);
-            let recorder = dctx.enable_tracing();
-            let mut p = Profile::default();
-            p.counters_mut("work").elems = 1_000_000;
-            dctx.comm.bulk("work", 0, 1, 4, 1 << 22).unwrap();
-            let mut op = dctx.op("o");
-            op.compute("work", &[p.clone(), p]);
-            (op.finish(), recorder.snapshot())
-        };
-        let (off, off_trace) = run(false);
-        let (on, on_trace) = run(true);
-        let comm = off.phase("work") - on.phase("work"); // hidden part
-        assert!(on.phase("work") < off.phase("work"), "overlap must reduce the phase");
-        assert!(comm > 0.0);
-        // the op span records what overlap hid
-        let saved_attr = |t: &gblas_core::trace::Trace| {
-            t.spans.iter().find(|s| s.kind == SpanKind::Op).and_then(|s| {
-                s.attrs.iter().find(|(k, _)| k == "overlap_saved_s").map(|(_, v)| v.clone())
-            })
-        };
-        assert!(saved_attr(&off_trace).is_none(), "no savings attr when overlap is off");
-        let saved: f64 = saved_attr(&on_trace).expect("savings attr").parse().unwrap();
-        assert!((saved - comm).abs() < 1e-12, "saved {saved} vs hidden {comm}");
     }
 
     #[test]

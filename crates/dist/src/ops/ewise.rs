@@ -49,8 +49,7 @@ where
             let shard = x.shard(l);
             let local_inds: Vec<usize> = shard.indices().iter().map(|&i| i - range.start).collect();
             let local =
-                SparseVec::from_sorted(range.len().max(1), local_inds, shard.values().to_vec())
-                    .expect("rebased shard stays sorted");
+                SparseVec::from_sorted(range.len().max(1), local_inds, shard.values().to_vec())?;
             let seg = DenseVec::from_vec(y.segment(l).to_vec());
             // Guard against the degenerate empty-block case.
             let ctx = dctx.locale_ctx_for(l);
@@ -81,77 +80,6 @@ fn fold_phases(p: Profile) -> Profile {
         c.merge(counters);
     }
     out
-}
-
-fn check_aligned<A: Copy, B: Copy>(a: &DistSparseVec<A>, b: &DistSparseVec<B>) -> Result<()> {
-    check_dims("capacity", a.capacity(), b.capacity())?;
-    if a.locales() != b.locales() {
-        return Err(GblasError::DimensionMismatch {
-            expected: format!("{} locales", a.locales()),
-            actual: format!("{} locales", b.locales()),
-        });
-    }
-    Ok(())
-}
-
-/// Distributed sparse ∩ sparse element-wise multiply. Both vectors share
-/// one block distribution, so intersection is shard-local: a pure
-/// `coforall` with no communication.
-pub fn ewise_mult_dist_ss<A, B, C, Op>(
-    a: &DistSparseVec<A>,
-    b: &DistSparseVec<B>,
-    op: &Op,
-    dctx: &DistCtx,
-) -> Result<(DistSparseVec<C>, SimReport)>
-where
-    A: Copy + Send + Sync,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync,
-    Op: gblas_core::algebra::BinaryOp<A, B, C>,
-{
-    let mut trace = dctx.op("ewise_mult_dist_ss");
-    check_aligned(a, b)?;
-    let (profiles, shards): (Vec<Profile>, Vec<SparseVec<C>>) = dctx
-        .for_each_locale(|l| {
-            let ctx = dctx.locale_ctx_for(l);
-            let z = gblas_core::ops::ewise::ewise_mult(a.shard(l), b.shard(l), op, &ctx)?;
-            Ok((fold_phases(ctx.take_profile()), z))
-        })?
-        .into_iter()
-        .unzip();
-    let out = DistSparseVec::from_shards(a.capacity(), shards)?;
-    trace.nnz((a.nnz() + b.nnz()) as u64);
-    trace.spawn(PHASE, 1);
-    trace.compute(PHASE, &profiles);
-    Ok((out, trace.finish()))
-}
-
-/// Distributed sparse ∪ sparse element-wise add (same alignment rules).
-pub fn ewise_add_dist<T, Op>(
-    a: &DistSparseVec<T>,
-    b: &DistSparseVec<T>,
-    op: &Op,
-    dctx: &DistCtx,
-) -> Result<(DistSparseVec<T>, SimReport)>
-where
-    T: Copy + Send + Sync,
-    Op: gblas_core::algebra::BinaryOp<T, T, T>,
-{
-    let mut trace = dctx.op("ewise_add_dist");
-    check_aligned(a, b)?;
-    let (profiles, shards): (Vec<Profile>, Vec<SparseVec<T>>) = dctx
-        .for_each_locale(|l| {
-            let ctx = dctx.locale_ctx_for(l);
-            let z = gblas_core::ops::ewise::ewise_add(a.shard(l), b.shard(l), op, &ctx)?;
-            Ok((fold_phases(ctx.take_profile()), z))
-        })?
-        .into_iter()
-        .unzip();
-    let out = DistSparseVec::from_shards(a.capacity(), shards)?;
-    trace.nnz((a.nnz() + b.nnz()) as u64);
-    trace.spawn(PHASE, 1);
-    trace.compute(PHASE, &profiles);
-    Ok((out, trace.finish()))
 }
 
 #[cfg(test)]
@@ -211,31 +139,6 @@ mod tests {
         let small_4 = time_at(20_000, 4);
         let small_64 = time_at(20_000, 64);
         assert!(small_64 > small_4 * 0.8, "small: {small_4} -> {small_64}");
-    }
-
-    #[test]
-    fn sparse_sparse_dist_ops_match_shared() {
-        let a = gen::random_sparse_vec(3000, 500, 7);
-        let b = gen::random_sparse_vec(3000, 500, 8);
-        let ctx = gblas_core::par::ExecCtx::serial();
-        let mult_expect: gblas_core::container::SparseVec<f64> =
-            gblas_core::ops::ewise::ewise_mult(&a, &b, &gblas_core::algebra::Times, &ctx).unwrap();
-        let add_expect =
-            gblas_core::ops::ewise::ewise_add(&a, &b, &gblas_core::algebra::Plus, &ctx).unwrap();
-        for p in [1usize, 3, 8] {
-            let da = DistSparseVec::from_global(&a, p);
-            let db = DistSparseVec::from_global(&b, p);
-            let d1 = DistCtx::new(MachineConfig::edison_cluster(p, 24));
-            let (m, rm) =
-                ewise_mult_dist_ss::<_, _, f64, _>(&da, &db, &gblas_core::algebra::Times, &d1)
-                    .unwrap();
-            assert_eq!(m.to_global(), mult_expect, "mult p={p}");
-            assert!(rm.total() > 0.0);
-            let d2 = DistCtx::new(MachineConfig::edison_cluster(p, 24));
-            let (s, _) = ewise_add_dist(&da, &db, &gblas_core::algebra::Plus, &d2).unwrap();
-            assert_eq!(s.to_global(), add_expect, "add p={p}");
-            assert_eq!(d1.comm.totals(), (0, 0, 0), "intersection is comm-free");
-        }
     }
 
     #[test]

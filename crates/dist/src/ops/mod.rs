@@ -30,7 +30,6 @@
 pub mod apply;
 pub mod assign;
 pub mod ewise;
-pub mod extract;
 pub mod mxm;
 pub mod pull;
 pub mod reduce;

@@ -21,10 +21,11 @@
 //!
 //! Schedules are cached per [`crate::DistCtx`] keyed by
 //! `(op, grid shape, frontier structure class)` and stamped with the
-//! matrix [`generation`](crate::DistCsrMatrix::generation) (plus an
-//! op-specific fingerprint, e.g. the extract index set). A stamp mismatch
-//! invalidates the entry and rebuilds — rebuilding a matrix or switching
-//! to a different index set can never replay a stale pattern.
+//! matrix [`generation`](crate::DistCsrMatrix::generation) plus an
+//! op-specific fingerprint (today only SUMMA's, of the operand shapes). A
+//! stamp mismatch invalidates the entry and rebuilds — rebuilding a
+//! matrix or multiplying a different shape can never replay a stale
+//! pattern.
 //!
 //! [`DistCtx::set_schedules`]`(false)` (the binaries' `GBLAS_SCHED=off`)
 //! disables caching for ablations and differential tests: every call
@@ -49,8 +50,6 @@ pub enum FrontierClass {
     Bitmap,
     /// Dense value vector input.
     Dense,
-    /// An explicit index set (extract/assign).
-    Index,
     /// A distributed matrix operand (sparse SUMMA).
     Mat,
 }
@@ -146,35 +145,6 @@ impl PullPlan {
     }
 }
 
-/// The compiled pattern of `extract`: per locale, the half-open subrange
-/// of the (global, sorted) index set that overlaps its column block —
-/// the merge walk's bounds. Content-independent of `x`, so frontier
-/// changes never invalidate it; keyed on a fingerprint of the index set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExtractPlan {
-    /// Per locale: `(lo, hi)` positions into the index set.
-    pub index_windows: Vec<(usize, usize)>,
-}
-
-impl ExtractPlan {
-    /// Inspector for extract: binary-search each locale's index-set
-    /// window.
-    pub fn build(
-        locales: usize,
-        x_range: impl Fn(usize) -> Range<usize>,
-        index_set: &[usize],
-    ) -> Self {
-        let mut index_windows = Vec::with_capacity(locales);
-        for l in 0..locales {
-            let r = x_range(l);
-            let lo = index_set.partition_point(|&i| i < r.start);
-            let hi = index_set.partition_point(|&i| i < r.end);
-            index_windows.push((lo, hi));
-        }
-        ExtractPlan { index_windows }
-    }
-}
-
 /// The compiled stage structure of a multi-stage sparse SUMMA: the
 /// k-blocking of the inner dimension and, per stage, which operand
 /// blocks feed it. On a rectangular `pr×pc` grid `A`'s column split and
@@ -226,10 +196,9 @@ impl SummaPlan {
     }
 }
 
-/// FNV-1a 64 over an index slice — the content fingerprint extract keys
-/// its schedule on. Full-content, so two different index sets cannot
-/// share a plan short of a 64-bit collision (documented tradeoff: the
-/// hash is cheaper than storing and comparing the whole set per call).
+/// FNV-1a 64 over an index slice — the fingerprint SUMMA keys its stage
+/// plan on (over the operand dimensions). Full-content, so two different
+/// slices cannot share a plan short of a 64-bit collision.
 pub fn fingerprint_indices(indices: &[usize]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &i in indices {
@@ -248,8 +217,6 @@ pub enum PlanData {
     Gather(GatherPlan),
     /// Pull-direction bitmap gather.
     Pull(PullPlan),
-    /// Extract index windows.
-    Extract(ExtractPlan),
     /// Multi-stage SUMMA k-blocking.
     Summa(SummaPlan),
 }
@@ -272,14 +239,6 @@ impl PlanData {
         }
     }
 
-    /// The extract plan (see [`PlanData::gather`] on mismatches).
-    pub fn extract(&self) -> &ExtractPlan {
-        match self {
-            PlanData::Extract(p) => p,
-            other => panic!("schedule kind mismatch: wanted Extract, got {other:?}"),
-        }
-    }
-
     /// The SUMMA stage plan (see [`PlanData::gather`] on mismatches).
     pub fn summa(&self) -> &SummaPlan {
         match self {
@@ -295,8 +254,8 @@ impl PlanData {
 pub struct CommSchedule {
     /// Generation of the matrix the plan was inspected against.
     pub mat_gen: u64,
-    /// Op-specific auxiliary fingerprint (0 when unused; extract hashes
-    /// its index set here).
+    /// Op-specific auxiliary fingerprint (0 when unused; SUMMA hashes its
+    /// operand dimensions here).
     pub aux: u64,
     /// The compiled pattern.
     pub plan: Arc<PlanData>,
@@ -505,13 +464,5 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, fingerprint_indices(&[1, 2, 3]));
-    }
-
-    #[test]
-    fn extract_plan_windows_partition_the_index_set() {
-        let indices = [2usize, 5, 9, 14, 21, 33];
-        let ranges = [0..10, 10..20, 20..40];
-        let p = ExtractPlan::build(3, |l| ranges[l].clone(), &indices);
-        assert_eq!(p.index_windows, vec![(0, 3), (3, 4), (4, 6)]);
     }
 }

@@ -17,7 +17,7 @@ use gblas_core::ops::ewise::EwiseVariant;
 use gblas_core::ops::spmspv::{MergeStrategy, SpMSpVOpts};
 use gblas_core::trace::SpanKind;
 use gblas_dist::ops::spmspv::{CommStrategy, DistMask};
-use gblas_dist::ops::{apply, assign, ewise, extract, mxm, reduce, spmspv, spmv, transpose};
+use gblas_dist::ops::{apply, assign, ewise, mxm, reduce, spmspv, spmv, transpose};
 use gblas_dist::{
     DistBackend, DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid,
 };
@@ -148,7 +148,7 @@ fn spmv_mxm_transpose_match_across_executors() {
 }
 
 #[test]
-fn elementwise_apply_assign_reduce_extract_match_across_executors() {
+fn elementwise_apply_assign_reduce_match_across_executors() {
     for (pr, pc) in GRIDS {
         let p = pr * pc;
         let x = gen::random_sparse_vec(500, 80, 31);
@@ -163,14 +163,6 @@ fn elementwise_apply_assign_reduce_extract_match_across_executors() {
             });
             assert_eq!(zt, zs, "ewise_mult p={p} {variant:?}");
         }
-        let (zt, zs) = run_both(p, "ewise_mult_ss", |d| {
-            ewise::ewise_mult_dist_ss(&dx, &dx2, &|a: f64, b: f64| a * b, d).unwrap()
-        });
-        assert_eq!(zt, zs, "ewise_mult_ss p={p}");
-        let (zt, zs) = run_both(p, "ewise_add", |d| {
-            ewise::ewise_add_dist(&dx, &dx2, &|a: f64, b: f64| a + b, d).unwrap()
-        });
-        assert_eq!(zt, zs, "ewise_add p={p}");
 
         let (vt, vs) = run_both(p, "apply_v1", |d| {
             let mut v = dx.clone();
@@ -200,11 +192,6 @@ fn elementwise_apply_assign_reduce_extract_match_across_executors() {
 
         let (st, ss) = run_both(p, "reduce", |d| reduce::reduce_dist(&dx, &Plus, d).unwrap());
         assert_eq!(st.to_bits(), ss.to_bits(), "reduce p={p}");
-
-        let index_set: Vec<usize> = (0..500).step_by(3).collect();
-        let (zt, zs) =
-            run_both(p, "extract", |d| extract::extract_dist(&dx, &index_set, d).unwrap());
-        assert_eq!(zt, zs, "extract p={p}");
     }
 }
 
@@ -548,7 +535,6 @@ fn workspace_pooling_is_bit_invisible_across_executors() {
         let dx = DistSparseVec::from_global(&x, p);
         let xd = DenseVec::from_fn(350, |i| 1.0 + (i % 5) as f64);
         let dxd = DistDenseVec::from_global(&xd, p);
-        let index_set: Vec<usize> = (0..350).step_by(4).collect();
         let ring = semirings::plus_times_f64();
         for exec in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
             let run = |pooled: bool| {
@@ -577,10 +563,6 @@ fn workspace_pooling_is_bit_invisible_across_executors() {
                     let g = y.to_global();
                     let bits = g.as_slice().iter().map(|v| v.to_bits()).collect();
                     outs.push((Vec::new(), bits, rep));
-                    let (z, rep) = extract::extract_dist(&dx, &index_set, &dctx).unwrap();
-                    let g = z.to_global();
-                    let bits = g.values().iter().map(|v| v.to_bits()).collect();
-                    outs.push((g.indices().to_vec(), bits, rep));
                 }
                 let ws = dctx.workspace_stats();
                 if pooled {

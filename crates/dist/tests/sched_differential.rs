@@ -1,9 +1,9 @@
-//! Differential guarantee for the inspector–executor schedules: with
-//! `GBLAS_SCHED` on or off, every scheduled kernel must produce
-//! bit-identical results, an identical per-event comm ledger, and an
-//! identical simulated report — across both locale executors and several
-//! grid shapes. Replay only skips *inspection*; the executed
-//! communication must be indistinguishable.
+//! Differential guarantee for the run configuration: under every
+//! [`RunConfig`] (executor × schedules × workspace), every scheduled
+//! kernel must produce bit-identical results, an identical per-event comm
+//! ledger, and an identical simulated report to the default's — across
+//! several grid shapes. Schedule replay only skips *inspection*; the
+//! executed communication must be indistinguishable.
 
 use gblas_core::algebra::semirings;
 use gblas_core::backend::{GblasBackend, MaskSpec};
@@ -13,9 +13,10 @@ use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
 use gblas_dist::ops::pull::pull_first_visitor_dist;
 use gblas_dist::ops::spmspv::CommStrategy;
-use gblas_dist::ops::{extract, spmspv, spmv};
+use gblas_dist::ops::{spmspv, spmv};
 use gblas_dist::{
     DistBackend, DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid,
+    RunConfig,
 };
 use gblas_sim::{MachineConfig, SimReport};
 use proptest::prelude::*;
@@ -64,7 +65,6 @@ fn run_suite(dctx: &DistCtx, grid: ProcGrid) -> (Vec<Out>, Vec<SimReport>, (u64,
     let frontier = DistDenseVec::from_global(&DenseVec::from_fn(n, |i| i % 5 == 0), p);
     let visited = DistDenseVec::from_global(&DenseVec::from_fn(n, |i| i % 7 == 0), p);
     let xd = DistDenseVec::from_global(&DenseVec::from_fn(n, |i| 1.0 + (i % 9) as f64), p);
-    let index_set: Vec<usize> = (0..n).step_by(3).collect();
     let ring = semirings::plus_times_f64();
 
     let mut outs = Vec::new();
@@ -87,10 +87,6 @@ fn run_suite(dctx: &DistCtx, grid: ProcGrid) -> (Vec<Out>, Vec<SimReport>, (u64,
         outs.push(enc_parents(&y));
         reps.push(rep);
 
-        let (z, rep) = extract::extract_dist(&dx, &index_set, dctx).unwrap();
-        outs.push(enc_sparse(&z));
-        reps.push(rep);
-
         let single = |i: usize| SparseVec::from_sorted(n, vec![i], vec![i]).unwrap();
         let f: Vec<DistSparseVec<usize>> =
             [0, 7, 21].map(|i| DistSparseVec::from_global(&single(i), p)).into();
@@ -111,45 +107,51 @@ fn run_suite(dctx: &DistCtx, grid: ProcGrid) -> (Vec<Out>, Vec<SimReport>, (u64,
     (outs, reps, dctx.comm.totals())
 }
 
-/// The tentpole acceptance criterion: schedule replay is bit-invisible.
-/// Same results, same comm event stream (phase/src/dst/msgs/bytes in the
-/// same order), same reports — schedules on vs off, both executors, all
-/// grid shapes. And the on-context must actually have replayed.
+/// No run-configuration value changes a result, a comm log or a
+/// simulated time: the suite under each of the eight configurations
+/// matches the default configuration's run event for event. With
+/// schedules on the context must actually have replayed; with them off
+/// no schedule metric may move.
 #[test]
-fn schedules_on_vs_off_are_bit_identical_everywhere() {
+fn every_run_config_is_bit_identical_to_the_default() {
+    let machine = |p| MachineConfig::edison_cluster(p, 24);
     for (pr, pc) in GRIDS {
         let grid = ProcGrid::new(pr, pc);
         let p = grid.locales();
-        for exec in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
-            let d_on = ctx(p, exec, true);
-            let (outs_on, reps_on, tot_on) = run_suite(&d_on, grid);
-            let d_off = ctx(p, exec, false);
-            let (outs_off, reps_off, tot_off) = run_suite(&d_off, grid);
+        let base = DistCtx::new(machine(p));
+        let (outs, reps, totals) = run_suite(&base, grid);
+        for executor in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
+            for schedules in [true, false] {
+                for workspace in [true, false] {
+                    let cfg = RunConfig { executor, schedules, workspace };
+                    let d = DistCtx::new(machine(p)).with_config(cfg);
+                    let (o, r, t) = run_suite(&d, grid);
+                    assert_eq!(o, outs, "{pr}x{pc} {cfg:?}: results diverge");
+                    assert_eq!(r, reps, "{pr}x{pc} {cfg:?}: reports diverge");
+                    assert_eq!(t, totals, "{pr}x{pc} {cfg:?}: comm totals diverge");
+                    assert_eq!(
+                        d.comm.history(),
+                        base.comm.history(),
+                        "{pr}x{pc} {cfg:?}: per-event comm ledgers diverge"
+                    );
 
-            assert_eq!(outs_on, outs_off, "{pr}x{pc} {exec:?}: results diverge");
-            assert_eq!(reps_on, reps_off, "{pr}x{pc} {exec:?}: reports diverge");
-            assert_eq!(tot_on, tot_off, "{pr}x{pc} {exec:?}: comm totals diverge");
-            assert_eq!(
-                d_on.comm.history(),
-                d_off.comm.history(),
-                "{pr}x{pc} {exec:?}: per-event comm ledgers diverge"
-            );
-
-            let m_on = d_on.metrics().snapshot();
-            // four distinct plan keys (gather_rows — every push's, batched
-            // or not —, pull_gather, extract, spmv_gather) inspected
-            // exactly once each
-            assert_eq!(m_on.sched_builds, 4, "{pr}x{pc} {exec:?}: {m_on:?}");
-            assert_eq!(m_on.sched_invalidations, 0, "{pr}x{pc} {exec:?}: {m_on:?}");
-            // pass 2 replays all four; pass 1 already replays the second
-            // and third spmspv gathers and the batched expand's
-            assert!(m_on.sched_replays >= 7, "{pr}x{pc} {exec:?}: too few replays in {m_on:?}");
-            let m_off = d_off.metrics().snapshot();
-            assert_eq!(
-                (m_off.sched_builds, m_off.sched_replays, m_off.sched_invalidations),
-                (0, 0, 0),
-                "{pr}x{pc} {exec:?}: disabled schedules moved the metrics"
-            );
+                    let m = d.metrics().snapshot();
+                    if schedules {
+                        // three distinct plan keys (gather_rows — every
+                        // push's, batched or not —, pull_gather,
+                        // spmv_gather) inspected exactly once each; pass 2
+                        // replays all of them, and pass 1 already replays
+                        // the second and third spmspv gathers and the
+                        // batched push's
+                        assert_eq!(m.sched_builds, 3, "{pr}x{pc} {cfg:?}: {m:?}");
+                        assert_eq!(m.sched_invalidations, 0, "{pr}x{pc} {cfg:?}: {m:?}");
+                        assert!(m.sched_replays >= 7, "{pr}x{pc} {cfg:?}: {m:?}");
+                    } else {
+                        let counts = (m.sched_builds, m.sched_replays, m.sched_invalidations);
+                        assert_eq!(counts, (0, 0, 0), "{pr}x{pc} {cfg:?}: metrics moved");
+                    }
+                }
+            }
         }
     }
 }

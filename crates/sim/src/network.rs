@@ -52,18 +52,6 @@ impl NetworkModel {
         }
         1.0 + self.fine_congestion * (participants - 1) as f64
     }
-
-    /// Price one superstep under split-phase (overlapped) execution: when
-    /// `overlap` is on, bulk transfers proceed while local compute runs,
-    /// so the superstep costs the *larger* of the two phases; otherwise
-    /// they serialize and it costs the sum.
-    pub fn split_phase_time(&self, compute: f64, comm: f64, overlap: bool) -> f64 {
-        if overlap {
-            compute.max(comm)
-        } else {
-            compute + comm
-        }
-    }
 }
 
 impl NetworkModel {
@@ -150,16 +138,6 @@ mod tests {
         assert!(n.congestion(2) > 1.0);
         // strictly monotone beyond the boundary
         assert!(n.congestion(3) > n.congestion(2));
-    }
-
-    #[test]
-    fn split_phase_prices_max_or_sum() {
-        let n = NetworkModel::aries();
-        assert_eq!(n.split_phase_time(3.0, 5.0, false), 8.0);
-        assert_eq!(n.split_phase_time(3.0, 5.0, true), 5.0);
-        assert_eq!(n.split_phase_time(5.0, 3.0, true), 5.0);
-        // overlap never prices higher than the serialized sum
-        assert!(n.split_phase_time(2.0, 2.0, true) <= n.split_phase_time(2.0, 2.0, false));
     }
 
     #[test]

@@ -59,29 +59,6 @@ impl SimReport {
         }
     }
 
-    /// Append a communication phase under split-phase pricing: `comm`
-    /// seconds of transfers that may overlap the `compute` seconds this
-    /// phase has already accumulated. With `overlap` off the full `comm`
-    /// is added (bit-identical to [`SimReport::push_attributed`]); with it
-    /// on, only the part sticking out past the compute is — so the phase
-    /// totals `max(compute, comm)`. Returns the seconds saved by overlap
-    /// (`min(compute, comm)` when on, `0.0` when off).
-    pub fn push_comm_split(
-        &mut self,
-        name: &str,
-        comm: f64,
-        overlap: bool,
-        locale: Option<usize>,
-    ) -> f64 {
-        let compute = self.phase(name);
-        // The off path must add exactly `comm` — not `(compute + comm) -
-        // compute`, which differs in floating point and would perturb
-        // every existing report.
-        let add = if overlap { (comm - compute).max(0.0) } else { comm };
-        self.push_attributed(name, add, locale);
-        comm - add
-    }
-
     /// Record an attribution for an existing phase without adding time:
     /// `locale` dominated with `contrib` seconds. Used when a producer
     /// prices time through one path (e.g. a merged sub-report) but knows
@@ -143,24 +120,6 @@ impl SimReport {
             }
         }
     }
-
-    /// Point-wise maximum with another report — the bulk-synchronous
-    /// combiner across locales (each superstep ends when the slowest
-    /// locale finishes).
-    pub fn max_with(&mut self, other: &SimReport) {
-        for p in other.iter() {
-            match self.phases.iter_mut().find(|q| q.name == p.name) {
-                Some(q) => {
-                    if p.seconds > q.seconds {
-                        q.seconds = p.seconds;
-                        q.max_contrib = p.max_contrib;
-                        q.max_locale = p.max_locale;
-                    }
-                }
-                None => self.phases.push(p.clone()),
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for SimReport {
@@ -187,20 +146,6 @@ mod tests {
         assert_eq!(r.phase("gather"), 1.5);
         assert!((r.total() - 3.5).abs() < 1e-12);
         assert_eq!(r.phase_names(), vec!["gather", "local"]);
-    }
-
-    #[test]
-    fn max_with_takes_pointwise_max() {
-        let mut a = SimReport::default();
-        a.push("x", 1.0);
-        a.push("y", 5.0);
-        let mut b = SimReport::default();
-        b.push("x", 3.0);
-        b.push("z", 1.0);
-        a.max_with(&b);
-        assert_eq!(a.phase("x"), 3.0);
-        assert_eq!(a.phase("y"), 5.0);
-        assert_eq!(a.phase("z"), 1.0);
     }
 
     #[test]
@@ -241,38 +186,6 @@ mod tests {
         assert_eq!(a.max_locale("p"), Some(5));
         assert_eq!(a.max_locale("q"), Some(2));
         assert!((a.phase("p") - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn comm_split_overlap_prices_max_and_reports_savings() {
-        // comm dominates: phase becomes max(compute, comm), saving = compute
-        let mut r = SimReport::default();
-        r.push("gather", 2.0);
-        let saved = r.push_comm_split("gather", 5.0, true, Some(1));
-        assert_eq!(r.phase("gather"), 5.0);
-        assert_eq!(saved, 2.0);
-        // compute dominates: comm fully hidden
-        let mut r = SimReport::default();
-        r.push("local", 7.0);
-        let saved = r.push_comm_split("local", 3.0, true, None);
-        assert_eq!(r.phase("local"), 7.0);
-        assert_eq!(saved, 3.0);
-    }
-
-    #[test]
-    fn comm_split_off_is_bitwise_push() {
-        // The non-overlapped path must reproduce push_attributed exactly,
-        // bit for bit, so existing pricing cannot drift.
-        for (compute, comm) in [(0.1, 0.3), (1e-9, 2.5e-4), (7.125, 0.875)] {
-            let mut a = SimReport::default();
-            a.push("p", compute);
-            let saved = a.push_comm_split("p", comm, false, Some(2));
-            let mut b = SimReport::default();
-            b.push("p", compute);
-            b.push_attributed("p", comm, Some(2));
-            assert_eq!(a.phase("p").to_bits(), b.phase("p").to_bits());
-            assert_eq!(saved, 0.0);
-        }
     }
 
     #[test]

@@ -25,18 +25,13 @@ fn contexts_ignore_the_environment_and_from_env_reads_it() {
     let dctx = DistCtx::new(MachineConfig::edison_cluster(2, 24));
     assert_eq!(dctx.executor(), LocaleExecutor::Threaded);
     assert!(dctx.schedules_enabled());
-    assert!(!dctx.overlap_enabled());
     assert!(dctx.workspace_pool(0).enabled() && dctx.workspace_pool(1).enabled());
     assert!(dctx.locale_ctx_for(1).workspace().enabled());
     assert!(ExecCtx::new(4, 1).workspace().enabled());
 
     // The same environment through the one reader: three names count.
-    let all_off = RunConfig {
-        executor: LocaleExecutor::Serial,
-        schedules: false,
-        workspace: false,
-        overlap: false,
-    };
+    let all_off =
+        RunConfig { executor: LocaleExecutor::Serial, schedules: false, workspace: false };
     assert_eq!(RunConfig::from_env(), all_off);
     let configured = DistCtx::new(MachineConfig::edison_cluster(2, 24)).with_config(all_off);
     assert_eq!(configured.executor(), LocaleExecutor::Serial);
