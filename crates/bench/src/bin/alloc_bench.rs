@@ -44,7 +44,7 @@ use gblas_bench::workloads;
 use gblas_core::algebra::semirings;
 use gblas_core::backend::SharedBackend;
 use gblas_core::container::{CsrMatrix, SparseVec};
-use gblas_core::ops::spmspv::{spmspv_semiring, SpMSpVOpts, SpMSpVOutput};
+use gblas_core::ops::spmspv::{spmspv_semiring, SpMSpVOpts};
 use gblas_core::par::ExecCtx;
 use gblas_core::workspace::WorkspaceStats;
 use gblas_dist::RunConfig;
@@ -249,13 +249,13 @@ fn run_spmspv(
     ctx.workspace().set_enabled(pooled);
     let ring = semirings::plus_times_f64();
     for _ in 0..2 {
-        let _: SpMSpVOutput<f64> = spmspv_semiring(a, x, &ring, ctx).unwrap();
+        let _: SparseVec<f64> = spmspv_semiring(a, x, &ring, ctx).unwrap();
     }
     let mut probe = Probe::start(ctx);
     let t0 = Instant::now();
     let mut samples = Vec::new();
     for _ in 0..iters {
-        let _: SpMSpVOutput<f64> = spmspv_semiring(a, x, &ring, ctx).unwrap();
+        let _: SparseVec<f64> = spmspv_semiring(a, x, &ring, ctx).unwrap();
         samples.push(probe.sample(ctx));
     }
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;

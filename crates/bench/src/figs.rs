@@ -588,11 +588,12 @@ pub const SPGEMM_NODES: &[usize] = &[1, 4, 16, 64, 256];
 ///   nonzeros — the hypersparse failure mode DCSC exists to fix.
 /// * **summa2d** — the multi-stage SUMMA: per-stage DCSC/CSR column
 ///   slices whose wire bytes scale with *occupied* rows and nonzeros,
-///   density-adaptive local kernels (heap/hash/dense-SPA).
+///   each locale's pass over its panels on the dense SPA shared `mxm`
+///   runs.
 /// * **summa3d** — the communication-avoiding variant: the same
 ///   multiply on a `total/L`-locale subgrid with `L = auto_layers`
-///   replication layers; stages round-robin across layers and partial
-///   results merge with a binomial allreduce. Smaller broadcast groups
+///   replication layers; stages are dealt to layers by estimated flops
+///   and partial results merge with a binomial allreduce. Smaller broadcast groups
 ///   per stage buy a merge tree at the end — the trade pays off once
 ///   broadcast fan-out dominates, i.e. at the largest node counts.
 ///

@@ -134,7 +134,7 @@ where
     Acc: BinaryOp<T, T, T>,
 {
     let em = effective_mask(mask, desc);
-    let t = spmspv_semiring_masked(a, x, ring, em.as_ref(), SpMSpVOpts::default(), ctx)?.vector;
+    let t = spmspv_semiring_masked(a, x, ring, em.as_ref(), SpMSpVOpts::default(), ctx)?;
     let mut c = Counters::default();
     write_back(w, t, em.as_ref(), accum, desc.replace, &mut c)?;
     ctx.record("write-back", |pc| pc.merge(&c));

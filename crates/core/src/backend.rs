@@ -380,7 +380,7 @@ impl GblasBackend for SharedBackend<'_> {
         AddM: Monoid<C>,
         MulOp: BinaryOp<A, B, C>,
     {
-        ops::mxm::mxm_emit(a, b, ring, mask, rule, ops::selection::MxmKernel::Spa, self.ctx)
+        ops::mxm::mxm_emit(a, b, ring, mask, rule, self.ctx)
     }
 
     fn reduce_rows<T: Scalar, M>(&self, a: &CsrMatrix<T>, monoid: &M) -> Result<Vec<T>>
@@ -427,7 +427,7 @@ impl GblasBackend for SharedBackend<'_> {
         MulOp: BinaryOp<A, B, C>,
     {
         per_source(xs, masks, |x, vm| {
-            Ok(ops::spmspv::spmspv_semiring_masked(a, x, ring, vm, opts, self.ctx)?.vector)
+            ops::spmspv::spmspv_semiring_masked(a, x, ring, vm, opts, self.ctx)
         })
     }
 
@@ -558,7 +558,7 @@ mod tests {
         for (s, x) in xs.iter().enumerate() {
             let vm = vec_mask(&masks[s]);
             let solo = ops::spmspv::spmspv_semiring_masked(&a, x, &ring, Some(&vm), opts, &ctx);
-            assert_eq!(ys[s], solo.unwrap().vector, "source slot {s}");
+            assert_eq!(ys[s], solo.unwrap(), "source slot {s}");
         }
         let short: Result<Vec<SparseVec<f64>>> =
             b.spmspv_semiring(&a, &xs, &ring, Some(&masks[..2]), opts);

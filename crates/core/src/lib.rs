@@ -52,7 +52,7 @@
 //! let x = SparseVec::from_sorted(4, vec![0], vec![1.0]).unwrap();
 //! let ctx = ExecCtx::serial();
 //! let out = spmspv_semiring(&a, &x, &semirings::plus_times_f64(), &ctx).unwrap();
-//! assert_eq!(out.vector.indices(), &[1]); // one step of BFS reaches vertex 1
+//! assert_eq!(out.indices(), &[1]); // one step of BFS reaches vertex 1
 //! ```
 
 pub mod algebra;

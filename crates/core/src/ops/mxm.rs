@@ -1,12 +1,12 @@
 //! `MxM`: sparse matrix × sparse matrix (SpGEMM) over a semiring.
 //!
 //! Row-wise Gustavson: row `i` of `C = A ⊗ B` merges the rows `B[k, :]`
-//! for every stored `A[i, k]`. The workspace has one SpGEMM inner loop,
-//! [`RowKernel::row`], and one driver of it, [`mxm_emit`]: shared [`mxm`]
-//! runs it over two [`CsrMatrix`] operands with the SPA instance, a SUMMA
-//! locale in `gblas-dist` over the panels of blocks it received
-//! ([`LeftOperand`] / [`RightOperand`] views, nothing copied) with the
-//! instance its density ladder picked.
+//! for every stored `A[i, k]`. The workspace has one SpGEMM accumulator,
+//! the pooled, generation-stamped [`DenseSpa`], one inner loop over it
+//! (`spa_row`), and one driver of that loop, [`mxm_emit`]: shared [`mxm`]
+//! runs it over two [`CsrMatrix`] operands, a SUMMA locale in `gblas-dist`
+//! over the panels of blocks it received ([`LeftOperand`] /
+//! [`RightOperand`] views, nothing copied).
 //!
 //! An optional *structural mask* restricts which output positions may be
 //! produced (GraphBLAS masked `mxm` — the triangle-counting pattern
@@ -24,22 +24,13 @@
 use crate::algebra::{BinaryOp, Monoid, Semiring};
 use crate::container::CsrMatrix;
 use crate::error::{check_dims, Result};
-use crate::ops::selection::MxmKernel;
 use crate::par::{split_by_work, Counters, ExecCtx};
 use crate::spa::DenseSpa;
-use crate::workspace::WsGuard;
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// Phase name for SpGEMM.
 pub const PHASE: &str = "mxm";
-
-/// Heap-merge cursor: `(column, A-entry index, position in that B row)`.
-/// Ordering by A-entry index second makes equal columns pop in ascending
-/// inner-dimension order — the accumulation order of the other instances.
-type Cursor = Reverse<(usize, usize, usize)>;
 
 /// What `None` is typed as where a multiply takes no emit rule.
 pub type NoRule<C> = fn(usize, usize, C) -> Option<C>;
@@ -98,190 +89,29 @@ impl<T: Sync> RightOperand<T> for CsrMatrix<T> {
     }
 }
 
-/// The accumulator state of one row-kernel instance, checked out of the
-/// context's workspace pool so rows, calls and iterations reuse it. Every
-/// instance folds an output position's contributions in ascending
-/// inner-dimension order and emits sorted columns, so the three are
-/// bit-interchangeable.
-pub enum RowKernel<C: Send + 'static> {
-    /// Dense SPA over the output width, addressed by column.
-    Spa(WsGuard<DenseSpa<C>>),
-    /// Open-addressing hash table: a [`DenseSpa`] over the slots (its
-    /// stamps give the O(1) reset) plus the column each slot holds.
-    Hash(WsGuard<DenseSpa<C>>, WsGuard<Vec<usize>>),
-    /// Backing store of the t-way merge heap over the selected `B` rows.
-    Heap(WsGuard<Vec<Cursor>>),
-}
-
-impl<C: Copy + Send + 'static> RowKernel<C> {
-    /// Check `kind`'s state out of `ctx`'s pool for `width` output columns.
-    pub fn checkout(kind: MxmKernel, width: usize, zero: C, ctx: &ExecCtx) -> Self {
-        match kind {
-            MxmKernel::Spa => RowKernel::Spa(ctx.ws_dense_spa(width, zero)),
-            MxmKernel::Hash => RowKernel::Hash(ctx.ws_dense_spa(0, zero), ctx.ws_vec()),
-            MxmKernel::Heap => RowKernel::Heap(ctx.ws_vec()),
-        }
-    }
-
-    /// Accumulate one row of `A ⊗ B` into the tail `(cols, vals)`; returns
-    /// the number of entries written, sorted by column.
-    ///
-    /// The `A` row arrives as [`LeftOperand::row`] gives it, every
-    /// `offset + column` a row of `b`; `mask` is the mask row's sorted
-    /// columns. The caller sizes the tail to the row's bound: `nnz(Mᵢ)`
-    /// when masked, else `min(ncols, Σₖ nnz(B[k,:]))`. Every probe of the
-    /// accumulator is charged whether or not the mask admits it, every
-    /// emitted entry once more; only unmasked rows pay a sort.
-    ///
-    /// `rule(j, v)` decides what a *finished* entry — every product of its
-    /// position folded, the mask admitting it — is stored as: `Some(w)`
-    /// stores `w`, `None` drops it, and only survivors are sorted, written
-    /// and counted in the return value. It is called exactly once per
-    /// finished entry, in no specified order, so it must be pure; each call
-    /// is charged one `elems`, as `Apply` charges an entry. The tail is
-    /// sized as without a rule.
-    #[allow(clippy::too_many_arguments)]
-    pub fn row<'a, A: Copy + 'a, B: Copy>(
-        &mut self,
-        a_row: impl Iterator<Item = (usize, &'a [usize], &'a [A])> + Clone,
-        b: &impl RightOperand<B>,
-        ring: &Semiring<impl Monoid<C>, impl BinaryOp<A, B, C>>,
-        mask: Option<&[usize]>,
-        rule: Option<&impl Fn(usize, C) -> Option<C>>,
-        cols: &mut [usize],
-        vals: &mut [C],
-        c: &mut Counters,
-    ) -> usize {
-        let t: usize = a_row.clone().map(|(_, acols, _)| acols.len()).sum();
-        if t == 0 || mask.is_some_and(<[usize]>::is_empty) {
-            return 0;
-        }
-        let before = c.flops;
-        match self {
-            RowKernel::Spa(spa) => {
-                spa.reset();
-                let slot = |_: &DenseSpa<C>, j, _| Some(j);
-                let n = table_row(spa, slot, a_row, b, ring, mask, rule, cols, vals, c);
-                c.spa_touches += c.flops - before + n as u64;
-                n
-            }
-            RowKernel::Hash(table, keys) => {
-                // At most `cols.len()` distinct keys in a table twice that
-                // size: every probe sequence ends at a vacant slot.
-                let cap = (2 * cols.len()).next_power_of_two();
-                table.ensure(cap, ring.zero());
-                let slots = cap.max(keys.len());
-                keys.resize(slots, 0);
-                let shift = u64::BITS - cap.trailing_zeros();
-                let slot = |table: &DenseSpa<C>, j: usize, claim: bool| {
-                    let mut h = ((j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
-                    while !table.vacant(h) {
-                        if keys[h] == j {
-                            return Some(h);
-                        }
-                        h = (h + 1) & (cap - 1);
-                    }
-                    claim.then(|| {
-                        keys[h] = j;
-                        h
-                    })
-                };
-                let n = table_row(table, slot, a_row, b, ring, mask, rule, cols, vals, c);
-                // seeding and emitting a mask row probe the table too
-                c.rand_access += c.flops - before + mask.map_or(0, |m| 2 * m.len() as u64);
-                n
-            }
-            RowKernel::Heap(store) => {
-                let mut heap = BinaryHeap::from(std::mem::take(&mut **store));
-                let push_charge = t.max(1).ilog2() as u64 + 1;
-                // the row's `(k, a)` once, not a walk of its runs per cursor
-                let row: Vec<(usize, A)> = a_row
-                    .flat_map(|(offset, k, a)| {
-                        k.iter().map(move |&k| offset + k).zip(a.iter().copied())
-                    })
-                    .collect();
-                let at = |x: usize| row[x];
-                for x in 0..t {
-                    if let Some(&j) = b.row(at(x).0).0.first() {
-                        heap.push(Reverse((j, x, 0)));
-                        c.sort_elems += push_charge;
-                    }
-                }
-                // Columns pop ascending: a two-pointer walk checks each against
-                // the mask row as it first appears (`admitted`) and an admitted
-                // one folds straight into the tail (`last`: the column last
-                // popped), where the next column's arrival finds it finished
-                // (`open`: the tail's last entry is still folding).
-                let (mut n, mut p, mut last, mut admitted, mut open) = (0, 0, None, true, false);
-                while let Some(Reverse((j, x, pos))) = heap.pop() {
-                    let (k, av) = at(x);
-                    let (bcols, bvals) = b.row(k);
-                    c.flops += 1;
-                    let fresh = last != Some(j);
-                    if fresh && open {
-                        n = settle(rule, cols, vals, n, c);
-                        open = false;
-                    }
-                    if let (true, Some(m)) = (fresh, mask) {
-                        while p < m.len() && m[p] < j {
-                            p += 1;
-                        }
-                        c.elems += 1;
-                        admitted = p < m.len() && m[p] == j;
-                    }
-                    let prod = ring.multiply(av, bvals[pos]);
-                    if admitted && fresh {
-                        (cols[n], vals[n]) = (j, prod);
-                        n += 1;
-                        open = true;
-                    } else if admitted {
-                        vals[n - 1] = ring.add.combine(vals[n - 1], prod);
-                    }
-                    last = Some(j);
-                    if pos + 1 < bcols.len() {
-                        heap.push(Reverse((bcols[pos + 1], x, pos + 1)));
-                        c.sort_elems += push_charge;
-                    }
-                }
-                **store = heap.into_vec();
-                if open {
-                    n = settle(rule, cols, vals, n, c);
-                }
-                n
-            }
-        }
-    }
-}
-
-/// The heap instance's emit step: entry `n - 1` of the tail is finished;
-/// store what `rule` maps it to, or take it back. Returns the tail length.
-fn settle<C: Copy>(
-    rule: Option<&impl Fn(usize, C) -> Option<C>>,
-    cols: &[usize],
-    vals: &mut [C],
-    n: usize,
-    c: &mut Counters,
-) -> usize {
-    let Some(rule) = rule else { return n };
-    c.elems += 1;
-    match rule(cols[n - 1], vals[n - 1]) {
-        Some(w) => {
-            vals[n - 1] = w;
-            n
-        }
-        None => n - 1,
-    }
-}
-
-/// One row through a slot table. `slot(table, j, claim)` finds column
-/// `j`'s slot — the column itself for the SPA, a probe sequence for the
-/// hash — claiming a vacant one when `claim`; every claimed slot is
-/// stamped before the next lookup.
+/// One row of `A ⊗ B` through the dense SPA `spa`, into the tail
+/// `(cols, vals)`; returns the number of entries written, sorted by
+/// column. Every output position folds its contributions in ascending
+/// inner-dimension order, whatever the operands' blocking.
+///
+/// The `A` row arrives as [`LeftOperand::row`] gives it, every
+/// `offset + column` a row of `b`; `mask` is the mask row's sorted
+/// columns. The caller sizes the tail to the row's bound: `nnz(Mᵢ)`
+/// when masked, else `min(ncols, Σₖ nnz(B[k,:]))`. Every probe of the
+/// accumulator is charged whether or not the mask admits it, every
+/// emitted entry once more; only unmasked rows pay a sort.
+///
+/// `rule(j, v)` decides what a *finished* entry — every product of its
+/// position folded, the mask admitting it — is stored as: `Some(w)`
+/// stores `w`, `None` drops it, and only survivors are sorted, written
+/// and counted in the return value. It is called exactly once per
+/// finished entry, in no specified order, so it must be pure; each call
+/// is charged one `elems`, as `Apply` charges an entry. The tail is
+/// sized as without a rule.
 #[allow(clippy::too_many_arguments)]
-fn table_row<'a, A: Copy + 'a, B: Copy, C: Copy>(
-    table: &mut DenseSpa<C>,
-    mut slot: impl FnMut(&DenseSpa<C>, usize, bool) -> Option<usize>,
-    a_row: impl Iterator<Item = (usize, &'a [usize], &'a [A])>,
+fn spa_row<'a, A: Copy + 'a, B: Copy, C: Copy>(
+    spa: &mut DenseSpa<C>,
+    a_row: impl Iterator<Item = (usize, &'a [usize], &'a [A])> + Clone,
     b: &impl RightOperand<B>,
     ring: &Semiring<impl Monoid<C>, impl BinaryOp<A, B, C>>,
     mask: Option<&[usize]>,
@@ -290,10 +120,13 @@ fn table_row<'a, A: Copy + 'a, B: Copy, C: Copy>(
     vals: &mut [C],
     c: &mut Counters,
 ) -> usize {
+    if mask.is_some_and(<[usize]>::is_empty) || a_row.clone().all(|(_, k, _)| k.is_empty()) {
+        return 0;
+    }
+    let before = c.flops;
+    spa.reset();
     for &j in mask.unwrap_or_default() {
-        if let Some(h) = slot(table, j, true) {
-            table.admit(h);
-        }
+        spa.admit(j);
     }
     let gated = mask.is_some();
     let mut touched = 0;
@@ -303,11 +136,9 @@ fn table_row<'a, A: Copy + 'a, B: Copy, C: Copy>(
             c.flops += bcols.len() as u64;
             for (&j, &bv) in bcols.iter().zip(bvals) {
                 // Unmasked rows list each newly touched column in the tail.
-                if let Some(h) = slot(table, j, !gated) {
-                    if table.fold(h, ring.multiply(av, bv), &ring.add, gated) && !gated {
-                        cols[touched] = j;
-                        touched += 1;
-                    }
+                if spa.fold(j, ring.multiply(av, bv), &ring.add, gated) && !gated {
+                    cols[touched] = j;
+                    touched += 1;
                 }
             }
         }
@@ -321,16 +152,14 @@ fn table_row<'a, A: Copy + 'a, B: Copy, C: Copy>(
         c.elems += 2 * m.len() as u64;
     } else {
         // An unmasked row is finished here: settle the touched list before
-        // the sort, the images back in the table, so a dropped entry is
+        // the sort, the images back in the SPA, so a dropped entry is
         // neither sorted nor gathered.
         if let Some(rule) = rule {
             c.elems += touched as u64;
             let mut kept = 0;
             for x in 0..touched {
                 let j = cols[x];
-                let Some(v) = slot(table, j, false).and_then(|h| table.get_mut(h)) else {
-                    continue;
-                };
+                let Some(v) = spa.get_mut(j) else { continue };
                 if let Some(w) = rule(j, *v) {
                     *v = w;
                     cols[kept] = j;
@@ -345,7 +174,7 @@ fn table_row<'a, A: Copy + 'a, B: Copy, C: Copy>(
     let mut n = 0;
     for x in 0..mask.map_or(touched, <[usize]>::len) {
         let j = mask.map_or(cols[x], |m| m[x]);
-        let Some(mut v) = slot(table, j, false).and_then(|h| table.get(h)) else { continue };
+        let Some(mut v) = spa.get(j) else { continue };
         // A masked row's entries are settled as the walk of `Mᵢ` finds them.
         if let (true, Some(rule)) = (gated, rule) {
             c.elems += 1;
@@ -355,12 +184,12 @@ fn table_row<'a, A: Copy + 'a, B: Copy, C: Copy>(
         (cols[n], vals[n]) = (j, v);
         n += 1;
     }
+    c.spa_touches += c.flops - before + n as u64;
     n
 }
 
 /// `C = A ⊗ B` over `ring`; with `mask = Some(M)`, only positions stored
-/// in `M` are produced (`C⟨M⟩ = A ⊗ B`). [`mxm_emit`] without a rule, on
-/// the SPA instance.
+/// in `M` are produced (`C⟨M⟩ = A ⊗ B`). [`mxm_emit`] without a rule.
 pub fn mxm<A, B, C, AddM, MulOp, M>(
     a: &CsrMatrix<A>,
     b: &CsrMatrix<B>,
@@ -376,7 +205,7 @@ where
     AddM: Monoid<C>,
     MulOp: BinaryOp<A, B, C>,
 {
-    mxm_emit(a, b, ring, mask, None::<&NoRule<C>>, MxmKernel::Spa, ctx)
+    mxm_emit(a, b, ring, mask, None::<&NoRule<C>>, ctx)
 }
 
 /// `C⟨M⟩ = rule(A ⊗ B)`: the masked product with each finished entry
@@ -384,8 +213,6 @@ where
 /// `select(map(A ⊗ B))` bit for bit, without the product being stored,
 /// sorted or written where the rule drops it. The rule is called exactly
 /// once per finished entry, in no specified order: it must be pure.
-/// `kernel` names the [`RowKernel`] instance every row runs on; the three
-/// give the same matrix bit for bit.
 ///
 /// Rows are dealt to the context's tasks by **flops** `Σₖ nnz(B[k,:])`
 /// ([`split_by_work`]), not by count — on skewed inputs a few hub rows
@@ -403,7 +230,6 @@ pub fn mxm_emit<A, B, C, AddM, MulOp, M>(
     ring: &Semiring<AddM, MulOp>,
     mask: Option<&CsrMatrix<M>>,
     rule: Option<&(impl Fn(usize, usize, C) -> Option<C> + Sync)>,
-    kernel: MxmKernel,
     ctx: &ExecCtx,
 ) -> Result<CsrMatrix<C>>
 where
@@ -458,13 +284,13 @@ where
     let lens = ctx.for_each_task(PHASE, chunks.len(), |t, c| {
         let rows = chunks[t].clone();
         let (Some(cols), Some(vals)) = &mut *windows[t].lock() else { return vec![0; rows.len()] };
-        let mut acc = RowKernel::checkout(kernel, ncols, zero, ctx);
+        let mut spa = ctx.ws_dense_spa(ncols, zero);
         let mut filled = 0;
         let row = |i: usize| {
             let tail = filled..filled + bounds[i + 1] - bounds[i];
             let (cols, vals) = (&mut cols[tail.clone()], &mut vals[tail]);
             let rule = rule.map(|keep| move |j, v| keep(i, j, v));
-            let n = acc.row(a.row(i), b, ring, mask_row(i), rule.as_ref(), cols, vals, c);
+            let n = spa_row(&mut spa, a.row(i), b, ring, mask_row(i), rule.as_ref(), cols, vals, c);
             filled += n;
             n
         };
@@ -597,50 +423,6 @@ mod tests {
         (c.rowptr().to_vec(), c.colidx().to_vec(), c.values().iter().map(|v| v.to_bits()).collect())
     }
 
-    fn by_instance<C: Copy + Send + PartialEq + std::fmt::Debug + 'static>(
-        kind: MxmKernel,
-        a: &CsrMatrix<f64>,
-        b: &CsrMatrix<f64>,
-        ring: &Semiring<impl Monoid<C>, impl BinaryOp<f64, f64, C>>,
-        mask: Option<&CsrMatrix<bool>>,
-    ) -> CsrMatrix<C> {
-        by_instance_emit(kind, a, b, ring, mask, None::<&NoRule<C>>)
-    }
-
-    /// `rule(A ⊗ B)` row by row through one kernel instance, the way a
-    /// SUMMA stage drives it: each row into a tail pre-sized to its bound.
-    fn by_instance_emit<C: Copy + Send + PartialEq + std::fmt::Debug + 'static>(
-        kind: MxmKernel,
-        a: &CsrMatrix<f64>,
-        b: &CsrMatrix<f64>,
-        ring: &Semiring<impl Monoid<C>, impl BinaryOp<f64, f64, C>>,
-        mask: Option<&CsrMatrix<bool>>,
-        rule: Option<&impl Fn(usize, usize, C) -> Option<C>>,
-    ) -> CsrMatrix<C> {
-        let ctx = ExecCtx::serial();
-        let zero = ring.zero::<C>();
-        let mut kernel = RowKernel::checkout(kind, b.ncols(), zero, &ctx);
-        let (mut rowptr, mut colidx, mut values) = (vec![0], Vec::new(), Vec::new());
-        let mut c = Counters::default();
-        for i in 0..a.nrows() {
-            let (acols, avals) = a.row(i);
-            let mask_row = mask.map(|m| m.row(i).0);
-            let flops: usize = acols.iter().map(|&k| b.row_nnz(k)).sum();
-            let bound = mask_row.map_or(flops.min(b.ncols()), <[usize]>::len);
-            let len = colidx.len();
-            colidx.resize(len + bound, 0);
-            values.resize(len + bound, zero);
-            let (cols, vals) = (&mut colidx[len..], &mut values[len..]);
-            let a_row = std::iter::once((0, acols, avals));
-            let rule = rule.map(|keep| move |j, v| keep(i, j, v));
-            let n = kernel.row(a_row, b, ring, mask_row, rule.as_ref(), cols, vals, &mut c);
-            colidx.truncate(len + n);
-            values.truncate(len + n);
-            rowptr.push(len + n);
-        }
-        CsrMatrix::from_raw_parts(a.nrows(), b.ncols(), rowptr, colidx, values).unwrap()
-    }
-
     type Map = fn(usize, usize, f64) -> f64;
     type Keep = fn(usize, usize, f64) -> bool;
 
@@ -686,12 +468,12 @@ mod tests {
 
     /// The differential harness: on every input shape and mask, masked
     /// `mxm` equals unmasked `mxm` filtered by the mask, bit for bit on
-    /// both semirings; every logical × real thread count and every kernel
-    /// instance gives the identical matrix (f64 included — each position
-    /// accumulates in ascending `k` everywhere). Likewise with an emit rule
+    /// both semirings; every logical × real thread count gives the
+    /// identical matrix (f64 included — each position accumulates in
+    /// ascending `k` everywhere). Likewise with an emit rule
     /// ([`check_rules`]).
     #[test]
-    fn masked_equals_filtered_unmasked_on_every_shape_thread_count_and_instance() {
+    fn masked_equals_filtered_unmasked_on_every_shape_and_thread_count() {
         let skewed = gen::rmat(7, 6, 11);
         let inputs = [
             (gen::erdos_renyi(90, 5, 21), gen::erdos_renyi(90, 4, 22)),
@@ -740,23 +522,8 @@ mod tests {
                     &format!("{m}x{n} t={threads}/{real}"),
                     &full_f,
                     &masks,
-                    |mask, rule| {
-                        mxm_emit(a, b, &times, mask, Some(&rule), MxmKernel::Spa, &ctx).unwrap()
-                    },
+                    |mask, rule| mxm_emit(a, b, &times, mask, Some(&rule), &ctx).unwrap(),
                 );
-            }
-            for kind in [MxmKernel::Spa, MxmKernel::Hash, MxmKernel::Heap] {
-                assert_eq!(by_instance::<u64>(kind, a, b, &count, None), full_u, "{kind:?}");
-                assert_eq!(bits(&by_instance(kind, a, b, &times, None)), bits(&full_f), "{kind:?}");
-                for (which, mask) in masks.iter().enumerate() {
-                    let mu = by_instance::<u64>(kind, a, b, &count, Some(mask));
-                    assert_eq!(mu, filtered(&full_u, mask), "{kind:?} mask {which}");
-                    let mf = by_instance::<f64>(kind, a, b, &times, Some(mask));
-                    assert_eq!(bits(&mf), bits(&filtered(&full_f, mask)), "{kind:?} mask {which}");
-                }
-                check_rules(&format!("{m}x{n} {kind:?}"), &full_f, &masks, |mask, rule| {
-                    by_instance_emit(kind, a, b, &times, mask, Some(&rule))
-                });
             }
         }
     }

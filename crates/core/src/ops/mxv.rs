@@ -171,8 +171,7 @@ mod tests {
         let y1 = mxv_sparse(&a, &x, &semirings::plus_times_f64(), &ctx).unwrap();
         let at = crate::ops::transpose::transpose(&a, &ctx).unwrap();
         let y2 = crate::ops::spmspv::spmspv_semiring(&at, &x, &semirings::plus_times_f64(), &ctx)
-            .unwrap()
-            .vector;
+            .unwrap();
         assert_eq!(y1.indices(), y2.indices());
         for (p, q) in y1.values().iter().zip(y2.values()) {
             assert!((p - q).abs() < 1e-9);

@@ -169,60 +169,6 @@ pub fn decide_direction(
     }
 }
 
-/// The local SpGEMM accumulator chosen for one block pair of a
-/// multi-stage sparse SUMMA (the CombBLAS-style density ladder).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MxmKernel {
-    /// Heap-based t-way column merge: `O(flops · log t)` with no
-    /// `O(out_cols)` structure — wins when the product is hypersparse.
-    Heap,
-    /// Open-addressing hash accumulator: `O(flops)` expected with an
-    /// `O(distinct outputs)` table — the moderate-density middle.
-    Hash,
-    /// Dense SPA (pooled, generation-stamped): `O(flops)` with an
-    /// `O(out_cols)` array — wins once output rows are dense enough to
-    /// amortize it.
-    Spa,
-}
-
-impl MxmKernel {
-    /// Stable lowercase name (`kernel=` trace attribute).
-    pub fn name(self) -> &'static str {
-        match self {
-            MxmKernel::Heap => "heap",
-            MxmKernel::Hash => "hash",
-            MxmKernel::Spa => "spa",
-        }
-    }
-}
-
-/// SPA promotion: dense accumulation when the locale's estimated
-/// flops reach `out_cols / MXM_SPA_DEN`.
-pub const MXM_SPA_DEN: usize = 4;
-
-/// Heap demotion: the pointerless merge when estimated flops stay under
-/// `out_cols / MXM_HEAP_DEN` (the hypersparse × hypersparse corner).
-pub const MXM_HEAP_DEN: usize = 64;
-
-/// Density-adaptive SpGEMM kernel choice for one locale's multiply.
-///
-/// `est_flops` is the estimated semiring multiply count of the locale's
-/// local product and `out_cols` the width of its output block.
-/// Both are structural integers agreed by every locale observing the same
-/// blocks, so — like [`decide_direction`] — the choice is deterministic
-/// across executors and grid shapes. All three kernels produce
-/// bit-identical output (same ascending-k accumulation order, same final
-/// column sort), so the ladder only moves *cost*, never results.
-pub fn decide_mxm_kernel(est_flops: usize, out_cols: usize) -> MxmKernel {
-    if est_flops.saturating_mul(MXM_SPA_DEN) >= out_cols.max(1) {
-        MxmKernel::Spa
-    } else if est_flops.saturating_mul(MXM_HEAP_DEN) < out_cols.max(1) {
-        MxmKernel::Heap
-    } else {
-        MxmKernel::Hash
-    }
-}
-
 /// One iteration's [`Direction`] under a policy: `Push`/`Pull` pin it,
 /// `Auto` runs [`decide_direction`].
 pub fn decide(
@@ -391,24 +337,6 @@ mod tests {
         let ok = DenseVec::filled(10, false);
         assert!(pull_first_visitor(&a, &bad, &ok, &ctx).is_err());
         assert!(pull_first_visitor(&a, &ok, &bad, &ctx).is_err());
-    }
-
-    #[test]
-    fn mxm_kernel_ladder_is_monotone_in_density() {
-        let q = 1024;
-        // hypersparse corner: a handful of flops against a wide block
-        assert_eq!(decide_mxm_kernel(3, q), MxmKernel::Heap);
-        assert_eq!(decide_mxm_kernel(q / MXM_HEAP_DEN - 1, q), MxmKernel::Heap);
-        // the middle band
-        assert_eq!(decide_mxm_kernel(q / MXM_HEAP_DEN, q), MxmKernel::Hash);
-        assert_eq!(decide_mxm_kernel(q / MXM_SPA_DEN - 1, q), MxmKernel::Hash);
-        // dense output: SPA amortizes
-        assert_eq!(decide_mxm_kernel(q / MXM_SPA_DEN, q), MxmKernel::Spa);
-        assert_eq!(decide_mxm_kernel(10 * q, q), MxmKernel::Spa);
-        // degenerate block widths never panic and stay deterministic
-        assert_eq!(decide_mxm_kernel(0, 0), MxmKernel::Heap);
-        assert_eq!(decide_mxm_kernel(0, 1), MxmKernel::Heap);
-        assert_eq!(MxmKernel::Hash.name(), "hash");
     }
 
     #[test]

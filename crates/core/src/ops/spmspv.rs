@@ -293,7 +293,7 @@ pub fn spmspv_semiring<A, B, C, AddM, MulOp>(
     x: &SparseVec<A>,
     ring: &Semiring<AddM, MulOp>,
     ctx: &ExecCtx,
-) -> Result<SpMSpVOutput<C>>
+) -> Result<SparseVec<C>>
 where
     A: Copy + Send + Sync,
     B: Copy + Send + Sync,
@@ -302,13 +302,6 @@ where
     MulOp: BinaryOp<A, B, C>,
 {
     spmspv_semiring_masked(a, x, ring, None, SpMSpVOpts::default(), ctx)
-}
-
-/// Result wrapper so call sites can destructure by name.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpMSpVOutput<C> {
-    /// The product vector `y`.
-    pub vector: SparseVec<C>,
 }
 
 /// [`spmspv_semiring`] with a mask over output columns and explicit
@@ -320,7 +313,7 @@ pub fn spmspv_semiring_masked<A, B, C, AddM, MulOp>(
     mask: Option<&VecMask<'_>>,
     opts: SpMSpVOpts,
     ctx: &ExecCtx,
-) -> Result<SpMSpVOutput<C>>
+) -> Result<SparseVec<C>>
 where
     A: Copy + Send + Sync,
     B: Copy + Send + Sync,
@@ -340,8 +333,7 @@ where
         let (xi, xv) = (x.indices(), x.values());
         let multiply = |p, &av: &B| ring.multiply(xv[p], av);
         let add = |acc, v| ring.accumulate(acc, v);
-        let vector = bucketed(a, xi, mask, false, multiply, add, ring.zero(), ctx)?;
-        return Ok(SpMSpVOutput { vector });
+        return bucketed(a, xi, mask, false, multiply, add, ring.zero(), ctx);
     }
     let ncols = a.ncols();
     let mut spa = ctx.ws_dense_spa(ncols, ring.zero::<C>());
@@ -374,7 +366,7 @@ where
         .collect();
     out_c.elems += nzinds.len() as u64;
     ctx.record(PHASE_OUTPUT, |pc| pc.merge(&out_c));
-    Ok(SpMSpVOutput { vector: SparseVec::from_sorted(ncols, nzinds, values)? })
+    SparseVec::from_sorted(ncols, nzinds, values)
 }
 
 /// Sort-based SpMSpV: emit every product `(col, x[i] ⊗ A[i,j])`, sort the
@@ -386,7 +378,7 @@ pub fn spmspv_sort_based<A, B, C, AddM, MulOp>(
     x: &SparseVec<A>,
     ring: &Semiring<AddM, MulOp>,
     ctx: &ExecCtx,
-) -> Result<SpMSpVOutput<C>>
+) -> Result<SparseVec<C>>
 where
     A: Copy + Send + Sync,
     B: Copy + Send + Sync,
@@ -433,7 +425,7 @@ where
         }
     }
     ctx.record(PHASE_OUTPUT, |pc| pc.merge(&oc));
-    Ok(SpMSpVOutput { vector: SparseVec::from_sorted(ncols, out_i, out_v)? })
+    SparseVec::from_sorted(ncols, out_i, out_v)
 }
 
 #[cfg(test)]
@@ -462,7 +454,7 @@ mod tests {
         let ctx = ExecCtx::serial();
         let out = spmspv_semiring(&a, &x, &semirings::plus_times_f64(), &ctx).unwrap();
         let reference = dense_reference(&a, &x);
-        let dense = out.vector.to_dense(0.0);
+        let dense = out.to_dense(0.0);
         for j in 0..500 {
             assert!((dense[j] - reference[j]).abs() < 1e-9, "col {j}");
         }
@@ -475,8 +467,8 @@ mod tests {
         let ctx = ExecCtx::serial();
         let spa = spmspv_semiring(&a, &x, &semirings::plus_times_f64(), &ctx).unwrap();
         let srt = spmspv_sort_based(&a, &x, &semirings::plus_times_f64(), &ctx).unwrap();
-        assert_eq!(spa.vector.indices(), srt.vector.indices());
-        for (s, t) in spa.vector.values().iter().zip(srt.vector.values()) {
+        assert_eq!(spa.indices(), srt.indices());
+        for (s, t) in spa.values().iter().zip(srt.values()) {
             assert!((s - t).abs() < 1e-9);
         }
     }
@@ -489,7 +481,7 @@ mod tests {
             let ctx = ExecCtx::new(threads, 2);
             let fv = spmspv_first_visitor(&a, &x, None, SpMSpVOpts::default(), &ctx).unwrap();
             let sr = spmspv_semiring(&a, &x, &semirings::plus_times_f64(), &ctx).unwrap();
-            assert_eq!(fv.indices(), sr.vector.indices(), "reached set must agree");
+            assert_eq!(fv.indices(), sr.indices(), "reached set must agree");
             // every stored value is a legitimate visiting row
             for (col, &rid) in fv.iter() {
                 assert!(x.get(rid).is_some(), "value {rid} must be a frontier row");
@@ -706,10 +698,10 @@ mod tests {
         let x = SparseVec::from_sorted(3, vec![0], vec![0.0]).unwrap(); // dist 0 at source
         let ctx = ExecCtx::serial();
         let ring = semirings::min_plus();
-        let y1 = spmspv_semiring(&a, &x, &ring, &ctx).unwrap().vector;
+        let y1 = spmspv_semiring(&a, &x, &ring, &ctx).unwrap();
         assert_eq!(y1.indices(), &[1]);
         assert_eq!(y1.values(), &[2.0]);
-        let y2 = spmspv_semiring(&a, &y1, &ring, &ctx).unwrap().vector;
+        let y2 = spmspv_semiring(&a, &y1, &ring, &ctx).unwrap();
         assert_eq!(y2.indices(), &[2]);
         assert_eq!(y2.values(), &[5.0]);
     }

@@ -129,20 +129,6 @@ impl<T: Copy> DenseSpa<T> {
         }
     }
 
-    /// Insert only if the slot is empty (first-visitor-wins, the paper's
-    /// semantics). Returns whether the insert happened.
-    pub fn insert_first(&mut self, index: usize, value: T, counters: &mut Counters) -> bool {
-        counters.spa_touches += 1;
-        if self.occupied(index) {
-            false
-        } else {
-            self.stamp[index] = self.generation;
-            self.values[index] = value;
-            self.nzinds.push(index);
-            true
-        }
-    }
-
     /// Read an occupied slot.
     pub fn get(&self, index: usize) -> Option<T> {
         if self.occupied(index) {
@@ -182,11 +168,6 @@ impl<T: Copy> DenseSpa<T> {
     /// may occupy it. The SpGEMM row kernel seeds a mask row this way.
     pub fn admit(&mut self, index: usize) {
         self.stamp[index] = self.generation - 1;
-    }
-
-    /// Whether slot `index` is neither occupied nor admitted.
-    pub fn vacant(&self, index: usize) -> bool {
-        self.stamp[index] < self.generation - 1
     }
 
     /// Pattern-only occupy: stamp slot `index` without a value and report
@@ -485,15 +466,6 @@ mod tests {
         assert_eq!(spa.get(3), None);
     }
 
-    #[test]
-    fn dense_spa_first_visitor() {
-        let mut spa = DenseSpa::new(4, 0usize);
-        let mut c = Counters::default();
-        assert!(spa.insert_first(2, 10, &mut c));
-        assert!(!spa.insert_first(2, 20, &mut c));
-        assert_eq!(spa.get(2), Some(10));
-    }
-
     /// The generation-based reset must charge exactly the same SPA-touch
     /// counters as a freshly allocated SPA for the same operation
     /// sequence, and must never leak values across generations.
@@ -526,7 +498,6 @@ mod tests {
         let mut spa = DenseSpa::new(8, 0u64);
         spa.admit(2);
         spa.admit(5);
-        assert!(!spa.vacant(2) && spa.vacant(3));
         assert_eq!(spa.get(2), None, "admitted is not occupied");
         assert!(spa.fold(2, 7, &Plus, true));
         assert!(!spa.fold(2, 1, &Plus, true));
@@ -534,7 +505,6 @@ mod tests {
         assert_eq!((spa.get(2), spa.get(3), spa.get(5)), (Some(8), None, None));
         // neither admission nor occupancy survives a reset, in either mode
         spa.reset();
-        assert!(spa.vacant(2) && spa.vacant(5));
         assert!(!spa.fold(2, 1, &Plus, true) && !spa.fold(5, 1, &Plus, true));
         assert!(spa.fold(5, 4, &Plus, false) && !spa.fold(5, 4, &Plus, false));
         assert_eq!(spa.get(5), Some(8));

@@ -309,7 +309,7 @@ impl DistCtx {
     }
 
     /// Per-locale compute time of one phase: each locale's priced counters.
-    pub fn price_compute_per_locale(&self, phase: &str, per_locale: &[Profile]) -> Vec<f64> {
+    fn price_compute_per_locale(&self, phase: &str, per_locale: &[Profile]) -> Vec<f64> {
         per_locale
             .iter()
             .map(|p| self.machine.cost.phase_time(&p.phase(phase), self.machine.threads_per_locale))
@@ -318,7 +318,7 @@ impl DistCtx {
 
     /// Compute time of one phase across locales: the bulk-synchronous
     /// `max` of each locale's priced counters.
-    pub fn price_compute(&self, phase: &str, per_locale: &[Profile]) -> f64 {
+    fn price_compute(&self, phase: &str, per_locale: &[Profile]) -> f64 {
         self.price_compute_per_locale(phase, per_locale).into_iter().fold(0.0, f64::max)
     }
 
@@ -326,7 +326,7 @@ impl DistCtx {
     /// through `rename(phase)` into the report (used to fold e.g. the
     /// local SpMSpV's `spa`/`sort`/`output` into the figure's single
     /// "Local Multiply" component).
-    pub fn price_compute_all(
+    fn price_compute_all(
         &self,
         per_locale: &[Profile],
         rename: impl Fn(&str) -> String,
@@ -362,7 +362,7 @@ impl DistCtx {
     ///   intra-node constants but is additionally multiplied by the
     ///   colocation contention factor (Fig 10's mechanism);
     /// * `Bulk` events pay `α_bulk` per message plus bytes over bandwidth.
-    pub fn price_comm_detailed(&self, events: &[CommEvent]) -> Vec<CommPhaseCost> {
+    fn price_comm_detailed(&self, events: &[CommEvent]) -> Vec<CommPhaseCost> {
         let net = &self.machine.network;
         let mut phases: Vec<&str> = Vec::new();
         for e in events {
@@ -437,18 +437,8 @@ impl DistCtx {
         out
     }
 
-    /// Price the logged communication events, per phase: the max over
-    /// locales of [`DistCtx::price_comm_detailed`]'s per-locale seconds.
-    pub fn price_comm(&self, events: &[CommEvent]) -> SimReport {
-        let mut report = SimReport::default();
-        for c in self.price_comm_detailed(events) {
-            report.push_attributed(&c.phase, c.max_seconds(), c.max_locale());
-        }
-        report
-    }
-
     /// The `coforall loc in Locales` fan-out cost for one superstep.
-    pub fn spawn_time(&self) -> f64 {
+    fn spawn_time(&self) -> f64 {
         self.machine.locale_spawn_time()
     }
 
@@ -473,27 +463,27 @@ impl DistCtx {
 
 /// One phase's priced communication: per-locale seconds + traffic summary.
 #[derive(Debug, Clone)]
-pub struct CommPhaseCost {
+struct CommPhaseCost {
     /// Phase name (matches the op's compute phases).
-    pub phase: String,
+    phase: String,
     /// Transfer seconds charged to each initiating locale.
-    pub per_locale_seconds: Vec<f64>,
+    per_locale_seconds: Vec<f64>,
     /// What each locale initiated (messages by kind, bytes, peers).
-    pub per_locale_summary: Vec<CommSummary>,
+    per_locale_summary: Vec<CommSummary>,
     /// Pairwise `(src, dst, msgs, bytes)` traffic, sorted by `(src, dst)`
     /// — the raw material of the profiler's locale×locale comm matrix.
-    pub per_pair: Vec<(usize, usize, u64, u64)>,
+    per_pair: Vec<(usize, usize, u64, u64)>,
 }
 
 impl CommPhaseCost {
     /// The phase's bulk-synchronous comm time: slowest locale.
-    pub fn max_seconds(&self) -> f64 {
+    fn max_seconds(&self) -> f64 {
         self.per_locale_seconds.iter().cloned().fold(0.0, f64::max)
     }
 
     /// The locale whose transfers dominated this phase (lowest index on
     /// ties), `None` when nothing moved.
-    pub fn max_locale(&self) -> Option<usize> {
+    fn max_locale(&self) -> Option<usize> {
         argmax_positive(&self.per_locale_seconds)
     }
 }
@@ -534,9 +524,8 @@ struct PhaseDetail {
 /// let report = op.finish(); // drains + prices comm, emits spans/metrics
 /// ```
 ///
-/// With tracing disabled this produces *exactly* the report the manual
-/// `report.push(...)` / `price_comm` assembly used to produce, at the cost
-/// of one branch per call.
+/// Tracing changes no reported second: with the recorder disabled the
+/// builder costs one branch per call.
 #[derive(Debug)]
 pub struct OpTrace<'a> {
     dctx: &'a DistCtx,
@@ -570,7 +559,7 @@ impl OpTrace<'_> {
     }
 
     /// Charge `count` fork-join fan-outs (`coforall loc in Locales`) to
-    /// `phase` — the old `spawn_time()` / `spawn_time() * stages` terms.
+    /// `phase`.
     pub fn spawn(&mut self, phase: &str, count: usize) -> &mut Self {
         let t = self.dctx.spawn_time() * count as f64;
         self.report.push(phase, t);
@@ -611,17 +600,15 @@ impl OpTrace<'_> {
         self
     }
 
-    /// Fold *all* phases of `profiles` into one report phase — the old
-    /// `price_compute_all(profiles, |_| name)` pattern (each source phase
-    /// contributes its own max-over-locales; per-locale segments carry the
-    /// summed seconds and counters).
+    /// Fold *all* phases of `profiles` into one report phase (each source
+    /// phase contributes its own max-over-locales; per-locale segments
+    /// carry the summed seconds and counters).
     pub fn compute_folded(&mut self, report_phase: &str, profiles: &[Profile]) -> &mut Self {
         let folded = self.dctx.price_compute_all(profiles, |_| report_phase.to_string());
         self.report.merge(&folded);
         // Per-locale folded totals: the attribution (always) and the
-        // traced segment detail both need them. The merge above stays the
-        // pricing path so report seconds accumulate bit-identically to
-        // the manual `price_compute_all` + `merge` assembly.
+        // traced segment detail both need them; the merge above is what
+        // prices the phase.
         let mut per_locale: Vec<(f64, Counters)> = vec![(0.0, Counters::default()); profiles.len()];
         let mut names: Vec<String> = Vec::new();
         for p in profiles {
@@ -796,6 +783,16 @@ mod tests {
     use super::*;
     use gblas_core::par::Counters;
 
+    /// The logged communication events priced per phase: the max over
+    /// locales of [`DistCtx::price_comm_detailed`]'s per-locale seconds.
+    fn price_comm(ctx: &DistCtx, events: &[CommEvent]) -> SimReport {
+        let mut report = SimReport::default();
+        for c in ctx.price_comm_detailed(events) {
+            report.push_attributed(&c.phase, c.max_seconds(), c.max_locale());
+        }
+        report
+    }
+
     #[test]
     fn price_compute_takes_max_locale() {
         let machine = MachineConfig::edison_cluster(2, 24);
@@ -816,7 +813,7 @@ mod tests {
         let ctx = DistCtx::new(MachineConfig::edison_cluster(4, 24));
         ctx.comm.fine("f", 0, 1, 100_000, 800_000).unwrap();
         ctx.comm.bulk("b", 0, 1, 1, 800_000).unwrap();
-        let r = ctx.price_comm(&ctx.comm.events());
+        let r = price_comm(&ctx, &ctx.comm.events());
         assert!(r.phase("f") > 20.0 * r.phase("b"));
     }
 
@@ -826,13 +823,13 @@ mod tests {
         let ctx2 = DistCtx::new(MachineConfig::edison_cluster(2, 24));
         ctx2.comm.fine_dependent("g", 0, 1, 1000, 8000).unwrap();
         ctx2.comm.fine_dependent("g", 1, 0, 1000, 8000).unwrap();
-        let t2 = ctx2.price_comm(&ctx2.comm.events()).phase("g");
+        let t2 = price_comm(&ctx2, &ctx2.comm.events()).phase("g");
 
         let ctx8 = DistCtx::new(MachineConfig::edison_cluster(8, 24));
         for l in 0..8 {
             ctx8.comm.fine_dependent("g", l, (l + 1) % 8, 1000, 8000).unwrap();
         }
-        let t8 = ctx8.price_comm(&ctx8.comm.events()).phase("g");
+        let t8 = price_comm(&ctx8, &ctx8.comm.events()).phase("g");
         assert!(t8 > t2, "8-way exchange should be slower per message: {t8} vs {t2}");
     }
 
@@ -841,7 +838,7 @@ mod tests {
         let ctx = DistCtx::new(MachineConfig::edison_cluster(8, 24));
         ctx.comm.fine("pipelined", 0, 1, 1000, 8000).unwrap();
         ctx.comm.fine_dependent("dependent", 0, 1, 1000, 8000).unwrap();
-        let r = ctx.price_comm(&ctx.comm.events());
+        let r = price_comm(&ctx, &ctx.comm.events());
         // Dependent pays full latency (no pipelining), so it is at least
         // fine_concurrency times slower even before congestion.
         assert!(r.phase("dependent") >= 3.9 * r.phase("pipelined"));
@@ -851,11 +848,11 @@ mod tests {
     fn intra_node_colocation_pays_contention() {
         let one = DistCtx::new(MachineConfig::edison_colocated(2));
         one.comm.fine("p", 0, 1, 10_000, 80_000).unwrap();
-        let t2 = one.price_comm(&one.comm.events()).phase("p");
+        let t2 = price_comm(&one, &one.comm.events()).phase("p");
 
         let many = DistCtx::new(MachineConfig::edison_colocated(16));
         many.comm.fine("p", 0, 1, 10_000, 80_000).unwrap();
-        let t16 = many.price_comm(&many.comm.events()).phase("p");
+        let t16 = price_comm(&many, &many.comm.events()).phase("p");
         assert!(t16 > 2.0 * t2, "colocation contention must bite: {t16} vs {t2}");
     }
 
@@ -887,7 +884,7 @@ mod tests {
         ctx.comm.bulk("s", 2, 3, 1, 4096).unwrap();
         let events = ctx.comm.events();
         let detailed = ctx.price_comm_detailed(&events);
-        let report = ctx.price_comm(&events);
+        let report = price_comm(&ctx, &events);
         assert_eq!(detailed.len(), 2);
         for c in &detailed {
             assert!((c.max_seconds() - report.phase(&c.phase)).abs() < 1e-15);
@@ -901,8 +898,8 @@ mod tests {
 
     #[test]
     fn op_trace_report_matches_manual_assembly() {
-        // The OpTrace builder must reproduce the legacy push/merge pattern
-        // exactly, traced or not.
+        // The OpTrace builder's report equals the pricing functions
+        // composed by hand, traced or not.
         let build = |dctx: &DistCtx| {
             let mut p0 = Profile::default();
             p0.counters_mut("gather").elems = 10_000;
@@ -916,14 +913,14 @@ mod tests {
             (vec![p0.clone(), p1.clone()], vec![p0, p1])
         };
 
-        // Manual (legacy) assembly.
+        // Composed by hand.
         let manual_ctx = DistCtx::new(MachineConfig::edison_cluster(2, 24));
         let (gather, local) = build(&manual_ctx);
         let mut manual = SimReport::default();
         manual
             .push("gather", manual_ctx.spawn_time() + manual_ctx.price_compute("gather", &gather));
         manual.merge(&manual_ctx.price_compute_all(&local, |_| "local".to_string()));
-        manual.merge(&manual_ctx.price_comm(&manual_ctx.comm.take_events()));
+        manual.merge(&price_comm(&manual_ctx, &manual_ctx.comm.take_events()));
 
         for traced in [false, true] {
             let mut dctx = DistCtx::new(MachineConfig::edison_cluster(2, 24));

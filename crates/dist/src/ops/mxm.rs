@@ -20,11 +20,9 @@
 //!   split and `B`'s row split ([`SummaPlan`]), so no `lcm`-sized
 //!   re-blocking is needed; broadcasts carry doubly compressed slices
 //!   ([`crate::dcsc`]) whose wire bytes scale with the slice's nonzeros,
-//!   not the block side — the hypersparsity win. Each locale's pass runs
-//!   a density-adaptive instance of the one row kernel
-//!   ([`gblas_core::ops::mxm::RowKernel`]: heap merge / hash table / dense
-//!   SPA) picked by [`decide_mxm_kernel`] from its stages' summed flop
-//!   estimates.
+//!   not the block side — the hypersparsity win. Each locale's pass is
+//!   shared [`mxm_emit`] over its panels: the pooled dense SPA shared
+//!   memory runs, with nothing chosen per locale.
 //! * **`Summa3d`** — the communication-avoiding 3-D variant: the machine
 //!   is split into `c` replication layers of `p` locales each, stages are
 //!   dealt to layers by estimated flops, operand blocks are replicated to
@@ -37,8 +35,8 @@
 //!
 //! Every output entry of a 2-D run is folded in ascending inner-dimension
 //! order by the kernel shared memory runs, so a `Summa2d` product is
-//! *bit-identical* to shared [`gblas_core::ops::mxm::mxm`] on every grid,
-//! executor and kernel instance — floating point included. `Summa3d`
+//! *bit-identical* to shared [`gblas_core::ops::mxm::mxm`] on every grid
+//! and executor — floating point included. `Summa3d`
 //! adds per-layer sums afterwards: bit-identical on integer semirings,
 //! equal to rounding on floats (the sums associate differently).
 
@@ -54,7 +52,6 @@ use gblas_core::ops::apply::map_mat;
 use gblas_core::ops::ewise_mat::ewise_add_mat;
 use gblas_core::ops::mxm::{mxm_emit, NoRule};
 use gblas_core::ops::select::select_mat;
-use gblas_core::ops::selection::{decide_mxm_kernel, MxmKernel};
 use gblas_core::par::{ExecCtx, Profile};
 use gblas_sim::SimReport;
 use std::collections::BTreeSet;
@@ -319,11 +316,14 @@ where
     let mut extract_profiles: Vec<_> = prep.iter().map(|(_, prof, _)| prof.clone()).collect();
     extract_profiles.resize(total, Profile::default());
 
-    // Driver-side flop estimates, per (stage, grid position): pure
-    // integers from block structure, so every locale — and both executors
-    // — agree without additional communication (the estimates ride on the
-    // slice headers the broadcasts already carry).
-    let stage_est = |s: usize| -> Vec<usize> {
+    // Stage -> layer assignment (3-D only): LPT greedy on driver-side flop
+    // estimates, heaviest stage to the least-loaded layer. A stage's cost
+    // is its critical path, the largest estimate over the grid positions;
+    // the estimates are pure integers from block structure, so every
+    // locale and both executors agree without communication. Round-robin
+    // dealing loses badly on skewed (RMAT) inputs, where hub block-columns
+    // concentrate the flops in a few stages.
+    let stage_cost = |s: usize| {
         let (lo, hi) = plan.bounds[s];
         let w = hi - lo;
         let brange = b.row_dist().range(plan.kb[s]);
@@ -336,32 +336,21 @@ where
             let a_est = a_blk.nnz() * w / a_blk.ncols().max(1);
             a_est * b_nnz / w.max(1)
         };
-        (0..p).map(per_locale).collect()
+        (0..p).map(per_locale).max().unwrap_or(0) as u64
     };
-    let est: Vec<Vec<usize>> = (0..stages).map(stage_est).collect();
-    let stage_cost = |s: usize| est[s].iter().copied().max().unwrap_or(0) as u64;
-
-    // Stage -> layer assignment (3-D only): LPT greedy on the driver-side
-    // critical-path estimates, heaviest stage to the least-loaded layer.
-    // Round-robin dealing loses badly on skewed (RMAT) inputs, where hub
-    // block-columns concentrate the flops in a few stages; balancing on
-    // the same integer estimates the kernel selection already computes
-    // keeps the layers' critical paths even — and stays deterministic
-    // across executors and grid shapes.
-    let stage_layer: Vec<usize> = {
+    let mut stage_layer = vec![0usize; stages];
+    if layers > 1 {
+        let cost: Vec<u64> = (0..stages).map(stage_cost).collect();
         let mut order: Vec<usize> = (0..stages).collect();
-        order.sort_by_key(|&s| (std::cmp::Reverse(stage_cost(s)), s));
+        order.sort_by_key(|&s| (std::cmp::Reverse(cost[s]), s));
         let mut load = vec![0u64; layers];
-        let mut assign = vec![0usize; stages];
         for s in order {
             let target = (0..layers).min_by_key(|&j| (load[j], j)).unwrap_or(0);
-            assign[s] = target;
-            load[target] += stage_cost(s).max(1);
+            stage_layer[s] = target;
+            load[target] += cost[s].max(1);
         }
-        assign
-    };
-    // Each layer's share of the inner dimension, adjacent stages joined;
-    // one kernel instance per layer-locale, from its stages' summed flops.
+    }
+    // Each layer's share of the inner dimension, adjacent stages joined.
     let mut spans: Vec<Vec<(usize, usize)>> = vec![Vec::new(); layers];
     for (s, &layer) in stage_layer.iter().enumerate() {
         let (lo, hi) = plan.bounds[s];
@@ -370,22 +359,6 @@ where
             _ => spans[layer].push((lo, hi)),
         }
     }
-    let kernel = |g: usize| {
-        let mine = (0..stages).filter(|&s| stage_layer[s] == g / p);
-        decide_mxm_kernel(mine.map(|s| est[s][g % p]).sum(), b.col_range(g % p).len())
-    };
-    let kernels: Vec<MxmKernel> = (0..total).map(kernel).collect();
-    let chose = |k: MxmKernel| kernels.iter().filter(|&&d| d == k).count();
-    let mut select_trace = dctx.op("select");
-    select_trace
-        .attr("algo", "mxm")
-        .attr("stages", stages)
-        .attr("heap", chose(MxmKernel::Heap))
-        .attr("hash", chose(MxmKernel::Hash))
-        .attr("spa", chose(MxmKernel::Spa))
-        .nnz(est.iter().flatten().map(|&e| e as u64).sum());
-    let select_report = select_trace.finish();
-
     // 3-D replication: each operand block moves once to every layer > 0
     // that consumes one of its stages, point-to-point from its resident
     // locale to the layer counterpart. DCSC-converted blocks ship doubly
@@ -450,7 +423,7 @@ where
         // run's block, so the rule rides on it; a 3-D run's the merge does.
         let rule = rule.filter(|_| layers == 1);
         let lctx = dctx.locale_ctx_for(l);
-        let block = local_block(a, b, ring, mask, rule, l, &spans[layer], kernels[g], &lctx)?;
+        let block = local_block(a, b, ring, mask, rule, l, &spans[layer], &lctx)?;
         fold(&lctx, &mut local_profile, PHASE_LOCAL);
         Ok((block, local_profile, bcast_profile))
     })?;
@@ -516,9 +489,7 @@ where
     if layers > 1 {
         trace.compute(PHASE_MERGE, &merge_profiles);
     }
-    let mut report = trace.finish();
-    report.merge(&select_report);
-    Ok((c, report))
+    Ok((c, trace.finish()))
 }
 
 /// Log grid locale `me`'s broadcast of `bytes` to each of its `peers`,
@@ -564,14 +535,13 @@ fn fold(lctx: &ExecCtx, profile: &mut Profile, phase: &str) {
 ///
 /// This is shared [`mxm_emit`] — the same flop-dealt chunks, sizing pass,
 /// windows and row kernel — over the row panel of `A` and the column panel
-/// of `B` the stage loop delivered, viewed in place: row `i` is ONE
-/// [`RowKernel::row`](gblas_core::ops::mxm::RowKernel::row) call on the
-/// `kernel` instance over the grid row's blocks chained in ascending `k`,
-/// each `B[k, :]` looked up in the block that holds it, under the locale's
-/// mask row, `rule` (global coordinates) applied at emit, written into the
+/// of `B` the stage loop delivered, viewed in place: row `i` is ONE pass
+/// of the SPA over the grid row's blocks chained in ascending `k`, each
+/// `B[k, :]` looked up in the block that holds it, under the locale's mask
+/// row, `rule` (global coordinates) applied at emit, written into the
 /// block's final arrays. A locale that received nothing does nothing.
 #[allow(clippy::too_many_arguments)]
-pub fn local_block<A, B, C, AddM, MulOp, M>(
+fn local_block<A, B, C, AddM, MulOp, M>(
     a: &DistCsrMatrix<A>,
     b: &DistCsrMatrix<B>,
     ring: &Semiring<AddM, MulOp>,
@@ -579,7 +549,6 @@ pub fn local_block<A, B, C, AddM, MulOp, M>(
     rule: Option<&(impl Fn(usize, usize, C) -> Option<C> + Sync)>,
     l: usize,
     spans: &[(usize, usize)],
-    kernel: MxmKernel,
     ctx: &ExecCtx,
 ) -> Result<CsrMatrix<C>>
 where
@@ -597,7 +566,7 @@ where
     }
     let (row0, col0) = (a.row_range(l).start, b.col_range(l).start);
     let rule = rule.map(|keep| move |i, j, v| keep(row0 + i, col0 + j, v));
-    mxm_emit(&a_panel, &b_panel, ring, mask.map(|m| m.block(l)), rule.as_ref(), kernel, ctx)
+    mxm_emit(&a_panel, &b_panel, ring, mask.map(|m| m.block(l)), rule.as_ref(), ctx)
 }
 
 /// Split the finished state into layer 0's `C` blocks and every
@@ -805,9 +774,9 @@ mod tests {
     }
 
     #[test]
-    fn every_kernel_instance_gives_the_block_of_the_narrowed_product() {
+    fn local_block_is_the_block_of_the_narrowed_product() {
         // a layer's share of the inner dimension, cutting through blocks:
-        // the panel must hold exactly A[:, K], whichever instance runs
+        // the panel must hold exactly A[:, K]
         let a = gen::rmat(7, 5, 230);
         let mask = gen::erdos_renyi(128, 12, 231);
         let ctx = gblas_core::par::ExecCtx::serial();
@@ -822,14 +791,18 @@ mod tests {
                 gblas_core::ops::mxm::mxm(&narrowed, &a, &ring, mask, &ctx).unwrap();
             let expect = DistCsrMatrix::from_global(&expect, grid);
             let dm = mask.map(|m| DistCsrMatrix::from_global(m, grid));
-            // twice each: the second call runs on the pooled, used state
-            for kernel in [MxmKernel::Spa, MxmKernel::Hash, MxmKernel::Heap].repeat(2) {
+            // twice: the second pass runs on the pooled, used state
+            for pass in 0..2 {
                 for l in 0..grid.locales() {
                     let rule = None::<&NoRule<f64>>;
                     let got: CsrMatrix<f64> =
-                        local_block(&da, &da, &ring, dm.as_ref(), rule, l, &spans, kernel, &ctx)
-                            .unwrap();
-                    assert_eq!(&got, expect.block(l), "{kernel:?} masked={} l={l}", mask.is_some());
+                        local_block(&da, &da, &ring, dm.as_ref(), rule, l, &spans, &ctx).unwrap();
+                    assert_eq!(
+                        &got,
+                        expect.block(l),
+                        "pass {pass} masked={} l={l}",
+                        mask.is_some()
+                    );
                 }
             }
         }
@@ -844,17 +817,7 @@ mod tests {
         let da = DistCsrMatrix::from_global(&a, grid);
         let run = |b: &DistCsrMatrix<f64>, mask: Option<&DistCsrMatrix<f64>>| {
             let rule = None::<&NoRule<f64>>;
-            local_block::<_, _, f64, _, _, _>(
-                &da,
-                b,
-                &ring,
-                mask,
-                rule,
-                0,
-                &[(0, 30)],
-                MxmKernel::Spa,
-                &ctx,
-            )
+            local_block::<_, _, f64, _, _, _>(&da, b, &ring, mask, rule, 0, &[(0, 30)], &ctx)
         };
         assert!(run(&da, Some(&da)).is_ok());
         // a 29-row B cannot meet a 30-column A

@@ -331,7 +331,7 @@ where
         opts: SpMSpVOpts,
         ctx: &ExecCtx,
     ) -> Result<SparseVec<C>> {
-        Ok(spmspv_semiring_masked(block, lx, self.0, mask, opts, ctx)?.vector)
+        spmspv_semiring_masked(block, lx, self.0, mask, opts, ctx)
     }
 
     fn zero(&self) -> C {
@@ -816,8 +816,7 @@ mod tests {
             &ring,
             &gblas_core::par::ExecCtx::serial(),
         )
-        .unwrap()
-        .vector;
+        .unwrap();
         for (pr, pc) in [(1, 1), (2, 2), (2, 3), (3, 3)] {
             let grid = ProcGrid::new(pr, pc);
             let p = grid.locales();
@@ -915,8 +914,7 @@ mod tests {
             SpMSpVOpts::default(),
             &gblas_core::par::ExecCtx::serial(),
         )
-        .unwrap()
-        .vector;
+        .unwrap();
         for (pr, pc) in [(1, 1), (2, 2), (2, 3)] {
             let grid = ProcGrid::new(pr, pc);
             let p = grid.locales();

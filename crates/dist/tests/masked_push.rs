@@ -210,9 +210,8 @@ where
             let dx = DistSparseVec::from_global(&x, p);
             for complement in [false, true] {
                 let sm = shared_mask(&case.bits, complement);
-                let want = spmspv_semiring_masked(&case.a, &x, ring, Some(&sm), opts, &serial)
-                    .unwrap()
-                    .vector;
+                let want =
+                    spmspv_semiring_masked(&case.a, &x, ring, Some(&sm), opts, &serial).unwrap();
                 let claims = expected_claims(&case.a, &da, &x, |j| case.bits[j] != complement);
                 for (exec, strategy) in EXECUTORS.iter().flat_map(|&e| STRATEGIES.map(|s| (e, s))) {
                     let what = format!("{name} {pr}x{pc} {exec:?} {strategy:?} comp={complement}");
@@ -397,9 +396,8 @@ fn batched_semiring_push_is_bit_equal_to_the_shared_kernel_per_source() {
                 let out: Vec<DistSparseVec<f64>> =
                     backend.spmspv_semiring(&da, &f, &ring, None, opts).unwrap();
                 for (s, x) in xs.iter().enumerate() {
-                    let want = spmspv_semiring_masked(&case.a, x, &ring, None, opts, &serial)
-                        .unwrap()
-                        .vector;
+                    let want =
+                        spmspv_semiring_masked(&case.a, x, &ring, None, opts, &serial).unwrap();
                     let what = format!("{pr}x{pc} {exec:?} {strategy:?} {s}");
                     assert_eq!(enc(&out[s].to_global()), enc(&want), "{what}");
                 }

@@ -8,11 +8,10 @@
 //! injected communication fault through `with_retry`.
 //!
 //! Bit-identity across grid shapes is a real invariant, not luck: a 2-D
-//! locale computes every output entry in one row-kernel call over its
-//! whole row panel of `A`, contributions folded in ascending-k order with
-//! left association by whichever kernel instance (heap / hash / dense SPA)
-//! runs, so the reduction tree is independent of how the grid slices the
-//! inner dimension.
+//! locale computes every output entry in one pass of the dense SPA shared
+//! memory runs over its whole row panel of `A`, contributions folded in
+//! ascending-k order with left association, so the reduction tree is
+//! independent of how the grid slices the inner dimension.
 
 use gblas_core::algebra::semirings;
 use gblas_core::container::CsrMatrix;
@@ -21,12 +20,9 @@ use gblas_core::gen;
 use gblas_core::ops::apply::map_mat;
 use gblas_core::ops::mxm::{mxm, mxm_emit};
 use gblas_core::ops::select::select_mat;
-use gblas_core::ops::selection::MxmKernel;
 use gblas_core::par::ExecCtx;
 use gblas_dist::comm::with_retry;
-use gblas_dist::ops::mxm::{
-    local_block, mxm_dist_emit, mxm_dist_masked, mxm_dist_masked_with, MxmAlgo,
-};
+use gblas_dist::ops::mxm::{mxm_dist_emit, mxm_dist_masked, mxm_dist_masked_with, MxmAlgo};
 use gblas_dist::{DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
 use gblas_sim::MachineConfig;
 use proptest::prelude::*;
@@ -339,63 +335,62 @@ fn bits(c: &CsrMatrix<f64>) -> (Vec<usize>, Vec<usize>, Vec<u64>) {
 /// Floating point, bit for bit: a 2-D locale folds every output entry in
 /// ascending `k` over its whole row panel with the kernel shared memory
 /// runs, so an f64 `Summa2d` product *is* the shared product on every grid
-/// and executor — masked, unmasked and under an emit rule — and whichever
-/// of the three kernel instances a locale's pass is forced onto. `Summa3d`
-/// keeps a tolerance: its layers sum their stages first and a binomial
-/// tree adds the layer sums, which associates the additions differently.
+/// and executor — masked, unmasked and under an emit rule. The wide 8×8
+/// grid chains eight blocks per row panel, on a skewed input whose product
+/// is hypersparse on many locales: 26 of the 64 have under a quarter as
+/// many estimated flops as output columns. `Summa3d` keeps a tolerance:
+/// its layers sum their stages first and a binomial tree adds the layer
+/// sums, which associates the additions differently.
 #[test]
 fn f64_summa2d_is_bit_identical_to_shared() {
     // inexact values and several products per entry: on the unit-valued
     // generator output every sum is an integer and any association agrees
     // (the per-stage partial sums this replaces drifted on 8 of the 9 grids
-    // here, 52 to 93 of 5 818 values)
+    // of GRIDS, 52 to 93 of 5 818 values)
     let serial = ExecCtx::serial();
     let frac = |i: usize, j: usize, _: f64| 1.0 / (1 + (i * 31 + j * 17) % 97) as f64;
-    let a = map_mat(&gen::erdos_renyi(90, 12, 611), &frac, &serial);
-    let b = map_mat(&gen::erdos_renyi(90, 10, 612), &frac, &serial);
-    let mask = gen::erdos_renyi(90, 30, 613);
+    let inexact = |m: &CsrMatrix<f64>| map_mat(m, &frac, &serial);
+    let cases = [
+        (gen::erdos_renyi(90, 12, 611), gen::erdos_renyi(90, 10, 612), 30, &GRIDS[..]),
+        (gen::rmat(9, 2, 611), gen::rmat(9, 2, 612), 64, &[(8, 8)][..]),
+    ];
     let ring = semirings::plus_times_f64();
     let scale = |i: usize, j: usize, v: f64| Some(v * 0.75 + (i + 2 * j) as f64);
     let rule = |i, j, v| scale(i, j, v).filter(|w| (i + j) % 3 != 0 && *w < 150.0);
-    for (mask, rule) in
-        [(None, None), (Some(&mask), None), (None, Some(&rule)), (Some(&mask), Some(&rule))]
-    {
-        let what = format!("masked={} rule={}", mask.is_some(), rule.is_some());
-        let expect: CsrMatrix<f64> =
-            mxm_emit(&a, &b, &ring, mask, rule, MxmKernel::Spa, &serial).unwrap();
-        assert!(expect.nnz() > 0, "{what}");
-        for (pr, pc) in GRIDS {
-            let grid = ProcGrid::new(pr, pc);
-            let p = grid.locales();
-            let da = DistCsrMatrix::from_global(&a, grid);
-            let db = DistCsrMatrix::from_global(&b, grid);
-            let dm = mask.map(|m| DistCsrMatrix::from_global(m, grid));
-            let run = |algo: MxmAlgo, dctx: &DistCtx| {
-                let (c, _) = mxm_dist_emit(&da, &db, &ring, dm.as_ref(), rule, algo, dctx).unwrap();
-                c.to_global().unwrap()
-            };
-            for exec in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
-                let got = run(MxmAlgo::Summa2d, &ctx_with(p, exec));
-                assert_eq!(bits(&got), bits(&expect), "grid {pr}x{pc} {exec:?} {what}");
-            }
-            for kernel in [MxmKernel::Heap, MxmKernel::Hash, MxmKernel::Spa] {
-                let block = |l| {
-                    local_block(&da, &db, &ring, dm.as_ref(), rule, l, &[(0, 90)], kernel, &serial)
+    for (a, b, mask_deg, grids) in cases {
+        let (a, b) = (inexact(&a), inexact(&b));
+        let mask = gen::erdos_renyi(a.nrows(), mask_deg, 613);
+        for (mask, rule) in
+            [(None, None), (Some(&mask), None), (None, Some(&rule)), (Some(&mask), Some(&rule))]
+        {
+            let what = format!("n={} masked={} rule={}", a.nrows(), mask.is_some(), rule.is_some());
+            let expect: CsrMatrix<f64> = mxm_emit(&a, &b, &ring, mask, rule, &serial).unwrap();
+            assert!(expect.nnz() > 0, "{what}");
+            for &(pr, pc) in grids {
+                let grid = ProcGrid::new(pr, pc);
+                let p = grid.locales();
+                let da = DistCsrMatrix::from_global(&a, grid);
+                let db = DistCsrMatrix::from_global(&b, grid);
+                let dm = mask.map(|m| DistCsrMatrix::from_global(m, grid));
+                let run = |algo: MxmAlgo, dctx: &DistCtx| {
+                    let (c, _) =
+                        mxm_dist_emit(&da, &db, &ring, dm.as_ref(), rule, algo, dctx).unwrap();
+                    c.to_global().unwrap()
                 };
-                let blocks = (0..p).map(block).collect::<Result<Vec<_>, _>>().unwrap();
-                let got =
-                    DistCsrMatrix::from_blocks(90, 90, grid, blocks).unwrap().to_global().unwrap();
-                assert_eq!(bits(&got), bits(&expect), "grid {pr}x{pc} forced {kernel:?} {what}");
-            }
-            let layered =
-                run(MxmAlgo::Summa3d { layers: 2 }, &ctx_with(2 * p, LocaleExecutor::Threaded));
-            assert_eq!(layered.rowptr(), expect.rowptr(), "grid {pr}x{pc} 3-D {what}: pattern");
-            assert_eq!(layered.colidx(), expect.colidx(), "grid {pr}x{pc} 3-D {what}: pattern");
-            for (x, y) in layered.values().iter().zip(expect.values()) {
-                assert!(
-                    (x - y).abs() <= 1e-9 * y.abs().max(1.0),
-                    "grid {pr}x{pc} 3-D {what}: {x} vs {y}"
-                );
+                for exec in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
+                    let got = run(MxmAlgo::Summa2d, &ctx_with(p, exec));
+                    assert_eq!(bits(&got), bits(&expect), "grid {pr}x{pc} {exec:?} {what}");
+                }
+                let layered =
+                    run(MxmAlgo::Summa3d { layers: 2 }, &ctx_with(2 * p, LocaleExecutor::Threaded));
+                assert_eq!(layered.rowptr(), expect.rowptr(), "grid {pr}x{pc} 3-D {what}: pattern");
+                assert_eq!(layered.colidx(), expect.colidx(), "grid {pr}x{pc} 3-D {what}: pattern");
+                for (x, y) in layered.values().iter().zip(expect.values()) {
+                    assert!(
+                        (x - y).abs() <= 1e-9 * y.abs().max(1.0),
+                        "grid {pr}x{pc} 3-D {what}: {x} vs {y}"
+                    );
+                }
             }
         }
     }

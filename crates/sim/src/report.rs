@@ -84,9 +84,10 @@ impl SimReport {
         self.phases.iter().filter_map(|p| p.max_locale.map(|l| (p.name.as_str(), l))).collect()
     }
 
-    /// Total simulated time across phases.
+    /// Total simulated time across phases; `+0.0` when there are none
+    /// (f64's `Sum` starts from `-0.0`).
     pub fn total(&self) -> f64 {
-        self.phases.iter().map(|p| p.seconds).sum()
+        self.phases.iter().fold(0.0, |total, p| total + p.seconds)
     }
 
     /// Seconds recorded for `name` (0 when absent).
@@ -136,6 +137,14 @@ impl std::fmt::Display for SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn empty_report_totals_positive_zero() {
+        let empty = SimReport::default();
+        assert!(empty.total().is_sign_positive());
+        assert_eq!(format!("{:.3}", empty.total()), "0.000");
+        assert_eq!(empty.to_string(), "total=0.000000s");
+    }
 
     #[test]
     fn push_accumulates_same_phase() {

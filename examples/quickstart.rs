@@ -36,7 +36,7 @@ fn main() -> Result<()> {
     let a = CsrMatrix::from_triplets(n, n, &edges)?;
     let frontier = SparseVec::from_sorted(n, vec![0], vec![1.0])?;
     let out = spmspv::spmspv_semiring(&a, &frontier, &semirings::plus_times_f64(), &ctx)?;
-    println!("frontier {{0}} reaches {:?}", out.vector.indices());
+    println!("frontier {{0}} reaches {:?}", out.indices());
 
     // --- What did all that cost? The instrumented profile: ---
     let profile = ctx.take_profile();

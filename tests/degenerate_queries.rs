@@ -199,7 +199,6 @@ fn a_dense_mask_of_the_wrong_length_is_an_error() {
             for mask in [VecMask::dense(&visited), VecMask::dense(&visited).complement()] {
                 let fv = spmspv_first_visitor(&a, &x, Some(&mask), opts, &ctx);
                 let sr = spmspv_semiring_masked(&a, &x, &ring, Some(&mask), opts, &ctx);
-                let sr = sr.map(|out| out.vector);
                 if len == a.ncols() {
                     // an all-`true` mask admits all or, complemented, nothing
                     let all = spmspv_first_visitor(&a, &x, None, opts, &ctx).unwrap();

@@ -97,8 +97,7 @@ fn bfs_via_tropical_semiring_agrees_on_unweighted_graph() {
     dist[0] = 0.0;
     let mut frontier = SparseVec::from_sorted(150, vec![0], vec![0.0]).unwrap();
     while frontier.nnz() > 0 {
-        let y =
-            gblas_core::ops::spmspv::spmspv_semiring(&unit, &frontier, &ring, &ctx).unwrap().vector;
+        let y = gblas_core::ops::spmspv::spmspv_semiring(&unit, &frontier, &ring, &ctx).unwrap();
         let mut next_i = Vec::new();
         let mut next_v = Vec::new();
         for (j, &d) in y.iter() {

@@ -107,7 +107,7 @@ fn semiring_spmspv_composes_with_ewise_and_reduce() {
     let a = gen::erdos_renyi(300, 5, 7);
     let x = gen::random_sparse_vec(300, 25, 8);
     let ctx = ExecCtx::with_threads(2);
-    let y = spmspv::spmspv_semiring(&a, &x, &semirings::plus_times_f64(), &ctx).unwrap().vector;
+    let y = spmspv::spmspv_semiring(&a, &x, &semirings::plus_times_f64(), &ctx).unwrap();
     let keep = gen::random_dense_bool(300, 0.5, 9);
     let z = ewise::ewise_filter_prefix(&y, &keep, &|_: f64, k| k, &ctx).unwrap();
     let s = gblas_core::ops::reduce::reduce_vec(&z, &gblas_core::algebra::Plus, &ctx);

@@ -114,7 +114,7 @@ proptest! {
         ).unwrap();
         let t = gblas_core::ops::spmspv::spmspv_semiring(
             &a, &x, &semirings::plus_times_f64(), &ctx,
-        ).unwrap().vector;
+        ).unwrap();
         // every t entry lands in w; untouched w entries survive
         for (i, &tv) in t.iter() {
             prop_assert_eq!(w.get(i), Some(&tv));

@@ -100,7 +100,7 @@ proptest! {
     fn spmspv_semiring_matches_dense(a in csr(20, 20), x in sparse_vec(20)) {
         let ctx = ExecCtx::serial();
         let y = spmspv::spmspv_semiring(&a, &x, &semirings::plus_times_f64(), &ctx)
-            .unwrap().vector;
+            .unwrap();
         let mut expect = [0.0f64; 20];
         for (i, &xv) in x.iter() {
             let (cols, vals) = a.row(i);
@@ -118,8 +118,8 @@ proptest! {
     fn spmspv_variants_agree(a in csr(25, 25), x in sparse_vec(25)) {
         let ctx = ExecCtx::serial();
         let ring = semirings::plus_times_f64();
-        let spa = spmspv::spmspv_semiring(&a, &x, &ring, &ctx).unwrap().vector;
-        let srt = spmspv::spmspv_sort_based(&a, &x, &ring, &ctx).unwrap().vector;
+        let spa = spmspv::spmspv_semiring(&a, &x, &ring, &ctx).unwrap();
+        let srt = spmspv::spmspv_sort_based(&a, &x, &ring, &ctx).unwrap();
         prop_assert_eq!(spa.indices(), srt.indices());
         for (p, q) in spa.values().iter().zip(srt.values()) {
             prop_assert!((p - q).abs() < 1e-9);

@@ -93,9 +93,9 @@ proptest! {
         let ctx_s = ExecCtx::new(threads, 1);
         let ctx_b = ExecCtx::new(threads, 1);
         let ys = spmspv_semiring_masked(&a, &x, &ring, None, sorted_opts(), &ctx_s)
-            .unwrap().vector;
+            .unwrap();
         let yb = spmspv_semiring_masked(&a, &x, &ring, None, bucketed_opts(), &ctx_b)
-            .unwrap().vector;
+            .unwrap();
 
         // strategy vs strategy: the same bits
         prop_assert_eq!(value_bits(&ys), value_bits(&yb));
@@ -109,7 +109,7 @@ proptest! {
         }
 
         // and vs the all-sorting oracle algorithm
-        let srt = spmspv_sort_based(&a, &x, &ring, &ExecCtx::serial()).unwrap().vector;
+        let srt = spmspv_sort_based(&a, &x, &ring, &ExecCtx::serial()).unwrap();
         prop_assert_eq!(yb.indices(), srt.indices());
         for (p, q) in yb.values().iter().zip(srt.values()) {
             prop_assert!((p - q).abs() < 1e-9);
@@ -194,9 +194,9 @@ proptest! {
             let m = mask.as_ref();
             let fv = spmspv_first_visitor(&a, &x, m, opts, &ctx).unwrap();
             let ring = semirings::plus_times_f64();
-            let pt = spmspv_semiring_masked(&a, &x, &ring, m, opts, &ctx).unwrap().vector;
+            let pt = spmspv_semiring_masked(&a, &x, &ring, m, opts, &ctx).unwrap();
             let ring = semirings::min_plus();
-            let mp = spmspv_semiring_masked(&a, &x, &ring, m, opts, &ctx).unwrap().vector;
+            let mp = spmspv_semiring_masked(&a, &x, &ring, m, opts, &ctx).unwrap();
             ((fv, value_bits(&pt), value_bits(&mp)), ctx.take_profile())
         };
         let oracle = run(sorted_opts(), 1).0;
@@ -218,9 +218,9 @@ proptest! {
         let ring = semirings::plus_times_f64();
         let ctx = ExecCtx::new(3, 1);
         let ys = spmspv_semiring_masked(&a, &x, &ring, Some(&mask), sorted_opts(), &ctx)
-            .unwrap().vector;
+            .unwrap();
         let yb = spmspv_semiring_masked(&a, &x, &ring, Some(&mask), bucketed_opts(), &ctx)
-            .unwrap().vector;
+            .unwrap();
         prop_assert_eq!(value_bits(&ys), value_bits(&yb));
         for (j, _) in yb.iter() {
             prop_assert!(bits[j], "masked-out column {} present", j);
@@ -232,9 +232,9 @@ proptest! {
         let ring = semirings::min_plus();
         let ctx = ExecCtx::serial();
         let ys = spmspv_semiring_masked(&a, &x, &ring, None, sorted_opts(), &ctx)
-            .unwrap().vector;
+            .unwrap();
         let yb = spmspv_semiring_masked(&a, &x, &ring, None, bucketed_opts(), &ctx)
-            .unwrap().vector;
+            .unwrap();
         prop_assert_eq!(value_bits(&ys), value_bits(&yb));
         let mut best = [f64::INFINITY; CAP];
         let mut hit = [false; CAP];
@@ -271,9 +271,9 @@ proptest! {
             for opts in [sorted_opts(), bucketed_opts()] {
                 let fresh = ExecCtx::new(3, 1);
                 let got = spmspv_semiring_masked(&a, &x, &ring, None, opts, &shared)
-                    .unwrap().vector;
+                    .unwrap();
                 let want = spmspv_semiring_masked(&a, &x, &ring, None, opts, &fresh)
-                    .unwrap().vector;
+                    .unwrap();
                 prop_assert_eq!(&got, &want, "semiring n={} step {}", n, k);
                 let gf = spmspv_first_visitor(&a, &x, None, opts, &shared).unwrap();
                 let wf = spmspv_first_visitor(&a, &x, None, opts, &fresh).unwrap();
@@ -295,9 +295,9 @@ proptest! {
         for threads in [1, 3, 16, 64] {
             let ctx = ExecCtx::new(threads, 1);
             let ys = spmspv_semiring_masked(&a, &x, &ring, None, sorted_opts(), &ctx)
-                .unwrap().vector;
+                .unwrap();
             let yb = spmspv_semiring_masked(&a, &x, &ring, None, bucketed_opts(), &ctx)
-                .unwrap().vector;
+                .unwrap();
             prop_assert_eq!(value_bits(&ys), value_bits(&yb), "threads {}", threads);
         }
     }
@@ -312,8 +312,8 @@ fn degenerate_shapes_agree() {
         let a = CsrMatrix::<f64>::empty(rows, cols);
         let x = SparseVec::from_sorted(rows, vec![], Vec::<f64>::new()).unwrap();
         let ctx = ExecCtx::new(8, 1);
-        let ys = spmspv_semiring_masked(&a, &x, &ring, None, sorted_opts(), &ctx).unwrap().vector;
-        let yb = spmspv_semiring_masked(&a, &x, &ring, None, bucketed_opts(), &ctx).unwrap().vector;
+        let ys = spmspv_semiring_masked(&a, &x, &ring, None, sorted_opts(), &ctx).unwrap();
+        let yb = spmspv_semiring_masked(&a, &x, &ring, None, bucketed_opts(), &ctx).unwrap();
         assert_eq!(ys, yb);
         assert_eq!(yb.nnz(), 0);
     }
@@ -321,8 +321,8 @@ fn degenerate_shapes_agree() {
     let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)]).unwrap();
     let x = SparseVec::from_sorted(2, vec![0, 1], vec![1.0, 1.0]).unwrap();
     let ctx = ExecCtx::new(32, 1);
-    let ys = spmspv_semiring_masked(&a, &x, &ring, None, sorted_opts(), &ctx).unwrap().vector;
-    let yb = spmspv_semiring_masked(&a, &x, &ring, None, bucketed_opts(), &ctx).unwrap().vector;
+    let ys = spmspv_semiring_masked(&a, &x, &ring, None, sorted_opts(), &ctx).unwrap();
+    let yb = spmspv_semiring_masked(&a, &x, &ring, None, bucketed_opts(), &ctx).unwrap();
     assert_eq!(ys, yb);
     assert_eq!(yb.indices(), &[0, 1]);
 }
@@ -343,10 +343,9 @@ fn pooled_spa_shrink_leaves_no_stale_values() {
     let small = gblas_core::gen::erdos_renyi(6, 2, 9);
     let xs = gblas_core::gen::random_sparse_vec(6, 3, 10);
     for opts in [sorted_opts(), bucketed_opts()] {
-        let got = spmspv_semiring_masked(&small, &xs, &ring, None, opts, &shared).unwrap().vector;
-        let want = spmspv_semiring_masked(&small, &xs, &ring, None, opts, &ExecCtx::new(4, 1))
-            .unwrap()
-            .vector;
+        let got = spmspv_semiring_masked(&small, &xs, &ring, None, opts, &shared).unwrap();
+        let want =
+            spmspv_semiring_masked(&small, &xs, &ring, None, opts, &ExecCtx::new(4, 1)).unwrap();
         assert!(got.indices().iter().all(|&j| j < 6), "stale out-of-range index");
         assert_eq!(got, want);
     }
@@ -388,7 +387,7 @@ fn bucket_drain_respects_spa_occupancy() {
     let x = SparseVec::from_sorted(4, vec![0, 1, 2, 3], vec![1.0; 4]).unwrap();
     let ring = semirings::plus_times_f64();
     let ctx = ExecCtx::new(6, 1);
-    let yb = spmspv_semiring_masked(&a, &x, &ring, None, bucketed_opts(), &ctx).unwrap().vector;
+    let yb = spmspv_semiring_masked(&a, &x, &ring, None, bucketed_opts(), &ctx).unwrap();
     assert_eq!(yb.indices(), &[0, 10, 20, 29]);
 }
 
@@ -402,9 +401,8 @@ fn masked_output_is_subset_of_unmasked() {
     let mask = VecMask::dense(&bits);
     let ring = semirings::plus_times_f64();
     let ctx = ExecCtx::serial();
-    let full = spmspv_semiring_masked(&a, &x, &ring, None, bucketed_opts(), &ctx).unwrap().vector;
-    let masked =
-        spmspv_semiring_masked(&a, &x, &ring, Some(&mask), bucketed_opts(), &ctx).unwrap().vector;
+    let full = spmspv_semiring_masked(&a, &x, &ring, None, bucketed_opts(), &ctx).unwrap();
+    let masked = spmspv_semiring_masked(&a, &x, &ring, Some(&mask), bucketed_opts(), &ctx).unwrap();
     for (j, _) in masked.iter() {
         assert!(bits[j]);
         assert!(full.get(j).is_some());
