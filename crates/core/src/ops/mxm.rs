@@ -97,17 +97,18 @@ impl<T: Sync> RightOperand<T> for CsrMatrix<T> {
 /// The `A` row arrives as [`LeftOperand::row`] gives it, every
 /// `offset + column` a row of `b`; `mask` is the mask row's sorted
 /// columns. The caller sizes the tail to the row's bound: `nnz(Mᵢ)`
-/// when masked, else `min(ncols, Σₖ nnz(B[k,:]))`. Every probe of the
-/// accumulator is charged whether or not the mask admits it, every
-/// emitted entry once more; only unmasked rows pay a sort.
+/// when masked, else `min(ncols, Σₖ nnz(B[k,:]))`. An unmasked row lists
+/// its touched columns in the caller's row scratch `touched`, so only the
+/// entries it keeps reach the tail. Every probe of the accumulator is
+/// charged whether or not the mask admits it, every emitted entry once
+/// more; only unmasked rows pay a sort.
 ///
 /// `rule(j, v)` decides what a *finished* entry — every product of its
 /// position folded, the mask admitting it — is stored as: `Some(w)`
 /// stores `w`, `None` drops it, and only survivors are sorted, written
 /// and counted in the return value. It is called exactly once per
 /// finished entry, in no specified order, so it must be pure; each call
-/// is charged one `elems`, as `Apply` charges an entry. The tail is
-/// sized as without a rule.
+/// is charged one `elems`, as `Apply` charges an entry.
 #[allow(clippy::too_many_arguments)]
 fn spa_row<'a, A: Copy + 'a, B: Copy, C: Copy>(
     spa: &mut DenseSpa<C>,
@@ -116,6 +117,7 @@ fn spa_row<'a, A: Copy + 'a, B: Copy, C: Copy>(
     ring: &Semiring<impl Monoid<C>, impl BinaryOp<A, B, C>>,
     mask: Option<&[usize]>,
     rule: Option<&impl Fn(usize, C) -> Option<C>>,
+    touched: &mut Vec<usize>,
     cols: &mut [usize],
     vals: &mut [C],
     c: &mut Counters,
@@ -125,20 +127,18 @@ fn spa_row<'a, A: Copy + 'a, B: Copy, C: Copy>(
     }
     let before = c.flops;
     spa.reset();
+    touched.clear();
     for &j in mask.unwrap_or_default() {
         spa.admit(j);
     }
     let gated = mask.is_some();
-    let mut touched = 0;
     for (offset, acols, avals) in a_row {
         for (&k, &av) in acols.iter().zip(avals) {
             let (bcols, bvals) = b.row(offset + k);
             c.flops += bcols.len() as u64;
             for (&j, &bv) in bcols.iter().zip(bvals) {
-                // Unmasked rows list each newly touched column in the tail.
                 if spa.fold(j, ring.multiply(av, bv), &ring.add, gated) && !gated {
-                    cols[touched] = j;
-                    touched += 1;
+                    touched.push(j);
                 }
             }
         }
@@ -155,25 +155,17 @@ fn spa_row<'a, A: Copy + 'a, B: Copy, C: Copy>(
         // the sort, the images back in the SPA, so a dropped entry is
         // neither sorted nor gathered.
         if let Some(rule) = rule {
-            c.elems += touched as u64;
-            let mut kept = 0;
-            for x in 0..touched {
-                let j = cols[x];
-                let Some(v) = spa.get_mut(j) else { continue };
-                if let Some(w) = rule(j, *v) {
-                    *v = w;
-                    cols[kept] = j;
-                    kept += 1;
-                }
-            }
-            touched = kept;
+            c.elems += touched.len() as u64;
+            touched.retain(|&j| {
+                let Some(v) = spa.get_mut(j) else { return false };
+                rule(j, *v).map(|w| *v = w).is_some()
+            });
         }
-        cols[..touched].sort_unstable();
-        c.sort_elems += (touched.max(1).ilog2() as u64 + 1) * touched as u64;
+        touched.sort_unstable();
+        c.sort_elems += (touched.len().max(1).ilog2() as u64 + 1) * touched.len() as u64;
     }
     let mut n = 0;
-    for x in 0..mask.map_or(touched, <[usize]>::len) {
-        let j = mask.map_or(cols[x], |m| m[x]);
+    for &j in mask.unwrap_or(touched) {
         let Some(mut v) = spa.get(j) else { continue };
         // A masked row's entries are settled as the walk of `Mᵢ` finds them.
         if let (true, Some(rule)) = (gated, rule) {
@@ -216,14 +208,12 @@ where
 ///
 /// Rows are dealt to the context's tasks by **flops** `Σₖ nnz(B[k,:])`
 /// ([`split_by_work`]), not by count — on skewed inputs a few hub rows
-/// carry most of the work. `colidx`/`values` are allocated once at the rows'
-/// bounds (from a pattern-only sizing pass, or `nnz(Mᵢ)` under a mask)
-/// and every task packs its rows into its own disjoint window. The bounds
-/// are exact for an unmasked multiply without a rule; a mask or a rule
-/// leaves gaps between the windows that are closed afterwards, and what a
-/// rule left unused is given back. The sizing pass is the host's device
-/// for that single allocation; the simulated machine runs one-pass
-/// Gustavson, so it is neither charged nor recorded as a region.
+/// carry most of the work. One pass: `colidx`/`values` are allocated once
+/// (zeroed, so a page no entry reaches is never touched) at the rows'
+/// bounds — `nnz(Mᵢ)` under a mask, else the row's flops clipped to
+/// `ncols` — and every task packs the rows it keeps into its own disjoint
+/// window. The gaps the bounds leave between the windows are closed
+/// afterwards and the unused tail is given back.
 pub fn mxm_emit<A, B, C, AddM, MulOp, M>(
     a: &impl LeftOperand<A>,
     b: &impl RightOperand<B>,
@@ -257,21 +247,14 @@ where
         Some([]) => 0, // skipped outright
         _ => selected(i).map(<[usize]>::len).sum(),
     };
-    let chunks = split_by_work(nrows, ctx.threads(), row_flops);
-    let exact;
+    let flops: Vec<usize> = (0..nrows).map(row_flops).collect();
+    let chunks = split_by_work(nrows, ctx.threads(), |i| flops[i]);
+    let flop_bounds;
     let bounds: &[usize] = match mask {
         Some(m) => m.rowptr(),
         None => {
-            let (lens, _) = ctx.run_tasks(chunks.len(), |t, _| {
-                let mut spa = ctx.ws_dense_spa(ncols, zero);
-                let row_nnz = |i: usize| {
-                    spa.reset();
-                    selected(i).flatten().filter(|&&j| spa.mark(j)).count()
-                };
-                chunks[t].clone().map(row_nnz).collect::<Vec<_>>()
-            });
-            exact = prefix_sum(nrows, lens.into_iter().flatten());
-            &exact
+            flop_bounds = prefix_sum(nrows, flops.iter().map(|&f| f.min(ncols)));
+            &flop_bounds
         }
     };
     let mut colidx = vec![0usize; bounds[nrows]];
@@ -284,21 +267,31 @@ where
     let lens = ctx.for_each_task(PHASE, chunks.len(), |t, c| {
         let rows = chunks[t].clone();
         let (Some(cols), Some(vals)) = &mut *windows[t].lock() else { return vec![0; rows.len()] };
-        let mut spa = ctx.ws_dense_spa(ncols, zero);
+        let (mut spa, mut touched) = (ctx.ws_dense_spa(ncols, zero), ctx.ws_vec());
         let mut filled = 0;
         let row = |i: usize| {
             let tail = filled..filled + bounds[i + 1] - bounds[i];
             let (cols, vals) = (&mut cols[tail.clone()], &mut vals[tail]);
             let rule = rule.map(|keep| move |j, v| keep(i, j, v));
-            let n = spa_row(&mut spa, a.row(i), b, ring, mask_row(i), rule.as_ref(), cols, vals, c);
+            let n = spa_row(
+                &mut spa,
+                a.row(i),
+                b,
+                ring,
+                mask_row(i),
+                rule.as_ref(),
+                &mut touched,
+                cols,
+                vals,
+                c,
+            );
             filled += n;
             n
         };
         rows.map(row).collect::<Vec<_>>()
     });
     drop(windows);
-    // Close the gaps a mask's or a rule's bound left between the windows'
-    // packed rows (nothing moves when the bounds were exact).
+    // Close the gaps the bounds left between the windows' packed rows.
     let rowptr = prefix_sum(nrows, lens.into_iter().flatten());
     for r in &chunks {
         let packed = bounds[r.start]..bounds[r.start] + rowptr[r.end] - rowptr[r.start];
@@ -307,10 +300,8 @@ where
     }
     colidx.truncate(rowptr[nrows]);
     values.truncate(rowptr[nrows]);
-    if rule.is_some() {
-        colidx.shrink_to_fit();
-        values.shrink_to_fit();
-    }
+    colidx.shrink_to_fit();
+    values.shrink_to_fit();
     CsrMatrix::from_raw_parts(nrows, ncols, rowptr, colidx, values)
 }
 
@@ -427,12 +418,15 @@ mod tests {
     type Keep = fn(usize, usize, f64) -> bool;
 
     /// The emit rules of the differential: one that maps and drops, one
-    /// that drops everything, one that keeps everything as it is.
-    fn rules() -> [(Map, Keep); 3] {
+    /// that drops everything, one that keeps everything as it is, one that
+    /// drops bands of 16 rows — whole chunks come back empty between kept
+    /// ones.
+    fn rules() -> [(Map, Keep); 4] {
         [
             (|i, j, v| v * 0.75 + (i + 2 * j) as f64, |i, j, w| (i + j) % 3 != 0 && w < 90.0),
             (|_, _, v| v, |_, _, _| false),
             (|_, _, v| v, |_, _, _| true),
+            (|_, _, v| v, |i, _, _| i % 32 < 16),
         ]
     }
 
@@ -477,6 +471,8 @@ mod tests {
         let skewed = gen::rmat(7, 6, 11);
         let inputs = [
             (gen::erdos_renyi(90, 5, 21), gen::erdos_renyi(90, 4, 22)),
+            // 23 hub rows scan more products than there are columns, so
+            // their unmasked bounds are clipped to `ncols`
             (
                 skewed.clone(),
                 crate::ops::transpose::transpose(&skewed, &ExecCtx::serial()).unwrap(),

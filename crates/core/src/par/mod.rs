@@ -242,25 +242,10 @@ impl ExecCtx {
         R: Send,
         F: Fn(usize, &mut Counters) -> R + Sync,
     {
-        let (results, mut merged) = self.run_tasks(ntasks, f);
-        merged.regions += 1;
-        merged.tasks += ntasks as u64;
-        self.record(phase, |c| c.merge(&merged));
-        results
-    }
-
-    /// The execution half of [`ExecCtx::for_each_task`]: run the tasks on
-    /// the real-thread budget and hand back their results in task order
-    /// with their merged counters, recording nothing. For host-side passes
-    /// the simulated machine does not perform (SpGEMM's sizing pass).
-    pub(crate) fn run_tasks<R, F>(&self, ntasks: usize, f: F) -> (Vec<R>, Counters)
-    where
-        R: Send,
-        F: Fn(usize, &mut Counters) -> R + Sync,
-    {
         assert!(ntasks > 0, "for_each_task requires at least one task");
         // Counters only add, so merging in completion order is exact.
-        let merged = Mutex::new(Counters::default());
+        let merged =
+            Mutex::new(Counters { regions: 1, tasks: ntasks as u64, ..Counters::default() });
         let results = fork_join(
             self.real_threads,
             0..ntasks,
@@ -272,7 +257,8 @@ impl ExecCtx {
                 r
             },
         );
-        (results, merged.into_inner())
+        self.record(phase, |c| c.merge(&merged.into_inner()));
+        results
     }
 
     /// `forall` over `0..len`: the range is split into `self.threads`

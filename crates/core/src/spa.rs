@@ -170,14 +170,6 @@ impl<T: Copy> DenseSpa<T> {
         self.stamp[index] = self.generation - 1;
     }
 
-    /// Pattern-only occupy: stamp slot `index` without a value and report
-    /// whether it was empty (the symbolic SpGEMM pass counts these).
-    pub fn mark(&mut self, index: usize) -> bool {
-        let fresh = !self.occupied(index);
-        self.stamp[index] = self.generation;
-        fresh
-    }
-
     /// Combine `value` into slot `index`, or occupy the slot with it;
     /// returns `true` when the slot was newly occupied. With `gated` only
     /// an *admitted* slot may be occupied and a product landing anywhere
@@ -508,7 +500,6 @@ mod tests {
         assert!(!spa.fold(2, 1, &Plus, true) && !spa.fold(5, 1, &Plus, true));
         assert!(spa.fold(5, 4, &Plus, false) && !spa.fold(5, 4, &Plus, false));
         assert_eq!(spa.get(5), Some(8));
-        assert!(spa.mark(6) && !spa.mark(6) && !spa.mark(5));
     }
 
     #[test]

@@ -533,13 +533,14 @@ fn fold(lctx: &ExecCtx, profile: &mut Profile, phase: &str) {
 /// `K` the union of the ascending inner-dimension intervals `spans` — all
 /// of it on a 2-D grid, a layer's stages on a 3-D one.
 ///
-/// This is shared [`mxm_emit`] — the same flop-dealt chunks, sizing pass,
-/// windows and row kernel — over the row panel of `A` and the column panel
-/// of `B` the stage loop delivered, viewed in place: row `i` is ONE pass
-/// of the SPA over the grid row's blocks chained in ascending `k`, each
-/// `B[k, :]` looked up in the block that holds it, under the locale's mask
-/// row, `rule` (global coordinates) applied at emit, written into the
-/// block's final arrays. A locale that received nothing does nothing.
+/// This is shared [`mxm_emit`] — the same flop-dealt chunks, flop-bounded
+/// windows and row kernel, one pass per multiply — over the row panel of
+/// `A` and the column panel of `B` the stage loop delivered, viewed in
+/// place: row `i` is ONE pass of the SPA over the grid row's blocks chained
+/// in ascending `k`, each `B[k, :]` looked up in the block that holds it,
+/// under the locale's mask row, `rule` (global coordinates) applied at
+/// emit, written into the block's final arrays. A locale that received
+/// nothing does nothing.
 #[allow(clippy::too_many_arguments)]
 fn local_block<A, B, C, AddM, MulOp, M>(
     a: &DistCsrMatrix<A>,
