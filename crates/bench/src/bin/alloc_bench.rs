@@ -52,6 +52,9 @@ use gblas_graph::bfs::bfs_observed;
 use gblas_graph::pagerank::{pagerank_observed, PageRankOptions};
 
 /// Counting allocator: forwards to [`System`], tallying every allocation.
+/// A `realloc` that grows a block counts as one allocation of its growth
+/// (`new_size - old_size` bytes); one that shrinks it (`shrink_to_fit`) or
+/// keeps its size requests nothing new and counts as none.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -71,8 +74,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        let growth = new_size.saturating_sub(layout.size());
+        if growth > 0 {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            ALLOC_BYTES.fetch_add(growth as u64, Ordering::Relaxed);
+        }
         System.realloc(ptr, layout, new_size)
     }
 }

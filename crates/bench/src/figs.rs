@@ -228,14 +228,9 @@ pub const PAPER_MERGE: SpMSpVOpts =
 pub const SPMSPV_CONFIGS: &[(usize, usize)] = &[(16, 2), (4, 2), (16, 20)];
 
 /// Fig 7: shared-memory SpMSpV component breakdown (SPA / Sorting /
-/// Output) on Erdős–Rényi matrices with n = 1M, under the paper's
-/// sort-based merge.
-pub fn fig7(scale: usize) -> Vec<Figure> {
-    fig7_with(scale, PAPER_MERGE)
-}
-
-/// Fig 7 with explicit SpMSpV options, so the same component breakdown
-/// can be produced under the sort-free bucketed merge.
+/// Output) on Erdős–Rényi matrices with n = 1M, under the given SpMSpV
+/// options: the paper's sort-based merge is [`PAPER_MERGE`]; the same
+/// breakdown can be produced under the sort-free bucketed merge.
 pub fn fig7_with(scale: usize, opts: SpMSpVOpts) -> Vec<Figure> {
     let n = workloads::scaled(1_000_000, scale, 20_000);
     let mut out = Vec::new();
@@ -302,22 +297,12 @@ fn spmspv_dist_figure(
     out
 }
 
-/// Fig 8: distributed SpMSpV, n = 1M, under the paper's sort-based merge.
-pub fn fig8(scale: usize) -> Vec<Figure> {
-    fig8_with(scale, PAPER_MERGE)
-}
-
-/// Fig 8 with explicit SpMSpV options.
+/// Fig 8: distributed SpMSpV, n = 1M, under the given SpMSpV options.
 pub fn fig8_with(scale: usize, opts: SpMSpVOpts) -> Vec<Figure> {
     spmspv_dist_figure("fig08", 1_000_000, scale, opts)
 }
 
-/// Fig 9: distributed SpMSpV, n = 10M, under the paper's sort-based merge.
-pub fn fig9(scale: usize) -> Vec<Figure> {
-    fig9_with(scale, PAPER_MERGE)
-}
-
-/// Fig 9 with explicit SpMSpV options.
+/// Fig 9: distributed SpMSpV, n = 10M, under the given SpMSpV options.
 pub fn fig9_with(scale: usize, opts: SpMSpVOpts) -> Vec<Figure> {
     spmspv_dist_figure("fig09", 10_000_000, scale, opts)
 }
@@ -730,13 +715,20 @@ mod tests {
 
     const S: usize = 1000; // divide all big sizes by 1000
 
+    /// Speedup of `series` between its first point and the point at `x`.
+    fn speedup(fig: &Figure, series: &str, x: usize) -> Option<f64> {
+        let s = fig.series.iter().find(|s| s.name == series)?;
+        let at = s.points.iter().find(|p| p.x == x)?;
+        Some(s.points.first()?.report.total() / at.report.total())
+    }
+
     #[test]
     fn fig1_shapes() {
         let figs = fig1(200); // nnz = 50K: big enough that spawn overhead is amortized
         let shm = &figs[0];
         // near-perfect scaling at 24-ish threads (we check 16 for the
         // scaled-down size)
-        let sp = shm.speedup("Apply1", 16).unwrap();
+        let sp = speedup(shm, "Apply1", 16).unwrap();
         assert!(sp > 8.0, "shared-memory Apply speedup {sp}");
         let dist = &figs[1];
         // Apply1 collapses versus Apply2 beyond one node
@@ -763,20 +755,20 @@ mod tests {
     fn fig3_large_scales_small_flattens() {
         let figs = fig3(100); // 1M -> 10K, 100M -> 1M
         let fig = &figs[0];
-        let sp_large = fig.speedup("nnz=100M", 16).unwrap();
+        let sp_large = speedup(fig, "nnz=100M", 16).unwrap();
         assert!(sp_large > 3.0, "100M-series speedup {sp_large}");
     }
 
     #[test]
     fn fig4_large_input_scales() {
         let figs = fig4(100);
-        let sp = figs[0].speedup("nnz=100M", 16).unwrap();
+        let sp = speedup(&figs[0], "nnz=100M", 16).unwrap();
         assert!(sp > 5.0, "eWiseMult 100M speedup {sp}");
     }
 
     #[test]
     fn fig7_sort_dominates() {
-        let figs = fig7(50); // n = 20K
+        let figs = fig7_with(50, PAPER_MERGE); // n = 20K
         for fig in &figs {
             let p1 = &fig.series[0].points[0].report;
             assert!(
@@ -791,7 +783,7 @@ mod tests {
 
     #[test]
     fn fig8_gather_grows_and_dominates() {
-        let figs = fig8(50);
+        let figs = fig8_with(50, PAPER_MERGE);
         let fig = &figs[0]; // d=16, f=2%
         let at = |x: usize| fig.series[0].points.iter().find(|p| p.x == x).unwrap().report.clone();
         let r1 = at(1);

@@ -106,15 +106,6 @@ impl Figure {
         }
         Ok(path)
     }
-
-    /// Speedup of a series between its first and the point at `x`
-    /// (convenience for EXPERIMENTS.md summaries and tests).
-    pub fn speedup(&self, series: &str, x: usize) -> Option<f64> {
-        let s = self.series.iter().find(|s| s.name == series)?;
-        let first = s.points.first()?;
-        let at = s.points.iter().find(|p| p.x == x)?;
-        Some(first.report.total() / at.report.total())
-    }
 }
 
 #[cfg(test)]
@@ -145,19 +136,5 @@ mod tests {
         assert!(text.starts_with("figure,series,x,phase,seconds"));
         assert!(text.contains("figtest,A,1,spa,1"));
         assert!(text.contains("figtest,A,2,total,1.5"));
-    }
-
-    #[test]
-    fn speedup_helper() {
-        let mut fig = Figure::new("f", "t", "threads");
-        fig.push_series(
-            "A",
-            vec![
-                FigPoint { x: 1, report: report(&[("p", 8.0)]) },
-                FigPoint { x: 4, report: report(&[("p", 2.0)]) },
-            ],
-        );
-        assert_eq!(fig.speedup("A", 4), Some(4.0));
-        assert_eq!(fig.speedup("B", 4), None);
     }
 }

@@ -140,12 +140,6 @@ impl ServePolicy {
         ServePolicy { max_batch: max_batch.max(1), max_wait: window.max(0.0) }
     }
 
-    /// Latency-SLO policy: batch size is unbounded; the queueing-delay
-    /// budget `slo` alone decides when to dispatch.
-    pub fn latency_slo(slo: f64) -> ServePolicy {
-        ServePolicy { max_batch: usize::MAX, max_wait: slo.max(0.0) }
-    }
-
     /// The k-loop baseline: every request dispatches alone, immediately.
     pub fn immediate() -> ServePolicy {
         ServePolicy { max_batch: 1, max_wait: 0.0 }
@@ -467,19 +461,6 @@ mod tests {
         assert_eq!(report.batches, 3);
         assert_eq!(report.requests, 5);
         assert!(report.p99 >= report.p50);
-    }
-
-    #[test]
-    fn latency_slo_policy_waits_at_most_the_budget() {
-        // Two requests 10ms apart with a 1ms SLO: they cannot share a batch.
-        let reqs = vec![
-            Request { id: 0, arrival: 0.0, source: 0 },
-            Request { id: 1, arrival: 0.010, source: 1 },
-        ];
-        let report =
-            simulate_serving("test", &reqs, ServePolicy::latency_slo(0.001), &mut |_| Ok(0.0001))
-                .unwrap();
-        assert_eq!(report.batches, 2);
     }
 
     #[test]

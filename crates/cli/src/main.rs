@@ -159,7 +159,11 @@ fn parse_args() -> std::result::Result<Args, String> {
                 i += 2;
             }
             "--simulate" => {
-                args.simulate = Some(need(i, &mut rest)?.parse().map_err(|_| "bad --simulate")?);
+                let nodes = need(i, &mut rest)?.parse().map_err(|_| "bad --simulate")?;
+                if nodes == 0 {
+                    return Err("--simulate must be at least 1".into());
+                }
+                args.simulate = Some(nodes);
                 i += 2;
             }
             "--trace" => {

@@ -148,6 +148,11 @@ fn errors_are_clean_not_panics() {
     assert!(stderr6.contains("error:") && stderr6.contains("sort|bucket"), "got: {stderr6}");
     let (ok7, help, _) = run(&["--help"]);
     assert!(ok7 && help.contains("--spmspv-merge sort|bucket"), "got: {help}");
+    // zero nodes is no grid: rejected at parsing, not an assertion in the grid
+    let (ok8, _, stderr8) = run(&["bfs", "--gen", "rmat:8:4", "--simulate", "0"]);
+    assert!(!ok8);
+    assert!(stderr8.contains("--simulate must be at least 1"), "got: {stderr8}");
+    assert!(!stderr8.contains("panicked"), "got: {stderr8}");
     for window in ["-1", "nan", "inf"] {
         let (ok5, _, stderr5) = run(&["serve-bench", "--gen", "er:100:4", "--window", window]);
         assert!(!ok5, "--window {window} must be rejected");

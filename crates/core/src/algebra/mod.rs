@@ -10,9 +10,9 @@
 //! * [`Monoid`] — an associative binary operator with an identity element,
 //!   used as the "add" of a semiring and by `reduce`.
 //! * [`Semiring`] — add monoid plus multiply operator. The ready-made
-//!   rings in [`semirings`] cover plus-times (numeric), min-plus (tropical
-//!   shortest paths), or-and (boolean reachability), and the
-//!   min-first/second parent semirings used by BFS.
+//!   rings in [`semirings`] cover plus-times (numeric; or-and, boolean
+//!   reachability, on `bool`), min-plus (tropical shortest paths),
+//!   plus-pair (triangle counting) and plus-first (PageRank).
 
 pub mod monoid;
 pub mod ops;

@@ -5,7 +5,7 @@
 //! contain an additive identity element." (§III)
 
 use super::monoid::Monoid;
-use super::ops::{First, Max, Min, Pair, Plus, Scalar, Second, Times};
+use super::ops::{First, Min, Pair, Plus, Scalar, Times};
 use super::BinaryOp;
 
 /// A GraphBLAS semiring: an *add* monoid over the output domain `C` and a
@@ -68,7 +68,9 @@ pub mod semirings {
     use super::*;
 
     /// Conventional arithmetic `(+, ×)` over any [`Scalar`]; PageRank,
-    /// counting walks, numeric SpGEMM.
+    /// counting walks, numeric SpGEMM. On `bool` it is `(or, and)`, plain
+    /// reachability: `Plus` *is* logical OR and `Times` *is* logical AND
+    /// there (see `Scalar for bool`).
     pub fn plus_times<T: Scalar>() -> Semiring<Plus, Times> {
         Semiring::new(Plus, Times)
     }
@@ -83,29 +85,6 @@ pub mod semirings {
     /// SpMSpV/SpMV.
     pub fn min_plus() -> Semiring<Min, Plus> {
         Semiring::new(Min, Plus)
-    }
-
-    /// `(max, +)`: critical-path / longest-path relaxations on DAGs.
-    pub fn max_plus() -> Semiring<Max, Plus> {
-        Semiring::new(Max, Plus)
-    }
-
-    /// Boolean `(or, and)`: plain reachability — the BFS "hello world"
-    /// (§III: the operations "can be composed to implement an efficient
-    /// breadth-first search").
-    pub fn or_and() -> Semiring<Plus, Times> {
-        // On `bool`, `Plus` *is* logical OR and `Times` *is* logical AND
-        // (see `Scalar for bool`), so this shares the numeric structs.
-        Semiring::new(Plus, Times)
-    }
-
-    /// Parent semiring `(min, second)`: the multiply hands through the
-    /// candidate parent id carried by the frontier, the min picks a
-    /// deterministic winner. Used by the BFS tree construction, mirroring
-    /// the paper's SpMSpV which stores "the row index as value"
-    /// (Listing 7, line 25).
-    pub fn min_second() -> Semiring<Min, Second> {
-        Semiring::new(Min, Second)
     }
 
     /// `(plus, pair)`: counts structural intersections; with a mask this is
@@ -151,22 +130,11 @@ mod tests {
 
     #[test]
     fn boolean_reachability() {
-        let s = or_and();
+        let s = plus_times::<bool>();
         let z: bool = s.zero();
         assert!(!z);
         let reach: bool = s.multiply(true, true);
         assert!(s.accumulate(reach, false));
-    }
-
-    #[test]
-    fn parent_semiring_keeps_minimum_parent() {
-        let s = min_second();
-        // multiply(frontier-parent-id, edge) -> candidate parent id
-        let c1: u64 = s.multiply(false, 7u64);
-        let c2: u64 = s.multiply(false, 3u64);
-        assert_eq!(s.accumulate(c1, c2), 3);
-        let z: u64 = s.zero();
-        assert_eq!(z, u64::MAX);
     }
 
     #[test]

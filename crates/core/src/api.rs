@@ -231,8 +231,10 @@ mod tests {
     use crate::algebra::{semirings, Plus, Times};
     use crate::container::DenseVec;
 
+    /// `entries` in ascending index order.
     fn v(cap: usize, entries: &[(usize, f64)]) -> SparseVec<f64> {
-        SparseVec::from_pairs(cap, entries.to_vec()).unwrap()
+        let (indices, values) = entries.iter().copied().unzip();
+        SparseVec::from_sorted(cap, indices, values).unwrap()
     }
 
     #[test]

@@ -168,11 +168,6 @@ impl<T> CsrMatrix<T> {
             values,
         }
     }
-
-    /// Decompose into `(nrows, ncols, rowptr, colidx, values)`.
-    pub fn into_raw_parts(self) -> (usize, usize, Vec<usize>, Vec<usize>, Vec<T>) {
-        (self.nrows, self.ncols, self.rowptr, self.colidx, self.values)
-    }
 }
 
 #[cfg(test)]

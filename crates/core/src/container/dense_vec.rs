@@ -74,23 +74,6 @@ impl<T> DenseVec<T> {
     pub fn into_vec(self) -> Vec<T> {
         self.values
     }
-
-    /// Extract the nonzero (≠ `zero`) entries as a sparse vector.
-    pub fn to_sparse(&self, zero: T) -> super::SparseVec<T>
-    where
-        T: Copy + PartialEq,
-    {
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for (i, &v) in self.values.iter().enumerate() {
-            if v != zero {
-                indices.push(i);
-                values.push(v);
-            }
-        }
-        super::SparseVec::from_sorted(self.values.len(), indices, values)
-            .expect("indices from enumerate are sorted and in range")
-    }
 }
 
 impl<T> std::ops::Index<usize> for DenseVec<T> {
@@ -125,15 +108,6 @@ mod tests {
         assert_eq!(*v.get(1).unwrap(), 9);
         assert!(v.get(2).is_err());
         assert!(v.set(2, 1).is_err());
-    }
-
-    #[test]
-    fn round_trip_sparse() {
-        let d = DenseVec::from_vec(vec![0.0, 1.5, 0.0, -2.0]);
-        let s = d.to_sparse(0.0);
-        assert_eq!(s.indices(), &[1, 3]);
-        assert_eq!(s.values(), &[1.5, -2.0]);
-        assert_eq!(s.to_dense(0.0), d);
     }
 
     #[test]

@@ -30,16 +30,6 @@ impl<T> SparseFrontier<T> {
         Ok(SparseFrontier { capacity, rows })
     }
 
-    /// Build from per-source entry lists (unsorted, duplicate indices are
-    /// an error — a frontier holds one value per vertex per source).
-    pub fn from_entries(capacity: usize, entries: Vec<Vec<(usize, T)>>) -> Result<Self> {
-        let rows = entries
-            .into_iter()
-            .map(|pairs| SparseVec::from_pairs(capacity, pairs))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(SparseFrontier { capacity, rows })
-    }
-
     /// A frontier of `k` empty per-source vectors.
     pub fn empty(capacity: usize, k: usize) -> Self {
         SparseFrontier { capacity, rows: (0..k).map(|_| SparseVec::new(capacity)).collect() }
@@ -74,26 +64,6 @@ impl<T> SparseFrontier<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builds_from_unsorted_entries() {
-        let f = SparseFrontier::from_entries(
-            10,
-            vec![vec![(3, 1.0), (1, 2.0)], vec![], vec![(9, 5.0)]],
-        )
-        .unwrap();
-        assert_eq!(f.k(), 3);
-        assert_eq!(f.capacity(), 10);
-        assert_eq!(f.nnz(), 3);
-        assert_eq!(f.row(0), &SparseVec::from_sorted(10, vec![1, 3], vec![2.0, 1.0]).unwrap());
-        assert_eq!(f.row(2).indices(), &[9]);
-    }
-
-    #[test]
-    fn rejects_out_of_range_and_duplicates() {
-        assert!(SparseFrontier::from_entries(4, vec![vec![(4, 1.0)]]).is_err());
-        assert!(SparseFrontier::from_entries(4, vec![vec![(1, 1.0), (1, 2.0)]]).is_err());
-    }
 
     #[test]
     fn capacity_mismatch_is_error() {

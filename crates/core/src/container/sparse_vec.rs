@@ -51,43 +51,6 @@ impl<T> SparseVec<T> {
         Ok(SparseVec { capacity, indices, values })
     }
 
-    /// Build from unsorted `(index, value)` pairs. Duplicate indices are an
-    /// error (use [`SparseVec::from_pairs_combine`] to merge them).
-    pub fn from_pairs(capacity: usize, mut pairs: Vec<(usize, T)>) -> Result<Self> {
-        pairs.sort_unstable_by_key(|(i, _)| *i);
-        for w in pairs.windows(2) {
-            if w[0].0 == w[1].0 {
-                return Err(GblasError::InvalidContainer(format!("duplicate index {}", w[0].0)));
-            }
-        }
-        let (indices, values): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
-        Self::from_sorted(capacity, indices, values)
-    }
-
-    /// Build from unsorted pairs, merging duplicate indices with `combine`.
-    pub fn from_pairs_combine(
-        capacity: usize,
-        mut pairs: Vec<(usize, T)>,
-        combine: impl Fn(T, T) -> T,
-    ) -> Result<Self>
-    where
-        T: Copy,
-    {
-        pairs.sort_unstable_by_key(|(i, _)| *i);
-        let mut indices: Vec<usize> = Vec::with_capacity(pairs.len());
-        let mut values: Vec<T> = Vec::with_capacity(pairs.len());
-        for (i, v) in pairs {
-            if indices.last() == Some(&i) {
-                let last = values.last_mut().unwrap();
-                *last = combine(*last, v);
-            } else {
-                indices.push(i);
-                values.push(v);
-            }
-        }
-        Self::from_sorted(capacity, indices, values)
-    }
-
     /// The vector's dimension (`capacity(x)` in the paper).
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -211,19 +174,6 @@ impl<T> SparseVec<T> {
         Ok(())
     }
 
-    /// Scatter into a dense vector of length `capacity`, with `default`
-    /// elsewhere.
-    pub fn to_dense(&self, default: T) -> super::DenseVec<T>
-    where
-        T: Copy,
-    {
-        let mut d = vec![default; self.capacity];
-        for (i, v) in self.iter() {
-            d[i] = *v;
-        }
-        super::DenseVec::from_vec(d)
-    }
-
     /// Decompose into `(capacity, indices, values)`.
     pub fn into_parts(self) -> (usize, Vec<usize>, Vec<T>) {
         (self.capacity, self.indices, self.values)
@@ -250,22 +200,6 @@ mod tests {
         assert!(SparseVec::from_sorted(10, vec![1, 1], vec![0, 0]).is_err());
         assert!(SparseVec::from_sorted(10, vec![10], vec![0]).is_err());
         assert!(SparseVec::from_sorted(10, vec![1], Vec::<i32>::new()).is_err());
-    }
-
-    #[test]
-    fn from_pairs_sorts() {
-        let v = SparseVec::from_pairs(5, vec![(3, 'c'), (0, 'a'), (2, 'b')]).unwrap();
-        assert_eq!(v.indices(), &[0, 2, 3]);
-        assert_eq!(v.values(), &['a', 'b', 'c']);
-    }
-
-    #[test]
-    fn from_pairs_rejects_duplicates_but_combine_merges() {
-        assert!(SparseVec::from_pairs(5, vec![(1, 2), (1, 3)]).is_err());
-        let v =
-            SparseVec::from_pairs_combine(5, vec![(1, 2), (1, 3), (0, 5)], |a, b| a + b).unwrap();
-        assert_eq!(v.indices(), &[0, 1]);
-        assert_eq!(v.values(), &[5, 5]);
     }
 
     #[test]
@@ -301,13 +235,6 @@ mod tests {
         assert_eq!(v.values(), &[0.5, 0.5, 0.5]);
         assert!(v.assign_domain(&[8], 0.0).is_err());
         assert!(v.assign_domain(&[3, 3], 0.0).is_err());
-    }
-
-    #[test]
-    fn to_dense_scatter() {
-        let v = SparseVec::from_sorted(4, vec![1, 3], vec![5, 7]).unwrap();
-        let d = v.to_dense(0);
-        assert_eq!(d.as_slice(), &[0, 5, 0, 7]);
     }
 
     #[test]

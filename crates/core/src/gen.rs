@@ -58,14 +58,6 @@ pub fn erdos_renyi(n: usize, d: usize, seed: u64) -> CsrMatrix<f64> {
         .expect("generator output satisfies CSR invariants")
 }
 
-/// An Erdős–Rényi pattern matrix with boolean values (adjacency only).
-pub fn erdos_renyi_bool(n: usize, d: usize, seed: u64) -> CsrMatrix<bool> {
-    let a = erdos_renyi(n, d, seed);
-    let (nr, nc, rp, ci, vals) = a.into_raw_parts();
-    let values = vec![true; vals.len()];
-    CsrMatrix::from_raw_parts(nr, nc, rp, ci, values).expect("same structure")
-}
-
 /// A symmetric Erdős–Rényi matrix (undirected graph): the union of the
 /// directed pattern and its transpose, diagonal removed. Used by the
 /// triangle-counting example.
@@ -154,6 +146,14 @@ pub fn rmat_edges(scale: u32, edge_factor: usize) -> Option<usize> {
 pub fn random_dense_bool(len: usize, frac_true: f64, seed: u64) -> DenseVec<bool> {
     let mut rng = SmallRng::seed_from_u64(seed);
     DenseVec::from_fn(len, |_| rng.gen::<f64>() < frac_true)
+}
+
+/// An Erdős–Rényi pattern matrix with boolean values (adjacency only), a
+/// fixture of this crate's unit tests.
+#[cfg(test)]
+pub(crate) fn erdos_renyi_bool(n: usize, d: usize, seed: u64) -> CsrMatrix<bool> {
+    let a = erdos_renyi(n, d, seed);
+    a.with_values(vec![true; a.nnz()])
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 //! IPDPS Workshops 2017). It provides:
 //!
 //! * **Algebra** ([`algebra`]): unary/binary operators, monoids and
-//!   semirings, with the standard GraphBLAS instances (plus-times, min-plus,
-//!   or-and, first/second, …).
+//!   semirings, with the standard GraphBLAS instances (plus-times, which is
+//!   or-and on `bool`, min-plus, plus-pair, plus-first).
 //! * **Containers** ([`container`]): Chapel-style sparse vectors (sorted
 //!   index set + values), dense vectors, CSR matrices (sorted column ids per
 //!   row, exactly the layout §II-A of the paper describes) and a COO builder.
@@ -15,9 +15,10 @@
 //!   contrasts (a naive "version 1" exercising fine-grained element access
 //!   and an SPMD-style "version 2" that manipulates the low-level arrays
 //!   directly), plus the rest of a useful GraphBLAS surface: `eWiseAdd`,
-//!   `SpMV`, `MxM` (SpGEMM), `reduce`, `transpose`, `extract`, `select`.
-//! * **Masks** ([`mask`]): structural/value masks with complement and
-//!   replace semantics — the paper's §V "future work", implemented here.
+//!   `SpMV`, `MxM` (SpGEMM), `reduce`, `transpose`, `select`.
+//! * **Masks** ([`mask`]): bitmap vector masks with complement (and, in
+//!   [`api`], replace) semantics — the paper's §V "future work",
+//!   implemented here.
 //! * **Instrumented parallel runtime** ([`par`]): a fork-join executor with
 //!   an explicit thread count that additionally records [`par::Counters`]
 //!   (elements streamed, binary-search probes, atomic RMWs, sort work, SPA

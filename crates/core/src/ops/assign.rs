@@ -16,7 +16,6 @@
 
 use crate::container::SparseVec;
 use crate::error::{check_dims, Result};
-use crate::mask::VecMask;
 use crate::par::ExecCtx;
 
 /// Phase names used by this op.
@@ -107,116 +106,9 @@ pub fn assign_v2<T: Copy + Send + Sync + Default>(
     Ok(())
 }
 
-/// General subset assign, `w(I) = u` — GraphBLAS `GrB_assign` with an
-/// index list: `w[I[k]] = u[k]` for every stored `u[k]`, other entries of
-/// `w` preserved. `I` must be strictly increasing with `len ==
-/// u.capacity()`; this is the unrestricted form whose distributed version
-/// the paper notes "can require O((nnz(A)+nnz(B))/√p) communication"
-/// (§III-B) — here in shared memory it is a sorted merge.
-pub fn assign_subset<T: Copy + Send + Sync>(
-    w: &mut SparseVec<T>,
-    index_set: &[usize],
-    u: &SparseVec<T>,
-    ctx: &ExecCtx,
-) -> Result<()> {
-    use crate::error::GblasError;
-    if index_set.len() != u.capacity() {
-        return Err(GblasError::DimensionMismatch {
-            expected: format!("index set of length {}", u.capacity()),
-            actual: format!("length {}", index_set.len()),
-        });
-    }
-    for pair in index_set.windows(2) {
-        if pair[0] >= pair[1] {
-            return Err(GblasError::InvalidArgument(
-                "assign index set must be strictly increasing".into(),
-            ));
-        }
-    }
-    if let Some(&last) = index_set.last() {
-        if last >= w.capacity() {
-            return Err(GblasError::IndexOutOfBounds { index: last, capacity: w.capacity() });
-        }
-    }
-    // Translate u's entries into w coordinates (monotone because I is
-    // sorted), then merge over w.
-    let translated: Vec<(usize, T)> = u.iter().map(|(k, &v)| (index_set[k], v)).collect();
-    let mut c = crate::par::Counters::default();
-    let (wi, wv) = (w.indices(), w.values());
-    let mut out_i = Vec::with_capacity(wi.len() + translated.len());
-    let mut out_v = Vec::with_capacity(wi.len() + translated.len());
-    let (mut p, mut q) = (0usize, 0usize);
-    while p < wi.len() || q < translated.len() {
-        c.elems += 1;
-        if q >= translated.len() || (p < wi.len() && wi[p] < translated[q].0) {
-            out_i.push(wi[p]);
-            out_v.push(wv[p]);
-            p += 1;
-        } else if p >= wi.len() || translated[q].0 < wi[p] {
-            out_i.push(translated[q].0);
-            out_v.push(translated[q].1);
-            q += 1;
-        } else {
-            out_i.push(translated[q].0);
-            out_v.push(translated[q].1); // new value wins
-            p += 1;
-            q += 1;
-        }
-    }
-    ctx.record(PHASE_VALUES, |pc| pc.merge(&c));
-    *w = SparseVec::from_sorted(w.capacity(), out_i, out_v)?;
-    Ok(())
-}
-
-/// Masked assign: `a[i] = b[i]` only where the mask allows; other entries
-/// of `a` are preserved (GraphBLAS `GrB_assign` with a mask and
-/// `GrB_REPLACE` unset). Both inputs must share a capacity.
-pub fn assign_masked<T: Copy + Send + Sync>(
-    a: &mut SparseVec<T>,
-    b: &SparseVec<T>,
-    mask: &VecMask<'_>,
-    ctx: &ExecCtx,
-) -> Result<()> {
-    check_dims("capacity", a.capacity(), b.capacity())?;
-    let mut c = crate::par::Counters::default();
-    // Merge the surviving entries of b over a.
-    let (ai, av) = (a.indices(), a.values());
-    let (bi, bv) = (b.indices(), b.values());
-    let mut out_i: Vec<usize> = Vec::with_capacity(ai.len() + bi.len());
-    let mut out_v: Vec<T> = Vec::with_capacity(ai.len() + bi.len());
-    let (mut p, mut q) = (0usize, 0usize);
-    while p < ai.len() || q < bi.len() {
-        let take_b = q < bi.len() && (p >= ai.len() || bi[q] <= ai[p]);
-        if take_b {
-            let i = bi[q];
-            let allowed = mask.allows(i, &mut c);
-            if allowed {
-                out_i.push(i);
-                out_v.push(bv[q]);
-            } else if p < ai.len() && ai[p] == i {
-                out_i.push(i);
-                out_v.push(av[p]);
-            }
-            if p < ai.len() && ai[p] == i {
-                p += 1;
-            }
-            q += 1;
-        } else {
-            out_i.push(ai[p]);
-            out_v.push(av[p]);
-            p += 1;
-        }
-        c.elems += 1;
-    }
-    ctx.record(PHASE_VALUES, |pc| pc.merge(&c));
-    *a = SparseVec::from_sorted(a.capacity(), out_i, out_v)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::DenseVec;
 
     fn sample_pair(n: usize) -> (SparseVec<f64>, SparseVec<f64>) {
         let b = SparseVec::from_sorted(n, vec![1, 4, 9, 17], vec![1.0, 4.0, 9.0, 17.0]).unwrap();
@@ -273,55 +165,5 @@ mod tests {
         let ctx = ExecCtx::serial();
         assign_v2(&mut a, &b, &ctx).unwrap();
         assert_eq!(a.nnz(), 0);
-    }
-
-    #[test]
-    fn subset_assign_round_trips_with_extract() {
-        // w(I) = u followed by extract(w, I) recovers u.
-        let mut w = crate::gen::random_sparse_vec(50, 12, 77);
-        let index_set: Vec<usize> = (0..50).step_by(3).collect(); // 17 slots
-        let u = crate::gen::random_sparse_vec(index_set.len(), 6, 78);
-        let ctx = ExecCtx::serial();
-        assign_subset(&mut w, &index_set, &u, &ctx).unwrap();
-        let back = crate::ops::extract::extract_vec(&w, &index_set, &ctx).unwrap();
-        for (k, &v) in u.iter() {
-            assert_eq!(back.get(k), Some(&v), "slot {k}");
-        }
-        // entries of w outside I are untouched
-        let original = crate::gen::random_sparse_vec(50, 12, 77);
-        for (i, &v) in original.iter() {
-            if !index_set.contains(&i) {
-                assert_eq!(w.get(i), Some(&v), "index {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn subset_assign_validates() {
-        let mut w = SparseVec::<f64>::new(10);
-        let u = SparseVec::from_sorted(3, vec![0], vec![1.0]).unwrap();
-        let ctx = ExecCtx::serial();
-        // wrong index-set length
-        assert!(assign_subset(&mut w, &[1, 2], &u, &ctx).is_err());
-        // unsorted
-        assert!(assign_subset(&mut w, &[3, 2, 5], &u, &ctx).is_err());
-        // out of bounds
-        assert!(assign_subset(&mut w, &[1, 2, 10], &u, &ctx).is_err());
-        // valid
-        assert!(assign_subset(&mut w, &[1, 2, 5], &u, &ctx).is_ok());
-        assert_eq!(w.get(1), Some(&1.0));
-    }
-
-    #[test]
-    fn masked_assign_merges() {
-        let mut a = SparseVec::from_sorted(8, vec![0, 2, 4], vec![10, 20, 30]).unwrap();
-        let b = SparseVec::from_sorted(8, vec![2, 3, 4], vec![99, 98, 97]).unwrap();
-        let allow = DenseVec::from_vec(vec![false, false, true, true, false, false, false, false]);
-        let mask = VecMask::dense(&allow);
-        let ctx = ExecCtx::serial();
-        assign_masked(&mut a, &b, &mask, &ctx).unwrap();
-        // index 2 and 3 allowed -> take b; index 4 masked out -> keep a's 30
-        assert_eq!(a.indices(), &[0, 2, 3, 4]);
-        assert_eq!(a.values(), &[10, 99, 98, 30]);
     }
 }

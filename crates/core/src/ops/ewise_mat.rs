@@ -1,13 +1,15 @@
-//! Element-wise matrix operations: `eWiseMult` / `eWiseAdd` on CSR.
+//! Element-wise matrix addition: `eWiseAdd` on CSR, plus the flat row-block
+//! helpers it shares with `select`.
 //!
 //! The GraphBLAS spec defines `eWiseMult`/`eWiseAdd` uniformly over
 //! vectors and matrices (§III: "the API does not differentiate matrices as
-//! sparse or dense"); the vector forms live in [`super::ewise`], these are
-//! the matrix forms. Row-parallel: each task merges a contiguous block of
-//! row pairs into one flat `(row lengths, columns, values)` buffer sized
-//! up front from the operands' row pointers, so no synchronization is
-//! needed, per-row outputs stay sorted and a call allocates per task, not
-//! per row.
+//! sparse or dense"); the vector forms live in [`super::ewise`]. The
+//! matrix form here is the union that sums SpGEMM partial products (3-D
+//! SUMMA's layer merge, the single-stage SUMMA baseline).
+//! Row-parallel: each task merges a contiguous block of row pairs into one
+//! flat `(row lengths, columns, values)` buffer sized up front from the
+//! operands' row pointers, so no synchronization is needed, per-row
+//! outputs stay sorted and a call allocates per task, not per row.
 
 use crate::algebra::BinaryOp;
 use crate::container::CsrMatrix;
@@ -26,48 +28,6 @@ fn check_same_shape<A, B>(a: &CsrMatrix<A>, b: &CsrMatrix<B>) -> Result<()> {
         });
     }
     Ok(())
-}
-
-/// `C = A .* B`: intersection of structures, values combined with `op`.
-pub fn ewise_mult_mat<A, B, C, Op>(
-    a: &CsrMatrix<A>,
-    b: &CsrMatrix<B>,
-    op: &Op,
-    ctx: &ExecCtx,
-) -> Result<CsrMatrix<C>>
-where
-    A: Copy + Send + Sync,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync,
-    Op: BinaryOp<A, B, C>,
-{
-    check_same_shape(a, b)?;
-    let rows = ctx.parallel_for(PHASE, a.nrows(), |r, c| {
-        let (mut lens, mut cols, mut vals) = flat(&r, span_nnz(a, &r).min(span_nnz(b, &r)));
-        for i in r {
-            let (ac, av) = a.row(i);
-            let (bc, bv) = b.row(i);
-            let before = cols.len();
-            let (mut p, mut q) = (0usize, 0usize);
-            while p < ac.len() && q < bc.len() {
-                c.elems += 1;
-                match ac[p].cmp(&bc[q]) {
-                    std::cmp::Ordering::Less => p += 1,
-                    std::cmp::Ordering::Greater => q += 1,
-                    std::cmp::Ordering::Equal => {
-                        cols.push(ac[p]);
-                        vals.push(op.eval(av[p], bv[q]));
-                        c.flops += 1;
-                        p += 1;
-                        q += 1;
-                    }
-                }
-            }
-            lens.push(cols.len() - before);
-        }
-        (lens, cols, vals)
-    });
-    assemble(a.nrows(), a.ncols(), rows)
 }
 
 /// `C = A .+ B`: union of structures, values combined with `op` where both
@@ -152,24 +112,8 @@ pub(crate) fn assemble<C: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::{Plus, Times};
+    use crate::algebra::Plus;
     use crate::gen;
-
-    #[test]
-    fn mult_is_structural_intersection() {
-        let a = gen::erdos_renyi(80, 6, 1);
-        let b = gen::erdos_renyi(80, 6, 2);
-        for threads in [1, 4] {
-            let ctx = ExecCtx::new(threads, 2);
-            let c: CsrMatrix<f64> = ewise_mult_mat(&a, &b, &Times, &ctx).unwrap();
-            for (i, j, &v) in c.iter() {
-                let (x, y) = (a.get(i, j).unwrap(), b.get(i, j).unwrap());
-                assert!((v - x * y).abs() < 1e-12);
-            }
-            let expect = a.iter().filter(|&(i, j, _)| b.get(i, j).is_some()).count();
-            assert_eq!(c.nnz(), expect);
-        }
-    }
 
     #[test]
     fn add_is_structural_union() {
@@ -206,7 +150,6 @@ mod tests {
         let a = CsrMatrix::<f64>::empty(3, 3);
         let b = CsrMatrix::<f64>::empty(3, 4);
         let ctx = ExecCtx::serial();
-        assert!(ewise_mult_mat::<_, _, f64, _>(&a, &b, &Times, &ctx).is_err());
         assert!(ewise_add_mat(&a, &b, &Plus, &ctx).is_err());
     }
 
@@ -214,7 +157,7 @@ mod tests {
     fn empty_matrices() {
         let a = CsrMatrix::<f64>::empty(5, 5);
         let ctx = ExecCtx::serial();
-        let c: CsrMatrix<f64> = ewise_mult_mat(&a, &a, &Times, &ctx).unwrap();
+        let c = ewise_add_mat(&a, &a, &Plus, &ctx).unwrap();
         assert_eq!(c.nnz(), 0);
     }
 }

@@ -41,7 +41,6 @@ pub fn expand_first_visitor<T: Send + Sync>(
     check_dims("visited masks vs batch width", f.k(), visited.len())?;
     let mut rows = Vec::with_capacity(f.k());
     for (s, x) in f.rows().iter().enumerate() {
-        check_dims("mask length vs matrix columns", a.ncols(), visited[s].len())?;
         let vm = VecMask::dense(&visited[s]).complement();
         rows.push(spmspv_first_visitor(a, x, Some(&vm), opts, ctx)?);
     }
@@ -59,17 +58,17 @@ mod tests {
         let a = gen::erdos_renyi(200, 6, 7);
         let sources = [0usize, 5, 5, 190]; // duplicate on purpose
         let ctx = ExecCtx::new(4, 1);
-        let f = SparseFrontier::from_entries(200, sources.iter().map(|&s| vec![(s, s)]).collect())
-            .unwrap();
+        let single = |s: usize| SparseVec::from_sorted(200, vec![s], vec![s]).unwrap();
+        let f = SparseFrontier::new(200, sources.iter().map(|&s| single(s)).collect()).unwrap();
         let visited: Vec<DenseVec<bool>> =
             sources.iter().map(|&s| DenseVec::from_fn(200, |i| i == s)).collect();
         let batched = expand_first_visitor(&a, &f, &visited, SpMSpVOpts::default(), &ctx).unwrap();
         for (s, &src) in sources.iter().enumerate() {
-            let x = SparseVec::from_sorted(200, vec![src], vec![src]).unwrap();
             let vm = VecMask::dense(&visited[s]).complement();
-            let single =
-                spmspv_first_visitor(&a, &x, Some(&vm), SpMSpVOpts::default(), &ctx).unwrap();
-            assert_eq!(batched.row(s), &single, "source slot {s}");
+            let solo =
+                spmspv_first_visitor(&a, &single(src), Some(&vm), SpMSpVOpts::default(), &ctx)
+                    .unwrap();
+            assert_eq!(batched.row(s), &solo, "source slot {s}");
         }
     }
 
@@ -87,7 +86,8 @@ mod tests {
     fn mask_count_mismatch_is_error() {
         let a = gen::erdos_renyi(50, 3, 29);
         let ctx = ExecCtx::serial();
-        let f = SparseFrontier::from_entries(50, vec![vec![(0, 0usize)]]).unwrap();
+        let x = SparseVec::from_sorted(50, vec![0], vec![0usize]).unwrap();
+        let f = SparseFrontier::new(50, vec![x]).unwrap();
         assert!(expand_first_visitor(&a, &f, &[], SpMSpVOpts::default(), &ctx).is_err());
     }
 }

@@ -10,7 +10,7 @@
 //! | `Assign` | [`assign`] | v1 index-at-a-time / v2 bulk (Listings 4–5) |
 //! | `eWiseMult` | [`ewise`] | atomic compaction / thread-private + prefix sum (Listing 6 and its suggested improvement) |
 //! | `SpMSpV` | [`spmspv`] | first-visitor (Listing 7) / general semiring; merge or radix sort |
-//! | — | [`spmv`], [`mxm`], [`reduce`], [`transpose`], [`extract`], [`select`] | the rest of the GraphBLAS surface |
+//! | — | [`spmv`], [`mxm`], [`reduce`], [`transpose`], [`select`] | the rest of the GraphBLAS surface |
 //!
 //! Every operation takes an [`crate::par::ExecCtx`] and records phase-tagged
 //! [`crate::par::Counters`] describing the work it really performed; the
@@ -21,7 +21,6 @@ pub mod assign;
 pub mod ewise;
 pub mod ewise_mat;
 pub mod expand;
-pub mod extract;
 pub mod mxm;
 pub mod mxv;
 pub mod reduce;

@@ -121,7 +121,7 @@ mod tests {
     use crate::gen;
 
     fn dense_reference(a: &CsrMatrix<f64>, x: &SparseVec<f64>) -> Vec<f64> {
-        let xd = x.to_dense(0.0);
+        let xd: Vec<f64> = (0..x.capacity()).map(|j| x.get(j).copied().unwrap_or(0.0)).collect();
         let mut y = vec![0.0; a.nrows()];
         for (i, j, &v) in a.iter() {
             y[i] += v * xd[j];
@@ -139,7 +139,7 @@ mod tests {
                 let ctx = ExecCtx::new(threads, 2);
                 let y = mxv_sparse(&a, &x, &semirings::plus_times_f64(), &ctx).unwrap();
                 let expect = dense_reference(&a, &x);
-                let dense = y.to_dense(0.0);
+                let dense: Vec<f64> = (0..400).map(|i| y.get(i).copied().unwrap_or(0.0)).collect();
                 for i in 0..400 {
                     assert!(
                         (dense[i] - expect[i]).abs() < 1e-9,

@@ -112,10 +112,7 @@ mod tests {
     #[test]
     fn row_reduce_counts_degrees() {
         let a = gen::erdos_renyi_bool(100, 6, 17);
-        let ones = {
-            let (nr, nc, rp, ci, vals) = a.clone().into_raw_parts();
-            CsrMatrix::from_raw_parts(nr, nc, rp, ci, vec![1u64; vals.len()]).unwrap()
-        };
+        let ones = a.with_values(vec![1u64; a.nnz()]);
         let ctx = ExecCtx::with_threads(4);
         let deg = reduce_rows(&ones, &Plus, &ctx);
         for i in 0..100 {

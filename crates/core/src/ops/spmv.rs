@@ -217,7 +217,7 @@ mod tests {
         let a = CsrMatrix::from_triplets(3, 3, &[(0, 1, true), (1, 2, true)]).unwrap();
         let x = DenseVec::from_vec(vec![true, false, false]);
         let ctx = ExecCtx::serial();
-        let y = spmv_col(&a, &x, &semirings::or_and(), &ctx).unwrap();
+        let y = spmv_col(&a, &x, &semirings::plus_times::<bool>(), &ctx).unwrap();
         assert_eq!(y.as_slice(), &[false, true, false]);
     }
 }

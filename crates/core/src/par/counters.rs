@@ -83,19 +83,6 @@ impl Counters {
             regions: self.regions.saturating_sub(earlier.regions),
         }
     }
-
-    /// Total "CPU-side" unit count — a quick sanity aggregate used in tests
-    /// and logs, *not* by the cost model (which prices each field
-    /// separately).
-    pub fn total_units(&self) -> u64 {
-        self.elems
-            + self.flops
-            + self.search_probes
-            + self.atomics
-            + self.sort_elems
-            + self.spa_touches
-            + self.rand_access
-    }
 }
 
 #[cfg(test)]
@@ -129,17 +116,5 @@ mod tests {
         assert_eq!(d.atomics, 3);
         // underflow clamps instead of wrapping
         assert_eq!(before.saturating_sub(&after).elems, 0);
-    }
-
-    #[test]
-    fn total_units_excludes_bookkeeping() {
-        let c = Counters {
-            elems: 3,
-            tasks: 100,
-            regions: 10,
-            bytes_moved: 1 << 30,
-            ..Default::default()
-        };
-        assert_eq!(c.total_units(), 3);
     }
 }

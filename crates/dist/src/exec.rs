@@ -218,11 +218,6 @@ impl DistCtx {
         ExecCtx::on_pool(self.machine.threads_per_locale, 1, Arc::clone(&self.pools[l]))
     }
 
-    /// Locale `l`'s workspace pool.
-    pub fn workspace_pool(&self, l: usize) -> &Arc<WorkspacePool> {
-        &self.pools[l]
-    }
-
     /// Enable or disable workspace pooling on every locale's pool
     /// (disabling drains them).
     pub fn set_workspace_enabled(&self, on: bool) {

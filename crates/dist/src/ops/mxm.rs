@@ -655,7 +655,7 @@ mod tests {
         // are held to bit-identity too
         let a = gen::erdos_renyi_symmetric(80, 5, 225);
         let ctx = gblas_core::par::ExecCtx::serial();
-        let l = gblas_core::ops::select::tril(&a, &ctx);
+        let l = gblas_core::ops::select::select_mat(&a, &|i, j, _| j < i, &ctx);
         let u = gblas_core::ops::transpose::transpose(&l, &ctx).unwrap();
         let ring = semirings::plus_pair();
         let expect: gblas_core::container::CsrMatrix<u64> =
@@ -679,7 +679,7 @@ mod tests {
         // grid and both executors are held to bit-identity
         let a = gen::erdos_renyi_symmetric(80, 5, 225);
         let ctx = gblas_core::par::ExecCtx::serial();
-        let l = gblas_core::ops::select::tril(&a, &ctx);
+        let l = gblas_core::ops::select::select_mat(&a, &|i, j, _| j < i, &ctx);
         let ring = semirings::plus_pair();
         let expect: gblas_core::container::CsrMatrix<u64> =
             gblas_core::ops::mxm::mxm(&l, &l, &ring, Some(&l), &ctx).unwrap();

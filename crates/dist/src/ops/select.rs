@@ -96,7 +96,7 @@ mod tests {
     fn select_uses_global_coordinates() {
         let a = gen::erdos_renyi_symmetric(90, 5, 331);
         let ctx = gblas_core::par::ExecCtx::serial();
-        let expect = gblas_core::ops::select::tril(&a, &ctx);
+        let expect = gblas_core::ops::select::select_mat(&a, &|i, j, _| j < i, &ctx);
         for (pr, pc) in [(1, 1), (2, 2), (2, 3)] {
             let grid = ProcGrid::new(pr, pc);
             let da = DistCsrMatrix::from_global(&a, grid);

@@ -39,7 +39,11 @@ fn frontiers<T: Copy>(
     rows: impl IntoIterator<Item = Vec<(usize, T)>>,
     p: usize,
 ) -> Vec<DistSparseVec<T>> {
-    let global = |pairs| SparseVec::from_pairs(n, pairs).unwrap();
+    let global = |mut pairs: Vec<(usize, T)>| {
+        pairs.sort_unstable_by_key(|&(i, _)| i);
+        let (indices, values) = pairs.into_iter().unzip();
+        SparseVec::from_sorted(n, indices, values).unwrap()
+    };
     rows.into_iter().map(|pairs| DistSparseVec::from_global(&global(pairs), p)).collect()
 }
 

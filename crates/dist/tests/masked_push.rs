@@ -189,8 +189,9 @@ fn slice_nnz(da: &DistCsrMatrix<f64>, x: &SparseVec<f64>, l: usize) -> u64 {
 /// rows' locales have empty slices and must fetch no mask.
 fn first_row_only(da: &DistCsrMatrix<f64>, x: &SparseVec<f64>) -> SparseVec<f64> {
     let rows = da.row_range(0);
-    let pairs = x.iter().filter(|(i, _)| rows.contains(i)).map(|(i, &v)| (i, v)).collect();
-    SparseVec::from_pairs(x.capacity(), pairs).unwrap()
+    let (indices, values) =
+        x.iter().filter(|(i, _)| rows.contains(i)).map(|(i, &v)| (i, v)).unzip();
+    SparseVec::from_sorted(x.capacity(), indices, values).unwrap()
 }
 
 fn check_semiring<AddM, MulOp>(case: &Case, ring: &Semiring<AddM, MulOp>, name: &str)
@@ -302,8 +303,10 @@ fn masked_first_visitor_push_is_bit_equal_to_the_shared_masked_kernel() {
 fn batch(case: &Case, da: &DistCsrMatrix<f64>) -> Vec<SparseVec<f64>> {
     let n = case.a.nrows();
     let shifted = |by: usize| {
-        let pairs = case.x.iter().map(|(i, &v)| ((i + by) % n, v)).collect();
-        SparseVec::from_pairs(n, pairs).unwrap()
+        let mut pairs: Vec<_> = case.x.iter().map(|(i, &v)| ((i + by) % n, v)).collect();
+        pairs.sort_unstable_by_key(|&(i, _)| i);
+        let (indices, values) = pairs.into_iter().unzip();
+        SparseVec::from_sorted(n, indices, values).unwrap()
     };
     vec![case.x.clone(), first_row_only(da, &shifted(1)), shifted(2)]
 }

@@ -157,7 +157,7 @@ mod tests {
     fn multiply_scans_one_product_per_wedge_at_its_middle_vertex() {
         let a = symmetric_rmat(10, 8, 1);
         let ctx = ExecCtx::with_threads(2);
-        let l = gblas_core::ops::select::tril(&a, &ctx);
+        let l = gblas_core::ops::select::select_mat(&a, &|i, j, _| j < i, &ctx);
         let wedges: u64 =
             (0..a.nrows()).map(|k| ((a.row_nnz(k) - l.row_nnz(k)) * l.row_nnz(k)) as u64).sum();
         triangle_count(&a, &ctx).unwrap();

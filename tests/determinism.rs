@@ -110,7 +110,7 @@ fn spmv_col_results_and_profiles_do_not_depend_on_thread_counts() {
         let times: DenseVec<f64> = spmv_col(&a, &x, &semirings::plus_times_f64(), ctx).unwrap();
         let first: DenseVec<f64> = spmv_col(&a, &x, &semirings::plus_first(), ctx).unwrap();
         let or_and: DenseVec<bool> =
-            spmv_col(&pattern, &reached, &semirings::or_and(), ctx).unwrap();
+            spmv_col(&pattern, &reached, &semirings::plus_times::<bool>(), ctx).unwrap();
         (bits(&times), bits(&first), or_and, ctx.take_profile())
     };
     let ctxs = thread_sweep();
@@ -188,8 +188,8 @@ fn algorithms_repeat() {
 #[test]
 fn figure_points_repeat() {
     // One representative scaled-down figure point end to end.
-    let figs1 = gblas_bench::figs::fig7(500);
-    let figs2 = gblas_bench::figs::fig7(500);
+    let figs1 = gblas_bench::figs::fig7_with(500, gblas_bench::figs::PAPER_MERGE);
+    let figs2 = gblas_bench::figs::fig7_with(500, gblas_bench::figs::PAPER_MERGE);
     for (f1, f2) in figs1.iter().zip(&figs2) {
         assert_eq!(f1.series.len(), f2.series.len());
         for (s1, s2) in f1.series.iter().zip(&f2.series) {

@@ -84,10 +84,7 @@ fn bfs_via_tropical_semiring_agrees_on_unweighted_graph() {
     // Hop distances computed two ways: BFS levels vs iterated min-plus
     // SpMSpV with unit weights.
     let a = gen::erdos_renyi(150, 4, 21);
-    let unit = {
-        let (nr, nc, rp, ci, vals) = a.clone().into_raw_parts();
-        CsrMatrix::from_raw_parts(nr, nc, rp, ci, vec![1.0f64; vals.len()]).unwrap()
-    };
+    let unit = a.with_values(vec![1.0f64; a.nnz()]);
     let ctx = ExecCtx::serial();
     let levels = bfs(&a, 0, &ctx).unwrap().levels;
 

@@ -25,7 +25,7 @@ fn contexts_ignore_the_environment_and_from_env_reads_it() {
     let dctx = DistCtx::new(MachineConfig::edison_cluster(2, 24));
     assert_eq!(dctx.executor(), LocaleExecutor::Threaded);
     assert!(dctx.schedules_enabled());
-    assert!(dctx.workspace_pool(0).enabled() && dctx.workspace_pool(1).enabled());
+    assert!(dctx.locale_ctx_for(0).workspace().enabled());
     assert!(dctx.locale_ctx_for(1).workspace().enabled());
     assert!(ExecCtx::new(4, 1).workspace().enabled());
 
@@ -35,7 +35,7 @@ fn contexts_ignore_the_environment_and_from_env_reads_it() {
     assert_eq!(RunConfig::from_env(), all_off);
     let configured = DistCtx::new(MachineConfig::edison_cluster(2, 24)).with_config(all_off);
     assert_eq!(configured.executor(), LocaleExecutor::Serial);
-    assert!(!configured.schedules_enabled() && !configured.workspace_pool(1).enabled());
+    assert!(!configured.schedules_enabled() && !configured.locale_ctx_for(1).workspace().enabled());
 
     // Accepted spellings, one variable at a time; garbage is ignored.
     let d = RunConfig::default();

@@ -2,7 +2,7 @@
 
 use gblas_core::algebra::{semirings, Max, Min, Monoid, Plus, Times};
 use gblas_core::container::{CooMatrix, CsrMatrix, DenseVec, DupPolicy, SparseVec};
-use gblas_core::ops::{assign, ewise, extract, reduce, select, spmspv, spmv, transpose};
+use gblas_core::ops::{assign, ewise, reduce, select, spmspv, spmv, transpose};
 use gblas_core::par::ExecCtx;
 use gblas_core::sort::{parallel_merge_sort, radix_sort};
 use proptest::prelude::*;
@@ -37,11 +37,14 @@ proptest! {
 
     #[test]
     fn sparse_vec_dense_round_trip(v in sparse_vec(40)) {
-        let d = v.to_dense(f64::NAN);
+        let mut d = vec![f64::NAN; v.capacity()];
+        for (i, &x) in v.iter() {
+            d[i] = x;
+        }
         let back = {
             let mut idx = Vec::new();
             let mut vals = Vec::new();
-            for (i, &x) in d.as_slice().iter().enumerate() {
+            for (i, &x) in d.iter().enumerate() {
                 if !x.is_nan() { idx.push(i); vals.push(x); }
             }
             SparseVec::from_sorted(40, idx, vals).unwrap()
@@ -108,7 +111,10 @@ proptest! {
                 expect[j] += xv * av;
             }
         }
-        let dense = y.to_dense(0.0);
+        let mut dense = [0.0f64; 20];
+        for (j, &v) in y.iter() {
+            dense[j] = v;
+        }
         for j in 0..20 {
             prop_assert!((dense[j] - expect[j]).abs() < 1e-6, "col {}", j);
         }
@@ -164,20 +170,20 @@ proptest! {
     #[test]
     fn select_then_union_recovers(v in sparse_vec(30)) {
         let ctx = ExecCtx::serial();
-        let pos = select::select_vec(&v, &|_, x: f64| x >= 0.0, &ctx);
-        let neg = select::select_vec(&v, &|_, x: f64| x < 0.0, &ctx);
+        // `v` as the single row of a 1 x 30 matrix; select splits it by sign
+        let row = CsrMatrix::from_raw_parts(
+            1, 30, vec![0, v.nnz()], v.indices().to_vec(), v.values().to_vec(),
+        ).unwrap();
+        let split = |keep: &(dyn Fn(f64) -> bool + Sync)| {
+            let m = select::select_mat(&row, &|_, _, x: f64| keep(x), &ctx);
+            let (cols, vals) = m.row(0);
+            SparseVec::from_sorted(30, cols.to_vec(), vals.to_vec()).unwrap()
+        };
+        let pos = split(&|x| x >= 0.0);
+        let neg = split(&|x| x < 0.0);
         prop_assert_eq!(pos.nnz() + neg.nnz(), v.nnz());
         let merged = ewise::ewise_add(&pos, &neg, &Plus, &ctx).unwrap();
         prop_assert_eq!(merged, v);
-    }
-
-    #[test]
-    fn extract_identity(v in sparse_vec(25)) {
-        let ctx = ExecCtx::serial();
-        let all: Vec<usize> = (0..25).collect();
-        let e = extract::extract_vec(&v, &all, &ctx).unwrap();
-        prop_assert_eq!(e.indices(), v.indices());
-        prop_assert_eq!(e.values(), v.values());
     }
 
     #[test]

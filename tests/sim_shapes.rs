@@ -2,7 +2,7 @@
 //! reproduce every qualitative claim the paper's evaluation makes. These
 //! are the repository's "does the reproduction actually reproduce" tests.
 
-use gblas_bench::figs;
+use gblas_bench::figs::{self, PAPER_MERGE};
 
 /// Scale divisor for fast CI runs (shapes are scale-free; see gblas-bench
 /// crate docs).
@@ -15,6 +15,13 @@ fn total(fig: &gblas_bench::Figure, series: &str, x: usize) -> f64 {
         .and_then(|s| s.points.iter().find(|p| p.x == x))
         .map(|p| p.report.total())
         .unwrap_or_else(|| panic!("missing {series}@{x} in {}", fig.id))
+}
+
+/// Speedup of `series` between its first point and the point at `x`.
+fn speedup(fig: &gblas_bench::Figure, series: &str, x: usize) -> Option<f64> {
+    let s = fig.series.iter().find(|s| s.name == series)?;
+    let at = s.points.iter().find(|p| p.x == x)?;
+    Some(s.points.first()?.report.total() / at.report.total())
 }
 
 #[test]
@@ -58,7 +65,7 @@ fn fig3_assign2_scales_with_size() {
     let figs = figs::fig3(S);
     let fig = &figs[0];
     // the 100M series keeps improving to large node counts
-    let sp = fig.speedup("nnz=100M", 32).unwrap();
+    let sp = speedup(fig, "nnz=100M", 32).unwrap();
     assert!(sp > 4.0, "100M speedup to 32 nodes = {sp}");
     // the 1M series saturates earlier: its 64-node point is no better
     // than ~2x its best small-node point
@@ -72,10 +79,10 @@ fn fig4_ewisemult_shared_memory_speedups() {
     let figs = figs::fig4(S);
     let fig = &figs[0];
     // "13x speedup when nnz(x) is 100M" — scaled: demand >5x at 24t
-    let sp_large = fig.speedup("nnz=100M", 32).unwrap();
+    let sp_large = speedup(fig, "nnz=100M", 32).unwrap();
     assert!(sp_large > 5.0, "100M speedup {sp_large}");
     // tiny input scales worse than the big one
-    let sp_small = fig.speedup("nnz=10K", 32).unwrap();
+    let sp_small = speedup(fig, "nnz=10K", 32).unwrap();
     assert!(sp_small < sp_large, "10K {sp_small} vs 100M {sp_large}");
 }
 
@@ -85,7 +92,7 @@ fn fig5_ewisemult_distributed_scaling_depends_on_size() {
     for fig in &figs {
         // 100M scales from 1 to 32 nodes ("more than 16x" in the paper;
         // scaled input: demand > 4x)
-        let sp = fig.speedup("nnz=100M", 32).unwrap();
+        let sp = speedup(fig, "nnz=100M", 32).unwrap();
         assert!(sp > 4.0, "{}: 100M speedup {sp}", fig.id);
         // 1M does not scale well: by 64 nodes it is worse than its best
         let best_1m = fig
@@ -104,7 +111,7 @@ fn fig5_ewisemult_distributed_scaling_depends_on_size() {
 
 #[test]
 fn fig7_spmspv_components_and_speedup() {
-    let figs = figs::fig7(10); // n = 100K
+    let figs = figs::fig7_with(10, PAPER_MERGE); // n = 100K
     for fig in &figs {
         let s = &fig.series[0];
         let p1 = &s.points[0].report;
@@ -112,14 +119,14 @@ fn fig7_spmspv_components_and_speedup() {
         assert!(p1.phase("sort") > p1.phase("spa"), "{}", fig.id);
         assert!(p1.phase("sort") > p1.phase("output"), "{}", fig.id);
         // "9-11x speedups ... 1 to 24 threads" — scaled: demand 4..20 at 32
-        let sp = fig.speedup("components", 32).unwrap();
+        let sp = speedup(fig, "components", 32).unwrap();
         assert!((3.0..24.0).contains(&sp), "{}: speedup {sp}", fig.id);
     }
 }
 
 #[test]
 fn fig8_fig9_gather_dominates_and_total_does_not_improve() {
-    for figset in [figs::fig8(20), figs::fig9(200)] {
+    for figset in [figs::fig8_with(20, PAPER_MERGE), figs::fig9_with(200, PAPER_MERGE)] {
         for fig in &figset {
             let s = &fig.series[0];
             let at = |x: usize| s.points.iter().find(|p| p.x == x).unwrap().report.clone();
