@@ -158,6 +158,26 @@ fn errors_are_clean_not_panics() {
         assert!(!ok5, "--window {window} must be rejected");
         assert!(stderr5.contains("bad --window"), "got: {stderr5}");
     }
+    // a Matrix Market header is not trusted for allocation: each of these
+    // few-byte files once aborted or panicked the process
+    let dir = std::env::temp_dir().join("gblas_cli_header_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let headers = [
+        ("general", "3 3 99999999999999999"),
+        ("symmetric", "3 3 18446744073709551615"),
+        ("general", "18446744073709551615 3 0"),
+        ("general", "99999999999999 3 0"),
+    ];
+    for (k, (symmetry, size)) in headers.into_iter().enumerate() {
+        let path = dir.join(format!("h{k}.mtx"));
+        let text = format!("%%MatrixMarket matrix coordinate real {symmetry}\n{size}\n");
+        std::fs::write(&path, text).unwrap();
+        let (ok9, _, stderr9) = run(&["bfs", "--input", path.to_str().unwrap(), "--source", "0"]);
+        assert!(!ok9, "{size}: must be rejected");
+        assert!(stderr9.contains("error:"), "{size}: got: {stderr9}");
+        assert!(!stderr9.contains("panicked"), "{size}: got: {stderr9}");
+        assert!(!stderr9.contains("memory allocation of"), "{size}: got: {stderr9}");
+    }
 }
 
 /// The environment variables are read by the binary's `main` and nowhere

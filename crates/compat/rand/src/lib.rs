@@ -54,9 +54,10 @@ impl Xoshiro256StarStar {
     }
 }
 
-/// Types producible by [`Rng::gen`] (the `Standard` distribution).
+/// Types producible by [`Rng::gen`] (the `Standard` distribution). Generic
+/// over the generator, as in rand 0.8, so a draw inlines into its caller.
 pub trait Standard: Sized {
-    fn sample(rng: &mut dyn RngCore) -> Self;
+    fn sample<G: RngCore + ?Sized>(rng: &mut G) -> Self;
 }
 
 /// Object-safe core: 64 random bits per call.
@@ -72,44 +73,44 @@ impl RngCore for Xoshiro256StarStar {
 
 impl Standard for f64 {
     /// Uniform in `[0, 1)` with 53 bits of precision.
-    fn sample(rng: &mut dyn RngCore) -> f64 {
+    fn sample<G: RngCore + ?Sized>(rng: &mut G) -> f64 {
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 
 impl Standard for f32 {
-    fn sample(rng: &mut dyn RngCore) -> f32 {
+    fn sample<G: RngCore + ?Sized>(rng: &mut G) -> f32 {
         (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 }
 
 impl Standard for bool {
-    fn sample(rng: &mut dyn RngCore) -> bool {
+    fn sample<G: RngCore + ?Sized>(rng: &mut G) -> bool {
         rng.next_u64() & 1 == 1
     }
 }
 
 impl Standard for u64 {
-    fn sample(rng: &mut dyn RngCore) -> u64 {
+    fn sample<G: RngCore + ?Sized>(rng: &mut G) -> u64 {
         rng.next_u64()
     }
 }
 
 impl Standard for u32 {
-    fn sample(rng: &mut dyn RngCore) -> u32 {
+    fn sample<G: RngCore + ?Sized>(rng: &mut G) -> u32 {
         (rng.next_u64() >> 32) as u32
     }
 }
 
 /// Ranges accepted by [`Rng::gen_range`].
 pub trait SampleRange<T> {
-    fn sample_from(self, rng: &mut dyn RngCore) -> T;
+    fn sample_from<G: RngCore + ?Sized>(self, rng: &mut G) -> T;
 }
 
 macro_rules! int_sample_range {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for Range<$t> {
-            fn sample_from(self, rng: &mut dyn RngCore) -> $t {
+            fn sample_from<G: RngCore + ?Sized>(self, rng: &mut G) -> $t {
                 assert!(self.start < self.end, "gen_range: empty range");
                 let span = (self.end as u128 - self.start as u128) as u64;
                 // Multiply-shift rejection-free mapping (Lemire); the tiny
@@ -119,7 +120,7 @@ macro_rules! int_sample_range {
             }
         }
         impl SampleRange<$t> for RangeInclusive<$t> {
-            fn sample_from(self, rng: &mut dyn RngCore) -> $t {
+            fn sample_from<G: RngCore + ?Sized>(self, rng: &mut G) -> $t {
                 let (s, e) = (*self.start(), *self.end());
                 assert!(s <= e, "gen_range: empty range");
                 if s == 0 && e as u128 == <$t>::MAX as u128 {
@@ -135,7 +136,7 @@ macro_rules! int_sample_range {
 int_sample_range!(usize, u64, u32, u16, u8);
 
 impl SampleRange<f64> for Range<f64> {
-    fn sample_from(self, rng: &mut dyn RngCore) -> f64 {
+    fn sample_from<G: RngCore + ?Sized>(self, rng: &mut G) -> f64 {
         assert!(self.start < self.end, "gen_range: empty range");
         self.start + f64::sample(rng) * (self.end - self.start)
     }

@@ -66,12 +66,21 @@ impl<T> CooMatrix<T> {
         self.entries.reserve(additional);
     }
 
+    /// Reserve space for `additional` more triplets, failing with an error
+    /// instead of aborting when the allocation cannot be made — for sizes
+    /// read from outside input.
+    pub(crate) fn try_reserve(&mut self, additional: usize) -> Result<()> {
+        self.entries.try_reserve(additional).map_err(|_| {
+            GblasError::InvalidArgument(format!("cannot reserve {additional} entries"))
+        })
+    }
+
     /// Convert to CSR, resolving duplicates per `policy`.
     ///
     /// [`DupPolicy::Sum`] needs a combiner and must go through
     /// [`CooMatrix::to_csr_with`]; passing it here is an
     /// [`GblasError::InvalidArgument`].
-    pub fn to_csr(mut self, policy: DupPolicy) -> Result<super::CsrMatrix<T>>
+    pub fn to_csr(self, policy: DupPolicy) -> Result<super::CsrMatrix<T>>
     where
         T: Copy,
     {
@@ -86,48 +95,93 @@ impl<T> CooMatrix<T> {
     /// Convert to CSR with an explicit combiner used when `policy` is
     /// [`DupPolicy::Sum`] (the combiner defines what "sum" means — any
     /// binary op works, matching GraphBLAS `build`'s `dup` operator).
+    ///
+    /// A stable counting sort, O(nnz + nrows): the rows are histogrammed
+    /// into `rowptr`, every `(col, value)` is scattered in push order with
+    /// `rowptr[r]` as row `r`'s cursor, and each row is then sorted by
+    /// column and deduplicated in place. Duplicates meet in push order, so
+    /// `KeepLast` and `Sum` see them as a stable sort of the triplets
+    /// would, and `Error` names the first duplicate in `(row, col)` order.
+    /// Nothing `nrows`-sized is allocated besides `rowptr`.
     pub fn to_csr_with(
-        &mut self,
+        self,
         policy: DupPolicy,
         combine: impl Fn(T, T) -> T,
     ) -> Result<super::CsrMatrix<T>>
     where
         T: Copy,
     {
-        // Stable sort keeps push order within equal (row, col) keys so
-        // KeepLast is well defined.
-        self.entries.sort_by_key(|&(r, c, _)| (r, c));
-        let mut rowptr = vec![0usize; self.nrows + 1];
-        let mut colidx: Vec<usize> = Vec::with_capacity(self.entries.len());
-        let mut values: Vec<T> = Vec::with_capacity(self.entries.len());
-        let mut last: Option<(usize, usize)> = None;
-        for &(r, c, v) in &self.entries {
-            if last == Some((r, c)) {
-                match policy {
-                    DupPolicy::Error => {
-                        return Err(GblasError::InvalidContainer(format!(
-                            "duplicate entry at ({r}, {c})"
-                        )));
-                    }
-                    DupPolicy::KeepLast => {
-                        *values.last_mut().unwrap() = v;
-                    }
-                    DupPolicy::Sum => {
-                        let slot = values.last_mut().unwrap();
-                        *slot = combine(*slot, v);
-                    }
-                }
-            } else {
-                rowptr[r + 1] += 1;
-                colidx.push(c);
-                values.push(v);
-                last = Some((r, c));
-            }
+        let CooMatrix { nrows, ncols, entries } = self;
+        let too_many_rows = || {
+            GblasError::InvalidArgument(format!("cannot allocate a row pointer for {nrows} rows"))
+        };
+        let mut rowptr: Vec<usize> = Vec::new();
+        rowptr
+            .try_reserve_exact(nrows.checked_add(1).ok_or_else(too_many_rows)?)
+            .map_err(|_| too_many_rows())?;
+        rowptr.resize(nrows + 1, 0);
+        let Some(&(_, _, fill)) = entries.first() else {
+            return super::CsrMatrix::from_raw_parts(nrows, ncols, rowptr, Vec::new(), Vec::new());
+        };
+        for &(r, _, _) in &entries {
+            rowptr[r + 1] += 1;
         }
-        for i in 0..self.nrows {
+        for i in 0..nrows {
             rowptr[i + 1] += rowptr[i];
         }
-        super::CsrMatrix::from_raw_parts(self.nrows, self.ncols, rowptr, colidx, values)
+        // Scatter: afterwards rowptr[r] is the end of row r.
+        let mut colidx = vec![0usize; entries.len()];
+        let mut values = vec![fill; entries.len()];
+        for (r, c, v) in entries {
+            let k = rowptr[r];
+            colidx[k] = c;
+            values[k] = v;
+            rowptr[r] = k + 1;
+        }
+        // Sort and deduplicate each row, compacting to the front: row r is
+        // read from start..rowptr[r] and written from w, and w never passes
+        // start. `(col, position)` keys are distinct, so the unstable sort
+        // keeps push order among equal columns.
+        let mut scratch: Vec<(usize, usize, T)> = Vec::new();
+        let (mut start, mut w) = (0, 0);
+        for (r, ptr) in rowptr[..nrows].iter_mut().enumerate() {
+            let (end, row_start) = (*ptr, w);
+            *ptr = w;
+            if !colidx[start..end].is_sorted() {
+                scratch.clear();
+                scratch.extend((start..end).map(|k| (colidx[k], k, values[k])));
+                scratch.sort_unstable_by_key(|&(c, k, _)| (c, k));
+                for (k, &(c, _, v)) in (start..end).zip(&scratch) {
+                    colidx[k] = c;
+                    values[k] = v;
+                }
+            }
+            for k in start..end {
+                let (c, v) = (colidx[k], values[k]);
+                if w > row_start && colidx[w - 1] == c {
+                    match policy {
+                        DupPolicy::Error => {
+                            return Err(GblasError::InvalidContainer(format!(
+                                "duplicate entry at ({r}, {c})"
+                            )));
+                        }
+                        DupPolicy::KeepLast => values[w - 1] = v,
+                        DupPolicy::Sum => values[w - 1] = combine(values[w - 1], v),
+                    }
+                } else {
+                    colidx[w] = c;
+                    values[w] = v;
+                    w += 1;
+                }
+            }
+            start = end;
+        }
+        rowptr[nrows] = w;
+        colidx.truncate(w);
+        colidx.shrink_to_fit();
+        values.truncate(w);
+        values.shrink_to_fit();
+        super::CsrMatrix::from_raw_parts(nrows, ncols, rowptr, colidx, values)
     }
 }
 

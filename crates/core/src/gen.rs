@@ -113,18 +113,14 @@ pub fn rmat(scale: u32, edge_factor: usize, seed: u64) -> CsrMatrix<f64> {
     for _ in 0..edges {
         let (mut r, mut c) = (0usize, 0usize);
         for level in (0..scale).rev() {
+            // Quadrants a, b, c, d are [0, A), [A, A+B), [A+B, A+B+C) and
+            // the rest, picked with comparisons and no branch: the draw is
+            // random, so a branch would mispredict on most levels.
             let p: f64 = rng.gen();
-            let (dr, dc) = if p < A {
-                (0, 0)
-            } else if p < A + B {
-                (0, 1)
-            } else if p < A + B + C {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            r |= dr << level;
-            c |= dc << level;
+            let dr = p >= A + B;
+            let dc = (A..A + B).contains(&p) | (p >= A + B + C);
+            r |= (dr as usize) << level;
+            c |= (dc as usize) << level;
         }
         coo.push(r, c, rng.gen::<f64>()).expect("rmat indices in range");
     }

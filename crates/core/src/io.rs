@@ -75,9 +75,11 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<CsrMatrix<f64>> {
         return Err(parse_error(format!("size line needs 3 numbers, got '{size_line}'")));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
-    // Entries.
+    // Entries. The header is outside input: a size it cannot back is an
+    // error, not an aborting allocation.
     let mut coo = CooMatrix::new(nrows, ncols);
-    coo.reserve(if symmetry == Symmetry::Symmetric { nnz * 2 } else { nnz });
+    let pushes = if symmetry == Symmetry::Symmetric { nnz.checked_mul(2) } else { Some(nnz) };
+    coo.try_reserve(pushes.ok_or_else(|| parse_error(format!("{nnz} entries overflow")))?)?;
     let mut seen = 0usize;
     for line in lines {
         let line = line.map_err(|e| parse_error(e.to_string()))?;
@@ -225,6 +227,23 @@ mod tests {
             "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n".as_bytes()
         )
         .is_err());
+    }
+
+    /// A header is not trusted for allocation: each of these sizes once
+    /// aborted or panicked the process before a single entry was read.
+    #[test]
+    fn headers_are_not_trusted_for_allocation() {
+        let cases = [
+            ("general", "3 3 99999999999999999"),
+            ("symmetric", "3 3 18446744073709551615"),
+            ("general", "18446744073709551615 3 0"),
+            ("general", "99999999999999 3 0"),
+        ];
+        for (symmetry, size) in cases {
+            let text = format!("%%MatrixMarket matrix coordinate real {symmetry}\n{size}\n");
+            let err = read_matrix_market(text.as_bytes()).unwrap_err();
+            assert!(matches!(err, GblasError::InvalidArgument(_)), "{size}: {err}");
+        }
     }
 
     #[test]

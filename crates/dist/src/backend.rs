@@ -22,9 +22,6 @@ use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_sim::SimReport;
 use parking_lot::Mutex;
 
-/// Phase used when pricing driver-side global scalar decisions.
-pub const PHASE_ALLREDUCE: &str = "allreduce";
-
 /// The simulated distributed-memory backend.
 ///
 /// Wraps a [`DistCtx`] plus the communication strategy every SpMSpV-style
@@ -690,10 +687,10 @@ mod tests {
         assert_eq!(deg.len(), 200);
         let structural = b.mat_row_degrees(&da).unwrap();
         assert!(structural.iter().zip(&deg).all(|(&s, &d)| s as u64 == d));
-        b.allreduce_scalar(PHASE_ALLREDUCE).unwrap();
+        b.allreduce_scalar("allreduce").unwrap();
         let report = b.take_report();
         assert!(report.total() > 0.0);
-        assert!(report.phase(PHASE_ALLREDUCE) > 0.0, "allreduce must be priced");
+        assert!(report.phase("allreduce") > 0.0, "allreduce must be priced");
         // drained: a second take is empty
         assert_eq!(b.take_report().total(), 0.0);
     }

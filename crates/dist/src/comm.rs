@@ -228,8 +228,11 @@ impl Comm {
         self.log(CommKind::Bulk, phase, src, dst, msgs, bytes)
     }
 
-    /// Like [`with_retry`], but instrumented: each retry attempt becomes a
-    /// `comm_retry` instant on the trace and bumps the `retries` metric.
+    /// Retry a communication-bearing closure up to `attempts` times on
+    /// [`GblasError::CommFailure`], propagating other errors immediately.
+    /// Deterministic: no backoff randomness. Each retry attempt becomes a
+    /// `comm_retry` instant on the trace and bumps the `retries` metric, so
+    /// the metric counts the attempts beyond each first try.
     pub fn with_retry<R>(&self, attempts: usize, mut f: impl FnMut() -> Result<R>) -> Result<R> {
         let attempts = attempts.max(1);
         let mut last = None;
@@ -303,43 +306,6 @@ impl Comm {
     pub fn call_count(&self) -> u64 {
         self.totals.lock().calls
     }
-}
-
-/// Retry a communication-bearing closure up to `attempts` times on
-/// [`GblasError::CommFailure`], propagating other errors immediately.
-/// Deterministic: no backoff randomness. Discards the attempt count —
-/// use [`with_retry_counted`] to observe it, or [`Comm::with_retry`] to
-/// additionally record retries on the trace.
-pub fn with_retry<R>(attempts: usize, f: impl FnMut() -> Result<R>) -> Result<R> {
-    with_retry_counted(attempts, f).map(|(r, _)| r)
-}
-
-/// Like [`with_retry`], but on success also reports how many attempts the
-/// closure consumed (1 = first try succeeded).
-///
-/// ```
-/// use gblas_dist::comm::{with_retry_counted, Comm};
-///
-/// let comm = Comm::new();
-/// comm.fail_after(0); // next transfer fails
-/// let ((), attempts) =
-///     with_retry_counted(3, || comm.bulk("p", 0, 1, 1, 64)).unwrap();
-/// assert_eq!(attempts, 2); // first try hit the injected fault
-/// ```
-pub fn with_retry_counted<R>(
-    attempts: usize,
-    mut f: impl FnMut() -> Result<R>,
-) -> Result<(R, usize)> {
-    let attempts = attempts.max(1);
-    let mut last = None;
-    for attempt in 1..=attempts {
-        match f() {
-            Ok(r) => return Ok((r, attempt)),
-            Err(GblasError::CommFailure(msg)) => last = Some(GblasError::CommFailure(msg)),
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last.expect("at least one attempt"))
 }
 
 #[cfg(test)]
@@ -462,42 +428,48 @@ mod tests {
     fn retry_recovers_from_injected_fault() {
         let c = Comm::new();
         c.fail_after(0);
-        let r = with_retry(3, || c.bulk("p", 0, 1, 1, 64));
+        let r = c.with_retry(3, || c.bulk("p", 0, 1, 1, 64));
         assert!(r.is_ok());
         assert_eq!(c.events().len(), 1);
+        assert_eq!(c.metrics().snapshot().retries, 1);
     }
 
     #[test]
-    fn retry_counted_reports_attempts_used() {
+    fn retry_metric_counts_attempts_beyond_the_first() {
         let c = Comm::new();
-        let ((), n) = with_retry_counted(3, || c.bulk("p", 0, 1, 1, 8)).unwrap();
-        assert_eq!(n, 1);
+        let retries = || c.metrics().snapshot().retries;
+        c.with_retry(3, || c.bulk("p", 0, 1, 1, 8)).unwrap();
+        assert_eq!(retries(), 0);
         c.fail_after(1);
-        let ((), n) = with_retry_counted(3, || c.bulk("p", 0, 1, 1, 8)).unwrap();
-        assert_eq!(n, 1, "countdown not yet reached: first try succeeds");
-        let ((), n) = with_retry_counted(3, || c.bulk("p", 0, 1, 1, 8)).unwrap();
-        assert_eq!(n, 2, "armed fault consumes one attempt");
+        c.with_retry(3, || c.bulk("p", 0, 1, 1, 8)).unwrap();
+        assert_eq!(retries(), 0, "countdown not yet reached: first try succeeds");
+        c.with_retry(3, || c.bulk("p", 0, 1, 1, 8)).unwrap();
+        assert_eq!(retries(), 1, "armed fault consumes one attempt");
     }
 
     #[test]
     fn retry_gives_up_eventually() {
+        let c = Comm::new();
         let mut count = 0;
-        let r: Result<()> = with_retry(3, || {
+        let r: Result<()> = c.with_retry(3, || {
             count += 1;
             Err(GblasError::CommFailure("always".into()))
         });
         assert!(r.is_err());
         assert_eq!(count, 3);
+        assert_eq!(c.metrics().snapshot().retries, 2);
     }
 
     #[test]
     fn retry_propagates_non_comm_errors_immediately() {
+        let c = Comm::new();
         let mut count = 0;
-        let r: Result<()> = with_retry(5, || {
+        let r: Result<()> = c.with_retry(5, || {
             count += 1;
             Err(GblasError::InvalidArgument("fatal".into()))
         });
         assert!(matches!(r, Err(GblasError::InvalidArgument(_))));
         assert_eq!(count, 1);
+        assert_eq!(c.metrics().snapshot().retries, 0);
     }
 }

@@ -4,6 +4,7 @@ use crate::grid::{BlockDist, ProcGrid};
 use gblas_core::container::{CooMatrix, CsrMatrix, DupPolicy};
 use gblas_core::error::Result;
 use gblas_core::ops::mxm::{LeftOperand, RightOperand};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide generation counter: every construction of a distributed
@@ -54,61 +55,46 @@ impl<T: PartialEq> PartialEq for DistCsrMatrix<T> {
 impl<T: Copy> DistCsrMatrix<T> {
     /// Distribute a global CSR matrix over `grid`.
     ///
-    /// `O(nnz)` with no sorting: the global CSR is walked in row-major
-    /// order, so each block's entries arrive already in CSR order and can
-    /// be appended directly.
+    /// `O(nnz)` with no sorting: each sorted row is cut at the column-block
+    /// starts by binary search and its pieces are appended to their blocks
+    /// whole, so each block's entries arrive already in CSR order. A
+    /// counting pass sizes every block exactly first.
     pub fn from_global(a: &CsrMatrix<T>, grid: ProcGrid) -> Self {
         let row_dist = BlockDist::new(a.nrows(), grid.pr());
         let col_dist = BlockDist::new(a.ncols(), grid.pc());
-        let p = grid.locales();
-        struct Builder<T> {
-            rowptr: Vec<usize>,
-            colidx: Vec<usize>,
-            values: Vec<T>,
-        }
-        let mut builders: Vec<Builder<T>> = (0..p)
-            .map(|l| {
-                let (r, _) = grid.coords(l);
-                Builder {
-                    rowptr: Vec::with_capacity(row_dist.size(r) + 1),
-                    colidx: Vec::new(),
-                    values: Vec::new(),
-                }
-            })
-            .collect();
-        for b in &mut builders {
-            b.rowptr.push(0);
-        }
-        for i in 0..a.nrows() {
-            let r = row_dist.owner(i);
-            let (cols, vals) = a.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                let c = col_dist.owner(j);
-                let l = grid.locale(r, c);
-                builders[l].colidx.push(j - col_dist.range(c).start);
-                builders[l].values.push(v);
+        let col_ranges: Vec<_> = (0..grid.pc()).map(|c| col_dist.range(c)).collect();
+        let mut blocks = Vec::with_capacity(grid.locales());
+        for r in 0..grid.pr() {
+            let rows = row_dist.range(r);
+            let mut nnz = vec![0usize; grid.pc()];
+            for i in rows.clone() {
+                for_each_cut(a.row(i).0, &col_ranges, |c, cut| nnz[c] += cut.len());
             }
-            for c in 0..grid.pc() {
-                let b = &mut builders[grid.locale(r, c)];
-                b.rowptr.push(b.colidx.len());
+            let mut parts: Vec<_> = nnz
+                .iter()
+                .map(|&n| {
+                    let mut rowptr = Vec::with_capacity(rows.len() + 1);
+                    rowptr.push(0);
+                    (rowptr, Vec::with_capacity(n), Vec::with_capacity(n))
+                })
+                .collect();
+            for i in rows.clone() {
+                let (cols, vals) = a.row(i);
+                for_each_cut(cols, &col_ranges, |c, cut| {
+                    let (rowptr, colidx, values) = &mut parts[c];
+                    let start = col_ranges[c].start;
+                    colidx.extend(cols[cut.clone()].iter().map(|&j| j - start));
+                    values.extend_from_slice(&vals[cut]);
+                    rowptr.push(colidx.len());
+                });
+            }
+            for (range, (rowptr, colidx, values)) in col_ranges.iter().zip(parts) {
+                let block =
+                    CsrMatrix::from_raw_parts(rows.len(), range.len(), rowptr, colidx, values)
+                        .expect("cut sorted rows keep CSR order");
+                blocks.push(block);
             }
         }
-        let blocks = builders
-            .into_iter()
-            .enumerate()
-            .map(|(l, b)| {
-                let (r, c) = grid.coords(l);
-                debug_assert_eq!(b.rowptr.len(), row_dist.size(r) + 1);
-                CsrMatrix::from_raw_parts(
-                    row_dist.size(r),
-                    col_dist.size(c),
-                    b.rowptr,
-                    b.colidx,
-                    b.values,
-                )
-                .expect("row-major walk preserves CSR order")
-            })
-            .collect();
         DistCsrMatrix {
             nrows: a.nrows(),
             ncols: a.ncols(),
@@ -188,13 +174,13 @@ impl<T: Copy> DistCsrMatrix<T> {
     }
 
     /// Locale `l`'s global row range.
-    pub fn row_range(&self, l: usize) -> std::ops::Range<usize> {
+    pub fn row_range(&self, l: usize) -> Range<usize> {
         let (r, _) = self.grid.coords(l);
         self.row_dist.range(r)
     }
 
     /// Locale `l`'s global column range (`ciLow..ciHigh+1`).
-    pub fn col_range(&self, l: usize) -> std::ops::Range<usize> {
+    pub fn col_range(&self, l: usize) -> Range<usize> {
         let (_, c) = self.grid.coords(l);
         self.col_dist.range(c)
     }
@@ -252,6 +238,18 @@ impl<T: Copy> DistCsrMatrix<T> {
             }
         }
         coo.to_csr(DupPolicy::Error)
+    }
+}
+
+/// Calls `f(c, cut)` for every column block `c` in order, where
+/// `cols[cut]` are the entries of the sorted row `cols` that fall in
+/// `ranges[c]` (contiguous, ascending ranges covering every column).
+fn for_each_cut(cols: &[usize], ranges: &[Range<usize>], mut f: impl FnMut(usize, Range<usize>)) {
+    let mut lo = 0;
+    for (c, range) in ranges.iter().enumerate() {
+        let hi = lo + cols[lo..].partition_point(|&j| j < range.end);
+        f(c, lo..hi);
+        lo = hi;
     }
 }
 

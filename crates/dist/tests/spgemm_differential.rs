@@ -5,7 +5,7 @@
 //! masked and unmasked, with and without an emit rule — bit-identical on
 //! f64 too for the 2-D variant, must leave the wire exactly as recorded
 //! (pinned comm-ledger digests), and must recover cleanly from a mid-stage
-//! injected communication fault through `with_retry`.
+//! injected communication fault through `Comm::with_retry`.
 //!
 //! Bit-identity across grid shapes is a real invariant, not luck: a 2-D
 //! locale computes every output entry in one pass of the dense SPA shared
@@ -21,7 +21,6 @@ use gblas_core::ops::apply::map_mat;
 use gblas_core::ops::mxm::{mxm, mxm_emit};
 use gblas_core::ops::select::select_mat;
 use gblas_core::par::ExecCtx;
-use gblas_dist::comm::with_retry;
 use gblas_dist::ops::mxm::{mxm_dist_emit, mxm_dist_masked, mxm_dist_masked_with, MxmAlgo};
 use gblas_dist::{DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
 use gblas_sim::MachineConfig;
@@ -133,8 +132,9 @@ proptest! {
     }
 
     /// A mid-stage injected comm fault surfaces as `CommFailure`, and a
-    /// `with_retry` wrapper recovers to the exact shared-memory result —
-    /// the fault must not corrupt any stationary block or cached plan.
+    /// `Comm::with_retry` recovers to the exact shared-memory result in one
+    /// retry — the fault must not corrupt any stationary block or cached
+    /// plan.
     #[test]
     fn mid_stage_fault_recovers_through_with_retry(
         seed in 1u64..300,
@@ -164,19 +164,22 @@ proptest! {
         // failure path inside `with_retry`.
         dctx.comm.clear_faults();
         dctx.comm.fail_after(fail_at);
-        let (c, _) = with_retry(3, || {
-            mxm_dist_masked::<_, _, u64, _, _, bool>(&da, &db, &ring, None, &dctx)
-        })
-        .expect("retry must recover once the fault disarms");
+        let (c, _) = dctx
+            .comm
+            .with_retry(3, || {
+                mxm_dist_masked::<_, _, u64, _, _, bool>(&da, &db, &ring, None, &dctx)
+            })
+            .expect("retry must recover once the fault disarms");
         prop_assert_eq!(c.to_global().unwrap(), expect);
+        prop_assert_eq!(dctx.metrics().snapshot().retries, 1);
     }
 
     /// An emit rule sees finished entries only: on every grid, under both
     /// executors and every SUMMA variant, masked and unmasked, the fused
     /// distributed multiply equals shared `select(map(mxm))` bit for bit —
     /// the rule is not linear in `v`, so one applied to a stage's partial
-    /// sum would not — and a faulted run retried through `with_retry`
-    /// still applies it exactly once.
+    /// sum would not — and a faulted run retried through
+    /// `Comm::with_retry` still applies it exactly once.
     #[test]
     fn emit_rule_matches_shared_select_of_map_bit_for_bit(
         n in 40usize..100,
@@ -212,11 +215,19 @@ proptest! {
                     }
                 }
             }
+            // The fault fires, costing one retry, when a clean run sends
+            // more than `fail_at` messages.
+            let clean = ctx_with(6, LocaleExecutor::Threaded);
+            fused(ProcGrid::new(2, 3), MxmAlgo::Summa2d, &clean).unwrap();
+            let fires = fail_at < clean.comm.call_count();
             let dctx = ctx_with(6, LocaleExecutor::Threaded);
             dctx.comm.fail_after(fail_at);
-            let got = with_retry(3, || fused(ProcGrid::new(2, 3), MxmAlgo::Summa2d, &dctx))
+            let got = dctx
+                .comm
+                .with_retry(3, || fused(ProcGrid::new(2, 3), MxmAlgo::Summa2d, &dctx))
                 .expect("retry must recover once the fault disarms");
             prop_assert_eq!(&got, &expect, "after a fault at message {}", fail_at);
+            prop_assert_eq!(dctx.metrics().snapshot().retries, u64::from(fires));
         }
     }
 }

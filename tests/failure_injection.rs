@@ -4,7 +4,6 @@
 
 use gblas::prelude::*;
 use gblas_core::gen;
-use gblas_dist::comm::with_retry;
 use gblas_dist::ops as dops;
 
 fn machine(p: usize) -> MachineConfig {
@@ -48,13 +47,16 @@ fn retry_wrapper_recovers_a_transient_fault() {
     let bd = DistSparseVec::from_global(&b, 4);
     let dctx = DistCtx::new(machine(4));
     dctx.comm.fail_after(2); // third transfer fails once
-    let result = with_retry(2, || {
-        let mut a = DistSparseVec::empty(500, 4);
-        dops::assign::assign_v1(&mut a, &bd, &dctx)?;
-        Ok(a)
-    })
-    .unwrap();
+    let result = dctx
+        .comm
+        .with_retry(2, || {
+            let mut a = DistSparseVec::empty(500, 4);
+            dops::assign::assign_v1(&mut a, &bd, &dctx)?;
+            Ok(a)
+        })
+        .unwrap();
     assert_eq!(result.to_global(), b);
+    assert_eq!(dctx.metrics().snapshot().retries, 1, "the fault costs one retry");
 }
 
 #[test]
@@ -151,7 +153,7 @@ fn fault_during_inspection_run_still_caches_a_usable_plan() {
 
 #[test]
 fn retry_wrapper_replays_the_cached_schedule_across_attempts() {
-    // `with_retry` around a scheduled op: the transient fault consumes one
+    // `Comm::with_retry` around a scheduled op: the transient fault consumes one
     // attempt, the second attempt replays the plan cached by the first.
     let a = gen::erdos_renyi(250, 5, 11);
     let x = gen::random_sparse_vec(250, 35, 12);
@@ -164,10 +166,13 @@ fn retry_wrapper_replays_the_cached_schedule_across_attempts() {
     };
     let dctx = DistCtx::new(machine(4));
     dctx.comm.fail_after(3);
-    let y =
-        with_retry(2, || dops::spmspv::spmspv_dist_bulk(&da, &dx, &dctx).map(|(y, _)| y)).unwrap();
+    let y = dctx
+        .comm
+        .with_retry(2, || dops::spmspv::spmspv_dist_bulk(&da, &dx, &dctx).map(|(y, _)| y))
+        .unwrap();
     assert_eq!(y.to_global(), expect.to_global());
     let m = dctx.metrics().snapshot();
+    assert_eq!(m.retries, 1, "the fault costs one retry: {m:?}");
     assert_eq!(m.sched_builds, 1, "one inspection across retry attempts: {m:?}");
     assert!(m.sched_replays >= 1, "the retry attempt must replay: {m:?}");
 }

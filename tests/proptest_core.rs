@@ -32,8 +32,76 @@ fn csr(rows: usize, cols: usize) -> impl Strategy<Value = CsrMatrix<f64>> {
     })
 }
 
+/// Strategy: a shape, `0 × n` and `n × 0` included, and triplets over it
+/// with heavy duplicates (few rows and columns, many pushes) and empty rows.
+#[allow(clippy::type_complexity)]
+fn triplets() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize, f64)>)> {
+    (0usize..9, 0usize..9).prop_flat_map(|(rows, cols)| {
+        let most = if rows == 0 || cols == 0 { 0 } else { 120 };
+        let cell = (0..rows.max(1), 0..cols.max(1), -10.0f64..10.0);
+        prop::collection::vec(cell, 0..=most).prop_map(move |t| (rows, cols, t))
+    })
+}
+
+/// The build as a stable comparison sort of the triplets: the reference
+/// `CooMatrix::to_csr_with` must match, value bits included.
+fn reference_build(
+    rows: usize,
+    cols: usize,
+    triplets: &[(usize, usize, f64)],
+    policy: DupPolicy,
+) -> Result<CsrMatrix<f64>, String> {
+    let mut sorted = triplets.to_vec();
+    sorted.sort_by_key(|&(r, c, _)| (r, c));
+    let mut rowptr = vec![0usize; rows + 1];
+    let (mut colidx, mut values): (Vec<usize>, Vec<f64>) = (Vec::new(), Vec::new());
+    let mut last = None;
+    for (r, c, v) in sorted {
+        if last == Some((r, c)) {
+            let slot = values.last_mut().unwrap();
+            match policy {
+                DupPolicy::Error => return Err(format!("duplicate entry at ({r}, {c})")),
+                DupPolicy::KeepLast => *slot = v,
+                DupPolicy::Sum => *slot += v,
+            }
+        } else {
+            rowptr[r + 1] += 1;
+            colidx.push(c);
+            values.push(v);
+            last = Some((r, c));
+        }
+    }
+    for i in 0..rows {
+        rowptr[i + 1] += rowptr[i];
+    }
+    Ok(CsrMatrix::from_raw_parts(rows, cols, rowptr, colidx, values).unwrap())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn build_matches_a_stable_sort_bit_for_bit((rows, cols, t) in triplets()) {
+        for policy in [DupPolicy::Error, DupPolicy::KeepLast, DupPolicy::Sum] {
+            let mut coo = CooMatrix::new(rows, cols);
+            for &(r, c, v) in &t {
+                coo.push(r, c, v).unwrap();
+            }
+            let got = coo.to_csr_with(policy, |a, b| a + b).map_err(|e| e.to_string());
+            match (got, reference_build(rows, cols, &t, policy)) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a.rowptr(), b.rowptr(), "{:?}", policy);
+                    prop_assert_eq!(a.colidx(), b.colidx(), "{:?}", policy);
+                    let bits = |m: &CsrMatrix<f64>| -> Vec<u64> {
+                        m.values().iter().map(|v| v.to_bits()).collect()
+                    };
+                    prop_assert_eq!(bits(&a), bits(&b), "{:?}", policy);
+                }
+                (Err(got), Err(want)) => prop_assert!(got.ends_with(&want), "{} vs {}", got, want),
+                (got, want) => prop_assert!(false, "{:?}: got {:?}, want {:?}", policy, got, want),
+            }
+        }
+    }
 
     #[test]
     fn sparse_vec_dense_round_trip(v in sparse_vec(40)) {
