@@ -19,7 +19,7 @@ use gblas_dist::ops::apply::{apply_v1 as dist_apply_v1, apply_v2 as dist_apply_v
 use gblas_dist::ops::assign::{assign_v1 as dist_assign_v1, assign_v2 as dist_assign_v2};
 use gblas_dist::ops::ewise::ewise_mult_dist;
 use gblas_dist::ops::spmspv::spmspv_dist;
-use gblas_dist::{DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, ProcGrid};
+use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, ProcGrid};
 use gblas_sim::{CostModel, MachineConfig, SimReport};
 use std::sync::{Arc, OnceLock};
 
@@ -441,9 +441,21 @@ pub fn fig_algorithms(scale: usize) -> Vec<Figure> {
     type Runner = fn(&DistCsrMatrix<f64>, &DistCtx) -> SimReport;
     let runners: [(&str, Runner); 4] = [
         ("triangles", |da, dctx| gblas_graph::triangle_count_dist(da, dctx).expect("triangles").1),
-        ("kcore", |da, dctx| gblas_graph::core_numbers_dist(da, dctx).expect("kcore").1),
-        ("mis", |da, dctx| gblas_graph::maximal_independent_set_dist(da, 42, dctx).expect("mis").1),
-        ("bc", |da, dctx| gblas_graph::betweenness_dist(da, &[0, 1, 2, 3], dctx).expect("bc").1),
+        ("kcore", |da, dctx| {
+            let b = DistBackend::new(dctx);
+            gblas_graph::core_numbers_on(&b, da).expect("kcore");
+            b.take_report()
+        }),
+        ("mis", |da, dctx| {
+            let b = DistBackend::new(dctx);
+            gblas_graph::maximal_independent_set_on(&b, da, 42).expect("mis");
+            b.take_report()
+        }),
+        ("bc", |da, dctx| {
+            let b = DistBackend::new(dctx);
+            gblas_graph::betweenness_on(&b, da, &[0, 1, 2, 3]).expect("bc");
+            b.take_report()
+        }),
     ];
     for (label, run) in runners {
         let mut points = Vec::new();
@@ -469,7 +481,6 @@ pub fn fig_algorithms(scale: usize) -> Vec<Figure> {
 pub fn fig_imbalance(scale: usize) -> Vec<Figure> {
     use gblas_core::trace::profile::profile;
     use gblas_dist::ops::spmspv::CommStrategy;
-    use gblas_dist::DistBackend;
 
     let n = workloads::scaled(100_000, scale, 2_000);
     let a = workloads::er_matrix(n, 8, 176);

@@ -88,7 +88,9 @@ struct Args {
     command: String,
     input: Option<String>,
     generate: Option<String>,
-    source: usize,
+    /// `--source`, when given: `bfs` and `sssp` default to vertex 0, `bc`
+    /// to every vertex.
+    source: Option<usize>,
     threads: usize,
     symmetrize: bool,
     seed: u64,
@@ -114,7 +116,7 @@ fn parse_args() -> std::result::Result<Args, String> {
         command,
         input: None,
         generate: None,
-        source: 0,
+        source: None,
         threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         symmetrize: false,
         seed: 1,
@@ -147,7 +149,7 @@ fn parse_args() -> std::result::Result<Args, String> {
                 i += 2;
             }
             "--source" => {
-                args.source = need(i, &mut rest)?.parse().map_err(|_| "bad --source")?;
+                args.source = Some(need(i, &mut rest)?.parse().map_err(|_| "bad --source")?);
                 i += 2;
             }
             "--threads" => {
@@ -242,16 +244,20 @@ fn load(args: &Args) -> Result<CsrMatrix<f64>> {
             ["er", n, d] => {
                 let n: usize = n.parse().map_err(|_| bad_spec(spec))?;
                 let d: usize = d.parse().map_err(|_| bad_spec(spec))?;
+                // colidx and values, n·d entries each
+                check_gen_size(spec, n, n.checked_mul(d), size_of::<(usize, f64)>())?;
                 gen::erdos_renyi(n, d, args.seed)
             }
             ["rmat", scale, ef] => {
                 let scale: u32 = scale.parse().map_err(|_| bad_spec(spec))?;
                 let ef: usize = ef.parse().map_err(|_| bad_spec(spec))?;
-                if gen::rmat_edges(scale, ef).is_none() {
+                let Some(edges) = gen::rmat_edges(scale, ef) else {
                     return Err(GblasError::InvalidArgument(format!(
                         "--gen {spec}: 2^SCALE * EF edges do not fit usize"
                     )));
-                }
+                };
+                // one triplet per edge before the build
+                check_gen_size(spec, 1 << scale, Some(edges), size_of::<(usize, usize, f64)>())?;
                 gen::rmat(scale, ef, args.seed)
             }
             _ => return Err(bad_spec(spec)),
@@ -272,6 +278,21 @@ fn load(args: &Args) -> Result<CsrMatrix<f64>> {
         a = coo.to_csr_with(gblas_core::container::DupPolicy::KeepLast, |x, _| x)?;
     }
     Ok(a)
+}
+
+/// A `--gen` size is outside input, like a Matrix Market header: the
+/// generator's `rowptr` for `n` vertices plus `entries` of `entry_bytes`
+/// each must fit `usize` and be reservable, so a size the process cannot
+/// back is an error instead of a `capacity overflow` panic or an aborting
+/// allocation. The probe reservation is freed at once.
+fn check_gen_size(spec: &str, n: usize, entries: Option<usize>, entry_bytes: usize) -> Result<()> {
+    let total = || {
+        let rowptr = n.checked_add(1)?.checked_mul(size_of::<usize>())?;
+        entries?.checked_mul(entry_bytes)?.checked_add(rowptr)
+    };
+    let too_big = || GblasError::InvalidArgument(format!("--gen {spec}: too large to allocate"));
+    let bytes = total().ok_or_else(too_big)?;
+    Vec::<u8>::new().try_reserve_exact(bytes).map_err(|_| too_big())
 }
 
 fn bad_spec(spec: &str) -> GblasError {
@@ -403,12 +424,13 @@ fn dir_summary(decisions: &[Direction]) -> String {
     format!(" [directions: {}]", body.join(", "))
 }
 
-/// The bc source set: `--source` when given (or on big graphs), else all.
+/// The bc source set: `--source` when given, else every vertex (vertex 0
+/// alone on big graphs).
 fn bc_sources(args: &Args, n: usize) -> Vec<usize> {
-    if args.source != 0 || n > 2000 {
-        vec![args.source]
-    } else {
-        (0..n).collect()
+    match args.source {
+        Some(source) => vec![source],
+        None if n > 2000 => vec![0],
+        None => (0..n).collect(),
     }
 }
 
@@ -419,29 +441,26 @@ fn bc_sources(args: &Args, n: usize) -> Vec<usize> {
 /// point of the backend trait — one algorithm text, two substrates.
 fn run_algo<B: GblasBackend>(backend: &B, a: &B::Matrix<f64>, args: &Args) -> Result<String> {
     let opts = SpMSpVOpts::with_merge(args.merge);
+    let source = args.source.unwrap_or(0);
     Ok(match args.command.as_str() {
         "bfs" => {
-            let runs = gblas_graph::bfs_on(backend, a, &[args.source], args.selection, opts)?;
+            let runs = gblas_graph::bfs_on(backend, a, &[source], args.selection, opts)?;
             let (r, decisions) = &runs[0];
             let dirs = dir_summary(decisions);
             format!(
-                "bfs from {}: reached {} vertices, max level {}{dirs}",
-                args.source,
+                "bfs from {source}: reached {} vertices, max level {}{dirs}",
                 r.reached(),
                 r.levels.as_slice().iter().max().unwrap_or(&0)
             )
         }
         "sssp" => {
-            let runs = gblas_graph::sssp_on(backend, a, &[args.source], args.selection, opts)?;
+            let runs = gblas_graph::sssp_on(backend, a, &[source], args.selection, opts)?;
             let (dist, decisions) = &runs[0];
             let dirs = dir_summary(decisions);
             let reached = dist.as_slice().iter().filter(|d| d.is_finite()).count();
             let furthest =
                 dist.as_slice().iter().filter(|d| d.is_finite()).cloned().fold(0.0, f64::max);
-            format!(
-                "sssp from {}: {} reachable, max distance {:.4}{dirs}",
-                args.source, reached, furthest
-            )
+            format!("sssp from {source}: {reached} reachable, max distance {furthest:.4}{dirs}")
         }
         "pagerank" => {
             let (pr, iters) =

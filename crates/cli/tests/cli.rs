@@ -63,6 +63,19 @@ fn sssp_reports_reachability() {
     assert!(stdout.contains("reachable"));
 }
 
+/// `--source 0` is a source like any other: `bc` runs from it alone, and
+/// only an omitted `--source` means every vertex.
+#[test]
+fn bc_source_zero_is_one_source() {
+    let graph = ["--gen", "er:300:4", "--symmetrize"];
+    let (ok, stdout, _) = run(&[&["bc"][..], &graph, &["--source", "0"]].concat());
+    assert!(ok);
+    assert!(stdout.contains("betweenness over 1 source(s)"), "got: {stdout}");
+    let (ok, stdout, _) = run(&[&["bc"][..], &graph].concat());
+    assert!(ok);
+    assert!(stdout.contains("betweenness over 300 source(s)"), "got: {stdout}");
+}
+
 #[test]
 fn reads_matrix_market_files() {
     // create a small file, then analyze it
@@ -177,6 +190,22 @@ fn errors_are_clean_not_panics() {
         assert!(stderr9.contains("error:"), "{size}: got: {stderr9}");
         assert!(!stderr9.contains("panicked"), "{size}: got: {stderr9}");
         assert!(!stderr9.contains("memory allocation of"), "{size}: got: {stderr9}");
+    }
+    // nor is a `--gen` size: each of these once panicked with `capacity
+    // overflow` or aborted; every one needs more than the address space
+    for spec in [
+        "rmat:63:1",
+        "rmat:30:1000000000",
+        "er:5:99999999999999",
+        "er:99999999999999:1",
+        "er:99999999999999:0",
+        "er:4294967296:4294967296",
+    ] {
+        let (ok10, _, stderr10) = run(&["bfs", "--gen", spec]);
+        assert!(!ok10, "{spec}: must be rejected");
+        assert!(stderr10.contains("error:"), "{spec}: got: {stderr10}");
+        assert!(!stderr10.contains("panicked"), "{spec}: got: {stderr10}");
+        assert!(!stderr10.contains("memory allocation of"), "{spec}: got: {stderr10}");
     }
 }
 

@@ -14,12 +14,10 @@
 //! masked sweeps in shared or distributed memory.
 
 use gblas_core::algebra::{semirings, Scalar};
-use gblas_core::backend::{GblasBackend, MaskSpec, SharedBackend};
-use gblas_core::container::{CsrMatrix, DenseVec};
-use gblas_core::error::{check_dims, GblasError, Result};
+use gblas_core::backend::{GblasBackend, MaskSpec};
+use gblas_core::container::DenseVec;
+use gblas_core::error::Result;
 use gblas_core::ops::spmspv::SpMSpVOpts;
-use gblas_core::par::ExecCtx;
-use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx};
 
 /// Brandes over any backend: per-source forward path-counting sweeps
 /// against the complement of the visited set, then dependency
@@ -31,13 +29,7 @@ pub fn betweenness_on<B: GblasBackend, T: Scalar>(
     a: &B::Matrix<T>,
     sources: &[usize],
 ) -> Result<DenseVec<f64>> {
-    check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
-    let n = backend.mat_nrows(a);
-    for &s in sources {
-        if s >= n {
-            return Err(GblasError::IndexOutOfBounds { index: s, capacity: n });
-        }
-    }
+    let n = crate::check_sources(backend, a, sources)?;
     // Path counting needs numeric weights of 1 regardless of T.
     let ones: B::Matrix<f64> = backend.mat_map(a, &|_, _, _| 1.0f64)?;
     let ones_t = backend.mat_transpose(&ones)?;
@@ -114,35 +106,15 @@ pub fn betweenness_on<B: GblasBackend, T: Scalar>(
     Ok(DenseVec::from_vec(bc))
 }
 
-/// Betweenness-centrality scores accumulated over the given source
-/// vertices (exact when `sources` is all vertices; a standard unbiased
-/// sample estimate otherwise).
-pub fn betweenness<T: Scalar>(
-    a: &CsrMatrix<T>,
-    sources: &[usize],
-    ctx: &ExecCtx,
-) -> Result<DenseVec<f64>> {
-    betweenness_on(&SharedBackend::new(ctx), a, sources)
-}
-
-/// Distributed betweenness centrality: the same [`betweenness_on`] text
-/// with the distributed masked SpMSpV as both the forward and the
-/// backward kernel (the backward matrix lives on the transposed grid).
-/// Returns scores and accumulated simulated time.
-pub fn betweenness_dist<T: Scalar>(
-    a: &DistCsrMatrix<T>,
-    sources: &[usize],
-    dctx: &DistCtx,
-) -> Result<(DenseVec<f64>, gblas_sim::SimReport)> {
-    let backend = DistBackend::new(dctx);
-    let bc = betweenness_on(&backend, a, sources)?;
-    Ok((bc, backend.take_report()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gblas_core::backend::SharedBackend;
+    use gblas_core::container::CsrMatrix;
     use gblas_core::gen;
+    use gblas_core::par::ExecCtx;
+    use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, ProcGrid};
+    use gblas_sim::MachineConfig;
 
     /// Reference Brandes (queue + stack).
     fn reference(a: &CsrMatrix<f64>, sources: &[usize]) -> Vec<f64> {
@@ -190,7 +162,7 @@ mod tests {
         let a = CsrMatrix::from_triplets(4, 4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).unwrap();
         let sources: Vec<usize> = (0..4).collect();
         let ctx = ExecCtx::serial();
-        let bc = betweenness(&a, &sources, &ctx).unwrap();
+        let bc = betweenness_on(&SharedBackend::new(&ctx), &a, &sources).unwrap();
         assert_eq!(bc.as_slice(), &[0.0, 2.0, 2.0, 0.0]);
     }
 
@@ -205,7 +177,7 @@ mod tests {
         let a = CsrMatrix::from_triplets(6, 6, &trips).unwrap();
         let sources: Vec<usize> = (0..6).collect();
         let ctx = ExecCtx::serial();
-        let bc = betweenness(&a, &sources, &ctx).unwrap();
+        let bc = betweenness_on(&SharedBackend::new(&ctx), &a, &sources).unwrap();
         // centre: 5 sources x 4 other leaves reached through it
         assert_eq!(bc[0], 20.0);
         for leaf in 1..6 {
@@ -219,7 +191,7 @@ mod tests {
             let a = gen::erdos_renyi(60, 3, seed);
             let sources: Vec<usize> = (0..60).collect();
             let ctx = ExecCtx::with_threads(2);
-            let bc = betweenness(&a, &sources, &ctx).unwrap();
+            let bc = betweenness_on(&SharedBackend::new(&ctx), &a, &sources).unwrap();
             let expect = reference(&a, &sources);
             for v in 0..60 {
                 assert!(
@@ -237,7 +209,7 @@ mod tests {
         let a = gen::erdos_renyi(80, 4, 9);
         let sources = [0usize, 17, 42];
         let ctx = ExecCtx::serial();
-        let bc = betweenness(&a, &sources, &ctx).unwrap();
+        let bc = betweenness_on(&SharedBackend::new(&ctx), &a, &sources).unwrap();
         let expect = reference(&a, &sources);
         for v in 0..80 {
             assert!((bc[v] - expect[v]).abs() < 1e-6, "vertex {v}");
@@ -248,14 +220,14 @@ mod tests {
     fn source_with_no_out_edges_contributes_zero() {
         // vertex 2 has no out-edges: its sweep ends at level 0
         let a = CsrMatrix::from_triplets(3, 3, &[(0, 1, 1.0)]).unwrap();
-        let bc = betweenness(&a, &[2], &ExecCtx::serial()).unwrap();
+        let bc = betweenness_on(&SharedBackend::new(&ExecCtx::serial()), &a, &[2]).unwrap();
         assert_eq!(bc.as_slice(), &[0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn invalid_source_is_error() {
         let a = CsrMatrix::<f64>::empty(3, 3);
-        assert!(betweenness(&a, &[3], &ExecCtx::serial()).is_err());
+        assert!(betweenness_on(&SharedBackend::new(&ExecCtx::serial()), &a, &[3]).is_err());
     }
 
     #[test]
@@ -263,12 +235,13 @@ mod tests {
         let a = gen::erdos_renyi(60, 3, 5);
         let sources = [0usize, 9, 23];
         let ctx = ExecCtx::serial();
-        let expect = betweenness(&a, &sources, &ctx).unwrap();
+        let expect = betweenness_on(&SharedBackend::new(&ctx), &a, &sources).unwrap();
         for (pr, pc) in [(1, 1), (2, 2), (4, 1)] {
-            let grid = gblas_dist::ProcGrid::new(pr, pc);
+            let grid = ProcGrid::new(pr, pc);
             let da = DistCsrMatrix::from_global(&a, grid);
-            let dctx = DistCtx::new(gblas_sim::MachineConfig::edison_cluster(grid.locales(), 24));
-            let (bc, report) = betweenness_dist(&da, &sources, &dctx).unwrap();
+            let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
+            let b = DistBackend::new(&dctx);
+            let bc = betweenness_on(&b, &da, &sources).unwrap();
             for v in 0..60 {
                 assert!(
                     (bc[v] - expect[v]).abs() < 1e-9,
@@ -277,7 +250,7 @@ mod tests {
                     expect[v]
                 );
             }
-            assert!(report.total() > 0.0);
+            assert!(b.take_report().total() > 0.0);
         }
     }
 }

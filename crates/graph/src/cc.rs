@@ -11,14 +11,11 @@
 
 use crate::policy::Chooser;
 use gblas_core::algebra::{First, Min, Scalar, Semiring};
-use gblas_core::backend::{GblasBackend, SharedBackend};
-use gblas_core::container::{CsrMatrix, DenseVec};
+use gblas_core::backend::GblasBackend;
+use gblas_core::container::DenseVec;
 use gblas_core::error::{check_dims, Result};
 use gblas_core::ops::selection::{Direction, SelectionPolicy};
 use gblas_core::ops::spmspv::SpMSpVOpts;
-use gblas_core::par::ExecCtx;
-use gblas_dist::ops::spmspv::CommStrategy;
-use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx};
 
 /// Min-label propagation over any backend. Labels are driver-side
 /// control state; the min-combine with the previous labels runs in
@@ -81,21 +78,6 @@ pub fn connected_components_on<B: GblasBackend, T: Scalar>(
     }
 }
 
-/// Component labels (the smallest vertex id in each component).
-pub fn connected_components<T: Scalar>(a: &CsrMatrix<T>, ctx: &ExecCtx) -> Result<DenseVec<usize>> {
-    Ok(connected_components_on(&SharedBackend::new(ctx), a, None, SpMSpVOpts::default())?.0)
-}
-
-/// Shared-memory direction-optimizing CC, with its per-round decision log.
-pub fn connected_components_selected<T: Scalar>(
-    a: &CsrMatrix<T>,
-    policy: SelectionPolicy,
-    opts: SpMSpVOpts,
-    ctx: &ExecCtx,
-) -> Result<(DenseVec<usize>, Vec<Direction>)> {
-    connected_components_on(&SharedBackend::new(ctx), a, Some(policy), opts)
-}
-
 /// Count distinct components from a label vector.
 pub fn component_count(labels: &DenseVec<usize>) -> usize {
     let mut seen = labels.as_slice().to_vec();
@@ -104,36 +86,16 @@ pub fn component_count(labels: &DenseVec<usize>) -> usize {
     seen.len()
 }
 
-/// Distributed connected components: the same
-/// [`connected_components_on`] text with the bulk-only distributed SpMV
-/// as the per-round kernel. Returns labels and accumulated simulated
-/// time.
-pub fn connected_components_dist<T: Scalar>(
-    a: &DistCsrMatrix<T>,
-    dctx: &DistCtx,
-) -> Result<(DenseVec<usize>, gblas_sim::SimReport)> {
-    let backend = DistBackend::new(dctx);
-    let (labels, _) = connected_components_on(&backend, a, None, SpMSpVOpts::default())?;
-    Ok((labels, backend.take_report()))
-}
-
-/// Distributed direction-optimizing connected components.
-pub fn connected_components_selected_dist<T: Scalar>(
-    a: &DistCsrMatrix<T>,
-    policy: SelectionPolicy,
-    strategy: CommStrategy,
-    opts: SpMSpVOpts,
-    dctx: &DistCtx,
-) -> Result<(DenseVec<usize>, Vec<Direction>, gblas_sim::SimReport)> {
-    let backend = DistBackend::with_strategy(dctx, strategy);
-    let (labels, decisions) = connected_components_on(&backend, a, Some(policy), opts)?;
-    Ok((labels, decisions, backend.take_report()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gblas_core::backend::SharedBackend;
+    use gblas_core::container::CsrMatrix;
     use gblas_core::gen;
+    use gblas_core::par::ExecCtx;
+    use gblas_dist::ops::spmspv::CommStrategy;
+    use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, ProcGrid};
+    use gblas_sim::MachineConfig;
 
     /// Reference components via union-find.
     fn reference(a: &CsrMatrix<f64>) -> Vec<usize> {
@@ -176,7 +138,8 @@ mod tests {
     fn matches_union_find_on_random_graph() {
         let a = gen::erdos_renyi_symmetric(300, 2, 19);
         let ctx = ExecCtx::with_threads(2);
-        let labels = connected_components(&a, &ctx).unwrap();
+        let b = SharedBackend::new(&ctx);
+        let (labels, _) = connected_components_on(&b, &a, None, SpMSpVOpts::default()).unwrap();
         assert_eq!(labels.as_slice(), reference(&a).as_slice());
     }
 
@@ -190,7 +153,8 @@ mod tests {
         }
         let a = CsrMatrix::from_triplets(5, 5, &trips).unwrap();
         let ctx = ExecCtx::serial();
-        let labels = connected_components(&a, &ctx).unwrap();
+        let b = SharedBackend::new(&ctx);
+        let (labels, _) = connected_components_on(&b, &a, None, SpMSpVOpts::default()).unwrap();
         assert_eq!(labels.as_slice(), &[0, 0, 0, 3, 3]);
         assert_eq!(component_count(&labels), 2);
     }
@@ -199,7 +163,8 @@ mod tests {
     fn isolated_vertices_are_their_own_component() {
         let a = CsrMatrix::<f64>::empty(4, 4);
         let ctx = ExecCtx::serial();
-        let labels = connected_components(&a, &ctx).unwrap();
+        let b = SharedBackend::new(&ctx);
+        let (labels, _) = connected_components_on(&b, &a, None, SpMSpVOpts::default()).unwrap();
         assert_eq!(labels.as_slice(), &[0, 1, 2, 3]);
         assert_eq!(component_count(&labels), 4);
     }
@@ -208,14 +173,17 @@ mod tests {
     fn distributed_matches_shared_at_every_grid() {
         let a = gen::erdos_renyi_symmetric(200, 2, 29);
         let ctx = ExecCtx::serial();
-        let expect = connected_components(&a, &ctx).unwrap();
+        let opts = SpMSpVOpts::default();
+        let (expect, _) =
+            connected_components_on(&SharedBackend::new(&ctx), &a, None, opts).unwrap();
         for (pr, pc) in [(1, 1), (2, 2), (2, 3)] {
-            let grid = gblas_dist::ProcGrid::new(pr, pc);
+            let grid = ProcGrid::new(pr, pc);
             let da = DistCsrMatrix::from_global(&a, grid);
-            let dctx = DistCtx::new(gblas_sim::MachineConfig::edison_cluster(grid.locales(), 24));
-            let (labels, report) = connected_components_dist(&da, &dctx).unwrap();
+            let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
+            let b = DistBackend::new(&dctx);
+            let (labels, _) = connected_components_on(&b, &da, None, opts).unwrap();
             assert_eq!(labels, expect, "grid {pr}x{pc}");
-            assert!(report.total() > 0.0);
+            assert!(b.take_report().total() > 0.0);
             // all-bulk kernel
             assert_eq!(dctx.comm.totals().0, 0);
         }
@@ -228,10 +196,11 @@ mod tests {
     fn cc_identical_across_policies_and_matches_static_driver() {
         let a = gen::erdos_renyi_symmetric(300, 3, 93);
         let ctx = ExecCtx::serial();
-        let expect = connected_components(&a, &ctx).unwrap();
+        let b = SharedBackend::new(&ctx);
+        let opts = SpMSpVOpts::default();
+        let (expect, _) = connected_components_on(&b, &a, None, opts).unwrap();
         for policy in POLICIES {
-            let (labels, decisions) =
-                connected_components_selected(&a, policy, SpMSpVOpts::default(), &ctx).unwrap();
+            let (labels, decisions) = connected_components_on(&b, &a, Some(policy), opts).unwrap();
             assert_eq!(labels, expect, "{policy:?}");
             assert!(!decisions.is_empty());
         }
@@ -240,21 +209,17 @@ mod tests {
     #[test]
     fn cc_dist_identical_across_policies() {
         let a = gen::erdos_renyi_symmetric(200, 3, 94);
-        let expect = connected_components(&a, &ExecCtx::serial()).unwrap();
-        let grid = gblas_dist::ProcGrid::new(2, 2);
-        let da = DistCsrMatrix::from_global(&a, grid);
+        let ctx = ExecCtx::serial();
+        let opts = SpMSpVOpts::default();
+        let (expect, _) =
+            connected_components_on(&SharedBackend::new(&ctx), &a, None, opts).unwrap();
+        let da = DistCsrMatrix::from_global(&a, ProcGrid::new(2, 2));
         for policy in POLICIES {
-            let dctx = DistCtx::new(gblas_sim::MachineConfig::edison_cluster(4, 24));
-            let (labels, _, report) = connected_components_selected_dist(
-                &da,
-                policy,
-                CommStrategy::Bulk,
-                SpMSpVOpts::default(),
-                &dctx,
-            )
-            .unwrap();
+            let dctx = DistCtx::new(MachineConfig::edison_cluster(4, 24));
+            let b = DistBackend::with_strategy(&dctx, CommStrategy::Bulk);
+            let (labels, _) = connected_components_on(&b, &da, Some(policy), opts).unwrap();
             assert_eq!(labels, expect, "{policy:?}");
-            assert!(report.total() > 0.0);
+            assert!(b.take_report().total() > 0.0);
         }
     }
 
@@ -262,7 +227,8 @@ mod tests {
     fn single_giant_component_on_dense_random() {
         let a = gen::erdos_renyi_symmetric(200, 8, 23);
         let ctx = ExecCtx::serial();
-        let labels = connected_components(&a, &ctx).unwrap();
+        let b = SharedBackend::new(&ctx);
+        let (labels, _) = connected_components_on(&b, &a, None, SpMSpVOpts::default()).unwrap();
         // d = 8 >> ln(200): overwhelmingly a single giant component
         assert_eq!(component_count(&labels), 1);
         assert!(labels.as_slice().iter().all(|&l| l == 0));

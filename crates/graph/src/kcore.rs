@@ -11,11 +11,9 @@
 //! [`GblasBackend`].
 
 use gblas_core::algebra::{Plus, Scalar};
-use gblas_core::backend::{GblasBackend, SharedBackend};
-use gblas_core::container::{CsrMatrix, DenseVec};
+use gblas_core::backend::GblasBackend;
+use gblas_core::container::DenseVec;
 use gblas_core::error::{check_dims, Result};
-use gblas_core::par::ExecCtx;
-use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx};
 
 /// Peeling over any backend: each round reduces the remaining subgraph's
 /// row degrees, decides the peel set driver-side (one scalar all-reduce
@@ -68,28 +66,15 @@ pub fn core_numbers_on<B: GblasBackend, T: Scalar>(
     Ok(core)
 }
 
-/// Core number of every vertex of the *symmetric* adjacency matrix `a`.
-pub fn core_numbers<T: Scalar>(a: &CsrMatrix<T>, ctx: &ExecCtx) -> Result<DenseVec<usize>> {
-    core_numbers_on(&SharedBackend::new(ctx), a)
-}
-
-/// Distributed k-core decomposition: the same [`core_numbers_on`] text
-/// with the distributed row-reduce and block-local `select` as the
-/// per-round kernels. Returns core numbers and accumulated simulated
-/// time.
-pub fn core_numbers_dist<T: Scalar>(
-    a: &DistCsrMatrix<T>,
-    dctx: &DistCtx,
-) -> Result<(DenseVec<usize>, gblas_sim::SimReport)> {
-    let backend = DistBackend::new(dctx);
-    let core = core_numbers_on(&backend, a)?;
-    Ok((core, backend.take_report()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gblas_core::backend::SharedBackend;
+    use gblas_core::container::CsrMatrix;
     use gblas_core::gen;
+    use gblas_core::par::ExecCtx;
+    use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, ProcGrid};
+    use gblas_sim::MachineConfig;
 
     /// Reference: textbook peeling — repeatedly remove a minimum-degree
     /// vertex; a vertex's core number is the running maximum of the
@@ -124,7 +109,7 @@ mod tests {
         }
         let a = CsrMatrix::from_triplets(4, 4, &trips).unwrap();
         let ctx = ExecCtx::serial();
-        let core = core_numbers(&a, &ctx).unwrap();
+        let core = core_numbers_on(&SharedBackend::new(&ctx), &a).unwrap();
         assert_eq!(core.as_slice(), &[2, 2, 2, 1]);
     }
 
@@ -141,7 +126,7 @@ mod tests {
         }
         let a = CsrMatrix::from_triplets(k, k, &trips).unwrap();
         let ctx = ExecCtx::with_threads(2);
-        let core = core_numbers(&a, &ctx).unwrap();
+        let core = core_numbers_on(&SharedBackend::new(&ctx), &a).unwrap();
         assert!(core.as_slice().iter().all(|&c| c == k - 1));
     }
 
@@ -150,7 +135,7 @@ mod tests {
         for seed in [1u64, 2, 3] {
             let a = gen::erdos_renyi_symmetric(80, 4, seed);
             let ctx = ExecCtx::serial();
-            let core = core_numbers(&a, &ctx).unwrap();
+            let core = core_numbers_on(&SharedBackend::new(&ctx), &a).unwrap();
             let expect = reference(&a);
             assert_eq!(core.as_slice(), &expect[..], "seed {seed}");
         }
@@ -159,7 +144,7 @@ mod tests {
     #[test]
     fn empty_graph_is_ok() {
         let a = CsrMatrix::<f64>::empty(0, 0);
-        let core = core_numbers(&a, &ExecCtx::serial()).unwrap();
+        let core = core_numbers_on(&SharedBackend::new(&ExecCtx::serial()), &a).unwrap();
         assert!(core.is_empty());
     }
 
@@ -167,7 +152,7 @@ mod tests {
     fn isolated_vertices_have_core_zero() {
         let a = CsrMatrix::<f64>::empty(5, 5);
         let ctx = ExecCtx::serial();
-        let core = core_numbers(&a, &ctx).unwrap();
+        let core = core_numbers_on(&SharedBackend::new(&ctx), &a).unwrap();
         assert!(core.as_slice().iter().all(|&c| c == 0));
     }
 
@@ -175,14 +160,15 @@ mod tests {
     fn distributed_matches_shared_at_every_grid() {
         let a = gen::erdos_renyi_symmetric(120, 4, 73);
         let ctx = ExecCtx::serial();
-        let expect = core_numbers(&a, &ctx).unwrap();
+        let expect = core_numbers_on(&SharedBackend::new(&ctx), &a).unwrap();
         for (pr, pc) in [(1, 1), (2, 2), (2, 3)] {
-            let grid = gblas_dist::ProcGrid::new(pr, pc);
+            let grid = ProcGrid::new(pr, pc);
             let da = DistCsrMatrix::from_global(&a, grid);
-            let dctx = DistCtx::new(gblas_sim::MachineConfig::edison_cluster(grid.locales(), 24));
-            let (core, report) = core_numbers_dist(&da, &dctx).unwrap();
+            let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
+            let b = DistBackend::new(&dctx);
+            let core = core_numbers_on(&b, &da).unwrap();
             assert_eq!(core, expect, "grid {pr}x{pc}");
-            assert!(report.total() > 0.0);
+            assert!(b.take_report().total() > 0.0);
         }
     }
 }

@@ -36,11 +36,15 @@
 //! ([`gblas_core::backend::SharedBackend`]) and on the simulated
 //! distributed backend ([`gblas_dist::DistBackend`]), which is the
 //! paper's version-1/version-2 split made a compile-time contract. The
-//! `bfs`/`bfs_dist`-style entry points are thin wrappers that pick a
-//! backend; the `_dist` variants also return the accumulated
-//! [`gblas_sim::SimReport`] comm/compute ledger. All algorithms run
-//! distributed, including triangles and MCL (multi-stage sparse SUMMA on
-//! any rectangular grid), k-core, MIS and betweenness.
+//! caller picks the substrate by constructing the backend value, and a
+//! distributed run's [`gblas_sim::SimReport`] comm/compute ledger is
+//! `DistBackend::take_report`. For SSSP, CC, k-core, MIS, betweenness and
+//! personalized PageRank the `*_on` driver is the only public entry. BFS,
+//! PageRank, triangles and MCL keep thin wrappers (`bfs`, `bfs_dist`,
+//! `pagerank_dist`, `markov_cluster`, ...) that pick a backend, because the
+//! benchmark calls them until it holds one graph handle per input. All
+//! algorithms run distributed, including triangles and MCL (multi-stage
+//! sparse SUMMA on any rectangular grid), k-core, MIS and betweenness.
 
 //! ```
 //! use gblas_core::{gen, par::ExecCtx};
@@ -63,29 +67,18 @@ mod policy;
 pub mod sssp;
 pub mod triangles;
 
-pub use betweenness::{betweenness, betweenness_dist, betweenness_on};
+pub use betweenness::betweenness_on;
 pub use bfs::{
     bfs, bfs_dist, bfs_dist_with, bfs_observed, bfs_on, bfs_selected, bfs_selected_dist, bfs_with,
     BfsResult,
 };
-pub use cc::{
-    connected_components, connected_components_dist, connected_components_on,
-    connected_components_selected, connected_components_selected_dist,
-};
-pub use kcore::{core_numbers, core_numbers_dist, core_numbers_on};
-pub use mcl::{
-    markov_cluster, markov_cluster_dist, markov_cluster_dist_with, markov_cluster_on, MclOptions,
-};
-pub use mis::{maximal_independent_set, maximal_independent_set_dist, maximal_independent_set_on};
-pub use multi::{
-    bfs_multi, bfs_multi_dist, ppr, ppr_multi, ppr_multi_dist, ppr_multi_on, sssp_multi,
-    sssp_multi_dist, PprOptions, PprResult,
-};
+pub use cc::connected_components_on;
+pub use kcore::core_numbers_on;
+pub use mcl::{markov_cluster, markov_cluster_dist, markov_cluster_on, MclOptions};
+pub use mis::maximal_independent_set_on;
+pub use multi::{bfs_multi, bfs_multi_dist, ppr_multi_on, PprOptions, PprResult};
 pub use pagerank::{pagerank, pagerank_dist, pagerank_dist_on, pagerank_on, PageRankOptions};
-pub use sssp::{
-    sssp, sssp_dist, sssp_dist_with, sssp_on, sssp_selected, sssp_selected_dist, sssp_with,
-    EdgeWeight,
-};
+pub use sssp::{sssp_on, EdgeWeight};
 pub use triangles::{triangle_count, triangle_count_dist, triangle_count_on};
 
 use gblas_core::algebra::Scalar;

@@ -42,7 +42,7 @@ use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::CsrMatrix;
 use gblas_core::error::{check_dims, GblasError, Result};
 use gblas_core::par::ExecCtx;
-use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, MxmAlgo, ProcGrid};
+use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, ProcGrid};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tunables for [`markov_cluster`].
@@ -233,26 +233,17 @@ pub fn markov_cluster(
 /// Distributed Markov clustering: the same [`markov_cluster_on`] text
 /// with every expansion running the multi-stage DCSC SUMMA on `grid`
 /// (any `pr×pc` shape). Returns `(labels, iterations, simulated time)`.
+/// Another SUMMA variant is a backend choice:
+/// [`markov_cluster_on`] over `DistBackend::new(dctx).with_mxm(algo)`.
 pub fn markov_cluster_dist(
     a: &CsrMatrix<f64>,
     grid: ProcGrid,
     opts: MclOptions,
     dctx: &DistCtx,
 ) -> Result<(Vec<usize>, usize, gblas_sim::SimReport)> {
-    markov_cluster_dist_with(a, grid, opts, MxmAlgo::Summa2d, dctx)
-}
-
-/// Distributed MCL with an explicit SUMMA variant (`--mxm-grid 2d|3d`).
-pub fn markov_cluster_dist_with(
-    a: &CsrMatrix<f64>,
-    grid: ProcGrid,
-    opts: MclOptions,
-    algo: MxmAlgo,
-    dctx: &DistCtx,
-) -> Result<(Vec<usize>, usize, gblas_sim::SimReport)> {
     let looped = add_self_loops(a)?;
     let da = DistCsrMatrix::from_global(&looped, grid);
-    let backend = DistBackend::new(dctx).with_mxm(algo);
+    let backend = DistBackend::new(dctx);
     let (labels, iters) = markov_cluster_on(&backend, &da, opts)?;
     Ok((labels, iters, backend.take_report()))
 }
@@ -261,6 +252,7 @@ pub fn markov_cluster_dist_with(
 mod tests {
     use super::*;
     use gblas_core::gen;
+    use gblas_dist::MxmAlgo;
     use gblas_sim::MachineConfig;
 
     /// Two 4-cliques joined by a single bridge edge.
@@ -342,17 +334,12 @@ mod tests {
         let dctx2 = DistCtx::new(MachineConfig::edison_cluster(4, 24));
         let (l2, i2, _) = markov_cluster_dist(&a, grid, MclOptions::default(), &dctx2).unwrap();
         let dctx3 = DistCtx::new(MachineConfig::edison_cluster(8, 24));
-        let (l3, i3, r3) = markov_cluster_dist_with(
-            &a,
-            grid,
-            MclOptions::default(),
-            MxmAlgo::Summa3d { layers: 2 },
-            &dctx3,
-        )
-        .unwrap();
+        let b3 = DistBackend::new(&dctx3).with_mxm(MxmAlgo::Summa3d { layers: 2 });
+        let da = DistCsrMatrix::from_global(&add_self_loops(&a).unwrap(), grid);
+        let (l3, i3) = markov_cluster_on(&b3, &da, MclOptions::default()).unwrap();
         assert_eq!(l2, l3);
         assert_eq!(i2, i3);
-        assert!(r3.total() > 0.0);
+        assert!(b3.take_report().total() > 0.0);
     }
 
     #[test]

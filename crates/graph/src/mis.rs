@@ -14,12 +14,10 @@
 //! deterministic in the seed regardless of substrate.
 
 use gblas_core::algebra::{First, Max, Scalar, Semiring};
-use gblas_core::backend::{GblasBackend, SharedBackend};
-use gblas_core::container::{CsrMatrix, DenseVec};
+use gblas_core::backend::GblasBackend;
+use gblas_core::container::DenseVec;
 use gblas_core::error::{check_dims, GblasError, Result};
 use gblas_core::ops::spmspv::SpMSpVOpts;
-use gblas_core::par::ExecCtx;
-use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -104,35 +102,15 @@ pub fn maximal_independent_set_on<B: GblasBackend, T: Scalar>(
     Ok(in_set)
 }
 
-/// Compute a maximal independent set of the *symmetric* graph `a`.
-/// Returns the indicator vector (true = in the set). Deterministic in
-/// `seed`.
-pub fn maximal_independent_set<T: Scalar>(
-    a: &CsrMatrix<T>,
-    seed: u64,
-    ctx: &ExecCtx,
-) -> Result<DenseVec<bool>> {
-    maximal_independent_set_on(&SharedBackend::new(ctx), a, seed)
-}
-
-/// Distributed MIS: the same [`maximal_independent_set_on`] text with the
-/// distributed SpMSpV as the round kernel. Returns the indicator vector
-/// and accumulated simulated time; bit-identical to the shared run for
-/// the same seed.
-pub fn maximal_independent_set_dist<T: Scalar>(
-    a: &DistCsrMatrix<T>,
-    seed: u64,
-    dctx: &DistCtx,
-) -> Result<(DenseVec<bool>, gblas_sim::SimReport)> {
-    let backend = DistBackend::new(dctx);
-    let set = maximal_independent_set_on(&backend, a, seed)?;
-    Ok((set, backend.take_report()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gblas_core::backend::SharedBackend;
+    use gblas_core::container::CsrMatrix;
     use gblas_core::gen;
+    use gblas_core::par::ExecCtx;
+    use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, ProcGrid};
+    use gblas_sim::MachineConfig;
 
     fn check_mis(a: &CsrMatrix<f64>, set: &DenseVec<bool>) {
         let n = a.nrows();
@@ -154,7 +132,7 @@ mod tests {
         for seed in [1u64, 2, 3, 4] {
             let a = gen::erdos_renyi_symmetric(300, 4, seed);
             let ctx = ExecCtx::with_threads(2);
-            let set = maximal_independent_set(&a, seed * 7, &ctx).unwrap();
+            let set = maximal_independent_set_on(&SharedBackend::new(&ctx), &a, seed * 7).unwrap();
             check_mis(&a, &set);
             assert!(set.as_slice().iter().any(|&b| b), "set must be nonempty");
         }
@@ -164,7 +142,7 @@ mod tests {
     fn empty_graph_takes_everything() {
         let a = CsrMatrix::<f64>::empty(10, 10);
         let ctx = ExecCtx::serial();
-        let set = maximal_independent_set(&a, 1, &ctx).unwrap();
+        let set = maximal_independent_set_on(&SharedBackend::new(&ctx), &a, 1).unwrap();
         assert!(set.as_slice().iter().all(|&b| b));
     }
 
@@ -181,7 +159,7 @@ mod tests {
         }
         let a = CsrMatrix::from_triplets(k, k, &trips).unwrap();
         let ctx = ExecCtx::serial();
-        let set = maximal_independent_set(&a, 5, &ctx).unwrap();
+        let set = maximal_independent_set_on(&SharedBackend::new(&ctx), &a, 5).unwrap();
         assert_eq!(set.as_slice().iter().filter(|&&b| b).count(), 1);
     }
 
@@ -189,8 +167,8 @@ mod tests {
     fn deterministic_in_seed() {
         let a = gen::erdos_renyi_symmetric(150, 3, 9);
         let ctx = ExecCtx::serial();
-        let s1 = maximal_independent_set(&a, 42, &ctx).unwrap();
-        let s2 = maximal_independent_set(&a, 42, &ctx).unwrap();
+        let s1 = maximal_independent_set_on(&SharedBackend::new(&ctx), &a, 42).unwrap();
+        let s2 = maximal_independent_set_on(&SharedBackend::new(&ctx), &a, 42).unwrap();
         assert_eq!(s1, s2);
     }
 
@@ -198,14 +176,15 @@ mod tests {
     fn distributed_matches_shared_at_every_grid() {
         let a = gen::erdos_renyi_symmetric(150, 4, 77);
         let ctx = ExecCtx::serial();
-        let expect = maximal_independent_set(&a, 42, &ctx).unwrap();
+        let expect = maximal_independent_set_on(&SharedBackend::new(&ctx), &a, 42).unwrap();
         for (pr, pc) in [(1, 1), (2, 2), (2, 3)] {
-            let grid = gblas_dist::ProcGrid::new(pr, pc);
+            let grid = ProcGrid::new(pr, pc);
             let da = DistCsrMatrix::from_global(&a, grid);
-            let dctx = DistCtx::new(gblas_sim::MachineConfig::edison_cluster(grid.locales(), 24));
-            let (set, report) = maximal_independent_set_dist(&da, 42, &dctx).unwrap();
+            let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
+            let b = DistBackend::new(&dctx);
+            let set = maximal_independent_set_on(&b, &da, 42).unwrap();
             assert_eq!(set, expect, "grid {pr}x{pc}");
-            assert!(report.total() > 0.0);
+            assert!(b.take_report().total() > 0.0);
         }
     }
 }

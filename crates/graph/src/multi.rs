@@ -7,22 +7,22 @@
 //! the conceptual `n×k` frontier matrix — turns every traversal level into
 //! **one** call of the backend's push over all k sources. In distributed
 //! memory that is one fused bulk message per locale pair instead of k
-//! (see `gblas_dist::ops::spmspv`), which is why the `_dist` wrappers here
-//! build a `CommStrategy::Bulk` backend.
+//! (see `gblas_dist::ops::spmspv`), which is why [`bfs_multi_dist`] builds
+//! a `CommStrategy::Bulk` backend.
 //!
 //! BFS and SSSP have no batched driver of their own: [`crate::bfs::bfs_on`]
-//! and [`crate::sssp::sssp_on`] take a slice of sources, and the wrappers
-//! here call them at the batch width. Personalized PageRank's driver,
-//! [`ppr_multi_on`], lives here, with one dense SpMV over the active seeds
-//! per iteration. Because the backend's push and SpMV are bit-identical
-//! per source to a run of that source alone, slot `s` of every batched
-//! result equals the single-source run from `sources[s]` — the
-//! equivalence the `batched_equivalence` integration suite pins on both
-//! backends. Duplicate sources are independent slots.
+//! and [`crate::sssp::sssp_on`] take a slice of sources. The BFS wrappers
+//! here call it at the batch width; they stay because the benchmark calls
+//! them. Personalized PageRank's driver, [`ppr_multi_on`], lives here, with
+//! one dense SpMV over the active seeds per iteration. Because the
+//! backend's push and SpMV are bit-identical per source to a run of that
+//! source alone, slot `s` of every batched result equals the single-source
+//! run from `sources[s]` — the equivalence the `batched_equivalence`
+//! integration suite pins on both backends. Duplicate sources are
+//! independent slots.
 
 use crate::bfs::{bfs_on, BfsResult};
 use crate::pagerank::{check_power_options, inverse_out_degrees, power_step};
-use crate::sssp::{sssp_on, EdgeWeight};
 use gblas_core::algebra::{semirings, Scalar};
 use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::{CsrMatrix, DenseVec};
@@ -52,27 +52,6 @@ pub fn bfs_multi_dist<T: Scalar>(
 ) -> Result<(Vec<BfsResult>, gblas_sim::SimReport)> {
     let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
     let results = slots(bfs_on(&backend, a, sources, None, SpMSpVOpts::default())?);
-    Ok((results, backend.take_report()))
-}
-
-/// Shared-memory batched SSSP: [`crate::sssp::sssp_on`] from `sources`.
-pub fn sssp_multi<T: EdgeWeight>(
-    a: &CsrMatrix<T>,
-    sources: &[usize],
-    ctx: &ExecCtx,
-) -> Result<Vec<DenseVec<f64>>> {
-    Ok(slots(sssp_on(&SharedBackend::new(ctx), a, sources, None, SpMSpVOpts::default())?))
-}
-
-/// Distributed batched SSSP. Returns per-source distances plus the
-/// accumulated simulated-time ledger.
-pub fn sssp_multi_dist<T: EdgeWeight>(
-    a: &DistCsrMatrix<T>,
-    sources: &[usize],
-    dctx: &DistCtx,
-) -> Result<(Vec<DenseVec<f64>>, gblas_sim::SimReport)> {
-    let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
-    let results = slots(sssp_on(&backend, a, sources, None, SpMSpVOpts::default())?);
     Ok((results, backend.take_report()))
 }
 
@@ -184,45 +163,11 @@ pub fn ppr_multi_on<B: GblasBackend, T: Scalar>(
     Ok(PprResult { scores: pr.into_iter().map(DenseVec::from_vec).collect(), iterations })
 }
 
-/// Shared-memory batched personalized PageRank.
-pub fn ppr_multi<T: Scalar>(
-    a: &CsrMatrix<T>,
-    seeds: &[usize],
-    opts: PprOptions,
-    ctx: &ExecCtx,
-) -> Result<PprResult> {
-    ppr_multi_on(&SharedBackend::new(ctx), a, seeds, opts)
-}
-
-/// Single-seed personalized PageRank — [`ppr_multi`] at `k = 1`.
-pub fn ppr<T: Scalar>(
-    a: &CsrMatrix<T>,
-    seed: usize,
-    opts: PprOptions,
-    ctx: &ExecCtx,
-) -> Result<(DenseVec<f64>, usize)> {
-    let mut r = ppr_multi(a, &[seed], opts, ctx)?;
-    Ok((r.scores.remove(0), r.iterations[0]))
-}
-
-/// Distributed batched personalized PageRank. Returns the batched result
-/// plus the accumulated simulated-time ledger.
-pub fn ppr_multi_dist<T: Scalar>(
-    a: &DistCsrMatrix<T>,
-    seeds: &[usize],
-    opts: PprOptions,
-    dctx: &DistCtx,
-) -> Result<(PprResult, gblas_sim::SimReport)> {
-    let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
-    let result = ppr_multi_on(&backend, a, seeds, opts)?;
-    Ok((result, backend.take_report()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bfs::bfs;
-    use crate::sssp::sssp;
+    use crate::sssp::sssp_on;
     use gblas_core::gen;
     use gblas_dist::ProcGrid;
     use gblas_sim::MachineConfig;
@@ -243,11 +188,13 @@ mod tests {
     fn batched_sssp_matches_single_source_loop() {
         let a = gen::erdos_renyi(250, 5, 73);
         let ctx = ExecCtx::serial();
+        let b = SharedBackend::new(&ctx);
+        let opts = SpMSpVOpts::default();
         let sources = [3usize, 99];
-        let batched = sssp_multi(&a, &sources, &ctx).unwrap();
+        let batched = sssp_on(&b, &a, &sources, None, opts).unwrap();
         for (s, &src) in sources.iter().enumerate() {
-            let single = sssp(&a, src, &ctx).unwrap();
-            assert_eq!(batched[s].as_slice(), single.as_slice(), "slot {s}");
+            let single = sssp_on(&b, &a, &[src], None, opts).unwrap();
+            assert_eq!(batched[s], single[0], "slot {s}");
         }
     }
 
@@ -255,7 +202,8 @@ mod tests {
     fn ppr_scores_sum_to_one_and_localize() {
         let a = gen::erdos_renyi(200, 6, 79);
         let ctx = ExecCtx::serial();
-        let r = ppr_multi(&a, &[5, 120], PprOptions::default(), &ctx).unwrap();
+        let r =
+            ppr_multi_on(&SharedBackend::new(&ctx), &a, &[5, 120], PprOptions::default()).unwrap();
         for (scores, iters) in r.scores.iter().zip(&r.iterations) {
             let sum: f64 = scores.as_slice().iter().sum();
             assert!((sum - 1.0).abs() < 1e-6, "sum = {sum}");
@@ -270,12 +218,13 @@ mod tests {
     fn ppr_batch_slot_matches_its_solo_run() {
         let a = gen::erdos_renyi(150, 5, 83);
         let ctx = ExecCtx::serial();
+        let b = SharedBackend::new(&ctx);
         let opts = PprOptions::default();
-        let batch = ppr_multi(&a, &[2, 60, 2], opts, &ctx).unwrap();
+        let batch = ppr_multi_on(&b, &a, &[2, 60, 2], opts).unwrap();
         for (s, &seed) in [2usize, 60, 2].iter().enumerate() {
-            let (solo, iters) = ppr(&a, seed, opts, &ctx).unwrap();
-            assert_eq!(batch.scores[s].as_slice(), solo.as_slice(), "slot {s}");
-            assert_eq!(batch.iterations[s], iters, "slot {s}");
+            let solo = ppr_multi_on(&b, &a, &[seed], opts).unwrap();
+            assert_eq!(batch.scores[s].as_slice(), solo.scores[0].as_slice(), "slot {s}");
+            assert_eq!(batch.iterations[s], solo.iterations[0], "slot {s}");
         }
     }
 
@@ -296,9 +245,10 @@ mod tests {
     fn empty_batch_is_fine() {
         let a = gen::erdos_renyi(50, 3, 97);
         let ctx = ExecCtx::serial();
+        let b = SharedBackend::new(&ctx);
         assert!(bfs_multi(&a, &[], &ctx).unwrap().is_empty());
-        assert!(sssp_multi(&a, &[], &ctx).unwrap().is_empty());
-        let r = ppr_multi(&a, &[], PprOptions::default(), &ctx).unwrap();
+        assert!(sssp_on(&b, &a, &[], None, SpMSpVOpts::default()).unwrap().is_empty());
+        let r = ppr_multi_on(&b, &a, &[], PprOptions::default()).unwrap();
         assert!(r.scores.is_empty());
     }
 
@@ -306,8 +256,9 @@ mod tests {
     fn out_of_range_source_is_error() {
         let a = gen::erdos_renyi(10, 2, 101);
         let ctx = ExecCtx::serial();
+        let b = SharedBackend::new(&ctx);
         assert!(bfs_multi(&a, &[0, 10], &ctx).is_err());
-        assert!(sssp_multi(&a, &[10], &ctx).is_err());
-        assert!(ppr_multi(&a, &[10], PprOptions::default(), &ctx).is_err());
+        assert!(sssp_on(&b, &a, &[10], None, SpMSpVOpts::default()).is_err());
+        assert!(ppr_multi_on(&b, &a, &[10], PprOptions::default()).is_err());
     }
 }

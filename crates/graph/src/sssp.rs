@@ -15,18 +15,15 @@
 
 use crate::policy::Chooser;
 use gblas_core::algebra::{semirings, Scalar};
-use gblas_core::backend::{GblasBackend, SharedBackend};
-use gblas_core::container::{CsrMatrix, DenseVec};
+use gblas_core::backend::GblasBackend;
+use gblas_core::container::DenseVec;
 use gblas_core::error::{GblasError, Result};
 use gblas_core::ops::selection::{Direction, SelectionPolicy};
 use gblas_core::ops::spmspv::SpMSpVOpts;
-use gblas_core::par::ExecCtx;
-use gblas_dist::ops::spmspv::CommStrategy;
-use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx};
 
 /// A scalar that can serve as an edge weight: anything with a lossless-
 /// enough cast to `f64` for tropical-semiring arithmetic. This is what
-/// lets [`sssp`] accept the same `T: Scalar` matrices as every other
+/// lets [`sssp_on`] accept the same `T: Scalar` matrices as every other
 /// algorithm instead of hardcoding `CsrMatrix<f64>`.
 pub trait EdgeWeight: Scalar {
     /// The edge weight as an `f64` (structure-only types map to 1).
@@ -150,85 +147,17 @@ pub fn sssp_on<B: GblasBackend, T: EdgeWeight>(
     Ok(dists.zip(choosers.into_iter().map(|c| c.decisions)).collect())
 }
 
-/// Shortest-path distances from `source`; unreachable vertices hold
-/// `f64::INFINITY`.
-///
-/// Returns an error on out-of-range sources, non-square matrices, or when
-/// relaxation fails to settle within `V` rounds (a negative cycle).
-pub fn sssp<T: EdgeWeight>(
-    a: &CsrMatrix<T>,
-    source: usize,
-    ctx: &ExecCtx,
-) -> Result<DenseVec<f64>> {
-    sssp_with(a, source, SpMSpVOpts::default(), ctx)
-}
-
-/// SSSP with explicit SpMSpV options (sort algorithm / merge strategy)
-/// for the per-round relaxation kernel.
-pub fn sssp_with<T: EdgeWeight>(
-    a: &CsrMatrix<T>,
-    source: usize,
-    opts: SpMSpVOpts,
-    ctx: &ExecCtx,
-) -> Result<DenseVec<f64>> {
-    Ok(crate::only(sssp_on(&SharedBackend::new(ctx), a, &[source], None, opts)?)?.0)
-}
-
-/// Shared-memory direction-optimizing SSSP, with its per-round decision log.
-pub fn sssp_selected<T: EdgeWeight>(
-    a: &CsrMatrix<T>,
-    source: usize,
-    policy: SelectionPolicy,
-    opts: SpMSpVOpts,
-    ctx: &ExecCtx,
-) -> Result<(DenseVec<f64>, Vec<Direction>)> {
-    crate::only(sssp_on(&SharedBackend::new(ctx), a, &[source], Some(policy), opts)?)
-}
-
-/// Distributed SSSP: the same [`sssp_on`] text with the general-semiring
-/// distributed SpMSpV as the per-round kernel — another "complete graph
-/// algorithm ... in distributed memory" (§V). Returns distances and
-/// accumulated simulated time.
-pub fn sssp_dist<T: EdgeWeight>(
-    a: &DistCsrMatrix<T>,
-    source: usize,
-    dctx: &DistCtx,
-) -> Result<(DenseVec<f64>, gblas_sim::SimReport)> {
-    sssp_dist_with(a, source, CommStrategy::Bulk, SpMSpVOpts::default(), dctx)
-}
-
-/// Distributed SSSP with an explicit communication strategy and SpMSpV
-/// options for the per-round relaxation kernel.
-pub fn sssp_dist_with<T: EdgeWeight>(
-    a: &DistCsrMatrix<T>,
-    source: usize,
-    strategy: CommStrategy,
-    opts: SpMSpVOpts,
-    dctx: &DistCtx,
-) -> Result<(DenseVec<f64>, gblas_sim::SimReport)> {
-    let backend = DistBackend::with_strategy(dctx, strategy);
-    let (dist, _) = crate::only(sssp_on(&backend, a, &[source], None, opts)?)?;
-    Ok((dist, backend.take_report()))
-}
-
-/// Distributed direction-optimizing SSSP.
-pub fn sssp_selected_dist<T: EdgeWeight>(
-    a: &DistCsrMatrix<T>,
-    source: usize,
-    policy: SelectionPolicy,
-    strategy: CommStrategy,
-    opts: SpMSpVOpts,
-    dctx: &DistCtx,
-) -> Result<(DenseVec<f64>, Vec<Direction>, gblas_sim::SimReport)> {
-    let backend = DistBackend::with_strategy(dctx, strategy);
-    let (dist, decisions) = crate::only(sssp_on(&backend, a, &[source], Some(policy), opts)?)?;
-    Ok((dist, decisions, backend.take_report()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gblas_core::backend::SharedBackend;
+    use gblas_core::container::CsrMatrix;
     use gblas_core::gen;
+    use gblas_core::ops::spmspv::MergeStrategy;
+    use gblas_core::par::ExecCtx;
+    use gblas_dist::ops::spmspv::CommStrategy;
+    use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, ProcGrid};
+    use gblas_sim::MachineConfig;
 
     /// Dijkstra reference.
     fn reference(a: &CsrMatrix<f64>, source: usize) -> Vec<f64> {
@@ -266,7 +195,8 @@ mod tests {
         for seed in [1u64, 2, 3] {
             let a = gen::erdos_renyi(200, 5, seed); // weights in [0, 1)
             let ctx = ExecCtx::with_threads(2);
-            let dist = sssp(&a, 0, &ctx).unwrap();
+            let b = SharedBackend::new(&ctx);
+            let (dist, _) = sssp_on(&b, &a, &[0], None, SpMSpVOpts::default()).unwrap().remove(0);
             let expect = reference(&a, 0);
             for v in 0..200 {
                 if expect[v].is_infinite() {
@@ -287,7 +217,8 @@ mod tests {
     fn path_graph_distances() {
         let a = CsrMatrix::from_triplets(4, 4, &[(0, 1, 2.0), (1, 2, 3.0), (2, 3, 4.0)]).unwrap();
         let ctx = ExecCtx::serial();
-        let dist = sssp(&a, 0, &ctx).unwrap();
+        let b = SharedBackend::new(&ctx);
+        let (dist, _) = sssp_on(&b, &a, &[0], None, SpMSpVOpts::default()).unwrap().remove(0);
         assert_eq!(dist.as_slice(), &[0.0, 2.0, 5.0, 9.0]);
     }
 
@@ -296,7 +227,8 @@ mod tests {
         // The same path graph with u32 weights: hop costs 2, 3, 4.
         let a = CsrMatrix::from_triplets(4, 4, &[(0, 1, 2u32), (1, 2, 3), (2, 3, 4)]).unwrap();
         let ctx = ExecCtx::serial();
-        let dist = sssp(&a, 0, &ctx).unwrap();
+        let b = SharedBackend::new(&ctx);
+        let (dist, _) = sssp_on(&b, &a, &[0], None, SpMSpVOpts::default()).unwrap().remove(0);
         assert_eq!(dist.as_slice(), &[0.0, 2.0, 5.0, 9.0]);
     }
 
@@ -305,7 +237,8 @@ mod tests {
         let a =
             CsrMatrix::from_triplets(4, 4, &[(0, 1, true), (1, 2, true), (2, 3, true)]).unwrap();
         let ctx = ExecCtx::serial();
-        let dist = sssp(&a, 0, &ctx).unwrap();
+        let b = SharedBackend::new(&ctx);
+        let (dist, _) = sssp_on(&b, &a, &[0], None, SpMSpVOpts::default()).unwrap().remove(0);
         assert_eq!(dist.as_slice(), &[0.0, 1.0, 2.0, 3.0]);
     }
 
@@ -314,7 +247,8 @@ mod tests {
         // 0 -> 2 direct (10.0) vs 0 -> 1 -> 2 (1.0 + 2.0)
         let a = CsrMatrix::from_triplets(3, 3, &[(0, 2, 10.0), (0, 1, 1.0), (1, 2, 2.0)]).unwrap();
         let ctx = ExecCtx::serial();
-        let dist = sssp(&a, 0, &ctx).unwrap();
+        let b = SharedBackend::new(&ctx);
+        let (dist, _) = sssp_on(&b, &a, &[0], None, SpMSpVOpts::default()).unwrap().remove(0);
         assert_eq!(dist[2], 3.0);
     }
 
@@ -322,7 +256,8 @@ mod tests {
     fn unreachable_stays_infinite() {
         let a = CsrMatrix::from_triplets(3, 3, &[(0, 1, 1.0)]).unwrap();
         let ctx = ExecCtx::serial();
-        let dist = sssp(&a, 0, &ctx).unwrap();
+        let b = SharedBackend::new(&ctx);
+        let (dist, _) = sssp_on(&b, &a, &[0], None, SpMSpVOpts::default()).unwrap().remove(0);
         assert!(dist[2].is_infinite());
     }
 
@@ -330,8 +265,10 @@ mod tests {
     fn source_out_of_range_is_error() {
         let a = CsrMatrix::<f64>::empty(2, 2);
         let ctx = ExecCtx::serial();
-        assert!(sssp(&a, 5, &ctx).is_err());
-        assert!(sssp_selected(&a, 5, SelectionPolicy::Auto, SpMSpVOpts::default(), &ctx).is_err());
+        let b = SharedBackend::new(&ctx);
+        let opts = SpMSpVOpts::default();
+        assert!(sssp_on(&b, &a, &[5], None, opts).is_err());
+        assert!(sssp_on(&b, &a, &[5], Some(SelectionPolicy::Auto), opts).is_err());
     }
 
     const POLICIES: [SelectionPolicy; 3] =
@@ -341,10 +278,11 @@ mod tests {
     fn sssp_exactly_identical_across_policies() {
         let a = gen::erdos_renyi(300, 5, 95);
         let ctx = ExecCtx::serial();
-        let expect = sssp(&a, 0, &ctx).unwrap();
+        let b = SharedBackend::new(&ctx);
+        let opts = SpMSpVOpts::default();
+        let (expect, _) = sssp_on(&b, &a, &[0], None, opts).unwrap().remove(0);
         for policy in POLICIES {
-            let (dist, decisions) =
-                sssp_selected(&a, 0, policy, SpMSpVOpts::default(), &ctx).unwrap();
+            let (dist, decisions) = sssp_on(&b, &a, &[0], Some(policy), opts).unwrap().remove(0);
             // Bitwise, not approximate: the pull relaxation computes the
             // same f64 min as the push relaxation.
             assert_eq!(dist.as_slice(), expect.as_slice(), "{policy:?}");
@@ -355,54 +293,45 @@ mod tests {
     #[test]
     fn sssp_dist_identical_across_policies() {
         let a = gen::erdos_renyi(250, 5, 96);
-        let expect = sssp(&a, 7, &ExecCtx::serial()).unwrap();
-        let grid = gblas_dist::ProcGrid::new(2, 2);
-        let da = DistCsrMatrix::from_global(&a, grid);
+        let ctx = ExecCtx::serial();
+        let opts = SpMSpVOpts::default();
+        let (expect, _) =
+            sssp_on(&SharedBackend::new(&ctx), &a, &[7], None, opts).unwrap().remove(0);
+        let da = DistCsrMatrix::from_global(&a, ProcGrid::new(2, 2));
         for policy in POLICIES {
-            let dctx = DistCtx::new(gblas_sim::MachineConfig::edison_cluster(4, 24));
-            let (dist, _, _) = sssp_selected_dist(
-                &da,
-                7,
-                policy,
-                CommStrategy::Bulk,
-                SpMSpVOpts::default(),
-                &dctx,
-            )
-            .unwrap();
+            let dctx = DistCtx::new(MachineConfig::edison_cluster(4, 24));
+            let b = DistBackend::with_strategy(&dctx, CommStrategy::Bulk);
+            let (dist, _) = sssp_on(&b, &da, &[7], Some(policy), opts).unwrap().remove(0);
             assert_eq!(dist.as_slice(), expect.as_slice(), "{policy:?}");
         }
     }
 
     #[test]
     fn bucketed_sssp_matches_sorted_sssp() {
-        use gblas_core::ops::spmspv::MergeStrategy;
         let a = gen::erdos_renyi(250, 5, 21);
         for threads in [1, 4] {
             let ctx = ExecCtx::new(threads, 2);
-            let sorted = sssp_with(&a, 0, SpMSpVOpts::default(), &ctx).unwrap();
-            let bucketed =
-                sssp_with(&a, 0, SpMSpVOpts::with_merge(MergeStrategy::Bucketed), &ctx).unwrap();
+            let b = SharedBackend::new(&ctx);
+            let (sorted, _) = sssp_on(&b, &a, &[0], None, SpMSpVOpts::default()).unwrap().remove(0);
+            let bucketed = SpMSpVOpts::with_merge(MergeStrategy::Bucketed);
+            let (bucketed, _) = sssp_on(&b, &a, &[0], None, bucketed).unwrap().remove(0);
             assert_eq!(sorted.as_slice(), bucketed.as_slice(), "threads {threads}");
         }
     }
 
     #[test]
     fn bucketed_bulk_sssp_dist_matches_shared() {
-        use gblas_core::ops::spmspv::MergeStrategy;
         let a = gen::erdos_renyi(250, 5, 11);
-        let expect = sssp(&a, 7, &ExecCtx::serial()).unwrap();
-        let grid = gblas_dist::ProcGrid::new(2, 3);
-        let da = gblas_dist::DistCsrMatrix::from_global(&a, grid);
-        let dctx =
-            gblas_dist::DistCtx::new(gblas_sim::MachineConfig::edison_cluster(grid.locales(), 24));
-        let (dist, report) = sssp_dist_with(
-            &da,
-            7,
-            CommStrategy::Bulk,
-            SpMSpVOpts::with_merge(MergeStrategy::Bucketed),
-            &dctx,
-        )
-        .unwrap();
+        let ctx = ExecCtx::serial();
+        let (expect, _) = sssp_on(&SharedBackend::new(&ctx), &a, &[7], None, SpMSpVOpts::default())
+            .unwrap()
+            .remove(0);
+        let grid = ProcGrid::new(2, 3);
+        let da = DistCsrMatrix::from_global(&a, grid);
+        let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
+        let b = DistBackend::with_strategy(&dctx, CommStrategy::Bulk);
+        let bucketed = SpMSpVOpts::with_merge(MergeStrategy::Bucketed);
+        let (dist, _) = sssp_on(&b, &da, &[7], None, bucketed).unwrap().remove(0);
         for v in 0..250 {
             if expect[v].is_infinite() {
                 assert!(dist[v].is_infinite(), "vertex {v}");
@@ -410,22 +339,22 @@ mod tests {
                 assert!((dist[v] - expect[v]).abs() < 1e-9, "vertex {v}");
             }
         }
-        assert!(report.total() > 0.0);
+        assert!(b.take_report().total() > 0.0);
     }
 
     #[test]
     fn distributed_matches_shared_at_every_grid() {
         let a = gen::erdos_renyi(250, 5, 11);
         let ctx = ExecCtx::serial();
-        let expect = sssp(&a, 7, &ctx).unwrap();
+        let opts = SpMSpVOpts::default();
+        let (expect, _) =
+            sssp_on(&SharedBackend::new(&ctx), &a, &[7], None, opts).unwrap().remove(0);
         for (pr, pc) in [(1, 1), (2, 2), (2, 3)] {
-            let grid = gblas_dist::ProcGrid::new(pr, pc);
-            let da = gblas_dist::DistCsrMatrix::from_global(&a, grid);
-            let dctx = gblas_dist::DistCtx::new(gblas_sim::MachineConfig::edison_cluster(
-                grid.locales(),
-                24,
-            ));
-            let (dist, report) = sssp_dist(&da, 7, &dctx).unwrap();
+            let grid = ProcGrid::new(pr, pc);
+            let da = DistCsrMatrix::from_global(&a, grid);
+            let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
+            let b = DistBackend::with_strategy(&dctx, CommStrategy::Bulk);
+            let (dist, _) = sssp_on(&b, &da, &[7], None, opts).unwrap().remove(0);
             for v in 0..250 {
                 if expect[v].is_infinite() {
                     assert!(dist[v].is_infinite(), "grid {pr}x{pc} vertex {v}");
@@ -433,7 +362,7 @@ mod tests {
                     assert!((dist[v] - expect[v]).abs() < 1e-9, "grid {pr}x{pc} vertex {v}");
                 }
             }
-            assert!(report.total() > 0.0);
+            assert!(b.take_report().total() > 0.0);
         }
     }
 }

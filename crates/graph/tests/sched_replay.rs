@@ -7,12 +7,12 @@
 use gblas_core::gen;
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_dist::ops::spmspv::CommStrategy;
-use gblas_dist::{DistCsrMatrix, DistCtx, ProcGrid};
+use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, ProcGrid};
 use gblas_graph::bfs::bfs_dist_with;
-use gblas_graph::cc::connected_components_dist;
+use gblas_graph::cc::connected_components_on;
 use gblas_graph::multi::bfs_multi_dist;
 use gblas_graph::pagerank::{pagerank_dist_on, PageRankOptions};
-use gblas_graph::sssp::sssp_dist;
+use gblas_graph::sssp::sssp_on;
 use gblas_sim::MachineConfig;
 
 fn dctx_for(grid: ProcGrid, schedules: bool) -> DistCtx {
@@ -68,14 +68,15 @@ fn cc_and_sssp_replay_their_round_kernels() {
     let da = DistCsrMatrix::from_global(&a, grid);
 
     let dctx = dctx_for(grid, true);
-    let (_, _) = connected_components_dist(&da, &dctx).unwrap();
+    connected_components_on(&DistBackend::new(&dctx), &da, None, SpMSpVOpts::default()).unwrap();
     let m = dctx.metrics().snapshot();
     assert!(m.sched_replays >= 1, "CC rounds must replay: {m:?}");
 
     let aw = gen::erdos_renyi(300, 5, 904);
     let daw = DistCsrMatrix::from_global(&aw, grid);
     let dctx = dctx_for(grid, true);
-    let (_, _) = sssp_dist(&daw, 0, &dctx).unwrap();
+    let b = DistBackend::with_strategy(&dctx, CommStrategy::Bulk);
+    sssp_on(&b, &daw, &[0], None, SpMSpVOpts::default()).unwrap();
     let m = dctx.metrics().snapshot();
     assert!(m.sched_replays >= 1, "SSSP rounds must replay: {m:?}");
 }

@@ -8,8 +8,10 @@
 //! ```
 
 use gblas::prelude::*;
+use gblas_core::backend::SharedBackend;
 use gblas_core::container::CooMatrix;
-use gblas_graph::{bfs, sssp};
+use gblas_core::ops::spmspv::SpMSpVOpts;
+use gblas_graph::{bfs, sssp_on};
 use rand_free_weights::weight;
 
 /// Deterministic pseudo-random edge weights without pulling `rand` into
@@ -53,7 +55,8 @@ fn main() -> Result<()> {
     let source = idx(0, 0);
 
     let t0 = std::time::Instant::now();
-    let dist = sssp(&a, source, &ctx)?;
+    let backend = SharedBackend::new(&ctx);
+    let (dist, _) = sssp_on(&backend, &a, &[source], None, SpMSpVOpts::default())?.remove(0);
     println!("sssp from corner ({:.2?})", t0.elapsed());
 
     // Spot checks: distance to the far corner and a triangle-inequality

@@ -8,8 +8,10 @@
 //! ```
 
 use gblas::prelude::*;
+use gblas_core::backend::SharedBackend;
 use gblas_core::gen;
-use gblas_graph::cc::{component_count, connected_components};
+use gblas_core::ops::spmspv::SpMSpVOpts;
+use gblas_graph::cc::{component_count, connected_components_on};
 use gblas_graph::triangle_count;
 
 fn main() -> Result<()> {
@@ -25,7 +27,8 @@ fn main() -> Result<()> {
         let triangles = triangle_count(&a, &ctx)?;
         let t_tri = t0.elapsed();
         let t1 = std::time::Instant::now();
-        let labels = connected_components(&a, &ctx)?;
+        let backend = SharedBackend::new(&ctx);
+        let (labels, _) = connected_components_on(&backend, &a, None, SpMSpVOpts::default())?;
         let t_cc = t1.elapsed();
         println!(
             "{label:10} n={n:>6} edges={:>8}  triangles={triangles:>9} ({t_tri:.2?})  components={} ({t_cc:.2?})",

@@ -7,16 +7,16 @@
 //! (pagerank, betweenness) it is bit-identical exactly on the grid shapes
 //! where the summation order provably matches, and within 1e-9 elsewhere.
 
+use gblas_core::backend::SharedBackend;
 use gblas_core::container::CsrMatrix;
 use gblas_core::gen;
 use gblas_core::ops::spmspv::{MergeStrategy, SpMSpVOpts};
 use gblas_core::par::ExecCtx;
 use gblas_dist::ops::spmspv::CommStrategy;
-use gblas_dist::{DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
+use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
 use gblas_graph::{
-    betweenness, betweenness_dist, bfs, bfs_dist_with, connected_components,
-    connected_components_dist, core_numbers, core_numbers_dist, maximal_independent_set,
-    maximal_independent_set_dist, pagerank, pagerank_dist_on, sssp, sssp_dist_with, triangle_count,
+    betweenness_on, bfs, bfs_dist_with, connected_components_on, core_numbers_on,
+    maximal_independent_set_on, pagerank, pagerank_dist_on, sssp_on, triangle_count,
     triangle_count_dist, PageRankOptions,
 };
 use gblas_sim::MachineConfig;
@@ -79,13 +79,16 @@ fn sssp_bit_identical_on_every_grid_and_executor() {
     // min-plus over f64: every combine picks one of the candidate values,
     // so there is no reassociation error to tolerate — bits must match.
     let a = gen::erdos_renyi(160, 4, 8);
-    let expect = sssp(&a, 0, &ExecCtx::serial()).unwrap();
+    let opts = SpMSpVOpts::default();
+    let ctx = ExecCtx::serial();
+    let shared = SharedBackend::new(&ctx);
+    let (expect, _) = sssp_on(&shared, &a, &[0], None, opts).unwrap().remove(0);
     for (pr, pc) in GRIDS {
         for exec in EXECUTORS {
             let (da, grid) = distribute(&a, pr, pc);
             let d = dctx(grid, exec);
-            let (dist, _) =
-                sssp_dist_with(&da, 0, CommStrategy::Bulk, SpMSpVOpts::default(), &d).unwrap();
+            let b = DistBackend::with_strategy(&d, CommStrategy::Bulk);
+            let (dist, _) = sssp_on(&b, &da, &[0], None, opts).unwrap().remove(0);
             assert_bits(dist.as_slice(), expect.as_slice(), &format!("grid {pr}x{pc} {exec:?}"));
         }
     }
@@ -94,23 +97,30 @@ fn sssp_bit_identical_on_every_grid_and_executor() {
 #[test]
 fn sssp_bucketed_merge_variant_matches() {
     let a = gen::erdos_renyi(160, 4, 8);
-    let expect = sssp(&a, 0, &ExecCtx::serial()).unwrap();
+    let ctx = ExecCtx::serial();
+    let shared = SharedBackend::new(&ctx);
+    let (expect, _) = sssp_on(&shared, &a, &[0], None, SpMSpVOpts::default()).unwrap().remove(0);
     let opts = SpMSpVOpts::with_merge(MergeStrategy::Bucketed);
     let (da, grid) = distribute(&a, 2, 2);
     let d = dctx(grid, LocaleExecutor::Threaded);
-    let (dist, _) = sssp_dist_with(&da, 0, CommStrategy::Bulk, opts, &d).unwrap();
+    let b = DistBackend::with_strategy(&d, CommStrategy::Bulk);
+    let (dist, _) = sssp_on(&b, &da, &[0], None, opts).unwrap().remove(0);
     assert_bits(dist.as_slice(), expect.as_slice(), "bucketed+bulk");
 }
 
 #[test]
 fn cc_bit_identical_on_every_grid_and_executor() {
     let a = gen::erdos_renyi_symmetric(150, 3, 12);
-    let expect = connected_components(&a, &ExecCtx::serial()).unwrap();
+    let opts = SpMSpVOpts::default();
+    let ctx = ExecCtx::serial();
+    let shared = SharedBackend::new(&ctx);
+    let (expect, _) = connected_components_on(&shared, &a, None, opts).unwrap();
     for (pr, pc) in GRIDS {
         for exec in EXECUTORS {
             let (da, grid) = distribute(&a, pr, pc);
             let d = dctx(grid, exec);
-            let (labels, _) = connected_components_dist(&da, &d).unwrap();
+            let (labels, _) =
+                connected_components_on(&DistBackend::new(&d), &da, None, opts).unwrap();
             assert_eq!(labels, expect, "grid {pr}x{pc} {exec:?}");
         }
     }
@@ -119,12 +129,12 @@ fn cc_bit_identical_on_every_grid_and_executor() {
 #[test]
 fn kcore_bit_identical_on_every_grid_and_executor() {
     let a = gen::erdos_renyi_symmetric(150, 5, 4);
-    let expect = core_numbers(&a, &ExecCtx::serial()).unwrap();
+    let expect = core_numbers_on(&SharedBackend::new(&ExecCtx::serial()), &a).unwrap();
     for (pr, pc) in GRIDS {
         for exec in EXECUTORS {
             let (da, grid) = distribute(&a, pr, pc);
             let d = dctx(grid, exec);
-            let (core, _) = core_numbers_dist(&da, &d).unwrap();
+            let core = core_numbers_on(&DistBackend::new(&d), &da).unwrap();
             assert_eq!(core, expect, "grid {pr}x{pc} {exec:?}");
         }
     }
@@ -133,12 +143,13 @@ fn kcore_bit_identical_on_every_grid_and_executor() {
 #[test]
 fn mis_bit_identical_on_every_grid_and_executor() {
     let a = gen::erdos_renyi_symmetric(150, 4, 21);
-    let expect = maximal_independent_set(&a, 42, &ExecCtx::serial()).unwrap();
+    let expect =
+        maximal_independent_set_on(&SharedBackend::new(&ExecCtx::serial()), &a, 42).unwrap();
     for (pr, pc) in GRIDS {
         for exec in EXECUTORS {
             let (da, grid) = distribute(&a, pr, pc);
             let d = dctx(grid, exec);
-            let (set, _) = maximal_independent_set_dist(&da, 42, &d).unwrap();
+            let set = maximal_independent_set_on(&DistBackend::new(&d), &da, 42).unwrap();
             assert_eq!(set, expect, "grid {pr}x{pc} {exec:?}");
         }
     }
@@ -194,12 +205,12 @@ fn betweenness_bit_identical_on_column_vector_grids() {
     // order matches the shared run exactly.
     let a = gen::erdos_renyi(80, 4, 13);
     let sources = [0usize, 11, 39];
-    let expect = betweenness(&a, &sources, &ExecCtx::serial()).unwrap();
+    let expect = betweenness_on(&SharedBackend::new(&ExecCtx::serial()), &a, &sources).unwrap();
     for pr in [1usize, 4] {
         for exec in EXECUTORS {
             let (da, grid) = distribute(&a, pr, 1);
             let d = dctx(grid, exec);
-            let (bc, _) = betweenness_dist(&da, &sources, &d).unwrap();
+            let bc = betweenness_on(&DistBackend::new(&d), &da, &sources).unwrap();
             assert_bits(bc.as_slice(), expect.as_slice(), &format!("grid {pr}x1 {exec:?}"));
         }
     }
@@ -209,11 +220,11 @@ fn betweenness_bit_identical_on_column_vector_grids() {
 fn betweenness_tolerance_on_general_grids() {
     let a = gen::erdos_renyi(80, 4, 13);
     let sources = [0usize, 11, 39];
-    let expect = betweenness(&a, &sources, &ExecCtx::serial()).unwrap();
+    let expect = betweenness_on(&SharedBackend::new(&ExecCtx::serial()), &a, &sources).unwrap();
     for exec in EXECUTORS {
         let (da, grid) = distribute(&a, 2, 2);
         let d = dctx(grid, exec);
-        let (bc, _) = betweenness_dist(&da, &sources, &d).unwrap();
+        let bc = betweenness_on(&DistBackend::new(&d), &da, &sources).unwrap();
         for v in 0..80 {
             assert!(
                 (bc[v] - expect[v]).abs() < 1e-9,
@@ -242,7 +253,7 @@ fn serial_and_threaded_executors_agree_bit_for_bit_on_floats() {
     assert_eq!(it_s, it_t);
     assert_bits(pr_s.as_slice(), pr_t.as_slice(), "pagerank serial vs threaded");
 
-    let (bc_s, _) = betweenness_dist(&da, &sources, &d_serial).unwrap();
-    let (bc_t, _) = betweenness_dist(&da, &sources, &d_threaded).unwrap();
+    let bc_s = betweenness_on(&DistBackend::new(&d_serial), &da, &sources).unwrap();
+    let bc_t = betweenness_on(&DistBackend::new(&d_threaded), &da, &sources).unwrap();
     assert_bits(bc_s.as_slice(), bc_t.as_slice(), "betweenness serial vs threaded");
 }

@@ -17,8 +17,7 @@ use gblas_core::par::ExecCtx;
 use gblas_dist::ops::spmspv::CommStrategy;
 use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
 use gblas_graph::{
-    bfs, bfs_dist_with, bfs_multi, bfs_multi_dist, bfs_on, ppr_multi, ppr_multi_dist, sssp,
-    sssp_dist_with, sssp_multi, sssp_multi_dist, sssp_on, PprOptions,
+    bfs, bfs_dist_with, bfs_multi, bfs_multi_dist, bfs_on, ppr_multi_on, sssp_on, PprOptions,
 };
 use gblas_sim::MachineConfig;
 
@@ -83,33 +82,35 @@ fn batched_bfs_is_bit_identical_to_the_k_loop() {
 fn batched_sssp_is_bit_identical_to_the_k_loop() {
     let a = graph();
     let ctx = ExecCtx::with_threads(2);
-    let batch = sssp_multi(&a, &SOURCES, &ctx).unwrap();
-    let singles: Vec<_> = SOURCES.iter().map(|&s| sssp(&a, s, &ctx).unwrap()).collect();
+    let shared = SharedBackend::new(&ctx);
+    let opts = SpMSpVOpts::default();
+    let batch = sssp_on(&shared, &a, &SOURCES, None, opts).unwrap();
+    let singles: Vec<_> = SOURCES
+        .iter()
+        .map(|&s| sssp_on(&shared, &a, &[s], None, opts).unwrap().remove(0))
+        .collect();
     for (s, (b, single)) in batch.iter().zip(&singles).enumerate() {
-        assert_bits(b.as_slice(), single.as_slice(), &format!("shared slot {s}"));
+        assert_bits(b.0.as_slice(), single.0.as_slice(), &format!("shared slot {s}"));
     }
     for (pr, pc) in GRIDS {
         let grid = ProcGrid::new(pr, pc);
         let da = DistCsrMatrix::from_global(&a, grid);
         for executor in EXECUTORS {
-            let (dist_batch, _) = sssp_multi_dist(&da, &SOURCES, &dctx(grid, executor)).unwrap();
+            let d = dctx(grid, executor);
+            let backend = DistBackend::with_strategy(&d, CommStrategy::Bulk);
+            let dist_batch = sssp_on(&backend, &da, &SOURCES, None, opts).unwrap();
             for (s, (b, single)) in dist_batch.iter().zip(&singles).enumerate() {
                 assert_bits(
-                    b.as_slice(),
-                    single.as_slice(),
+                    b.0.as_slice(),
+                    single.0.as_slice(),
                     &format!("grid {pr}x{pc} {executor:?} slot {s}"),
                 );
             }
-            let (solo, _) = sssp_dist_with(
-                &da,
-                SOURCES[3],
-                CommStrategy::Bulk,
-                Default::default(),
-                &dctx(grid, executor),
-            )
-            .unwrap();
+            let d = dctx(grid, executor);
+            let backend = DistBackend::with_strategy(&d, CommStrategy::Bulk);
+            let (solo, _) = sssp_on(&backend, &da, &[SOURCES[3]], None, opts).unwrap().remove(0);
             assert_bits(
-                dist_batch[3].as_slice(),
+                dist_batch[3].0.as_slice(),
                 solo.as_slice(),
                 &format!("grid {pr}x{pc} {executor:?} vs dist single-source"),
             );
@@ -123,9 +124,10 @@ fn batched_ppr_slot_equals_its_solo_run() {
     let ctx = ExecCtx::serial();
     let opts = PprOptions { tolerance: 1e-10, ..PprOptions::default() };
     let seeds = [3usize, 77, 3, 150];
-    let batch = ppr_multi(&a, &seeds, opts, &ctx).unwrap();
+    let shared = SharedBackend::new(&ctx);
+    let batch = ppr_multi_on(&shared, &a, &seeds, opts).unwrap();
     for (s, &seed) in seeds.iter().enumerate() {
-        let solo = ppr_multi(&a, &[seed], opts, &ctx).unwrap();
+        let solo = ppr_multi_on(&shared, &a, &[seed], opts).unwrap();
         assert_bits(
             batch.scores[s].as_slice(),
             solo.scores[0].as_slice(),
@@ -143,14 +145,18 @@ fn batched_ppr_slot_equals_its_solo_run() {
         let grid = ProcGrid::new(pr, pc);
         let da = DistCsrMatrix::from_global(&a, grid);
         for executor in EXECUTORS {
-            let (dist_batch, _) = ppr_multi_dist(&da, &seeds, opts, &dctx(grid, executor)).unwrap();
+            let d = dctx(grid, executor);
+            let backend = DistBackend::with_strategy(&d, CommStrategy::Bulk);
+            let dist_batch = ppr_multi_on(&backend, &da, &seeds, opts).unwrap();
             for (s, &seed) in seeds.iter().enumerate() {
                 let what = format!("grid {pr}x{pc} {executor:?} seed slot {s}");
                 for (g, e) in dist_batch.scores[s].as_slice().iter().zip(batch.scores[s].as_slice())
                 {
                     assert!((g - e).abs() < 1e-9, "{what}: {g} vs {e}");
                 }
-                let (solo, _) = ppr_multi_dist(&da, &[seed], opts, &dctx(grid, executor)).unwrap();
+                let d = dctx(grid, executor);
+                let backend = DistBackend::with_strategy(&d, CommStrategy::Bulk);
+                let solo = ppr_multi_on(&backend, &da, &[seed], opts).unwrap();
                 assert_bits(
                     dist_batch.scores[s].as_slice(),
                     solo.scores[0].as_slice(),

@@ -5,15 +5,16 @@
 //! or an empty/zero result — never a panic. All eight algorithms, both
 //! backends, both locale executors.
 
+use gblas_core::backend::SharedBackend;
 use gblas_core::container::CsrMatrix;
+use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
-use gblas_dist::{DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
+use gblas_dist::ops::spmspv::CommStrategy;
+use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
 use gblas_graph::{
-    betweenness, betweenness_dist, bfs, bfs_dist, bfs_multi, bfs_multi_dist, connected_components,
-    connected_components_dist, core_numbers, core_numbers_dist, maximal_independent_set,
-    maximal_independent_set_dist, pagerank, pagerank_dist_on, ppr_multi, ppr_multi_dist, sssp,
-    sssp_dist, sssp_multi, sssp_multi_dist, triangle_count, triangle_count_dist, PageRankOptions,
-    PprOptions,
+    betweenness_on, bfs, bfs_dist, bfs_multi, bfs_multi_dist, connected_components_on,
+    core_numbers_on, maximal_independent_set_on, pagerank, pagerank_dist_on, ppr_multi_on, sssp_on,
+    triangle_count, triangle_count_dist, PageRankOptions, PprOptions,
 };
 use gblas_sim::MachineConfig;
 
@@ -39,22 +40,24 @@ fn with_isolated() -> CsrMatrix<f64> {
 fn empty_graph_all_eight_algorithms_shared() {
     let a = empty();
     let ctx = ExecCtx::serial();
+    let b = SharedBackend::new(&ctx);
+    let opts = SpMSpVOpts::default();
     // source-based queries: source 0 is out of range on n = 0 -> clean Err
     assert!(bfs(&a, 0, &ctx).is_err());
-    assert!(sssp(&a, 0, &ctx).is_err());
-    assert!(betweenness(&a, &[0], &ctx).is_err());
+    assert!(sssp_on(&b, &a, &[0], None, opts).is_err());
+    assert!(betweenness_on(&b, &a, &[0]).is_err());
     // whole-graph queries: empty/zero results
     let (pr, _) = pagerank(&a, PageRankOptions::default(), &ctx).unwrap();
     assert!(pr.is_empty());
-    assert!(connected_components(&a, &ctx).unwrap().is_empty());
+    assert!(connected_components_on(&b, &a, None, opts).unwrap().0.is_empty());
     assert_eq!(triangle_count(&a, &ctx).unwrap(), 0);
-    assert!(core_numbers(&a, &ctx).unwrap().is_empty());
-    assert!(maximal_independent_set(&a, 1, &ctx).unwrap().is_empty());
-    assert!(betweenness(&a, &[], &ctx).unwrap().is_empty());
+    assert!(core_numbers_on(&b, &a).unwrap().is_empty());
+    assert!(maximal_independent_set_on(&b, &a, 1).unwrap().is_empty());
+    assert!(betweenness_on(&b, &a, &[]).unwrap().is_empty());
     // batched queries with an empty batch
     assert!(bfs_multi(&a, &[], &ctx).unwrap().is_empty());
-    assert!(sssp_multi(&a, &[], &ctx).unwrap().is_empty());
-    assert!(ppr_multi(&a, &[], PprOptions::default(), &ctx).unwrap().scores.is_empty());
+    assert!(sssp_on(&b, &a, &[], None, opts).unwrap().is_empty());
+    assert!(ppr_multi_on(&b, &a, &[], PprOptions::default()).unwrap().scores.is_empty());
 }
 
 #[test]
@@ -62,21 +65,24 @@ fn empty_graph_all_eight_algorithms_dist() {
     let a = empty();
     let da = DistCsrMatrix::from_global(&a, ProcGrid::new(2, 2));
     let grid = ProcGrid::new(2, 2);
+    let opts = SpMSpVOpts::default();
     for executor in EXECUTORS {
+        let d = dctx(grid, executor);
+        let (fine, bulk) =
+            (DistBackend::new(&d), DistBackend::with_strategy(&d, CommStrategy::Bulk));
         assert!(bfs_dist(&da, 0, &dctx(grid, executor)).is_err());
-        assert!(sssp_dist(&da, 0, &dctx(grid, executor)).is_err());
-        assert!(betweenness_dist(&da, &[0], &dctx(grid, executor)).is_err());
+        assert!(sssp_on(&bulk, &da, &[0], None, opts).is_err());
+        assert!(betweenness_on(&fine, &da, &[0]).is_err());
         let (pr, _, _) =
             pagerank_dist_on(&da, PageRankOptions::default(), &dctx(grid, executor)).unwrap();
         assert!(pr.is_empty());
-        assert!(connected_components_dist(&da, &dctx(grid, executor)).unwrap().0.is_empty());
+        assert!(connected_components_on(&fine, &da, None, opts).unwrap().0.is_empty());
         assert_eq!(triangle_count_dist(&da, &dctx(grid, executor)).unwrap().0, 0);
-        assert!(core_numbers_dist(&da, &dctx(grid, executor)).unwrap().0.is_empty());
-        assert!(maximal_independent_set_dist(&da, 1, &dctx(grid, executor)).unwrap().0.is_empty());
+        assert!(core_numbers_on(&fine, &da).unwrap().is_empty());
+        assert!(maximal_independent_set_on(&fine, &da, 1).unwrap().is_empty());
         assert!(bfs_multi_dist(&da, &[], &dctx(grid, executor)).unwrap().0.is_empty());
-        assert!(sssp_multi_dist(&da, &[], &dctx(grid, executor)).unwrap().0.is_empty());
-        let (r, _) =
-            ppr_multi_dist(&da, &[], PprOptions::default(), &dctx(grid, executor)).unwrap();
+        assert!(sssp_on(&bulk, &da, &[], None, opts).unwrap().is_empty());
+        let r = ppr_multi_on(&bulk, &da, &[], PprOptions::default()).unwrap();
         assert!(r.scores.is_empty());
     }
 }
@@ -85,15 +91,17 @@ fn empty_graph_all_eight_algorithms_dist() {
 fn isolated_sources_terminate_at_level_zero_shared() {
     let a = with_isolated();
     let ctx = ExecCtx::serial();
+    let b = SharedBackend::new(&ctx);
+    let opts = SpMSpVOpts::default();
     // single-source: the first expansion is empty, traversal stops cleanly
     let r = bfs(&a, 3, &ctx).unwrap();
     assert_eq!(r.reached(), 1);
-    let d = sssp(&a, 4, &ctx).unwrap();
+    let (d, _) = sssp_on(&b, &a, &[4], None, opts).unwrap().remove(0);
     assert_eq!(d.as_slice().iter().filter(|x| x.is_finite()).count(), 1);
     // vertex 2 has an in-edge but no out-edges: same story
     let r = bfs(&a, 2, &ctx).unwrap();
     assert_eq!(r.reached(), 1);
-    let bc = betweenness(&a, &[2, 3], &ctx).unwrap();
+    let bc = betweenness_on(&b, &a, &[2, 3]).unwrap();
     assert!(bc.as_slice().iter().all(|&x| x == 0.0));
     // a whole batch of isolated/duplicate sources: empty batched frontier
     // after level 0 on every slot
@@ -101,12 +109,12 @@ fn isolated_sources_terminate_at_level_zero_shared() {
     for (s, r) in batch.iter().enumerate() {
         assert_eq!(r.reached(), 1, "slot {s}");
     }
-    let dists = sssp_multi(&a, &[4, 4, 2], &ctx).unwrap();
-    for d in &dists {
+    let dists = sssp_on(&b, &a, &[4, 4, 2], None, opts).unwrap();
+    for (d, _) in &dists {
         assert_eq!(d.as_slice().iter().filter(|x| x.is_finite()).count(), 1);
     }
     // PPR from a dangling seed: all mass teleports home every iteration
-    let r = ppr_multi(&a, &[2, 4], PprOptions::default(), &ctx).unwrap();
+    let r = ppr_multi_on(&b, &a, &[2, 4], PprOptions::default()).unwrap();
     for scores in &r.scores {
         assert!(scores.as_slice().iter().sum::<f64>() > 0.99);
     }
@@ -123,8 +131,10 @@ fn isolated_sources_terminate_at_level_zero_dist() {
             for (s, r) in batch.iter().enumerate() {
                 assert_eq!(r.reached(), 1, "grid {pr}x{pc} slot {s}");
             }
-            let (dists, _) = sssp_multi_dist(&da, &[4, 4, 2], &dctx(grid, executor)).unwrap();
-            for d in &dists {
+            let dc = dctx(grid, executor);
+            let bulk = DistBackend::with_strategy(&dc, CommStrategy::Bulk);
+            let dists = sssp_on(&bulk, &da, &[4, 4, 2], None, SpMSpVOpts::default()).unwrap();
+            for (d, _) in &dists {
                 assert_eq!(d.as_slice().iter().filter(|x| x.is_finite()).count(), 1);
             }
         }
@@ -137,9 +147,10 @@ fn out_of_range_and_duplicate_batches_are_handled() {
     let ctx = ExecCtx::serial();
     // any out-of-range source anywhere in the batch fails the whole query
     assert!(bfs_multi(&a, &[0, 99], &ctx).is_err());
-    assert!(sssp_multi(&a, &[99], &ctx).is_err());
-    assert!(ppr_multi(&a, &[1, 5], PprOptions::default(), &ctx).is_err());
-    assert!(betweenness(&a, &[5], &ctx).is_err());
+    let b = SharedBackend::new(&ctx);
+    assert!(sssp_on(&b, &a, &[99], None, SpMSpVOpts::default()).is_err());
+    assert!(ppr_multi_on(&b, &a, &[1, 5], PprOptions::default()).is_err());
+    assert!(betweenness_on(&b, &a, &[5]).is_err());
     // duplicates are independent slots with identical answers
     let batch = bfs_multi(&a, &[0, 0, 0], &ctx).unwrap();
     assert_eq!(batch[0], batch[1]);
@@ -235,12 +246,17 @@ fn power_iteration_options_are_validated() {
         let ppr = PprOptions { damping, tolerance, ..Default::default() };
         let what = format!("damping {damping}, tolerance {tolerance}");
         assert!(matches!(pagerank(&a, pr, &ctx), Err(InvalidArgument(_))), "{what}");
-        assert!(matches!(ppr_multi(&a, &[0, 3], ppr, &ctx), Err(InvalidArgument(_))), "{what}");
+        let shared = SharedBackend::new(&ctx);
+        assert!(
+            matches!(ppr_multi_on(&shared, &a, &[0, 3], ppr), Err(InvalidArgument(_))),
+            "{what}"
+        );
         for executor in EXECUTORS {
             let d = dctx(grid, executor);
             assert!(matches!(pagerank_dist_on(&da, pr, &d), Err(InvalidArgument(_))), "{what}");
+            let bulk = DistBackend::with_strategy(&d, CommStrategy::Bulk);
             assert!(
-                matches!(ppr_multi_dist(&da, &[0], ppr, &d), Err(InvalidArgument(_))),
+                matches!(ppr_multi_on(&bulk, &da, &[0], ppr), Err(InvalidArgument(_))),
                 "{what}"
             );
         }
@@ -259,7 +275,7 @@ fn power_iteration_options_are_validated() {
     let ppr = PprOptions { max_iterations: 0, ..Default::default() };
     let (ranks, iters) = pagerank(&a, pr, &ctx).unwrap();
     assert_eq!((ranks.as_slice(), iters), (&[0.2; 5][..], 0));
-    let r = ppr_multi(&a, &[3], ppr, &ctx).unwrap();
+    let r = ppr_multi_on(&SharedBackend::new(&ctx), &a, &[3], ppr).unwrap();
     assert_eq!((r.scores[0].as_slice(), r.iterations[0]), (&[0.0, 0.0, 0.0, 1.0, 0.0][..], 0));
     for executor in EXECUTORS {
         let (ranks, iters, _) = pagerank_dist_on(&da, pr, &dctx(grid, executor)).unwrap();
@@ -276,13 +292,12 @@ fn power_iteration_options_are_validated() {
 #[test]
 fn markov_clustering_checks_its_arguments_and_answers_degenerate_graphs() {
     use gblas_core::GblasError::{DimensionMismatch, InvalidArgument};
-    use gblas_dist::MxmAlgo;
-    use gblas_graph::{markov_cluster, markov_cluster_dist_with, MclOptions};
+    use gblas_graph::{markov_cluster, markov_cluster_dist, MclOptions};
 
     let ctx = ExecCtx::serial();
     let grid = ProcGrid::new(2, 2);
     let on_dist = |a: &CsrMatrix<f64>, opts: MclOptions, executor: LocaleExecutor| {
-        markov_cluster_dist_with(a, grid, opts, MxmAlgo::Summa2d, &dctx(grid, executor))
+        markov_cluster_dist(a, grid, opts, &dctx(grid, executor))
             .map(|(labels, iters, _)| (labels, iters))
     };
     let defaults = MclOptions::default();
@@ -369,7 +384,8 @@ fn mostly_dangling_graph_keeps_ranks_finite_and_conserved() {
         }
     }
     // batched PPR on the same graph, one dangling seed and one not
-    let r = ppr_multi(&a, &[1, 3], PprOptions::default(), &ExecCtx::serial()).unwrap();
+    let ctx = ExecCtx::serial();
+    let r = ppr_multi_on(&SharedBackend::new(&ctx), &a, &[1, 3], PprOptions::default()).unwrap();
     for scores in &r.scores {
         assert!(scores.as_slice().iter().all(|s| s.is_finite()));
         assert!((scores.as_slice().iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -384,9 +400,6 @@ fn mostly_dangling_graph_keeps_ranks_finite_and_conserved() {
 fn sssp_round_bound_is_one_rule_on_every_driver() {
     use gblas_core::error::GblasError;
     use gblas_core::ops::selection::SelectionPolicy;
-    use gblas_core::ops::spmspv::SpMSpVOpts;
-    use gblas_dist::ops::spmspv::CommStrategy;
-    use gblas_graph::{sssp_selected, sssp_selected_dist};
 
     const POLICIES: [SelectionPolicy; 3] =
         [SelectionPolicy::Auto, SelectionPolicy::Push, SelectionPolicy::Pull];
@@ -403,15 +416,16 @@ fn sssp_round_bound_is_one_rule_on_every_driver() {
     let settled: Vec<f64> = (0..N).map(|v| 2.0 * v as f64).collect();
 
     let ctx = ExecCtx::serial();
-    diverged(sssp(&cycle, 0, &ctx).map(drop), "static");
-    diverged(sssp_multi(&cycle, &[0, 2], &ctx).map(drop), "multi");
-    assert_eq!(sssp(&path, 0, &ctx).unwrap().as_slice(), &settled[..]);
-    for d in sssp_multi(&path, &[0, 0], &ctx).unwrap() {
+    let b = SharedBackend::new(&ctx);
+    diverged(sssp_on(&b, &cycle, &[0], None, opts).map(drop), "static");
+    diverged(sssp_on(&b, &cycle, &[0, 2], None, opts).map(drop), "multi");
+    assert_eq!(sssp_on(&b, &path, &[0], None, opts).unwrap()[0].0.as_slice(), &settled[..]);
+    for (d, _) in sssp_on(&b, &path, &[0, 0], None, opts).unwrap() {
         assert_eq!(d.as_slice(), &settled[..]);
     }
     for policy in POLICIES {
-        diverged(sssp_selected(&cycle, 0, policy, opts, &ctx).map(drop), "selected");
-        let (d, decisions) = sssp_selected(&path, 0, policy, opts, &ctx).unwrap();
+        diverged(sssp_on(&b, &cycle, &[0], Some(policy), opts).map(drop), "selected");
+        let (d, decisions) = sssp_on(&b, &path, &[0], Some(policy), opts).unwrap().remove(0);
         assert_eq!(d.as_slice(), &settled[..], "{policy:?}");
         assert_eq!(decisions.len(), N, "{policy:?}: one decision per round");
     }
@@ -420,17 +434,20 @@ fn sssp_round_bound_is_one_rule_on_every_driver() {
     let dcycle = DistCsrMatrix::from_global(&cycle, grid);
     let dpath = DistCsrMatrix::from_global(&path, grid);
     for executor in EXECUTORS {
-        let fresh = || dctx(grid, executor);
-        diverged(sssp_dist(&dcycle, 0, &fresh()).map(drop), "dist static");
-        diverged(sssp_multi_dist(&dcycle, &[0, 2], &fresh()).map(drop), "dist multi");
-        assert_eq!(sssp_dist(&dpath, 0, &fresh()).unwrap().0.as_slice(), &settled[..]);
-        for d in sssp_multi_dist(&dpath, &[0, 0], &fresh()).unwrap().0 {
+        let run = |a, sources: &[usize], policy| {
+            let d = dctx(grid, executor);
+            sssp_on(&DistBackend::with_strategy(&d, bulk), a, sources, policy, opts)
+        };
+        diverged(run(&dcycle, &[0], None).map(drop), "dist static");
+        diverged(run(&dcycle, &[0, 2], None).map(drop), "dist multi");
+        assert_eq!(run(&dpath, &[0], None).unwrap()[0].0.as_slice(), &settled[..]);
+        for (d, _) in run(&dpath, &[0, 0], None).unwrap() {
             assert_eq!(d.as_slice(), &settled[..]);
         }
         for policy in POLICIES {
-            let run = |a| sssp_selected_dist(a, 0, policy, bulk, opts, &fresh());
-            diverged(run(&dcycle).map(drop), "dist selected");
-            assert_eq!(run(&dpath).unwrap().0.as_slice(), &settled[..], "{policy:?}");
+            diverged(run(&dcycle, &[0], Some(policy)).map(drop), "dist selected");
+            let (d, _) = run(&dpath, &[0], Some(policy)).unwrap().remove(0);
+            assert_eq!(d.as_slice(), &settled[..], "{policy:?}");
         }
     }
 }
@@ -441,8 +458,7 @@ fn sssp_round_bound_is_one_rule_on_every_driver() {
 #[test]
 fn selection_degenerate_graphs_all_policies() {
     use gblas_core::ops::selection::SelectionPolicy;
-    use gblas_core::ops::spmspv::SpMSpVOpts;
-    use gblas_graph::{bfs_selected, bfs_selected_dist, connected_components_selected};
+    use gblas_graph::{bfs_selected, bfs_selected_dist};
 
     const POLICIES: [SelectionPolicy; 3] =
         [SelectionPolicy::Auto, SelectionPolicy::Push, SelectionPolicy::Pull];
@@ -452,8 +468,9 @@ fn selection_degenerate_graphs_all_policies() {
     let a = empty();
     for policy in POLICIES {
         assert!(bfs_selected(&a, 0, policy, SpMSpVOpts::default(), &ctx).is_err());
+        let shared = SharedBackend::new(&ctx);
         let (labels, decisions) =
-            connected_components_selected(&a, policy, SpMSpVOpts::default(), &ctx).unwrap();
+            connected_components_on(&shared, &a, Some(policy), SpMSpVOpts::default()).unwrap();
         assert!(labels.is_empty());
         // one convergence round, same as the static driver
         assert_eq!(decisions.len(), 1);
@@ -477,7 +494,6 @@ fn selection_degenerate_graphs_all_policies() {
     }
 
     // the same degenerate shapes on the distributed backend
-    use gblas_dist::ops::spmspv::CommStrategy;
     for (p_r, p_c) in [(1, 1), (2, 2)] {
         let grid = ProcGrid::new(p_r, p_c);
         let done = DistCsrMatrix::from_global(&one, grid);
@@ -545,8 +561,7 @@ fn selection_thresholds_exact_boundaries_and_no_oscillation() {
 #[test]
 fn selection_full_frontier_complete_graph() {
     use gblas_core::ops::selection::{Direction, SelectionPolicy};
-    use gblas_core::ops::spmspv::SpMSpVOpts;
-    use gblas_graph::{bfs, bfs_selected};
+    use gblas_graph::bfs_selected;
 
     const N: usize = 24;
     let mut triplets = Vec::new();

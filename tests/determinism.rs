@@ -6,14 +6,14 @@
 //! and dense SpMV — hence PageRank — must not see thread counts at all.
 
 use gblas::prelude::*;
+use gblas_core::backend::SharedBackend;
 use gblas_core::gen;
 use gblas_core::ops::spmspv::{spmspv_first_visitor, MergeStrategy, SpMSpVOpts};
 use gblas_core::ops::spmv::{self, spmv_col};
-use gblas_dist::ops::spmspv::spmspv_dist;
-use gblas_dist::LocaleExecutor;
+use gblas_dist::ops::spmspv::{spmspv_dist, CommStrategy};
+use gblas_dist::{DistBackend, LocaleExecutor};
 use gblas_graph::{
-    bfs, bfs_with, pagerank, pagerank_dist_on, ppr_multi, ppr_multi_dist, PageRankOptions,
-    PprOptions,
+    bfs, bfs_with, pagerank, pagerank_dist_on, ppr_multi_on, PageRankOptions, PprOptions,
 };
 
 fn machine(p: usize) -> MachineConfig {
@@ -139,12 +139,13 @@ fn pagerank_ranks_do_not_depend_on_thread_counts() {
         |r: gblas_graph::PprResult| (r.scores.iter().map(bits).collect::<Vec<_>>(), r.iterations);
     let ctxs = thread_sweep();
     let expect_pr = ranks(pagerank(&a, PageRankOptions::default(), &ctxs[0]).unwrap());
-    let expect_ppr = batch(ppr_multi(&a, &seeds, PprOptions::default(), &ctxs[0]).unwrap());
+    let ppr =
+        |ctx: &ExecCtx| ppr_multi_on(&SharedBackend::new(ctx), &a, &seeds, PprOptions::default());
+    let expect_ppr = batch(ppr(&ctxs[0]).unwrap());
     for ctx in &ctxs[1..] {
         let pr = ranks(pagerank(&a, PageRankOptions::default(), ctx).unwrap());
         assert_eq!(pr, expect_pr, "pagerank {ctx:?}");
-        let ppr = batch(ppr_multi(&a, &seeds, PprOptions::default(), ctx).unwrap());
-        assert_eq!(ppr, expect_ppr, "ppr_multi {ctx:?}");
+        assert_eq!(batch(ppr(ctx).unwrap()), expect_ppr, "ppr_multi {ctx:?}");
     }
     let da = DistCsrMatrix::from_global(&a, ProcGrid::new(1, 1));
     for executor in [LocaleExecutor::Serial, LocaleExecutor::Threaded] {
@@ -152,7 +153,8 @@ fn pagerank_ranks_do_not_depend_on_thread_counts() {
         dctx.set_executor(executor);
         let (pr, iters, _) = pagerank_dist_on(&da, PageRankOptions::default(), &dctx).unwrap();
         assert_eq!((bits(&pr), iters), expect_pr, "pagerank dist 1x1 {executor:?}");
-        let (r, _) = ppr_multi_dist(&da, &seeds, PprOptions::default(), &dctx).unwrap();
+        let b = DistBackend::with_strategy(&dctx, CommStrategy::Bulk);
+        let r = ppr_multi_on(&b, &da, &seeds, PprOptions::default()).unwrap();
         assert_eq!(batch(r), expect_ppr, "ppr_multi dist 1x1 {executor:?}");
     }
 }

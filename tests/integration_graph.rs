@@ -2,8 +2,10 @@
 //! end-to-end, compared against independent reference implementations.
 
 use gblas::prelude::*;
+use gblas_core::backend::SharedBackend;
 use gblas_core::gen;
-use gblas_graph::cc::{component_count, connected_components};
+use gblas_core::ops::spmspv::SpMSpVOpts;
+use gblas_graph::cc::{component_count, connected_components_on};
 use gblas_graph::{bfs, bfs_dist, pagerank, triangle_count, PageRankOptions};
 
 #[test]
@@ -65,7 +67,8 @@ fn cc_pagerank_triangles_cross_check() {
     let a = CsrMatrix::from_triplets(2 * k, 2 * k, &trips).unwrap();
     let ctx = ExecCtx::with_threads(2);
 
-    let labels = connected_components(&a, &ctx).unwrap();
+    let b = SharedBackend::new(&ctx);
+    let (labels, _) = connected_components_on(&b, &a, None, SpMSpVOpts::default()).unwrap();
     assert_eq!(component_count(&labels), 2);
 
     let triangles = triangle_count(&a, &ctx).unwrap();

@@ -12,8 +12,9 @@
 use gblas_core::container::CsrMatrix;
 use gblas_core::gen;
 use gblas_core::par::ExecCtx;
-use gblas_dist::{DistCtx, LocaleExecutor, MxmAlgo, ProcGrid};
-use gblas_graph::{markov_cluster, markov_cluster_dist_with, MclOptions};
+use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, LocaleExecutor, MxmAlgo, ProcGrid};
+use gblas_graph::mcl::add_self_loops;
+use gblas_graph::{markov_cluster, markov_cluster_on, MclOptions};
 use gblas_sim::MachineConfig;
 
 const EXECUTORS: [LocaleExecutor; 2] = [LocaleExecutor::Serial, LocaleExecutor::Threaded];
@@ -75,13 +76,16 @@ fn check_mcl(name: &str, a: &CsrMatrix<f64>, want: u64) -> Vec<usize> {
     bad.check(digest(&labels, iters), want, format!("{name} shared serial ({iters} iterations)"));
     let (l4, i4) = markov_cluster(a, opts, &ExecCtx::new(4, 2)).unwrap();
     bad.check(digest(&l4, i4), want, format!("{name} shared 4x2 ({i4} iterations)"));
+    let looped = add_self_loops(a).unwrap();
     for (pr, pc, layers) in GRIDS {
         let grid = ProcGrid::new(pr, pc);
         let algo = if layers > 1 { MxmAlgo::Summa3d { layers } } else { MxmAlgo::Summa2d };
+        let da = DistCsrMatrix::from_global(&looped, grid);
         for executor in EXECUTORS {
             let mut dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales() * layers, 24));
             dctx.set_executor(executor);
-            let (l, i, _) = markov_cluster_dist_with(a, grid, opts, algo, &dctx).unwrap();
+            let b = DistBackend::new(&dctx).with_mxm(algo);
+            let (l, i) = markov_cluster_on(&b, &da, opts).unwrap();
             let what = format!("{name} dist {pr}x{pc}x{layers} {executor:?} ({i} iterations)");
             bad.check(digest(&l, i), want, what);
         }

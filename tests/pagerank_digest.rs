@@ -19,14 +19,14 @@
 //! Iteration counts did not move. A changed digest is a changed summation
 //! order: re-record only with the change that re-associates, and say why.
 
+use gblas_core::backend::SharedBackend;
 use gblas_core::container::CsrMatrix;
 use gblas_core::gen;
 use gblas_core::ops::select::select_mat;
 use gblas_core::par::ExecCtx;
-use gblas_dist::{DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
-use gblas_graph::{
-    pagerank, pagerank_dist_on, ppr_multi, ppr_multi_dist, PageRankOptions, PprOptions,
-};
+use gblas_dist::ops::spmspv::CommStrategy;
+use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
+use gblas_graph::{pagerank, pagerank_dist_on, ppr_multi_on, PageRankOptions, PprOptions};
 use gblas_sim::MachineConfig;
 
 const EXECUTORS: [LocaleExecutor; 2] = [LocaleExecutor::Serial, LocaleExecutor::Threaded];
@@ -124,7 +124,7 @@ fn check_ppr(name: &str, a: &CsrMatrix<f64>, one_row: u64, two_rows: u64) {
     let opts = PprOptions::default();
     let mut bad = Mismatches::default();
     for (ctx_name, ctx) in shared_ctxs() {
-        let r = ppr_multi(a, &SEEDS, opts, &ctx).unwrap();
+        let r = ppr_multi_on(&SharedBackend::new(&ctx), a, &SEEDS, opts).unwrap();
         let got = digest_batch(&r.scores, &r.iterations);
         bad.check(got, one_row, format!("{name} shared {ctx_name} ({:?})", r.iterations));
     }
@@ -133,7 +133,9 @@ fn check_ppr(name: &str, a: &CsrMatrix<f64>, one_row: u64, two_rows: u64) {
         let grid = ProcGrid::new(pr_grid, pc_grid);
         let da = DistCsrMatrix::from_global(a, grid);
         for executor in EXECUTORS {
-            let (r, _) = ppr_multi_dist(&da, &SEEDS, opts, &dctx(grid, executor)).unwrap();
+            let d = dctx(grid, executor);
+            let b = DistBackend::with_strategy(&d, CommStrategy::Bulk);
+            let r = ppr_multi_on(&b, &da, &SEEDS, opts).unwrap();
             let got = digest_batch(&r.scores, &r.iterations);
             let what = format!("{name} dist {pr_grid}x{pc_grid} {executor:?} ({:?})", r.iterations);
             bad.check(got, want, what);

@@ -2,8 +2,12 @@
 //! references and invariants, on randomized graphs of varying density.
 
 use gblas::prelude::*;
+use gblas_core::backend::SharedBackend;
 use gblas_core::gen;
-use gblas_graph::{betweenness, bfs, connected_components, pagerank, sssp, PageRankOptions};
+use gblas_core::ops::spmspv::SpMSpVOpts;
+use gblas_graph::{
+    betweenness_on, bfs, connected_components_on, pagerank, sssp_on, PageRankOptions,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -35,7 +39,8 @@ proptest! {
     fn sssp_respects_triangle_inequality_and_bfs_bound(seed in 0u64..300, d in 1usize..5) {
         let a = gen::erdos_renyi(80, d, seed);
         let ctx = ExecCtx::serial();
-        let dist = sssp(&a, 0, &ctx).unwrap();
+        let b = SharedBackend::new(&ctx);
+        let (dist, _) = sssp_on(&b, &a, &[0], None, SpMSpVOpts::default()).unwrap().remove(0);
         prop_assert_eq!(dist[0], 0.0);
         for (u, v, &w) in a.iter() {
             prop_assert!(dist[v] <= dist[u] + w + 1e-9, "edge {}->{}", u, v);
@@ -51,7 +56,8 @@ proptest! {
     fn cc_labels_are_component_minima(seed in 0u64..300) {
         let a = gen::erdos_renyi_symmetric(70, 2, seed);
         let ctx = ExecCtx::serial();
-        let labels = connected_components(&a, &ctx).unwrap();
+        let b = SharedBackend::new(&ctx);
+        let (labels, _) = connected_components_on(&b, &a, None, SpMSpVOpts::default()).unwrap();
         // label is idempotent under edges and <= own id
         for v in 0..70 {
             prop_assert!(labels[v] <= v);
@@ -80,7 +86,7 @@ proptest! {
         let a = gen::erdos_renyi(40, 3, seed);
         let sources: Vec<usize> = (0..40).collect();
         let ctx = ExecCtx::serial();
-        let bc = betweenness(&a, &sources, &ctx).unwrap();
+        let bc = betweenness_on(&SharedBackend::new(&ctx), &a, &sources).unwrap();
         for v in 0..40 {
             prop_assert!(bc[v] >= -1e-9);
             // a vertex with no out-edges can't be interior to any path

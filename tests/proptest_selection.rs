@@ -22,11 +22,8 @@ use gblas_core::gen;
 use gblas_core::ops::selection::SelectionPolicy;
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_dist::ops::spmspv::CommStrategy;
-use gblas_dist::LocaleExecutor;
-use gblas_graph::{
-    bfs, bfs_selected, bfs_selected_dist, connected_components, connected_components_selected,
-    connected_components_selected_dist, sssp, sssp_selected, sssp_selected_dist,
-};
+use gblas_dist::{DistBackend, LocaleExecutor};
+use gblas_graph::{bfs, bfs_selected, bfs_selected_dist, connected_components_on, sssp_on};
 use proptest::prelude::*;
 
 const POLICIES: [SelectionPolicy; 3] =
@@ -87,6 +84,7 @@ proptest! {
     ) {
         let a = gen::erdos_renyi(100, d, seed);
         let ctx = ExecCtx::new(threads, 2);
+        let backend = SharedBackend::new(&ctx);
         let expect = bfs(&a, source, &ctx).unwrap();
         let mut decision_logs = Vec::new();
         for policy in POLICIES {
@@ -99,10 +97,12 @@ proptest! {
         }
 
         let sym = gen::erdos_renyi_symmetric(80, d.min(4), seed);
-        let labels = connected_components(&sym, &ctx).unwrap();
+        let (labels, _) =
+            connected_components_on(&backend, &sym, None, SpMSpVOpts::default()).unwrap();
         for policy in POLICIES {
             let (got, _) =
-                connected_components_selected(&sym, policy, SpMSpVOpts::default(), &ctx).unwrap();
+                connected_components_on(&backend, &sym, Some(policy), SpMSpVOpts::default())
+                    .unwrap();
             prop_assert_eq!(got.as_slice(), labels.as_slice(), "cc under {:?}", policy);
         }
     }
@@ -114,9 +114,11 @@ proptest! {
     fn shared_sssp_agrees_bitwise_across_policies(seed in 0u64..300, d in 1usize..6) {
         let a = gen::erdos_renyi(80, d, seed);
         let ctx = ExecCtx::serial();
-        let expect = sssp(&a, 0, &ctx).unwrap();
+        let backend = SharedBackend::new(&ctx);
+        let opts = SpMSpVOpts::default();
+        let (expect, _) = sssp_on(&backend, &a, &[0], None, opts).unwrap().remove(0);
         for policy in POLICIES {
-            let (got, _) = sssp_selected(&a, 0, policy, SpMSpVOpts::default(), &ctx).unwrap();
+            let (got, _) = sssp_on(&backend, &a, &[0], Some(policy), opts).unwrap().remove(0);
             prop_assert_eq!(got.as_slice(), expect.as_slice(), "sssp under {:?}", policy);
         }
     }
@@ -173,25 +175,26 @@ proptest! {
     fn dist_cc_and_sssp_agree_with_shared(seed in 0u64..200, pr in 1usize..=2, pc in 1usize..=2) {
         let grid = ProcGrid::new(pr, pc);
 
+        let ctx = ExecCtx::serial();
+        let shared = SharedBackend::new(&ctx);
+        let opts = SpMSpVOpts::default();
         let sym = gen::erdos_renyi_symmetric(50, 3, seed);
-        let labels = connected_components(&sym, &ExecCtx::serial()).unwrap();
+        let (labels, _) = connected_components_on(&shared, &sym, None, opts).unwrap();
         let dsym = DistCsrMatrix::from_global(&sym, grid);
         for policy in POLICIES {
             let dctx = dist_ctx_with(grid.locales(), LocaleExecutor::Serial);
-            let (got, _, _) = connected_components_selected_dist(
-                &dsym, policy, CommStrategy::Bulk, SpMSpVOpts::default(), &dctx,
-            ).unwrap();
+            let b = DistBackend::with_strategy(&dctx, CommStrategy::Bulk);
+            let (got, _) = connected_components_on(&b, &dsym, Some(policy), opts).unwrap();
             prop_assert_eq!(got.as_slice(), labels.as_slice(), "cc under {:?}", policy);
         }
 
         let a = gen::erdos_renyi(50, 3, seed);
-        let expect = sssp(&a, 0, &ExecCtx::serial()).unwrap();
+        let (expect, _) = sssp_on(&shared, &a, &[0], None, opts).unwrap().remove(0);
         let da = DistCsrMatrix::from_global(&a, grid);
         for policy in POLICIES {
             let dctx = dist_ctx_with(grid.locales(), LocaleExecutor::Serial);
-            let (got, _, _) = sssp_selected_dist(
-                &da, 0, policy, CommStrategy::Bulk, SpMSpVOpts::default(), &dctx,
-            ).unwrap();
+            let b = DistBackend::with_strategy(&dctx, CommStrategy::Bulk);
+            let (got, _) = sssp_on(&b, &da, &[0], Some(policy), opts).unwrap().remove(0);
             prop_assert_eq!(got.as_slice(), expect.as_slice(), "sssp under {:?}", policy);
         }
     }

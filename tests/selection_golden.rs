@@ -15,7 +15,7 @@ use gblas_core::ops::selection::SelectionPolicy;
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::trace::{SpanKind, Trace};
 use gblas_dist::ops::spmspv::CommStrategy;
-use gblas_dist::{DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
+use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
 use gblas_sim::MachineConfig;
 
 /// Run BFS and CC under `auto` on the fixed workload, tracing every
@@ -42,12 +42,11 @@ fn traced_run(executor: LocaleExecutor) -> Trace {
 
     let sym = gen::erdos_renyi_symmetric(600, 5, 7);
     let dsym = DistCsrMatrix::from_global(&sym, grid);
-    gblas_graph::connected_components_selected_dist(
+    gblas_graph::connected_components_on(
+        &DistBackend::with_strategy(&dctx, CommStrategy::Bulk),
         &dsym,
-        SelectionPolicy::Auto,
-        CommStrategy::Bulk,
+        Some(SelectionPolicy::Auto),
         SpMSpVOpts::default(),
-        &dctx,
     )
     .expect("cc");
 
