@@ -11,6 +11,7 @@
 //!   bfs         breadth-first search from --source (default 0)
 //!   sssp        single-source shortest paths from --source
 //!   pagerank    PageRank (top 10 printed)
+//!   ppr         personalized PageRank restarting at --source (default 0; top 10 printed)
 //!   cc          connected components (requires symmetric input; use --symmetrize)
 //!   triangles   triangle count (requires symmetric input; use --symmetrize)
 //!   kcore       k-core decomposition (requires symmetric input; use --symmetrize)
@@ -50,7 +51,7 @@
 //! workspace pooling. None changes a result or a simulated time.
 //!
 //! Every algorithm is a single generic function over the backend trait,
-//! so with `--simulate NODES` **every** analytic (bfs, sssp, pagerank,
+//! so with `--simulate NODES` **every** analytic (bfs, sssp, pagerank, ppr,
 //! cc, triangles, kcore, mis, bc, mcl) also runs — same algorithm text —
 //! on the simulated distributed machine and prints where the time would
 //! go on the paper's Cray XC30. The matrix-heavy analytics (`triangles`,
@@ -75,9 +76,10 @@ use gblas_core::{gen, io};
 use gblas_dist::ops::spmspv::CommStrategy;
 use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, MxmAlgo, ProcGrid, RunConfig};
 use gblas_sim::MachineConfig;
+use std::io::Write;
 
 const USAGE_COMMANDS: &str =
-    "info|bfs|sssp|pagerank|cc|triangles|kcore|mis|bc|mcl|serve-bench|trace|profile";
+    "info|bfs|sssp|pagerank|ppr|cc|triangles|kcore|mis|bc|mcl|serve-bench|trace|profile";
 
 /// The option synopsis `--help` prints; the crate docs explain each.
 const USAGE_OPTIONS: &str = "[--input FILE.mtx | --gen er:N:D | --gen rmat:SCALE:EF] \
@@ -88,8 +90,8 @@ struct Args {
     command: String,
     input: Option<String>,
     generate: Option<String>,
-    /// `--source`, when given: `bfs` and `sssp` default to vertex 0, `bc`
-    /// to every vertex.
+    /// `--source`, when given: `bfs`, `sssp` and `ppr` default to vertex 0,
+    /// `bc` to every vertex.
     source: Option<usize>,
     threads: usize,
     symmetrize: bool,
@@ -311,26 +313,27 @@ fn sim_ctx(nodes: usize, args: &Args) -> DistCtx {
 
 /// After a simulated run: write the trace file (Chrome JSON, or JSONL when
 /// the path ends in `.jsonl`) and dump the metrics registry.
-fn finish_sim(dctx: &DistCtx, args: &Args) -> Result<()> {
+fn finish_sim(dctx: &DistCtx, args: &Args, out: &mut impl Write) -> CliResult<()> {
     let Some(path) = &args.trace_out else { return Ok(()) };
     let trace = dctx.recorder().snapshot();
     let text =
         if path.ends_with(".jsonl") { sink::jsonl(&trace) } else { sink::chrome_trace(&trace) };
     std::fs::write(path, text)
         .map_err(|e| GblasError::InvalidArgument(format!("cannot write {path}: {e}")))?;
-    println!(
+    writeln!(
+        out,
         "trace: {} spans, {} events, {:.6}s simulated -> {path}",
         trace.spans.len(),
         trace.instants.len(),
         trace.sim_end()
-    );
-    println!("metrics:");
-    print!("{}", dctx.metrics().snapshot());
+    )?;
+    writeln!(out, "metrics:")?;
+    write!(out, "{}", dctx.metrics().snapshot())?;
     Ok(())
 }
 
 /// `trace` subcommand: reload a JSONL trace and print the summary table.
-fn summarize_trace(args: &Args) -> Result<()> {
+fn summarize_trace(args: &Args, out: &mut impl Write) -> CliResult<()> {
     let path = args.input.as_ref().ok_or_else(|| {
         GblasError::InvalidArgument("trace needs --input FILE.jsonl (a saved JSONL trace)".into())
     })?;
@@ -341,17 +344,18 @@ fn summarize_trace(args: &Args) -> Result<()> {
             "this looks like a Chrome trace; the trace subcommand reads the JSONL format \
              (--trace FILE.jsonl)"
                 .into(),
-        ));
+        )
+        .into());
     }
     let trace = sink::from_jsonl(&text).map_err(GblasError::InvalidArgument)?;
-    print!("{}", sink::summary(&trace));
+    write!(out, "{}", sink::summary(&trace))?;
     Ok(())
 }
 
 /// `profile` subcommand: reload a JSONL trace and print the full
 /// analysis — per-locale breakdown, load imbalance, critical path, comm
 /// matrix, and histograms — in the requested format.
-fn profile_trace(args: &Args) -> Result<()> {
+fn profile_trace(args: &Args, out: &mut impl Write) -> CliResult<()> {
     let path = args.input.as_ref().ok_or_else(|| {
         GblasError::InvalidArgument("profile needs --input FILE.jsonl (a saved JSONL trace)".into())
     })?;
@@ -362,14 +366,15 @@ fn profile_trace(args: &Args) -> Result<()> {
             "this looks like a Chrome trace; the profile subcommand reads the JSONL format \
              (--trace FILE.jsonl)"
                 .into(),
-        ));
+        )
+        .into());
     }
     let trace = sink::from_jsonl(&text).map_err(GblasError::InvalidArgument)?;
     let p = profile::profile(&trace);
     match args.format.as_str() {
-        "markdown" => print!("{}", profile::render_markdown(&p)),
-        "json" => println!("{}", profile::render_json(&p)),
-        _ => print!("{}", profile::render_text(&p)),
+        "markdown" => write!(out, "{}", profile::render_markdown(&p))?,
+        "json" => writeln!(out, "{}", profile::render_json(&p))?,
+        _ => write!(out, "{}", profile::render_text(&p))?,
     }
     Ok(())
 }
@@ -470,6 +475,15 @@ fn run_algo<B: GblasBackend>(backend: &B, a: &B::Matrix<f64>, args: &Args) -> Re
                 top_vertices(pr.as_slice(), 10, |s| format!("{s:.6e}"))
             )
         }
+        "ppr" => {
+            let opts = gblas_graph::PprOptions::default();
+            let r = gblas_graph::ppr_multi_on(backend, a, &[source], opts)?;
+            format!(
+                "ppr from {source} converged in {} iterations{}",
+                r.iterations[0],
+                top_vertices(r.scores[0].as_slice(), 10, |s| format!("{s:.6e}"))
+            )
+        }
         "cc" => {
             let (labels, decisions) =
                 gblas_graph::connected_components_on(backend, a, args.selection, opts)?;
@@ -523,7 +537,7 @@ fn run_algo<B: GblasBackend>(backend: &B, a: &B::Matrix<f64>, args: &Args) -> Re
 /// tail latency for both. With `--simulate NODES` the service times come
 /// from the distributed backend's simulated clock; otherwise from the
 /// shared backend's wall clock.
-fn serve_bench_cmd(a: &CsrMatrix<f64>, args: &Args) -> Result<()> {
+fn serve_bench_cmd(a: &CsrMatrix<f64>, args: &Args, out: &mut impl Write) -> CliResult<()> {
     use gblas_bench::serve;
     let spec = serve::ArrivalSpec::parse(&args.arrival).ok_or_else(|| {
         GblasError::InvalidArgument(format!(
@@ -532,37 +546,39 @@ fn serve_bench_cmd(a: &CsrMatrix<f64>, args: &Args) -> Result<()> {
         ))
     })?;
     if args.batch == 0 {
-        return Err(GblasError::InvalidArgument("--batch must be at least 1".into()));
+        return Err(GblasError::InvalidArgument("--batch must be at least 1".into()).into());
     }
     let requests = serve::generate_requests(args.requests, a.nrows(), spec, args.seed);
     let policy = serve::ServePolicy::batch_window(args.batch, args.window);
-    println!(
+    writeln!(
+        out,
         "serving {} requests ({}), batch <= {}, window {:.1}ms",
         args.requests,
         args.arrival,
         args.batch,
         args.window * 1e3
-    );
+    )?;
     let (batched, looped) = if let Some(nodes) = args.simulate {
         let r = serve::serve_bench_dist(a, nodes, &requests, policy)?;
-        println!("clock: simulated ({} Edison nodes)", ProcGrid::square_for(nodes).locales());
+        writeln!(out, "clock: simulated ({} Edison nodes)", ProcGrid::square_for(nodes).locales())?;
         r
     } else {
         let r = serve::serve_bench_shared(a, args.threads, &requests, policy)?;
-        println!("clock: wall ({} threads)", args.threads);
+        writeln!(out, "clock: wall ({} threads)", args.threads)?;
         r
     };
-    println!("{batched}");
-    println!("{looped}");
-    println!("batched/loop QPS: {:.2}x", batched.qps / looped.qps.max(f64::MIN_POSITIVE));
+    writeln!(out, "{batched}")?;
+    writeln!(out, "{looped}")?;
+    writeln!(out, "batched/loop QPS: {:.2}x", batched.qps / looped.qps.max(f64::MIN_POSITIVE))?;
     if args.verify {
         let sources: Vec<usize> = requests.iter().map(|r| r.source).collect();
         serve::verify_batched_equivalence(a, &sources, args.simulate.unwrap_or(4))?;
-        println!(
+        writeln!(
+            out,
             "verified: batched results bit-identical to single-source runs \
              ({} queries, both backends)",
             sources.len()
-        );
+        )?;
     }
     Ok(())
 }
@@ -585,10 +601,10 @@ fn sim_strategy(command: &str) -> CommStrategy {
     }
 }
 
-fn run() -> Result<()> {
+fn run(out: &mut impl Write) -> CliResult<()> {
     let args = match parse_args() {
         Ok(a) if matches!(a.command.as_str(), "--help" | "-h") => {
-            println!("usage: gblas-cli <{USAGE_COMMANDS}> {USAGE_OPTIONS}");
+            writeln!(out, "usage: gblas-cli <{USAGE_COMMANDS}> {USAGE_OPTIONS}")?;
             return Ok(());
         }
         Ok(a) => a,
@@ -596,14 +612,14 @@ fn run() -> Result<()> {
             if e.contains("missing command") {
                 eprintln!("usage: gblas-cli <{USAGE_COMMANDS}> {USAGE_OPTIONS}");
             }
-            return Err(GblasError::InvalidArgument(e));
+            return Err(GblasError::InvalidArgument(e).into());
         }
     };
     if args.command == "trace" {
-        return summarize_trace(&args);
+        return summarize_trace(&args, out);
     }
     if args.command == "profile" {
-        return profile_trace(&args);
+        return profile_trace(&args, out);
     }
     let mut a = load(&args)?;
     if args.command == "mcl" {
@@ -614,27 +630,28 @@ fn run() -> Result<()> {
     gblas_bench::configure(args.config);
     let ctx = ExecCtx::with_threads(args.threads);
     ctx.workspace().set_enabled(args.config.workspace);
-    println!(
+    writeln!(
+        out,
         "matrix: {}x{}, {} stored entries{}",
         a.nrows(),
         a.ncols(),
         a.nnz(),
         if args.symmetrize { " (symmetrized)" } else { "" }
-    );
+    )?;
 
     if args.command == "info" {
         let (dmin, dmax, davg) = degree_stats(&a);
-        println!("out-degree: min {dmin}, max {dmax}, mean {davg:.2}");
+        writeln!(out, "out-degree: min {dmin}, max {dmax}, mean {davg:.2}")?;
         return Ok(());
     }
 
     if args.command == "serve-bench" {
-        return serve_bench_cmd(&a, &args);
+        return serve_bench_cmd(&a, &args, out);
     }
 
     let t0 = std::time::Instant::now();
     let summary = run_algo(&SharedBackend::new(&ctx), &a, &args)?;
-    println!("{summary} ({:.2?})", t0.elapsed());
+    writeln!(out, "{summary} ({:.2?})", t0.elapsed())?;
 
     if let Some(nodes) = args.simulate {
         // The 3-D variant deals the SUMMA stages across `layers`
@@ -657,16 +674,16 @@ fn run() -> Result<()> {
         let dist_summary = run_algo(&backend, &da, &args)?;
         let report = backend.take_report();
         if dist_summary != summary {
-            println!("(distributed result) {dist_summary}");
+            writeln!(out, "(distributed result) {dist_summary}")?;
         }
-        println!("simulated on {nodes} Edison nodes: {report}");
+        writeln!(out, "simulated on {nodes} Edison nodes: {report}")?;
         let attributions = report.attributions();
         if !attributions.is_empty() {
             let list: Vec<String> =
                 attributions.iter().map(|(phase, l)| format!("{phase}=L{l}")).collect();
-            println!("slowest locale per phase: {}", list.join(" "));
+            writeln!(out, "slowest locale per phase: {}", list.join(" "))?;
         }
-        finish_sim(&dctx, &args)?;
+        finish_sim(&dctx, &args, out)?;
     }
     if args.trace_out.is_some() && args.simulate.is_none() {
         eprintln!("note: --trace records the simulated run; add --simulate NODES");
@@ -674,9 +691,41 @@ fn run() -> Result<()> {
     Ok(())
 }
 
-fn main() {
-    if let Err(e) = run() {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+/// Why a run stops early: the library refused, or standard output did.
+enum Failure {
+    Lib(GblasError),
+    Io(std::io::Error),
+}
+
+impl From<GblasError> for Failure {
+    fn from(e: GblasError) -> Self {
+        Failure::Lib(e)
     }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Self {
+        Failure::Io(e)
+    }
+}
+
+type CliResult<T> = std::result::Result<T, Failure>;
+
+fn main() {
+    let mut out = std::io::stdout().lock();
+    let code = match run(&mut out).and_then(|()| Ok(out.flush()?)) {
+        Ok(()) => 0,
+        // A reader that closed the pipe early (`| head`) has all it wanted.
+        Err(Failure::Io(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => 0,
+        Err(Failure::Io(e)) => {
+            eprintln!("error: writing output: {e}");
+            1
+        }
+        Err(Failure::Lib(e)) => {
+            eprintln!("error: {e}");
+            1
+        }
+    };
+    drop(out);
+    std::process::exit(code);
 }

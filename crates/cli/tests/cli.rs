@@ -46,6 +46,35 @@ fn pagerank_prints_top_vertices() {
 }
 
 #[test]
+fn ppr_ranks_its_source_first_on_both_backends() {
+    let (ok, stdout, stderr) =
+        run(&["ppr", "--gen", "er:300:4", "--source", "5", "--simulate", "4"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("ppr from 5 converged"), "{stdout}");
+    assert!(stdout.contains("#1  vertex        5"), "{stdout}");
+    // the simulated run printed nothing different from the shared one
+    assert!(stdout.contains("simulated on 4 Edison nodes"));
+    assert!(!stdout.contains("(distributed result)"), "{stdout}");
+}
+
+#[test]
+fn a_reader_closing_stdout_early_is_a_quiet_success() {
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gblas-cli"))
+        .args(["bc", "--gen", "er:300:4", "--symmetrize"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // Close the read end before the binary has printed its first line.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
+#[test]
 fn cc_and_triangles_need_symmetry_flag_to_make_sense() {
     let (ok, stdout, _) = run(&["cc", "--gen", "er:3000:6", "--symmetrize"]);
     assert!(ok);

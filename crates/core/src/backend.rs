@@ -32,7 +32,7 @@
 
 use crate::algebra::{BinaryOp, ComMonoid, Monoid, Scalar, Semiring};
 use crate::container::{CsrMatrix, DenseVec, SparseVec};
-use crate::error::{check_dims, Result};
+use crate::error::{check_dims, GblasError, Result};
 use crate::mask::VecMask;
 use crate::ops;
 use crate::ops::spmspv::SpMSpVOpts;
@@ -208,15 +208,20 @@ pub trait GblasBackend {
 
     // ---- adaptive selection ------------------------------------------
 
-    /// Pull-direction BFS kernel over `at = Aᵀ`: for each **unvisited**
-    /// destination, claim its minimum in-frontier in-neighbor as parent
-    /// (early exit per row). Bit-identical, layout included, to
-    /// [`GblasBackend::spmspv_first_visitor`] under the complement-of-
-    /// visited mask — the contract the direction-optimizing traversals
-    /// rely on when they switch mid-traversal.
+    /// Pull-direction BFS kernel over `a`'s in-neighbours: for each
+    /// **unvisited** destination, claim its minimum in-frontier
+    /// in-neighbor as parent (early exit per row). Bit-identical, layout
+    /// included, to [`GblasBackend::spmspv_first_visitor`] over the same
+    /// `a` under the complement-of-visited mask — the contract the
+    /// direction-optimizing traversals rely on when they switch
+    /// mid-traversal. The backend owns the orientation: the shared one
+    /// scans the matrix's kept [`crate::container::InNeighbours`] (built
+    /// at its first pull, an error for a matrix too large to keep them),
+    /// the distributed one a transpose it builds at its first pull over
+    /// `a` and keeps for its own life.
     fn pull_first_visitor<T: Scalar>(
         &self,
-        at: &Self::Matrix<T>,
+        a: &Self::Matrix<T>,
         frontier: &Self::DenseVec<bool>,
         visited: &Self::DenseVec<bool>,
     ) -> Result<Self::SparseVec<usize>>;
@@ -449,11 +454,17 @@ impl GblasBackend for SharedBackend<'_> {
 
     fn pull_first_visitor<T: Scalar>(
         &self,
-        at: &CsrMatrix<T>,
+        a: &CsrMatrix<T>,
         frontier: &DenseVec<bool>,
         visited: &DenseVec<bool>,
     ) -> Result<SparseVec<usize>> {
-        ops::selection::pull_first_visitor(at, frontier, visited, self.ctx)
+        let rows = a.in_neighbours(self.ctx).ok_or_else(|| {
+            GblasError::InvalidArgument(format!(
+                "pull over {} rows: in-neighbour ids are 32-bit",
+                a.nrows()
+            ))
+        })?;
+        ops::selection::pull_first_visitor(rows, frontier, visited, self.ctx)
     }
 
     fn sparse_to_bitmap<T: Scalar>(&self, x: &SparseVec<T>) -> Result<DenseVec<bool>> {

@@ -1,6 +1,10 @@
 //! Compressed Sparse Rows matrices.
 
 use crate::error::{GblasError, Result};
+use crate::par::{split_by_work, ExecCtx};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A CSR matrix, the one sparse-matrix format the paper uses: "we only
 /// considered the Compressed Sparse Rows (CSR) format ... because this is
@@ -11,13 +15,40 @@ use crate::error::{GblasError, Result};
 /// * `colidx` — column ids, **sorted within each row** ("Chapel keeps the
 ///   column ids of nonzeros within each row sorted");
 /// * `values` — numerical values, parallel to `colidx`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Beside them the matrix keeps, once a pull has asked for them, its
+/// [`InNeighbours`] — the pattern of `Aᵀ` — so a direction-optimizing
+/// traversal never transposes per solve. They are derived state: clones
+/// share them, and equality and `Debug` look only at the three arrays.
+#[derive(Clone)]
 pub struct CsrMatrix<T> {
     nrows: usize,
     ncols: usize,
     rowptr: Vec<usize>,
     colidx: Vec<usize>,
     values: Vec<T>,
+    in_neighbours: OnceLock<Arc<InNeighbours>>,
+}
+
+impl<T: PartialEq> PartialEq for CsrMatrix<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.nrows, self.ncols) == (other.nrows, other.ncols)
+            && self.rowptr == other.rowptr
+            && self.colidx == other.colidx
+            && self.values == other.values
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for CsrMatrix<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CsrMatrix")
+            .field("nrows", &self.nrows)
+            .field("ncols", &self.ncols)
+            .field("rowptr", &self.rowptr)
+            .field("colidx", &self.colidx)
+            .field("values", &self.values)
+            .finish()
+    }
 }
 
 impl<T> CsrMatrix<T> {
@@ -29,6 +60,7 @@ impl<T> CsrMatrix<T> {
             rowptr: vec![0; nrows + 1],
             colidx: Vec::new(),
             values: Vec::new(),
+            in_neighbours: OnceLock::new(),
         }
     }
 
@@ -84,7 +116,7 @@ impl<T> CsrMatrix<T> {
                 }
             }
         }
-        Ok(CsrMatrix { nrows, ncols, rowptr, colidx, values })
+        Ok(CsrMatrix { nrows, ncols, rowptr, colidx, values, in_neighbours: OnceLock::new() })
     }
 
     /// Build from `(row, col, value)` triplets; duplicates are an error.
@@ -157,7 +189,8 @@ impl<T> CsrMatrix<T> {
 
     /// A matrix with this one's structure and `values` in its place (one
     /// per stored entry, in storage order). The structure was validated
-    /// when `self` was built, so only the value count is checked.
+    /// when `self` was built, so only the value count is checked; the
+    /// in-neighbour lists, if built, are shared.
     pub fn with_values<U>(&self, values: Vec<U>) -> CsrMatrix<U> {
         assert_eq!(values.len(), self.nnz(), "one value per stored entry");
         CsrMatrix {
@@ -166,7 +199,107 @@ impl<T> CsrMatrix<T> {
             rowptr: self.rowptr.clone(),
             colidx: self.colidx.clone(),
             values,
+            in_neighbours: self.in_neighbours.clone(),
         }
+    }
+
+    /// The kept in-neighbour lists, built under `ctx` by the first caller
+    /// (concurrent first callers wait for that one build) and charged to
+    /// its profile alone. `None` for a matrix of more than
+    /// `InNeighbours::MAX_ROWS` rows (2³² or more), whose ids do not fit
+    /// the lists' 32 bits.
+    pub fn in_neighbours(&self, ctx: &ExecCtx) -> Option<&InNeighbours> {
+        if self.nrows > InNeighbours::MAX_ROWS {
+            return None;
+        }
+        Some(self.in_neighbours.get_or_init(|| Arc::new(InNeighbours::build(self, ctx))))
+    }
+}
+
+/// A matrix's in-neighbour lists: list `j` holds, ascending, every row `i`
+/// with a stored `A[i, j]` — the pattern of `Aᵀ`, without values, in
+/// 32-bit ids (half the bytes of `usize` ids on the lists' `nnz` entries).
+/// Built by [`CsrMatrix::in_neighbours`]; the pull kernel reads them.
+#[derive(Debug)]
+pub struct InNeighbours {
+    /// Rows of `A`: the id space of the lists' entries.
+    sources: usize,
+    /// `ptr[j]..ptr[j + 1]` delimits list `j`; `ncols(A) + 1` entries.
+    ptr: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl InNeighbours {
+    /// The most rows a matrix may have for its lists to be kept: every
+    /// row id is then below it, so each fits a `u32`.
+    pub const MAX_ROWS: usize = u32::MAX as usize;
+
+    /// Parallel counting sort of `a`'s entries by column. Each task owns a
+    /// row range of about equal `nnz`: it counts its columns, the counts
+    /// become per-task write cursors (tasks in row order, so every list
+    /// stays ascending), and each task scatters its own rows. Charged to
+    /// the transpose phase, like the transpose it replaces.
+    fn build<T>(a: &CsrMatrix<T>, ctx: &ExecCtx) -> Self {
+        // Every row id below `MAX_ROWS` fits the `u32` the scatter stores.
+        assert!(a.nrows <= Self::MAX_ROWS, "in-neighbour ids are 32-bit");
+        let (nrows, ncols, rowptr, colidx) = (a.nrows, a.ncols, &a.rowptr[..], &a.colidx[..]);
+        let chunks = split_by_work(nrows, ctx.threads(), |i| rowptr[i + 1] - rowptr[i]);
+        let phase = crate::ops::transpose::PHASE;
+        let mut cursors = ctx.for_each_task(phase, chunks.len(), |t, c| {
+            let entries = &colidx[rowptr[chunks[t].start]..rowptr[chunks[t].end]];
+            let mut count = vec![0usize; ncols];
+            for &j in entries {
+                count[j] += 1;
+            }
+            c.elems += entries.len() as u64;
+            c.rand_access += entries.len() as u64;
+            count
+        });
+        let mut ptr = vec![0usize; ncols + 1];
+        for j in 0..ncols {
+            let mut next = ptr[j];
+            for cursor in &mut cursors {
+                let here = cursor[j];
+                cursor[j] = next;
+                next += here;
+            }
+            ptr[j + 1] = next;
+        }
+        let ids: Vec<AtomicU32> = (0..colidx.len()).map(|_| AtomicU32::new(0)).collect();
+        // Task `t` alone locks cursor `t`: the lock only lends it mutably.
+        let cursors: Vec<Mutex<Vec<usize>>> = cursors.into_iter().map(Mutex::new).collect();
+        ctx.for_each_task(phase, chunks.len(), |t, c| {
+            let mut cursor = cursors[t].lock();
+            for i in chunks[t].clone() {
+                let row = &colidx[rowptr[i]..rowptr[i + 1]];
+                for &j in row {
+                    // The cursors of distinct tasks never meet, so every
+                    // slot is stored exactly once; the region's join
+                    // orders the stores before `into_inner` reads them.
+                    ids[cursor[j]].store(i as u32, Ordering::Relaxed);
+                    cursor[j] += 1;
+                }
+                c.elems += row.len() as u64;
+                c.rand_access += row.len() as u64;
+            }
+        });
+        let ids = ids.into_iter().map(AtomicU32::into_inner).collect();
+        InNeighbours { sources: nrows, ptr, ids }
+    }
+
+    /// Number of lists (columns of `A`).
+    pub(crate) fn lists(&self) -> usize {
+        self.ptr.len() - 1
+    }
+
+    /// Rows of `A`: every entry of a list is below this.
+    pub(crate) fn sources(&self) -> usize {
+        self.sources
+    }
+
+    /// List `j`: the in-neighbours of vertex `j`, ascending.
+    pub(crate) fn list(&self, j: usize) -> &[u32] {
+        &self.ids[self.ptr[j]..self.ptr[j + 1]]
     }
 }
 

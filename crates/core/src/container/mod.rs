@@ -5,7 +5,8 @@
 //! * [`DenseVec`] — a plain dense array (the `y` operand of the paper's
 //!   sparse×dense `eWiseMult`, SPA backing storage, BFS level arrays).
 //! * [`CsrMatrix`] — Compressed Sparse Rows with column ids sorted within
-//!   each row, "because this is supported in Chapel".
+//!   each row, "because this is supported in Chapel"; it keeps its
+//!   [`InNeighbours`] (the pattern of `Aᵀ`) once a pull has asked.
 //! * [`CooMatrix`] — a triplet builder for assembling matrices before
 //!   conversion to CSR.
 //! * [`SparseFrontier`] — the CombBLAS-2.0-style `n×k` multi-source
@@ -19,7 +20,7 @@ mod frontier;
 mod sparse_vec;
 
 pub use coo::{CooMatrix, DupPolicy};
-pub use csr::CsrMatrix;
+pub use csr::{CsrMatrix, InNeighbours};
 pub use dense_vec::DenseVec;
 pub use frontier::SparseFrontier;
 pub use sparse_vec::SparseVec;

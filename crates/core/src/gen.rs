@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 
 /// Sample `k` distinct sorted indices from `0..n` (selection sampling,
 /// Knuth's Algorithm S): exact count, already sorted, O(n).
-pub fn sample_distinct_sorted(n: usize, k: usize, rng: &mut impl Rng) -> Vec<usize> {
+fn sample_distinct_sorted(n: usize, k: usize, rng: &mut impl Rng) -> Vec<usize> {
     assert!(k <= n, "cannot sample {k} distinct values from 0..{n}");
     let mut out = Vec::with_capacity(k);
     let mut remaining = k;

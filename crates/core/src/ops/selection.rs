@@ -22,12 +22,14 @@
 //! changes at most once and can never oscillate.
 //!
 //! [`pull_first_visitor`] is the shared-memory pull kernel: a scan over
-//! the rows of `Aᵀ` (destination-major) that claims, for each unvisited
-//! destination, its **minimum** in-frontier in-neighbor and exits the row
-//! early — the same parent the push kernel's min-claim keeps, which is
-//! what makes auto/push/pull bit-identical.
+//! any [`RowView`] of `A`'s in-neighbours — the matrix's kept
+//! [`InNeighbours`], or the rows of an explicit `Aᵀ` — (destination-major)
+//! that claims, for each unvisited destination, its **minimum**
+//! in-frontier in-neighbor and exits the row early — the same parent the
+//! push kernel's min-claim keeps, which is what makes auto/push/pull
+//! bit-identical.
 
-use crate::container::{CsrMatrix, DenseVec, SparseVec};
+use crate::container::{CsrMatrix, DenseVec, InNeighbours, SparseVec};
 use crate::error::{check_dims, Result};
 use crate::par::ExecCtx;
 
@@ -187,8 +189,48 @@ pub fn decide(
     }
 }
 
+/// The rows a pull scans: row `j` lists `j`'s in-neighbours, ascending.
+/// A matrix's kept [`InNeighbours`] are one; a [`CsrMatrix`] holding `Aᵀ`
+/// is another, its rows being `A`'s columns.
+pub trait RowView: Sync {
+    /// Destinations: one row each.
+    fn nrows(&self) -> usize;
+    /// Sources: every id a row lists is below this.
+    fn ncols(&self) -> usize;
+    /// Row `j`'s ids, ascending.
+    fn row_ids(&self, j: usize) -> impl Iterator<Item = usize> + '_;
+}
+
+impl<T: Sync> RowView for CsrMatrix<T> {
+    fn nrows(&self) -> usize {
+        CsrMatrix::nrows(self)
+    }
+
+    fn ncols(&self) -> usize {
+        CsrMatrix::ncols(self)
+    }
+
+    fn row_ids(&self, j: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row(j).0.iter().copied()
+    }
+}
+
+impl RowView for InNeighbours {
+    fn nrows(&self) -> usize {
+        self.lists()
+    }
+
+    fn ncols(&self) -> usize {
+        self.sources()
+    }
+
+    fn row_ids(&self, j: usize) -> impl Iterator<Item = usize> + '_ {
+        self.list(j).iter().map(|&i| i as usize)
+    }
+}
+
 /// Pull-direction BFS kernel (shared memory): for every **unvisited**
-/// destination `j`, scan row `j` of `at = Aᵀ` (its in-neighbors, in
+/// destination `j`, scan row `j` of `rows` (its in-neighbors, in
 /// ascending order) and claim the first — i.e. minimum — in-frontier
 /// neighbor as `j`'s parent, exiting the row early on the hit.
 ///
@@ -199,34 +241,32 @@ pub fn decide(
 /// to [`PHASE_PULL`]: one random access per visited-bit probe and per
 /// in-neighbor frontier probe, so the simulator prices the early exit
 /// that makes pull win on heavy frontiers.
-pub fn pull_first_visitor<T: Send + Sync>(
-    at: &CsrMatrix<T>,
+pub fn pull_first_visitor(
+    rows: &impl RowView,
     frontier: &DenseVec<bool>,
     visited: &DenseVec<bool>,
     ctx: &ExecCtx,
 ) -> Result<SparseVec<usize>> {
-    check_dims("frontier length vs matrix cols", at.ncols(), frontier.len())?;
-    check_dims("visited length vs matrix rows", at.nrows(), visited.len())?;
-    let n = at.nrows();
+    check_dims("frontier length vs matrix cols", rows.ncols(), frontier.len())?;
+    check_dims("visited length vs matrix rows", rows.nrows(), visited.len())?;
+    let n = rows.nrows();
     let fbits = frontier.as_slice();
     let vbits = visited.as_slice();
     let nnz_f = fbits.iter().filter(|&&b| b).count();
     let _op =
-        ctx.trace_op("pull_first_visitor", nnz_f as u64, &[("nrows", n), ("ncols", at.ncols())]);
+        ctx.trace_op("pull_first_visitor", nnz_f as u64, &[("nrows", n), ("ncols", rows.ncols())]);
     // Destination-major scan: each task owns a contiguous row range, so
     // concatenating per-task outputs in task order yields globally sorted
     // indices — and the claims are per-row local, so the result is
     // deterministic under any real thread count (unlike push's atomics).
     let parts = ctx.parallel_for(PHASE_PULL, n, |r, c| {
-        let mut inds = Vec::new();
-        let mut vals = Vec::new();
+        let (mut inds, mut vals) = (ctx.ws_vec::<usize>(), ctx.ws_vec::<usize>());
         for j in r {
             c.rand_access += 1; // visited-bit probe
             if vbits[j] {
                 continue;
             }
-            let (cols, _) = at.row(j);
-            for &u in cols {
+            for u in rows.row_ids(j) {
                 c.rand_access += 1; // frontier-bit probe
                 if fbits[u] {
                     inds.push(j);
@@ -238,11 +278,11 @@ pub fn pull_first_visitor<T: Send + Sync>(
         }
         (inds, vals)
     });
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    for (i, v) in parts {
-        indices.extend(i);
-        values.extend(v);
+    let nnz = parts.iter().map(|(inds, _)| inds.len()).sum();
+    let (mut indices, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+    for (i, v) in &parts {
+        indices.extend_from_slice(i);
+        values.extend_from_slice(v);
     }
     SparseVec::from_sorted(n, indices, values)
 }

@@ -36,29 +36,25 @@ pub fn transpose<T: Copy + Send + Sync>(a: &CsrMatrix<T>, ctx: &ExecCtx) -> Resu
     for j in 0..ncols {
         rowptr_t[j + 1] += rowptr_t[j];
     }
-    // Scatter (serial to preserve per-row sortedness deterministically).
+    // Scatter (serial to preserve per-row sortedness deterministically):
+    // each entry's index and value land in the same pass.
     let mut cursor = rowptr_t.clone();
     let mut colidx_t = vec![0usize; nnz];
-    // Compute each entry's target slot, then permute the value array.
-    let mut targets = vec![0usize; nnz];
+    let values = a.values();
+    let mut values_t: Vec<T> = if nnz == 0 { Vec::new() } else { vec![values[0]; nnz] };
     let mut c = crate::par::Counters::default();
-    let mut pos = 0usize;
+    let rowptr = a.rowptr();
     for i in 0..nrows {
-        let (cols, _) = a.row(i);
-        for &j in cols {
+        for k in rowptr[i]..rowptr[i + 1] {
+            let j = colidx[k];
             let t = cursor[j];
             cursor[j] += 1;
             colidx_t[t] = i;
-            targets[pos] = t;
-            pos += 1;
+            values_t[t] = values[k];
             c.rand_access += 1;
         }
     }
     c.elems += nnz as u64;
-    let mut values_t: Vec<T> = if nnz == 0 { Vec::new() } else { vec![a.values()[0]; nnz] };
-    for (p, v) in a.values().iter().enumerate() {
-        values_t[targets[p]] = *v;
-    }
     ctx.record(PHASE, |pc| pc.merge(&c));
     CsrMatrix::from_raw_parts(ncols, nrows, rowptr_t, colidx_t, values_t)
 }

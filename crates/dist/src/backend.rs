@@ -21,6 +21,8 @@ use gblas_core::ops::selection;
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_sim::SimReport;
 use parking_lot::Mutex;
+use std::any::Any;
+use std::sync::Arc;
 
 /// The simulated distributed-memory backend.
 ///
@@ -36,6 +38,10 @@ pub struct DistBackend<'a> {
     /// (`--mxm-grid 2d|3d` at the CLI).
     pub mxm_algo: crate::ops::mxm::MxmAlgo,
     report: Mutex<SimReport>,
+    /// The transpose the pulls scan, keyed by the generation of the matrix
+    /// it transposes: built (and priced) at the first pull over a matrix
+    /// and kept for the backend's life — one solve at every entry point.
+    pulled: Mutex<Option<(u64, Arc<dyn Any + Send + Sync>)>>,
 }
 
 impl<'a> DistBackend<'a> {
@@ -51,6 +57,7 @@ impl<'a> DistBackend<'a> {
             strategy,
             mxm_algo: crate::ops::mxm::MxmAlgo::Summa2d,
             report: Mutex::new(SimReport::default()),
+            pulled: Mutex::new(None),
         }
     }
 
@@ -67,6 +74,22 @@ impl<'a> DistBackend<'a> {
 
     fn absorb(&self, r: SimReport) {
         self.report.lock().merge(&r);
+    }
+
+    /// `aᵀ` for a pull: the kept one when the last pull ran over `a`, else
+    /// a fresh [`GblasBackend::mat_transpose`], priced now and kept.
+    fn transposed<T: Scalar>(&self, a: &DistCsrMatrix<T>) -> Result<Arc<DistCsrMatrix<T>>> {
+        let mut pulled = self.pulled.lock();
+        if let Some((generation, at)) = &*pulled {
+            if *generation == a.generation() {
+                if let Ok(at) = Arc::clone(at).downcast::<DistCsrMatrix<T>>() {
+                    return Ok(at);
+                }
+            }
+        }
+        let at = Arc::new(self.mat_transpose(a)?);
+        *pulled = Some((a.generation(), Arc::clone(&at) as Arc<dyn Any + Send + Sync>));
+        Ok(at)
     }
 
     /// Log one global scalar combine under `phase`: a `⌈log₂ p⌉`-round
@@ -263,14 +286,17 @@ impl GblasBackend for DistBackend<'_> {
         Ok(out)
     }
 
+    /// Scans the flipped-grid transpose of `a`, built at the first pull
+    /// and kept for the backend's life.
     fn pull_first_visitor<T: Scalar>(
         &self,
-        at: &DistCsrMatrix<T>,
+        a: &DistCsrMatrix<T>,
         frontier: &DistDenseVec<bool>,
         visited: &DistDenseVec<bool>,
     ) -> Result<DistSparseVec<usize>> {
+        let at = self.transposed(a)?;
         let (y, report) =
-            crate::ops::pull::pull_first_visitor_dist(at, frontier, visited, self.dctx)?;
+            crate::ops::pull::pull_first_visitor_dist(&at, frontier, visited, self.dctx)?;
         self.absorb(report);
         Ok(y)
     }

@@ -15,7 +15,8 @@
 //!   val: values, parallel to ir                           (len = nnz)
 //! ```
 //!
-//! Conversion from/to [`CsrMatrix`] is lossless, and sparse SUMMA slices a
+//! Conversion from/to [`CsrMatrix`] is lossless — one counting sort,
+//! `O(nnz + dim)`, each way — and sparse SUMMA slices a
 //! DCSC block by a *column range* with two binary searches on `jc` instead
 //! of an `O(nrows)` pointer scan — the structural win that makes
 //! multi-stage broadcasts affordable on hypersparse blocks.
@@ -88,43 +89,68 @@ pub struct DcscBlock<T> {
     val: Vec<T>,
 }
 
-impl<T: Copy> DcscBlock<T> {
-    /// Lossless conversion from CSR. Entries are regrouped column-major;
-    /// a stable sort on the row-major entry stream keeps `ir` sorted
-    /// within each column.
-    pub fn from_csr(a: &CsrMatrix<T>) -> Self {
-        let (nrows, ncols, nnz) = (a.nrows(), a.ncols(), a.nnz());
-        let mut triples: Vec<(usize, usize, T)> = a.iter().map(|(i, j, v)| (j, i, *v)).collect();
-        triples.sort_by_key(|&(j, _, _)| j);
-        let mut jc = Vec::new();
-        let mut cp = vec![0usize];
-        let mut ir = Vec::with_capacity(nnz);
-        let mut val = Vec::with_capacity(nnz);
-        for (j, i, v) in triples {
-            if jc.last() != Some(&j) {
-                jc.push(j);
-                cp.push(ir.len());
-            }
-            ir.push(i);
-            val.push(v);
-            *cp.last_mut().expect("cp is never empty") = ir.len();
+/// The one counting sort both conversions run: the entries of `lines`,
+/// visited in ascending line order as `(line id, keys, values)`, regrouped
+/// by key — returns per-key extents (`nkeys + 1` offsets) and each entry's
+/// line id and value in key-major order, line ids ascending within a key.
+/// Uninstrumented: the `extract` charge prices the conversion.
+fn regroup<'a, T: Copy + 'a>(
+    nkeys: usize,
+    nnz: usize,
+    first: Option<T>,
+    lines: impl Iterator<Item = (usize, &'a [usize], &'a [T])> + Clone,
+) -> (Vec<usize>, Vec<usize>, Vec<T>) {
+    let mut ptr = vec![0usize; nkeys + 1];
+    for (_, keys, _) in lines.clone() {
+        for &k in keys {
+            ptr[k + 1] += 1;
         }
-        DcscBlock { nrows, ncols, jc, cp, ir, val }
+    }
+    for k in 0..nkeys {
+        ptr[k + 1] += ptr[k];
+    }
+    let mut cursor = ptr[..nkeys].to_vec();
+    let (mut ids, mut vals) = (vec![0usize; nnz], first.map_or_else(Vec::new, |v| vec![v; nnz]));
+    for (line, keys, values) in lines {
+        for (&k, &v) in keys.iter().zip(values) {
+            ids[cursor[k]] = line;
+            vals[cursor[k]] = v;
+            cursor[k] += 1;
+        }
+    }
+    (ptr, ids, vals)
+}
+
+impl<T: Copy> DcscBlock<T> {
+    /// Lossless conversion from CSR: the entries regrouped by column
+    /// (`regroup`, rows ascending within each column); only the empty
+    /// columns' extents are dropped.
+    pub fn from_csr(a: &CsrMatrix<T>) -> Self {
+        let rows = (0..a.nrows()).map(|i| {
+            let (cols, vals) = a.row(i);
+            (i, cols, vals)
+        });
+        let (colptr, ir, val) = regroup(a.ncols(), a.nnz(), a.values().first().copied(), rows);
+        let (mut jc, mut cp) = (Vec::new(), vec![0usize]);
+        for (j, w) in colptr.windows(2).enumerate() {
+            if w[1] > w[0] {
+                jc.push(j);
+                cp.push(w[1]);
+            }
+        }
+        DcscBlock { nrows: a.nrows(), ncols: a.ncols(), jc, cp, ir, val }
     }
 
-    /// Lossless conversion back to CSR (row-major regrouping).
+    /// Lossless conversion back to CSR: the same counting sort regroups
+    /// the columns' entries by row (columns ascending within each row).
     pub fn to_csr(&self) -> CsrMatrix<T> {
-        let mut triplets: Vec<(usize, usize, T)> = Vec::with_capacity(self.nnz());
-        for (c, &j) in self.jc.iter().enumerate() {
-            for e in self.cp[c]..self.cp[c + 1] {
-                triplets.push((self.ir[e], j, self.val[e]));
-            }
-        }
-        // column-major visit order: stable sort by row keeps columns
-        // ascending within each row
-        triplets.sort_by_key(|&(i, _, _)| i);
-        CsrMatrix::from_triplets(self.nrows, self.ncols, &triplets)
-            .expect("DCSC round-trip cannot produce invalid triplets")
+        let span = |c: usize| self.cp[c]..self.cp[c + 1];
+        let cols =
+            self.jc.iter().enumerate().map(|(c, &j)| (j, &self.ir[span(c)], &self.val[span(c)]));
+        let (rowptr, colidx, values) =
+            regroup(self.nrows, self.nnz(), self.val.first().copied(), cols);
+        CsrMatrix::from_raw_parts(self.nrows, self.ncols, rowptr, colidx, values)
+            .expect("a DCSC block regroups into valid CSR rows")
     }
 
     /// Number of rows in the block.
@@ -205,6 +231,58 @@ mod tests {
             assert_eq!(d.nnz(), a.nnz());
             assert!(d.nzc() <= a.ncols());
             assert_eq!(d.to_csr(), a, "n={n} deg={deg}");
+        }
+    }
+
+    /// The conversions as they were before the counting sort: a stable
+    /// comparison sort of the entry triplets each way.
+    fn from_csr_by_sort<T: Copy>(a: &CsrMatrix<T>) -> DcscBlock<T> {
+        let mut triples: Vec<(usize, usize, T)> = a.iter().map(|(i, j, v)| (j, i, *v)).collect();
+        triples.sort_by_key(|&(j, _, _)| j);
+        let (mut jc, mut cp, mut ir, mut val) = (Vec::new(), vec![0usize], Vec::new(), Vec::new());
+        for (j, i, v) in triples {
+            if jc.last() != Some(&j) {
+                jc.push(j);
+                cp.push(ir.len());
+            }
+            ir.push(i);
+            val.push(v);
+            *cp.last_mut().unwrap() = ir.len();
+        }
+        DcscBlock { nrows: a.nrows(), ncols: a.ncols(), jc, cp, ir, val }
+    }
+
+    fn to_csr_by_sort<T: Copy>(d: &DcscBlock<T>) -> CsrMatrix<T> {
+        let mut triplets = Vec::new();
+        for (c, &j) in d.jc.iter().enumerate() {
+            for e in d.cp[c]..d.cp[c + 1] {
+                triplets.push((d.ir[e], j, d.val[e]));
+            }
+        }
+        triplets.sort_by_key(|&(i, _, _)| i);
+        CsrMatrix::from_triplets(d.nrows, d.ncols, &triplets).unwrap()
+    }
+
+    #[test]
+    fn counting_sort_conversions_match_the_triplet_sort_on_rmat_blocks() {
+        use crate::{DistCsrMatrix, ProcGrid};
+        for (scale, ef, seed) in [(9u32, 8usize, 3u64), (10, 4, 5), (8, 16, 7)] {
+            let a = gen::rmat(scale, ef, seed);
+            for (pr, pc) in [(1, 1), (2, 2), (4, 2), (8, 8)] {
+                let da = DistCsrMatrix::from_global(&a, ProcGrid::new(pr, pc));
+                for l in 0..pr * pc {
+                    let block = da.block(l);
+                    let d = DcscBlock::from_csr(block);
+                    let old = from_csr_by_sort(block);
+                    assert_eq!(d, old, "rmat {scale}:{ef} grid {pr}x{pc} block {l}");
+                    // bit-identical values too, not only equal ones
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&d.val), bits(&old.val));
+                    let back = d.to_csr();
+                    assert_eq!(back, to_csr_by_sort(&old));
+                    assert_eq!(back, *block);
+                }
+            }
         }
     }
 

@@ -20,7 +20,7 @@
 use crate::policy::Chooser;
 use gblas_core::algebra::Scalar;
 use gblas_core::backend::{GblasBackend, MaskSpec, SharedBackend};
-use gblas_core::container::{CsrMatrix, DenseVec};
+use gblas_core::container::{CsrMatrix, DenseVec, InNeighbours};
 use gblas_core::error::{check_dims, GblasError, Result};
 use gblas_core::ops::selection::{Direction, SelectionPolicy};
 use gblas_core::ops::spmspv::SpMSpVOpts;
@@ -96,10 +96,11 @@ impl BfsResult {
 /// visited set, and the decision logs come back empty. `Some(policy)`
 /// gives every source its own per-level choice between that push and the
 /// pull scan: the slots that push share one push under `opts`, and each
-/// slot that pulls runs its own scan over one transpose, built the first
-/// time any slot pulls. A slot whose frontier is empty decides nothing and
-/// rides along in the push. So slot `s` makes the decisions, and returns
-/// the result, of the run from `sources[s]` alone.
+/// slot that pulls runs its own scan over `a`'s in-neighbours, which the
+/// backend builds at the first pull and keeps. A slot whose frontier is
+/// empty decides nothing and rides along in the push. So slot `s` makes
+/// the decisions, and returns the result, of the run from `sources[s]`
+/// alone.
 pub fn bfs_on<B: GblasBackend, T: Scalar>(
     backend: &B,
     a: &B::Matrix<T>,
@@ -135,7 +136,6 @@ pub fn bfs_observed<B: GblasBackend, T: Scalar>(
         parents[s][src] = src;
         backend.dense_set(&mut visited[s], src, true);
     }
-    let mut at: Option<B::Matrix<T>> = None;
     let mut frontier: Vec<B::SparseVec<usize>> = sources
         .iter()
         .map(|&src| backend.sparse_from_sorted(n, vec![src], vec![src]))
@@ -159,11 +159,7 @@ pub fn bfs_observed<B: GblasBackend, T: Scalar>(
                 continue;
             }
             let bits = backend.sparse_to_bitmap(&x)?;
-            let at = match &mut at {
-                Some(at) => at,
-                None => at.insert(backend.mat_transpose(a)?),
-            };
-            pulled.push(backend.pull_first_visitor(at, &bits, &visited[s])?);
+            pulled.push(backend.pull_first_visitor(a, &bits, &visited[s])?);
         }
         // With no slot left to push, the riders keep their empty frontiers.
         let pushed = if xs.iter().any(|x| backend.sparse_nnz(x) > 0) {
@@ -192,14 +188,28 @@ pub fn bfs_observed<B: GblasBackend, T: Scalar>(
     Ok(results.zip(choosers.into_iter().map(|c| c.decisions)).collect())
 }
 
-/// Shared-memory BFS from `source` over the out-edges of `a` (square).
+/// Shared-memory BFS from `source` over the out-edges of `a` (square),
+/// direction-optimizing: each level pushes or pulls as
+/// [`SelectionPolicy::Auto`] decides, and the first pull builds the
+/// in-neighbour lists `a` then keeps for every later solve. Levels and
+/// parents equal the push's bit for bit. A one-shot traversal, which
+/// would pay that build once for one solve, calls [`bfs_with`].
 pub fn bfs<T: Scalar>(a: &CsrMatrix<T>, source: usize, ctx: &ExecCtx) -> Result<BfsResult> {
-    bfs_with(a, source, SpMSpVOpts::default(), ctx)
+    let backend = SharedBackend::new(ctx);
+    let runs = bfs_on(&backend, a, &[source], default_policy(a), SpMSpVOpts::default())?;
+    Ok(crate::only(runs)?.0)
 }
 
-/// BFS with explicit SpMSpV options (sort algorithm / merge strategy),
-/// so the frontier loop can run either the sort-based or the sort-free
-/// bucketed merge.
+/// The policy of the shared-memory defaults ([`bfs`], `bfs_multi`):
+/// `Auto`, except on a matrix too large to keep 32-bit in-neighbour lists,
+/// which only pushes.
+pub(crate) fn default_policy<T>(a: &CsrMatrix<T>) -> Option<SelectionPolicy> {
+    (a.nrows() <= InNeighbours::MAX_ROWS).then_some(SelectionPolicy::Auto)
+}
+
+/// BFS that only pushes, with explicit SpMSpV options (sort algorithm /
+/// merge strategy), so the frontier loop can run either the sort-based or
+/// the sort-free bucketed merge. Builds nothing beside the traversal.
 pub fn bfs_with<T: Scalar>(
     a: &CsrMatrix<T>,
     source: usize,
@@ -386,7 +396,7 @@ mod tests {
         // Dense enough that auto actually pulls mid-traversal.
         let a = gen::erdos_renyi(400, 8, 91);
         let ctx = ExecCtx::serial();
-        let expect = bfs(&a, 0, &ctx).unwrap();
+        let expect = bfs_with(&a, 0, SpMSpVOpts::default(), &ctx).unwrap();
         for policy in POLICIES {
             let (r, decisions) = bfs_selected(&a, 0, policy, SpMSpVOpts::default(), &ctx).unwrap();
             assert_eq!(r, expect, "{policy:?}");
@@ -423,7 +433,7 @@ mod tests {
     #[test]
     fn bfs_dist_identical_across_policies() {
         let a = gen::erdos_renyi(300, 7, 92);
-        let shared = bfs(&a, 3, &ExecCtx::serial()).unwrap();
+        let shared = bfs_with(&a, 3, SpMSpVOpts::default(), &ExecCtx::serial()).unwrap();
         let grid = ProcGrid::new(2, 2);
         let da = DistCsrMatrix::from_global(&a, grid);
         for policy in POLICIES {

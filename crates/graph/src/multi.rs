@@ -21,7 +21,7 @@
 //! integration suite pins on both backends. Duplicate sources are
 //! independent slots.
 
-use crate::bfs::{bfs_on, BfsResult};
+use crate::bfs::{bfs_on, default_policy, BfsResult};
 use crate::pagerank::{check_power_options, inverse_out_degrees, power_step};
 use gblas_core::algebra::{semirings, Scalar};
 use gblas_core::backend::{GblasBackend, SharedBackend};
@@ -33,13 +33,17 @@ use gblas_core::par::ExecCtx;
 use gblas_dist::ops::spmspv::CommStrategy;
 use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx};
 
-/// Shared-memory batched BFS: [`crate::bfs::bfs_on`] from `sources`.
+/// Shared-memory batched BFS: [`crate::bfs::bfs_on`] from `sources` under
+/// [`crate::bfs::bfs`]'s policy, each slot choosing its own direction per
+/// level over the in-neighbour lists `a` keeps — so the batch and a loop of
+/// `bfs` run the same policy.
 pub fn bfs_multi<T: Scalar>(
     a: &CsrMatrix<T>,
     sources: &[usize],
     ctx: &ExecCtx,
 ) -> Result<Vec<BfsResult>> {
-    Ok(slots(bfs_on(&SharedBackend::new(ctx), a, sources, None, SpMSpVOpts::default())?))
+    let policy = default_policy(a);
+    Ok(slots(bfs_on(&SharedBackend::new(ctx), a, sources, policy, SpMSpVOpts::default())?))
 }
 
 /// Distributed batched BFS: one fused gather/scatter per level for the
@@ -55,8 +59,7 @@ pub fn bfs_multi_dist<T: Scalar>(
     Ok((results, backend.take_report()))
 }
 
-/// The per-source results of a static traversal, without its (empty)
-/// decision logs.
+/// The per-source results of a traversal, without its decision logs.
 fn slots<R>(runs: Vec<(R, Vec<Direction>)>) -> Vec<R> {
     runs.into_iter().map(|(result, _)| result).collect()
 }

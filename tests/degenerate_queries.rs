@@ -12,7 +12,7 @@ use gblas_core::par::ExecCtx;
 use gblas_dist::ops::spmspv::CommStrategy;
 use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
 use gblas_graph::{
-    betweenness_on, bfs, bfs_dist, bfs_multi, bfs_multi_dist, connected_components_on,
+    betweenness_on, bfs, bfs_dist, bfs_multi, bfs_multi_dist, bfs_with, connected_components_on,
     core_numbers_on, maximal_independent_set_on, pagerank, pagerank_dist_on, ppr_multi_on, sssp_on,
     triangle_count, triangle_count_dist, PageRankOptions, PprOptions,
 };
@@ -574,7 +574,7 @@ fn selection_full_frontier_complete_graph() {
     }
     let a = CsrMatrix::from_triplets(N, N, &triplets).unwrap();
     let ctx = ExecCtx::serial();
-    let expect = bfs(&a, 0, &ctx).unwrap();
+    let expect = bfs_with(&a, 0, SpMSpVOpts::default(), &ctx).unwrap();
     let mut auto_decisions = Vec::new();
     for policy in [SelectionPolicy::Auto, SelectionPolicy::Push, SelectionPolicy::Pull] {
         let (r, decisions) = bfs_selected(&a, 0, policy, SpMSpVOpts::default(), &ctx).unwrap();

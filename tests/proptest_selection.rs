@@ -23,7 +23,7 @@ use gblas_core::ops::selection::SelectionPolicy;
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_dist::ops::spmspv::CommStrategy;
 use gblas_dist::{DistBackend, LocaleExecutor};
-use gblas_graph::{bfs, bfs_selected, bfs_selected_dist, connected_components_on, sssp_on};
+use gblas_graph::{bfs_selected, bfs_selected_dist, bfs_with, connected_components_on, sssp_on};
 use proptest::prelude::*;
 
 const POLICIES: [SelectionPolicy; 3] =
@@ -70,14 +70,13 @@ proptest! {
             .unwrap()
             .remove(0);
 
-        let at = backend.mat_transpose(&a).unwrap();
         let bits = backend.sparse_to_bitmap(&frontier).unwrap();
-        let pulled = backend.pull_first_visitor(&at, &bits, &visited).unwrap();
+        let pulled = backend.pull_first_visitor(&a, &bits, &visited).unwrap();
 
         prop_assert_eq!(backend.sparse_entries(&pulled), backend.sparse_entries(&pushed));
     }
 
-    /// Shared backend: every policy returns the static driver's result.
+    /// Shared backend: every policy returns the explicit push's result.
     #[test]
     fn shared_bfs_and_cc_agree_across_policies(
         seed in 0u64..500, d in 1usize..7, source in 0usize..100, threads in 1usize..5
@@ -85,7 +84,7 @@ proptest! {
         let a = gen::erdos_renyi(100, d, seed);
         let ctx = ExecCtx::new(threads, 2);
         let backend = SharedBackend::new(&ctx);
-        let expect = bfs(&a, source, &ctx).unwrap();
+        let expect = bfs_with(&a, source, SpMSpVOpts::default(), &ctx).unwrap();
         let mut decision_logs = Vec::new();
         for policy in POLICIES {
             let (r, decisions) =
@@ -149,7 +148,7 @@ proptest! {
         seed in 0u64..200, d in 1usize..6, pr in 1usize..=3, pc in 1usize..=3
     ) {
         let a = gen::erdos_renyi(60, d, seed);
-        let expect = bfs(&a, 0, &ExecCtx::serial()).unwrap();
+        let expect = bfs_with(&a, 0, SpMSpVOpts::default(), &ExecCtx::serial()).unwrap();
         let grid = ProcGrid::new(pr, pc);
         let da = DistCsrMatrix::from_global(&a, grid);
         let mut seqs = Vec::new();
