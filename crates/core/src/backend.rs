@@ -153,40 +153,29 @@ pub trait GblasBackend {
 
     // ---- vector kernels ----------------------------------------------
 
-    /// BFS kernel over `k = xs.len() ≥ 0` sources at once (the CombBLAS
+    /// Masked SpMSpV over `k = xs.len() ≥ 0` sources at once (the CombBLAS
     /// 2.0 `n×k` frontier; a single source is `slice::from_ref(&x)`):
-    /// `ys[s]⟨masks[s]⟩ = xs[s] Aᵀ`-structure with minimum-visitor parents.
-    /// The frontiers' values are ignored; `ys[s]` stores, per reached
-    /// column, the smallest global row id among `xs[s]`'s rows reaching it,
-    /// and is laid out like `xs[s]` — a BFS level's output is the next
-    /// level's frontier as it stands. `masks`, when given, holds one mask
-    /// per source, each with its own polarity. Row `s` is bit-identical to
-    /// the push of source `s` alone.
-    fn spmspv_first_visitor<T: Scalar>(
+    /// `ys[s]⟨masks[s]⟩ = xs[s] A` under `rule`. [`FirstVisitor`] is BFS's
+    /// push: per reached column, the smallest global row id among
+    /// `xs[s]`'s rows reaching it, the frontier's values ignored. A
+    /// [`Semiring`] accumulates `ys[s][j] = ⊕_i xs[s][i] ⊗ A[i,j]`. `ys[s]`
+    /// is laid out like `xs[s]` — a BFS level's output is the next level's
+    /// frontier as it stands. `masks`, when given, holds one mask per
+    /// source, each with its own polarity. Row `s` is bit-identical to the
+    /// push of source `s` alone.
+    fn spmspv<T, V, W, R>(
         &self,
         a: &Self::Matrix<T>,
-        xs: &[Self::SparseVec<usize>],
+        xs: &[Self::SparseVec<V>],
+        rule: &R,
         masks: Option<&[MaskSpec<'_, Self::DenseVec<bool>>]>,
         opts: SpMSpVOpts,
-    ) -> Result<Vec<Self::SparseVec<usize>>>;
-
-    /// General masked SpMSpV over `k = xs.len() ≥ 0` sources at once:
-    /// `ys[s][j]⟨masks[s]⟩ = ⊕_i xs[s][i] ⊗ A[i,j]`. Row `s` is
-    /// bit-identical to the push of source `s` alone.
-    fn spmspv_semiring<A, B, C, AddM, MulOp>(
-        &self,
-        a: &Self::Matrix<B>,
-        xs: &[Self::SparseVec<A>],
-        ring: &Semiring<AddM, MulOp>,
-        masks: Option<&[MaskSpec<'_, Self::DenseVec<bool>>]>,
-        opts: SpMSpVOpts,
-    ) -> Result<Vec<Self::SparseVec<C>>>
+    ) -> Result<Vec<Self::SparseVec<W>>>
     where
-        A: Scalar,
-        B: Scalar,
-        C: Scalar,
-        AddM: Monoid<C>,
-        MulOp: BinaryOp<A, B, C>;
+        T: Scalar,
+        V: Scalar,
+        W: Scalar,
+        R: PushRule<T, V, W>;
 
     /// Dense SpMV over `k = xs.len() ≥ 0` columns at once (the dense `n×k`
     /// operand; a single column is `slice::from_ref(&x)`), in the column
@@ -209,27 +198,24 @@ pub trait GblasBackend {
     // ---- adaptive selection ------------------------------------------
 
     /// Pull-direction BFS kernel over `a`'s in-neighbours: for each
-    /// **unvisited** destination, claim its minimum in-frontier
-    /// in-neighbor as parent (early exit per row). Bit-identical, layout
-    /// included, to [`GblasBackend::spmspv_first_visitor`] over the same
-    /// `a` under the complement-of-visited mask — the contract the
+    /// **unvisited** destination, claim its minimum in-`frontier`
+    /// in-neighbor as parent (early exit per row). Takes the push's sparse
+    /// frontier (its values ignored) and is bit-identical, layout included,
+    /// to [`GblasBackend::spmspv`] under [`FirstVisitor`] over the same `a`
+    /// and the complement-of-visited mask — the contract the
     /// direction-optimizing traversals rely on when they switch
-    /// mid-traversal. The backend owns the orientation: the shared one
-    /// scans the matrix's kept [`crate::container::InNeighbours`] (built
-    /// at its first pull, an error for a matrix too large to keep them),
-    /// the distributed one a transpose it builds at its first pull over
-    /// `a` and keeps for its own life.
+    /// mid-traversal. The backend owns the frontier's bitmap and the
+    /// orientation: the shared one scans the matrix's kept
+    /// [`crate::container::InNeighbours`] (built at its first pull, an
+    /// error for a matrix too large to keep them), the distributed one a
+    /// transpose it builds at its first pull over `a` and keeps for its
+    /// own life.
     fn pull_first_visitor<T: Scalar>(
         &self,
         a: &Self::Matrix<T>,
-        frontier: &Self::DenseVec<bool>,
+        frontier: &Self::SparseVec<usize>,
         visited: &Self::DenseVec<bool>,
     ) -> Result<Self::SparseVec<usize>>;
-
-    /// Promote a sparse frontier to its dense bitmap representation
-    /// (true at every stored index). Local on every backend: the bitmap
-    /// segments are block-aligned with the sparse shards.
-    fn sparse_to_bitmap<T: Scalar>(&self, x: &Self::SparseVec<T>) -> Result<Self::DenseVec<bool>>;
 
     /// The selection thresholds tuned for this backend's machine. The
     /// default (and every shared-memory backend) is the Beamer constants;
@@ -291,6 +277,103 @@ pub trait GblasBackend {
     /// sum) to the ledger under `phase`. The shared backend is a no-op;
     /// the distributed backend prices a `⌈log₂ p⌉`-round binomial tree.
     fn allreduce_scalar(&self, phase: &'static str) -> Result<()>;
+}
+
+/// What distinguishes one sparse push from another: the shared-memory
+/// single-source kernel run on one block of `A` (the whole matrix on the
+/// shared backend, a locale's block on the distributed one), and how an
+/// owner resolves claims competing for one output entry. `B` is the
+/// matrix type, `V` the frontier's, `W` what a claim carries.
+pub trait PushRule<B, V, W>: Sync {
+    /// The distributed op span every push under this rule is priced into,
+    /// for any `k`.
+    const OP: &'static str;
+
+    /// The local multiply on `block`, whose first row is global row
+    /// `row_start`, under the block's window of the output mask and the
+    /// caller's `opts`: per reached allowed local column, the value its
+    /// claim carries.
+    fn multiply_block(
+        &self,
+        block: &CsrMatrix<B>,
+        x: &SparseVec<V>,
+        row_start: usize,
+        mask: Option<&VecMask<'_>>,
+        opts: SpMSpVOpts,
+        ctx: &ExecCtx,
+    ) -> Result<SparseVec<W>>;
+
+    /// Fill value of the owner's dense segment (never read unoccupied).
+    fn zero(&self) -> W;
+
+    /// A claim reached an entry that already holds `occupant`: `Some` is
+    /// the combined value replacing it (one flop), `None` keeps it.
+    fn combine(&self, occupant: W, claim: W) -> Option<W>;
+}
+
+/// First-visitor push (BFS, the paper's "row index as value"): the claim
+/// is the global parent row, and the first one an owner drains — lowest
+/// source block, hence lowest row — stays.
+#[derive(Debug, Clone, Copy)]
+pub struct FirstVisitor;
+
+impl<B: Send + Sync, V: Send + Sync> PushRule<B, V, usize> for FirstVisitor {
+    const OP: &'static str = "spmspv_dist";
+
+    fn multiply_block(
+        &self,
+        block: &CsrMatrix<B>,
+        x: &SparseVec<V>,
+        row_start: usize,
+        mask: Option<&VecMask<'_>>,
+        opts: SpMSpVOpts,
+        ctx: &ExecCtx,
+    ) -> Result<SparseVec<usize>> {
+        let mut parents = ops::spmspv::spmspv_first_visitor(block, x, mask, opts, ctx)?;
+        parents.values_mut().iter_mut().for_each(|local_row| *local_row += row_start);
+        Ok(parents)
+    }
+
+    fn zero(&self) -> usize {
+        0
+    }
+
+    fn combine(&self, _first: usize, _later: usize) -> Option<usize> {
+        None
+    }
+}
+
+/// Semiring push (SSSP, PPR, CC, MIS, BC): the claim is a partial sum, and
+/// the owner accumulates it with the add monoid in source-block order.
+impl<A, B, C, AddM, MulOp> PushRule<B, A, C> for Semiring<AddM, MulOp>
+where
+    A: Copy + Send + Sync,
+    B: Copy + Send + Sync,
+    C: Copy + Send + Sync + 'static,
+    AddM: Monoid<C>,
+    MulOp: BinaryOp<A, B, C>,
+{
+    const OP: &'static str = "spmspv_dist_semiring";
+
+    fn multiply_block(
+        &self,
+        block: &CsrMatrix<B>,
+        x: &SparseVec<A>,
+        _row_start: usize,
+        mask: Option<&VecMask<'_>>,
+        opts: SpMSpVOpts,
+        ctx: &ExecCtx,
+    ) -> Result<SparseVec<C>> {
+        ops::spmspv::spmspv_semiring_masked(block, x, self, mask, opts, ctx)
+    }
+
+    fn zero(&self) -> C {
+        self.add.identity()
+    }
+
+    fn combine(&self, occupant: C, claim: C) -> Option<C> {
+        Some(self.accumulate(occupant, claim))
+    }
 }
 
 /// The shared-memory backend: plain CSR containers driven by an
@@ -406,34 +489,21 @@ impl GblasBackend for SharedBackend<'_> {
         Ok(ops::reduce::row_degrees(a, self.ctx))
     }
 
-    fn spmspv_first_visitor<T: Scalar>(
+    fn spmspv<T, V, W, R>(
         &self,
         a: &CsrMatrix<T>,
-        xs: &[SparseVec<usize>],
+        xs: &[SparseVec<V>],
+        rule: &R,
         masks: Option<&[MaskSpec<'_, DenseVec<bool>>]>,
         opts: SpMSpVOpts,
-    ) -> Result<Vec<SparseVec<usize>>> {
-        per_source(xs, masks, |x, vm| ops::spmspv::spmspv_first_visitor(a, x, vm, opts, self.ctx))
-    }
-
-    fn spmspv_semiring<A, B, C, AddM, MulOp>(
-        &self,
-        a: &CsrMatrix<B>,
-        xs: &[SparseVec<A>],
-        ring: &Semiring<AddM, MulOp>,
-        masks: Option<&[MaskSpec<'_, DenseVec<bool>>]>,
-        opts: SpMSpVOpts,
-    ) -> Result<Vec<SparseVec<C>>>
+    ) -> Result<Vec<SparseVec<W>>>
     where
-        A: Scalar,
-        B: Scalar,
-        C: Scalar,
-        AddM: Monoid<C>,
-        MulOp: BinaryOp<A, B, C>,
+        T: Scalar,
+        V: Scalar,
+        W: Scalar,
+        R: PushRule<T, V, W>,
     {
-        per_source(xs, masks, |x, vm| {
-            ops::spmspv::spmspv_semiring_masked(a, x, ring, vm, opts, self.ctx)
-        })
+        per_source(xs, masks, |x, vm| rule.multiply_block(a, x, 0, vm, opts, self.ctx))
     }
 
     fn spmv<A, B, C, AddM, MulOp>(
@@ -455,7 +525,7 @@ impl GblasBackend for SharedBackend<'_> {
     fn pull_first_visitor<T: Scalar>(
         &self,
         a: &CsrMatrix<T>,
-        frontier: &DenseVec<bool>,
+        frontier: &SparseVec<usize>,
         visited: &DenseVec<bool>,
     ) -> Result<SparseVec<usize>> {
         let rows = a.in_neighbours(self.ctx).ok_or_else(|| {
@@ -464,15 +534,11 @@ impl GblasBackend for SharedBackend<'_> {
                 a.nrows()
             ))
         })?;
-        ops::selection::pull_first_visitor(rows, frontier, visited, self.ctx)
-    }
-
-    fn sparse_to_bitmap<T: Scalar>(&self, x: &SparseVec<T>) -> Result<DenseVec<bool>> {
-        let mut bits = vec![false; x.capacity()];
-        for &i in x.indices() {
+        let mut bits = vec![false; frontier.capacity()];
+        for &i in frontier.indices() {
             bits[i] = true;
         }
-        Ok(DenseVec::from_vec(bits))
+        ops::selection::pull_first_visitor(rows, &DenseVec::from_vec(bits), visited, self.ctx)
     }
 
     fn record_decision(
@@ -562,17 +628,15 @@ mod tests {
             (0..3).map(|s| DenseVec::from_fn(150, |i| i % (s + 2) == 0)).collect();
         let masks =
             [MaskSpec::complement(&bits[0]), MaskSpec::new(&bits[1]), MaskSpec::new(&bits[2])];
-        let ys: Vec<SparseVec<f64>> =
-            b.spmspv_semiring(&a, &xs, &ring, Some(&masks), opts).unwrap();
-        let parents = b.spmspv_first_visitor(&a, &[], None, opts).unwrap();
+        let ys: Vec<SparseVec<f64>> = b.spmspv(&a, &xs, &ring, Some(&masks), opts).unwrap();
+        let parents = b.spmspv(&a, &[] as &[SparseVec<usize>], &FirstVisitor, None, opts).unwrap();
         assert!(parents.is_empty());
         for (s, x) in xs.iter().enumerate() {
             let vm = vec_mask(&masks[s]);
             let solo = ops::spmspv::spmspv_semiring_masked(&a, x, &ring, Some(&vm), opts, &ctx);
             assert_eq!(ys[s], solo.unwrap(), "source slot {s}");
         }
-        let short: Result<Vec<SparseVec<f64>>> =
-            b.spmspv_semiring(&a, &xs, &ring, Some(&masks[..2]), opts);
+        let short: Result<Vec<SparseVec<f64>>> = b.spmspv(&a, &xs, &ring, Some(&masks[..2]), opts);
         assert!(short.is_err(), "one mask per source");
     }
 

@@ -1,34 +1,16 @@
 //! `reduce`: fold stored values with a monoid.
 //!
-//! GraphBLAS `GrB_reduce` in its three shapes: vector → scalar,
-//! matrix-rows → vector, matrix → scalar. Parallel partial reductions are
+//! GraphBLAS `GrB_reduce` in the two shapes the library runs:
+//! matrix-rows → vector and matrix → scalar. Parallel partial reductions are
 //! combined in task order, so commutativity is required ([`ComMonoid`]) for
 //! the parallel entry points.
 
 use crate::algebra::{ComMonoid, Monoid};
-use crate::container::{CsrMatrix, DenseVec, SparseVec};
+use crate::container::{CsrMatrix, DenseVec};
 use crate::par::ExecCtx;
 
 /// Phase name for reductions.
 pub const PHASE: &str = "reduce";
-
-/// Fold all stored values of a sparse vector.
-pub fn reduce_vec<T, M>(x: &SparseVec<T>, monoid: &M, ctx: &ExecCtx) -> T
-where
-    T: Copy + Send + Sync,
-    M: ComMonoid<T>,
-{
-    let vals = x.values();
-    let partials = ctx.parallel_for(PHASE, vals.len(), |r, c| {
-        let mut acc = monoid.identity();
-        for &v in &vals[r.clone()] {
-            acc = monoid.combine(acc, v);
-        }
-        c.elems += r.len() as u64;
-        acc
-    });
-    partials.into_iter().fold(monoid.identity(), |a, b| monoid.combine(a, b))
-}
 
 /// Row-wise matrix reduction: `y[i] = ⊕_j A[i,j]`, dense output.
 pub fn reduce_rows<T, M>(a: &CsrMatrix<T>, monoid: &M, ctx: &ExecCtx) -> DenseVec<T>
@@ -89,25 +71,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::{Max, Min, Plus};
+    use crate::algebra::Plus;
     use crate::gen;
-
-    #[test]
-    fn vector_sum_and_extremes() {
-        let x = SparseVec::from_sorted(10, vec![1, 4, 7], vec![3.0, -1.0, 5.0]).unwrap();
-        let ctx = ExecCtx::with_threads(2);
-        assert_eq!(reduce_vec(&x, &Plus, &ctx), 7.0);
-        assert_eq!(reduce_vec(&x, &Min, &ctx), -1.0);
-        assert_eq!(reduce_vec(&x, &Max, &ctx), 5.0);
-    }
-
-    #[test]
-    fn empty_vector_reduces_to_identity() {
-        let x = SparseVec::<i64>::new(4);
-        let ctx = ExecCtx::serial();
-        assert_eq!(reduce_vec(&x, &Plus, &ctx), 0);
-        assert_eq!(reduce_vec(&x, &Min, &ctx), i64::MAX);
-    }
 
     #[test]
     fn row_reduce_counts_degrees() {

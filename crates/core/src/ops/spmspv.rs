@@ -32,15 +32,13 @@
 //! * [`spmspv_semiring`] — `y[j] = ⊕_i x[i] ⊗ A[i,j]`, each column's
 //!   products accumulated in ascending row order under both merges, so
 //!   they agree bit for bit.
-//! * [`spmspv_sort_based`] — collect all products, sort by column,
-//!   segmented-reduce; used by the ablation bench.
 
 use crate::algebra::{BinaryOp, Monoid, Semiring};
 use crate::container::{CsrMatrix, SparseVec};
 use crate::error::{check_dims, Result};
 use crate::mask::VecMask;
 use crate::par::{split_by_work, Counters, ExecCtx};
-use crate::sort::{parallel_merge_sort, sort_indices, SortAlgo};
+use crate::sort::{sort_indices, SortAlgo};
 use crate::spa::AtomicSpa;
 use parking_lot::Mutex;
 
@@ -366,65 +364,6 @@ where
     SparseVec::from_sorted(ncols, nzinds, values)
 }
 
-/// Sort-based SpMSpV: emit every product `(col, x[i] ⊗ A[i,j])`, sort the
-/// pairs by column, then reduce equal columns with the add monoid. Trades
-/// SPA random access for a bigger sort — the ablation bench compares it
-/// against the SPA algorithm.
-pub fn spmspv_sort_based<A, B, C, AddM, MulOp>(
-    a: &CsrMatrix<B>,
-    x: &SparseVec<A>,
-    ring: &Semiring<AddM, MulOp>,
-    ctx: &ExecCtx,
-) -> Result<SparseVec<C>>
-where
-    A: Copy + Send + Sync,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync + 'static,
-    AddM: Monoid<C>,
-    MulOp: BinaryOp<A, B, C>,
-{
-    check_dims("x capacity vs matrix rows", a.nrows(), x.capacity())?;
-    let _op = ctx.trace_op(
-        "spmspv_sort_based",
-        x.nnz() as u64,
-        &[("nrows", a.nrows()), ("ncols", a.ncols())],
-    );
-    let ncols = a.ncols();
-    // Emit products.
-    let mut keyed: Vec<(usize, usize)> = Vec::new(); // (col, position)
-    let mut products: Vec<C> = Vec::new();
-    let mut c = crate::par::Counters::default();
-    for (rid, &xv) in x.iter() {
-        let (cols, vals) = a.row(rid);
-        c.flops += cols.len() as u64;
-        for (&colid, &av) in cols.iter().zip(vals.iter()) {
-            keyed.push((colid, products.len()));
-            products.push(ring.multiply(xv, av));
-        }
-    }
-    c.elems += x.nnz() as u64;
-    ctx.record(PHASE_SPA, |pc| pc.merge(&c));
-    // Sort pairs by column (stable by construction of the secondary key).
-    parallel_merge_sort(&mut keyed, ctx, PHASE_SORT);
-    // Segmented reduce.
-    let mut out_i: Vec<usize> = Vec::new();
-    let mut out_v: Vec<C> = Vec::new();
-    let mut oc = crate::par::Counters::default();
-    for &(col, pos) in &keyed {
-        oc.elems += 1;
-        if out_i.last() == Some(&col) {
-            let last = out_v.last_mut().unwrap();
-            *last = ring.accumulate(*last, products[pos]);
-            oc.flops += 1;
-        } else {
-            out_i.push(col);
-            out_v.push(products[pos]);
-        }
-    }
-    ctx.record(PHASE_OUTPUT, |pc| pc.merge(&oc));
-    SparseVec::from_sorted(ncols, out_i, out_v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,19 +393,6 @@ mod tests {
         let dense: Vec<f64> = (0..500).map(|j| out.get(j).copied().unwrap_or(0.0)).collect();
         for j in 0..500 {
             assert!((dense[j] - reference[j]).abs() < 1e-9, "col {j}");
-        }
-    }
-
-    #[test]
-    fn sort_based_agrees_with_spa() {
-        let a = gen::erdos_renyi(300, 5, 21);
-        let x = gen::random_sparse_vec(300, 30, 22);
-        let ctx = ExecCtx::serial();
-        let spa = spmspv_semiring(&a, &x, &semirings::plus_times_f64(), &ctx).unwrap();
-        let srt = spmspv_sort_based(&a, &x, &semirings::plus_times_f64(), &ctx).unwrap();
-        assert_eq!(spa.indices(), srt.indices());
-        for (s, t) in spa.values().iter().zip(srt.values()) {
-            assert!((s - t).abs() < 1e-9);
         }
     }
 

@@ -11,10 +11,10 @@
 
 use crate::exec::DistCtx;
 use crate::mat::DistCsrMatrix;
-use crate::ops::spmspv::{push, Accumulate, CommStrategy, DistMask, FirstVisitor};
+use crate::ops::spmspv::{push, CommStrategy, DistMask};
 use crate::vec::{DistDenseVec, DistSparseVec};
 use gblas_core::algebra::{BinaryOp, ComMonoid, Monoid, Scalar, Semiring};
-use gblas_core::backend::{GblasBackend, MaskSpec};
+use gblas_core::backend::{GblasBackend, MaskSpec, PushRule};
 use gblas_core::container::{DenseVec, SparseVec};
 use gblas_core::error::Result;
 use gblas_core::ops::selection;
@@ -92,20 +92,12 @@ impl<'a> DistBackend<'a> {
         Ok(at)
     }
 
-    /// Log one global scalar combine under `phase`: a `⌈log₂ p⌉`-round
-    /// binomial tree of one-word bulk messages (the [`crate::ops::reduce`]
-    /// combine shape), each round's senders folding into their partners.
+    /// Log one global scalar combine under `phase`: the
+    /// [`crate::ops::reduce`] binomial tree of one-word bulk messages over
+    /// every locale.
     fn binomial_allreduce(&self, phase: &'static str) -> Result<()> {
-        let p = self.dctx.locales();
         let word = std::mem::size_of::<f64>() as u64;
-        let mut stride = 1usize;
-        while stride < p {
-            for l in (0..p).step_by(stride * 2).filter(|&l| l + stride < p) {
-                self.dctx.comm.bulk(phase, l + stride, l, 1, word)?;
-            }
-            stride *= 2;
-        }
-        Ok(())
+        crate::ops::reduce::binomial_tree(self.dctx, phase, self.dctx.locales(), word)
     }
 }
 
@@ -233,37 +225,22 @@ impl GblasBackend for DistBackend<'_> {
         Ok(out)
     }
 
-    fn spmspv_first_visitor<T: Scalar>(
+    fn spmspv<T, V, W, R>(
         &self,
         a: &DistCsrMatrix<T>,
-        xs: &[DistSparseVec<usize>],
+        xs: &[DistSparseVec<V>],
+        rule: &R,
         masks: Option<&[MaskSpec<'_, DistDenseVec<bool>>]>,
         opts: SpMSpVOpts,
-    ) -> Result<Vec<DistSparseVec<usize>>> {
-        let (dm, strategy) = (masks.map(dist_masks), self.strategy);
-        let (out, r) = push(a, xs, &FirstVisitor, dm.as_deref(), strategy, opts, self.dctx)?;
-        self.absorb(r);
-        Ok(out)
-    }
-
-    fn spmspv_semiring<A, B, C, AddM, MulOp>(
-        &self,
-        a: &DistCsrMatrix<B>,
-        xs: &[DistSparseVec<A>],
-        ring: &Semiring<AddM, MulOp>,
-        masks: Option<&[MaskSpec<'_, DistDenseVec<bool>>]>,
-        opts: SpMSpVOpts,
-    ) -> Result<Vec<DistSparseVec<C>>>
+    ) -> Result<Vec<DistSparseVec<W>>>
     where
-        A: Scalar,
-        B: Scalar,
-        C: Scalar,
-        AddM: Monoid<C>,
-        MulOp: BinaryOp<A, B, C>,
+        T: Scalar,
+        V: Scalar,
+        W: Scalar,
+        R: PushRule<T, V, W>,
     {
         let (dm, strategy) = (masks.map(dist_masks), self.strategy);
-        let rule = Accumulate(ring);
-        let (out, r) = push(a, xs, &rule, dm.as_deref(), strategy, opts, self.dctx)?;
+        let (out, r) = push(a, xs, rule, dm.as_deref(), strategy, opts, self.dctx)?;
         self.absorb(r);
         Ok(out)
     }
@@ -287,33 +264,31 @@ impl GblasBackend for DistBackend<'_> {
     }
 
     /// Scans the flipped-grid transpose of `a`, built at the first pull
-    /// and kept for the backend's life.
+    /// and kept for the backend's life. Each locale fills its own segment
+    /// of the frontier's bitmap from its own shard: the two share one
+    /// block distribution, so nothing moves.
     fn pull_first_visitor<T: Scalar>(
         &self,
         a: &DistCsrMatrix<T>,
-        frontier: &DistDenseVec<bool>,
+        frontier: &DistSparseVec<usize>,
         visited: &DistDenseVec<bool>,
     ) -> Result<DistSparseVec<usize>> {
-        let at = self.transposed(a)?;
-        let (y, report) =
-            crate::ops::pull::pull_first_visitor_dist(&at, frontier, visited, self.dctx)?;
-        self.absorb(report);
-        Ok(y)
-    }
-
-    /// Each locale fills its own bitmap segment from its own shard: the
-    /// two share one block distribution, so nothing moves.
-    fn sparse_to_bitmap<T: Scalar>(&self, x: &DistSparseVec<T>) -> Result<DistDenseVec<bool>> {
-        let dist = x.dist();
+        let dist = frontier.dist();
         let segment = |l: usize| {
             let start = dist.range(l).start;
             let mut bits = vec![false; dist.size(l)];
-            for &i in x.shard(l).indices() {
+            for &i in frontier.shard(l).indices() {
                 bits[i - start] = true;
             }
             bits
         };
-        DistDenseVec::from_segments(x.capacity(), (0..x.locales()).map(segment).collect())
+        let segments = (0..frontier.locales()).map(segment).collect();
+        let bits = DistDenseVec::from_segments(frontier.capacity(), segments)?;
+        let at = self.transposed(a)?;
+        let (y, report) =
+            crate::ops::pull::pull_first_visitor_dist(&at, &bits, visited, self.dctx)?;
+        self.absorb(report);
+        Ok(y)
     }
 
     fn selection_thresholds(&self) -> selection::SelectionThresholds {
@@ -401,6 +376,7 @@ mod tests {
     use crate::grid::ProcGrid;
     use crate::ops::spmspv::{spmspv_dist_semiring_with, spmspv_dist_with, PHASE_GATHER};
     use gblas_core::algebra::{semirings, Plus};
+    use gblas_core::backend::FirstVisitor;
     use gblas_core::gen;
     use gblas_sim::MachineConfig;
 
@@ -460,7 +436,7 @@ mod tests {
             let dctx = ctx(grid, exec);
             let backend = DistBackend::with_strategy(&dctx, strategy);
             let opts = SpMSpVOpts::default();
-            let batched = backend.spmspv_first_visitor(&da, &xs, Some(&masks), opts).unwrap();
+            let batched = backend.spmspv(&da, &xs, &FirstVisitor, Some(&masks), opts).unwrap();
             assert!(backend.take_report().total() > 0.0, "{at}");
             assert_eq!(batched.len(), sources.len(), "{at}");
             for (s, x) in xs.iter().enumerate() {
@@ -499,7 +475,7 @@ mod tests {
             let dctx = DistCtx::new(machine_for(grid));
             dctx.comm.record_history();
             let backend = DistBackend::with_strategy(&dctx, CommStrategy::Bulk);
-            backend.spmspv_first_visitor(&da, &xs, Some(&masks), SpMSpVOpts::default()).unwrap();
+            backend.spmspv(&da, &xs, &FirstVisitor, Some(&masks), SpMSpVOpts::default()).unwrap();
             let history = dctx.comm.history();
             let sent = |l: usize| {
                 let gathers = history.iter().filter(|e| e.phase == PHASE_GATHER && e.src == l);
@@ -529,8 +505,7 @@ mod tests {
         let dctx = ctx(da.grid(), exec);
         let backend = DistBackend::with_strategy(&dctx, strategy);
         let opts = SpMSpVOpts::default();
-        let batched: Vec<DistSparseVec<f64>> =
-            backend.spmspv_semiring(da, xs, ring, None, opts).unwrap();
+        let batched: Vec<DistSparseVec<f64>> = backend.spmspv(da, xs, ring, None, opts).unwrap();
         assert_eq!(batched.len(), xs.len(), "{at}");
         for (s, x) in xs.iter().enumerate() {
             let sctx = ctx(da.grid(), exec);
@@ -584,8 +559,7 @@ mod tests {
             dctx.enable_tracing();
             let backend = DistBackend::with_strategy(&dctx, CommStrategy::Bulk);
             let ring = semirings::plus_times_f64();
-            let _: Vec<DistSparseVec<f64>> =
-                backend.spmspv_semiring(&da, xs, &ring, None, sort).unwrap();
+            let _: Vec<DistSparseVec<f64>> = backend.spmspv(&da, xs, &ring, None, sort).unwrap();
             let trace = dctx.recorder().snapshot();
             let op = trace.spans.iter().find(|s| s.kind == SpanKind::Op).expect("op span");
             let merge = op.attrs.iter().find(|(k, _)| k == "merge").map(|(_, v)| v.clone());
@@ -668,11 +642,12 @@ mod tests {
                 let dctx = DistCtx::new(machine_for(grid));
                 let backend = DistBackend::with_strategy(&dctx, strategy);
                 let opts = SpMSpVOpts::default();
-                let out = backend.spmspv_first_visitor(&da, &[], Some(&[]), opts).unwrap();
+                let none: &[DistSparseVec<usize>] = &[];
+                let out = backend.spmspv(&da, none, &FirstVisitor, Some(&[]), opts).unwrap();
                 assert!(out.is_empty(), "n = {n} {strategy:?}");
                 let ring = semirings::plus_times_f64();
                 let ys: Vec<DistSparseVec<f64>> =
-                    backend.spmspv_semiring(&da, &[], &ring, None, opts).unwrap();
+                    backend.spmspv(&da, &[], &ring, None, opts).unwrap();
                 assert!(ys.is_empty(), "n = {n} {strategy:?}");
                 let ys: Vec<DistDenseVec<f64>> = backend.spmv(&da, &[], &ring).unwrap();
                 assert!(ys.is_empty(), "n = {n} {strategy:?}");
@@ -690,7 +665,7 @@ mod tests {
         let m = DistDenseVec::filled(100, false, 4);
         let masks = [MaskSpec::complement(&m)];
         let push = |xs: &[DistSparseVec<usize>], masks: &[MaskSpec<'_, DistDenseVec<bool>>]| {
-            backend.spmspv_first_visitor(&da, xs, Some(masks), SpMSpVOpts::default())
+            backend.spmspv(&da, xs, &FirstVisitor, Some(masks), SpMSpVOpts::default())
         };
         assert!(push(&[frontier(100, &[0], |_| 0, 4)], &masks).is_ok());
         // wrong capacity
@@ -722,16 +697,24 @@ mod tests {
     }
 
     #[test]
-    fn sparse_to_bitmap_fills_each_segment_from_its_own_shard() {
+    fn pull_from_a_sparse_frontier_is_the_masked_first_visitor_push() {
         // n < locales leaves some blocks empty; n = 0 leaves all of them.
         for (n, p) in [(0, 3), (3, 8), (10, 4), (97, 6)] {
-            let dctx = DistCtx::new(MachineConfig::edison_cluster(p, 24));
+            let grid = ProcGrid::square_for(p);
+            let dctx = DistCtx::new(machine_for(grid));
             let b = DistBackend::new(&dctx);
-            let x = gen::random_sparse_vec(n, n / 3, 431 + n as u64);
-            let dx = DistSparseVec::from_global(&x, p);
-            let global = DenseVec::from_fn(n, |i| x.get(i).is_some());
-            let want = DistDenseVec::from_global(&global, p);
-            assert_eq!(b.sparse_to_bitmap(&dx).unwrap(), want, "n = {n}, p = {p}");
+            let a = gen::erdos_renyi(n, 4.min(n.saturating_sub(1)), 431 + n as u64);
+            let da = DistCsrMatrix::from_global(&a, grid);
+            let x = gen::random_sparse_vec(n, n / 3, 432 + n as u64);
+            let dx = frontier(n, x.indices(), |i| i, p);
+            let seen = DenseVec::from_fn(n, |i| x.get(i).is_some() || i % 4 == 0);
+            let visited = DistDenseVec::from_global(&seen, p);
+            let masks = [MaskSpec::complement(&visited)];
+            let opts = SpMSpVOpts::default();
+            let xs = std::slice::from_ref(&dx);
+            let pushed = b.spmspv(&da, xs, &FirstVisitor, Some(&masks), opts).unwrap();
+            let pulled = b.pull_first_visitor(&da, &dx, &visited).unwrap();
+            assert_eq!(pulled, pushed[0], "n = {n}, p = {p}");
         }
     }
 

@@ -22,10 +22,10 @@
 //!
 //! The vector-product kernels are two bodies with the batch width `k` as
 //! a parameter: every sparse-frontier entry point (and the backend trait's
-//! pushes) runs the one push in [`spmspv`], and [`spmv::spmv_dist`] and the
+//! push) runs the one push in [`spmspv`], and [`spmv::spmv_dist`] and the
 //! trait's SpMV the one dense SpMV in [`spmv`]. A batch of `k` frontiers is
 //! a slice of `k` distributed vectors, the operand of the backend trait's
-//! `spmspv_first_visitor`, `spmspv_semiring` and `spmv`.
+//! `spmspv` and `spmv`.
 
 pub mod apply;
 pub mod assign;

@@ -9,7 +9,6 @@
 
 use crate::exec::DistCtx;
 use crate::mat::DistCsrMatrix;
-use crate::vec::DistSparseVec;
 use gblas_core::algebra::{ComMonoid, Monoid};
 use gblas_core::container::CsrMatrix;
 use gblas_core::error::Result;
@@ -20,52 +19,6 @@ use gblas_sim::SimReport;
 pub const PHASE_LOCAL: &str = "reduce-local";
 /// Phase for the all-reduce combine.
 pub const PHASE_COMBINE: &str = "reduce-combine";
-
-/// Reduce all stored values of a distributed sparse vector with a
-/// commutative monoid. Every locale ends with the result (all-reduce
-/// semantics), and the report prices the tree combine.
-pub fn reduce_dist<T, M>(x: &DistSparseVec<T>, monoid: &M, dctx: &DistCtx) -> Result<(T, SimReport)>
-where
-    T: Copy + Send + Sync,
-    M: ComMonoid<T>,
-{
-    let mut trace = dctx.op("reduce_dist");
-    let p = x.locales();
-    // Local folds (one task per locale, 24-way within each).
-    let (partials, profiles): (Vec<T>, Vec<Profile>) = dctx
-        .for_each_locale(|l| {
-            let ctx = dctx.locale_ctx_for(l);
-            let local = gblas_core::ops::reduce::reduce_vec(x.shard(l), monoid, &ctx);
-            let mut folded = Profile::default();
-            let c = folded.counters_mut(PHASE_LOCAL);
-            for (_, counters) in ctx.take_profile().iter() {
-                c.merge(counters);
-            }
-            Ok((local, folded))
-        })?
-        .into_iter()
-        .unzip();
-    // Binomial-tree all-reduce: log2(p) rounds, one message per active
-    // pair per round.
-    let mut value = monoid.identity();
-    for &partial in &partials {
-        value = monoid.combine(value, partial);
-    }
-    let mut stride = 1usize;
-    while stride < p {
-        for l in (0..p).step_by(stride * 2) {
-            let peer = l + stride;
-            if peer < p {
-                dctx.comm.bulk(PHASE_COMBINE, peer, l, 1, std::mem::size_of::<T>() as u64)?;
-            }
-        }
-        stride *= 2;
-    }
-    trace.nnz(x.nnz() as u64);
-    trace.spawn(PHASE_LOCAL, 1);
-    trace.compute(PHASE_LOCAL, &profiles);
-    Ok((value, trace.finish()))
-}
 
 /// Row-wise reduction of a distributed matrix: `y[i] = ⊕_j A[i,j]`,
 /// returned as a *global* driver-side vector (identity for empty rows).
@@ -169,8 +122,9 @@ where
 }
 
 /// Whole-matrix reduction of a distributed matrix with a commutative
-/// monoid: local per-block folds plus the binomial-tree combine of
-/// [`reduce_dist`].
+/// monoid: local per-block folds, then a binomial-tree all-reduce —
+/// `⌈log₂ p⌉` rounds of one small bulk message per participating locale.
+/// Every locale ends with the result, and the report prices the combine.
 pub fn reduce_mat_dist<T, M>(
     a: &DistCsrMatrix<T>,
     monoid: &M,
@@ -202,20 +156,25 @@ where
     for &partial in &partials {
         value = monoid.combine(value, partial);
     }
-    let mut stride = 1usize;
-    while stride < p {
-        for l in (0..p).step_by(stride * 2) {
-            let peer = l + stride;
-            if peer < p {
-                dctx.comm.bulk(PHASE_COMBINE, peer, l, 1, std::mem::size_of::<T>() as u64)?;
-            }
-        }
-        stride *= 2;
-    }
+    binomial_tree(dctx, PHASE_COMBINE, p, std::mem::size_of::<T>() as u64)?;
     trace.nnz(a.nnz() as u64);
     trace.spawn(PHASE_LOCAL, 1);
     trace.compute(PHASE_LOCAL, &profiles);
     Ok((value, trace.finish()))
+}
+
+/// Log a `⌈log₂ p⌉`-round binomial-tree combine under `phase`: in each
+/// round every sender folds into its partner with one `bytes`-wide bulk
+/// message.
+pub(crate) fn binomial_tree(dctx: &DistCtx, phase: &str, p: usize, bytes: u64) -> Result<()> {
+    let mut stride = 1usize;
+    while stride < p {
+        for l in (0..p).step_by(stride * 2).filter(|&l| l + stride < p) {
+            dctx.comm.bulk(phase, l + stride, l, 1, bytes)?;
+        }
+        stride *= 2;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -227,33 +186,26 @@ mod tests {
 
     #[test]
     fn matches_global_fold_at_every_locale_count() {
-        let v = gen::random_sparse_vec(4000, 900, 71);
-        let expect: f64 = v.values().iter().sum();
+        let a = gen::erdos_renyi(400, 6, 71);
+        let expect: f64 = a.values().iter().sum();
+        let max = a.values().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         for p in [1usize, 2, 5, 8, 16] {
-            let d = DistSparseVec::from_global(&v, p);
+            let grid = crate::grid::ProcGrid::square_for(p);
+            let da = DistCsrMatrix::from_global(&a, grid);
             let dctx = DistCtx::new(MachineConfig::edison_cluster(p, 24));
-            let (sum, report) = reduce_dist(&d, &Plus, &dctx).unwrap();
+            let (sum, report) = reduce_mat_dist(&da, &Plus, &dctx).unwrap();
             assert!((sum - expect).abs() < 1e-9, "p={p}");
             assert!(report.total() > 0.0);
+            assert_eq!(reduce_mat_dist(&da, &Max, &dctx).unwrap().0, max, "p={p}");
         }
     }
 
     #[test]
-    fn max_reduce() {
-        let v = gen::random_sparse_vec(1000, 200, 72);
-        let expect = v.values().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let d = DistSparseVec::from_global(&v, 4);
-        let dctx = DistCtx::new(MachineConfig::edison_cluster(4, 24));
-        let (m, _) = reduce_dist(&d, &Max, &dctx).unwrap();
-        assert_eq!(m, expect);
-    }
-
-    #[test]
     fn tree_combine_messages_are_logarithmic() {
-        let v = gen::random_sparse_vec(1000, 200, 73);
-        let d = DistSparseVec::from_global(&v, 16);
+        let a = gen::erdos_renyi(400, 6, 73);
+        let da = DistCsrMatrix::from_global(&a, crate::grid::ProcGrid::new(4, 4));
         let dctx = DistCtx::new(MachineConfig::edison_cluster(16, 24));
-        let _ = reduce_dist(&d, &Plus, &dctx).unwrap();
+        let _ = reduce_mat_dist(&da, &Plus, &dctx).unwrap();
         let (_, bulk, _) = dctx.comm.totals();
         assert_eq!(bulk, 15, "p-1 messages in a binomial tree");
     }
@@ -329,10 +281,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_vector_reduces_to_identity() {
-        let d = DistSparseVec::<f64>::empty(100, 4);
+    fn empty_matrix_reduces_to_identity() {
+        let a = gblas_core::container::CsrMatrix::<f64>::from_triplets(100, 100, &[]).unwrap();
+        let da = DistCsrMatrix::from_global(&a, crate::grid::ProcGrid::new(2, 2));
         let dctx = DistCtx::new(MachineConfig::edison_cluster(4, 24));
-        let (sum, _) = reduce_dist(&d, &Plus, &dctx).unwrap();
+        let (sum, _) = reduce_mat_dist(&da, &Plus, &dctx).unwrap();
         assert_eq!(sum, 0.0);
     }
 }

@@ -11,8 +11,8 @@
 //!    iterator), which [`spmspv_dist`] reproduces as fine-grained traffic;
 //!    [`spmspv_dist_bulk`] moves each nonempty source block as one message
 //!    — the §IV "bulk-synchronous communication" remedy.
-//! 2. **`local`** — each locale runs the shared-memory SpMSpV
-//!    ([`gblas_core::ops::spmspv::spmspv_first_visitor`]) on its block.
+//! 2. **`local`** — each locale runs the push rule's shared-memory SpMSpV
+//!    ([`PushRule::multiply_block`]) on its block.
 //!    This is the part the paper observes scaling well ("up to 43×").
 //! 3. **`scatter`** — local results are written into a *global SPA*: a
 //!    dense Block-distributed `isthere`/value pair. Listing 8 writes one
@@ -22,14 +22,14 @@
 //! All three steps exist once, for any number `k ≥ 0` of concurrent
 //! sources, in one body (`push`: validate, `gather_rows`, `push_engine`,
 //! price the report). Every entry point runs it — this module's
-//! single-source functions with `k = 1` and the backend trait's pushes with
-//! their batch width — so a single source is a batch of one, priced as one.
+//! single-source functions with `k = 1` and the backend trait's push with
+//! its batch width — so a single source is a batch of one, priced as one.
 //! An entry point chooses only what genuinely varies: the [`CommStrategy`]
-//! of the gather and scatter, the `PushRule` (first-visitor or semiring:
-//! the local kernel, the owner's resolution of competing claims and the
-//! op's one name) and one optional [`DistMask`] per source (each with its
-//! own polarity). The body stamps the op span's attributes itself, strategy
-//! and merge first. What does *not* vary with `k` is fixed in the body:
+//! of the gather and scatter, the core [`PushRule`] ([`FirstVisitor`] or a
+//! semiring: the local kernel, the owner's resolution of competing claims
+//! and the op's one name) and one optional [`DistMask`] per source (each
+//! with its own polarity). The body stamps the op span's attributes itself,
+//! strategy and merge first. What does *not* vary with `k` is fixed in the body:
 //! every source multiplies under the caller's one `SpMSpVOpts`; the gather
 //! plan is cached under one schedule key, since row peers and mask windows
 //! are functions of the grid; and a scatter claim is priced at its wire
@@ -56,10 +56,11 @@ use crate::mat::DistCsrMatrix;
 use crate::sched::{FrontierClass, GatherPlan, PlanData, SchedOutcome};
 use crate::vec::DistSparseVec;
 use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
-use gblas_core::container::{CsrMatrix, SparseVec};
+use gblas_core::backend::{FirstVisitor, PushRule};
+use gblas_core::container::SparseVec;
 use gblas_core::error::{check_dims, GblasError, Result};
 use gblas_core::mask::VecMask;
-use gblas_core::ops::spmspv::{spmspv_first_visitor, spmspv_semiring_masked, SpMSpVOpts};
+use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::{Counters, ExecCtx, Profile};
 use gblas_core::workspace::WsGuard;
 use gblas_sim::SimReport;
@@ -247,102 +248,6 @@ impl<'a> DistMask<'a> {
     }
 }
 
-/// What distinguishes one push pipeline from another once the frontier
-/// is gathered: the shared-memory single-source kernel a locale runs on
-/// its block, and how an owner resolves claims competing for one output
-/// entry. `B` is the matrix type, `V` the frontier's, `W` what a claim
-/// carries.
-pub(crate) trait PushRule<B, V, W>: Sync {
-    /// The op span every push under this rule is priced into, for any `k`.
-    const OP: &'static str;
-
-    /// The local multiply on one block whose first row is global row
-    /// `row_start`, under the block's window of the output mask and the
-    /// caller's `opts`: per reached allowed local column, the value its
-    /// claim carries.
-    fn multiply(
-        &self,
-        block: &CsrMatrix<B>,
-        lx: &SparseVec<V>,
-        row_start: usize,
-        mask: Option<&VecMask<'_>>,
-        opts: SpMSpVOpts,
-        ctx: &ExecCtx,
-    ) -> Result<SparseVec<W>>;
-
-    /// Fill value of the owner's dense segment (never read unoccupied).
-    fn zero(&self) -> W;
-
-    /// A claim reached an entry that already holds `occupant`: `Some` is
-    /// the combined value replacing it (one flop), `None` keeps it.
-    fn combine(&self, occupant: W, claim: W) -> Option<W>;
-}
-
-/// First-visitor push (BFS): the claim is the global parent row, and the
-/// first one drained — lowest source locale, hence lowest row — stays.
-pub(crate) struct FirstVisitor;
-
-impl<B: Send + Sync, V: Send + Sync> PushRule<B, V, usize> for FirstVisitor {
-    const OP: &'static str = "spmspv_dist";
-
-    fn multiply(
-        &self,
-        block: &CsrMatrix<B>,
-        lx: &SparseVec<V>,
-        row_start: usize,
-        mask: Option<&VecMask<'_>>,
-        opts: SpMSpVOpts,
-        ctx: &ExecCtx,
-    ) -> Result<SparseVec<usize>> {
-        let mut parents = spmspv_first_visitor(block, lx, mask, opts, ctx)?;
-        parents.values_mut().iter_mut().for_each(|local_row| *local_row += row_start);
-        Ok(parents)
-    }
-
-    fn zero(&self) -> usize {
-        0
-    }
-
-    fn combine(&self, _first: usize, _later: usize) -> Option<usize> {
-        None
-    }
-}
-
-/// Semiring push (SSSP, PPR): the claim is a partial sum, and the owner
-/// accumulates with the add monoid in source-locale order.
-pub(crate) struct Accumulate<'r, AddM, MulOp>(pub(crate) &'r Semiring<AddM, MulOp>);
-
-impl<A, B, C, AddM, MulOp> PushRule<B, A, C> for Accumulate<'_, AddM, MulOp>
-where
-    A: Copy + Send + Sync,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync + 'static,
-    AddM: Monoid<C>,
-    MulOp: BinaryOp<A, B, C>,
-{
-    const OP: &'static str = "spmspv_dist_semiring";
-
-    fn multiply(
-        &self,
-        block: &CsrMatrix<B>,
-        lx: &SparseVec<A>,
-        _row_start: usize,
-        mask: Option<&VecMask<'_>>,
-        opts: SpMSpVOpts,
-        ctx: &ExecCtx,
-    ) -> Result<SparseVec<C>> {
-        spmspv_semiring_masked(block, lx, self.0, mask, opts, ctx)
-    }
-
-    fn zero(&self) -> C {
-        self.0.zero()
-    }
-
-    fn combine(&self, occupant: C, claim: C) -> Option<C> {
-        Some(self.0.accumulate(occupant, claim))
-    }
-}
-
 /// One sender's scatter output: its pooled per-owner outbox, and where
 /// each source's claims end in each owner's list (`ends[s * p + owner]`).
 type Sent<W> = (WsGuard<Outbox<(usize, W)>>, Vec<usize>);
@@ -464,7 +369,7 @@ where
             products.push(if row_range.is_empty() || col_range.is_empty() {
                 SparseVec::new(col_range.len().max(1))
             } else {
-                rule.multiply(a.block(l), lx, row_range.start, mask.as_ref(), opts, &lctx)?
+                rule.multiply_block(a.block(l), lx, row_range.start, mask.as_ref(), opts, &lctx)?
             });
         }
         let sctx = dctx.locale_ctx_for(l);
@@ -671,7 +576,7 @@ where
     MulOp: BinaryOp<A, B, C>,
 {
     let (xs, masks) = (std::slice::from_ref(x), mask.as_ref().map(std::slice::from_ref));
-    let (ys, report) = push(a, xs, &Accumulate(ring), masks, strategy, opts, dctx)?;
+    let (ys, report) = push(a, xs, ring, masks, strategy, opts, dctx)?;
     Ok((only(ys)?, report))
 }
 
@@ -681,6 +586,7 @@ mod tests {
     use crate::grid::ProcGrid;
     use gblas_core::error::GblasError;
     use gblas_core::gen;
+    use gblas_core::ops::spmspv::spmspv_first_visitor;
     use gblas_sim::MachineConfig;
 
     fn machine_for(grid: ProcGrid) -> MachineConfig {

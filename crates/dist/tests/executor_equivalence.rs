@@ -9,7 +9,7 @@
 //! mid-superstep under the threaded executor.
 
 use gblas_core::algebra::{semirings, Plus};
-use gblas_core::backend::{GblasBackend, MaskSpec};
+use gblas_core::backend::{FirstVisitor, GblasBackend, MaskSpec};
 use gblas_core::container::{CsrMatrix, DenseVec, SparseVec};
 use gblas_core::error::GblasError;
 use gblas_core::gen;
@@ -194,7 +194,8 @@ fn elementwise_apply_assign_reduce_match_across_executors() {
         });
         assert_eq!(vt, vs, "assign_v2 p={p}");
 
-        let (st, ss) = run_both(p, "reduce", |d| reduce::reduce_dist(&dx, &Plus, d).unwrap());
+        let da = DistCsrMatrix::from_global(&gen::erdos_renyi(500, 5, 33), ProcGrid::new(pr, pc));
+        let (st, ss) = run_both(p, "reduce", |d| reduce::reduce_mat_dist(&da, &Plus, d).unwrap());
         assert_eq!(st.to_bits(), ss.to_bits(), "reduce p={p}");
     }
 }
@@ -315,7 +316,7 @@ fn single_source_bulk_push_is_a_batch_of_one() {
                         }),
                         Box::new(|d| {
                             let b = DistBackend::with_strategy(d, CommStrategy::Bulk);
-                            b.spmspv_first_visitor(&da, &f, Some(&spec), opts).unwrap();
+                            b.spmspv(&da, &f, &FirstVisitor, Some(&spec), opts).unwrap();
                             b.take_report()
                         }),
                     ],
@@ -330,7 +331,7 @@ fn single_source_bulk_push_is_a_batch_of_one() {
                         }),
                         Box::new(|d| {
                             let b = DistBackend::with_strategy(d, CommStrategy::Bulk);
-                            b.spmspv_first_visitor(&da, &f, None, opts).unwrap();
+                            b.spmspv(&da, &f, &FirstVisitor, None, opts).unwrap();
                             b.take_report()
                         }),
                     ],
@@ -349,7 +350,7 @@ fn single_source_bulk_push_is_a_batch_of_one() {
                         Box::new(|d| {
                             let b = DistBackend::with_strategy(d, CommStrategy::Bulk);
                             let _: Vec<DistSparseVec<f64>> =
-                                b.spmspv_semiring(&da, &fv, &ring, None, opts).unwrap();
+                                b.spmspv(&da, &fv, &ring, None, opts).unwrap();
                             b.take_report()
                         }),
                     ],
@@ -368,7 +369,7 @@ fn single_source_bulk_push_is_a_batch_of_one() {
                         Box::new(|d| {
                             let b = DistBackend::with_strategy(d, CommStrategy::Bulk);
                             let _: Vec<DistSparseVec<f64>> =
-                                b.spmspv_semiring(&da, &fv, &ring, Some(&spec), opts).unwrap();
+                                b.spmspv(&da, &fv, &ring, Some(&spec), opts).unwrap();
                             b.take_report()
                         }),
                     ],
@@ -465,7 +466,7 @@ fn assert_faults_surface_everywhere(strategy: CommStrategy, seed: u64, fail_poin
             "batched spmspv_first_visitor",
             Box::new(|d| {
                 let b = DistBackend::with_strategy(d, strategy);
-                b.spmspv_first_visitor(&da, &f_parent, Some(&visited), opts).map(drop)
+                b.spmspv(&da, &f_parent, &FirstVisitor, Some(&visited), opts).map(drop)
             }),
         ),
         (
@@ -473,7 +474,7 @@ fn assert_faults_surface_everywhere(strategy: CommStrategy, seed: u64, fail_poin
             Box::new(|d| {
                 let b = DistBackend::with_strategy(d, strategy);
                 let ys: Result<Vec<DistSparseVec<f64>>, _> =
-                    b.spmspv_semiring(&da, &f_value, &ring, None, opts);
+                    b.spmspv(&da, &f_value, &ring, None, opts);
                 ys.map(drop)
             }),
         ),

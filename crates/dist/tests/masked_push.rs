@@ -18,7 +18,7 @@
 
 use gblas_core::algebra::semirings;
 use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
-use gblas_core::backend::{GblasBackend, MaskSpec};
+use gblas_core::backend::{FirstVisitor, GblasBackend, MaskSpec};
 use gblas_core::container::{CsrMatrix, DenseVec, SparseVec};
 use gblas_core::gen;
 use gblas_core::mask::VecMask;
@@ -356,7 +356,7 @@ fn batched_masked_push_is_bit_equal_to_the_shared_masked_kernel_per_source() {
                 let what = format!("batch {pr}x{pc} {exec:?} {strategy:?}");
                 let masked = ctx(grid, exec);
                 let backend = DistBackend::with_strategy(&masked, strategy);
-                let out = backend.spmspv_first_visitor(&da, &f, Some(&masks), opts).unwrap();
+                let out = backend.spmspv(&da, &f, &FirstVisitor, Some(&masks), opts).unwrap();
                 for (s, x) in xs.iter().enumerate() {
                     let sm = shared_mask(&visited[s], true);
                     let want = spmspv_first_visitor(&case.a, x, Some(&sm), opts, &serial).unwrap();
@@ -367,8 +367,7 @@ fn batched_masked_push_is_bit_equal_to_the_shared_masked_kernel_per_source() {
                 let unmasked = ctx(grid, exec);
                 let ring = semirings::min_plus();
                 let twin = DistBackend::with_strategy(&unmasked, strategy);
-                let _: Vec<DistSparseVec<f64>> =
-                    twin.spmspv_semiring(&da, &fv, &ring, None, opts).unwrap();
+                let _: Vec<DistSparseVec<f64>> = twin.spmspv(&da, &fv, &ring, None, opts).unwrap();
                 let history = masked.comm.history();
                 check_scatter(&history, &claims, claim_bytes, &what);
                 let got = mask_messages(&history, &unmasked.comm.history());
@@ -397,7 +396,7 @@ fn batched_semiring_push_is_bit_equal_to_the_shared_kernel_per_source() {
                 let dctx = ctx(grid, exec);
                 let backend = DistBackend::with_strategy(&dctx, strategy);
                 let out: Vec<DistSparseVec<f64>> =
-                    backend.spmspv_semiring(&da, &f, &ring, None, opts).unwrap();
+                    backend.spmspv(&da, &f, &ring, None, opts).unwrap();
                 for (s, x) in xs.iter().enumerate() {
                     let want =
                         spmspv_semiring_masked(&case.a, x, &ring, None, opts, &serial).unwrap();

@@ -6,7 +6,7 @@
 //! executed communication must be indistinguishable.
 
 use gblas_core::algebra::semirings;
-use gblas_core::backend::{GblasBackend, MaskSpec};
+use gblas_core::backend::{FirstVisitor, GblasBackend, MaskSpec};
 use gblas_core::container::{DenseVec, SparseVec};
 use gblas_core::gen;
 use gblas_core::ops::spmspv::SpMSpVOpts;
@@ -95,7 +95,7 @@ fn run_suite(dctx: &DistCtx, grid: ProcGrid) -> (Vec<Out>, Vec<SimReport>, (u64,
             .collect();
         let masks: Vec<_> = visited.iter().map(MaskSpec::complement).collect();
         let backend = DistBackend::with_strategy(dctx, bulk);
-        let nf = backend.spmspv_first_visitor(&da, &f, Some(&masks), opts).unwrap();
+        let nf = backend.spmspv(&da, &f, &FirstVisitor, Some(&masks), opts).unwrap();
         outs.extend(nf.iter().map(enc_parents));
         reps.push(backend.take_report());
 

@@ -22,7 +22,7 @@
 //! `GBLAS_REGEN_GOLDEN=1 cargo test -p gblas-dist --test trace_golden_dist`.
 
 use gblas_core::algebra::semirings;
-use gblas_core::backend::{GblasBackend, MaskSpec};
+use gblas_core::backend::{FirstVisitor, GblasBackend, MaskSpec};
 use gblas_core::container::{DenseVec, SparseVec};
 use gblas_core::gen;
 use gblas_core::ops::spmspv::{MergeStrategy, SpMSpVOpts};
@@ -141,16 +141,15 @@ fn push_and_dense_kernel_traces_match_goldens() {
         let masks: Vec<_> = visited.iter().map(MaskSpec::complement).collect();
         let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
         let opts = SpMSpVOpts::default();
-        backend.spmspv_first_visitor(da, &batch(p, |i| i), Some(&masks), opts).expect("batch fv");
+        backend.spmspv(da, &batch(p, |i| i), &FirstVisitor, Some(&masks), opts).expect("batch fv");
     });
     check_golden("spmspv_fv_masked_bulk_k3", &batched_fv);
     let batched_ring = traced(grid, |da, dctx| {
         let ring = semirings::plus_times_f64();
         let f = batch(p, |i| 1.0 + i as f64);
         let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
-        let _: Vec<DistSparseVec<f64>> = backend
-            .spmspv_semiring(da, &f, &ring, None, SpMSpVOpts::default())
-            .expect("batch semiring");
+        let _: Vec<DistSparseVec<f64>> =
+            backend.spmspv(da, &f, &ring, None, SpMSpVOpts::default()).expect("batch semiring");
     });
     check_golden("spmspv_semiring_bulk_k3", &batched_ring);
     let dense = |s: usize| {

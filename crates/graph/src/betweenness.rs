@@ -56,7 +56,7 @@ pub fn betweenness_on<B: GblasBackend, T: Scalar>(
                 current.iter().map(|&(v, _)| v).collect(),
                 current.iter().map(|&(_, p)| p).collect(),
             )?;
-            let next: Vec<B::SparseVec<f64>> = backend.spmspv_semiring(
+            let next: Vec<B::SparseVec<f64>> = backend.spmspv(
                 &ones,
                 std::slice::from_ref(&fx),
                 &ring,
@@ -86,7 +86,7 @@ pub fn betweenness_on<B: GblasBackend, T: Scalar>(
             for &(u, _) in &frontiers[d - 1] {
                 backend.dense_set(&mut prev_mask, u, true);
             }
-            let t: Vec<B::SparseVec<f64>> = backend.spmspv_semiring(
+            let t: Vec<B::SparseVec<f64>> = backend.spmspv(
                 &ones_t,
                 std::slice::from_ref(&w),
                 &ring,

@@ -19,7 +19,7 @@
 
 use crate::policy::Chooser;
 use gblas_core::algebra::Scalar;
-use gblas_core::backend::{GblasBackend, MaskSpec, SharedBackend};
+use gblas_core::backend::{FirstVisitor, GblasBackend, MaskSpec, SharedBackend};
 use gblas_core::container::{CsrMatrix, DenseVec, InNeighbours};
 use gblas_core::error::{check_dims, GblasError, Result};
 use gblas_core::ops::selection::{Direction, SelectionPolicy};
@@ -158,12 +158,11 @@ pub fn bfs_observed<B: GblasBackend, T: Scalar>(
                 masks.push(MaskSpec::complement(&visited[s]));
                 continue;
             }
-            let bits = backend.sparse_to_bitmap(&x)?;
-            pulled.push(backend.pull_first_visitor(a, &bits, &visited[s])?);
+            pulled.push(backend.pull_first_visitor(a, &x, &visited[s])?);
         }
         // With no slot left to push, the riders keep their empty frontiers.
         let pushed = if xs.iter().any(|x| backend.sparse_nnz(x) > 0) {
-            backend.spmspv_first_visitor(a, &xs, Some(&masks), opts)?
+            backend.spmspv(a, &xs, &FirstVisitor, Some(&masks), opts)?
         } else {
             xs
         };

@@ -56,7 +56,7 @@ pub fn connected_components_on<B: GblasBackend, T: Scalar>(
                 let vals: Vec<usize> = changed.iter().map(|&v| labels[v]).collect();
                 let f = backend.sparse_from_sorted(n, changed, vals)?;
                 let ys: Vec<B::SparseVec<usize>> =
-                    backend.spmspv_semiring(a, std::slice::from_ref(&f), &ring, None, opts)?;
+                    backend.spmspv(a, std::slice::from_ref(&f), &ring, None, opts)?;
                 let mut out = vec![usize::MAX; n];
                 for (j, v) in backend.sparse_entries(&crate::only(ys)?) {
                     out[j] = v;

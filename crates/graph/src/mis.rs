@@ -65,7 +65,7 @@ pub fn maximal_independent_set_on<B: GblasBackend, T: Scalar>(
         // max neighbour priority among candidates:
         // nbr[j] = max_{i candidate, i->j} prio[i]
         let nbr: Vec<B::SparseVec<f64>> =
-            backend.spmspv_semiring(a, std::slice::from_ref(&prio), &prio_ring, None, opts)?;
+            backend.spmspv(a, std::slice::from_ref(&prio), &prio_ring, None, opts)?;
         let nbr_entries = backend.sparse_entries(&crate::only(nbr)?);
         // winners: candidates whose own priority beats every candidate
         // neighbour's (merge-scan: both entry lists are index-sorted)
@@ -89,7 +89,7 @@ pub fn maximal_independent_set_on<B: GblasBackend, T: Scalar>(
         // the winner indicator) leave the pool.
         let wvec = backend.sparse_from_sorted(n, winners.clone(), vec![true; winners.len()])?;
         let killed: Vec<B::SparseVec<bool>> =
-            backend.spmspv_semiring(a, std::slice::from_ref(&wvec), &kill_ring, None, opts)?;
+            backend.spmspv(a, std::slice::from_ref(&wvec), &kill_ring, None, opts)?;
         for (u, _) in backend.sparse_entries(&crate::only(killed)?) {
             candidate[u] = false;
         }

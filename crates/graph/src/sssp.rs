@@ -116,7 +116,7 @@ pub fn sssp_on<B: GblasBackend, T: EdgeWeight>(
         // With no slot left to push, the riders skip it: an empty frontier
         // relaxes nothing.
         if xs.iter().any(|x| backend.sparse_nnz(x) > 0) {
-            let ys: Vec<B::SparseVec<f64>> = backend.spmspv_semiring(&w, &xs, &ring, None, opts)?;
+            let ys: Vec<B::SparseVec<f64>> = backend.spmspv(&w, &xs, &ring, None, opts)?;
             for (&s, y) in slots.iter().zip(&ys) {
                 relaxed[s] = backend.sparse_entries(y);
             }

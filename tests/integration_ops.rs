@@ -110,7 +110,7 @@ fn semiring_spmspv_composes_with_ewise_and_reduce() {
     let y = spmspv::spmspv_semiring(&a, &x, &semirings::plus_times_f64(), &ctx).unwrap();
     let keep = gen::random_dense_bool(300, 0.5, 9);
     let z = ewise::ewise_filter_prefix(&y, &keep, &|_: f64, k| k, &ctx).unwrap();
-    let s = gblas_core::ops::reduce::reduce_vec(&z, &gblas_core::algebra::Plus, &ctx);
+    let s: f64 = z.values().iter().sum();
     // reference
     let mut expect = 0.0;
     for (i, &v) in y.iter() {

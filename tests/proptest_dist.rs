@@ -171,11 +171,12 @@ proptest! {
     }
 
     #[test]
-    fn dist_reduce_matches_fold(v in sparse_vec(64), p in 1usize..=8) {
-        let d = DistSparseVec::from_global(&v, p);
-        let dctx = DistCtx::new(MachineConfig::edison_cluster(p, 24));
-        let (sum, _) = dops::reduce::reduce_dist(&d, &gblas_core::algebra::Plus, &dctx).unwrap();
-        let expect: f64 = v.values().iter().sum();
+    fn dist_reduce_matches_fold(seed in 0u64..500, g in grid()) {
+        let a = gen::erdos_renyi(37, 3, seed);
+        let d = DistCsrMatrix::from_global(&a, g);
+        let dctx = DistCtx::new(MachineConfig::edison_cluster(g.locales(), 24));
+        let (sum, _) = dops::reduce::reduce_mat_dist(&d, &gblas_core::algebra::Plus, &dctx).unwrap();
+        let expect: f64 = a.values().iter().sum();
         prop_assert!((sum - expect).abs() < 1e-9);
     }
 }

@@ -17,7 +17,7 @@
 //! seed, and `PROPTEST_REPLAY=<case>` re-runs just that case.
 
 use gblas::prelude::*;
-use gblas_core::backend::{GblasBackend, MaskSpec, SharedBackend};
+use gblas_core::backend::{FirstVisitor, GblasBackend, MaskSpec, SharedBackend};
 use gblas_core::gen;
 use gblas_core::ops::selection::SelectionPolicy;
 use gblas_core::ops::spmspv::SpMSpVOpts;
@@ -61,17 +61,17 @@ proptest! {
             .sparse_from_sorted(N, frontier_v.clone(), frontier_v)
             .unwrap();
         let pushed = backend
-            .spmspv_first_visitor(
+            .spmspv(
                 &a,
                 std::slice::from_ref(&frontier),
+                &FirstVisitor,
                 Some(&[MaskSpec::complement(&visited)]),
                 SpMSpVOpts::default(),
             )
             .unwrap()
             .remove(0);
 
-        let bits = backend.sparse_to_bitmap(&frontier).unwrap();
-        let pulled = backend.pull_first_visitor(&a, &bits, &visited).unwrap();
+        let pulled = backend.pull_first_visitor(&a, &frontier, &visited).unwrap();
 
         prop_assert_eq!(backend.sparse_entries(&pulled), backend.sparse_entries(&pushed));
     }

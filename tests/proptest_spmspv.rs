@@ -23,11 +23,14 @@ use gblas_core::algebra::semirings;
 use gblas_core::container::{CooMatrix, CsrMatrix, DenseVec, DupPolicy, SparseVec};
 use gblas_core::mask::VecMask;
 use gblas_core::ops::spmspv::{
-    spmspv_first_visitor, spmspv_semiring_masked, spmspv_sort_based, MergeStrategy, SpMSpVOpts,
-    PHASE_BUCKET, PHASE_OUTPUT, PHASE_SORT, PHASE_SPA,
+    spmspv_first_visitor, spmspv_semiring_masked, MergeStrategy, SpMSpVOpts, PHASE_BUCKET,
+    PHASE_OUTPUT, PHASE_SORT, PHASE_SPA,
 };
 use gblas_core::par::ExecCtx;
+use oracle::spmspv_sort_based;
 use proptest::prelude::*;
+
+mod oracle;
 
 const CAP: usize = 30;
 
