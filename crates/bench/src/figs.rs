@@ -805,6 +805,30 @@ mod tests {
         assert!(r16.phase("local") < r1.phase("local"));
     }
 
+    /// The direction gate at the figures smoke's scale: on the simulated
+    /// clock, `Auto` is never slower than both static directions at any
+    /// node count of the sweep.
+    #[test]
+    fn fig_direction_auto_never_loses_to_both_static_directions() {
+        let figs = fig_direction(200);
+        let fig = &figs[0];
+        let totals = |name: &str| -> Vec<(usize, f64)> {
+            let series = fig.series.iter().find(|s| s.name == name);
+            let series = series.unwrap_or_else(|| panic!("no {name} series"));
+            series.points.iter().map(|p| (p.x, p.report.total())).collect()
+        };
+        let (push, pull, auto) = (totals("push"), totals("pull"), totals("auto"));
+        let nodes: Vec<usize> = auto.iter().map(|&(x, _)| x).collect();
+        assert_eq!(nodes, NODES, "auto must run at every node count");
+        for (((x, push), (_, pull)), (_, auto)) in push.iter().zip(&pull).zip(&auto) {
+            let worst = push.max(*pull);
+            assert!(
+                *auto <= worst + 1e-9,
+                "auto {auto} slower than both statics (push {push}, pull {pull}) at {x} nodes"
+            );
+        }
+    }
+
     #[test]
     fn fig_spgemm_multistage_wins_at_scale_and_3d_broadcasts_less() {
         let figs = fig_spgemm(16); // RMAT scales 10 and 12
@@ -835,9 +859,12 @@ mod tests {
             if bcast("summa3d") < bcast("summa2d") {
                 threed_broadcasts_less = true;
             }
-            // Sanity: every series priced real work at every point.
+            // Sanity: all three engines priced real work at every node count.
+            let names: Vec<&str> = fig.series.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(names, ["single", "summa2d", "summa3d"]);
             for s in &fig.series {
-                assert_eq!(s.points.len(), SPGEMM_NODES.len());
+                let nodes: Vec<usize> = s.points.iter().map(|p| p.x).collect();
+                assert_eq!(nodes, SPGEMM_NODES, "{}", s.name);
                 for p in &s.points {
                     assert!(p.report.total() > 0.0, "{}: empty report at {}", s.name, p.x);
                 }

@@ -480,6 +480,22 @@ mod tests {
         );
     }
 
+    /// The serving gate at the figures smoke's scale: in the QPS-vs-batch
+    /// sweep, batched serving beats the k-loop on simulated QPS at every
+    /// batch size from 8 on.
+    #[test]
+    fn fig_serving_batched_beats_loop_from_k8() {
+        let figs = fig_serving(200);
+        let qps = |series: &str, k: usize| -> f64 {
+            let s = figs[0].series.iter().find(|s| s.name == series).expect("series");
+            s.points.iter().find(|p| p.x == k).expect("batch size").report.phase("qps")
+        };
+        for k in [8, 16, 32] {
+            let (batched, looped) = (qps("batched", k), qps("k-loop", k));
+            assert!(batched > looped, "k={k}: batched {batched} QPS vs loop {looped} QPS");
+        }
+    }
+
     #[test]
     fn equivalence_check_passes_on_real_input() {
         let a = gblas_core::gen::rmat(8, 8, 5);

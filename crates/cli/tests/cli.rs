@@ -279,3 +279,141 @@ fn env_knobs_take_effect_through_the_binary() {
     assert_eq!(ws_result, result);
     assert_eq!(ws_hits, 0, "GBLAS_WORKSPACE=off must disable every locale pool");
 }
+
+/// What a run printed as its result: the text above the trace and metrics
+/// dump, without the wall-clock parenthesis closing a result line and, on
+/// a wall-clock serving run, without the measured QPS and latency lines.
+fn result_text(stdout: &str) -> String {
+    let wall = stdout.lines().any(|l| l.starts_with("clock: wall"));
+    let mut text = String::new();
+    for line in stdout.lines().take_while(|l| !l.starts_with("trace:")) {
+        if wall && line.contains("QPS") {
+            continue;
+        }
+        let timed = line.rsplit_once(" (").filter(|(_, t)| {
+            let t = t.strip_suffix(')').unwrap_or("");
+            let number = t.trim_end_matches(|c: char| c.is_alphabetic());
+            t.len() > number.len() && number.parse::<f64>().is_ok()
+        });
+        text.push_str(timed.map_or(line, |(kept, _)| kept));
+        text.push('\n');
+    }
+    text
+}
+
+/// The op spans named `name` in a JSONL trace.
+fn op_spans<'t>(trace: &'t str, name: &str) -> Vec<&'t str> {
+    let key = format!("\"name\":\"{name}\",\"kind\":\"op\"");
+    trace.lines().filter(|l| l.contains(&key)).collect()
+}
+
+/// What a case reads from its `--trace`, beyond the printed result.
+enum Traced {
+    /// Untraced: the printed result is the whole check.
+    No,
+    /// SpGEMM drivers: at least one `mxm_dist` op span, and exactly the
+    /// given count of each named op span.
+    Spgemm(&'static [(&'static str, usize)]),
+    /// Adaptive traversal: the per-level `select` decisions, executor-
+    /// independent; `true` when the run must take both directions.
+    Selection(bool),
+}
+
+/// Each analytic of the distributed backend end to end through the binary,
+/// once under the default (threaded) locale executor and once under
+/// `GBLAS_DIST_EXECUTOR=serial`: both runs must print the same result. MCL
+/// runs its fused one-orientation driver (one transpose at entry, pruning
+/// at the multiply's emit step and never as a select pass), on a 2-D and a
+/// 3-D grid; triangles multiply `L` by itself (no transpose), also on a
+/// rectangular grid; adaptive BFS takes both directions; serving verifies
+/// every batch against its single-source runs on both backends.
+#[test]
+fn analytics_print_the_same_result_under_both_executors() {
+    const MCL: &[(&str, usize)] = &[("transpose_dist", 1), ("select_mat_dist", 0)];
+    const TRIANGLES: &[(&str, usize)] = &[("transpose_dist", 0)];
+    let cases: [(&str, &str, Traced); 11] = [
+        ("mcl-6", "mcl --gen er:600:6 --symmetrize --seed 5 --simulate 6", Traced::Spgemm(MCL)),
+        (
+            "mcl-16-3d",
+            "mcl --gen er:600:6 --symmetrize --seed 5 --simulate 16 --mxm-grid 3d",
+            Traced::Spgemm(MCL),
+        ),
+        (
+            "triangles-6",
+            "triangles --gen er:2000:8 --symmetrize --simulate 6",
+            Traced::Spgemm(TRIANGLES),
+        ),
+        ("triangles-16", "triangles --gen er:2000:8 --symmetrize --simulate 16", Traced::No),
+        ("kcore", "kcore --gen er:2000:8 --symmetrize --simulate 8", Traced::No),
+        ("mis", "mis --gen er:2000:8 --symmetrize --seed 7 --simulate 8", Traced::No),
+        ("bc", "bc --gen er:500:6 --source 3 --simulate 8", Traced::No),
+        (
+            "serve-simulated",
+            "serve-bench --gen rmat:11:8 --requests 32 --batch 8 --simulate 16 --verify",
+            Traced::No,
+        ),
+        (
+            "serve-shared",
+            "serve-bench --gen rmat:12:8 --requests 24 --batch 4 --arrival bursty:5000 --verify",
+            Traced::No,
+        ),
+        (
+            "bfs-auto",
+            "bfs --gen rmat:12:8 --seed 7 --selection auto --simulate 4",
+            Traced::Selection(true),
+        ),
+        (
+            "cc-auto",
+            "cc --gen er:3000:6 --symmetrize --selection auto --simulate 4",
+            Traced::Selection(false),
+        ),
+    ];
+    let dir = std::env::temp_dir().join("gblas_cli_executor_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, args, traced) in &cases {
+        let run = |exec: &str, env: &[(&str, &str)]| {
+            let trace = dir.join(format!("{name}-{exec}.jsonl"));
+            let _ = std::fs::remove_file(&trace); // no earlier run's trace
+            let mut args: Vec<&str> = args.split_whitespace().collect();
+            if !matches!(traced, Traced::No) {
+                args.extend(["--trace", trace.to_str().unwrap()]);
+            }
+            let (ok, stdout, stderr) = run_env(&args, env);
+            assert!(ok, "{name} {exec}: {stderr}");
+            if args.contains(&"--verify") {
+                assert!(stdout.contains("verified: batched results bit-identical"), "{stdout}");
+            }
+            let trace = std::fs::read_to_string(&trace).unwrap_or_default();
+            (result_text(&stdout), trace)
+        };
+        let (threaded, threaded_trace) = run("threaded", &[]);
+        let (serial, serial_trace) = run("serial", &[("GBLAS_DIST_EXECUTOR", "serial")]);
+        assert!(!threaded.is_empty(), "{name}: printed nothing");
+        assert_eq!(threaded, serial, "{name}: the executors print different results");
+        for trace in [&threaded_trace, &serial_trace] {
+            match traced {
+                Traced::No => {}
+                Traced::Spgemm(pinned) => {
+                    assert!(!op_spans(trace, "mxm_dist").is_empty(), "{name}: no multiply");
+                    for &(op, count) in *pinned {
+                        assert_eq!(op_spans(trace, op).len(), count, "{name}: {op} op spans");
+                    }
+                }
+                Traced::Selection(both) => {
+                    let select = op_spans(trace, "select");
+                    assert!(!select.is_empty(), "{name}: no select spans");
+                    let took = |dir: &str| select.iter().any(|l| l.contains(dir));
+                    let (push, pull) = (took("\"dir\":\"push\""), took("\"dir\":\"pull\""));
+                    assert!(!both || (push && pull), "{name}: push {push}, pull {pull}");
+                }
+            }
+        }
+        // every select decision, attribute for attribute
+        let decisions = |trace: &str| -> Vec<String> {
+            let attrs = |l: &&str| l.split("\"attrs\":").nth(1).unwrap_or_default().to_string();
+            op_spans(trace, "select").iter().map(attrs).collect()
+        };
+        let what = "the select decisions depend on the executor";
+        assert_eq!(decisions(&threaded_trace), decisions(&serial_trace), "{name}: {what}");
+    }
+}

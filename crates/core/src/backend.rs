@@ -254,8 +254,9 @@ pub trait GblasBackend {
     fn dense_to_vec<T: Scalar>(&self, v: Self::DenseVec<T>) -> Vec<T>;
 
     /// Point update `v[i] = value` (driver-side control state; the
-    /// distributed backend pokes the owning locale's segment).
-    fn dense_set<T: Scalar>(&self, v: &mut Self::DenseVec<T>, i: usize, value: T);
+    /// distributed backend pokes the owning locale's segment). An index
+    /// past the end is `IndexOutOfBounds`.
+    fn dense_set<T: Scalar>(&self, v: &mut Self::DenseVec<T>, i: usize, value: T) -> Result<()>;
 
     /// Build a sparse vector from globally-sorted `(indices, values)`.
     fn sparse_from_sorted<T: Scalar>(
@@ -570,8 +571,8 @@ impl GblasBackend for SharedBackend<'_> {
         v.into_vec()
     }
 
-    fn dense_set<T: Scalar>(&self, v: &mut DenseVec<T>, i: usize, value: T) {
-        v.as_mut_slice()[i] = value;
+    fn dense_set<T: Scalar>(&self, v: &mut DenseVec<T>, i: usize, value: T) -> Result<()> {
+        v.set(i, value)
     }
 
     fn sparse_from_sorted<T: Scalar>(

@@ -65,11 +65,6 @@ impl<T> DenseVec<T> {
         &self.values
     }
 
-    /// Borrow as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.values
-    }
-
     /// Consume into the underlying `Vec`.
     pub fn into_vec(self) -> Vec<T> {
         self.values

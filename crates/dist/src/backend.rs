@@ -11,12 +11,12 @@
 
 use crate::exec::DistCtx;
 use crate::mat::DistCsrMatrix;
-use crate::ops::spmspv::{push, CommStrategy, DistMask};
+use crate::ops::spmspv::{push, CommStrategy};
 use crate::vec::{DistDenseVec, DistSparseVec};
 use gblas_core::algebra::{BinaryOp, ComMonoid, Monoid, Scalar, Semiring};
 use gblas_core::backend::{GblasBackend, MaskSpec, PushRule};
 use gblas_core::container::{DenseVec, SparseVec};
-use gblas_core::error::Result;
+use gblas_core::error::{GblasError, Result};
 use gblas_core::ops::selection;
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_sim::SimReport;
@@ -99,11 +99,6 @@ impl<'a> DistBackend<'a> {
         let word = std::mem::size_of::<f64>() as u64;
         crate::ops::reduce::binomial_tree(self.dctx, phase, self.dctx.locales(), word)
     }
-}
-
-/// Translate backend masks into the distributed [`DistMask`]s.
-fn dist_masks<'m>(ms: &[MaskSpec<'m, DistDenseVec<bool>>]) -> Vec<DistMask<'m>> {
-    ms.iter().map(|m| DistMask { bits: m.bits, complement: m.complement }).collect()
 }
 
 impl GblasBackend for DistBackend<'_> {
@@ -239,8 +234,7 @@ impl GblasBackend for DistBackend<'_> {
         W: Scalar,
         R: PushRule<T, V, W>,
     {
-        let (dm, strategy) = (masks.map(dist_masks), self.strategy);
-        let (out, r) = push(a, xs, rule, dm.as_deref(), strategy, opts, self.dctx)?;
+        let (out, r) = push(a, xs, rule, masks, self.strategy, opts, self.dctx)?;
         self.absorb(r);
         Ok(out)
     }
@@ -332,11 +326,15 @@ impl GblasBackend for DistBackend<'_> {
         v.to_global().into_vec()
     }
 
-    fn dense_set<T: Scalar>(&self, v: &mut DistDenseVec<T>, i: usize, value: T) {
+    fn dense_set<T: Scalar>(&self, v: &mut DistDenseVec<T>, i: usize, value: T) -> Result<()> {
+        if i >= v.len() {
+            return Err(GblasError::IndexOutOfBounds { index: i, capacity: v.len() });
+        }
         let dist = v.dist();
         let owner = dist.owner(i);
         let off = i - dist.range(owner).start;
         v.segment_mut(owner)[off] = value;
+        Ok(())
     }
 
     fn sparse_from_sorted<T: Scalar>(
@@ -374,7 +372,7 @@ mod tests {
     use super::*;
     use crate::exec::LocaleExecutor;
     use crate::grid::ProcGrid;
-    use crate::ops::spmspv::{spmspv_dist_semiring_with, spmspv_dist_with, PHASE_GATHER};
+    use crate::ops::spmspv::{spmspv_dist_with, PHASE_GATHER};
     use gblas_core::algebra::{semirings, Plus};
     use gblas_core::backend::FirstVisitor;
     use gblas_core::gen;
@@ -440,7 +438,7 @@ mod tests {
             assert!(backend.take_report().total() > 0.0, "{at}");
             assert_eq!(batched.len(), sources.len(), "{at}");
             for (s, x) in xs.iter().enumerate() {
-                let mask = Some(DistMask::complement(&visited[s]));
+                let mask = Some(MaskSpec::complement(&visited[s]));
                 let sctx = ctx(grid, exec);
                 let (single, _) = spmspv_dist_with(&da, x, mask, strategy, opts, &sctx).unwrap();
                 assert_eq!(batched[s].to_global(), single.to_global(), "{at} slot {s}");
@@ -486,8 +484,8 @@ mod tests {
         }
     }
 
-    /// Push `xs` as one batch through the trait and each alone through
-    /// `spmspv_dist_semiring_with`: every row must agree bit for bit.
+    /// Push `xs` as one batch through the trait and each alone as a batch
+    /// of one on a fresh context: every row must agree bit for bit.
     fn assert_semiring_batch_is_solo<AddM, MulOp>(
         da: &DistCsrMatrix<f64>,
         xs: &[DistSparseVec<f64>],
@@ -509,9 +507,9 @@ mod tests {
         assert_eq!(batched.len(), xs.len(), "{at}");
         for (s, x) in xs.iter().enumerate() {
             let sctx = ctx(da.grid(), exec);
-            let (single, _) =
-                spmspv_dist_semiring_with(da, x, ring, None, strategy, opts, &sctx).unwrap();
-            assert_eq!(bits(&batched[s]), bits(&single), "{at} slot {s}");
+            let solo = DistBackend::with_strategy(&sctx, strategy);
+            let single = solo.spmspv(da, std::slice::from_ref(x), ring, None, opts).unwrap();
+            assert_eq!(bits(&batched[s]), bits(&single[0]), "{at} slot {s}");
         }
     }
 
@@ -723,8 +721,8 @@ mod tests {
         let dctx = DistCtx::new(MachineConfig::edison_cluster(4, 24));
         let b = DistBackend::new(&dctx);
         let mut v = b.dense_filled(10, 0i64);
-        b.dense_set(&mut v, 9, 7);
-        b.dense_set(&mut v, 0, -1);
+        b.dense_set(&mut v, 9, 7).unwrap();
+        b.dense_set(&mut v, 0, -1).unwrap();
         let g = b.dense_to_vec(v);
         assert_eq!(g[9], 7);
         assert_eq!(g[0], -1);

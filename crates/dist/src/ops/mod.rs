@@ -15,8 +15,8 @@
 //!
 //! Beyond the paper's subset, the crate also ships the distributed
 //! operations a complete library needs, all bulk-synchronous:
-//! [`spmspv::spmspv_dist_with`] (masks in distributed memory, §V) and
-//! [`spmspv::spmspv_dist_semiring_with`] (general accumulation), [`spmv`]
+//! [`spmspv::spmspv_dist_with`] (masks in distributed memory, §V), the
+//! backend trait's semiring push (general accumulation), [`spmv`]
 //! (dense vectors), [`mxm`] (sparse SUMMA SpGEMM), [`transpose`]
 //! (mirror-block exchange), and [`reduce`] (binomial-tree all-reduce).
 //!

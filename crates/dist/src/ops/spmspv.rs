@@ -27,7 +27,7 @@
 //! An entry point chooses only what genuinely varies: the [`CommStrategy`]
 //! of the gather and scatter, the core [`PushRule`] ([`FirstVisitor`] or a
 //! semiring: the local kernel, the owner's resolution of competing claims
-//! and the op's one name) and one optional [`DistMask`] per source (each
+//! and the op's one name) and one optional [`MaskSpec`] per source (each
 //! with its own polarity). The body stamps the op span's attributes itself,
 //! strategy and merge first. What does *not* vary with `k` is fixed in the body:
 //! every source multiplies under the caller's one `SpMSpVOpts`; the gather
@@ -43,6 +43,16 @@
 //! a serial sweep would — into its *own* dense segment and builds its
 //! output shard from it (`denseToSparse`).
 //!
+//! A mask is over the *output* columns — the paper's §V future work
+//! ("efficient implementations of novel concepts in GraphBLAS, such as
+//! masks, have not been attempted in distributed memory before"). Its bits
+//! are a [`DistDenseVec<bool>`] with the output's block layout, so each bit
+//! lives on the locale that owns the output entry. It is enforced at the
+//! *sender*: a locale copies the bits over its column range from their
+//! owners (one byte each, one bulk message per remote owner — pull's
+//! frontier-bitmap gather) and its local kernel drops a disallowed column
+//! at the probe, so a suppressed entry is never claimed, sorted or sent.
+//!
 //! The first-visitor output stores, per reached column, the **smallest
 //! global row id** among its visitors — the BFS parent vector. Each
 //! locale's claim is already its block's minimum (the shared kernel's
@@ -54,9 +64,8 @@ use crate::exec::{DistCtx, OpTrace, Outbox};
 use crate::grid::BlockDist;
 use crate::mat::DistCsrMatrix;
 use crate::sched::{FrontierClass, GatherPlan, PlanData, SchedOutcome};
-use crate::vec::DistSparseVec;
-use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
-use gblas_core::backend::{FirstVisitor, PushRule};
+use crate::vec::{DistDenseVec, DistSparseVec};
+use gblas_core::backend::{FirstVisitor, MaskSpec, PushRule};
 use gblas_core::container::SparseVec;
 use gblas_core::error::{check_dims, GblasError, Result};
 use gblas_core::mask::VecMask;
@@ -208,44 +217,15 @@ fn gather_rows<B: Copy, V: Copy + Send + Sync + 'static>(
     Ok((Gather { profiles, sched, plan: sched_plan }, lxs))
 }
 
-/// A mask over the *output* columns of the distributed SpMSpV — the
-/// paper's §V future work ("efficient implementations of novel concepts
-/// in GraphBLAS, such as masks, have not been attempted in distributed
-/// memory before"), implemented here.
-///
-/// The mask is a dense boolean vector distributed with the same block
-/// layout as the output, so each mask bit lives on the locale that owns
-/// the corresponding output entry. It is enforced at the *sender*: a
-/// locale copies the bits over its column range from their owners (one
-/// byte each, one bulk message per remote owner — pull's frontier-bitmap
-/// gather) and its local kernel drops a disallowed column at the probe,
-/// so a suppressed entry is never claimed, sorted or sent.
-#[derive(Debug, Clone, Copy)]
-pub struct DistMask<'a> {
-    /// The mask bits, block-distributed like the output.
-    pub bits: &'a crate::vec::DistDenseVec<bool>,
-    /// GraphBLAS `GrB_COMP`: allow where the bit is *false*.
-    pub complement: bool,
-}
-
-impl<'a> DistMask<'a> {
-    /// Allow output entries where the bit is `true`.
-    pub fn new(bits: &'a crate::vec::DistDenseVec<bool>) -> Self {
-        DistMask { bits, complement: false }
-    }
-
-    /// Allow output entries where the bit is `false` (e.g. BFS's
-    /// "not yet visited").
-    pub fn complement(bits: &'a crate::vec::DistDenseVec<bool>) -> Self {
-        DistMask { bits, complement: true }
-    }
-
-    /// Copy the bits in `windows` into `buf`: the shared-kernel mask over
-    /// their concatenated range.
-    fn window<'b>(&self, windows: &[(usize, usize, usize)], buf: &'b mut Vec<bool>) -> VecMask<'b> {
-        self.bits.read_windows(windows, buf);
-        VecMask::bitmap(buf, self.complement)
-    }
+/// Copy the bits of `mask` in `windows` into `buf`: the shared-kernel
+/// mask over their concatenated range, with the mask's polarity.
+fn mask_window<'b>(
+    mask: &MaskSpec<'_, DistDenseVec<bool>>,
+    windows: &[(usize, usize, usize)],
+    buf: &'b mut Vec<bool>,
+) -> VecMask<'b> {
+    mask.bits.read_windows(windows, buf);
+    VecMask::bitmap(buf, mask.complement)
 }
 
 /// One sender's scatter output: its pooled per-owner outbox, and where
@@ -279,7 +259,7 @@ impl<W> Pushed<W> {
 fn check_push_operands<B: Copy, V: Copy>(
     a: &DistCsrMatrix<B>,
     xs: &[DistSparseVec<V>],
-    masks: Option<&[DistMask<'_>]>,
+    masks: Option<&[MaskSpec<'_, DistDenseVec<bool>>]>,
     dctx: &DistCtx,
 ) -> Result<()> {
     let p = a.grid().locales();
@@ -315,7 +295,7 @@ fn push_engine<B, V, W, R>(
     a: &DistCsrMatrix<B>,
     lxs: &[Vec<SparseVec<V>>],
     rule: &R,
-    masks: Option<&[DistMask<'_>]>,
+    masks: Option<&[MaskSpec<'_, DistDenseVec<bool>>]>,
     opts: SpMSpVOpts,
     strategy: CommStrategy,
     gather: &mut Gather,
@@ -365,7 +345,8 @@ where
         let mut bits: Vec<bool> = Vec::new();
         let mut products: Vec<SparseVec<W>> = Vec::with_capacity(k);
         for (s, lx) in lxs[l].iter().enumerate() {
-            let mask = masked(lx).map(|per_source| per_source[s].window(&windows[l], &mut bits));
+            let mask =
+                masked(lx).map(|per_source| mask_window(&per_source[s], &windows[l], &mut bits));
             products.push(if row_range.is_empty() || col_range.is_empty() {
                 SparseVec::new(col_range.len().max(1))
             } else {
@@ -478,7 +459,7 @@ pub(crate) fn push<B, V, W, R>(
     a: &DistCsrMatrix<B>,
     xs: &[DistSparseVec<V>],
     rule: &R,
-    masks: Option<&[DistMask<'_>]>,
+    masks: Option<&[MaskSpec<'_, DistDenseVec<bool>>]>,
     strategy: CommStrategy,
     opts: SpMSpVOpts,
     dctx: &DistCtx,
@@ -526,12 +507,13 @@ pub fn spmspv_dist_bulk<T: Copy + Send + Sync + 'static>(
 }
 
 /// Full-control first-visitor entry point, with an optional output mask
-/// ([`DistMask`]). The frontier's value type `V` is independent of the
-/// matrix type — first-visitor semantics never read the values.
+/// (enforced at the sender, see the module doc). The frontier's value type
+/// `V` is independent of the matrix type — first-visitor semantics never
+/// read the values.
 pub fn spmspv_dist_with<T: Copy + Send + Sync, V: Copy + Send + Sync + 'static>(
     a: &DistCsrMatrix<T>,
     x: &DistSparseVec<V>,
-    mask: Option<DistMask<'_>>,
+    mask: Option<MaskSpec<'_, DistDenseVec<bool>>>,
     strategy: CommStrategy,
     opts: SpMSpVOpts,
     dctx: &DistCtx,
@@ -548,42 +530,12 @@ pub(crate) fn only<W>(ys: Vec<W>) -> Result<W> {
         .ok_or_else(|| GblasError::InvalidContainer("an op returned no output row".into()))
 }
 
-/// General-semiring distributed SpMSpV: `y[j] = ⊕_i x[i] ⊗ A[i,j]` with
-/// true accumulation — contributions from different grid rows to the same
-/// output column are combined with the add monoid *at the owning locale*
-/// (the scatter carries values, and the owner accumulates instead of
-/// keeping the first claim). Same three components as [`spmspv_dist`];
-/// this is what distributed SSSP needs (min-plus).
-///
-/// `opts` picks the local kernel's merge, and the optional output mask is
-/// enforced at the sender exactly like the first-visitor kernel's
-/// ([`DistMask`]): a disallowed product is never accumulated, sorted or
-/// sent.
-pub fn spmspv_dist_semiring_with<A, B, C, AddM, MulOp>(
-    a: &DistCsrMatrix<B>,
-    x: &DistSparseVec<A>,
-    ring: &Semiring<AddM, MulOp>,
-    mask: Option<DistMask<'_>>,
-    strategy: CommStrategy,
-    opts: SpMSpVOpts,
-    dctx: &DistCtx,
-) -> Result<(DistSparseVec<C>, SimReport)>
-where
-    A: Copy + Send + Sync + 'static,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync + PartialEq + 'static,
-    AddM: Monoid<C>,
-    MulOp: BinaryOp<A, B, C>,
-{
-    let (xs, masks) = (std::slice::from_ref(x), mask.as_ref().map(std::slice::from_ref));
-    let (ys, report) = push(a, xs, ring, masks, strategy, opts, dctx)?;
-    Ok((only(ys)?, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::ProcGrid;
+    use crate::DistBackend;
+    use gblas_core::backend::GblasBackend;
     use gblas_core::error::GblasError;
     use gblas_core::gen;
     use gblas_core::ops::spmspv::spmspv_first_visitor;
@@ -730,11 +682,10 @@ mod tests {
             let dx = DistSparseVec::from_global(&x, p);
             for strategy in [CommStrategy::Fine, CommStrategy::Bulk] {
                 let dctx = DistCtx::new(machine_for(grid));
-                let opts = SpMSpVOpts::default();
-                let (y, report) =
-                    spmspv_dist_semiring_with(&da, &dx, &ring, None, strategy, opts, &dctx)
-                        .unwrap();
-                let yg = y.to_global();
+                let b = DistBackend::with_strategy(&dctx, strategy);
+                let xs = std::slice::from_ref(&dx);
+                let y = b.spmspv(&da, xs, &ring, None, SpMSpVOpts::default()).unwrap();
+                let (yg, report) = (y[0].to_global(), b.take_report());
                 assert_eq!(yg.indices(), expect.indices(), "grid {pr}x{pc} {strategy:?}");
                 for (got, want) in yg.values().iter().zip(expect.values()) {
                     assert!((got - want).abs() < 1e-9, "grid {pr}x{pc}");
@@ -759,9 +710,10 @@ mod tests {
         let da = DistCsrMatrix::from_global(&a, grid);
         let dx = DistSparseVec::from_global(&x, 6);
         let dctx = DistCtx::new(machine_for(grid));
-        let (bulk, opts) = (CommStrategy::Bulk, SpMSpVOpts::default());
-        let (y, _) = spmspv_dist_semiring_with(&da, &dx, &ring, None, bulk, opts, &dctx).unwrap();
-        let yg = y.to_global();
+        let b = DistBackend::with_strategy(&dctx, CommStrategy::Bulk);
+        let xs = std::slice::from_ref(&dx);
+        let y = b.spmspv(&da, xs, &ring, None, SpMSpVOpts::default()).unwrap();
+        let yg = y[0].to_global();
         // y[1] = 0+2 = 2; y[2] = min(0+10, 2+3) = 5
         assert_eq!(yg.indices(), &[1, 2]);
         assert_eq!(yg.values(), &[2.0, 5.0]);
@@ -769,7 +721,6 @@ mod tests {
 
     #[test]
     fn masked_spmspv_excludes_and_matches_shared_mask() {
-        use crate::vec::DistDenseVec;
         let n = 400;
         let a = gen::erdos_renyi(n, 6, 125);
         let x = gen::random_sparse_vec(n, 30, 126);
@@ -792,7 +743,7 @@ mod tests {
             let dx = DistSparseVec::from_global(&x, p);
             let dbits = DistDenseVec::from_global(&bits, p);
             let dctx = DistCtx::new(machine_for(grid));
-            let mask = Some(DistMask::complement(&dbits));
+            let mask = Some(MaskSpec::complement(&dbits));
             let (y, report) =
                 spmspv_dist_with(&da, &dx, mask, CommStrategy::Fine, SpMSpVOpts::default(), &dctx)
                     .unwrap();
@@ -805,7 +756,6 @@ mod tests {
 
     #[test]
     fn masked_semiring_matches_shared_masked_semiring() {
-        use crate::vec::DistDenseVec;
         let n = 400;
         let a = gen::erdos_renyi(n, 6, 155);
         let x = gen::random_sparse_vec(n, 30, 156);
@@ -829,17 +779,10 @@ mod tests {
             let dbits = DistDenseVec::from_global(&bits, p);
             for strategy in [CommStrategy::Fine, CommStrategy::Bulk] {
                 let dctx = DistCtx::new(machine_for(grid));
-                let (y, report) = spmspv_dist_semiring_with(
-                    &da,
-                    &dx,
-                    &ring,
-                    Some(DistMask::complement(&dbits)),
-                    strategy,
-                    SpMSpVOpts::default(),
-                    &dctx,
-                )
-                .unwrap();
-                let yg = y.to_global();
+                let b = DistBackend::with_strategy(&dctx, strategy);
+                let (xs, masks) = (std::slice::from_ref(&dx), [MaskSpec::complement(&dbits)]);
+                let y = b.spmspv(&da, xs, &ring, Some(&masks), SpMSpVOpts::default()).unwrap();
+                let (yg, report) = (y[0].to_global(), b.take_report());
                 assert_eq!(yg.indices(), expect.indices(), "grid {pr}x{pc} {strategy:?}");
                 assert!(yg.indices().iter().all(|&j| j % 3 != 0));
                 for (got, want) in yg.values().iter().zip(expect.values()) {
@@ -852,7 +795,6 @@ mod tests {
 
     #[test]
     fn masked_spmspv_validates_mask_shape() {
-        use crate::vec::DistDenseVec;
         let a = gen::erdos_renyi(100, 4, 135);
         let x = gen::random_sparse_vec(100, 10, 136);
         let grid = ProcGrid::new(2, 2);
@@ -861,7 +803,7 @@ mod tests {
         let dctx = DistCtx::new(machine_for(grid));
         let masked = |bits: &DistDenseVec<bool>| {
             let (fine, opts) = (CommStrategy::Fine, SpMSpVOpts::default());
-            spmspv_dist_with(&da, &dx, Some(DistMask::new(bits)), fine, opts, &dctx)
+            spmspv_dist_with(&da, &dx, Some(MaskSpec::new(bits)), fine, opts, &dctx)
         };
         // wrong length
         assert!(masked(&DistDenseVec::filled(99, true, 4)).is_err());

@@ -8,15 +8,15 @@
 //! charge the same per-element payload width) and fault propagation
 //! mid-superstep under the threaded executor.
 
-use gblas_core::algebra::{semirings, Plus};
-use gblas_core::backend::{FirstVisitor, GblasBackend, MaskSpec};
+use gblas_core::algebra::{semirings, Plus, Scalar};
+use gblas_core::backend::{FirstVisitor, GblasBackend, MaskSpec, PushRule};
 use gblas_core::container::{CsrMatrix, DenseVec, SparseVec};
 use gblas_core::error::GblasError;
 use gblas_core::gen;
 use gblas_core::ops::ewise::EwiseVariant;
 use gblas_core::ops::spmspv::{MergeStrategy, SpMSpVOpts};
 use gblas_core::trace::SpanKind;
-use gblas_dist::ops::spmspv::{CommStrategy, DistMask};
+use gblas_dist::ops::spmspv::CommStrategy;
 use gblas_dist::ops::{apply, assign, ewise, mxm, reduce, spmspv, spmv, transpose};
 use gblas_dist::{
     DistBackend, DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid,
@@ -60,6 +60,20 @@ fn run_both<R>(p: usize, label: &str, f: impl Fn(&DistCtx) -> (R, SimReport)) ->
     (rt, rs)
 }
 
+/// Push the one frontier `x` through the backend trait: its output row and
+/// the op's simulated report.
+fn push_one<T: Scalar, V: Scalar, W: Scalar>(
+    (da, x): (&DistCsrMatrix<T>, &DistSparseVec<V>),
+    rule: &impl PushRule<T, V, W>,
+    strategy: CommStrategy,
+    opts: SpMSpVOpts,
+    d: &DistCtx,
+) -> Result<(DistSparseVec<W>, SimReport), GblasError> {
+    let backend = DistBackend::with_strategy(d, strategy);
+    let ys = backend.spmspv(da, std::slice::from_ref(x), rule, None, opts)?;
+    Ok((ys.into_iter().next().expect("one row"), backend.take_report()))
+}
+
 #[test]
 fn spmspv_family_matches_across_executors() {
     for (pr, pc) in GRIDS {
@@ -88,7 +102,7 @@ fn spmspv_family_matches_across_executors() {
         let bits = DenseVec::from_fn(400, |i| i % 3 == 0);
         let dbits = DistDenseVec::from_global(&bits, p);
         let (yt, ys) = run_both(p, "spmspv_masked", |d| {
-            let mask = Some(DistMask::complement(&dbits));
+            let mask = Some(MaskSpec::complement(&dbits));
             spmspv::spmspv_dist_with(&da, &dx, mask, CommStrategy::Fine, SpMSpVOpts::default(), d)
                 .unwrap()
         });
@@ -97,16 +111,8 @@ fn spmspv_family_matches_across_executors() {
         for strategy in [CommStrategy::Fine, CommStrategy::Bulk] {
             for merge in [MergeStrategy::SortBased, MergeStrategy::Bucketed] {
                 let (yt, ys) = run_both(p, "spmspv_semiring", |d| {
-                    spmspv::spmspv_dist_semiring_with(
-                        &da,
-                        &dx,
-                        &ring,
-                        None,
-                        strategy,
-                        SpMSpVOpts::with_merge(merge),
-                        d,
-                    )
-                    .unwrap()
+                    let opts = SpMSpVOpts::with_merge(merge);
+                    push_one((&da, &dx), &ring, strategy, opts, d).unwrap()
                 });
                 // Bit-identical floats: the owner drains its inboxes in
                 // source-locale order (and the aggregated gather assembles
@@ -230,8 +236,7 @@ fn gather_and_scatter_charge_the_same_element_width() {
     dctx.enable_tracing();
     let ring = semirings::plus_times::<f32>();
     let (fine, opts) = (CommStrategy::Fine, SpMSpVOpts::default());
-    let (_, _) =
-        spmspv::spmspv_dist_semiring_with(&da, &dx, &ring, None, fine, opts, &dctx).unwrap();
+    let _: (DistSparseVec<f32>, _) = push_one((&da, &dx), &ring, fine, opts, &dctx).unwrap();
 
     let elem = (std::mem::size_of::<usize>() + std::mem::size_of::<f32>()) as u64;
     let trace = dctx.recorder().snapshot();
@@ -270,9 +275,10 @@ fn gather_and_scatter_charge_the_same_element_width() {
 
 /// A single-source aggregated push is a batch of one, on every event:
 /// the whole comm ledger (gather, mask gather, scatter) and the simulated
-/// report of `spmspv_dist_with` / `spmspv_dist_semiring_with` at `Bulk`
-/// equal those of the backend trait's slice push over a one-source batch,
-/// masked and unmasked. Each locale opens the
+/// report of `spmspv_dist_with` at `Bulk` equal those of the backend
+/// trait's slice push over a one-source batch, masked and unmasked; the
+/// semiring push, which has no single-source entry point, runs through the
+/// trait alone. Each locale opens the
 /// gather with exactly one message of `nnz × elem_bytes` per remote row
 /// peer whose shard is nonempty — no request round, no empty reply — and
 /// logs no zero-byte gather event anywhere.
@@ -295,8 +301,7 @@ fn single_source_bulk_push_is_a_batch_of_one() {
         let f = frontiers(n, [entries.clone()], p);
         let fv = frontiers(n, [entries.iter().map(|&(i, _)| (i, i as f64)).collect()], p);
         let visited = DistDenseVec::from_global(&bits, p);
-        let (dx, dxv) = (&f[0], &fv[0]);
-        let mask = Some(DistMask::complement(&visited));
+        let dx = &f[0];
         let spec = [MaskSpec::complement(&visited)];
         for exec in [LocaleExecutor::Threaded, LocaleExecutor::Serial] {
             let ledger = |run: &dyn Fn(&DistCtx) -> SimReport| {
@@ -305,11 +310,12 @@ fn single_source_bulk_push_is_a_batch_of_one() {
                 let report = run(&dctx);
                 (dctx.comm.history(), report)
             };
-            let cases: [(&str, [Push; 2]); 4] = [
+            let cases: [(&str, Vec<Push>); 4] = [
                 (
                     "first-visitor masked",
-                    [
+                    vec![
                         Box::new(|d| {
+                            let mask = Some(MaskSpec::complement(&visited));
                             spmspv::spmspv_dist_with(&da, dx, mask, CommStrategy::Bulk, opts, d)
                                 .unwrap()
                                 .1
@@ -323,7 +329,7 @@ fn single_source_bulk_push_is_a_batch_of_one() {
                 ),
                 (
                     "first-visitor unmasked",
-                    [
+                    vec![
                         Box::new(|d| {
                             spmspv::spmspv_dist_with(&da, dx, None, CommStrategy::Bulk, opts, d)
                                 .unwrap()
@@ -338,49 +344,31 @@ fn single_source_bulk_push_is_a_batch_of_one() {
                 ),
                 (
                     "semiring unmasked",
-                    [
-                        Box::new(|d| {
-                            let strategy = CommStrategy::Bulk;
-                            spmspv::spmspv_dist_semiring_with::<f64, f64, f64, _, _>(
-                                &da, dxv, &ring, None, strategy, opts, d,
-                            )
-                            .unwrap()
-                            .1
-                        }),
-                        Box::new(|d| {
-                            let b = DistBackend::with_strategy(d, CommStrategy::Bulk);
-                            let _: Vec<DistSparseVec<f64>> =
-                                b.spmspv(&da, &fv, &ring, None, opts).unwrap();
-                            b.take_report()
-                        }),
-                    ],
+                    vec![Box::new(|d| {
+                        let b = DistBackend::with_strategy(d, CommStrategy::Bulk);
+                        let _: Vec<DistSparseVec<f64>> =
+                            b.spmspv(&da, &fv, &ring, None, opts).unwrap();
+                        b.take_report()
+                    })],
                 ),
                 (
                     "semiring masked",
-                    [
-                        Box::new(|d| {
-                            let strategy = CommStrategy::Bulk;
-                            spmspv::spmspv_dist_semiring_with::<f64, f64, f64, _, _>(
-                                &da, dxv, &ring, mask, strategy, opts, d,
-                            )
-                            .unwrap()
-                            .1
-                        }),
-                        Box::new(|d| {
-                            let b = DistBackend::with_strategy(d, CommStrategy::Bulk);
-                            let _: Vec<DistSparseVec<f64>> =
-                                b.spmspv(&da, &fv, &ring, Some(&spec), opts).unwrap();
-                            b.take_report()
-                        }),
-                    ],
+                    vec![Box::new(|d| {
+                        let b = DistBackend::with_strategy(d, CommStrategy::Bulk);
+                        let _: Vec<DistSparseVec<f64>> =
+                            b.spmspv(&da, &fv, &ring, Some(&spec), opts).unwrap();
+                        b.take_report()
+                    })],
                 ),
             ];
-            for (what, [solo, batch]) in &cases {
+            for (what, runs) in &cases {
                 let label = format!("{pr}x{pc} {exec:?} {what}");
-                let (solo_events, solo_report) = ledger(solo.as_ref());
-                let (batch_events, batch_report) = ledger(batch.as_ref());
-                assert_eq!(solo_events, batch_events, "{label}: k = 1 logs differently");
-                assert_eq!(solo_report, batch_report, "{label}: k = 1 prices differently");
+                let (solo_events, solo_report) = ledger(runs[0].as_ref());
+                for batch in &runs[1..] {
+                    let (batch_events, batch_report) = ledger(batch.as_ref());
+                    assert_eq!(solo_events, batch_events, "{label}: k = 1 logs differently");
+                    assert_eq!(solo_report, batch_report, "{label}: k = 1 prices differently");
+                }
                 let gathers: Vec<_> = solo_events.iter().filter(|e| e.phase == "gather").collect();
                 assert!(gathers.iter().all(|e| e.bytes > 0), "{label}: zero-byte gather event");
                 for l in 0..p {
@@ -451,15 +439,16 @@ fn assert_faults_surface_everywhere(strategy: CommStrategy, seed: u64, fail_poin
         (
             "spmspv_dist_with masked",
             Box::new(|d| {
-                let mask = Some(DistMask::complement(&bits));
+                let mask = Some(MaskSpec::complement(&bits));
                 spmspv::spmspv_dist_with(&da, &dx, mask, strategy, opts, d).map(drop)
             }),
         ),
         (
-            "spmspv_dist_semiring_with",
+            "one-source spmspv_semiring",
             Box::new(|d| {
-                spmspv::spmspv_dist_semiring_with(&da, &dx, &ring, None, strategy, opts, d)
-                    .map(drop)
+                let y: Result<(DistSparseVec<f64>, _), _> =
+                    push_one((&da, &dx), &ring, strategy, opts, d);
+                y.map(drop)
             }),
         ),
         (
@@ -549,16 +538,9 @@ fn workspace_pooling_is_bit_invisible_across_executors() {
                 for _ in 0..2 {
                     for strategy in [CommStrategy::Fine, CommStrategy::Bulk] {
                         for merge in [MergeStrategy::SortBased, MergeStrategy::Bucketed] {
-                            let (y, rep) = spmspv::spmspv_dist_semiring_with(
-                                &da,
-                                &dx,
-                                &ring,
-                                None,
-                                strategy,
-                                SpMSpVOpts::with_merge(merge),
-                                &dctx,
-                            )
-                            .unwrap();
+                            let opts = SpMSpVOpts::with_merge(merge);
+                            let (y, rep) =
+                                push_one((&da, &dx), &ring, strategy, opts, &dctx).unwrap();
                             let g = y.to_global();
                             let bits = g.values().iter().map(|v| v.to_bits()).collect();
                             outs.push((g.indices().to_vec(), bits, rep));

@@ -26,10 +26,7 @@ use gblas_core::ops::spmspv::{spmspv_first_visitor, spmspv_semiring_masked, SpMS
 use gblas_core::par::ExecCtx;
 use gblas_dist::comm::{CommEvent, CommKind};
 use gblas_dist::grid::BlockDist;
-use gblas_dist::ops::spmspv::{
-    spmspv_dist_semiring_with, spmspv_dist_with, CommStrategy, DistMask, PHASE_GATHER,
-    PHASE_SCATTER,
-};
+use gblas_dist::ops::spmspv::{spmspv_dist_with, CommStrategy, PHASE_GATHER, PHASE_SCATTER};
 use gblas_dist::{
     DistBackend, DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid,
 };
@@ -79,14 +76,6 @@ fn shared_mask(bits: &DenseVec<bool>, complement: bool) -> VecMask<'_> {
         m.complement()
     } else {
         m
-    }
-}
-
-fn dist_mask(bits: &DistDenseVec<bool>, complement: bool) -> DistMask<'_> {
-    if complement {
-        DistMask::complement(bits)
-    } else {
-        DistMask::new(bits)
     }
 }
 
@@ -216,15 +205,17 @@ where
                 let claims = expected_claims(&case.a, &da, &x, |j| case.bits[j] != complement);
                 for (exec, strategy) in EXECUTORS.iter().flat_map(|&e| STRATEGIES.map(|s| (e, s))) {
                     let what = format!("{name} {pr}x{pc} {exec:?} {strategy:?} comp={complement}");
-                    let dm = Some(dist_mask(&dbits, complement));
+                    let (xs, dm) =
+                        (std::slice::from_ref(&dx), [MaskSpec { bits: &dbits, complement }]);
                     let masked = ctx(grid, exec);
-                    let (y, _) =
-                        spmspv_dist_semiring_with(&da, &dx, ring, dm, strategy, opts, &masked)
-                            .unwrap();
-                    assert_eq!(enc(&y.to_global()), enc(&want), "{what}");
+                    let backend = DistBackend::with_strategy(&masked, strategy);
+                    let y: Vec<DistSparseVec<f64>> =
+                        backend.spmspv(&da, xs, ring, Some(&dm), opts).unwrap();
+                    assert_eq!(enc(&y[0].to_global()), enc(&want), "{what}");
                     let unmasked = ctx(grid, exec);
-                    spmspv_dist_semiring_with(&da, &dx, ring, None, strategy, opts, &unmasked)
-                        .unwrap();
+                    let backend = DistBackend::with_strategy(&unmasked, strategy);
+                    let _: Vec<DistSparseVec<f64>> =
+                        backend.spmspv(&da, xs, ring, None, opts).unwrap();
                     let history = masked.comm.history();
                     check_scatter(&history, &claims, claim_bytes, &what);
                     let got = mask_messages(&history, &unmasked.comm.history());
@@ -277,7 +268,7 @@ fn masked_first_visitor_push_is_bit_equal_to_the_shared_masked_kernel() {
                     for exec in EXECUTORS {
                         for strategy in STRATEGIES {
                             let what = format!("{pr}x{pc} {exec:?} {strategy:?} comp={complement}");
-                            let dm = Some(dist_mask(&dbits, complement));
+                            let dm = Some(MaskSpec { bits: &dbits, complement });
                             let masked = ctx(grid, exec);
                             let (y, _) =
                                 spmspv_dist_with(&da, &dx, dm, strategy, opts, &masked).unwrap();

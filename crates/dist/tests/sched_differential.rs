@@ -78,10 +78,10 @@ fn run_suite(dctx: &DistCtx, grid: ProcGrid) -> (Vec<Out>, Vec<SimReport>, (u64,
             reps.push(rep);
         }
         let (bulk, opts) = (CommStrategy::Bulk, SpMSpVOpts::default());
-        let (y, rep) =
-            spmspv::spmspv_dist_semiring_with(&da, &dx, &ring, None, bulk, opts, dctx).unwrap();
-        outs.push(enc_sparse(&y));
-        reps.push(rep);
+        let backend = DistBackend::with_strategy(dctx, bulk);
+        let y = backend.spmspv(&da, std::slice::from_ref(&dx), &ring, None, opts).unwrap();
+        outs.push(enc_sparse(&y[0]));
+        reps.push(backend.take_report());
 
         let (y, rep) = pull_first_visitor_dist(&dat, &frontier, &visited, dctx).unwrap();
         outs.push(enc_parents(&y));
@@ -185,10 +185,9 @@ proptest! {
             let mut outs: Vec<Out> = Vec::new();
             for _ in 0..2 {
                 let (bulk, opts) = (CommStrategy::Bulk, SpMSpVOpts::default());
-                let (y, _) =
-                    spmspv::spmspv_dist_semiring_with(&da, &dx, &ring, None, bulk, opts, &d)
-                        .unwrap();
-                outs.push(enc_sparse(&y));
+                let backend = DistBackend::with_strategy(&d, bulk);
+                let y = backend.spmspv(&da, std::slice::from_ref(&dx), &ring, None, opts).unwrap();
+                outs.push(enc_sparse(&y[0]));
                 let (y, _) = spmv::spmv_dist(&da, &xd, &ring, &d).unwrap();
                 outs.push(enc_dense(&y));
             }

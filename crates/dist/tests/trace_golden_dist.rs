@@ -29,9 +29,7 @@ use gblas_core::ops::spmspv::{MergeStrategy, SpMSpVOpts};
 use gblas_core::trace::sink::chrome_trace;
 use gblas_core::trace::{SpanKind, Trace};
 use gblas_dist::ops::mxm::mxm_dist;
-use gblas_dist::ops::spmspv::{
-    spmspv_dist_semiring_with, spmspv_dist_with, CommStrategy, DistMask, PHASE_GATHER, PHASE_LOCAL,
-};
+use gblas_dist::ops::spmspv::{spmspv_dist_with, CommStrategy, PHASE_GATHER, PHASE_LOCAL};
 use gblas_dist::ops::spmv::spmv_dist;
 use gblas_dist::{
     DistBackend, DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid,
@@ -77,17 +75,11 @@ fn frontier(p: usize) -> DistSparseVec<f64> {
 fn traced_run(merge: MergeStrategy) -> Trace {
     let grid = grid_2x2();
     traced(grid, |da, dctx| {
-        let ring = semirings::plus_times_f64();
-        spmspv_dist_semiring_with(
-            da,
-            &frontier(grid.locales()),
-            &ring,
-            None,
-            CommStrategy::Bulk,
-            SpMSpVOpts::with_merge(merge),
-            dctx,
-        )
-        .expect("spmspv");
+        let (ring, x) = (semirings::plus_times_f64(), frontier(grid.locales()));
+        let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
+        let opts = SpMSpVOpts::with_merge(merge);
+        let _: Vec<DistSparseVec<f64>> =
+            backend.spmspv(da, std::slice::from_ref(&x), &ring, None, opts).expect("spmspv");
     })
 }
 
@@ -110,7 +102,7 @@ fn traced_first_visitor(strategy: CommStrategy) -> Trace {
         spmspv_dist_with(
             da,
             &frontier(p),
-            Some(DistMask::complement(&visited)),
+            Some(MaskSpec::complement(&visited)),
             strategy,
             SpMSpVOpts::default(),
             dctx,

@@ -29,7 +29,7 @@ pub fn betweenness_on<B: GblasBackend, T: Scalar>(
     a: &B::Matrix<T>,
     sources: &[usize],
 ) -> Result<DenseVec<f64>> {
-    let n = crate::check_sources(backend, a, sources)?;
+    let n = crate::check_square(backend, a, sources)?;
     // Path counting needs numeric weights of 1 regardless of T.
     let ones: B::Matrix<f64> = backend.mat_map(a, &|_, _, _| 1.0f64)?;
     let ones_t = backend.mat_transpose(&ones)?;
@@ -41,7 +41,7 @@ pub fn betweenness_on<B: GblasBackend, T: Scalar>(
         // ---- Forward: sigma per level, frontiers as driver-side entry
         // lists (index, path count).
         let mut visited = backend.dense_filled(n, false);
-        backend.dense_set(&mut visited, source, true);
+        backend.dense_set(&mut visited, source, true)?;
         let mut sigma = vec![0.0f64; n];
         sigma[source] = 1.0;
         // The current frontier is carried separately so the loop never has
@@ -65,7 +65,7 @@ pub fn betweenness_on<B: GblasBackend, T: Scalar>(
             )?;
             let entries = backend.sparse_entries(&crate::only(next)?);
             for &(v, paths) in &entries {
-                backend.dense_set(&mut visited, v, true);
+                backend.dense_set(&mut visited, v, true)?;
                 sigma[v] = paths;
             }
             frontiers.push(std::mem::replace(&mut current, entries));
@@ -84,7 +84,7 @@ pub fn betweenness_on<B: GblasBackend, T: Scalar>(
             // t[u] = Σ_{v : u->v} w[v]
             let mut prev_mask = backend.dense_filled(n, false);
             for &(u, _) in &frontiers[d - 1] {
-                backend.dense_set(&mut prev_mask, u, true);
+                backend.dense_set(&mut prev_mask, u, true)?;
             }
             let t: Vec<B::SparseVec<f64>> = backend.spmspv(
                 &ones_t,

@@ -122,7 +122,7 @@ pub fn bfs_observed<B: GblasBackend, T: Scalar>(
     opts: SpMSpVOpts,
     mut observe: impl FnMut(usize),
 ) -> Result<Vec<(BfsResult, Vec<Direction>)>> {
-    let n = crate::check_sources(backend, a, sources)?;
+    let n = crate::check_square(backend, a, sources)?;
     let k = sources.len();
     let new_chooser = || Chooser::new(backend, a, "bfs", Direction::Push, policy);
     let mut choosers: Vec<Chooser> = sources.iter().map(|_| new_chooser()).collect();
@@ -134,7 +134,7 @@ pub fn bfs_observed<B: GblasBackend, T: Scalar>(
     for (s, &src) in sources.iter().enumerate() {
         levels[s][src] = 0;
         parents[s][src] = src;
-        backend.dense_set(&mut visited[s], src, true);
+        backend.dense_set(&mut visited[s], src, true)?;
     }
     let mut frontier: Vec<B::SparseVec<usize>> = sources
         .iter()
@@ -170,7 +170,7 @@ pub fn bfs_observed<B: GblasBackend, T: Scalar>(
         for (s, &pulls) in pull.iter().enumerate() {
             let next = crate::only(if pulls { pulled.next() } else { pushed.next() })?;
             for (v, parent) in backend.sparse_entries(&next) {
-                backend.dense_set(&mut visited[s], v, true);
+                backend.dense_set(&mut visited[s], v, true)?;
                 levels[s][v] = level as i64;
                 parents[s][v] = parent;
             }

@@ -13,7 +13,7 @@ use crate::policy::Chooser;
 use gblas_core::algebra::{First, Min, Scalar, Semiring};
 use gblas_core::backend::GblasBackend;
 use gblas_core::container::DenseVec;
-use gblas_core::error::{check_dims, Result};
+use gblas_core::error::Result;
 use gblas_core::ops::selection::{Direction, SelectionPolicy};
 use gblas_core::ops::spmspv::SpMSpVOpts;
 
@@ -34,8 +34,7 @@ pub fn connected_components_on<B: GblasBackend, T: Scalar>(
     policy: Option<SelectionPolicy>,
     opts: SpMSpVOpts,
 ) -> Result<(DenseVec<usize>, Vec<Direction>)> {
-    check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
-    let n = backend.mat_nrows(a);
+    let n = crate::check_square(backend, a, &[])?;
     let mut chooser = Chooser::new(backend, a, "cc", Direction::Pull, policy);
     let ring: Semiring<Min, First> = Semiring::new(Min, First);
     let mut labels: Vec<usize> = (0..n).collect();

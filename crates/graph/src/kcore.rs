@@ -13,7 +13,7 @@
 use gblas_core::algebra::{Plus, Scalar};
 use gblas_core::backend::GblasBackend;
 use gblas_core::container::DenseVec;
-use gblas_core::error::{check_dims, Result};
+use gblas_core::error::Result;
 
 /// Peeling over any backend: each round reduces the remaining subgraph's
 /// row degrees, decides the peel set driver-side (one scalar all-reduce
@@ -23,8 +23,7 @@ pub fn core_numbers_on<B: GblasBackend, T: Scalar>(
     backend: &B,
     a: &B::Matrix<T>,
 ) -> Result<DenseVec<usize>> {
-    check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
-    let n = backend.mat_nrows(a);
+    let n = crate::check_square(backend, a, &[])?;
     let mut core = DenseVec::filled(n, 0usize);
     if n == 0 {
         return Ok(core);

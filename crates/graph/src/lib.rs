@@ -93,9 +93,10 @@ fn only<T>(ys: impl IntoIterator<Item = T>) -> Result<T> {
         .ok_or_else(|| GblasError::InvalidContainer("an op returned no output row".into()))
 }
 
-/// The shape checks of a traversal from `sources`: a square matrix, and
-/// every source a vertex of it. Returns the vertex count.
-fn check_sources<B: GblasBackend, T: Scalar>(
+/// The shape checks every driver opens with: a square matrix, and each
+/// of `sources` (none for a whole-graph analytic) a vertex of it. Returns
+/// the vertex count.
+fn check_square<B: GblasBackend, T: Scalar>(
     backend: &B,
     a: &B::Matrix<T>,
     sources: &[usize],

@@ -107,9 +107,8 @@ pub fn markov_cluster_on<B: GblasBackend>(
     a: &B::Matrix<f64>,
     opts: MclOptions,
 ) -> Result<(Vec<usize>, usize)> {
-    check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
+    let n = crate::check_square(backend, a, &[])?;
     check_options(&opts)?;
-    let n = backend.mat_nrows(a);
     if n == 0 {
         return Ok((Vec::new(), 0));
     }

@@ -16,7 +16,7 @@
 use gblas_core::algebra::{First, Max, Scalar, Semiring};
 use gblas_core::backend::GblasBackend;
 use gblas_core::container::DenseVec;
-use gblas_core::error::{check_dims, GblasError, Result};
+use gblas_core::error::{GblasError, Result};
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -30,8 +30,7 @@ pub fn maximal_independent_set_on<B: GblasBackend, T: Scalar>(
     a: &B::Matrix<T>,
     seed: u64,
 ) -> Result<DenseVec<bool>> {
-    check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
-    let n = backend.mat_nrows(a);
+    let n = crate::check_square(backend, a, &[])?;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut in_set = DenseVec::filled(n, false);
     let mut candidate = vec![true; n];

@@ -106,7 +106,7 @@ pub fn ppr_multi_on<B: GblasBackend, T: Scalar>(
     seeds: &[usize],
     opts: PprOptions,
 ) -> Result<PprResult> {
-    let n = crate::check_sources(backend, a, seeds)?;
+    let n = crate::check_square(backend, a, seeds)?;
     check_power_options(opts.damping, opts.tolerance)?;
     let k = seeds.len();
     if n == 0 || k == 0 {

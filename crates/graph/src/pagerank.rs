@@ -15,7 +15,7 @@
 use gblas_core::algebra::{semirings, Scalar};
 use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::{CsrMatrix, DenseVec};
-use gblas_core::error::{check_dims, GblasError, Result};
+use gblas_core::error::{GblasError, Result};
 use gblas_core::par::ExecCtx;
 use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, ProcGrid};
 
@@ -111,9 +111,8 @@ pub fn pagerank_observed<B: GblasBackend, T: Scalar>(
     opts: PageRankOptions,
     mut observe: impl FnMut(usize),
 ) -> Result<(DenseVec<f64>, usize)> {
-    check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
+    let n = crate::check_square(backend, a, &[])?;
     check_power_options(opts.damping, opts.tolerance)?;
-    let n = backend.mat_nrows(a);
     if n == 0 {
         return Ok((DenseVec::from_vec(Vec::new()), 0));
     }

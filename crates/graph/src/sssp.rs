@@ -75,7 +75,7 @@ pub fn sssp_on<B: GblasBackend, T: EdgeWeight>(
     policy: Option<SelectionPolicy>,
     opts: SpMSpVOpts,
 ) -> Result<Vec<(DenseVec<f64>, Vec<Direction>)>> {
-    let n = crate::check_sources(backend, a, sources)?;
+    let n = crate::check_square(backend, a, sources)?;
     let k = sources.len();
     let new_chooser = || Chooser::new(backend, a, "sssp", Direction::Push, policy);
     let mut choosers: Vec<Chooser> = sources.iter().map(|_| new_chooser()).collect();

@@ -24,7 +24,7 @@
 use gblas_core::algebra::{semirings, Plus, Scalar};
 use gblas_core::backend::{GblasBackend, SharedBackend};
 use gblas_core::container::CsrMatrix;
-use gblas_core::error::{check_dims, Result};
+use gblas_core::error::Result;
 use gblas_core::ops::mxm::NoRule;
 use gblas_core::par::ExecCtx;
 use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx};
@@ -32,7 +32,7 @@ use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx};
 /// Masked-SpGEMM triangle count over any backend: `sum(C)` with
 /// `C⟨L⟩ = L · L` over plus-pair, `L = tril(A)`.
 pub fn triangle_count_on<B: GblasBackend, T: Scalar>(backend: &B, a: &B::Matrix<T>) -> Result<u64> {
-    check_dims("square matrix", backend.mat_nrows(a), backend.mat_ncols(a))?;
+    crate::check_square(backend, a, &[])?;
     let l = backend.mat_select(a, &|i, j, _| j < i)?;
     let c: B::Matrix<u64> =
         backend.mxm_masked(&l, &l, &semirings::plus_pair(), Some(&l), None::<&NoRule<u64>>)?;

@@ -227,6 +227,33 @@ fn a_dense_mask_of_the_wrong_length_is_an_error() {
     }
 }
 
+/// A point update past the end of a dense vector is `IndexOutOfBounds` on
+/// both backends, and leaves the vector as it was; the last index works.
+#[test]
+fn dense_set_out_of_range_is_an_error_on_both_backends() {
+    use gblas_core::backend::GblasBackend;
+    use gblas_core::error::GblasError;
+
+    fn check<B: GblasBackend>(backend: &B, what: &str) {
+        let mut v = backend.dense_filled(5, 0u32);
+        for i in [5, 6, usize::MAX] {
+            let r = backend.dense_set(&mut v, i, 9);
+            let expected = GblasError::IndexOutOfBounds { index: i, capacity: 5 };
+            assert_eq!(r, Err(expected), "{what}: index {i}");
+        }
+        backend.dense_set(&mut v, 4, 7).unwrap();
+        assert_eq!(backend.dense_to_vec(v), vec![0, 0, 0, 0, 7], "{what}");
+    }
+    let ctx = ExecCtx::serial();
+    check(&SharedBackend::new(&ctx), "shared");
+    for (pr, pc) in [(1, 1), (2, 2), (2, 3)] {
+        for executor in EXECUTORS {
+            let d = dctx(ProcGrid::new(pr, pc), executor);
+            check(&DistBackend::new(&d), &format!("dist {pr}x{pc} {executor:?}"));
+        }
+    }
+}
+
 /// Power-iteration parameters a request can get wrong: a damping factor
 /// outside `[0, 1]` or a negative tolerance (NaN counts as both) is a
 /// clean `InvalidArgument` on both backends — not 200 iterations of NaN
